@@ -6,44 +6,4 @@ contraction certificate that predicts convergence, and verifies that every
 control window endpoint hits its prescribed target.
 """
 
-from .certificates import (Certificate, certificate_for, contraction_constant,
-                           contraction_constant_integro, delay_ratio,
-                           estimate_constants, solution_bound)
-from .core import (HistorySegment, PiecewiseTrajectory, TimeMesh,
-                   build_time_mesh, history_segment, path_sup_norm,
-                   segment_norm, state_norm, sup_distance)
-from .gramian import (ControlSignal, GramianBlock, NotInvertibleError,
-                      assemble_all, assemble_gramian, control_bound,
-                      control_value, gramian_solve, steering_residual,
-                      steering_residual_integro, synthesize_control)
-from .oracle import OracleResult, oracle_linear
-from .problems import (AssumptionConstants, ConvolutionKernel, Numerics,
-                       Problem, WeightedSampleNonlocal)
-from .runner import RunResult, certify, run
-from .semigroups import MatrixSemigroup, ShiftSemigroup, growth_bound
-from .solver import (NonConvergenceError, NotConvergedError, SolveReport,
-                     TargetVerdict, apply_impulse, convolve_kernel,
-                     evaluate_operator, nonlocal_term, picard_solve,
-                     verify_targets)
-from .transport import (TransportConfig, build_case1, build_case2,
-                        shift_semigroup, smooth_unit_field)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AssumptionConstants", "Certificate", "ControlSignal", "ConvolutionKernel",
-    "GramianBlock", "HistorySegment", "MatrixSemigroup", "NonConvergenceError",
-    "NotConvergedError", "NotInvertibleError", "Numerics", "OracleResult",
-    "PiecewiseTrajectory", "Problem", "RunResult", "ShiftSemigroup",
-    "SolveReport", "TargetVerdict", "TimeMesh", "TransportConfig",
-    "WeightedSampleNonlocal", "apply_impulse", "assemble_all",
-    "assemble_gramian", "build_case1", "build_case2", "build_time_mesh",
-    "certificate_for", "certify", "contraction_constant",
-    "contraction_constant_integro", "control_bound", "control_value",
-    "convolve_kernel", "delay_ratio", "estimate_constants",
-    "evaluate_operator", "gramian_solve", "growth_bound", "history_segment",
-    "nonlocal_term", "oracle_linear", "path_sup_norm", "picard_solve", "run",
-    "segment_norm", "shift_semigroup", "smooth_unit_field", "solution_bound",
-    "state_norm", "steering_residual", "steering_residual_integro",
-    "sup_distance", "synthesize_control", "verify_targets",
-]

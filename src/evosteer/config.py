@@ -90,14 +90,18 @@ def load_config(path: str) -> RunConfig:
                      outdir=outdir, echo=echo)
 
 
+_NUMERICS_KEYS = {"time_step": float, "history_samples": int, "tol": float,
+                  "max_iter": int, "delta_floor": float, "ridge": float,
+                  "oracle_refine": int, "target_tol": float, "seed": int}
+
+
 def _load_numerics(parser) -> Numerics:
     sec = parser["numerics"] if parser.has_section("numerics") else {}
+    for key in sec:
+        if key not in _NUMERICS_KEYS:
+            raise ConfigError(f"numerics.{key}: unknown key")
     kwargs = {}
-    for key, cast in (("time_step", float), ("history_samples", int),
-                      ("quad_steps", int), ("tol", float), ("max_iter", int),
-                      ("delta_floor", float), ("ridge", float),
-                      ("oracle_refine", int), ("target_tol", float),
-                      ("seed", int)):
+    for key, cast in _NUMERICS_KEYS.items():
         val = _get(sec, key, cast, field=f"numerics.{key}")
         if val is not None:
             kwargs[key] = val

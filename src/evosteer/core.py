@@ -16,11 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def state_norm(v: np.ndarray, weight: float = 1.0) -> float:
-    """Norm of a state vector under the scaled Euclidean inner product."""
-    return float(np.sqrt(weight) * np.linalg.norm(v))
-
-
 @dataclass(frozen=True)
 class TimeMesh:
     """Breakpoints splitting (0, b] into control windows and impulse windows.
@@ -116,18 +111,6 @@ class HistorySegment:
         if self.beta <= 0:
             raise ValueError("delay length beta must be positive")
 
-    @property
-    def offsets(self) -> np.ndarray:
-        return np.linspace(-self.beta, 0.0, self.samples.shape[0])
-
-    def value_at(self, kappa: float) -> np.ndarray:
-        """Linear interpolation at offset kappa in [-beta, 0]."""
-        h = self.beta / (self.samples.shape[0] - 1)
-        pos = (kappa + self.beta) / h
-        j = min(int(pos), self.samples.shape[0] - 2)
-        frac = pos - j
-        return (1.0 - frac) * self.samples[j] + frac * self.samples[j + 1]
-
 
 def segment_norm(seg: HistorySegment) -> float:
     """Time-averaged integral norm (1/beta) * int_{-beta}^0 |seg(kappa)| dkappa,
@@ -172,18 +155,6 @@ class PiecewiseTrajectory:
                 raise ValueError("segment contains non-finite entries")
         self._ends = np.array([t[-1] for t in self.seg_times])
         self._starts = np.array([t[0] for t in self.seg_times])
-
-    @classmethod
-    def constant(cls, mesh: TimeMesh, beta: float, value: np.ndarray,
-                 history: np.ndarray, steps_per_interval: list,
-                 weight: float = 1.0) -> "PiecewiseTrajectory":
-        """Path identically equal to ``value`` on (0, b], with given history."""
-        seg_times, seg_values = [], []
-        for (a, end, _, _), m in zip(mesh.intervals(), steps_per_interval):
-            t = np.linspace(a, end, m + 1)
-            seg_times.append(t)
-            seg_values.append(np.tile(value, (m + 1, 1)))
-        return cls(mesh, beta, history, seg_times, seg_values, weight)
 
     def history_times(self) -> np.ndarray:
         return np.linspace(-self.beta, 0.0, self.history.shape[0])

@@ -25,8 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import PiecewiseTrajectory
-from .discretize import (KernelDiscretization, WindowGrid, build_window_grids,
-                         eta_values)
+from .discretize import WindowGrid, build_window_grids
 from .problems import Numerics, Problem
 
 
@@ -84,14 +83,13 @@ class GramianBlock:
         return self._factor
 
 
-def assemble_from_grid(problem: Problem, grid: WindowGrid,
+def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
                        numerics: Optional[Numerics] = None) -> GramianBlock:
-    """Gramian of one control window on its shared tau-grid."""
+    """Gramian of one control window on its shared tau-grid; ``scale`` is the
+    state-to-control weight ratio that makes B* the adjoint of B."""
     numerics = numerics or Numerics()
-    B = problem.control_matrix
-    scale = problem.state_weight / problem.control_weight
     w = grid.weights
-    G = np.zeros((problem.dim, problem.dim))
+    G = np.zeros((B.shape[0], B.shape[0]))
     for g in range(grid.m + 1):
         M = grid.table.apply_to_matrix(g, B)
         G += w[grid.m - g] * (M @ M.T)
@@ -116,19 +114,8 @@ def assemble_gramian(semigroup, control_matrix, window, quad_steps: int,
     table = semigroup.lag_table((end - start) / quad_steps, quad_steps)
     grid = WindowGrid(index=index, start=start, end=end, times=times, table=table)
     cw = control_weight if control_weight is not None else semigroup.weight
-    dummy = _GramianProblemView(semigroup, np.atleast_2d(control_matrix), cw)
-    return assemble_from_grid(dummy, grid, numerics)
-
-
-class _GramianProblemView:
-    """Just enough of the Problem surface for standalone Gramian assembly."""
-
-    def __init__(self, semigroup, B, control_weight):
-        self.semigroup = semigroup
-        self.control_matrix = np.asarray(B, dtype=float)
-        self.dim = semigroup.dim
-        self.state_weight = semigroup.weight
-        self.control_weight = control_weight
+    B = np.atleast_2d(np.asarray(control_matrix, dtype=float))
+    return assemble_from_grid(B, semigroup.weight / cw, grid, numerics)
 
 
 def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
@@ -147,66 +134,40 @@ def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def steering_residual(problem: Problem, j: int, traj: PiecewiseTrajectory,
-                      target: np.ndarray, grid: WindowGrid,
-                      numerics: Optional[Numerics] = None,
-                      forcing: Optional[np.ndarray] = None) -> np.ndarray:
-    """Semilinear residual of window j: the uncontrolled terminal defect.
-
-    r_0 = target - T(end)(phi(0) + nu(x)) - int T(end - tau) eta(tau, x_tau);
-    for j >= 1 the free term starts from the impulse value at the window's
-    left end.  ``forcing`` may supply precomputed eta samples on the grid.
-    """
-    numerics = numerics or Numerics()
-    if forcing is None:
-        forcing = eta_values(problem, traj, grid.times, numerics)
+def window_start(problem: Problem, traj: PiecewiseTrajectory, j: int) -> np.ndarray:
+    """Initial state of control window j under the iterate ``traj``:
+    phi(0) + nu(x) on the first window (the integro variant carries no nu),
+    the impulse value impulse_j(lam_j, x(theta_j-)) on later ones."""
     if j == 0:
         x0 = problem.phi0().copy()
         if problem.nonlocal_term is not None:
             x0 = x0 + problem.nonlocal_term(traj)
-    else:
-        lam_j = problem.mesh.lam[j]
-        x0 = problem.impulses[j - 1](lam_j, traj.left_value_at_theta(j))
-    free = grid.table.apply(grid.m, x0)
+        return x0
+    x_minus = traj.left_value_at_theta(j)
+    return np.asarray(problem.impulses[j - 1](problem.mesh.lam[j], x_minus),
+                      dtype=float)
+
+
+def steering_residual(problem: Problem, j: int, traj: PiecewiseTrajectory,
+                      target: np.ndarray, grid: WindowGrid,
+                      forcing: np.ndarray) -> np.ndarray:
+    """Residual of window j: the uncontrolled terminal defect
+
+        r = target - T(end - start) x0 - int T(end - tau) f(tau) dtau,
+
+    with x0 the window start and f the forcing sampled on the window grid
+    (eta(tau, x_tau) for the semilinear variant, the running kernel
+    convolution for the integro one).
+    """
+    free = grid.table.apply(grid.m, window_start(problem, traj, j))
     lags = grid.m - np.arange(grid.m + 1)
     integral = grid.table.lagged_weighted_sum(lags, forcing, grid.weights)
     return np.asarray(target, dtype=float) - free - integral
 
 
-def steering_residual_integro(problem: Problem, j: int,
-                              traj: PiecewiseTrajectory, target: np.ndarray,
-                              grid: WindowGrid,
-                              kern: Optional[KernelDiscretization] = None,
-                              numerics: Optional[Numerics] = None,
-                              inner: Optional[np.ndarray] = None) -> np.ndarray:
-    """Integro-variant residual: the forcing is the running kernel
-    convolution and the first window starts from phi(0) alone."""
-    if problem.kernel is None:
-        raise ValueError("problem has no convolution kernel configured")
-    numerics = numerics or Numerics()
-    if inner is None:
-        kern = kern or KernelDiscretization(problem, numerics)
-        sl = kern.block_slice(0 if j == 0 else 2 * j)
-        inner = kern.inner_convolution(traj)[sl]
-    if j == 0:
-        x0 = problem.phi0()
-    else:
-        lam_j = problem.mesh.lam[j]
-        x0 = problem.impulses[j - 1](lam_j, traj.left_value_at_theta(j))
-    free = grid.table.apply(grid.m, x0)
-    lags = grid.m - np.arange(grid.m + 1)
-    integral = grid.table.lagged_weighted_sum(lags, inner, grid.weights)
-    return np.asarray(target, dtype=float) - free - integral
-
-
-def control_value(problem: Problem, j: int, theta: float, residual: np.ndarray,
-                  block: GramianBlock) -> np.ndarray:
-    """Pointwise feedback u_j(theta) = B* T(end - theta)* G^{-1} r."""
-    start, end = problem.mesh.control_windows()[j]
-    if not (start < theta <= end):
-        raise ValueError(f"theta {theta} outside control window {j}")
-    y = gramian_solve(block, residual)
-    return problem.control_adjoint() @ problem.semigroup.apply_adjoint(end - theta, y)
+# One residual serves both variants; the integro name stays as an alias
+# because bench/spans.py probes it by name.
+steering_residual_integro = steering_residual
 
 
 @dataclass
@@ -274,5 +235,7 @@ def assemble_all(problem: Problem, numerics: Optional[Numerics] = None):
     """Window grids plus their Gramian blocks, the pipeline's first stage."""
     numerics = numerics or Numerics()
     grids = build_window_grids(problem, numerics)
-    blocks = [assemble_from_grid(problem, g, numerics) for g in grids]
+    scale = problem.state_weight / problem.control_weight
+    blocks = [assemble_from_grid(problem.control_matrix, scale, g, numerics)
+              for g in grids]
     return grids, blocks

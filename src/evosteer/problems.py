@@ -166,14 +166,12 @@ class Problem:
 class Numerics:
     """Discretization and iteration knobs shared across the pipeline.
 
-    ``time_step`` sets the per-interval grid resolution (at least
-    ``min_steps`` samples per interval); ``quad_steps``, when given, forces
-    that many quadrature steps on every control window instead.
+    ``time_step`` sets the step count of every mesh interval, shared by the
+    solver grids and the oracle, with at least ``min_steps`` steps each.
     """
 
     time_step: float = 1e-3
     history_samples: int = 128
-    quad_steps: Optional[int] = None
     tol: float = 1e-9
     max_iter: int = 200
     delta_floor: float = 1e-8
@@ -192,8 +190,6 @@ class Numerics:
                 raise ValueError(f"{name} must be at least 1")
 
     def steps_for(self, length: float) -> int:
-        if self.quad_steps is not None:
-            return max(int(self.quad_steps), 2)
         return max(self.min_steps, int(np.ceil(length / self.time_step)))
 
     def ridge_for(self, window: int) -> float:

@@ -1,6 +1,6 @@
-"""End-to-end orchestration: assemble Gramians, compute the certificate,
-run the Picard solve, verify the targets, optionally cross-check against
-the linear oracle."""
+"""End-to-end orchestration: build the discretization once, compute the
+certificate from its Gramians, run the Picard solve on it, verify the
+targets, optionally cross-check against the linear oracle."""
 
 from __future__ import annotations
 
@@ -13,7 +13,8 @@ from .core import sup_distance
 from .gramian import NotInvertibleError, assemble_all
 from .oracle import OracleResult, oracle_linear
 from .problems import Numerics, Problem
-from .solver import SolveReport, TargetVerdict, picard_solve, verify_targets
+from .solver import (SolveReport, Sweep, TargetVerdict, picard_solve,
+                     verify_targets)
 
 
 @dataclass
@@ -56,13 +57,14 @@ def run(problem: Problem, targets, numerics: Optional[Numerics] = None,
     numerics = numerics or Numerics()
     timings = {}
     t0 = time.perf_counter()
-    grids, blocks = assemble_all(problem, numerics)
-    _check_invertible(blocks)
-    cert = certificate_for(problem, blocks, targets, numerics)
+    sweep = Sweep(problem, numerics)
+    _check_invertible(sweep.blocks)
+    cert = certificate_for(problem, sweep.blocks, targets, numerics)
     timings["assemble_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    solve = picard_solve(problem, targets, numerics, raise_on_fail=raise_on_fail)
+    solve = picard_solve(problem, targets, numerics, raise_on_fail=raise_on_fail,
+                         sweep=sweep)
     timings["solve_s"] = time.perf_counter() - t0
     verdict = (verify_targets(solve, targets, numerics.target_tol)
                if solve.converged else None)
@@ -75,6 +77,6 @@ def run(problem: Problem, targets, numerics: Optional[Numerics] = None,
         distance = sup_distance(solve.trajectory, oracle.trajectory)
         timings["oracle_s"] = time.perf_counter() - t0
     return RunResult(problem=problem, targets=targets, numerics=numerics,
-                     grids=grids, blocks=blocks, certificate=cert, solve=solve,
-                     verdict=verdict, oracle=oracle, oracle_distance=distance,
-                     timings=timings)
+                     grids=sweep.grids, blocks=sweep.blocks, certificate=cert,
+                     solve=solve, verdict=verdict, oracle=oracle,
+                     oracle_distance=distance, timings=timings)

@@ -2,9 +2,9 @@
 
 Two backends:
 
-* ``MatrixSemigroup`` -- T(theta) = expm(theta * A) for a dense generator A,
-  with per-theta caching.  The adjoint reuses the cached matrix transposed,
-  so duality holds to round-off.
+* ``MatrixSemigroup`` -- T(theta) = expm(theta * A) for a dense generator A.
+  The adjoint applies the same matrix transposed, so duality holds to
+  round-off.
 * ``ShiftSemigroup`` -- the left-shift semigroup of the transport equation on
   [0, pi]: (T(theta) v)(x) = v(x + theta), zero past pi.  States are sampled
   at the nodes x_i = i*pi/N, i = 0..N-1 (the outflow endpoint pi, where
@@ -15,7 +15,7 @@ Two backends:
 
 Both expose a ``lag_table`` with the grid machinery the steering pipeline
 needs: propagator action at every lag g * delta of a uniform window grid.
-All cached data is immutable after construction.
+Lag-table data is immutable after construction.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ class ShiftLagTable:
 
 class MatrixSemigroup:
     """Semigroup generated by a dense matrix A, evaluated via the scaled
-    Pade matrix exponential with per-theta caching."""
+    Pade matrix exponential."""
 
     def __init__(self, A: np.ndarray, bound: float | None = None):
         A = np.asarray(A, dtype=float)
@@ -144,16 +144,11 @@ class MatrixSemigroup:
         self.dim = A.shape[0]
         self.weight = 1.0
         self.bound = float(bound) if bound is not None else None
-        self._cache: dict = {}
 
     def propagator(self, theta: float) -> np.ndarray:
         if theta < 0:
             raise ValueError("semigroup time must be nonnegative")
-        P = self._cache.get(theta)
-        if P is None:
-            P = np.eye(self.dim) if theta == 0.0 else expm(theta * self.A)
-            self._cache[theta] = P
-        return P
+        return np.eye(self.dim) if theta == 0.0 else expm(theta * self.A)
 
     def apply(self, theta: float, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -22,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .core import PiecewiseTrajectory, history_segment, path_sup_norm, sup_distance
-from .discretize import KernelDiscretization, eta_values, trapezoid_weights
+from .core import PiecewiseTrajectory, path_sup_norm, sup_distance
+from .discretize import KernelDiscretization, eta_values
 from .gramian import (ControlSignal, assemble_all, steering_residual,
-                      steering_residual_integro, synthesize_control)
+                      synthesize_control, window_start)
 from .problems import Numerics, Problem
 
 
@@ -45,10 +45,6 @@ class NonConvergenceError(Exception):
             f"measured ratio {report.measured_ratio:.3f})")
 
 
-class NotConvergedError(Exception):
-    """Raised when a verdict is requested from a non-converged solve."""
-
-
 @dataclass
 class SolveReport:
     """Outcome of a Picard solve."""
@@ -65,45 +61,10 @@ class SolveReport:
         return self.control.sup_norms() if self.control is not None else []
 
 
-def apply_impulse(problem: Problem, j: int, x_minus: np.ndarray,
-                  theta: float) -> np.ndarray:
-    """Value of the j-th non-instantaneous impulse at theta in its window."""
-    if not 1 <= j <= problem.mesh.n_impulses:
-        raise ValueError(f"impulse index {j} out of range")
-    a, end = problem.mesh.impulse_windows()[j - 1]
-    if not (a < theta <= end):
-        raise ValueError(f"theta {theta} outside impulse window ({a}, {end}]")
-    return np.asarray(problem.impulses[j - 1](theta, x_minus), dtype=float)
-
-
-def nonlocal_term(traj: PiecewiseTrajectory, problem: Problem) -> np.ndarray:
-    """The initial-coupling term nu(x); zero when the problem has none."""
-    if problem.nonlocal_term is None:
-        return np.zeros(problem.dim)
-    return np.asarray(problem.nonlocal_term(traj), dtype=float)
-
-
-def convolve_kernel(theta: float, traj: PiecewiseTrajectory,
-                    problem: Problem, numerics: Optional[Numerics] = None) -> np.ndarray:
-    """int_0^theta kappa(theta - s) q(s, x_s) ds by trapezoid quadrature."""
-    if problem.kernel is None:
-        raise ValueError("problem has no convolution kernel configured")
-    numerics = numerics or Numerics()
-    if theta <= 0.0:
-        return np.zeros(problem.dim)
-    m = numerics.steps_for(theta)
-    s = np.linspace(0.0, theta, m + 1)
-    w = trapezoid_weights(m, theta / m)
-    out = np.zeros(problem.dim)
-    for wi, si in zip(w, s):
-        seg = history_segment(traj, float(si), samples=numerics.history_samples)
-        out += wi * problem.kernel.kappa(theta - float(si)) * np.asarray(
-            problem.kernel.q(float(si), seg), dtype=float)
-    return out
-
-
-class _Sweep:
-    """Cached discretization shared by every operator application."""
+class Sweep:
+    """The run's discretization -- window grids, Gramian blocks and, for the
+    integro variant, the kernel sums -- built once and shared by every
+    operator application."""
 
     def __init__(self, problem: Problem, numerics: Numerics):
         self.problem = problem
@@ -131,9 +92,7 @@ class _Sweep:
         flat = PiecewiseTrajectory(problem.mesh, problem.beta, hist,
                                    self.seg_times, seg_values,
                                    weight=problem.state_weight)
-        v0 = phi0.copy()
-        if problem.variant == "semilinear" and problem.nonlocal_term is not None:
-            v0 = v0 + nonlocal_term(flat, problem)
+        v0 = window_start(problem, flat, 0)
         seg_values = [np.tile(v0, (len(t), 1)) for t in self.seg_times]
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
@@ -141,21 +100,10 @@ class _Sweep:
                     [problem.impulses[j - 1](float(t), v0) for t in self.seg_times[k]])
         return flat.with_values(seg_values)
 
-    def window_start(self, traj: PiecewiseTrajectory, j: int) -> np.ndarray:
-        problem = self.problem
-        if j == 0:
-            x0 = problem.phi0().copy()
-            if problem.variant == "semilinear" and problem.nonlocal_term is not None:
-                x0 = x0 + nonlocal_term(traj, problem)
-            return x0
-        lam_j = problem.mesh.lam[j]
-        return np.asarray(
-            problem.impulses[j - 1](lam_j, traj.left_value_at_theta(j)), dtype=float)
-
     def apply(self, traj: PiecewiseTrajectory, targets):
         """One application of the steered operator; returns the new path,
         the synthesized control and the residuals it was built from."""
-        problem, numerics = self.problem, self.numerics
+        problem = self.problem
         if self.kern is not None:
             inner_all = self.kern.inner_convolution(traj)
         forcings, residuals = [], []
@@ -164,18 +112,12 @@ class _Sweep:
             if self.kern is not None:
                 forcing = inner_all[self.kern.block_slice(k)]
             else:
-                forcing = eta_values(problem, traj, grid.times, numerics)
+                forcing = eta_values(problem, traj, grid.times, self.numerics)
             forcings.append(forcing)
             if targets is not None:
-                if self.kern is not None:
-                    r = steering_residual_integro(problem, grid.index, traj,
-                                                  targets[grid.index], grid,
-                                                  inner=forcing)
-                else:
-                    r = steering_residual(problem, grid.index, traj,
-                                          targets[grid.index], grid,
-                                          numerics, forcing=forcing)
-                residuals.append(r)
+                residuals.append(steering_residual(problem, grid.index, traj,
+                                                   targets[grid.index], grid,
+                                                   forcing))
         control = (synthesize_control(problem, self.grids, self.blocks, residuals)
                    if targets is not None else None)
         seg_values = []
@@ -190,41 +132,31 @@ class _Sweep:
             F = forcings[j].copy()
             if control is not None:
                 F += control.samples[j] @ problem.control_matrix.T
-            z = grid.table.evolve(self.window_start(traj, j))
+            z = grid.table.evolve(window_start(problem, traj, j))
             z += grid.table.convolve(F, grid.delta)
             seg_values.append(z)
         return traj.with_values(seg_values), control, residuals
 
 
-def evaluate_operator(problem: Problem, traj: PiecewiseTrajectory, targets,
-                      numerics: Optional[Numerics] = None) -> PiecewiseTrajectory:
-    """One application of the steered mild-solution operator to ``traj``.
-
-    ``targets`` is the per-window target list, or None to evaluate the
-    uncontrolled operator (u identically zero).
-    """
-    sweep = _Sweep(problem, numerics or Numerics())
-    new, _, _ = sweep.apply(traj, targets)
-    return new
-
-
 def picard_solve(problem: Problem, targets, numerics: Optional[Numerics] = None,
                  tol: Optional[float] = None, max_iter: Optional[int] = None,
-                 raise_on_fail: bool = True) -> SolveReport:
+                 raise_on_fail: bool = True,
+                 sweep: Optional[Sweep] = None) -> SolveReport:
     """Iterate the steered operator to its fixed point.
 
     Starts from the flat extension of phi(0) (plus the nonlocal coupling of
     that extension) with the impulse branches applied once.  Stops when the
     sup-norm update drops below tol relative to the iterate scale.  The
     update ratio ||d_{k+1}||/||d_k|| is recorded from the second iteration
-    onward as the measured contraction rate.
+    onward as the measured contraction rate.  ``sweep`` reuses a
+    discretization already built for the same problem and numerics.
     """
     numerics = numerics or Numerics()
     tol = tol if tol is not None else numerics.tol
     max_iter = max_iter if max_iter is not None else numerics.max_iter
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    sweep = _Sweep(problem, numerics)
+    sweep = sweep or Sweep(problem, numerics)
     traj = sweep.initial_iterate()
     control = None
     prev_update = None
@@ -285,7 +217,7 @@ def verify_targets(report: SolveReport, targets, tol_hit: float = 1e-6) -> Targe
     give the total verdict, which implies the exact one.
     """
     if not report.converged:
-        raise NotConvergedError("solve did not converge; no verdict is issued")
+        raise NonConvergenceError(report)
     if len(report.per_window_defect) != len(targets):
         raise ValueError("one target per control window required")
     hits = [d <= tol_hit for d in report.per_window_defect]

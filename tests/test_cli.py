@@ -96,6 +96,16 @@ class TestConfigParsing:
                                 PRESET_CFG.format(out=tmp_path / "o")))
         assert cfg.outdir == str(tmp_path / "override")
 
+    @pytest.mark.parametrize("line", ["time_stpe = 1e-5", "quad_steps = 10"])
+    def test_unknown_numerics_key_named(self, tmp_path, capsys, line):
+        bad = PRESET_CFG.replace("time_step = 5e-3", "time_step = 5e-3\n" + line)
+        path = write(tmp_path, "h.ini", bad.format(out=tmp_path / "o"))
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"numerics.{key}: unknown key"):
+            load_config(path)
+        assert main(["solve", path]) == 2
+        assert f"numerics.{key}" in capsys.readouterr().err
+
     def test_explicit_targets(self, tmp_path):
         text = LINEAR_CFG.replace("targets = random",
                                   "targets = 1 0; 0 1")

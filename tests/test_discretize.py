@@ -67,6 +67,19 @@ class TestKernelDiscretization:
         inner = kern.inner_convolution(traj)
         np.testing.assert_allclose(inner[:, 0], kern.times ** 2 / 2.0, atol=1e-12)
 
+    def test_inner_convolution_at_nodes(self):
+        # kappa == 1: q == 1 gives t at t = 0.5, q == 0 gives exactly 0 at 0.7
+        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        num = Numerics(time_step=1e-2, history_samples=8)
+        ones = lambda s: np.ones_like(np.asarray(s))
+        prob = _kernel_problem(ones, lambda t, seg: np.array([1.0]), mesh=mesh)
+        kern = KernelDiscretization(prob, num)
+        traj = picard_solve(prob, None, num).trajectory
+        i, k = (int(np.argmin(np.abs(kern.times - t))) for t in (0.5, 0.7))
+        assert kern.inner_convolution(traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
+        prob0 = _kernel_problem(ones, lambda t, seg: np.array([0.0]), mesh=mesh)
+        assert KernelDiscretization(prob0, num).inner_convolution(traj)[k, 0] == 0.0
+
     def test_block_slices_tile_the_grid(self):
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
                                lambda t, seg: np.array([0.0]))

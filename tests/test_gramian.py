@@ -5,13 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from evosteer.core import build_time_mesh
-from evosteer.discretize import build_window_grids
+from evosteer.discretize import (KernelDiscretization, build_window_grids,
+                                 eta_values)
 from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
-                              assemble_gramian, control_bound, control_value,
-                              gramian_solve, steering_residual,
-                              steering_residual_integro)
+                              assemble_gramian, control_bound, gramian_solve,
+                              steering_residual, synthesize_control,
+                              window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
-                               Numerics, Problem)
+                               Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
 
 
@@ -136,10 +137,12 @@ class TestResiduals:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         phi0 = rng.normal(size=3)
         prob = linear_problem(A, np.eye(3), mesh, phi0)
-        grids = build_window_grids(prob, Numerics(time_step=1e-3))
-        traj = _flat_traj(prob, Numerics(time_step=1e-3))
+        num = Numerics(time_step=1e-3)
+        grids = build_window_grids(prob, num)
+        traj = _flat_traj(prob, num)
         target = expm(A) @ phi0
-        r = steering_residual(prob, 0, traj, target, grids[0])
+        r = steering_residual(prob, 0, traj, target, grids[0],
+                              _eta(prob, traj, grids[0], num))
         assert np.linalg.norm(r) <= 1e-10
 
     def test_constant_forcing_closed_form(self):
@@ -151,7 +154,8 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = steering_residual(prob, 0, traj, np.array([2.0]), grids[0], num)
+        r = steering_residual(prob, 0, traj, np.array([2.0]), grids[0],
+                              _eta(prob, traj, grids[0], num))
         assert r[0] == pytest.approx(2.0 - 0.3, abs=1e-13)
 
     def test_impulse_window_residual(self):
@@ -169,7 +173,8 @@ class TestResiduals:
         traj = _flat_traj(prob, num)
         x_minus = traj.left_value_at_theta(1)
         target = rng.normal(size=2)
-        r = steering_residual(prob, 1, traj, target, grids[1], num)
+        r = steering_residual(prob, 1, traj, target, grids[1],
+                              _eta(prob, traj, grids[1], num))
         manual = target - expm(0.5 * A) @ (0.5 * x_minus)
         np.testing.assert_allclose(r, manual, atol=1e-11)
 
@@ -184,8 +189,8 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = steering_residual_integro(prob, 0, traj, np.array([2.0]), grids[0],
-                                      numerics=num)
+        r = steering_residual(prob, 0, traj, np.array([2.0]), grids[0],
+                              _inner(prob, traj, num))
         assert r[0] == pytest.approx(2.0 - 0.25 - 0.5, abs=1e-12)
 
     def test_kernel_residual_zero_integrand(self):
@@ -201,19 +206,9 @@ class TestResiduals:
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         target = rng.normal(size=2)
-        r = steering_residual_integro(prob, 0, traj, target, grids[0],
-                                      numerics=num)
+        r = steering_residual(prob, 0, traj, target, grids[0],
+                              _inner(prob, traj, num))
         np.testing.assert_allclose(r, target - expm(A) @ phi0, atol=1e-11)
-
-    def test_kernel_required(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
-        prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0])
-        num = Numerics(time_step=0.1)
-        grids = build_window_grids(prob, num)
-        traj = _flat_traj(prob, num)
-        with pytest.raises(ValueError, match="kernel"):
-            steering_residual_integro(prob, 0, traj, np.array([1.0]), grids[0],
-                                      numerics=num)
 
 
 class TestControl:
@@ -221,7 +216,7 @@ class TestControl:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.0, 0.0])
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
-        u = control_value(prob, 0, 0.5, np.zeros(2), blocks[0])
+        u = synthesize_control(prob, grids, blocks, [np.zeros(2)]).value(0.5)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
     def test_scalar_constant_control(self):
@@ -229,19 +224,49 @@ class TestControl:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0])
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
+        control = synthesize_control(prob, grids, blocks, [np.array([2.5])])
         for theta in (0.1, 0.5, 1.0):
-            u = control_value(prob, 0, theta, np.array([2.5]), blocks[0])
-            assert u[0] == pytest.approx(2.5, rel=1e-12)
+            assert control.value(theta)[0] == pytest.approx(2.5, rel=1e-12)
 
-    def test_theta_outside_window_rejected(self):
+    def test_zero_off_control_windows(self):
         mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0],
                               impulses=(lambda th, x: 0.0 * np.asarray(x),),
                               constants=AssumptionConstants(
                                   impulse_lipschitz=(0.0,), impulse_sup=(0.0,)))
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
-        with pytest.raises(ValueError):
-            control_value(prob, 0, 0.5, np.zeros(1), blocks[0])
+        control = synthesize_control(prob, grids, blocks,
+                                     [np.ones(1), np.ones(1)])
+        for theta in (0.0, 0.5):
+            np.testing.assert_array_equal(control.value(theta), np.zeros(1))
+        assert control.value(0.2)[0] != 0.0
+
+
+class TestWindowStart:
+    @pytest.mark.parametrize("case, j, expected", [
+        ("first-nonlocal", 0, [0.6, 0.05]),   # phi(0) + 0.1 * x(0.2)
+        ("first-integro", 0, [0.5, 0.25]),    # phi(0) alone
+        ("impulse", 1, [0.5, -1.0]),          # lam_1 * x(theta_1-)
+    ], ids=["first-nonlocal", "first-integro", "impulse"])
+    def test_window_start(self, case, j, expected):
+        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+        kwargs = {}
+        if case == "first-nonlocal":
+            kwargs["nonlocal_term"] = WeightedSampleNonlocal([0.1], [0.2])
+        elif case == "first-integro":
+            kwargs["kernel"] = ConvolutionKernel(
+                kappa=lambda s: np.ones_like(np.asarray(s)),
+                q=lambda t, seg: np.ones(2))
+        prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
+                              impulses=(lambda th, x: th * np.asarray(x),),
+                              constants=AssumptionConstants(
+                                  impulse_lipschitz=(0.5,), impulse_sup=(1.0,)),
+                              **kwargs)
+        flat = _flat_traj(prob, Numerics(time_step=1e-2, history_samples=8))
+        x = np.array([1.0, -2.0])
+        traj = flat.with_values([np.tile(x, (len(t), 1)) for t in flat.seg_times])
+        np.testing.assert_allclose(window_start(prob, traj, j), expected,
+                                   rtol=1e-15)
 
 
 class TestControlBound:
@@ -278,5 +303,14 @@ class TestControlBound:
 
 
 def _flat_traj(problem, numerics):
-    from evosteer.solver import _Sweep
-    return _Sweep(problem, numerics).initial_iterate()
+    from evosteer.solver import Sweep
+    return Sweep(problem, numerics).initial_iterate()
+
+
+def _eta(problem, traj, grid, numerics):
+    return eta_values(problem, traj, grid.times, numerics)
+
+
+def _inner(problem, traj, numerics):
+    kern = KernelDiscretization(problem, numerics)
+    return kern.inner_convolution(traj)[kern.block_slice(0)]

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from evosteer.core import build_time_mesh, path_sup_norm, sup_distance
-from evosteer.gramian import NotInvertibleError
+from evosteer.gramian import NotInvertibleError, window_start
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup
-from evosteer.solver import (NonConvergenceError, NotConvergedError,
-                             apply_impulse, convolve_kernel, evaluate_operator,
-                             nonlocal_term, picard_solve, verify_targets)
+from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
+                             verify_targets)
 from evosteer.transport import TransportConfig, build_case1
 
 
@@ -43,8 +42,9 @@ class TestOperator:
         targets = [rng.normal(size=3)]
         num = Numerics(time_step=2e-3)
         report = picard_solve(prob, targets, num)
-        once = evaluate_operator(prob, report.trajectory, targets, num)
-        twice = evaluate_operator(prob, once, targets, num)
+        sweep = Sweep(prob, num)
+        once = sweep.apply(report.trajectory, targets)[0]
+        twice = sweep.apply(once, targets)[0]
         assert sup_distance(twice, once) <= 1e-10
 
     def test_impulse_branch_replays_left_limit(self):
@@ -77,8 +77,8 @@ class TestOperator:
         prob = build_case1(cfg)
         num = Numerics(time_step=4e-3, history_samples=48, tol=1e-10)
         report = picard_solve(prob, cfg.resolved_targets(), num)
-        again = evaluate_operator(prob, report.trajectory,
-                                  cfg.resolved_targets(), num)
+        again = Sweep(prob, num).apply(report.trajectory,
+                                       cfg.resolved_targets())[0]
         assert sup_distance(again, report.trajectory) <= 2.0 * 1e-10 * max(
             1.0, path_sup_norm(report.trajectory))
 
@@ -130,20 +130,11 @@ class TestPicard:
 
 
 class TestPieces:
-    def test_apply_impulse(self):
-        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
-        prob = make_problem(mesh=mesh)
-        out = apply_impulse(prob, 1, np.array([1.0, -2.0]), 0.4)
-        np.testing.assert_allclose(out, [0.4, -0.8])
-        with pytest.raises(ValueError):
-            apply_impulse(prob, 1, np.zeros(2), 0.7)
-        with pytest.raises(ValueError):
-            apply_impulse(prob, 2, np.zeros(2), 0.4)
-
     def test_zero_impulse(self):
-        prob = make_problem(impulses=((lambda th, x: 0.0 * np.asarray(x)),))
-        np.testing.assert_array_equal(apply_impulse(prob, 1, np.ones(2), 0.5),
-                                      np.zeros(2))
+        prob = make_problem(impulses=((lambda th, x: 0.0 * np.asarray(x)),),
+                            phi0=np.ones(2))
+        traj = Sweep(prob, Numerics(time_step=1e-2)).initial_iterate()
+        np.testing.assert_array_equal(window_start(prob, traj, 1), np.zeros(2))
 
     def test_control_vanishes_off_control_windows(self):
         rng = np.random.default_rng(36)
@@ -159,7 +150,7 @@ class TestPieces:
         prob = make_problem(dim=1, mesh=mesh, phi0=[2.0])
         num = Numerics(time_step=1e-2, history_samples=8)
         report = picard_solve(prob, None, num)
-        assert nonlocal_term(report.trajectory, prob)[0] == 0.0
+        assert window_start(prob, report.trajectory, 0)[0] == 2.0
         nl = WeightedSampleNonlocal([0.1], [0.5])
         assert nl(report.trajectory)[0] == pytest.approx(0.2, rel=1e-12)
 
@@ -187,20 +178,6 @@ class TestPieces:
         with pytest.raises(ValueError, match="instant"):
             nl(base)
 
-    def test_convolve_kernel_closed_forms(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
-        kernel = ConvolutionKernel(kappa=lambda s: np.ones_like(np.asarray(s)),
-                                   q=lambda t, seg: np.array([1.0]))
-        prob = make_problem(dim=1, mesh=mesh, kernel=kernel)
-        num = Numerics(time_step=1e-2, history_samples=8)
-        traj = picard_solve(prob, None, num).trajectory
-        assert convolve_kernel(0.5, traj, prob, num)[0] == pytest.approx(
-            0.5, abs=1e-12)
-        zero_q = ConvolutionKernel(kappa=lambda s: np.ones_like(np.asarray(s)),
-                                   q=lambda t, seg: np.array([0.0]))
-        prob0 = make_problem(dim=1, mesh=mesh, kernel=zero_q)
-        assert convolve_kernel(0.7, traj, prob0, num)[0] == 0.0
-
 
 class TestVerifyTargets:
     def test_all_hit_and_corollary(self):
@@ -221,7 +198,7 @@ class TestVerifyTargets:
                               Numerics(time_step=5e-3, history_samples=32,
                                        max_iter=1),
                               raise_on_fail=False)
-        with pytest.raises(NotConvergedError):
+        with pytest.raises(NonConvergenceError):
             verify_targets(report, cfg.resolved_targets())
 
     def test_exact_without_total(self):
@@ -300,3 +277,21 @@ class TestVerifyTargets:
         with pytest.raises(NotInvertibleError):
             picard_solve(prob, [np.ones(2), np.ones(2)],
                          Numerics(time_step=1e-2))
+
+
+@pytest.mark.parametrize("entry", ["run", "certify"])
+def test_one_gramian_assembly_per_run(monkeypatch, entry):
+    from evosteer import gramian, runner, solver
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return gramian.assemble_all(*args, **kwargs)
+
+    for module in (runner, solver):
+        monkeypatch.setattr(module, "assemble_all", counting)
+    rng = np.random.default_rng(39)
+    prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
+    targets = [rng.normal(size=2), rng.normal(size=2)]
+    getattr(runner, entry)(prob, targets, Numerics(time_step=2e-3))
+    assert len(calls) == 1
