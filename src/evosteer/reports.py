@@ -1,7 +1,9 @@
 """Emission of run artifacts: trajectory/control CSV files and the JSON
 report.  All numbers are written at full precision (%.17g) so re-ingesting a
 file reproduces the run's norms exactly and identical runs emit identical
-bytes."""
+bytes.  CSV rows are streamed to the file one at a time, each formatted by a
+single ``%`` into the bytes ``csv.writer`` would write (no field ever needs
+quoting; rows end in CRLF)."""
 
 from __future__ import annotations
 
@@ -15,8 +17,9 @@ import numpy as np
 from .core import PiecewiseTrajectory
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % float(x)
+def _row_format(prefix: str, columns: int) -> str:
+    """A row: the text ``prefix`` then ``columns`` %.17g fields."""
+    return prefix + ",".join(["%.17g"] * columns) + "\r\n"
 
 
 def emit_trajectory(traj: PiecewiseTrajectory, control, path: str) -> None:
@@ -27,49 +30,47 @@ def emit_trajectory(traj: PiecewiseTrajectory, control, path: str) -> None:
     mu = control.samples[0].shape[1] if control is not None else 0
     header = (["t", "kind", "side"] + [f"x{i}" for i in range(d)]
               + [f"u{i}" for i in range(mu)])
-    zeros_u = ["0"] * mu
-    rows = []
-    htimes = traj.history_times()
-    for i, t in enumerate(htimes):
-        side = "L" if i == len(htimes) - 1 else "-"
-        rows.append([_fmt(t), "history", side]
-                    + [_fmt(v) for v in traj.history[i]] + list(zeros_u))
-    intervals = traj.mesh.intervals()
-    for k, (a, end, kind, j) in enumerate(intervals):
-        times = traj.seg_times[k]
-        vals = traj.seg_values[k]
-        for i, t in enumerate(times):
-            if i == 0:
-                side = "R"
-            elif i == len(times) - 1:
-                side = "L"
-            else:
-                side = "-"
-            if kind == "control" and control is not None:
-                u = [_fmt(v) for v in control.samples[j][i]]
-            else:
-                u = list(zeros_u)
-            rows.append([_fmt(t), kind, side] + [_fmt(v) for v in vals[i]] + u)
-    _write_csv(path, header, rows)
+    fmt = _row_format("%.17g,%s,%s,", d + mu)
+    zeros_u = (0.0,) * mu
+
+    def rows():
+        htimes = traj.history_times()
+        for i, t in enumerate(htimes):
+            side = "L" if i == len(htimes) - 1 else "-"
+            yield fmt % ((float(t), "history", side)
+                         + tuple(traj.history[i].tolist()) + zeros_u)
+        for k, (a, end, kind, j) in enumerate(traj.mesh.intervals()):
+            times = traj.seg_times[k]
+            vals = traj.seg_values[k]
+            U = control.samples[j] if kind == "control" and control is not None else None
+            last = len(times) - 1
+            for i, t in enumerate(times.tolist()):
+                side = "R" if i == 0 else "L" if i == last else "-"
+                u = tuple(U[i].tolist()) if U is not None else zeros_u
+                yield fmt % ((t, kind, side) + tuple(vals[i].tolist()) + u)
+
+    _write_csv(path, header, rows())
 
 
 def emit_control(control, path: str) -> None:
     """Control samples alone: t, window index, control components."""
     mu = control.samples[0].shape[1]
     header = ["t", "window"] + [f"u{i}" for i in range(mu)]
-    rows = []
-    for j, (times, U) in enumerate(zip(control.window_times, control.samples)):
-        for t, u in zip(times, U):
-            rows.append([_fmt(t), str(j)] + [_fmt(v) for v in u])
-    _write_csv(path, header, rows)
+    fmt = _row_format("%.17g,%d,", mu)
+
+    def rows():
+        for j, (times, U) in enumerate(zip(control.window_times, control.samples)):
+            for t, u in zip(times.tolist(), U):
+                yield fmt % ((t, j) + tuple(u.tolist()))
+
+    _write_csv(path, header, rows())
 
 
 def _write_csv(path: str, header, rows) -> None:
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
+            fh.write(",".join(header) + "\r\n")
+            fh.writelines(rows)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -118,14 +118,14 @@ class ShiftLagTable:
         return np.sum((1.0 - c) * lo + c * hi, axis=0)
 
     def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
-        m = F.shape[0] - 1
+        m, N = F.shape[0] - 1, self.N
         conv = F.copy()
-        ev0 = np.empty_like(F)
-        ev0[0] = F[0]
+        Fp = np.pad(F, ((0, 0), (0, self.pad)))
         for g in range(1, m + 1):
-            conv[g:] += self._shift_rows(g, F[:m + 1 - g])
-            ev0[g] = self.apply(g, F[0])
-        out = delta * (conv - 0.5 * (ev0 + F))
+            o, c = self.off[g], self.frac[g]
+            rows = Fp[:m + 1 - g]
+            conv[g:] += (1.0 - c) * rows[:, o:o + N] + c * rows[:, o + 1:o + 1 + N]
+        out = delta * (conv - 0.5 * (self.evolve(F[0]) + F))
         out[0] = 0.0
         return out
 

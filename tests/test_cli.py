@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import numpy as np
@@ -165,6 +167,38 @@ class TestCommands:
         assert "solve_s" in report["timings"]
 
 
+def csv_reference(header, rows) -> bytes:
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def trajectory_reference(traj, control) -> bytes:
+    """The trajectory CSV as csv.writer writes it, one %.17g per value."""
+    def fmt(v):
+        return "%.17g" % float(v)
+
+    mu = control.samples[0].shape[1] if control is not None else 0
+    header = (["t", "kind", "side"] + [f"x{i}" for i in range(traj.dim)]
+              + [f"u{i}" for i in range(mu)])
+    htimes = traj.history_times()
+    rows = [[fmt(t), "history", "L" if i == len(htimes) - 1 else "-"]
+            + [fmt(v) for v in traj.history[i]] + ["0"] * mu
+            for i, t in enumerate(htimes)]
+    for k, (a, end, kind, j) in enumerate(traj.mesh.intervals()):
+        times, vals = traj.seg_times[k], traj.seg_values[k]
+        for i, t in enumerate(times):
+            side = "R" if i == 0 else "L" if i == len(times) - 1 else "-"
+            if kind == "control" and control is not None:
+                u = [fmt(v) for v in control.samples[j][i]]
+            else:
+                u = ["0"] * mu
+            rows.append([fmt(t), kind, side] + [fmt(v) for v in vals[i]] + u)
+    return csv_reference(header, rows)
+
+
 class TestCsvRoundTrip:
     def test_trajectory_roundtrip_and_sides(self, tmp_path):
         cfg = load_config(write(tmp_path, "a.ini",
@@ -199,3 +233,28 @@ class TestCsvRoundTrip:
         emit_control(result.solve.control, cpath)
         with open(cpath) as fh:
             assert fh.readline().strip() == "t,window,u0,u1"
+
+    def test_csv_bytes_match_csv_writer(self, tmp_path):
+        cfg = load_config(write(tmp_path, "b.ini",
+                                LINEAR_CFG.format(out=tmp_path / "o")))
+        result = run(cfg.problem, cfg.targets, cfg.numerics)
+        traj, control = result.solve.trajectory, result.solve.control
+        for name, ctrl in (("with_u.csv", control), ("no_u.csv", None)):
+            path = tmp_path / name
+            emit_trajectory(traj, ctrl, str(path))
+            data = path.read_bytes()
+            assert data == trajectory_reference(traj, ctrl)
+            lines = data.split(b"\r\n")
+            assert lines[-1] == b"" and b"\n" not in b"".join(lines)
+            assert {line.split(b",")[2] for line in lines[1:-1]} == {b"L", b"R", b"-"}
+            assert {line.split(b",")[1] for line in lines[1:-1]} == {
+                b"history", b"control", b"impulse"}
+        assert (tmp_path / "no_u.csv").read_bytes().split(b"\r\n")[0] == b"t,kind,side,x0,x1"
+        path = tmp_path / "ctrl.csv"
+        emit_control(control, str(path))
+        expected = csv_reference(
+            ["t", "window", "u0", "u1"],
+            [["%.17g" % t, str(j)] + ["%.17g" % v for v in u]
+             for j, (times, U) in enumerate(zip(control.window_times, control.samples))
+             for t, u in zip(times, U)])
+        assert path.read_bytes() == expected

@@ -13,6 +13,41 @@ def theta_x(th, x):
     return th * np.asarray(x, dtype=float)
 
 
+def rk4_reference(problem, control, numerics):
+    """Per-window sample paths of classical RK4, stage by stage, on the
+    augmented system x' = A x + B B* w, w' = -A^T w."""
+    from scipy.linalg import expm
+    A, d = problem.semigroup.A, problem.dim
+    M = np.zeros((2 * d, 2 * d))
+    M[:d, :d] = A
+    M[:d, d:] = problem.control_matrix @ problem.control_adjoint()
+    M[d:, d:] = -A.T
+    refine = numerics.oracle_refine
+    x = problem.phi0().copy()
+    paths = []
+    for a, end, kind, j in problem.mesh.intervals():
+        m = numerics.steps_for(end - a)
+        if kind == "impulse":
+            vals = np.array([problem.impulses[j - 1](float(t), x)
+                             for t in np.linspace(a, end, m + 1)])
+        else:
+            z = np.concatenate([x, expm(A.T * (end - a)) @ control.preimages[j]])
+            h = (end - a) / (m * refine)
+            vals = [x]
+            for _ in range(m):
+                for _ in range(refine):
+                    k1 = M @ z
+                    k2 = M @ (z + 0.5 * h * k1)
+                    k3 = M @ (z + 0.5 * h * k2)
+                    k4 = M @ (z + h * k3)
+                    z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                vals.append(z[:d])
+            vals = np.array(vals)
+        paths.append(vals)
+        x = vals[-1].copy()
+    return paths
+
+
 def linear_problem(A, mesh, phi0, B=None):
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
@@ -71,6 +106,21 @@ class TestOracle:
         result = run(prob, targets, num, with_oracle=True)
         assert result.oracle_distance <= 1e-6
         assert max(result.oracle.defects) <= 1e-6
+
+    def test_step_matrix_matches_rk4_stages(self):
+        rng = np.random.default_rng(61)
+        A = rng.normal(size=(3, 3)) / 2.0
+        mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+        prob = linear_problem(A, mesh, rng.normal(size=3) / 2.0)
+        # coarse steps, so that a wrong Taylor coefficient shows above 1e-11
+        num = Numerics(time_step=0.05, oracle_refine=2)
+        targets = [rng.normal(size=3), rng.normal(size=3)]
+        report = picard_solve(prob, targets, num)
+        res = oracle_linear(prob, report.control, targets, num)
+        paths = rk4_reference(prob, report.control, num)
+        assert len(paths) == len(res.trajectory.seg_values) == 3
+        for ref, got in zip(paths, res.trajectory.seg_values):
+            np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-11)
 
     def test_rejects_nonlinear(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)

@@ -193,3 +193,23 @@ class TestLagTables:
             w[0] = w[-1] = delta / 2
             direct = sum(w[k] * T.apply(delta * (i - k), F[k]) for k in range(i + 1))
             np.testing.assert_allclose(out[i], direct, atol=1e-13)
+
+    def test_shift_convolution_bit_identical_to_per_lag_padding(self):
+        # delta / h is not an integer and the offset reaches 4 by g = m
+        T = ShiftSemigroup(12)
+        m, delta = 30, 0.04
+        table = T.lag_table(delta, m)
+        assert table.frac[7] != 0.0 and table.off[-1] > 2
+        F = np.random.default_rng(12).normal(size=(m + 1, 12))
+        N = table.N
+        conv = F.copy()
+        ev0 = np.empty_like(F)
+        ev0[0] = F[0]
+        for g in range(1, m + 1):
+            o, c = table.off[g], table.frac[g]
+            Fp = np.pad(F[:m + 1 - g], ((0, 0), (0, o + 2)))
+            conv[g:] += (1.0 - c) * Fp[:, o:o + N] + c * Fp[:, o + 1:o + 1 + N]
+            ev0[g] = table.apply(g, F[0])
+        expected = delta * (conv - 0.5 * (ev0 + F))
+        expected[0] = 0.0
+        assert np.array_equal(table.convolve(F, delta), expected)
