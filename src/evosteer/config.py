@@ -65,10 +65,17 @@ def _get(section, key, cast, default=None, field=""):
 
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"config file not found: {path}")
-    echo = {s: dict(parser.items(s)) for s in parser.sections()}
+    try:
+        if not parser.read(path):
+            raise ConfigError(f"config file not found: {path}")
+        echo = {s: dict(parser.items(s)) for s in parser.sections()}
+    except configparser.DuplicateOptionError as exc:
+        raise ConfigError(f"{exc.section}.{exc.option}: duplicate key "
+                          f"(line {exc.lineno})") from exc
+    except configparser.InterpolationError as exc:
+        raise ConfigError(f"{exc.section}.{exc.option}: {exc.message}") from exc
+    except configparser.Error as exc:
+        raise ConfigError(" ".join(str(exc).split())) from exc
 
     numerics = _load_numerics(parser)
     mesh = _load_mesh(parser)

@@ -2,11 +2,14 @@
 
 The state trajectory of an impulsive delay system lives on [-beta, b]: a
 history part on [-beta, 0] and one sampled path per mesh interval, with jump
-discontinuities allowed at the interval breakpoints.  Evaluating at a
-breakpoint returns the left limit; a separate accessor returns the right
-limit.  State vectors are plain 1-D numpy arrays; the state inner product is
-a (possibly scaled) Euclidean one, with the scale carried explicitly because
-spatially discretized problems use grid-weighted L2 norms.
+discontinuities allowed at the interval breakpoints.  All of it is stored as
+one stacked sample array; the history and the per-interval paths are views
+into it, so a write through any of them is seen by every evaluation.  One
+interpolation routine reads the path: at a breakpoint it returns the left
+limit, or the right limit through a separate accessor.  State vectors are
+plain 1-D numpy arrays; the state inner product is a (possibly scaled)
+Euclidean one, with the scale carried explicitly because spatially
+discretized problems use grid-weighted L2 norms.
 """
 
 from __future__ import annotations
@@ -124,10 +127,12 @@ class PiecewiseTrajectory:
     """A state path on [-beta, b]: history samples plus one uniform grid of
     samples per mesh interval, both one-sided values stored at breakpoints.
 
-    Within an interval the path interpolates linearly; jumps occur only at
-    breakpoints.  ``value(t)`` follows the left-limit convention at
-    breakpoints (so x(theta_j) = x(theta_j-)); ``right_value(t)`` reads the
-    other side.
+    All samples live in one stacked array, history first and the intervals
+    after it in mesh order; ``history`` and ``seg_values[k]`` are views into
+    it, so a write through them changes the path.  Within a piece the path
+    interpolates linearly; jumps occur only at breakpoints.  ``value(t)``
+    follows the left-limit convention at breakpoints (so x(theta_j) =
+    x(theta_j-)); ``right_value(t)`` reads the other side.
     """
 
     def __init__(self, mesh: TimeMesh, beta: float, history: np.ndarray,
@@ -143,37 +148,41 @@ class PiecewiseTrajectory:
             raise ValueError("one sample grid per mesh interval required")
         self.mesh = mesh
         self.beta = float(beta)
-        self.history = history
-        self.seg_times = [np.asarray(t, dtype=float) for t in seg_times]
-        self.seg_values = [np.asarray(v, dtype=float) for v in seg_values]
         self.weight = float(weight)
         self.dim = history.shape[1]
-        for t, v in zip(self.seg_times, self.seg_values):
-            if v.shape != (len(t), self.dim):
-                raise ValueError("segment sample shape mismatch")
-            if not np.all(np.isfinite(v)):
-                raise ValueError("segment contains non-finite entries")
-        self._ends = np.array([t[-1] for t in self.seg_times])
-        self._starts = np.array([t[0] for t in self.seg_times])
+        self.seg_times = [np.asarray(t, dtype=float) for t in seg_times]
+        seg_values = [np.asarray(v, dtype=float) for v in seg_values]
+        if [v.shape for v in seg_values] != [(len(t), self.dim) for t in self.seg_times]:
+            raise ValueError("segment sample shape mismatch")
+        self._values = np.concatenate([history] + seg_values)
+        sizes = [len(history)] + [len(t) for t in self.seg_times]
+        self._offsets = np.cumsum([0] + sizes)
+        if not np.all(np.isfinite(self._values[self._offsets[1]:])):
+            raise ValueError("segment contains non-finite entries")
+        self.history = self._values[:self._offsets[1]]
+        self.seg_values = [self._values[lo:hi] for lo, hi in
+                           zip(self._offsets[1:-1], self._offsets[2:])]
+        # per piece (history, then each interval): first and last time,
+        # step count and step length
+        self._first = np.array([-self.beta] + [t[0] for t in self.seg_times])
+        self._ends = np.array([0.0] + [t[-1] for t in self.seg_times])
+        self._m = np.array(sizes) - 1
+        self._step = (self._ends - self._first) / self._m
 
     def history_times(self) -> np.ndarray:
         return np.linspace(-self.beta, 0.0, self.history.shape[0])
 
-    def _eval_history(self, t: np.ndarray) -> np.ndarray:
-        h = self.beta / (self.history.shape[0] - 1)
-        pos = np.clip((t + self.beta) / h, 0.0, self.history.shape[0] - 1)
-        j = np.minimum(pos.astype(int), self.history.shape[0] - 2)
-        frac = (pos - j)[:, None]
-        return (1.0 - frac) * self.history[j] + frac * self.history[j + 1]
-
-    def _eval_segment(self, k: int, t: np.ndarray) -> np.ndarray:
-        times, vals = self.seg_times[k], self.seg_values[k]
-        m = len(times) - 1
-        step = (times[-1] - times[0]) / m
-        pos = np.clip((t - times[0]) / step, 0.0, m)
+    def _interpolate(self, t: np.ndarray, side: str) -> np.ndarray:
+        """Linear interpolation in the piece holding each time: the piece
+        ending at or after t for ``side="left"``, the one starting at or
+        before t for ``side="right"``; times past either end clamp."""
+        p = np.minimum(np.searchsorted(self._ends, t, side=side), len(self._ends) - 1)
+        m = self._m[p]
+        pos = np.clip((t - self._first[p]) / self._step[p], 0.0, m)
         j = np.minimum(pos.astype(int), m - 1)
         frac = (pos - j)[:, None]
-        return (1.0 - frac) * vals[j] + frac * vals[j + 1]
+        i = self._offsets[p] + j
+        return (1.0 - frac) * self._values[i] + frac * self._values[i + 1]
 
     def values(self, t) -> np.ndarray:
         """Evaluate at an array of times in [-beta, b], left limits at
@@ -181,21 +190,7 @@ class PiecewiseTrajectory:
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if np.any(t < -self.beta - 1e-12) or np.any(t > self.mesh.b + 1e-12):
             raise ValueError("evaluation time outside [-beta, b]")
-        out = np.empty((len(t), self.dim))
-        hist = t <= 0.0
-        if np.any(hist):
-            out[hist] = self._eval_history(t[hist])
-        rest = ~hist
-        if np.any(rest):
-            tr = t[rest]
-            idx = np.searchsorted(self._ends, tr, side="left")
-            idx = np.minimum(idx, len(self._ends) - 1)
-            sub = np.empty((len(tr), self.dim))
-            for k in np.unique(idx):
-                sel = idx == k
-                sub[sel] = self._eval_segment(k, tr[sel])
-            out[rest] = sub
-        return out
+        return self._interpolate(t, "left")
 
     def value(self, t: float) -> np.ndarray:
         return self.values(np.array([t]))[0]
@@ -204,11 +199,7 @@ class PiecewiseTrajectory:
         """Right limit x(t+), defined for t in [0, b)."""
         if t < 0.0 or t >= self.mesh.b:
             raise ValueError("right limit defined on [0, b)")
-        k = int(np.searchsorted(self._starts, t, side="right") - 1)
-        k = max(k, 0)
-        if t >= self._ends[k]:
-            k += 1
-        return self._eval_segment(k, np.array([t]))[0]
+        return self._interpolate(np.array([t], dtype=float), "right")[0]
 
     def left_value_at_theta(self, j: int) -> np.ndarray:
         """x(theta_j-), read from the stored left value (j = 1..n)."""
@@ -216,8 +207,9 @@ class PiecewiseTrajectory:
         return self.seg_values[k][-1]
 
     def sample_stack(self) -> np.ndarray:
-        """All stored samples on (0, b] as one array (for norms and updates)."""
-        return np.concatenate(self.seg_values, axis=0)
+        """All stored samples on (0, b] as one array view (for norms and
+        updates)."""
+        return self._values[self._offsets[1]:]
 
     def with_values(self, seg_values: list) -> "PiecewiseTrajectory":
         return PiecewiseTrajectory(self.mesh, self.beta, self.history,

@@ -1,9 +1,10 @@
 """Shared time discretization: window grids, forcing samples, kernel sums.
 
-One tau-grid per mesh interval is reused for Gramian assembly, steering
-residuals and the mild-solution sweep, so that feeding the synthesized
-control back through the discrete solution operator reproduces the window
-targets to round-off rather than only to quadrature order.
+One tau-grid per mesh interval, built by :func:`interval_times`, is reused
+for Gramian assembly, steering residuals, the kernel sums, the mild-solution
+sweep and the oracle, so that feeding the synthesized control back through
+the discrete solution operator reproduces the window targets to round-off
+rather than only to quadrature order.
 """
 
 from __future__ import annotations
@@ -12,8 +13,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PiecewiseTrajectory, history_segment
+from .core import PiecewiseTrajectory, TimeMesh, history_segment
 from .problems import Numerics, Problem
+
+
+def interval_times(mesh: TimeMesh, numerics: Numerics) -> list:
+    """The sample grid of every mesh interval, in ``mesh.intervals()`` order:
+    ``numerics.steps_for(length)`` uniform steps, both endpoints included.
+    Control window j is interval 2j."""
+    return [np.linspace(a, end, numerics.steps_for(end - a) + 1)
+            for a, end, kind, j in mesh.intervals()]
 
 
 def trapezoid_weights(m: int, delta: float) -> np.ndarray:
@@ -48,11 +57,10 @@ class WindowGrid:
 
 def build_window_grids(problem: Problem, numerics: Numerics) -> list:
     grids = []
-    for j, (a, end) in enumerate(problem.mesh.control_windows()):
-        if end <= a:
-            raise ValueError(f"degenerate control window {j}")
-        m = numerics.steps_for(end - a)
-        times = np.linspace(a, end, m + 1)
+    windows = zip(problem.mesh.control_windows(),
+                  interval_times(problem.mesh, numerics)[::2])
+    for j, ((a, end), times) in enumerate(windows):
+        m = len(times) - 1
         table = problem.semigroup.lag_table((end - a) / m, m)
         grids.append(WindowGrid(index=j, start=a, end=end, times=times, table=table))
     return grids
@@ -86,12 +94,9 @@ class KernelDiscretization:
             raise ValueError("problem has no convolution kernel configured")
         self.problem = problem
         self.numerics = numerics
-        blocks = []
-        for a, end, kind, j in problem.mesh.intervals():
-            m = numerics.steps_for(end - a)
-            blocks.append(np.linspace(a, end, m + 1))
-        self.block_times = blocks
-        self.times = np.concatenate(blocks)
+        self.block_times = interval_times(problem.mesh, numerics)
+        self._offsets = np.cumsum([0] + [len(t) for t in self.block_times])
+        self.times = np.concatenate(self.block_times)
         diff = np.maximum(self.times[:, None] - self.times[None, :], 0.0)
         try:
             kap = np.asarray(problem.kernel.kappa(diff), dtype=float)
@@ -107,9 +112,8 @@ class KernelDiscretization:
     def _cumulative_mask(self) -> np.ndarray:
         G = len(self.times)
         M = np.zeros((G, G))
-        offs = np.cumsum([0] + [len(t) for t in self.block_times])
         for bi, t in enumerate(self.block_times):
-            lo, hi = offs[bi], offs[bi + 1]
+            lo, hi = self._offsets[bi], self._offsets[bi + 1]
             m = len(t) - 1
             delta = (t[-1] - t[0]) / m
             # integrals ending inside this block: trapezoid over [t[0], t_i]
@@ -136,5 +140,4 @@ class KernelDiscretization:
         return self.KW @ self.q_values(traj)
 
     def block_slice(self, interval_index: int) -> slice:
-        offs = np.cumsum([0] + [len(t) for t in self.block_times])
-        return slice(offs[interval_index], offs[interval_index + 1])
+        return slice(self._offsets[interval_index], self._offsets[interval_index + 1])

@@ -90,8 +90,7 @@ def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
     numerics = numerics or Numerics()
     w = grid.weights
     G = np.zeros((B.shape[0], B.shape[0]))
-    for g in range(grid.m + 1):
-        M = grid.table.apply_to_matrix(g, B)
+    for g, M in enumerate(grid.table.lagged(B)):
         G += w[grid.m - g] * (M @ M.T)
     G = 0.5 * scale * (G + G.T)
     min_eig = float(np.linalg.eigvalsh(G)[0])

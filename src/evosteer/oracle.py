@@ -23,6 +23,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from .core import PiecewiseTrajectory
+from .discretize import interval_times
 from .gramian import ControlSignal
 from .problems import Numerics, Problem
 
@@ -54,17 +55,14 @@ def oracle_linear(problem: Problem, control: ControlSignal, targets=None,
     refine = numerics.oracle_refine
 
     hist = problem.sample_history(numerics.history_samples)
-    seg_times, seg_values = [], []
+    seg_times = interval_times(problem.mesh, numerics)
+    seg_values = []
     x = problem.phi0().copy()
     defects = []
-    for a, end, kind, j in problem.mesh.intervals():
-        m = numerics.steps_for(end - a)
-        times = np.linspace(a, end, m + 1)
-        seg_times.append(times)
+    for times, (a, end, kind, j) in zip(seg_times, problem.mesh.intervals()):
+        m = len(times) - 1
         if kind == "impulse":
-            x_minus = x.copy()
-            vals = np.array([problem.impulses[j - 1](float(t), x_minus)
-                             for t in times])
+            vals = problem.impulse_path(j, times, x)
             seg_values.append(vals)
             x = vals[-1].copy()
             continue

@@ -157,6 +157,11 @@ class Problem:
     def phi0(self) -> np.ndarray:
         return np.asarray(self.history(0.0), dtype=float)
 
+    def impulse_path(self, j: int, times, x_minus: np.ndarray) -> np.ndarray:
+        """Samples of impulse window j (j = 1..n) at ``times``: the impulse
+        map applied to the left limit x(theta_j-) = ``x_minus``."""
+        return np.array([self.impulses[j - 1](float(t), x_minus) for t in times])
+
     def sample_history(self, samples: int) -> np.ndarray:
         grid = np.linspace(-self.beta, 0.0, samples + 1)
         return np.array([self.history(float(s)) for s in grid], dtype=float)

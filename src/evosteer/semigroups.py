@@ -43,8 +43,10 @@ class MatrixLagTable:
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         return self.stack[g] @ v
 
-    def apply_to_matrix(self, g: int, M: np.ndarray) -> np.ndarray:
-        return self.stack[g] @ M
+    def lagged(self, M: np.ndarray):
+        """Yield T(g*delta) M for g = 0..m."""
+        for E in self.stack:
+            yield E @ M
 
     def evolve(self, v: np.ndarray) -> np.ndarray:
         """Rows T(g*delta) v for g = 0..m."""
@@ -86,17 +88,19 @@ class ShiftLagTable:
         self.frac = lag - self.off
         self.pad = int(self.off[-1]) + 2
 
-    def _shift_rows(self, g: int, F: np.ndarray) -> np.ndarray:
-        """Forward shift of each row of F by the lag g (zero past pi)."""
-        o, c, N = self.off[g], self.frac[g], self.N
-        Fp = np.pad(np.atleast_2d(F), ((0, 0), (0, o + 2)))
-        return (1.0 - c) * Fp[:, o:o + N] + c * Fp[:, o + 1:o + 1 + N]
-
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
-        return self._shift_rows(g, v[None, :])[0]
+        """Forward shift of v by the lag g (zero past pi)."""
+        o, c, N = self.off[g], self.frac[g], self.N
+        vp = np.pad(v, (0, o + 2))
+        return (1.0 - c) * vp[o:o + N] + c * vp[o + 1:o + 1 + N]
 
-    def apply_to_matrix(self, g: int, M: np.ndarray) -> np.ndarray:
-        return self._shift_rows(g, M.T).T
+    def lagged(self, M: np.ndarray):
+        """Yield T(g*delta) M for g = 0..m, shifting the columns of M from
+        one padded copy of its transpose."""
+        N = self.N
+        Mp = np.pad(M.T, ((0, 0), (0, self.pad)))
+        for o, c in zip(self.off, self.frac):
+            yield ((1.0 - c) * Mp[:, o:o + N] + c * Mp[:, o + 1:o + 1 + N]).T
 
     def evolve(self, v: np.ndarray) -> np.ndarray:
         Vp = np.pad(v, (0, self.pad))

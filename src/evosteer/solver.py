@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .core import PiecewiseTrajectory, path_sup_norm, sup_distance
-from .discretize import KernelDiscretization, eta_values
+from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, assemble_all, steering_residual,
                       synthesize_control, window_start)
 from .problems import Numerics, Problem
@@ -73,16 +73,7 @@ class Sweep:
         self.kern = (KernelDiscretization(problem, numerics)
                      if problem.variant == "integro" else None)
         self.intervals = problem.mesh.intervals()
-        if self.kern is not None:
-            self.seg_times = self.kern.block_times
-        else:
-            self.seg_times = []
-            for a, end, kind, j in self.intervals:
-                if kind == "control":
-                    self.seg_times.append(self.grids[j].times)
-                else:
-                    m = numerics.steps_for(end - a)
-                    self.seg_times.append(np.linspace(a, end, m + 1))
+        self.seg_times = interval_times(problem.mesh, numerics)
 
     def initial_iterate(self) -> PiecewiseTrajectory:
         problem, numerics = self.problem, self.numerics
@@ -96,8 +87,7 @@ class Sweep:
         seg_values = [np.tile(v0, (len(t), 1)) for t in self.seg_times]
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
-                seg_values[k] = np.array(
-                    [problem.impulses[j - 1](float(t), v0) for t in self.seg_times[k]])
+                seg_values[k] = problem.impulse_path(j, self.seg_times[k], v0)
         return flat.with_values(seg_values)
 
     def apply(self, traj: PiecewiseTrajectory, targets):
@@ -108,9 +98,8 @@ class Sweep:
             inner_all = self.kern.inner_convolution(traj)
         forcings, residuals = [], []
         for grid in self.grids:
-            k = 0 if grid.index == 0 else 2 * grid.index
             if self.kern is not None:
-                forcing = inner_all[self.kern.block_slice(k)]
+                forcing = inner_all[self.kern.block_slice(2 * grid.index)]
             else:
                 forcing = eta_values(problem, traj, grid.times, self.numerics)
             forcings.append(forcing)
@@ -123,10 +112,8 @@ class Sweep:
         seg_values = []
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
-                x_minus = traj.left_value_at_theta(j)
-                seg_values.append(np.array(
-                    [problem.impulses[j - 1](float(t), x_minus)
-                     for t in self.seg_times[k]]))
+                seg_values.append(problem.impulse_path(
+                    j, self.seg_times[k], traj.left_value_at_theta(j)))
                 continue
             grid = self.grids[j]
             F = forcings[j].copy()
@@ -189,8 +176,7 @@ def _window_defects(problem: Problem, traj: PiecewiseTrajectory, targets) -> lis
         return []
     defects = []
     for j in range(problem.mesh.n_impulses + 1):
-        k = 0 if j == 0 else 2 * j
-        end_value = traj.seg_values[k][-1]
+        end_value = traj.seg_values[2 * j][-1]
         defects.append(problem.norm(end_value - np.asarray(targets[j], dtype=float)))
     return defects
 

@@ -108,6 +108,22 @@ class TestConfigParsing:
         assert main(["solve", path]) == 2
         assert f"numerics.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text, named", [
+        ("n = 3\n[problem]\npreset = transport-case1\n", "no section headers"),
+        ("[problem]\npreset = transport-case1\n[problem]\nn = 8\n",
+         "section 'problem' already exists"),
+        ("[problem]\npreset = transport-case1\nn = 8\nn = 12\n",
+         "problem.n: duplicate key"),
+        ("[problem]\npreset = transport-case1\nn = 8%\n",
+         "problem.n: '%' must be followed"),
+    ], ids=["missing-header", "duplicate-section", "duplicate-key", "bare-percent"])
+    def test_malformed_ini_is_a_config_error(self, tmp_path, capsys, text, named):
+        path = write(tmp_path, "m.ini", text)
+        with pytest.raises(ConfigError, match=named):
+            load_config(path)
+        assert main(["solve", path]) == 2
+        assert named in capsys.readouterr().err
+
     def test_explicit_targets(self, tmp_path):
         text = LINEAR_CFG.replace("targets = random",
                                   "targets = 1 0; 0 1")

@@ -207,3 +207,83 @@ class TestEvaluation:
         bad[0][3, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             traj.with_values(bad)
+
+
+def _reference_piece(times, vals, t):
+    # per-piece evaluator of the earlier per-interval storage
+    m = len(times) - 1
+    step = (times[-1] - times[0]) / m
+    pos = np.clip((t - times[0]) / step, 0.0, m)
+    j = np.minimum(pos.astype(int), m - 1)
+    frac = (pos - j)[:, None]
+    return (1.0 - frac) * vals[j] + frac * vals[j + 1]
+
+
+def _reference_values(beta, hist, seg_times, seg_values, t):
+    out = np.empty((len(t), hist.shape[1]))
+    past = t <= 0.0
+    H = hist.shape[0] - 1
+    h = beta / H
+    pos = np.clip((t[past] + beta) / h, 0.0, H)
+    j = np.minimum(pos.astype(int), H - 1)
+    frac = (pos - j)[:, None]
+    out[past] = (1.0 - frac) * hist[j] + frac * hist[j + 1]
+    ends = np.array([s[-1] for s in seg_times])
+    idx = np.minimum(np.searchsorted(ends, t, side="left"), len(ends) - 1)
+    for k in np.unique(idx[~past]):
+        sel = ~past & (idx == k)
+        out[sel] = _reference_piece(seg_times[k], seg_values[k], t[sel])
+    return out
+
+
+def _reference_right_value(seg_times, seg_values, t):
+    starts = np.array([s[0] for s in seg_times])
+    ends = np.array([s[-1] for s in seg_times])
+    k = max(int(np.searchsorted(starts, t, side="right") - 1), 0)
+    if t >= ends[k]:
+        k += 1
+    return _reference_piece(seg_times[k], seg_values[k], np.array([t]))[0]
+
+
+class TestOneInterpolationPath:
+    """The stacked path reads exactly as the per-interval storage did."""
+
+    beta = 0.6
+    mesh = build_time_mesh([0.0, 0.3, 0.45, 0.7, 0.8, 1.0], 1.0)
+
+    def _parts(self):
+        rng = np.random.default_rng(5)
+        steps = [7, 3, 11, 5, 9]  # unequal per interval
+        seg_times = [np.linspace(a, end, m + 1) for (a, end, _, _), m
+                     in zip(self.mesh.intervals(), steps)]
+        seg_values = [rng.normal(size=(len(t), 3)) for t in seg_times]
+        hist = rng.normal(size=(17, 3))
+        return hist, seg_times, seg_values
+
+    def _times(self):
+        rng = np.random.default_rng(6)
+        breaks = [0.0, 0.3, 0.45, 0.7, 0.8, 1.0]
+        return np.concatenate([rng.uniform(-self.beta, 1.0, 300), breaks,
+                               [-self.beta, 0.0, 1.0, 1.0 + 5e-13]])
+
+    def test_values_right_values_and_stack_match_reference(self):
+        hist, seg_times, seg_values = self._parts()
+        traj = PiecewiseTrajectory(self.mesh, self.beta, hist, seg_times, seg_values)
+        t = self._times()
+        assert np.array_equal(
+            traj.values(t), _reference_values(self.beta, hist, seg_times, seg_values, t))
+        for s in t[(t >= 0.0) & (t < 1.0)]:
+            assert np.array_equal(traj.right_value(s),
+                                  _reference_right_value(seg_times, seg_values, s))
+        assert np.array_equal(traj.sample_stack(), np.concatenate(seg_values))
+
+    def test_write_through_segment_view_is_seen(self):
+        hist, seg_times, seg_values = self._parts()
+        traj = PiecewiseTrajectory(self.mesh, self.beta, hist, seg_times, seg_values)
+        traj.seg_values[2][:] = 4.0
+        traj.history[-1] = 7.0
+        np.testing.assert_array_equal(traj.values([0.5, 0.7]), np.full((2, 3), 4.0))
+        np.testing.assert_array_equal(traj.right_value(0.45), np.full(3, 4.0))
+        np.testing.assert_array_equal(traj.value(0.0), np.full(3, 7.0))
+        lo = len(seg_times[0]) + len(seg_times[1])
+        assert np.all(traj.sample_stack()[lo:lo + len(seg_times[2])] == 4.0)

@@ -1,12 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from evosteer.core import build_time_mesh
 from evosteer.discretize import (KernelDiscretization, build_window_grids,
-                                 eta_values, trapezoid_weights)
+                                 eta_values, interval_times, trapezoid_weights)
+from evosteer.oracle import oracle_linear
 from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup
-from evosteer.solver import picard_solve
+from evosteer.solver import Sweep, picard_solve
 
 
 def test_trapezoid_weights_sum_to_length():
@@ -108,3 +111,31 @@ def test_eta_values_zero_without_nonlinearity():
     traj = picard_solve(prob, None, num).trajectory
     vals = eta_values(prob, traj, np.linspace(0, 1, 5), num)
     np.testing.assert_array_equal(vals, np.zeros((5, 2)))
+
+
+@pytest.mark.parametrize("variant", ["semilinear", "integro"])
+def test_one_grid_per_interval(variant):
+    # two impulses; unequal step counts, three of them raised to min_steps = 8
+    mesh = build_time_mesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0], 1.0)
+    prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)),
+                           lambda t, seg: seg.samples[0], mesh=mesh, dim=2)
+    if variant == "semilinear":
+        prob = dataclasses.replace(prob, kernel=None)
+    num = Numerics(time_step=0.03, history_samples=8)
+    expected = interval_times(mesh, num)
+    assert [len(t) - 1 for t in expected] == [11, 8, 8, 10, 8]
+    sweep = Sweep(prob, num)
+    assert len(sweep.seg_times) == len(expected)
+    for got, ref in zip(sweep.seg_times, expected):
+        assert np.array_equal(got, ref)
+    for j, grid in enumerate(build_window_grids(prob, num)):
+        assert np.array_equal(grid.times, sweep.seg_times[2 * j])
+    if variant == "integro":
+        others = KernelDiscretization(prob, num).block_times
+    else:
+        targets = [np.ones(2), -np.ones(2), np.zeros(2)]
+        _, control, _ = sweep.apply(sweep.initial_iterate(), targets)
+        others = oracle_linear(prob, control, targets, num).trajectory.seg_times
+    assert len(others) == len(expected)
+    for got, ref in zip(others, sweep.seg_times):
+        assert np.array_equal(got, ref)

@@ -5,12 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from evosteer.core import build_time_mesh
-from evosteer.discretize import (KernelDiscretization, build_window_grids,
-                                 eta_values)
+from evosteer.discretize import (KernelDiscretization, WindowGrid,
+                                 build_window_grids, eta_values)
 from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
-                              assemble_gramian, control_bound, gramian_solve,
-                              steering_residual, synthesize_control,
-                              window_start)
+                              assemble_from_grid, assemble_gramian,
+                              control_bound, gramian_solve, steering_residual,
+                              synthesize_control, window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
@@ -25,6 +25,33 @@ def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
 
 
 class TestAssembly:
+    @pytest.mark.parametrize("backend", ["matrix", "shift"])
+    def test_bit_identical_to_per_lag_padding(self, backend):
+        rng = np.random.default_rng(21)
+        if backend == "matrix":
+            T, B = MatrixSemigroup(rng.normal(size=(3, 3))), rng.normal(size=(3, 2))
+        else:
+            T, B = ShiftSemigroup(12), rng.normal(size=(12, 3))
+        m, end = 13, 1.0
+        table = T.lag_table(end / m, m)
+        if backend == "shift":
+            # delta / h is not an integer and the offset passes 2
+            assert table.frac[5] != 0.0 and table.off[-1] > 2
+        grid = WindowGrid(index=0, start=0.0, end=end,
+                          times=np.linspace(0.0, end, m + 1), table=table)
+        w = grid.weights
+        G = np.zeros((B.shape[0], B.shape[0]))
+        for g in range(m + 1):
+            if backend == "matrix":
+                M = table.stack[g] @ B
+            else:
+                o, c, N = table.off[g], table.frac[g], table.N
+                Bp = np.pad(B.T, ((0, 0), (0, o + 2)))
+                M = ((1.0 - c) * Bp[:, o:o + N] + c * Bp[:, o + 1:o + 1 + N]).T
+            G += w[m - g] * (M @ M.T)
+        G = 0.5 * 0.7 * (G + G.T)
+        assert np.array_equal(assemble_from_grid(B, 0.7, grid).matrix, G)
+
     def test_identity_semigroup_unit_window(self):
         blk = assemble_gramian(MatrixSemigroup(np.zeros((3, 3))), np.eye(3),
                                (0.0, 1.0), 100)
