@@ -16,6 +16,11 @@ import numpy as np
 from .core import PiecewiseTrajectory, TimeMesh, history_segment
 from .problems import Numerics, Problem
 
+# Rows of the Volterra kernel evaluated at once while it is built.
+KERNEL_CHUNK_ROWS = 256
+# The largest dense Volterra kernel (8*G^2 bytes) a run may allocate.
+KERNEL_BYTES_LIMIT = 2 * 2 ** 30
+
 
 def interval_times(mesh: TimeMesh, numerics: Numerics) -> list:
     """The sample grid of every mesh interval, in ``mesh.intervals()`` order:
@@ -97,34 +102,42 @@ class KernelDiscretization:
         self.block_times = interval_times(problem.mesh, numerics)
         self._offsets = np.cumsum([0] + [len(t) for t in self.block_times])
         self.times = np.concatenate(self.block_times)
-        diff = np.maximum(self.times[:, None] - self.times[None, :], 0.0)
-        try:
-            kap = np.asarray(problem.kernel.kappa(diff), dtype=float)
-            if kap.shape != diff.shape:
-                raise TypeError
-        except Exception:
-            kap = np.vectorize(problem.kernel.kappa)(diff).astype(float)
+        G = len(self.times)
+        if 8 * G * G > KERNEL_BYTES_LIMIT:
+            raise ValueError(
+                f"numerics.time_step = {numerics.time_step:g} gives G = {G} "
+                f"kernel nodes; the dense Volterra kernel needs 8*G^2 = "
+                f"{8 * G * G / 2 ** 30:.1f} GiB, above the "
+                f"{KERNEL_BYTES_LIMIT / 2 ** 30:g} GiB limit")
         # Node s_k contributes to the integral ending at t_i only when its
         # interval lies fully before t_i or t_i is inside the same interval
-        # past s_k; cumulative weights per target node encode this.
-        self.KW = kap * self._cumulative_mask()
+        # past s_k; cumulative weights per target node encode this.  Rows are
+        # filled a chunk at a time so that KW is the only G x G array.
+        self.KW = np.empty((G, G))
+        for r0 in range(0, G, KERNEL_CHUNK_ROWS):
+            r1 = min(r0 + KERNEL_CHUNK_ROWS, G)
+            diff = np.maximum(self.times[r0:r1, None] - self.times[None, :], 0.0)
+            try:
+                kap = np.asarray(problem.kernel.kappa(diff), dtype=float)
+                if kap.shape != diff.shape:
+                    raise TypeError
+            except Exception:
+                kap = np.vectorize(problem.kernel.kappa)(diff).astype(float)
+            self.KW[r0:r1] = kap * self._cumulative_mask(r0, r1)
 
-    def _cumulative_mask(self) -> np.ndarray:
-        G = len(self.times)
-        M = np.zeros((G, G))
+    def _cumulative_mask(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0..r1-1 of the trapezoid weight mask."""
+        M = np.zeros((r1 - r0, len(self.times)))
         for bi, t in enumerate(self.block_times):
             lo, hi = self._offsets[bi], self._offsets[bi + 1]
             m = len(t) - 1
             delta = (t[-1] - t[0]) / m
             # integrals ending inside this block: trapezoid over [t[0], t_i]
-            for i in range(lo, hi):
-                k = i - lo
-                if k == 0:
-                    continue
-                M[i, lo:lo + k + 1] = delta
-                M[i, lo] = M[i, i] = 0.5 * delta
+            for i in range(max(lo + 1, r0), min(hi, r1)):
+                M[i - r0, lo:i + 1] = delta
+                M[i - r0, lo] = M[i - r0, i] = 0.5 * delta
             # integrals ending in later blocks see the full block weights
-            M[hi:, lo:hi] = trapezoid_weights(m, delta)[None, :]
+            M[max(hi, r0) - r0:, lo:hi] = trapezoid_weights(m, delta)[None, :]
         return M
 
     def q_values(self, traj: PiecewiseTrajectory) -> np.ndarray:

@@ -88,10 +88,7 @@ def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
     """Gramian of one control window on its shared tau-grid; ``scale`` is the
     state-to-control weight ratio that makes B* the adjoint of B."""
     numerics = numerics or Numerics()
-    w = grid.weights
-    G = np.zeros((B.shape[0], B.shape[0]))
-    for g, M in enumerate(grid.table.lagged(B)):
-        G += w[grid.m - g] * (M @ M.T)
+    G = grid.table.gramian(B, grid.weights[::-1])
     G = 0.5 * scale * (G + G.T)
     min_eig = float(np.linalg.eigvalsh(G)[0])
     return GramianBlock(index=grid.index, matrix=G, min_eig=min_eig,

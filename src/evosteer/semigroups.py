@@ -24,6 +24,19 @@ import numpy as np
 from scipy.linalg import expm
 
 
+def _fft_length(n: int) -> int:
+    """The smallest 5-smooth integer >= n: numpy's FFT is several times
+    slower at lengths with large prime factors."""
+    while True:
+        k = n
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return n
+        n += 1
+
+
 class MatrixLagTable:
     """Propagators T(g * delta) = E^g, E = expm(delta * A), for g = 0..m.
 
@@ -43,10 +56,13 @@ class MatrixLagTable:
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         return self.stack[g] @ v
 
-    def lagged(self, M: np.ndarray):
-        """Yield T(g*delta) M for g = 0..m."""
-        for E in self.stack:
-            yield E @ M
+    def gramian(self, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, one product per lag."""
+        G = np.zeros((B.shape[0], B.shape[0]))
+        for wg, E in zip(w, self.stack):
+            M = E @ B
+            G += wg * (M @ M.T)
+        return G
 
     def evolve(self, v: np.ndarray) -> np.ndarray:
         """Rows T(g*delta) v for g = 0..m."""
@@ -94,13 +110,24 @@ class ShiftLagTable:
         vp = np.pad(v, (0, o + 2))
         return (1.0 - c) * vp[o:o + N] + c * vp[o + 1:o + 1 + N]
 
-    def lagged(self, M: np.ndarray):
-        """Yield T(g*delta) M for g = 0..m, shifting the columns of M from
-        one padded copy of its transpose."""
-        N = self.N
-        Mp = np.pad(M.T, ((0, 0), (0, self.pad)))
-        for o, c in zip(self.off, self.frac):
-            yield ((1.0 - c) * Mp[:, o:o + N] + c * Mp[:, o + 1:o + 1 + N]).T
+    def gramian(self, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, summed per offset.
+
+        T(g*delta) = (1-c_g) S_o + c_g S_{o+1} with S_o the shift by o
+        nodes and o = off_g, so each lag contributes shifted diagonal blocks
+        C[o:o+N, o:o+N] of C = B B^T and the cross blocks
+        X_o = C[o:o+N, o+1:o+1+N]; lags sharing an offset share blocks.
+        """
+        N, P, off, c = self.N, self.pad, self.off, self.frac
+        diag = (np.bincount(off, w * (1.0 - c) ** 2, minlength=P)
+                + np.bincount(off + 1, w * c ** 2, minlength=P))
+        cross = np.bincount(off, w * (1.0 - c) * c, minlength=P)
+        Cp = np.pad(B @ B.T, (0, P))
+        G = np.zeros((N, N))
+        for o in range(P):
+            X = Cp[o:o + N, o + 1:o + 1 + N]
+            G += diag[o] * Cp[o:o + N, o:o + N] + cross[o] * (X + X.T)
+        return G
 
     def evolve(self, v: np.ndarray) -> np.ndarray:
         Vp = np.pad(v, (0, self.pad))
@@ -122,13 +149,19 @@ class ShiftLagTable:
         return np.sum((1.0 - c) * lo + c * hi, axis=0)
 
     def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
-        m, N = F.shape[0] - 1, self.N
-        conv = F.copy()
-        Fp = np.pad(F, ((0, 0), (0, self.pad)))
-        for g in range(1, m + 1):
-            o, c = self.off[g], self.frac[g]
-            rows = Fp[:m + 1 - g]
-            conv[g:] += (1.0 - c) * rows[:, o:o + N] + c * rows[:, o + 1:o + 1 + N]
+        """Trapezoid approximations of int_0^{g*delta} T(g*delta - s) f(s) ds
+        for every g, as one linear time-by-space convolution of F with the
+        two-tap lag kernel, taken by FFT."""
+        m, N, P = self.m, self.N, self.pad
+        g = np.arange(m + 1)
+        K = np.zeros((m + 1, P + 1))
+        K[g, P - self.off] = 1.0 - self.frac
+        K[g, P - self.off - 1] = self.frac
+        # Circular lengths below (2m+1, N+P) would alias into the rows and
+        # columns read back.
+        shape = (_fft_length(2 * m + 1), _fft_length(N + P))
+        spec = np.fft.rfft2(F, shape) * np.fft.rfft2(K, shape)
+        conv = np.fft.irfft2(spec, shape)[:m + 1, P:P + N]
         out = delta * (conv - 0.5 * (self.evolve(F[0]) + F))
         out[0] = 0.0
         return out

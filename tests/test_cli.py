@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,9 @@ from evosteer.core import path_sup_norm
 from evosteer.reports import (emit_control, emit_trajectory,
                               path_sup_norm_from_csv, read_trajectory_csv)
 from evosteer.runner import run
+
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
 
 PRESET_CFG = """
 [problem]
@@ -181,6 +188,33 @@ class TestCommands:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert "solve_s" in report["timings"]
+
+    def test_oversized_kernel_exits_2(self, tmp_path, capsys, monkeypatch):
+        # G = 100,003 nodes: the dense kernel would need 75 GiB
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
+        text = (CONFIGS / "transport-case2.ini").read_text()
+        fine = text.replace("time_step = 1e-3", "time_step = 1e-5")
+        assert fine != text
+        assert main(["solve", write(tmp_path, "fine.ini", fine)]) == 2
+        err = capsys.readouterr().err
+        assert "numerics.time_step" in err and "G = 100003" in err
+
+    def test_runs_leave_scipy_fft_unimported(self, tmp_path):
+        # scipy.fft costs about 100 ms and 5 MiB to import; the shift
+        # convolution uses numpy.fft so that no run pays for it
+        script = (
+            "import sys\n"
+            "from evosteer.cli import main\n"
+            f"assert main(['solve', '--no-timing', {str(CONFIGS / 'transport-case2.ini')!r}]) == 0\n"
+            f"assert main(['oracle', '--no-timing', {str(CONFIGS / 'linear-2d.ini')!r}]) == 0\n"
+            "print('scipy.fft' in sys.modules)\n")
+        env = dict(os.environ, EVOSTEER_OUTDIR=str(tmp_path),
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"
 
 
 def csv_reference(header, rows) -> bytes:

@@ -1,8 +1,10 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from evosteer import discretize
 from evosteer.core import build_time_mesh
 from evosteer.discretize import (KernelDiscretization, build_window_grids,
                                  eta_values, interval_times, trapezoid_weights)
@@ -92,6 +94,48 @@ class TestKernelDiscretization:
                     for i in range(len(kern.block_times)))
         assert total == len(kern.times)
         assert kern.block_slice(0).start == 0
+
+    @pytest.mark.parametrize("kappa", [
+        lambda s: np.exp(-np.asarray(s, dtype=float)),
+        lambda s: math.exp(-s),     # scalar only: the np.vectorize fallback
+    ], ids=["vector", "scalar"])
+    def test_chunked_build_matches_dense_build(self, kappa, monkeypatch):
+        # two impulses, unequal steps; chunks of 7 rows cross block edges
+        mesh = build_time_mesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0], 1.0)
+        prob = _kernel_problem(kappa, lambda t, seg: seg.samples[0], mesh=mesh)
+        num = Numerics(time_step=0.03, history_samples=8)
+        monkeypatch.setattr(discretize, "KERNEL_CHUNK_ROWS", 7)
+        kern = KernelDiscretization(prob, num)
+        times, blocks = kern.times, kern.block_times
+        assert len(times) % 7 != 0 and len(blocks[0]) % 7 != 0
+        diff = np.maximum(times[:, None] - times[None, :], 0.0)
+        try:
+            kap = np.asarray(kappa(diff), dtype=float)
+        except TypeError:
+            kap = np.vectorize(kappa)(diff).astype(float)
+        G = len(times)
+        M = np.zeros((G, G))
+        offsets = np.cumsum([0] + [len(t) for t in blocks])
+        for bi, t in enumerate(blocks):
+            lo, hi = offsets[bi], offsets[bi + 1]
+            m = len(t) - 1
+            delta = (t[-1] - t[0]) / m
+            for i in range(lo + 1, hi):
+                M[i, lo:i + 1] = delta
+                M[i, lo] = M[i, i] = 0.5 * delta
+            M[hi:, lo:hi] = trapezoid_weights(m, delta)[None, :]
+        assert np.array_equal(kern.KW, kap * M)
+
+    def test_kernel_size_limit(self, monkeypatch):
+        prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
+                               lambda t, seg: np.array([0.0]))
+        num = Numerics(time_step=1e-2, history_samples=8)
+        G = len(KernelDiscretization(prob, num).times)
+        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", 8 * G * G)
+        KernelDiscretization(prob, num)
+        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", 8 * G * G - 1)
+        with pytest.raises(ValueError, match=rf"numerics\.time_step .* G = {G}"):
+            KernelDiscretization(prob, num)
 
     def test_requires_kernel(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)

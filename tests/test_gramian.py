@@ -25,17 +25,22 @@ def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
 
 
 class TestAssembly:
-    @pytest.mark.parametrize("backend", ["matrix", "shift"])
-    def test_bit_identical_to_per_lag_padding(self, backend):
+    @pytest.mark.parametrize("backend, N, m, end", [
+        ("matrix", 3, 13, 1.0),
+        ("shift", 12, 13, 1.0),     # offset passes 2, delta / h not integer
+        ("shift", 12, 40, 4.0),     # last offset 15 >= N
+        ("shift", 97, 300, 0.9),
+        ("shift", 64, 5000, 0.5),
+    ], ids=["matrix", "shift", "shift-offset-past-N", "shift-N97",
+            "shift-N64-m5000"])
+    def test_matches_per_lag_padding(self, backend, N, m, end):
         rng = np.random.default_rng(21)
         if backend == "matrix":
             T, B = MatrixSemigroup(rng.normal(size=(3, 3))), rng.normal(size=(3, 2))
         else:
-            T, B = ShiftSemigroup(12), rng.normal(size=(12, 3))
-        m, end = 13, 1.0
+            T, B = ShiftSemigroup(N), rng.normal(size=(N, 3))
         table = T.lag_table(end / m, m)
         if backend == "shift":
-            # delta / h is not an integer and the offset passes 2
             assert table.frac[5] != 0.0 and table.off[-1] > 2
         grid = WindowGrid(index=0, start=0.0, end=end,
                           times=np.linspace(0.0, end, m + 1), table=table)
@@ -50,7 +55,21 @@ class TestAssembly:
                 M = ((1.0 - c) * Bp[:, o:o + N] + c * Bp[:, o + 1:o + 1 + N]).T
             G += w[m - g] * (M @ M.T)
         G = 0.5 * 0.7 * (G + G.T)
-        assert np.array_equal(assemble_from_grid(B, 0.7, grid).matrix, G)
+        got = assemble_from_grid(B, 0.7, grid).matrix
+        if backend == "matrix":
+            assert np.array_equal(got, G)
+        else:
+            # summed per offset rather than per lag: round-off differs
+            assert np.abs(got - G).max() <= 1e-13 * np.abs(G).max()
+
+    def test_shift_identity_control_is_tridiagonal(self):
+        # with B = I only the shifted diagonals and the first cross
+        # diagonals are ever added, so the rest is exactly zero
+        T = ShiftSemigroup(64)
+        blk = assemble_gramian(T, np.eye(64), (0.0, 0.3), 300)
+        assert blk.matrix[0, 1] != 0.0
+        assert np.array_equal(np.triu(blk.matrix, 2), np.zeros((64, 64)))
+        assert np.array_equal(np.tril(blk.matrix, -2), np.zeros((64, 64)))
 
     def test_identity_semigroup_unit_window(self):
         blk = assemble_gramian(MatrixSemigroup(np.zeros((3, 3))), np.eye(3),

@@ -194,22 +194,28 @@ class TestLagTables:
             direct = sum(w[k] * T.apply(delta * (i - k), F[k]) for k in range(i + 1))
             np.testing.assert_allclose(out[i], direct, atol=1e-13)
 
-    def test_shift_convolution_bit_identical_to_per_lag_padding(self):
-        # delta / h is not an integer and the offset reaches 4 by g = m
-        T = ShiftSemigroup(12)
-        m, delta = 30, 0.04
-        table = T.lag_table(delta, m)
+    @pytest.mark.parametrize("N, m, delta, rows", [
+        (12, 30, 0.04, None),       # offset reaches 4, delta / h not integer
+        (12, 40, 0.1, None),        # last offset 15 >= N
+        (97, 300, 0.003, None),     # N + pad not 5-smooth
+        (64, 5000, 1e-4, [0, 1, 2, 1237, 2500, 4999, 5000]),
+    ], ids=["N12-m30", "offset-past-N", "N97", "N64-m5000"])
+    def test_shift_convolution_matches_per_lag_padding(self, N, m, delta, rows):
+        # The FFT sums in another order than the per-lag loop, so agreement
+        # is to a stated round-off tolerance, not bit for bit.
+        table = ShiftSemigroup(N).lag_table(delta, m)
         assert table.frac[7] != 0.0 and table.off[-1] > 2
-        F = np.random.default_rng(12).normal(size=(m + 1, 12))
-        N = table.N
-        conv = F.copy()
-        ev0 = np.empty_like(F)
-        ev0[0] = F[0]
+        F = np.random.default_rng(12).normal(size=(m + 1, N))
+        rows = np.arange(m + 1) if rows is None else np.asarray(rows)
+        conv = F[rows].copy()
+        ev0 = np.array([table.apply(r, F[0]) for r in rows])
         for g in range(1, m + 1):
             o, c = table.off[g], table.frac[g]
-            Fp = np.pad(F[:m + 1 - g], ((0, 0), (0, o + 2)))
-            conv[g:] += (1.0 - c) * Fp[:, o:o + N] + c * Fp[:, o + 1:o + 1 + N]
-            ev0[g] = table.apply(g, F[0])
-        expected = delta * (conv - 0.5 * (ev0 + F))
-        expected[0] = 0.0
-        assert np.array_equal(table.convolve(F, delta), expected)
+            hit = rows >= g
+            Fp = np.pad(F[rows[hit] - g], ((0, 0), (0, o + 2)))
+            conv[hit] += (1.0 - c) * Fp[:, o:o + N] + c * Fp[:, o + 1:o + 1 + N]
+        expected = delta * (conv - 0.5 * (ev0 + F[rows]))
+        expected[rows == 0] = 0.0
+        got = table.convolve(F, delta)[rows]
+        assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
+        assert np.array_equal(got[rows == 0], expected[rows == 0])
