@@ -18,7 +18,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import HistorySegment, segment_norm
-from .problems import Problem
+from .discretize import KernelDiscretization
+from .problems import Numerics, Problem
 
 
 def delay_ratio(b: float, beta: float) -> float:
@@ -137,10 +138,13 @@ def solution_bound(K: float, M: float, b: float, control_sup: float,
     return max(candidates)
 
 
-def certificate_for(problem: Problem, blocks, targets,
-                    numerics=None) -> Certificate:
+def certificate_for(problem: Problem, blocks, targets, numerics=None,
+                    kern: Optional[KernelDiscretization] = None) -> Certificate:
     """Assemble the full certificate from a problem, its Gramian blocks and
-    the window targets."""
+    the window targets.  The integro variant's kernel mass is the sup-norm
+    gain max_i sum_k w_ik |kappa(t_i - s_k)| of the Volterra sum actually
+    solved, read from ``kern`` (built on ``numerics``' grid when not
+    given), not the continuous integral."""
     from .gramian import control_bound
 
     c = problem.constants
@@ -152,7 +156,8 @@ def certificate_for(problem: Problem, blocks, targets,
             raise ValueError("certificate undefined for a singular Gramian; "
                              f"window {blk.index} floor {blk.floor_used:.3e}")
     if problem.variant == "integro":
-        kb = problem.kernel.kappa_mass(b)
+        kern = kern or KernelDiscretization(problem, numerics or Numerics())
+        kb = kern.kernel_mass
         lf, branch = contraction_constant_integro(
             c.semigroup_bound, c.control_op_norm, b, gamma,
             c.kernel_nonlin_lipschitz, kb, c.impulse_lipschitz, floors)
@@ -161,7 +166,7 @@ def certificate_for(problem: Problem, blocks, targets,
         lf, branch = contraction_constant(
             c.semigroup_bound, c.control_op_norm, b, gamma,
             c.nonlin_lipschitz, c.impulse_lipschitz, c.nonlocal_lipschitz, floors)
-    qs = tuple(control_bound(problem, j, targets[j], floors[j])
+    qs = tuple(control_bound(problem, j, targets[j], floors[j], kb)
                for j in range(len(blocks)))
     alpha = solution_bound(
         c.semigroup_bound, c.control_op_norm, b, max(qs),

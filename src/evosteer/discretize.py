@@ -15,11 +15,14 @@ import numpy as np
 
 from .core import PiecewiseTrajectory, TimeMesh, history_segment
 from .problems import Numerics, Problem
+from .semigroups import fft_length
 
-# Rows of the Volterra kernel evaluated at once while it is built.
-KERNEL_CHUNK_ROWS = 256
-# The largest dense Volterra kernel (8*G^2 bytes) a run may allocate.
+# The largest total of dense Volterra pair blocks (8 bytes per entry) a run
+# may allocate; only intervals of unequal steps need them.
 KERNEL_BYTES_LIMIT = 2 * 2 ** 30
+# Two interval steps this many ulp apart or closer count as equal, so their
+# block pair is Toeplitz.
+STEP_ULPS = 4
 
 
 def interval_times(mesh: TimeMesh, numerics: Numerics) -> list:
@@ -84,14 +87,40 @@ def eta_values(problem: Problem, traj: PiecewiseTrajectory, times: np.ndarray,
     return out
 
 
+def _kappa_values(kappa, s: np.ndarray) -> np.ndarray:
+    """kappa at every entry of s; a kernel written for scalars only goes
+    through np.vectorize."""
+    try:
+        kap = np.asarray(kappa(s), dtype=float)
+        if kap.shape != s.shape:
+            raise TypeError
+    except Exception:
+        kap = np.vectorize(kappa)(s).astype(float)
+    return kap
+
+
 class KernelDiscretization:
     """Volterra machinery for the integro variant on the global grid.
 
-    Precomputes the lower-triangular matrix of kernel values times trapezoid
-    weights so that one matrix product yields the inner convolution
-    int_0^{t_i} kappa(t_i - s) q(s, x_s) ds at every global node t_i.
-    Breakpoints carry both one-sided nodes; each interval is integrated with
-    its own endpoints, which picks the correct side automatically.
+    The inner convolution int_0^{t_i} kappa(t_i - s) q(s, x_s) ds at a global
+    node t_i is the trapezoid sum over every mesh interval before t_i's and
+    over its own interval up to t_i.  Breakpoints carry both one-sided nodes;
+    each interval is integrated with its own endpoints, which picks the
+    correct side automatically.
+
+    Interval b has nodes a_b + i delta_b.  When a target interval and a
+    source interval share their step, kappa(t_i - s_k) depends on i - k
+    only, so the pair is a Toeplitz product taken by FFT from the kernel's
+    spectrum at the pair's m_bi + m_bk + 1 lags (Hairer, Lubich and
+    Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): O(G) memory.  A pair
+    whose steps differ (``ceil(length / time_step)`` rounded differently)
+    keeps a dense block in ``dense_blocks``, the only storage that grows
+    quadratically; more than ``KERNEL_BYTES_LIMIT`` of them is refused
+    before any is built.  :meth:`inner_convolution`'s transient memory is one
+    weighted spectrum of q per interval, a few times the size of q.
+
+    ``kernel_mass`` is max_i sum_k w_ik |kappa(t_i - s_k)|, the sup-norm gain
+    of this Volterra sum, from the same pair data.
     """
 
     def __init__(self, problem: Problem, numerics: Numerics):
@@ -102,43 +131,60 @@ class KernelDiscretization:
         self.block_times = interval_times(problem.mesh, numerics)
         self._offsets = np.cumsum([0] + [len(t) for t in self.block_times])
         self.times = np.concatenate(self.block_times)
-        G = len(self.times)
-        if 8 * G * G > KERNEL_BYTES_LIMIT:
+        steps = [(t[-1] - t[0]) / (len(t) - 1) for t in self.block_times]
+        self._weights = [trapezoid_weights(len(t) - 1, d)
+                         for t, d in zip(self.block_times, steps)]
+        dense = {(bi, bk) for bi in range(len(steps)) for bk in range(bi)
+                 if abs(steps[bi] - steps[bk])
+                 > STEP_ULPS * np.spacing(max(steps[bi], steps[bk]))}
+        dense_bytes = sum(8 * len(self.block_times[bi]) * len(self.block_times[bk])
+                          for bi, bk in dense)
+        if dense_bytes > KERNEL_BYTES_LIMIT:
             raise ValueError(
-                f"numerics.time_step = {numerics.time_step:g} gives G = {G} "
-                f"kernel nodes; the dense Volterra kernel needs 8*G^2 = "
-                f"{8 * G * G / 2 ** 30:.1f} GiB, above the "
+                f"numerics.time_step = {numerics.time_step:g} gives G = "
+                f"{len(self.times)} kernel nodes on intervals of unequal "
+                f"steps; their dense Volterra blocks need "
+                f"{dense_bytes / 2 ** 30:.1f} GiB, above the "
                 f"{KERNEL_BYTES_LIMIT / 2 ** 30:g} GiB limit")
-        # Node s_k contributes to the integral ending at t_i only when its
-        # interval lies fully before t_i or t_i is inside the same interval
-        # past s_k; cumulative weights per target node encode this.  Rows are
-        # filled a chunk at a time so that KW is the only G x G array.
-        self.KW = np.empty((G, G))
-        for r0 in range(0, G, KERNEL_CHUNK_ROWS):
-            r1 = min(r0 + KERNEL_CHUNK_ROWS, G)
-            diff = np.maximum(self.times[r0:r1, None] - self.times[None, :], 0.0)
-            try:
-                kap = np.asarray(problem.kernel.kappa(diff), dtype=float)
-                if kap.shape != diff.shape:
-                    raise TypeError
-            except Exception:
-                kap = np.vectorize(problem.kernel.kappa)(diff).astype(float)
-            self.KW[r0:r1] = kap * self._cumulative_mask(r0, r1)
-
-    def _cumulative_mask(self, r0: int, r1: int) -> np.ndarray:
-        """Rows r0..r1-1 of the trapezoid weight mask."""
-        M = np.zeros((r1 - r0, len(self.times)))
-        for bi, t in enumerate(self.block_times):
-            lo, hi = self._offsets[bi], self._offsets[bi + 1]
-            m = len(t) - 1
-            delta = (t[-1] - t[0]) / m
-            # integrals ending inside this block: trapezoid over [t[0], t_i]
-            for i in range(max(lo + 1, r0), min(hi, r1)):
-                M[i - r0, lo:i + 1] = delta
-                M[i - r0, lo] = M[i - r0, i] = 0.5 * delta
-            # integrals ending in later blocks see the full block weights
-            M[max(hi, r0) - r0:, lo:hi] = trapezoid_weights(m, delta)[None, :]
-        return M
+        # One FFT length fits every pair without wrap-around: the lags of
+        # pair (bi, bk) run over m_bi + m_bk + 1 consecutive offsets.
+        n = self._n = fft_length(2 * max(len(t) for t in self.block_times) - 1)
+        kappa = problem.kernel.kappa
+        weight_spectra = [np.fft.rfft(w, n) for w in self._weights]
+        self._spectra = []
+        self._half_kappa0 = []
+        self.dense_blocks = {}
+        self.kernel_mass = 0.0
+        for bi, (t, step) in enumerate(zip(self.block_times, steps)):
+            spectra = []
+            abs_spectrum = np.zeros(n // 2 + 1, dtype=complex)
+            mass = np.zeros(len(t))
+            for bk, s in enumerate(self.block_times[:bi + 1]):
+                if (bi, bk) in dense:
+                    D = _kappa_values(kappa, np.maximum(t[:, None] - s[None, :], 0.0))
+                    D *= self._weights[bk]
+                    self.dense_blocks[bi, bk] = D
+                    mass += np.abs(D).sum(axis=1)
+                    continue
+                d = np.arange(1 - len(s), len(t))
+                h = _kappa_values(kappa, np.maximum((t[0] - s[0]) + d * step, 0.0))
+                if bk == bi:
+                    # The diagonal pair carries its interval's full trapezoid
+                    # weights; the running rule ending at node i < m weighs
+                    # q_i by delta/2, not delta (and row 0 by 0), corrected
+                    # below and in inner_convolution.
+                    h[d < 0] = 0.0
+                    kappa0 = h[len(s) - 1]
+                circ = np.zeros(n)
+                circ[d] = h
+                spectra.append((bk, np.fft.rfft(circ)))
+                circ[d] = np.abs(h)
+                abs_spectrum += np.fft.rfft(circ) * weight_spectra[bk]
+            self._spectra.append(spectra)
+            self._half_kappa0.append(0.5 * step * kappa0)
+            mass += np.fft.irfft(abs_spectrum, n)[:len(t)]
+            mass[:-1] -= 0.5 * step * abs(kappa0)
+            self.kernel_mass = max(self.kernel_mass, float(mass.max()))
 
     def q_values(self, traj: PiecewiseTrajectory) -> np.ndarray:
         H = self.numerics.history_samples
@@ -150,7 +196,20 @@ class KernelDiscretization:
 
     def inner_convolution(self, traj: PiecewiseTrajectory) -> np.ndarray:
         """The forcing int_0^{t} kappa(t-s) q(s, x_s) ds at every global node."""
-        return self.KW @ self.q_values(traj)
+        q = self.q_values(traj)
+        n = self._n
+        Q = [np.fft.rfft(w[:, None] * q[self.block_slice(bk)], n, axis=0)
+             for bk, w in enumerate(self._weights)]
+        out = np.empty_like(q)
+        for bi, spectra in enumerate(self._spectra):
+            rows = self.block_slice(bi)
+            y = np.fft.irfft(sum(S[:, None] * Q[bk] for bk, S in spectra),
+                             n, axis=0)[:rows.stop - rows.start]
+            y[:-1] -= self._half_kappa0[bi] * q[rows][:-1]
+            out[rows] = y
+        for (bi, bk), D in self.dense_blocks.items():
+            out[self.block_slice(bi)] += D @ q[self.block_slice(bk)]
+        return out
 
     def block_slice(self, interval_index: int) -> slice:
         return slice(self._offsets[interval_index], self._offsets[interval_index + 1])

@@ -206,15 +206,15 @@ def synthesize_control(problem: Problem, grids: list, blocks: list,
 
 
 def control_bound(problem: Problem, j: int, target: np.ndarray,
-                  floor: float) -> float:
+                  floor: float, kernel_mass: float = 0.0) -> float:
     """Worst-case sup bound on the window-j control from the declared
-    constants and the realized Gramian floor."""
+    constants, the realized Gramian floor and, for the integro variant, the
+    discrete kernel mass."""
     c = problem.constants
     K, M, b = c.semigroup_bound, c.control_op_norm, problem.mesh.b
     zn = problem.norm(np.asarray(target, dtype=float))
     if problem.variant == "integro":
-        kb = problem.kernel.kappa_mass(b)
-        tail = K * c.kernel_nonlin_sup * b * kb
+        tail = K * c.kernel_nonlin_sup * b * kernel_mass
     else:
         tail = K * c.nonlin_sup * b
     if j == 0:

@@ -64,12 +64,6 @@ class ConvolutionKernel:
     kappa: Callable[[float], float]
     q: Callable
 
-    def kappa_mass(self, b: float, steps: int = 2048) -> float:
-        """int_0^b |kappa(s)| ds by composite trapezoid."""
-        s = np.linspace(0.0, b, steps + 1)
-        vals = np.abs([self.kappa(float(x)) for x in s])
-        return float(np.trapezoid(vals, dx=b / steps))
-
 
 class WeightedSampleNonlocal:
     """Nonlocal initial coupling nu(x) = sum_j alpha_j * x(t_j).

@@ -59,7 +59,7 @@ def run(problem: Problem, targets, numerics: Optional[Numerics] = None,
     t0 = time.perf_counter()
     sweep = Sweep(problem, numerics)
     _check_invertible(sweep.blocks)
-    cert = certificate_for(problem, sweep.blocks, targets, numerics)
+    cert = certificate_for(problem, sweep.blocks, targets, numerics, sweep.kern)
     timings["assemble_s"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

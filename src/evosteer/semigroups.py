@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import expm
 
 
-def _fft_length(n: int) -> int:
+def fft_length(n: int) -> int:
     """The smallest 5-smooth integer >= n: numpy's FFT is several times
     slower at lengths with large prime factors."""
     while True:
@@ -159,7 +159,7 @@ class ShiftLagTable:
         K[g, P - self.off - 1] = self.frac
         # Circular lengths below (2m+1, N+P) would alias into the rows and
         # columns read back.
-        shape = (_fft_length(2 * m + 1), _fft_length(N + P))
+        shape = (fft_length(2 * m + 1), fft_length(N + P))
         spec = np.fft.rfft2(F, shape) * np.fft.rfft2(K, shape)
         conv = np.fft.irfft2(spec, shape)[:m + 1, P:P + N]
         out = delta * (conv - 0.5 * (self.evolve(F[0]) + F))

@@ -7,8 +7,10 @@ from evosteer.certificates import (certificate_for, contraction_constant,
                                    contraction_constant_integro, delay_ratio,
                                    estimate_constants, solution_bound)
 from evosteer.core import build_time_mesh
+from evosteer.discretize import KernelDiscretization, interval_times
 from evosteer.gramian import assemble_all
-from evosteer.problems import AssumptionConstants, Numerics, Problem
+from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
+                               Problem)
 from evosteer.semigroups import MatrixSemigroup
 from evosteer.transport import TransportConfig, build_case1
 
@@ -90,11 +92,42 @@ class TestIntegroConstant:
         assert lf == pytest.approx(0.7, abs=1e-12)
         assert branch == "window_1"
 
+    @staticmethod
+    def _integro_problem(kappa, breakpoints):
+        mesh = build_time_mesh(breakpoints, breakpoints[-1])
+        n = mesh.n_impulses
+        return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
+                       control_matrix=np.eye(1), mesh=mesh, beta=1.0,
+                       history=lambda s: np.zeros(1),
+                       impulses=tuple((lambda th, x: 0.5 * np.asarray(x))
+                                      for _ in range(n)),
+                       kernel=ConvolutionKernel(kappa=kappa,
+                                                q=lambda t, seg: np.zeros(1)),
+                       constants=AssumptionConstants(
+                           impulse_lipschitz=(0.5,) * n, impulse_sup=(1.0,) * n,
+                           kernel_nonlin_lipschitz=0.5, kernel_nonlin_sup=1.0))
+
     def test_constant_kernel_mass_is_horizon(self):
-        from evosteer.problems import ConvolutionKernel
-        kernel = ConvolutionKernel(kappa=lambda s: np.ones_like(np.asarray(s)),
-                                   q=lambda t, seg: np.zeros(1))
-        assert kernel.kappa_mass(0.8) == pytest.approx(0.8, abs=1e-12)
+        prob = self._integro_problem(lambda s: np.ones_like(np.asarray(s)),
+                                     [0.0, 0.3, 0.5, 0.8])
+        kern = KernelDiscretization(prob, Numerics(time_step=1e-2))
+        assert kern.kernel_mass == pytest.approx(0.8, abs=1e-12)
+
+    def test_kernel_mass_bounds_the_solved_sum(self):
+        # exp(-4s) is convex, so the solver's trapezoid sums exceed
+        # int_0^1 exp(-4s) ds = 0.245421; the certificate's mass must be the
+        # largest sum actually formed, not the integral
+        kappa = lambda s: np.exp(-4.0 * np.asarray(s, dtype=float))
+        prob = self._integro_problem(kappa, [0.0, 0.32, 0.4, 0.55, 0.85, 1.0])
+        num = Numerics(time_step=0.03)
+        blocks = interval_times(prob.mesh, num)
+        sums = [sum(np.trapezoid(kappa(t - s), s) for s in blocks[:bi])
+                + np.trapezoid(kappa(t - own[:i + 1]), own[:i + 1])
+                for bi, own in enumerate(blocks) for i, t in enumerate(own)]
+        assert max(sums) > 0.2456
+        _, gramians = assemble_all(prob, num)
+        cert = certificate_for(prob, gramians, [np.zeros(1)] * 3, num)
+        assert cert.kernel_mass == pytest.approx(max(sums), rel=1e-12)
 
 
 class TestSolutionBound:

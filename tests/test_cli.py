@@ -190,14 +190,16 @@ class TestCommands:
         assert "solve_s" in report["timings"]
 
     def test_oversized_kernel_exits_2(self, tmp_path, capsys, monkeypatch):
-        # G = 100,003 nodes: the dense kernel would need 75 GiB
+        # steps 23077/15385/38462 make every interval's step differ, so the
+        # three off-diagonal pairs need 13.7 GiB of dense blocks
         monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
         text = (CONFIGS / "transport-case2.ini").read_text()
-        fine = text.replace("time_step = 1e-3", "time_step = 1e-5")
+        fine = text.replace("time_step = 1e-3", "time_step = 1.3e-5")
         assert fine != text
         assert main(["solve", write(tmp_path, "fine.ini", fine)]) == 2
         err = capsys.readouterr().err
-        assert "numerics.time_step" in err and "G = 100003" in err
+        assert "numerics.time_step" in err and "G = 76927" in err
+        assert "13.7 GiB" in err
 
     def test_runs_leave_scipy_fft_unimported(self, tmp_path):
         # scipy.fft costs about 100 ms and 5 MiB to import; the shift

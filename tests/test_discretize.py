@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,10 @@ from evosteer.oracle import oracle_linear
 from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup
 from evosteer.solver import Sweep, picard_solve
+from evosteer.transport import TransportConfig, build_case2
+
+# Two impulses; ceil(length / time_step) makes the steps differ at 0.03.
+UNEQUAL = [0.0, 0.32, 0.4, 0.55, 0.85, 1.0]
 
 
 def test_trapezoid_weights_sum_to_length():
@@ -47,6 +52,30 @@ def _kernel_problem(kappa, q, mesh=None, dim=1):
                    history=lambda s: np.zeros(dim), impulses=impulses,
                    kernel=ConvolutionKernel(kappa=kappa, q=q),
                    constants=constants)
+
+
+def dense_kernel_reference(times, blocks, kappa):
+    """The G x G Volterra matrix, kappa(t_i - s_k) times the cumulative
+    trapezoid weights, as one dense array."""
+    diff = np.maximum(times[:, None] - times[None, :], 0.0)
+    try:
+        kap = np.asarray(kappa(diff), dtype=float)
+    except TypeError:
+        kap = np.vectorize(kappa)(diff).astype(float)
+    G = len(times)
+    M = np.zeros((G, G))
+    offsets = np.cumsum([0] + [len(t) for t in blocks])
+    for bi, t in enumerate(blocks):
+        lo, hi = offsets[bi], offsets[bi + 1]
+        m = len(t) - 1
+        delta = (t[-1] - t[0]) / m
+        # integrals ending inside this block: trapezoid over [t[0], t_i]
+        for i in range(lo + 1, hi):
+            M[i, lo:i + 1] = delta
+            M[i, lo] = M[i, i] = 0.5 * delta
+        # integrals ending in later blocks see the full block weights
+        M[hi:, lo:hi] = trapezoid_weights(m, delta)[None, :]
+    return kap * M
 
 
 class TestKernelDiscretization:
@@ -95,47 +124,79 @@ class TestKernelDiscretization:
         assert total == len(kern.times)
         assert kern.block_slice(0).start == 0
 
-    @pytest.mark.parametrize("kappa", [
-        lambda s: np.exp(-np.asarray(s, dtype=float)),
-        lambda s: math.exp(-s),     # scalar only: the np.vectorize fallback
-    ], ids=["vector", "scalar"])
-    def test_chunked_build_matches_dense_build(self, kappa, monkeypatch):
-        # two impulses, unequal steps; chunks of 7 rows cross block edges
-        mesh = build_time_mesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0], 1.0)
-        prob = _kernel_problem(kappa, lambda t, seg: seg.samples[0], mesh=mesh)
-        num = Numerics(time_step=0.03, history_samples=8)
-        monkeypatch.setattr(discretize, "KERNEL_CHUNK_ROWS", 7)
+    @pytest.mark.parametrize("breakpoints, time_step, kappa, any_dense", [
+        # dyadic lengths and step: every interval has step 2^-8 exactly
+        ([0.0, 0.25, 0.375, 0.625, 0.75, 1.0], 2.0 ** -8,
+         lambda s: np.exp(-np.asarray(s, dtype=float)), False),
+        (UNEQUAL, 0.03, lambda s: np.exp(-np.asarray(s, dtype=float)), True),
+        (UNEQUAL, 0.03, lambda s: math.exp(-s), True),  # np.vectorize fallback
+    ], ids=["equal-steps", "unequal-steps", "scalar-kappa"])
+    def test_volterra_product_matches_dense_reference(self, breakpoints,
+                                                      time_step, kappa, any_dense):
+        # two impulses, dim 2; q differs per node and per component
+        mesh = build_time_mesh(breakpoints, 1.0)
+        prob = _kernel_problem(kappa, lambda t, seg: np.array([np.sin(7.0 * t),
+                                                               np.cos(3.0 * t) - t]),
+                               mesh=mesh, dim=2)
+        num = Numerics(time_step=time_step, history_samples=8)
         kern = KernelDiscretization(prob, num)
-        times, blocks = kern.times, kern.block_times
-        assert len(times) % 7 != 0 and len(blocks[0]) % 7 != 0
-        diff = np.maximum(times[:, None] - times[None, :], 0.0)
-        try:
-            kap = np.asarray(kappa(diff), dtype=float)
-        except TypeError:
-            kap = np.vectorize(kappa)(diff).astype(float)
-        G = len(times)
-        M = np.zeros((G, G))
-        offsets = np.cumsum([0] + [len(t) for t in blocks])
-        for bi, t in enumerate(blocks):
-            lo, hi = offsets[bi], offsets[bi + 1]
-            m = len(t) - 1
-            delta = (t[-1] - t[0]) / m
-            for i in range(lo + 1, hi):
-                M[i, lo:i + 1] = delta
-                M[i, lo] = M[i, i] = 0.5 * delta
-            M[hi:, lo:hi] = trapezoid_weights(m, delta)[None, :]
-        assert np.array_equal(kern.KW, kap * M)
+        assert mesh.n_impulses == 2 and bool(kern.dense_blocks) == any_dense
+        traj = Sweep(prob, num).initial_iterate()
+        KW = dense_kernel_reference(kern.times, kern.block_times, kappa)
+        ref = KW @ kern.q_values(traj)
+        new = kern.inner_convolution(traj)
+        assert new.shape == ref.shape == (len(kern.times), 2)
+        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("breakpoints, time_step, dense", [
+        ([0.0, 0.3, 0.5, 1.0], 2.5e-4, set()),
+        ([0.0, 0.3, 0.5, 1.0], 1e-4, set()),
+        # steps 0.32/11, 0.01, 0.15/8, 0.03, 0.15/8: intervals 2 and 4 agree
+        (UNEQUAL, 0.03, {(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
+                         (4, 0), (4, 1), (4, 3)}),
+    ], ids=["bench-2.5e-4", "bench-1e-4", "unequal"])
+    def test_dense_pairs_only_for_unequal_steps(self, breakpoints, time_step, dense):
+        mesh = build_time_mesh(breakpoints, 1.0)
+        prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
+                               lambda t, seg: np.array([0.0]), mesh=mesh)
+        kern = KernelDiscretization(prob, Numerics(time_step=time_step))
+        assert set(kern.dense_blocks) == dense
+        for (bi, bk), D in kern.dense_blocks.items():
+            assert D.shape == (len(kern.block_times[bi]), len(kern.block_times[bk]))
 
     def test_kernel_size_limit(self, monkeypatch):
+        # only the dense blocks of unequal-step pairs count toward the limit
+        mesh = build_time_mesh(UNEQUAL, 1.0)
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, seg: np.array([0.0]))
-        num = Numerics(time_step=1e-2, history_samples=8)
-        G = len(KernelDiscretization(prob, num).times)
-        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", 8 * G * G)
+                               lambda t, seg: np.array([0.0]), mesh=mesh)
+        num = Numerics(time_step=0.03, history_samples=8)
+        kern = KernelDiscretization(prob, num)
+        G = len(kern.times)
+        sizes = [len(t) for t in kern.block_times]
+        limit = sum(8 * sizes[bi] * sizes[bk] for bi, bk in kern.dense_blocks)
+        assert limit == sum(D.nbytes for D in kern.dense_blocks.values())
+        assert 0 < limit < 8 * G * G // 2
+        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", limit)
         KernelDiscretization(prob, num)
-        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", 8 * G * G - 1)
+        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", limit - 1)
         with pytest.raises(ValueError, match=rf"numerics\.time_step .* G = {G}"):
             KernelDiscretization(prob, num)
+
+    def test_fine_equal_step_kernel_in_bounded_memory(self):
+        """Case 2 at time_step 1e-5 (G = 100,003, 75 GiB as one dense kernel)
+        builds in a few MiB: every interval has the same step, so no pair is
+        dense.  Only construction is measured; inner_convolution's transient
+        memory stays a few times the size of q."""
+        prob = build_case2(TransportConfig(N=4))
+        tracemalloc.start()
+        try:
+            kern = KernelDiscretization(prob, Numerics(time_step=1e-5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(kern.times) == 100_003
+        assert kern.dense_blocks == {}
+        assert peak < 64 * 2 ** 20
 
     def test_requires_kernel(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)

@@ -295,3 +295,23 @@ def test_one_gramian_assembly_per_run(monkeypatch, entry):
     targets = [rng.normal(size=2), rng.normal(size=2)]
     getattr(runner, entry)(prob, targets, Numerics(time_step=2e-3))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", ["run", "certify"])
+def test_one_kernel_build_per_run(monkeypatch, entry):
+    # the certificate reads its kernel mass from the sweep's kernel
+    from evosteer import discretize, runner
+    from evosteer.transport import TransportConfig, build_case2
+    calls = []
+    init = discretize.KernelDiscretization.__init__
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(discretize.KernelDiscretization, "__init__", counting)
+    cfg = TransportConfig(N=8)
+    result = getattr(runner, entry)(build_case2(cfg), cfg.resolved_targets(),
+                                    Numerics(time_step=1e-2, history_samples=16))
+    assert len(calls) == 1
+    assert result.certificate.kernel_mass == pytest.approx(0.5, abs=1e-12)

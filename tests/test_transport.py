@@ -3,6 +3,7 @@ import pytest
 
 from evosteer.core import (HistorySegment, build_time_mesh, segment_norm,
                            sup_distance)
+from evosteer.discretize import KernelDiscretization
 from evosteer.problems import Numerics
 from evosteer.solver import picard_solve
 from evosteer.transport import (TransportConfig, build_case1, build_case2,
@@ -136,7 +137,9 @@ class TestCase2:
         assert prob.variant == "integro"
         assert prob.constants.kernel_nonlin_lipschitz == pytest.approx(0.5)
         assert prob.constants.kernel_nonlin_sup == 1.0
-        assert prob.kernel.kappa_mass(1.0) == pytest.approx(0.5, abs=1e-10)
+        # kappa(s) = s: the trapezoid sums are exact, the largest is b^2/2
+        kern = KernelDiscretization(prob, Numerics(time_step=1e-2))
+        assert kern.kernel_mass == pytest.approx(0.5, abs=1e-10)
         assert prob.nonlocal_term is None
 
     def test_integrand_bounds(self):
