@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import build_time_mesh
 from .problems import AssumptionConstants, Numerics, Problem
-from .semigroups import MatrixSemigroup, growth_bound
+from .semigroups import MatrixSemigroup
 from .transport import TransportConfig, build_case1, build_case2
 
 OUTDIR_ENV = "EVOSTEER_OUTDIR"
@@ -189,8 +189,11 @@ def _load_linear(sec, mesh, numerics: Numerics):
     semigroup = MatrixSemigroup(A)
     K_declared = _get(sec, "semigroup_bound", float, field="problem.semigroup_bound")
     if K_declared is None:
-        K_declared = max(1.0, growth_bound(semigroup, np.linspace(0.0, mesh.b, 33))
-                         * (1.0 + 1e-12))
+        # |e^{tA}|_2 <= e^{t mu_2(A)}, mu_2(A) the largest eigenvalue of
+        # (A + A^T)/2 (G. Soderlind, "The logarithmic norm. History and
+        # modern theory", BIT 46, 2006), so this bounds T on all of [0, b].
+        mu = float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+        K_declared = float(np.exp(mesh.b * max(0.0, mu)))
     M_norm = float(np.linalg.norm(B, 2))
 
     impulse_kind = sec.get("impulse", "theta_x" if mesh.n_impulses else "none").strip()

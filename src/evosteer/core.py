@@ -59,10 +59,6 @@ class TimeMesh:
         """(lam[j], theta[j+1]] for j = 0..n, as (start, end) pairs."""
         return [(self.lam[j], self.theta[j + 1]) for j in range(self.n_impulses + 1)]
 
-    def impulse_windows(self) -> list:
-        """(theta[j], lam[j]] for j = 1..n."""
-        return [(self.theta[j], self.lam[j]) for j in range(1, self.n_impulses + 1)]
-
     def intervals(self) -> list:
         """All intervals of (0, b] in order as (start, end, kind, j).
 

@@ -74,17 +74,23 @@ def build_window_grids(problem: Problem, numerics: Numerics) -> list:
     return grids
 
 
+def _sample(fn, traj: PiecewiseTrajectory, times: np.ndarray, dim: int,
+            samples: int) -> np.ndarray:
+    """fn(t, x_t) at every t of ``times``, one history segment per node."""
+    out = np.empty((len(times), dim))
+    for i, t in enumerate(times):
+        seg = history_segment(traj, float(t), samples=samples)
+        out[i] = fn(float(t), seg)
+    return out
+
+
 def eta_values(problem: Problem, traj: PiecewiseTrajectory, times: np.ndarray,
                numerics: Numerics) -> np.ndarray:
     """Samples of the delayed nonlinearity eta(t, x_t) along a time grid."""
     if problem.nonlinearity is None:
         return np.zeros((len(times), problem.dim))
-    H = numerics.history_samples
-    out = np.empty((len(times), problem.dim))
-    for i, t in enumerate(times):
-        seg = history_segment(traj, float(t), samples=H)
-        out[i] = problem.nonlinearity(float(t), seg)
-    return out
+    return _sample(problem.nonlinearity, traj, times, problem.dim,
+                   numerics.history_samples)
 
 
 def _kappa_values(kappa, s: np.ndarray) -> np.ndarray:
@@ -97,6 +103,28 @@ def _kappa_values(kappa, s: np.ndarray) -> np.ndarray:
     except Exception:
         kap = np.vectorize(kappa)(s).astype(float)
     return kap
+
+
+def _fft_row_sum_error(n: int, pairs: int) -> float:
+    """c such that FFT row sums of at most ``pairs`` products of lags a >= 0
+    and weights w >= 0 at length n are within c * sum (|a|_2 |w|_1 +
+    |a|_1 |w|_2) of the exact sums.
+
+    A computed DFT y = F x obeys |fl(y) - y|_2 <= e |y|_2, e = t eta /
+    (1 - t eta), eta = u + gamma_4 (sqrt(2) + u), t = log2 n (N. J. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    24.1).  As |F a|_inf <= |a|_1, |F a|_2 = sqrt(n) |a|_2 and |a * w|_2 <=
+    |a|_2 |w|_1, the transforms of a and w add e |a|_2 |w|_1 and
+    e |a|_1 |w|_2, the products and their sum gamma_{pairs+3} |a|_2 |w|_1,
+    the inverse e |a|_2 |w|_1; a 2-norm bound bounds every row.  The factor
+    2 covers second-order terms, the last additions and mixed radices.
+    """
+    u = np.finfo(float).eps / 2
+    t = np.log2(n)
+    eta = u + 4 * u / (1 - 4 * u) * (np.sqrt(2.0) + u)
+    e = t * eta / (1.0 - t * eta)
+    k = pairs + 3
+    return float(2.0 * (3.0 * e + k * u / (1.0 - k * u)))
 
 
 class KernelDiscretization:
@@ -120,7 +148,8 @@ class KernelDiscretization:
     weighted spectrum of q per interval, a few times the size of q.
 
     ``kernel_mass`` is max_i sum_k w_ik |kappa(t_i - s_k)|, the sup-norm gain
-    of this Volterra sum, from the same pair data.
+    of this Volterra sum, from the same pair data, rounded up by a bound on
+    the FFT's rounding error so that it never falls below the exact sum.
     """
 
     def __init__(self, problem: Problem, numerics: Numerics):
@@ -151,6 +180,8 @@ class KernelDiscretization:
         n = self._n = fft_length(2 * max(len(t) for t in self.block_times) - 1)
         kappa = problem.kernel.kappa
         weight_spectra = [np.fft.rfft(w, n) for w in self._weights]
+        weight_norms = [(w.sum(), np.sqrt(w @ w)) for w in self._weights]
+        fft_error = _fft_row_sum_error(n, len(self.block_times))
         self._spectra = []
         self._half_kappa0 = []
         self.dense_blocks = {}
@@ -159,6 +190,7 @@ class KernelDiscretization:
             spectra = []
             abs_spectrum = np.zeros(n // 2 + 1, dtype=complex)
             mass = np.zeros(len(t))
+            spread = 0.0
             for bk, s in enumerate(self.block_times[:bi + 1]):
                 if (bi, bk) in dense:
                     D = _kappa_values(kappa, np.maximum(t[:, None] - s[None, :], 0.0))
@@ -178,21 +210,20 @@ class KernelDiscretization:
                 circ = np.zeros(n)
                 circ[d] = h
                 spectra.append((bk, np.fft.rfft(circ)))
-                circ[d] = np.abs(h)
+                circ[d] = a = np.abs(h)
                 abs_spectrum += np.fft.rfft(circ) * weight_spectra[bk]
+                w1, w2 = weight_norms[bk]
+                spread += np.sqrt(a @ a) * w1 + a.sum() * w2
             self._spectra.append(spectra)
             self._half_kappa0.append(0.5 * step * kappa0)
             mass += np.fft.irfft(abs_spectrum, n)[:len(t)]
             mass[:-1] -= 0.5 * step * abs(kappa0)
-            self.kernel_mass = max(self.kernel_mass, float(mass.max()))
+            self.kernel_mass = max(self.kernel_mass,
+                                   float(mass.max() + fft_error * spread))
 
     def q_values(self, traj: PiecewiseTrajectory) -> np.ndarray:
-        H = self.numerics.history_samples
-        out = np.empty((len(self.times), self.problem.dim))
-        for i, t in enumerate(self.times):
-            seg = history_segment(traj, float(t), samples=H)
-            out[i] = self.problem.kernel.q(float(t), seg)
-        return out
+        return _sample(self.problem.kernel.q, traj, self.times, self.problem.dim,
+                       self.numerics.history_samples)
 
     def inner_convolution(self, traj: PiecewiseTrajectory) -> np.ndarray:
         """The forcing int_0^{t} kappa(t-s) q(s, x_s) ds at every global node."""

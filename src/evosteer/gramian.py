@@ -205,28 +205,6 @@ def synthesize_control(problem: Problem, grids: list, blocks: list,
                          samples=samples, preimages=preimages)
 
 
-def control_bound(problem: Problem, j: int, target: np.ndarray,
-                  floor: float, kernel_mass: float = 0.0) -> float:
-    """Worst-case sup bound on the window-j control from the declared
-    constants, the realized Gramian floor and, for the integro variant, the
-    discrete kernel mass."""
-    c = problem.constants
-    K, M, b = c.semigroup_bound, c.control_op_norm, problem.mesh.b
-    zn = problem.norm(np.asarray(target, dtype=float))
-    if problem.variant == "integro":
-        tail = K * c.kernel_nonlin_sup * b * kernel_mass
-    else:
-        tail = K * c.nonlin_sup * b
-    if j == 0:
-        if problem.variant == "integro":
-            head = K * problem.norm(problem.phi0())
-        else:
-            head = K * (problem.norm(problem.phi0()) + c.nonlocal_sup)
-    else:
-        head = K * c.impulse_sup[j - 1]
-    return (M * K / floor) * (zn + head + tail)
-
-
 def assemble_all(problem: Problem, numerics: Optional[Numerics] = None):
     """Window grids plus their Gramian blocks, the pipeline's first stage."""
     numerics = numerics or Numerics()

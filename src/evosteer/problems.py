@@ -10,8 +10,10 @@ and the declared assumption constants.  Two variants exist:
   history-dependent integrand ``q``; no nonlocal coupling.
 
 Lipschitz and bound constants are properties of the supplied callables that
-the code cannot introspect, so they are declared up front; an empirical
-sampler in :mod:`evosteer.certificates` can sanity-check them.
+the code cannot introspect, so they are declared up front.  One pair of
+constants describes whichever pointwise map the problem carries, ``eta`` or
+the integrand ``q``; :mod:`evosteer.certificates` scales the latter by the
+discrete kernel mass, so both variants share one set of formulas.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ class AssumptionConstants:
     """Declared norm/Lipschitz constants of the problem data.
 
     semigroup_bound (>= 1) dominates |T(theta)| on [0, b]; control_op_norm is
-    |B|.  The per-impulse tuples are indexed j = 1..n.  Unused constants stay
-    at 0.
+    |B|; nonlin_* belong to eta, or to the kernel integrand q.  The
+    per-impulse tuples are indexed j = 1..n.  Unused constants stay at 0.
     """
 
     semigroup_bound: float = 1.0
@@ -41,15 +43,12 @@ class AssumptionConstants:
     impulse_sup: tuple = ()
     nonlocal_lipschitz: float = 0.0
     nonlocal_sup: float = 0.0
-    kernel_nonlin_lipschitz: float = 0.0
-    kernel_nonlin_sup: float = 0.0
 
     def __post_init__(self):
         if self.semigroup_bound < 1.0:
             raise ValueError("semigroup bound must be >= 1")
         for name in ("control_op_norm", "nonlin_lipschitz", "nonlin_sup",
-                     "nonlocal_lipschitz", "nonlocal_sup",
-                     "kernel_nonlin_lipschitz", "kernel_nonlin_sup"):
+                     "nonlocal_lipschitz", "nonlocal_sup"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if any(c < 0 for c in self.impulse_lipschitz + self.impulse_sup):

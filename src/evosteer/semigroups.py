@@ -171,7 +171,7 @@ class MatrixSemigroup:
     """Semigroup generated by a dense matrix A, evaluated via the scaled
     Pade matrix exponential."""
 
-    def __init__(self, A: np.ndarray, bound: float | None = None):
+    def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("generator must be a square matrix")
@@ -180,7 +180,6 @@ class MatrixSemigroup:
         self.A = A
         self.dim = A.shape[0]
         self.weight = 1.0
-        self.bound = float(bound) if bound is not None else None
 
     def propagator(self, theta: float) -> np.ndarray:
         if theta < 0:
@@ -203,9 +202,6 @@ class MatrixSemigroup:
             return v.copy()
         return self.propagator(theta).T @ v
 
-    def operator_norm(self, theta: float) -> float:
-        return float(np.linalg.norm(self.propagator(theta), 2))
-
     def lag_table(self, delta: float, m: int) -> MatrixLagTable:
         return MatrixLagTable(self.propagator(delta), m)
 
@@ -223,9 +219,7 @@ class ShiftSemigroup:
         self.N = N
         self.dim = N
         self.h = np.pi / N
-        self.nodes = np.arange(N) * self.h
         self.weight = self.h
-        self.bound = 1.0
 
     def _params(self, theta: float):
         if theta < 0:
@@ -252,17 +246,6 @@ class ShiftSemigroup:
         vp = np.pad(v, (o + 2, 0))
         return (1.0 - c) * vp[2:2 + self.N] + c * vp[1:1 + self.N]
 
-    def matrix(self, theta: float) -> np.ndarray:
-        return np.column_stack([self.apply(theta, e) for e in np.eye(self.N)])
-
-    def operator_norm(self, theta: float) -> float:
-        return float(np.linalg.norm(self.matrix(theta), 2))
-
     def lag_table(self, delta: float, m: int) -> ShiftLagTable:
         return ShiftLagTable(self.N, self.h, delta, m)
 
-
-def growth_bound(semigroup, grid) -> float:
-    """Max operator norm of T(theta) over a grid of theta samples; used to
-    validate the declared uniform bound."""
-    return max(semigroup.operator_norm(float(t)) for t in grid)

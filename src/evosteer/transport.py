@@ -21,12 +21,6 @@ from .problems import (AssumptionConstants, ConvolutionKernel, Problem,
 from .semigroups import ShiftSemigroup
 
 
-def shift_semigroup(N: int) -> ShiftSemigroup:
-    """The left-shift evaluator on the truncated grid; a contraction, so the
-    declared uniform bound is exactly 1."""
-    return ShiftSemigroup(N)
-
-
 @dataclass
 class TransportConfig:
     """Desk-scale configuration of the transport benchmark.
@@ -100,7 +94,7 @@ def build_case1(cfg: TransportConfig) -> Problem:
     sample), applies sin node-wise and scales by the gain k0, so k0 is both
     its Lipschitz constant and (node-wise) its uniform bound.
     """
-    semigroup = shift_semigroup(cfg.N)
+    semigroup = ShiftSemigroup(cfg.N)
     B = np.eye(cfg.N)
     k0 = cfg.k0
 
@@ -140,7 +134,7 @@ def build_case2(cfg: TransportConfig) -> Problem:
     """
     if cfg.a <= -1.0:
         raise ValueError("saturation parameter a must exceed -1")
-    semigroup = shift_semigroup(cfg.N)
+    semigroup = ShiftSemigroup(cfg.N)
     B = np.eye(cfg.N)
     a = cfg.a
 
@@ -156,8 +150,8 @@ def build_case2(cfg: TransportConfig) -> Problem:
         control_op_norm=1.0,
         impulse_lipschitz=tuple(b for _ in range(n)),
         impulse_sup=tuple(2.0 * cfg.mesh.lam[j] for j in range(1, n + 1)),
-        kernel_nonlin_lipschitz=1.0 / (a + 2.0),
-        kernel_nonlin_sup=1.0,
+        nonlin_lipschitz=1.0 / (a + 2.0),
+        nonlin_sup=1.0,
     )
     return Problem(semigroup=semigroup, control_matrix=B, mesh=cfg.mesh,
                    beta=cfg.beta, history=_history(cfg), kernel=kernel,

@@ -1,11 +1,8 @@
-import warnings
-
 import numpy as np
 import pytest
 
 from evosteer.certificates import (certificate_for, contraction_constant,
-                                   contraction_constant_integro, delay_ratio,
-                                   estimate_constants, solution_bound)
+                                   delay_ratio, solution_bound)
 from evosteer.core import build_time_mesh
 from evosteer.discretize import KernelDiscretization, interval_times
 from evosteer.gramian import assemble_all
@@ -79,16 +76,18 @@ class TestContractionConstant:
 
 
 class TestIntegroConstant:
+    # The integro variant is the semilinear one whose forcing Lipschitz
+    # constant is L_q times the kernel mass.
     def test_zero(self):
-        lf, _ = contraction_constant_integro(1.0, 1.0, 1.0, 1.0, 0.0, 0.5,
-                                             (0.0,), [1.0, 1.0])
+        lf, _ = contraction_constant(1.0, 1.0, 1.0, 1.0, 0.0 * 0.5, (0.0,),
+                                     0.0, [1.0, 1.0])
         assert lf == 0.0
 
     def test_worked_substitution(self):
         # L_q = 1/(a+2) at a = 0, kernel mass 1/2, L_imp = 0.1, floors 1:
         # max{(0.1 + 0.25) * 2, 2 * 0.25, 0.1} = 0.7
-        lf, branch = contraction_constant_integro(1.0, 1.0, 1.0, 1.0, 0.5, 0.5,
-                                                  (0.1,), [1.0, 1.0])
+        lf, branch = contraction_constant(1.0, 1.0, 1.0, 1.0, 0.5 * 0.5, (0.1,),
+                                          0.0, [1.0, 1.0])
         assert lf == pytest.approx(0.7, abs=1e-12)
         assert branch == "window_1"
 
@@ -105,7 +104,7 @@ class TestIntegroConstant:
                                                 q=lambda t, seg: np.zeros(1)),
                        constants=AssumptionConstants(
                            impulse_lipschitz=(0.5,) * n, impulse_sup=(1.0,) * n,
-                           kernel_nonlin_lipschitz=0.5, kernel_nonlin_sup=1.0))
+                           nonlin_lipschitz=0.5, nonlin_sup=1.0))
 
     def test_constant_kernel_mass_is_horizon(self):
         prob = self._integro_problem(lambda s: np.ones_like(np.asarray(s)),
@@ -133,14 +132,14 @@ class TestIntegroConstant:
 class TestSolutionBound:
     def test_zero(self):
         assert solution_bound(K=1.0, M=0.0, b=1.0, control_sup=0.0,
-                              phi0_norm=0.0, variant="semilinear") == 0.0
+                              phi0_norm=0.0) == 0.0
 
     def test_worked_substitution(self):
         # M = K = 1, Q = 3, b = 1, N = 1, |phi0| = 1, impulse sup 0.2:
         # max{3 + 1 + 1, 3 + 1 + 0.2, 0.2} = 5
         alpha = solution_bound(K=1.0, M=1.0, b=1.0, control_sup=3.0,
-                               phi0_norm=1.0, variant="semilinear",
-                               nonlin_sup=1.0, impulse_sup=(0.2,))
+                               phi0_norm=1.0, forcing_sup=1.0,
+                               impulse_sup=(0.2,))
         assert alpha == pytest.approx(5.0, abs=1e-14)
 
 
@@ -179,24 +178,79 @@ class TestCertificatePipeline:
         assert cert.binding_branch in ("window_0", "window_1", "impulse")
 
 
-class TestEmpiricalSampler:
-    def test_flags_understated_constant(self):
-        cfg = TransportConfig(N=8, k0=0.2)
-        prob = build_case1(cfg)
-        # understate the forcing Lipschitz constant on purpose
-        prob.constants = AssumptionConstants(
-            semigroup_bound=1.0, control_op_norm=1.0,
-            nonlin_lipschitz=1e-6, nonlin_sup=1e-6,
-            impulse_lipschitz=(1.0,), impulse_sup=(1.0,),
-            nonlocal_lipschitz=0.1, nonlocal_sup=0.4)
-        with pytest.warns(UserWarning, match="nonlin"):
-            estimate_constants(prob, np.random.default_rng(1), samples=16)
+# The integro formulas as they stood before the variants shared one
+# certificate path, kept as the reference the merged formulas must match.
+def _reference_integro_constant(K, M, b, gamma, kernel_lipschitz, kernel_mass,
+                                impulse_lipschitz, floors):
+    conv_gain = K * kernel_lipschitz * kernel_mass * gamma * b
+    branches = {}
+    for j, (lnu, floor) in enumerate(zip(impulse_lipschitz, floors[1:]), start=1):
+        amp = 1.0 + (M * M * K * K * b) / floor
+        branches[f"window_{j}"] = (K * lnu + conv_gain) * amp
+    amp0 = 1.0 + (M * M * K * K * b) / floors[0]
+    branches["window_0"] = amp0 * conv_gain
+    if impulse_lipschitz:
+        branches["impulse"] = max(impulse_lipschitz)
+    binding = max(branches, key=branches.get)
+    return branches[binding], binding
 
-    def test_quiet_when_declared_covers(self):
-        cfg = TransportConfig(N=8)
-        prob = build_case1(cfg)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            est = estimate_constants(prob, np.random.default_rng(2), samples=16)
-        assert est["nonlin_lipschitz"] <= prob.constants.nonlin_lipschitz + 1e-12
-        assert est["impulse_lipschitz"][0] <= prob.constants.impulse_lipschitz[0]
+
+def _reference_integro_control_bound(problem, j, target, floor, kernel_mass):
+    c = problem.constants
+    K, M, b = c.semigroup_bound, c.control_op_norm, problem.mesh.b
+    zn = problem.norm(np.asarray(target, dtype=float))
+    tail = K * c.nonlin_sup * b * kernel_mass
+    head = (K * problem.norm(problem.phi0()) if j == 0
+            else K * c.impulse_sup[j - 1])
+    return (M * K / floor) * (zn + head + tail)
+
+
+def _reference_integro_solution_bound(K, M, b, control_sup, phi0_norm,
+                                      impulse_sup, kernel_sup, kernel_mass):
+    tail = K * kernel_sup * b * kernel_mass
+    candidates = [K * phi0_norm + M * K * control_sup * b + tail]
+    for c in impulse_sup:
+        candidates.append(M * K * control_sup * b + tail + K * c)
+        candidates.append(c)
+    return max(candidates)
+
+
+class TestMergedIntegroCertificate:
+    def test_matches_reference_formulas(self):
+        mesh = build_time_mesh([0.0, 0.25, 0.4, 0.6, 0.7, 0.9], 0.9)
+        rng = np.random.default_rng(41)
+        A = rng.normal(size=(2, 2)) / 2.0
+        K, M = 1.7, 1.3
+        kappa = lambda s: np.exp(-4.0 * np.asarray(s, dtype=float))
+        prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=M * np.eye(2),
+                       mesh=mesh, beta=0.6,
+                       history=lambda s: np.array([0.4, -0.3]),
+                       impulses=tuple((lambda th, x: 0.5 * np.asarray(x))
+                                      for _ in range(2)),
+                       kernel=ConvolutionKernel(
+                           kappa=kappa, q=lambda t, seg: 0.3 * seg.samples[0]),
+                       constants=AssumptionConstants(
+                           semigroup_bound=K, control_op_norm=M,
+                           nonlin_lipschitz=0.3, nonlin_sup=0.8,
+                           impulse_lipschitz=(0.5, 0.45),
+                           impulse_sup=(0.9, 0.7)))
+        num = Numerics(time_step=0.01)
+        targets = [rng.normal(size=2) for _ in range(3)]
+        _, blocks = assemble_all(prob, num)
+        cert = certificate_for(prob, blocks, targets, num)
+        km = cert.kernel_mass
+        assert km == KernelDiscretization(prob, num).kernel_mass > 0.0
+        c = prob.constants
+        lf, branch = _reference_integro_constant(
+            K, M, 0.9, 1.5, c.nonlin_lipschitz, km, c.impulse_lipschitz,
+            cert.gramian_floors)
+        assert cert.delay_ratio == 1.5
+        assert cert.binding_branch == branch
+        assert cert.contraction_constant == pytest.approx(lf, rel=1e-15)
+        qs = [_reference_integro_control_bound(prob, j, targets[j], floor, km)
+              for j, floor in enumerate(cert.gramian_floors)]
+        assert cert.control_bounds == pytest.approx(qs, rel=1e-15)
+        alpha = _reference_integro_solution_bound(
+            K, M, 0.9, max(qs), prob.norm(prob.phi0()), c.impulse_sup,
+            c.nonlin_sup, km)
+        assert cert.solution_bound == pytest.approx(alpha, rel=1e-15)

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from evosteer.cli import main
 from evosteer.config import ConfigError, load_config
@@ -78,6 +79,26 @@ class TestConfigParsing:
                                       [[0.0, 1.0], [-1.0, 0.0]])
         assert cfg.problem.mesh.n_impulses == 1
         assert cfg.problem.constants.semigroup_bound >= 1.0
+
+    @pytest.mark.parametrize("generator,sup_norm", [
+        ("0 0; 0 0", 1.0),
+        ("-1 0; 0 -1", 1.0),
+        # non-normal: the sup of |e^{tA}|_2 over [0, 1] is 7.3760 near
+        # t = 0.2, between the nodes of a 33-point sample grid (7.3634)
+        ("-5 100; 0 -5", 7.376)], ids=["zero", "decaying", "non-normal"])
+    def test_linear_semigroup_bound_covers_every_time(self, tmp_path,
+                                                      generator, sup_norm):
+        text = LINEAR_CFG.format(out=tmp_path / "o").replace(
+            "generator = 0 1; -1 0", f"generator = {generator}")
+        cfg = load_config(write(tmp_path, "k.ini", text))
+        A = cfg.problem.semigroup.A
+        K = cfg.problem.constants.semigroup_bound
+        norms = [np.linalg.norm(expm(t * A), 2)
+                 for t in np.linspace(0.0, cfg.problem.mesh.b, 4001)]
+        assert max(norms) == pytest.approx(sup_norm, abs=1e-4)
+        assert K >= max(norms)
+        if sup_norm == 1.0:
+            assert K == 1.0
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):

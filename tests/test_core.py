@@ -25,13 +25,13 @@ class TestTimeMesh:
         mesh = build_time_mesh([0.0, 0.4], 0.4)
         assert mesh.n_impulses == 0
         assert mesh.control_windows() == [(0.0, 0.4)]
-        assert mesh.impulse_windows() == []
+        assert mesh.intervals() == [(0.0, 0.4, "control", 0)]
 
     def test_one_impulse(self):
         mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
         assert mesh.n_impulses == 1
         assert mesh.control_windows() == [(0.0, 0.3), (0.5, 1.0)]
-        assert mesh.impulse_windows() == [(0.3, 0.5)]
+        assert mesh.intervals()[1] == (0.3, 0.5, "impulse", 1)
         kinds = [kind for _, _, kind, _ in mesh.intervals()]
         assert kinds == ["control", "impulse", "control"]
 

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from evosteer.certificates import control_bound
 from evosteer.core import build_time_mesh
 from evosteer.discretize import (KernelDiscretization, WindowGrid,
                                  build_window_grids, eta_values)
 from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
                               assemble_from_grid, assemble_gramian,
-                              control_bound, gramian_solve, steering_residual,
+                              gramian_solve, steering_residual,
                               synthesize_control, window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
@@ -316,14 +317,13 @@ class TestWindowStart:
 
 
 class TestControlBound:
-    def _problem(self, nonlin_sup=0.0, nonlocal_sup=0.0, impulse_sup=()):
+    def _problem(self, nonlocal_sup=0.0, impulse_sup=()):
         mesh = (build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0) if impulse_sup
                 else build_time_mesh([0.0, 1.0], 1.0))
         impulses = ((lambda th, x: np.asarray(x, dtype=float) * 0.0,)
                     if impulse_sup else ())
         constants = AssumptionConstants(
-            semigroup_bound=1.0, control_op_norm=1.0, nonlin_sup=nonlin_sup,
-            nonlocal_sup=nonlocal_sup,
+            semigroup_bound=1.0, control_op_norm=1.0, nonlocal_sup=nonlocal_sup,
             impulse_lipschitz=tuple(0.0 for _ in impulse_sup),
             impulse_sup=impulse_sup)
         return linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [1.0],
@@ -337,13 +337,13 @@ class TestControlBound:
 
     def test_first_window_substitution(self):
         # M = K = 1, floor 1, |target| = 1, |phi(0)| = 1, sup eta = 1, b = 1
-        prob = self._problem(nonlin_sup=1.0)
-        q = control_bound(prob, 0, np.array([1.0]), 1.0)
+        prob = self._problem()
+        q = control_bound(prob, 0, np.array([1.0]), 1.0, forcing_sup=1.0)
         assert q == pytest.approx(3.0, abs=1e-14)
 
     def test_later_window_substitution(self):
-        prob = self._problem(nonlin_sup=1.0, impulse_sup=(0.2,))
-        q = control_bound(prob, 1, np.array([1.0]), 0.5)
+        prob = self._problem(impulse_sup=(0.2,))
+        q = control_bound(prob, 1, np.array([1.0]), 0.5, forcing_sup=1.0)
         # (M K / floor) (|target| + K * impulse_sup + K N b)
         assert q == pytest.approx((1.0 / 0.5) * (1.0 + 0.2 + 1.0), abs=1e-13)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, growth_bound
+from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
 
 
 class TestMatrixBackend:
@@ -57,12 +57,6 @@ class TestMatrixBackend:
         with pytest.raises(ValueError):
             MatrixSemigroup(np.zeros((2, 3)))
 
-    def test_growth_bound(self):
-        assert growth_bound(MatrixSemigroup(np.zeros((3, 3))),
-                            np.linspace(0, 1, 11)) == pytest.approx(1.0)
-        decay = growth_bound(MatrixSemigroup([[-1.0]]), np.linspace(0, 1, 11))
-        assert decay == pytest.approx(1.0, abs=1e-12)  # max of e^{-t} at t = 0
-
     def test_strong_continuity_proxy(self):
         T = MatrixSemigroup(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         v = np.array([1.0, 0.5])
@@ -70,13 +64,15 @@ class TestMatrixBackend:
         assert gaps[0] > gaps[1] > gaps[2]
 
     def test_declared_bound_never_exceeded(self):
+        # the logarithmic-norm bound e^{t mu_2(A)} that linear configs declare
         rng = np.random.default_rng(15)
         for _ in range(5):
             A = rng.normal(size=(5, 5)) / 2.0
             T = MatrixSemigroup(A)
-            declared = growth_bound(T, np.linspace(0.0, 1.0, 257)) * (1 + 1e-12)
-            measured = growth_bound(T, np.linspace(0.0, 1.0, 65))
-            assert measured <= declared + 1e-9
+            mu = np.linalg.eigvalsh(0.5 * (A + A.T))[-1]
+            for t in np.linspace(0.0, 1.0, 257):
+                measured = np.linalg.norm(T.propagator(float(t)), 2)
+                assert measured <= np.exp(t * max(0.0, mu)) * (1 + 1e-12)
 
 
 class TestShiftBackend:
@@ -115,7 +111,9 @@ class TestShiftBackend:
             v = rng.normal(size=32)
             t = float(rng.uniform(0, 1.2))
             assert np.linalg.norm(T.apply(t, v)) <= np.linalg.norm(v) + 1e-12
-        assert growth_bound(T, np.linspace(0, 1, 9)) <= 1.0 + 1e-12
+        for t in np.linspace(0, 1, 9):
+            M = np.column_stack([T.apply(t, e) for e in np.eye(32)])
+            assert np.linalg.norm(M, 2) <= 1.0 + 1e-12
 
     def test_aligned_composition_exact(self):
         T = ShiftSemigroup(8)

@@ -5,9 +5,10 @@ from evosteer.core import (HistorySegment, build_time_mesh, segment_norm,
                            sup_distance)
 from evosteer.discretize import KernelDiscretization
 from evosteer.problems import Numerics
+from evosteer.semigroups import ShiftSemigroup
 from evosteer.solver import picard_solve
 from evosteer.transport import (TransportConfig, build_case1, build_case2,
-                                shift_semigroup, smooth_unit_field)
+                                smooth_unit_field)
 
 
 class TestConfig:
@@ -37,8 +38,7 @@ class TestConfig:
 
 class TestShiftSemigroupBuilder:
     def test_contraction_and_bound(self):
-        T = shift_semigroup(64)
-        assert T.bound == 1.0
+        T = ShiftSemigroup(64)
         rng = np.random.default_rng(50)
         for _ in range(20):
             v = rng.normal(size=64)
@@ -46,7 +46,7 @@ class TestShiftSemigroupBuilder:
             assert np.linalg.norm(T.apply(t, v)) <= np.linalg.norm(v) + 1e-12
 
     def test_horizon_annihilates(self):
-        T = shift_semigroup(32)
+        T = ShiftSemigroup(32)
         v = np.random.default_rng(51).normal(size=32)
         np.testing.assert_array_equal(T.apply(np.pi, v), np.zeros(32))
 
@@ -135,12 +135,20 @@ class TestCase2:
         cfg = TransportConfig(N=16, a=0.0)
         prob = build_case2(cfg)
         assert prob.variant == "integro"
-        assert prob.constants.kernel_nonlin_lipschitz == pytest.approx(0.5)
-        assert prob.constants.kernel_nonlin_sup == 1.0
+        assert prob.constants.nonlin_lipschitz == pytest.approx(0.5)
+        assert prob.constants.nonlin_sup == 1.0
         # kappa(s) = s: the trapezoid sums are exact, the largest is b^2/2
         kern = KernelDiscretization(prob, Numerics(time_step=1e-2))
         assert kern.kernel_mass == pytest.approx(0.5, abs=1e-10)
         assert prob.nonlocal_term is None
+
+    def test_kernel_mass_never_below_the_exact_sum(self):
+        # kappa(s) = s: the largest trapezoid sum is exactly b^2/2; the FFT
+        # sum alone comes out at 0.49999999999999994 on this grid
+        prob = build_case2(TransportConfig(N=8, a=0.0))
+        kern = KernelDiscretization(prob, Numerics(time_step=5e-5))
+        assert kern.kernel_mass >= 0.5
+        assert kern.kernel_mass == pytest.approx(0.5, abs=1e-10)
 
     def test_integrand_bounds(self):
         cfg = TransportConfig(N=12, a=0.0)
@@ -156,7 +164,7 @@ class TestCase2:
             # node-wise: e^{-t}/(a+2e^t) * |v|/(1+2|v|) <= 1/2 * 1/2
             assert np.abs(q).max() <= 0.25 + 1e-12
             worst = max(worst, prob.norm(np.asarray(q)))
-        assert worst <= prob.constants.kernel_nonlin_sup
+        assert worst <= prob.constants.nonlin_sup
 
     def test_integrand_lipschitz_at_declared_constant(self):
         cfg = TransportConfig(N=12, a=0.0)
