@@ -1,4 +1,4 @@
-"""Time meshes, piecewise trajectories, history segments and their norms.
+"""Time meshes, piecewise trajectories, delayed reads and their norms.
 
 The state trajectory of an impulsive delay system lives on [-beta, b]: a
 history part on [-beta, 0] and one sampled path per mesh interval, with jump
@@ -6,8 +6,8 @@ discontinuities allowed at the interval breakpoints.  All of it is stored as
 one stacked sample array; the history and the per-interval paths are views
 into it, so a write through any of them is seen by every evaluation.  One
 interpolation routine reads the path: at a breakpoint it returns the left
-limit, or the right limit through a separate accessor.  State vectors are
-plain 1-D numpy arrays; the state inner product is a (possibly scaled)
+limit; the right limit is the next interval's first sample.  State vectors
+are plain 1-D numpy arrays; the state inner product is a (possibly scaled)
 Euclidean one, with the scale carried explicitly because spatially
 discretized problems use grid-weighted L2 norms.
 """
@@ -95,28 +95,13 @@ def build_time_mesh(breakpoints, b: float) -> TimeMesh:
     return TimeMesh(theta=tuple(theta), lam=tuple(lam), b=b)
 
 
-@dataclass(frozen=True)
-class HistorySegment:
-    """The delayed slice of a trajectory: samples of t -> x(t + kappa) for
-    kappa on a uniform grid over [-beta, 0]."""
-
-    samples: np.ndarray  # (H+1, dim)
-    beta: float
-    weight: float = 1.0
-
-    def __post_init__(self):
-        if self.samples.ndim != 2 or self.samples.shape[0] < 2:
-            raise ValueError("segment needs at least two samples of shape (H+1, dim)")
-        if self.beta <= 0:
-            raise ValueError("delay length beta must be positive")
-
-
-def segment_norm(seg: HistorySegment) -> float:
-    """Time-averaged integral norm (1/beta) * int_{-beta}^0 |seg(kappa)| dkappa,
-    by composite trapezoid on the segment grid."""
-    norms = np.sqrt(seg.weight) * np.linalg.norm(seg.samples, axis=1)
-    h = seg.beta / (len(norms) - 1)
-    return float(np.trapezoid(norms, dx=h) / seg.beta)
+def segment_norm(samples: np.ndarray, beta: float, weight: float = 1.0) -> float:
+    """Time-averaged integral norm (1/beta) * int_{-beta}^0 |x(kappa)| dkappa
+    of a segment sampled as ``(k, dim)`` on a uniform grid over [-beta, 0],
+    by composite trapezoid on that grid."""
+    norms = np.sqrt(weight) * np.linalg.norm(samples, axis=1)
+    h = beta / (len(norms) - 1)
+    return float(np.trapezoid(norms, dx=h) / beta)
 
 
 class PiecewiseTrajectory:
@@ -128,7 +113,7 @@ class PiecewiseTrajectory:
     it, so a write through them changes the path.  Within a piece the path
     interpolates linearly; jumps occur only at breakpoints.  ``value(t)``
     follows the left-limit convention at breakpoints (so x(theta_j) =
-    x(theta_j-)); ``right_value(t)`` reads the other side.
+    x(theta_j-)); the right limit is the first sample of the next interval.
     """
 
     def __init__(self, mesh: TimeMesh, beta: float, history: np.ndarray,
@@ -168,11 +153,15 @@ class PiecewiseTrajectory:
     def history_times(self) -> np.ndarray:
         return np.linspace(-self.beta, 0.0, self.history.shape[0])
 
-    def _interpolate(self, t: np.ndarray, side: str) -> np.ndarray:
-        """Linear interpolation in the piece holding each time: the piece
-        ending at or after t for ``side="left"``, the one starting at or
-        before t for ``side="right"``; times past either end clamp."""
-        p = np.minimum(np.searchsorted(self._ends, t, side=side), len(self._ends) - 1)
+    def values(self, t) -> np.ndarray:
+        """Evaluate at an array of times in [-beta, b], left limits at
+        breakpoints and history values for t <= 0: linear interpolation in
+        the piece ending at or after each time (times within 1e-12 past
+        either end clamp)."""
+        t = np.atleast_1d(np.asarray(t, dtype=float))
+        if np.any(t < -self.beta - 1e-12) or np.any(t > self.mesh.b + 1e-12):
+            raise ValueError("evaluation time outside [-beta, b]")
+        p = np.minimum(np.searchsorted(self._ends, t), len(self._ends) - 1)
         m = self._m[p]
         pos = np.clip((t - self._first[p]) / self._step[p], 0.0, m)
         j = np.minimum(pos.astype(int), m - 1)
@@ -180,22 +169,8 @@ class PiecewiseTrajectory:
         i = self._offsets[p] + j
         return (1.0 - frac) * self._values[i] + frac * self._values[i + 1]
 
-    def values(self, t) -> np.ndarray:
-        """Evaluate at an array of times in [-beta, b], left limits at
-        breakpoints and history values for t <= 0."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < -self.beta - 1e-12) or np.any(t > self.mesh.b + 1e-12):
-            raise ValueError("evaluation time outside [-beta, b]")
-        return self._interpolate(t, "left")
-
     def value(self, t: float) -> np.ndarray:
         return self.values(np.array([t]))[0]
-
-    def right_value(self, t: float) -> np.ndarray:
-        """Right limit x(t+), defined for t in [0, b)."""
-        if t < 0.0 or t >= self.mesh.b:
-            raise ValueError("right limit defined on [0, b)")
-        return self._interpolate(np.array([t], dtype=float), "right")[0]
 
     def left_value_at_theta(self, j: int) -> np.ndarray:
         """x(theta_j-), read from the stored left value (j = 1..n)."""
@@ -225,12 +200,13 @@ def sup_distance(a: PiecewiseTrajectory, b: PiecewiseTrajectory) -> float:
     return float(np.sqrt(a.weight) * np.max(np.linalg.norm(d, axis=1)))
 
 
-def history_segment(traj: PiecewiseTrajectory, t: float,
-                    samples: int = 128) -> HistorySegment:
-    """The slice kappa -> x(t + kappa) on [-beta, 0], sampled on a uniform
-    grid; values below time 0 come from the stored history."""
-    if t < 0.0 or t > traj.mesh.b + 1e-12:
-        raise ValueError(f"segment base time {t} outside [0, b]")
-    kappas = np.linspace(-traj.beta, 0.0, samples + 1)
-    vals = traj.values(t + kappas)
-    return HistorySegment(samples=vals, beta=traj.beta, weight=traj.weight)
+def history_segment(traj: PiecewiseTrajectory, times, offsets) -> np.ndarray:
+    """x(t_i + s_k) for every base time t_i in [0, b] and offset s_k in
+    [-beta, 0], as one ``(len(times), len(offsets), dim)`` array from one
+    read of the path; values below time 0 come from the stored history."""
+    times = np.asarray(times, dtype=float)
+    offsets = np.asarray(offsets, dtype=float)
+    if np.any(times < 0.0) or np.any(times > traj.mesh.b + 1e-12):
+        raise ValueError("segment base time outside [0, b]")
+    vals = traj.values((times[:, None] + offsets[None, :]).ravel())
+    return vals.reshape(len(times), len(offsets), traj.dim)

@@ -74,23 +74,23 @@ def build_window_grids(problem: Problem, numerics: Numerics) -> list:
     return grids
 
 
-def _sample(fn, traj: PiecewiseTrajectory, times: np.ndarray, dim: int,
-            samples: int) -> np.ndarray:
-    """fn(t, x_t) at every t of ``times``, one history segment per node."""
-    out = np.empty((len(times), dim))
-    for i, t in enumerate(times):
-        seg = history_segment(traj, float(t), samples=samples)
-        out[i] = fn(float(t), seg)
+def _delayed_forcing(fn, traj: PiecewiseTrajectory, times: np.ndarray) -> np.ndarray:
+    """fn(t, x(t - beta)) on the whole grid ``times``, from one delayed read."""
+    delayed = history_segment(traj, times, (-traj.beta,))[:, 0]
+    out = np.asarray(fn(times, delayed), dtype=float)
+    if out.shape != delayed.shape:
+        raise ValueError(f"forcing returned shape {out.shape} for "
+                         f"{len(times)} nodes, expected {delayed.shape}")
     return out
 
 
-def eta_values(problem: Problem, traj: PiecewiseTrajectory, times: np.ndarray,
-               numerics: Numerics) -> np.ndarray:
-    """Samples of the delayed nonlinearity eta(t, x_t) along a time grid."""
+def eta_values(problem: Problem, traj: PiecewiseTrajectory,
+               times: np.ndarray) -> np.ndarray:
+    """Samples of the delayed nonlinearity eta(t, x(t - beta)) along a time
+    grid."""
     if problem.nonlinearity is None:
         return np.zeros((len(times), problem.dim))
-    return _sample(problem.nonlinearity, traj, times, problem.dim,
-                   numerics.history_samples)
+    return _delayed_forcing(problem.nonlinearity, traj, times)
 
 
 def _kappa_values(kappa, s: np.ndarray) -> np.ndarray:
@@ -130,11 +130,11 @@ def _fft_row_sum_error(n: int, pairs: int) -> float:
 class KernelDiscretization:
     """Volterra machinery for the integro variant on the global grid.
 
-    The inner convolution int_0^{t_i} kappa(t_i - s) q(s, x_s) ds at a global
-    node t_i is the trapezoid sum over every mesh interval before t_i's and
-    over its own interval up to t_i.  Breakpoints carry both one-sided nodes;
-    each interval is integrated with its own endpoints, which picks the
-    correct side automatically.
+    The inner convolution int_0^{t_i} kappa(t_i - s) q(s, x(s - beta)) ds at
+    a global node t_i is the trapezoid sum over every mesh interval before
+    t_i's and over its own interval up to t_i.  Breakpoints carry both
+    one-sided nodes; each interval is integrated with its own endpoints,
+    which picks the correct side automatically.
 
     Interval b has nodes a_b + i delta_b.  When a target interval and a
     source interval share their step, kappa(t_i - s_k) depends on i - k
@@ -156,7 +156,6 @@ class KernelDiscretization:
         if problem.kernel is None:
             raise ValueError("problem has no convolution kernel configured")
         self.problem = problem
-        self.numerics = numerics
         self.block_times = interval_times(problem.mesh, numerics)
         self._offsets = np.cumsum([0] + [len(t) for t in self.block_times])
         self.times = np.concatenate(self.block_times)
@@ -222,11 +221,14 @@ class KernelDiscretization:
                                    float(mass.max() + fft_error * spread))
 
     def q_values(self, traj: PiecewiseTrajectory) -> np.ndarray:
-        return _sample(self.problem.kernel.q, traj, self.times, self.problem.dim,
-                       self.numerics.history_samples)
+        """q(t, x(t - beta)) at every global node, read one mesh interval at
+        a time so that the read's temporaries stay interval-sized."""
+        return np.concatenate([_delayed_forcing(self.problem.kernel.q, traj, t)
+                               for t in self.block_times])
 
     def inner_convolution(self, traj: PiecewiseTrajectory) -> np.ndarray:
-        """The forcing int_0^{t} kappa(t-s) q(s, x_s) ds at every global node."""
+        """The forcing int_0^{t} kappa(t-s) q(s, x(s - beta)) ds at every
+        global node."""
         q = self.q_values(traj)
         n = self._n
         Q = [np.fft.rfft(w[:, None] * q[self.block_slice(bk)], n, axis=0)

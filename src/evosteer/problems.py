@@ -4,10 +4,14 @@ A :class:`Problem` bundles everything the steering pipeline consumes: the
 semigroup, the control operator, the delay/history data, the forcing terms
 and the declared assumption constants.  Two variants exist:
 
-* semilinear -- forcing ``eta(theta, segment)`` plus an optional nonlocal
+* semilinear -- forcing ``eta(t, x(t - beta))`` plus an optional nonlocal
   initial coupling ``x(0) = phi(0) + nonlocal(x)``;
 * integro -- forcing is the running convolution of a scalar kernel against a
-  history-dependent integrand ``q``; no nonlocal coupling.
+  delayed integrand ``q(t, x(t - beta))``; no nonlocal coupling.
+
+Both ``eta`` and ``q`` are called once per sample grid: ``fn(t, v)`` takes the
+node times ``t`` of shape ``(n,)`` and the delayed states ``v[i] = x(t_i -
+beta)`` of shape ``(n, dim)`` and returns the ``(n, dim)`` forcing rows.
 
 Lipschitz and bound constants are properties of the supplied callables that
 the code cannot introspect, so they are declared up front.  One pair of
@@ -58,7 +62,8 @@ class AssumptionConstants:
 @dataclass(frozen=True)
 class ConvolutionKernel:
     """Kernel pair for the integro-differential variant: scalar kernel
-    ``kappa(s)`` and history-dependent integrand ``q(theta, segment)``."""
+    ``kappa(s)`` and delayed integrand ``q(t, v)``, called on a whole grid
+    with ``v[i] = x(t_i - beta)``."""
 
     kappa: Callable[[float], float]
     q: Callable
@@ -166,6 +171,9 @@ class Numerics:
 
     ``time_step`` sets the step count of every mesh interval, shared by the
     solver grids and the oracle, with at least ``min_steps`` steps each.
+    ``history_samples`` sets only the stored history grid on [-beta, 0]
+    (that many steps); a forcing node with t <= beta reads x(t - beta) from
+    it by interpolation.
     """
 
     time_step: float = 1e-3

@@ -101,7 +101,7 @@ class Sweep:
             if self.kern is not None:
                 forcing = inner_all[self.kern.block_slice(2 * grid.index)]
             else:
-                forcing = eta_values(problem, traj, grid.times, self.numerics)
+                forcing = eta_values(problem, traj, grid.times)
             forcings.append(forcing)
             if targets is not None:
                 residuals.append(steering_residual(problem, grid.index, traj,
@@ -190,9 +190,6 @@ class TargetVerdict:
     tol_hit: float
     totally_controllable: bool
     exactly_controllable: bool
-
-    def failed_windows(self) -> list:
-        return [j for j, ok in enumerate(self.hits) if not ok]
 
 
 def verify_targets(report: SolveReport, targets, tol_hit: float = 1e-6) -> TargetVerdict:

@@ -90,16 +90,16 @@ def build_case1(cfg: TransportConfig) -> Problem:
     """Sine nonlinearity of the delayed state plus weighted-sample nonlocal
     coupling.
 
-    The forcing reads the history segment exactly one delay back (its first
-    sample), applies sin node-wise and scales by the gain k0, so k0 is both
-    its Lipschitz constant and (node-wise) its uniform bound.
+    The forcing reads the state exactly one delay back, x(t - beta), applies
+    sin node-wise and scales by the gain k0, so k0 is both its Lipschitz
+    constant and (node-wise) its uniform bound.
     """
     semigroup = ShiftSemigroup(cfg.N)
     B = np.eye(cfg.N)
     k0 = cfg.k0
 
-    def eta(theta: float, seg) -> np.ndarray:
-        return k0 * np.sin(seg.samples[0])
+    def eta(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return k0 * np.sin(v)
 
     b = cfg.mesh.b
     n = cfg.mesh.n_impulses
@@ -128,19 +128,18 @@ def build_case1(cfg: TransportConfig) -> Problem:
 def build_case2(cfg: TransportConfig) -> Problem:
     """Convolution kernel kappa(s) = s with a saturating integrand.
 
-    q(theta, segment) = exp(-theta) |v| / ((a + 2 exp(theta)) (1 + 2|v|))
-    node-wise, v the segment value one delay back; Lipschitz constant
-    1/(a+2), uniform bound below 1.
+    q(t, v) = exp(-t) |v| / ((a + 2 exp(t)) (1 + 2|v|)) node-wise, v =
+    x(t - beta) the state one delay back; Lipschitz constant 1/(a+2), uniform
+    bound below 1.
     """
-    if cfg.a <= -1.0:
-        raise ValueError("saturation parameter a must exceed -1")
     semigroup = ShiftSemigroup(cfg.N)
     B = np.eye(cfg.N)
     a = cfg.a
 
-    def q(theta: float, seg) -> np.ndarray:
-        v = np.abs(seg.samples[0])
-        return np.exp(-theta) * v / ((a + 2.0 * np.exp(theta)) * (1.0 + 2.0 * v))
+    def q(t: np.ndarray, v: np.ndarray) -> np.ndarray:
+        v = np.abs(v)
+        return (np.exp(-t)[:, None] * v
+                / ((a + 2.0 * np.exp(t))[:, None] * (1.0 + 2.0 * v)))
 
     kernel = ConvolutionKernel(kappa=lambda s: s, q=q)
     b = cfg.mesh.b

@@ -101,7 +101,7 @@ class TestIntegroConstant:
                        impulses=tuple((lambda th, x: 0.5 * np.asarray(x))
                                       for _ in range(n)),
                        kernel=ConvolutionKernel(kappa=kappa,
-                                                q=lambda t, seg: np.zeros(1)),
+                                                q=lambda t, v: np.zeros_like(v)),
                        constants=AssumptionConstants(
                            impulse_lipschitz=(0.5,) * n, impulse_sup=(1.0,) * n,
                            nonlin_lipschitz=0.5, nonlin_sup=1.0))
@@ -228,7 +228,7 @@ class TestMergedIntegroCertificate:
                        impulses=tuple((lambda th, x: 0.5 * np.asarray(x))
                                       for _ in range(2)),
                        kernel=ConvolutionKernel(
-                           kappa=kappa, q=lambda t, seg: 0.3 * seg.samples[0]),
+                           kappa=kappa, q=lambda t, v: 0.3 * v),
                        constants=AssumptionConstants(
                            semigroup_bound=K, control_op_norm=M,
                            nonlin_lipschitz=0.3, nonlin_sup=0.8,

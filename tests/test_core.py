@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from evosteer.core import (HistorySegment, PiecewiseTrajectory, build_time_mesh,
-                           history_segment, path_sup_norm, segment_norm,
-                           sup_distance)
+from evosteer.core import (PiecewiseTrajectory, build_time_mesh, history_segment,
+                           path_sup_norm, segment_norm, sup_distance)
 
 
 def make_traj(mesh, beta, fn, steps=64, hsamples=64, dim=1, hist_fn=None):
@@ -56,25 +55,26 @@ class TestHistorySegment:
     def test_at_zero_equals_history(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         traj = make_traj(mesh, 1.0, lambda t: 2.0 * t)
-        seg = history_segment(traj, 0.0, samples=64)
-        np.testing.assert_allclose(seg.samples[:, 0],
+        seg = history_segment(traj, [0.0], np.linspace(-1.0, 0.0, 65))[0]
+        np.testing.assert_allclose(seg[:, 0],
                                    2.0 * np.linspace(-1.0, 0.0, 65), atol=1e-12)
 
     def test_constant_trajectory(self):
         mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
         traj = make_traj(mesh, 0.5, lambda t: 3.0)
-        for t in (0.0, 0.3, 0.41, 0.99):
-            seg = history_segment(traj, t, samples=32)
-            np.testing.assert_allclose(seg.samples, 3.0)
+        segs = history_segment(traj, [0.0, 0.3, 0.41, 0.99],
+                               np.linspace(-0.5, 0.0, 33))
+        assert segs.shape == (4, 33, 1)
+        np.testing.assert_allclose(segs, 3.0)
 
     def test_ramp_with_zero_history(self):
         # phi == 0 on [-1, 0], x(s) = s on [0, b]: the segment at t = 0.5 is
         # max(0, 0.5 + kappa) evaluated on the offset grid
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         traj = make_traj(mesh, 1.0, lambda t: t, hist_fn=lambda t: 0.0, steps=1000)
-        seg = history_segment(traj, 0.5, samples=100)
         kappas = np.linspace(-1.0, 0.0, 101)
-        np.testing.assert_allclose(seg.samples[:, 0], np.maximum(0.0, 0.5 + kappas),
+        seg = history_segment(traj, [0.5], kappas)[0]
+        np.testing.assert_allclose(seg[:, 0], np.maximum(0.0, 0.5 + kappas),
                                    atol=1e-12)
 
     def test_offset_zero_is_left_limit(self):
@@ -82,40 +82,38 @@ class TestHistorySegment:
         traj = make_traj(mesh, 1.0, lambda t: t)
         # overwrite the impulse interval with a jump
         traj.seg_values[1][:] = 9.0
-        seg = history_segment(traj, 0.3, samples=16)
-        assert seg.samples[-1, 0] == pytest.approx(0.3, abs=1e-12)
+        seg = history_segment(traj, [0.3], np.linspace(-1.0, 0.0, 17))[0]
+        assert seg[-1, 0] == pytest.approx(0.3, abs=1e-12)
 
     def test_base_time_out_of_range(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         traj = make_traj(mesh, 1.0, lambda t: t)
         with pytest.raises(ValueError):
-            history_segment(traj, -0.1)
+            history_segment(traj, [0.5, -0.1], (0.0,))
         with pytest.raises(ValueError):
-            history_segment(traj, 1.5)
+            history_segment(traj, [1.5], (-1.0,))
 
 
 class TestSegmentNorm:
     def test_zero(self):
-        seg = HistorySegment(np.zeros((33, 2)), beta=1.0)
-        assert segment_norm(seg) == 0.0
+        assert segment_norm(np.zeros((33, 2)), beta=1.0) == 0.0
 
     def test_constant(self):
         c = np.array([3.0, 4.0])
-        seg = HistorySegment(np.tile(c, (65, 1)), beta=0.7)
-        assert segment_norm(seg) == pytest.approx(5.0, rel=1e-14)
+        assert segment_norm(np.tile(c, (65, 1)), beta=0.7) == pytest.approx(
+            5.0, rel=1e-14)
 
     def test_ramp_closed_form(self):
         # beta = 1, phi(kappa) = kappa: (1/1) * int_{-1}^0 |kappa| = 1/2
         kappas = np.linspace(-1.0, 0.0, 129)
-        seg = HistorySegment(kappas[:, None], beta=1.0)
-        assert segment_norm(seg) == pytest.approx(0.5, rel=1e-12)
+        assert segment_norm(kappas[:, None], beta=1.0) == pytest.approx(
+            0.5, rel=1e-12)
 
     def test_quadrature_order(self):
         # refining the grid by 2x shrinks the error quadratically
         def val(h):
             kappas = np.linspace(-1.0, 0.0, h + 1)
-            seg = HistorySegment(np.cos(kappas)[:, None] + 2.0, beta=1.0)
-            return segment_norm(seg)
+            return segment_norm(np.cos(kappas)[:, None] + 2.0, beta=1.0)
 
         ref = val(4096)
         e1, e2 = abs(val(32) - ref), abs(val(64) - ref)
@@ -160,11 +158,10 @@ class TestPathNorms:
             a = rng.normal(size=(33, 2))
             b = rng.normal(size=(33, 2))
             c = float(rng.normal())
-            na = segment_norm(HistorySegment(a, 1.0))
-            nb = segment_norm(HistorySegment(b, 1.0))
-            assert segment_norm(HistorySegment(c * a, 1.0)) == pytest.approx(
-                abs(c) * na, rel=1e-12)
-            assert segment_norm(HistorySegment(a + b, 1.0)) <= na + nb + 1e-12
+            na = segment_norm(a, 1.0)
+            nb = segment_norm(b, 1.0)
+            assert segment_norm(c * a, 1.0) == pytest.approx(abs(c) * na, rel=1e-12)
+            assert segment_norm(a + b, 1.0) <= na + nb + 1e-12
 
 
 class TestEvaluation:
@@ -175,15 +172,15 @@ class TestEvaluation:
         vals[1][:] = -7.0  # impulse interval carries a jump
         traj = traj.with_values(vals)
         assert traj.value(0.5)[0] == pytest.approx(0.5)       # left limit
-        assert traj.right_value(0.5)[0] == pytest.approx(-7.0)
+        assert traj.value(0.5 + 1e-9)[0] == pytest.approx(-7.0)
         assert traj.value(0.6)[0] == pytest.approx(-7.0)
-        assert traj.right_value(0.6)[0] == pytest.approx(0.6)
+        assert traj.value(0.6 + 1e-9)[0] == pytest.approx(0.6)
 
     def test_history_side_of_zero(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         traj = make_traj(mesh, 1.0, lambda t: t + 1.0, hist_fn=lambda t: t)
         assert traj.value(0.0)[0] == pytest.approx(0.0)       # phi(0)
-        assert traj.right_value(0.0)[0] == pytest.approx(1.0)  # jump via x(0+)
+        assert traj.value(1e-9)[0] == pytest.approx(1.0)      # jump to x(0+)
 
     def test_out_of_domain(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
@@ -236,15 +233,6 @@ def _reference_values(beta, hist, seg_times, seg_values, t):
     return out
 
 
-def _reference_right_value(seg_times, seg_values, t):
-    starts = np.array([s[0] for s in seg_times])
-    ends = np.array([s[-1] for s in seg_times])
-    k = max(int(np.searchsorted(starts, t, side="right") - 1), 0)
-    if t >= ends[k]:
-        k += 1
-    return _reference_piece(seg_times[k], seg_values[k], np.array([t]))[0]
-
-
 class TestOneInterpolationPath:
     """The stacked path reads exactly as the per-interval storage did."""
 
@@ -266,15 +254,12 @@ class TestOneInterpolationPath:
         return np.concatenate([rng.uniform(-self.beta, 1.0, 300), breaks,
                                [-self.beta, 0.0, 1.0, 1.0 + 5e-13]])
 
-    def test_values_right_values_and_stack_match_reference(self):
+    def test_values_and_stack_match_reference(self):
         hist, seg_times, seg_values = self._parts()
         traj = PiecewiseTrajectory(self.mesh, self.beta, hist, seg_times, seg_values)
         t = self._times()
         assert np.array_equal(
             traj.values(t), _reference_values(self.beta, hist, seg_times, seg_values, t))
-        for s in t[(t >= 0.0) & (t < 1.0)]:
-            assert np.array_equal(traj.right_value(s),
-                                  _reference_right_value(seg_times, seg_values, s))
         assert np.array_equal(traj.sample_stack(), np.concatenate(seg_values))
 
     def test_write_through_segment_view_is_seen(self):
@@ -283,7 +268,6 @@ class TestOneInterpolationPath:
         traj.seg_values[2][:] = 4.0
         traj.history[-1] = 7.0
         np.testing.assert_array_equal(traj.values([0.5, 0.7]), np.full((2, 3), 4.0))
-        np.testing.assert_array_equal(traj.right_value(0.45), np.full(3, 4.0))
         np.testing.assert_array_equal(traj.value(0.0), np.full(3, 7.0))
         lo = len(seg_times[0]) + len(seg_times[1])
         assert np.all(traj.sample_stack()[lo:lo + len(seg_times[2])] == 4.0)

@@ -82,7 +82,7 @@ class TestKernelDiscretization:
     def test_inner_convolution_closed_form(self):
         # kappa == 1, q == 1: the inner convolution at t is exactly t
         prob = _kernel_problem(lambda s: np.ones_like(np.asarray(s)),
-                               lambda t, seg: np.array([1.0]))
+                               lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         traj = picard_solve(prob, None, num).trajectory
@@ -94,7 +94,7 @@ class TestKernelDiscretization:
         # trapezoid rule applied to a piecewise-linear integrand? the
         # integrand is linear in s per fixed t, so yes
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, seg: np.array([1.0]))
+                               lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         traj = picard_solve(prob, None, num).trajectory
@@ -106,17 +106,17 @@ class TestKernelDiscretization:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         num = Numerics(time_step=1e-2, history_samples=8)
         ones = lambda s: np.ones_like(np.asarray(s))
-        prob = _kernel_problem(ones, lambda t, seg: np.array([1.0]), mesh=mesh)
+        prob = _kernel_problem(ones, lambda t, v: np.ones_like(v), mesh=mesh)
         kern = KernelDiscretization(prob, num)
         traj = picard_solve(prob, None, num).trajectory
         i, k = (int(np.argmin(np.abs(kern.times - t))) for t in (0.5, 0.7))
         assert kern.inner_convolution(traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
-        prob0 = _kernel_problem(ones, lambda t, seg: np.array([0.0]), mesh=mesh)
+        prob0 = _kernel_problem(ones, lambda t, v: np.zeros_like(v), mesh=mesh)
         assert KernelDiscretization(prob0, num).inner_convolution(traj)[k, 0] == 0.0
 
     def test_block_slices_tile_the_grid(self):
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, seg: np.array([0.0]))
+                               lambda t, v: np.zeros_like(v))
         num = Numerics(time_step=5e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         total = sum(kern.block_slice(i).stop - kern.block_slice(i).start
@@ -135,8 +135,9 @@ class TestKernelDiscretization:
                                                       time_step, kappa, any_dense):
         # two impulses, dim 2; q differs per node and per component
         mesh = build_time_mesh(breakpoints, 1.0)
-        prob = _kernel_problem(kappa, lambda t, seg: np.array([np.sin(7.0 * t),
-                                                               np.cos(3.0 * t) - t]),
+        prob = _kernel_problem(kappa, lambda t, v: np.stack([np.sin(7.0 * t),
+                                                             np.cos(3.0 * t) - t],
+                                                            axis=1),
                                mesh=mesh, dim=2)
         num = Numerics(time_step=time_step, history_samples=8)
         kern = KernelDiscretization(prob, num)
@@ -158,7 +159,7 @@ class TestKernelDiscretization:
     def test_dense_pairs_only_for_unequal_steps(self, breakpoints, time_step, dense):
         mesh = build_time_mesh(breakpoints, 1.0)
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, seg: np.array([0.0]), mesh=mesh)
+                               lambda t, v: np.zeros_like(v), mesh=mesh)
         kern = KernelDiscretization(prob, Numerics(time_step=time_step))
         assert set(kern.dense_blocks) == dense
         for (bi, bk), D in kern.dense_blocks.items():
@@ -168,7 +169,7 @@ class TestKernelDiscretization:
         # only the dense blocks of unequal-step pairs count toward the limit
         mesh = build_time_mesh(UNEQUAL, 1.0)
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, seg: np.array([0.0]), mesh=mesh)
+                               lambda t, v: np.zeros_like(v), mesh=mesh)
         num = Numerics(time_step=0.03, history_samples=8)
         kern = KernelDiscretization(prob, num)
         G = len(kern.times)
@@ -214,7 +215,7 @@ def test_eta_values_zero_without_nonlinearity():
                    history=lambda s: np.zeros(2))
     num = Numerics(time_step=0.1, history_samples=8)
     traj = picard_solve(prob, None, num).trajectory
-    vals = eta_values(prob, traj, np.linspace(0, 1, 5), num)
+    vals = eta_values(prob, traj, np.linspace(0, 1, 5))
     np.testing.assert_array_equal(vals, np.zeros((5, 2)))
 
 
@@ -223,7 +224,7 @@ def test_one_grid_per_interval(variant):
     # two impulses; unequal step counts, three of them raised to min_steps = 8
     mesh = build_time_mesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0], 1.0)
     prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)),
-                           lambda t, seg: seg.samples[0], mesh=mesh, dim=2)
+                           lambda t, v: v, mesh=mesh, dim=2)
     if variant == "semilinear":
         prob = dataclasses.replace(prob, kernel=None)
     num = Numerics(time_step=0.03, history_samples=8)
@@ -244,3 +245,79 @@ def test_one_grid_per_interval(variant):
     assert len(others) == len(expected)
     for got, ref in zip(others, sweep.seg_times):
         assert np.array_equal(got, ref)
+
+
+def per_node_reference(fn, traj, times, history_samples):
+    """The forcing sampled one node at a time: a delayed segment read over
+    [-beta, 0] per node, of which fn sees only the first sample."""
+    rows = []
+    for t in times:
+        seg = traj.values(t + np.linspace(-traj.beta, 0.0, history_samples + 1))
+        rows.append(fn(np.array([t]), seg[:1])[0])
+    return np.array(rows)
+
+
+def _mixed_delay_case(variant, fn):
+    """beta = 0.25 on mesh 0 < 0.25 < 0.5 < 1 with step 2^-8: nodes up to
+    0.25 read the history, later ones the live path, and t - beta hits the
+    breakpoints 0.25 and 0.5 exactly.  The path is random on every
+    interval, so each breakpoint carries a jump."""
+    mesh = build_time_mesh([0.0, 0.25, 0.5, 1.0], 1.0)
+    prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)), fn,
+                           mesh=mesh, dim=2)
+    prob = dataclasses.replace(prob, beta=0.25,
+                               history=lambda s: np.array([1.0 + s, np.cos(5.0 * s)]))
+    if variant == "semilinear":
+        prob = dataclasses.replace(prob, kernel=None, nonlinearity=fn)
+    num = Numerics(time_step=2.0 ** -8, history_samples=16)
+    sweep = Sweep(prob, num)
+    rng = np.random.default_rng(60)
+    traj = sweep.initial_iterate()
+    traj = traj.with_values([rng.normal(size=v.shape) for v in traj.seg_values])
+    return prob, num, sweep, traj
+
+
+@pytest.mark.parametrize("variant", ["semilinear", "integro"])
+def test_grid_forcing_matches_per_node_reference(variant):
+    def fn(t, v):
+        return t[:, None] * v - 0.5 * v * v + 0.25
+
+    prob, num, sweep, traj = _mixed_delay_case(variant, fn)
+    if variant == "semilinear":
+        grids = [g.times for g in sweep.grids]
+        got = [eta_values(prob, traj, t) for t in grids]
+    else:
+        grids = [sweep.kern.times]
+        got = [sweep.kern.q_values(traj)]
+    delayed = np.concatenate(grids) - prob.beta
+    assert np.any(delayed <= 0.0) and np.any(delayed > 0.0)
+    assert {0.25, 0.5} <= set(delayed)
+    for t, vals in zip(grids, got):
+        ref = per_node_reference(fn, traj, t, num.history_samples)
+        assert vals.shape == ref.shape == (len(t), 2)
+        assert np.array_equal(vals, ref)
+
+
+@pytest.mark.parametrize("variant", ["semilinear", "integro"])
+def test_one_forcing_call_per_grid(variant):
+    # eta once per control window, q once per mesh interval
+    sizes = []
+
+    def fn(t, v):
+        sizes.append(len(t))
+        return 0.1 * v
+
+    prob, num, sweep, traj = _mixed_delay_case(variant, fn)
+    sizes.clear()
+    sweep.apply(traj, [np.ones(2), -np.ones(2)])
+    if variant == "semilinear":
+        assert sizes == [len(g.times) for g in sweep.grids]
+    else:
+        assert sizes == [len(t) for t in sweep.kern.block_times]
+
+
+def test_forcing_of_wrong_shape_is_refused():
+    prob, num, sweep, traj = _mixed_delay_case("semilinear",
+                                               lambda t, v: np.zeros(2))
+    with pytest.raises(ValueError, match=r"forcing returned shape \(2,\)"):
+        eta_values(prob, traj, sweep.grids[0].times)

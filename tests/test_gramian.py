@@ -189,20 +189,20 @@ class TestResiduals:
         traj = _flat_traj(prob, num)
         target = expm(A) @ phi0
         r = steering_residual(prob, 0, traj, target, grids[0],
-                              _eta(prob, traj, grids[0], num))
+                              _eta(prob, traj, grids[0]))
         assert np.linalg.norm(r) <= 1e-10
 
     def test_constant_forcing_closed_form(self):
         # A = 0, phi(0) = 0, eta == c on (0, 1]: residual = z - c
         mesh = build_time_mesh([0.0, 1.0], 1.0)
-        c = np.array([0.3])
+        c = 0.3
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0],
-                              nonlinearity=lambda t, seg: c)
+                              nonlinearity=lambda t, v: np.full_like(v, c))
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         r = steering_residual(prob, 0, traj, np.array([2.0]), grids[0],
-                              _eta(prob, traj, grids[0], num))
+                              _eta(prob, traj, grids[0]))
         assert r[0] == pytest.approx(2.0 - 0.3, abs=1e-13)
 
     def test_impulse_window_residual(self):
@@ -221,7 +221,7 @@ class TestResiduals:
         x_minus = traj.left_value_at_theta(1)
         target = rng.normal(size=2)
         r = steering_residual(prob, 1, traj, target, grids[1],
-                              _eta(prob, traj, grids[1], num))
+                              _eta(prob, traj, grids[1]))
         manual = target - expm(0.5 * A) @ (0.5 * x_minus)
         np.testing.assert_allclose(r, manual, atol=1e-11)
 
@@ -230,7 +230,7 @@ class TestResiduals:
         # outer integral 1/2
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         kernel = ConvolutionKernel(kappa=lambda s: np.ones_like(np.asarray(s)),
-                                   q=lambda t, seg: np.array([1.0]))
+                                   q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.25],
                               kernel=kernel)
         num = Numerics(time_step=1e-2, history_samples=16)
@@ -247,7 +247,7 @@ class TestResiduals:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         phi0 = rng.normal(size=2)
         kernel = ConvolutionKernel(kappa=lambda s: np.asarray(s, dtype=float),
-                                   q=lambda t, seg: np.zeros(2))
+                                   q=lambda t, v: np.zeros_like(v))
         prob = linear_problem(A, np.eye(2), mesh, phi0, kernel=kernel)
         num = Numerics(time_step=1e-3, history_samples=8)
         grids = build_window_grids(prob, num)
@@ -303,7 +303,7 @@ class TestWindowStart:
         elif case == "first-integro":
             kwargs["kernel"] = ConvolutionKernel(
                 kappa=lambda s: np.ones_like(np.asarray(s)),
-                q=lambda t, seg: np.ones(2))
+                q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
                               impulses=(lambda th, x: th * np.asarray(x),),
                               constants=AssumptionConstants(
@@ -353,8 +353,8 @@ def _flat_traj(problem, numerics):
     return Sweep(problem, numerics).initial_iterate()
 
 
-def _eta(problem, traj, grid, numerics):
-    return eta_values(problem, traj, grid.times, numerics)
+def _eta(problem, traj, grid):
+    return eta_values(problem, traj, grid.times)
 
 
 def _inner(problem, traj, numerics):

@@ -125,7 +125,7 @@ class TestOracle:
     def test_rejects_nonlinear(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
-        prob.nonlinearity = lambda t, seg: np.zeros(1)
+        prob.nonlinearity = lambda t, v: np.zeros_like(v)
         num = Numerics(time_step=1e-2)
         with pytest.raises(ValueError, match="linear"):
             oracle_linear(prob, None, None, num)
@@ -134,7 +134,7 @@ class TestOracle:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
         prob.kernel = ConvolutionKernel(kappa=lambda s: s,
-                                        q=lambda t, seg: np.zeros(1))
+                                        q=lambda t, v: np.zeros_like(v))
         with pytest.raises(ValueError):
             oracle_linear(prob, None, None, Numerics(time_step=1e-2))
         from evosteer.transport import TransportConfig, build_case1

@@ -64,7 +64,7 @@ class TestOperator:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         c = 0.25
         prob = make_problem(dim=1, mesh=mesh, phi0=[1.0],
-                            nonlinearity=lambda t, seg: np.array([c]))
+                            nonlinearity=lambda t, v: np.full_like(v, c))
         num = Numerics(time_step=1e-3, history_samples=16)
         report = picard_solve(prob, targets=None, numerics=num)
         t = report.trajectory.seg_times[0]
@@ -189,7 +189,7 @@ class TestVerifyTargets:
         verdict = verify_targets(report, targets, tol_hit=1e-6)
         assert verdict.totally_controllable
         assert verdict.exactly_controllable
-        assert verdict.failed_windows() == []
+        assert verdict.hits == [True, True]
 
     def test_refuses_nonconverged(self):
         cfg = TransportConfig(N=12)
@@ -268,8 +268,7 @@ class TestVerifyTargets:
         report = picard_solve(prob, targets, num)
         verdict = verify_targets(report, targets, tol_hit=1e-6)
         assert not verdict.totally_controllable
-        assert verdict.failed_windows() == [1]
-        assert verdict.hits[0]
+        assert verdict.hits == [True, False]
 
     def test_zero_control_matrix_not_invertible(self):
         prob = make_problem(dim=2)

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from evosteer.core import (HistorySegment, build_time_mesh, segment_norm,
-                           sup_distance)
+from evosteer.core import build_time_mesh, sup_distance
 from evosteer.discretize import KernelDiscretization
 from evosteer.problems import Numerics
 from evosteer.semigroups import ShiftSemigroup
@@ -72,35 +71,32 @@ class TestCase1:
     def test_forcing_reads_one_delay_back(self):
         cfg = TransportConfig(N=8, k0=0.5)
         prob = build_case1(cfg)
-        seg = HistorySegment(np.linspace(0.0, 1.0, 5)[:, None]
-                             * np.ones((1, 8)), beta=1.0)
-        np.testing.assert_allclose(prob.nonlinearity(0.3, seg),
-                                   0.5 * np.sin(seg.samples[0]), atol=1e-15)
+        t = np.linspace(0.3, 0.7, 5)
+        v = np.linspace(0.0, 1.0, 5)[:, None] * np.ones((1, 8))
+        np.testing.assert_allclose(prob.nonlinearity(t, v), 0.5 * np.sin(v),
+                                   atol=1e-15)
 
     def test_forcing_lipschitz_at_gain(self):
-        # on segment pairs whose difference is constant in the offset the
-        # averaged-history distance equals the pointwise distance, so the
-        # declared gain is the binding ratio
+        # 33 nodes per draw, every pair of delayed states a constant shift
+        # apart: each node's forcing gap stays within the gain times the
+        # grid-weighted distance of its delayed states
         cfg = TransportConfig(N=12, k0=0.3)
         prob = build_case1(cfg)
         rng = np.random.default_rng(52)
-        h = np.pi / 12
+        t = np.full(33, 0.1)
         for _ in range(25):
             base = np.cumsum(rng.normal(size=(33, 12)), axis=0) / 5.0
             shift = rng.normal(size=12)
-            segx = HistorySegment(base, beta=1.0, weight=h)
-            segy = HistorySegment(base + shift[None, :], beta=1.0, weight=h)
-            num = prob.norm(prob.nonlinearity(0.1, segx)
-                            - prob.nonlinearity(0.1, segy))
-            den = segment_norm(HistorySegment(segx.samples - segy.samples,
-                                              1.0, h))
-            assert num <= 0.3 * den + 1e-12
+            gap = (prob.nonlinearity(t, base)
+                   - prob.nonlinearity(t, base + shift[None, :]))
+            for row in gap:
+                assert prob.norm(row) <= 0.3 * prob.norm(shift) + 1e-12
 
     def test_zero_gain_is_linear(self):
         cfg = TransportConfig(N=8, k0=0.0)
         prob = build_case1(cfg)
-        seg = HistorySegment(np.ones((9, 8)), beta=1.0)
-        np.testing.assert_array_equal(prob.nonlinearity(0.2, seg), np.zeros(8))
+        np.testing.assert_array_equal(
+            prob.nonlinearity(np.full(9, 0.2), np.ones((9, 8))), np.zeros((9, 8)))
         assert prob.constants.nonlin_lipschitz == 0.0
 
     def test_zero_gain_certificate_is_impulse_driven(self):
@@ -154,33 +150,28 @@ class TestCase2:
         cfg = TransportConfig(N=12, a=0.0)
         prob = build_case2(cfg)
         rng = np.random.default_rng(53)
-        h = np.pi / 12
         worst = 0.0
         for _ in range(50):
-            seg = HistorySegment(rng.normal(scale=3.0, size=(17, 12)),
-                                 beta=1.0, weight=h)
+            v = rng.normal(scale=3.0, size=(17, 12))
             theta = float(rng.uniform(0.0, 1.0))
-            q = prob.kernel.q(theta, seg)
+            q = prob.kernel.q(np.full(17, theta), v)
             # node-wise: e^{-t}/(a+2e^t) * |v|/(1+2|v|) <= 1/2 * 1/2
+            assert q.shape == v.shape
             assert np.abs(q).max() <= 0.25 + 1e-12
-            worst = max(worst, prob.norm(np.asarray(q)))
+            worst = max(worst, max(prob.norm(row) for row in q))
         assert worst <= prob.constants.nonlin_sup
 
     def test_integrand_lipschitz_at_declared_constant(self):
         cfg = TransportConfig(N=12, a=0.0)
         prob = build_case2(cfg)
         rng = np.random.default_rng(54)
-        h = np.pi / 12
+        t = np.zeros(17)
         for _ in range(25):
             base = rng.normal(size=(17, 12))
             shift = rng.normal(size=12)
-            segx = HistorySegment(base, beta=1.0, weight=h)
-            segy = HistorySegment(base + shift[None, :], beta=1.0, weight=h)
-            num = prob.norm(np.asarray(prob.kernel.q(0.0, segx))
-                            - np.asarray(prob.kernel.q(0.0, segy)))
-            den = segment_norm(HistorySegment(segx.samples - segy.samples,
-                                              1.0, h))
-            assert num <= 0.5 * den + 1e-12
+            gap = prob.kernel.q(t, base) - prob.kernel.q(t, base + shift[None, :])
+            for row in gap:
+                assert prob.norm(row) <= 0.5 * prob.norm(shift) + 1e-12
 
     def test_rejects_bad_saturation(self):
         with pytest.raises(ValueError):
