@@ -145,9 +145,6 @@ class Problem:
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.state_weight) * np.linalg.norm(v))
 
-    def control_norm(self, u: np.ndarray) -> float:
-        return float(np.sqrt(self.control_weight) * np.linalg.norm(u))
-
     def control_adjoint(self) -> np.ndarray:
         """Matrix of B* under the scaled inner products on state and control."""
         return (self.state_weight / self.control_weight) * self.control_matrix.T

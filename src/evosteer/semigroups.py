@@ -40,13 +40,12 @@ def fft_length(n: int) -> int:
 class MatrixLagTable:
     """Propagators T(g * delta) = E^g, E = expm(delta * A), for g = 0..m.
 
-    Powers are accumulated by repeated multiplication so that the
-    incremental window sweep and the Gramian assembly agree to round-off.
+    The powers are formed once, by repeated multiplication, into ``stack``;
+    the Gramian, the window sweep and the residual all read that one array.
     """
 
     def __init__(self, E: np.ndarray, m: int):
         d = E.shape[0]
-        self.delta_op = E
         self.stack = np.empty((m + 1, d, d))
         self.stack[0] = np.eye(d)
         for g in range(1, m + 1):
@@ -57,12 +56,9 @@ class MatrixLagTable:
         return self.stack[g] @ v
 
     def gramian(self, B: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, one product per lag."""
-        G = np.zeros((B.shape[0], B.shape[0]))
-        for wg, E in zip(w, self.stack):
-            M = E @ B
-            G += wg * (M @ M.T)
-        return G
+        """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, as one batched product."""
+        M = self.stack @ B
+        return (w[:, None, None] * (M @ M.transpose(0, 2, 1))).sum(axis=0)
 
     def evolve(self, v: np.ndarray) -> np.ndarray:
         """Rows T(g*delta) v for g = 0..m."""
@@ -79,13 +75,20 @@ class MatrixLagTable:
 
     def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
         """Trapezoid approximations of int_0^{g*delta} T(g*delta - s) f(s) ds
-        for every g, where f is sampled row-wise in F."""
-        m = F.shape[0] - 1
-        out = np.zeros_like(F)
-        acc = 0.5 * F[0]
-        for g in range(1, m + 1):
-            acc = self.delta_op @ acc + F[g]
-            out[g] = delta * (acc - 0.5 * F[g])
+        for every g, where f is sampled row-wise in F, as one FFT product of
+        the stack with F.  FFT round-off is relative to the largest term, so
+        lag g and row k are scaled by r^-g and r^-k and output row g by r^g,
+        with r^m = max(1, |E^m|_2): each row keeps its own relative accuracy."""
+        m = self.m
+        assert F.shape[0] - 1 == m
+        tilt = max(1.0, np.linalg.norm(self.stack[m], 2)) ** (-np.arange(m + 1) / m)
+        Fw = tilt[:, None] * F
+        Fw[0] *= 0.5
+        n = fft_length(2 * m + 1)    # shorter circular lengths alias
+        spec = np.fft.rfft(tilt[:, None, None] * self.stack, n, axis=0)
+        prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
+        out = delta * (np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None] - 0.5 * F)
+        out[0] = 0.0
         return out
 
 

@@ -28,16 +28,17 @@ def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
 class TestAssembly:
     @pytest.mark.parametrize("backend, N, m, end", [
         ("matrix", 3, 13, 1.0),
+        ("matrix", 6, 1500, 0.45),  # linear-oracle window; bit-exact at d >= 2
         ("shift", 12, 13, 1.0),     # offset passes 2, delta / h not integer
         ("shift", 12, 40, 4.0),     # last offset 15 >= N
         ("shift", 97, 300, 0.9),
         ("shift", 64, 5000, 0.5),
-    ], ids=["matrix", "shift", "shift-offset-past-N", "shift-N97",
-            "shift-N64-m5000"])
+    ], ids=["matrix", "matrix-d6-m1500", "shift", "shift-offset-past-N",
+            "shift-N97", "shift-N64-m5000"])
     def test_matches_per_lag_padding(self, backend, N, m, end):
         rng = np.random.default_rng(21)
         if backend == "matrix":
-            T, B = MatrixSemigroup(rng.normal(size=(3, 3))), rng.normal(size=(3, 2))
+            T, B = MatrixSemigroup(rng.normal(size=(N, N))), rng.normal(size=(N, N - 1))
         else:
             T, B = ShiftSemigroup(N), rng.normal(size=(N, 3))
         table = T.lag_table(end / m, m)
@@ -287,6 +288,28 @@ class TestControl:
         for theta in (0.0, 0.5):
             np.testing.assert_array_equal(control.value(theta), np.zeros(1))
         assert control.value(0.2)[0] != 0.0
+
+    @pytest.mark.parametrize("backend", ["matrix", "shift"])
+    def test_sup_norms_match_per_row_norms(self, backend):
+        rng = np.random.default_rng(32)
+        if backend == "matrix":
+            T, B = MatrixSemigroup(rng.normal(size=(6, 6))), rng.normal(size=(6, 6))
+        else:
+            T, B = ShiftSemigroup(64), rng.normal(size=(64, 64))
+        phi0 = rng.normal(size=T.dim)
+        prob = Problem(semigroup=T, control_matrix=B,
+                       mesh=build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0),
+                       beta=1.0, history=lambda s: phi0,
+                       impulses=(lambda th, x: th * np.asarray(x),),
+                       constants=AssumptionConstants(impulse_lipschitz=(1.0,),
+                                                     impulse_sup=(1.0,)),
+                       control_weight=0.3)
+        grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
+        control = synthesize_control(prob, grids, blocks,
+                                     [rng.normal(size=T.dim) for _ in grids])
+        per_row = [max(float(np.sqrt(0.3) * np.linalg.norm(u)) for u in U)
+                   for U in control.samples]
+        assert control.sup_norms() == per_row
 
 
 class TestWindowStart:

@@ -4,6 +4,18 @@ import pytest
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
 
 
+def recurrence_reference(table, F, delta):
+    """The matrix convolve as a one-step recurrence, acc_g = E acc_{g-1} + F_g
+    from acc_0 = F_0 / 2, one mat-vec per grid step."""
+    E = table.stack[1]
+    out = np.zeros_like(F)
+    acc = 0.5 * F[0]
+    for g in range(1, F.shape[0]):
+        acc = E @ acc + F[g]
+        out[g] = delta * (acc - 0.5 * F[g])
+    return out
+
+
 class TestMatrixBackend:
     def test_identity_at_zero(self):
         T = MatrixSemigroup(np.array([[0.3, 1.0], [0.0, -0.2]]))
@@ -178,6 +190,29 @@ class TestLagTables:
             direct = sum(w[k] * table.apply(i - k, F[k]) for k in range(i + 1))
             np.testing.assert_allclose(out[i], direct, rtol=1e-11, atol=1e-13)
         np.testing.assert_allclose(out[0], 0.0)
+
+    @pytest.mark.parametrize("A, m, delta", [
+        ([[-0.7]], 8, 0.1),
+        (None, 1500, 3e-4),                         # random 6 x 6
+        ([[-5.0, 100.0], [0.0, -5.0]], 5000, 2e-4),  # non-normal hump
+        ([[-400.0, 0.0], [0.0, -1.0]], 1500, 1e-3),  # stiff
+        ([[35.0, 1.0], [0.0, -1.0]], 1500, 1 / 1500),  # |E^m| about e^35
+    ], ids=["d1-m8", "random6-m1500", "non-normal", "stiff", "growing"])
+    def test_matrix_convolution_matches_recurrence(self, A, m, delta):
+        # The FFT's round-off is relative to the largest term it sums; the
+        # tilt keeps every row within 1e-12 of its own absolute sum
+        # delta * sum_k |E^{g-k}|_2 |F_k| (measured at most 1.3e-14).  Without
+        # the tilt the growing case misses by 0.31.
+        rng = np.random.default_rng(13)
+        A = rng.normal(size=(6, 6)) / 2.0 if A is None else np.array(A)
+        table = MatrixSemigroup(A).lag_table(delta, m)
+        F = rng.normal(size=(m + 1, A.shape[0]))
+        got = table.convolve(F, delta)
+        err = np.linalg.norm(got - recurrence_reference(table, F, delta), axis=1)
+        size = delta * np.convolve(np.linalg.norm(table.stack, 2, axis=(1, 2)),
+                                   np.linalg.norm(F, axis=1))[:m + 1]
+        assert np.all(err[1:] <= 1e-12 * size[1:])
+        assert np.array_equal(got[0], np.zeros(A.shape[0]))
 
     def test_shift_convolution_matches_quadrature(self):
         T = ShiftSemigroup(12)
