@@ -106,7 +106,7 @@ def _random_linear_instance(rng: np.random.Generator, dim: int):
         impulse_lipschitz=(0.55,), impulse_sup=(0.55 * 2.0 * K,))
     problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
                       beta=1.0, history=lambda s: phi0,
-                      impulses=((lambda th, x: th * np.asarray(x, dtype=float)),),
+                      impulses=(np.outer,),
                       constants=constants)
     return problem, targets
 
@@ -338,8 +338,7 @@ def criterion_impulse_exactness(c: Checks) -> None:
             if kind != "impulse":
                 continue
             x_minus = traj.left_value_at_theta(j)
-            expected = np.array([problem.impulses[j - 1](float(t), x_minus)
-                                 for t in traj.seg_times[k]])
+            expected = problem.impulses[j - 1](traj.seg_times[k], x_minus)
             err = np.abs(expected - traj.seg_values[k]).max()
             scale = max(1.0, np.abs(expected).max())
             worst = max(worst, err / scale)

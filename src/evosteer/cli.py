@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 
 from .config import ConfigError, RunConfig, load_config
 from .gramian import NotInvertibleError
@@ -96,15 +97,18 @@ def _dispatch(args, cfg: RunConfig) -> int:
                           "the state (no nonlinearity, kernel, or nonlocal term)")
     result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=with_oracle)
 
+    t0 = time.perf_counter()
+    control_fields = emit_control(result.solve.control,
+                                  os.path.join(outdir, "control.csv"))
     emit_trajectory(result.solve.trajectory, result.solve.control,
-                    os.path.join(outdir, "trajectory.csv"))
-    emit_control(result.solve.control, os.path.join(outdir, "control.csv"))
+                    os.path.join(outdir, "trajectory.csv"), control_fields)
     oracle_cmp = None
     if with_oracle:
         emit_trajectory(result.oracle.trajectory, None,
                         os.path.join(outdir, "oracle.csv"))
         oracle_cmp = {"sup_distance": result.oracle_distance,
                       "defects": list(result.oracle.defects)}
+    result.timings["emit_s"] = time.perf_counter() - t0
     report = build_report(args.command, cfg.echo, cfg.numerics,
                           certificate=result.certificate, blocks=result.blocks,
                           solve=result.solve, verdict=result.verdict,

@@ -198,8 +198,7 @@ def _load_linear(sec, mesh, numerics: Numerics):
 
     impulse_kind = sec.get("impulse", "theta_x" if mesh.n_impulses else "none").strip()
     if impulse_kind == "theta_x":
-        impulses = tuple((lambda th, x: th * np.asarray(x, dtype=float))
-                         for _ in range(mesh.n_impulses))
+        impulses = tuple(np.outer for _ in range(mesh.n_impulses))
         lips = tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1))
     elif impulse_kind == "none":
         if mesh.n_impulses:

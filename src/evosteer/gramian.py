@@ -140,8 +140,7 @@ def window_start(problem: Problem, traj: PiecewiseTrajectory, j: int) -> np.ndar
             x0 = x0 + problem.nonlocal_term(traj)
         return x0
     x_minus = traj.left_value_at_theta(j)
-    return np.asarray(problem.impulses[j - 1](problem.mesh.lam[j], x_minus),
-                      dtype=float)
+    return problem.impulse_path(j, [problem.mesh.lam[j]], x_minus)[0]
 
 
 def steering_residual(problem: Problem, j: int, traj: PiecewiseTrajectory,

@@ -12,6 +12,9 @@ and the declared assumption constants.  Two variants exist:
 Both ``eta`` and ``q`` are called once per sample grid: ``fn(t, v)`` takes the
 node times ``t`` of shape ``(n,)`` and the delayed states ``v[i] = x(t_i -
 beta)`` of shape ``(n, dim)`` and returns the ``(n, dim)`` forcing rows.
+The impulse maps take a whole window the same way: ``fn(t, x)`` takes the
+sample times ``t`` of shape ``(n,)`` and the left limit ``x = x(theta_j-)``
+of shape ``(dim,)`` and returns the ``(n, dim)`` samples of the window.
 
 Lipschitz and bound constants are properties of the supplied callables that
 the code cannot introspect, so they are declared up front.  One pair of
@@ -154,8 +157,13 @@ class Problem:
 
     def impulse_path(self, j: int, times, x_minus: np.ndarray) -> np.ndarray:
         """Samples of impulse window j (j = 1..n) at ``times``: the impulse
-        map applied to the left limit x(theta_j-) = ``x_minus``."""
-        return np.array([self.impulses[j - 1](float(t), x_minus) for t in times])
+        map applied to the left limit x(theta_j-) = ``x_minus``, in one call."""
+        times = np.asarray(times, dtype=float)
+        out = np.asarray(self.impulses[j - 1](times, x_minus), dtype=float)
+        if out.shape != (len(times), self.dim):
+            raise ValueError(f"impulse map {j} returned shape {out.shape} for "
+                             f"{len(times)} times, expected {(len(times), self.dim)}")
+        return out
 
     def sample_history(self, samples: int) -> np.ndarray:
         grid = np.linspace(-self.beta, 0.0, samples + 1)

@@ -1,14 +1,19 @@
 """Emission of run artifacts: trajectory/control CSV files and the JSON
 report.  All numbers are written at full precision (%.17g) so re-ingesting a
 file reproduces the run's norms exactly and identical runs emit identical
-bytes.  CSV rows are streamed to the file one at a time, each formatted by a
-single ``%`` into the bytes ``csv.writer`` would write (no field ever needs
-quoting; rows end in CRLF)."""
+bytes.  A CSV file is written in chunks of rows holding at most
+``CHUNK_VALUES`` values, each chunk formatted by a single ``%`` into the
+bytes ``csv.writer`` would write (no field ever needs quoting; rows end in
+CRLF), so emission memory stays bounded when the grid is refined.  Each
+state and control value is formatted once: ``emit_control`` returns the
+formatted control fields, and ``emit_trajectory`` splices them into its
+control-window rows; zero control fields are one constant string."""
 
 from __future__ import annotations
 
 import csv
 import json
+import mmap
 import os
 from typing import Optional
 
@@ -16,61 +21,119 @@ import numpy as np
 
 from .core import PiecewiseTrajectory
 
-
-def _row_format(prefix: str, columns: int) -> str:
-    """A row: the text ``prefix`` then ``columns`` %.17g fields."""
-    return prefix + ",".join(["%.17g"] * columns) + "\r\n"
+CHUNK_VALUES = 1 << 14
 
 
-def emit_trajectory(traj: PiecewiseTrajectory, control, path: str) -> None:
+def _chunks(rows: int, width: int) -> list:
+    """(lo, hi) row ranges of at most CHUNK_VALUES values, ``width`` values
+    per row (at least one row each)."""
+    step = max(1, CHUNK_VALUES // width)
+    return [(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
+def _fields(count: int) -> str:
+    return ",".join(["%.17g"] * count)
+
+
+def _format_control(control) -> list:
+    """Per control window, the ``u0,...`` text of every sample in one
+    anonymous memory map, and the row offsets into it: sample i's text is
+    ``buf[off[i]:off[i + 1] - 1]`` (each sample ends in a newline).  The map
+    lives outside the malloc heap, so holding the fields leaves no
+    fragmented heap behind; held as heap strings, they left it untrimmed
+    after some runs, and the next allocations then raised the peak RSS by
+    up to 15 MiB.  A map is unmapped when the returned fields are dropped."""
+    mu = control.samples[0].shape[1]
+    out = []
+    for U in control.samples:
+        # a %.17g field has at most 24 characters, plus its separator
+        buf = mmap.mmap(-1, U.size * 25)
+        ends = [np.zeros(1, dtype=np.int64)]
+        for lo, hi in _chunks(len(U), mu):
+            fmt = (_fields(mu) + "\n") * (hi - lo)
+            text = (fmt % tuple(U[lo:hi].ravel().tolist())).encode()
+            newlines = np.flatnonzero(np.frombuffer(text, dtype=np.uint8) == ord("\n"))
+            ends.append(buf.tell() + 1 + newlines)
+            buf.write(text)
+        out.append((buf, np.concatenate(ends)))
+    return out
+
+
+def _field_rows(fields, lo: int, hi: int) -> list:
+    """The ``u0,...`` texts of samples lo..hi-1 of one window."""
+    buf, off = fields
+    return buf[off[lo]:off[hi] - 1].decode().split("\n")
+
+
+def emit_trajectory(traj: PiecewiseTrajectory, control, path: str,
+                    control_fields: Optional[list] = None) -> None:
     """One row per stored sample: t, window kind, breakpoint side, state
     components, control components.  Breakpoints appear twice, flagged L/R;
-    control columns are zero off the control windows."""
+    control columns are zero off the control windows.  ``control_fields``
+    are the control's formatted fields as ``emit_control`` returns them;
+    without them the control is formatted here."""
     d = traj.dim
     mu = control.samples[0].shape[1] if control is not None else 0
+    if control is not None and control_fields is None:
+        control_fields = _format_control(control)
     header = (["t", "kind", "side"] + [f"x{i}" for i in range(d)]
               + [f"u{i}" for i in range(mu)])
-    fmt = _row_format("%.17g,%s,%s,", d + mu)
-    zeros_u = (0.0,) * mu
+    # (kind, side of the first row, times, states, control fields or None)
+    pieces = [("history", "-", traj.history_times(), traj.history, None)]
+    for k, (a, end, kind, j) in enumerate(traj.mesh.intervals()):
+        u = control_fields[j] if kind == "control" and control is not None else None
+        pieces.append((kind, "R", traj.seg_times[k], traj.seg_values[k], u))
 
-    def rows():
-        htimes = traj.history_times()
-        for i, t in enumerate(htimes):
-            side = "L" if i == len(htimes) - 1 else "-"
-            yield fmt % ((float(t), "history", side)
-                         + tuple(traj.history[i].tolist()) + zeros_u)
-        for k, (a, end, kind, j) in enumerate(traj.mesh.intervals()):
-            times = traj.seg_times[k]
-            vals = traj.seg_values[k]
-            U = control.samples[j] if kind == "control" and control is not None else None
-            last = len(times) - 1
-            for i, t in enumerate(times.tolist()):
-                side = "R" if i == 0 else "L" if i == last else "-"
-                u = tuple(U[i].tolist()) if U is not None else zeros_u
-                yield fmt % ((t, kind, side) + tuple(vals[i].tolist()) + u)
+    def chunks():
+        for kind, first, times, values, u in pieces:
+            tail = ",0" * mu if u is None else ",%s"
+            row = {side: f"%.17g,{kind},{side},{_fields(d)}{tail}\r\n"
+                   for side in (first, "-", "L")}
+            mid = row["-"]
+            n = len(times)
+            for lo, hi in _chunks(n, 1 + d + mu):
+                fmt = mid * (hi - lo)
+                if lo == 0:
+                    fmt = row[first] + fmt[len(mid):]
+                if hi == n:
+                    fmt = fmt[:len(fmt) - len(mid)] + row["L"]
+                cells = np.empty((hi - lo, 1 + d + (u is not None)), dtype=object)
+                cells[:, 0] = times[lo:hi]
+                cells[:, 1:1 + d] = values[lo:hi]
+                if u is not None:
+                    cells[:, -1] = np.array(_field_rows(u, lo, hi), dtype=object)
+                yield fmt % tuple(cells.ravel().tolist())
 
-    _write_csv(path, header, rows())
+    _write_csv(path, header, chunks())
 
 
-def emit_control(control, path: str) -> None:
-    """Control samples alone: t, window index, control components."""
+def emit_control(control, path: str) -> list:
+    """Control samples alone: t, window index, control components.  Returns
+    the formatted control fields, as ``_format_control`` holds them, for
+    ``emit_trajectory``."""
     mu = control.samples[0].shape[1]
     header = ["t", "window"] + [f"u{i}" for i in range(mu)]
-    fmt = _row_format("%.17g,%d,", mu)
+    control_fields = _format_control(control)
 
-    def rows():
-        for j, (times, U) in enumerate(zip(control.window_times, control.samples)):
-            for t, u in zip(times.tolist(), U):
-                yield fmt % ((t, j) + tuple(u.tolist()))
+    def chunks():
+        for j, (times, fields) in enumerate(zip(control.window_times,
+                                                control_fields)):
+            row = f"%.17g,{j},%s\r\n"
+            for lo, hi in _chunks(len(times), 1 + mu):
+                cells = [None] * (2 * (hi - lo))
+                cells[0::2] = times[lo:hi].tolist()
+                cells[1::2] = _field_rows(fields, lo, hi)
+                yield (row * (hi - lo)) % tuple(cells)
 
-    _write_csv(path, header, rows())
+    _write_csv(path, header, chunks())
+    return control_fields
 
 
-def _write_csv(path: str, header, rows) -> None:
+def _write_csv(path: str, header, chunks) -> None:
     try:
         with open(path, "w", newline="") as fh:
             fh.write(",".join(header) + "\r\n")
-            fh.writelines(rows)
+            fh.writelines(chunks)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -80,10 +80,8 @@ def _history(cfg: TransportConfig):
 
 
 def _impulses(cfg: TransportConfig) -> tuple:
-    def nu(theta: float, x: np.ndarray) -> np.ndarray:
-        return theta * np.asarray(x, dtype=float)
-
-    return tuple(nu for _ in range(cfg.mesh.n_impulses))
+    # np.outer(times, x) has the rows theta_i * x: the map on a whole window
+    return tuple(np.outer for _ in range(cfg.mesh.n_impulses))
 
 
 def build_case1(cfg: TransportConfig) -> Problem:

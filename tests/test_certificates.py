@@ -98,7 +98,7 @@ class TestIntegroConstant:
         return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
                        control_matrix=np.eye(1), mesh=mesh, beta=1.0,
                        history=lambda s: np.zeros(1),
-                       impulses=tuple((lambda th, x: 0.5 * np.asarray(x))
+                       impulses=tuple((lambda th, x: np.tile(0.5 * x, (len(th), 1)))
                                       for _ in range(n)),
                        kernel=ConvolutionKernel(kappa=kappa,
                                                 q=lambda t, v: np.zeros_like(v)),
@@ -150,7 +150,7 @@ class TestCertificatePipeline:
         mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(3),
                        mesh=mesh, beta=1.0, history=lambda s: np.zeros(3),
-                       impulses=((lambda th, x: th * np.asarray(x)),),
+                       impulses=(np.outer,),
                        constants=AssumptionConstants(
                            semigroup_bound=2.0, control_op_norm=1.0,
                            impulse_lipschitz=(0.6,), impulse_sup=(1.5,)))
@@ -225,7 +225,7 @@ class TestMergedIntegroCertificate:
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=M * np.eye(2),
                        mesh=mesh, beta=0.6,
                        history=lambda s: np.array([0.4, -0.3]),
-                       impulses=tuple((lambda th, x: 0.5 * np.asarray(x))
+                       impulses=tuple((lambda th, x: np.tile(0.5 * x, (len(th), 1)))
                                       for _ in range(2)),
                        kernel=ConvolutionKernel(
                            kappa=kappa, q=lambda t, v: 0.3 * v),

@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from evosteer import reports
 from evosteer.cli import main
 from evosteer.config import ConfigError, load_config
-from evosteer.core import path_sup_norm
+from evosteer.core import PiecewiseTrajectory, build_time_mesh, path_sup_norm
+from evosteer.gramian import ControlSignal
 from evosteer.reports import (emit_control, emit_trajectory,
                               path_sup_norm_from_csv, read_trajectory_csv)
 from evosteer.runner import run
@@ -209,6 +212,18 @@ class TestCommands:
         assert code == 0
         report = json.loads((out / "report.json").read_text())
         assert "solve_s" in report["timings"]
+        assert report["timings"]["emit_s"] > 0.0
+
+    def test_no_timing_output_is_byte_identical(self, tmp_path, monkeypatch):
+        # the emission time goes into the report only when timings are on
+        ini = write(tmp_path, "b.ini", LINEAR_CFG.format(out=tmp_path / "o"))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+            assert main(["oracle", ini, "--no-timing"]) == 0
+        for name in ("report.json", "trajectory.csv", "control.csv", "oracle.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        assert "emit_s" not in (outs[0] / "report.json").read_text()
 
     def test_oversized_kernel_exits_2(self, tmp_path, capsys, monkeypatch):
         # steps 23077/15385/38462 make every interval's step differ, so the
@@ -272,6 +287,46 @@ def trajectory_reference(traj, control) -> bytes:
     return csv_reference(header, rows)
 
 
+def control_reference(control) -> bytes:
+    """The control CSV as csv.writer writes it, one %.17g per value."""
+    mu = control.samples[0].shape[1]
+    return csv_reference(
+        ["t", "window"] + [f"u{i}" for i in range(mu)],
+        [["%.17g" % t, str(j)] + ["%.17g" % v for v in u]
+         for j, (times, U) in enumerate(zip(control.window_times, control.samples))
+         for t, u in zip(times, U)])
+
+
+# Rows per chunk: None keeps CHUNK_VALUES (no boundary inside an interval),
+# 1 puts a boundary before every row, 7 inside every interval, and 20 before
+# the L row of every interval of both test meshes (60/40/100 and 400/200/400
+# steps), which is then a chunk of its own.
+CHUNK_ROWS = [None, 1, 7, 20]
+
+
+CHUNK_VALUES = reports.CHUNK_VALUES
+
+
+def set_chunk_rows(monkeypatch, rows, width):
+    """Chunks of ``rows`` rows of ``width`` values; None: the module's own."""
+    monkeypatch.setattr(reports, "CHUNK_VALUES",
+                        CHUNK_VALUES if rows is None else rows * width)
+
+
+@pytest.fixture(scope="module")
+def linear_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("linear")
+    cfg = load_config(write(tmp, "b.ini", LINEAR_CFG.format(out=tmp / "o")))
+    return run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=True)
+
+
+@pytest.fixture(scope="module")
+def preset_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("preset")
+    cfg = load_config(write(tmp, "a.ini", PRESET_CFG.format(out=tmp / "o")))
+    return run(cfg.problem, cfg.targets, cfg.numerics)
+
+
 class TestCsvRoundTrip:
     def test_trajectory_roundtrip_and_sides(self, tmp_path):
         cfg = load_config(write(tmp_path, "a.ini",
@@ -307,27 +362,81 @@ class TestCsvRoundTrip:
         with open(cpath) as fh:
             assert fh.readline().strip() == "t,window,u0,u1"
 
-    def test_csv_bytes_match_csv_writer(self, tmp_path):
-        cfg = load_config(write(tmp_path, "b.ini",
-                                LINEAR_CFG.format(out=tmp_path / "o")))
-        result = run(cfg.problem, cfg.targets, cfg.numerics)
-        traj, control = result.solve.trajectory, result.solve.control
-        for name, ctrl in (("with_u.csv", control), ("no_u.csv", None)):
-            path = tmp_path / name
-            emit_trajectory(traj, ctrl, str(path))
-            data = path.read_bytes()
-            assert data == trajectory_reference(traj, ctrl)
-            lines = data.split(b"\r\n")
-            assert lines[-1] == b"" and b"\n" not in b"".join(lines)
-            assert {line.split(b",")[2] for line in lines[1:-1]} == {b"L", b"R", b"-"}
-            assert {line.split(b",")[1] for line in lines[1:-1]} == {
-                b"history", b"control", b"impulse"}
-        assert (tmp_path / "no_u.csv").read_bytes().split(b"\r\n")[0] == b"t,kind,side,x0,x1"
-        path = tmp_path / "ctrl.csv"
-        emit_control(control, str(path))
-        expected = csv_reference(
-            ["t", "window", "u0", "u1"],
-            [["%.17g" % t, str(j)] + ["%.17g" % v for v in u]
-             for j, (times, U) in enumerate(zip(control.window_times, control.samples))
-             for t, u in zip(times, U)])
-        assert path.read_bytes() == expected
+    def test_csv_bytes_match_csv_writer(self, linear_run, tmp_path, monkeypatch):
+        solve, oracle = linear_run.solve, linear_run.oracle.trajectory
+        traj, control = solve.trajectory, solve.control
+        cases = (("with_u.csv", traj, control), ("no_u.csv", traj, None),
+                 ("oracle.csv", oracle, None))
+        for rows in CHUNK_ROWS:
+            for name, tr, ctrl in cases:
+                path = tmp_path / name
+                set_chunk_rows(monkeypatch, rows, 1 + tr.dim + (2 if ctrl else 0))
+                emit_trajectory(tr, ctrl, str(path))
+                data = path.read_bytes()
+                assert data == trajectory_reference(tr, ctrl), (name, rows)
+                lines = data.split(b"\r\n")
+                assert lines[-1] == b"" and b"\n" not in b"".join(lines)
+                assert {line.split(b",")[2] for line in lines[1:-1]} == {b"L", b"R", b"-"}
+                assert {line.split(b",")[1] for line in lines[1:-1]} == {
+                    b"history", b"control", b"impulse"}
+            assert (tmp_path / "no_u.csv").read_bytes().split(b"\r\n")[0] == b"t,kind,side,x0,x1"
+            path = tmp_path / "ctrl.csv"
+            set_chunk_rows(monkeypatch, rows, 3)
+            emit_control(control, str(path))
+            assert path.read_bytes() == control_reference(control), rows
+
+    def test_transport_rows_across_chunks(self, preset_run, tmp_path, monkeypatch):
+        # the command's data flow: emit_control's fields spliced into the
+        # trajectory, each file with its own chunk boundaries
+        traj, control = preset_run.solve.trajectory, preset_run.solve.control
+        mu = control.samples[0].shape[1]
+        assert [len(t) % 20 for t in traj.seg_times] == [1, 1, 1]
+        for rows in CHUNK_ROWS:
+            set_chunk_rows(monkeypatch, rows, 1 + mu)
+            fields = emit_control(control, str(tmp_path / "c.csv"))
+            set_chunk_rows(monkeypatch, rows, 1 + traj.dim + mu)
+            emit_trajectory(traj, control, str(tmp_path / "t.csv"), fields)
+            assert ((tmp_path / "t.csv").read_bytes()
+                    == trajectory_reference(traj, control)), rows
+            assert (tmp_path / "c.csv").read_bytes() == control_reference(control), rows
+
+
+def synthetic_path(steps: int, dim: int):
+    """A random path and control on the mesh 0 0.3 0.5 1, ``steps`` steps
+    per unit time, every value drawn at full precision."""
+    rng = np.random.default_rng(5)
+    mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+    seg_times = [np.linspace(a, end, round(steps * (end - a)) + 1)
+                 for a, end, _, _ in mesh.intervals()]
+    traj = PiecewiseTrajectory(mesh, 1.0, rng.normal(size=(129, dim)), seg_times,
+                               [rng.normal(size=(len(t), dim)) for t in seg_times])
+    control = ControlSignal(problem=None, window_times=[seg_times[0], seg_times[2]],
+                            samples=[rng.normal(size=(len(seg_times[k]), dim))
+                                     for k in (0, 2)],
+                            preimages=[])
+    return traj, control
+
+
+def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
+    # Per value of a chunk a writer holds a float object, references to it
+    # and a few copies of its formatted text at once: about 72-81 bytes at
+    # 1,000, 4,000 and 16,000 steps.  The transient memory beyond what
+    # emission returns stays under 96 bytes per chunk value at both
+    # resolutions, while at the finer one the trajectory file, and the rows
+    # of its last control window alone (at least 18 characters per value),
+    # are larger than that bound.
+    bound = 96 * reports.CHUNK_VALUES
+    for steps in (1000, 4000):
+        traj, control = synthetic_path(steps, 32)
+        tracemalloc.start()
+        try:
+            fields = emit_control(control, str(tmp_path / "c.csv"))
+            retained, peak = tracemalloc.get_traced_memory()
+            assert peak - retained <= bound
+            tracemalloc.reset_peak()
+            emit_trajectory(traj, control, str(tmp_path / "t.csv"), fields)
+            assert tracemalloc.get_traced_memory()[1] - retained <= bound
+        finally:
+            tracemalloc.stop()
+    assert len(traj.seg_times[2]) * 65 * 18 > bound
+    assert (tmp_path / "t.csv").stat().st_size > 3 * bound

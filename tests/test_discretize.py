@@ -30,7 +30,7 @@ def test_window_grids_share_breakpoints():
     prob = Problem(semigroup=MatrixSemigroup(np.zeros((2, 2))),
                    control_matrix=np.eye(2), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2),
-                   impulses=((lambda th, x: 0 * np.asarray(x)),),
+                   impulses=((lambda th, x: 0.0 * np.outer(th, x)),),
                    constants=AssumptionConstants(impulse_lipschitz=(0.0,),
                                                  impulse_sup=(0.0,)))
     grids = build_window_grids(prob, Numerics(time_step=1e-2))
@@ -42,8 +42,7 @@ def test_window_grids_share_breakpoints():
 
 def _kernel_problem(kappa, q, mesh=None, dim=1):
     mesh = mesh or build_time_mesh([0.0, 0.4, 0.5, 1.0], 1.0)
-    impulses = tuple((lambda th, x: th * np.asarray(x, dtype=float))
-                     for _ in range(mesh.n_impulses))
+    impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = AssumptionConstants(
         impulse_lipschitz=tuple(0.5 for _ in range(mesh.n_impulses)),
         impulse_sup=tuple(1.0 for _ in range(mesh.n_impulses)))

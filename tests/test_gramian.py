@@ -212,8 +212,7 @@ class TestResiduals:
         rng = np.random.default_rng(25)
         A = rng.normal(size=(2, 2)) / 2.0
         mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
-        nu = lambda th, x: th * np.asarray(x, dtype=float)
-        prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2], impulses=(nu,),
+        prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2], impulses=(np.outer,),
                               constants=AssumptionConstants(
                                   impulse_lipschitz=(0.5,), impulse_sup=(1.0,)))
         num = Numerics(time_step=1e-3)
@@ -279,7 +278,7 @@ class TestControl:
     def test_zero_off_control_windows(self):
         mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0],
-                              impulses=(lambda th, x: 0.0 * np.asarray(x),),
+                              impulses=(lambda th, x: 0.0 * np.outer(th, x),),
                               constants=AssumptionConstants(
                                   impulse_lipschitz=(0.0,), impulse_sup=(0.0,)))
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
@@ -300,7 +299,7 @@ class TestControl:
         prob = Problem(semigroup=T, control_matrix=B,
                        mesh=build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0),
                        beta=1.0, history=lambda s: phi0,
-                       impulses=(lambda th, x: th * np.asarray(x),),
+                       impulses=(np.outer,),
                        constants=AssumptionConstants(impulse_lipschitz=(1.0,),
                                                      impulse_sup=(1.0,)),
                        control_weight=0.3)
@@ -328,7 +327,7 @@ class TestWindowStart:
                 kappa=lambda s: np.ones_like(np.asarray(s)),
                 q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
-                              impulses=(lambda th, x: th * np.asarray(x),),
+                              impulses=(np.outer,),
                               constants=AssumptionConstants(
                                   impulse_lipschitz=(0.5,), impulse_sup=(1.0,)),
                               **kwargs)
@@ -343,7 +342,7 @@ class TestControlBound:
     def _problem(self, nonlocal_sup=0.0, impulse_sup=()):
         mesh = (build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0) if impulse_sup
                 else build_time_mesh([0.0, 1.0], 1.0))
-        impulses = ((lambda th, x: np.asarray(x, dtype=float) * 0.0,)
+        impulses = ((lambda th, x: 0.0 * np.outer(th, x),)
                     if impulse_sup else ())
         constants = AssumptionConstants(
             semigroup_bound=1.0, control_op_norm=1.0, nonlocal_sup=nonlocal_sup,

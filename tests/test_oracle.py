@@ -9,10 +9,6 @@ from evosteer.semigroups import MatrixSemigroup
 from evosteer.solver import picard_solve
 
 
-def theta_x(th, x):
-    return th * np.asarray(x, dtype=float)
-
-
 def rk4_reference(problem, control, numerics):
     """Per-window sample paths of classical RK4, stage by stage, on the
     augmented system x' = A x + B B* w, w' = -A^T w."""
@@ -28,8 +24,7 @@ def rk4_reference(problem, control, numerics):
     for a, end, kind, j in problem.mesh.intervals():
         m = numerics.steps_for(end - a)
         if kind == "impulse":
-            vals = np.array([problem.impulses[j - 1](float(t), x)
-                             for t in np.linspace(a, end, m + 1)])
+            vals = problem.impulses[j - 1](np.linspace(a, end, m + 1), x)
         else:
             z = np.concatenate([x, expm(A.T * (end - a)) @ control.preimages[j]])
             h = (end - a) / (m * refine)
@@ -51,7 +46,7 @@ def rk4_reference(problem, control, numerics):
 def linear_problem(A, mesh, phi0, B=None):
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-    impulses = tuple(theta_x for _ in range(mesh.n_impulses))
+    impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = AssumptionConstants(
         impulse_lipschitz=tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1)),
         impulse_sup=tuple(2.0 for _ in range(mesh.n_impulses)))

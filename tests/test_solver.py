@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,9 +12,13 @@ from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
                              verify_targets)
 from evosteer.transport import TransportConfig, build_case1
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
-def theta_x(th, x):
-    return th * np.asarray(x, dtype=float)
+
+def per_sample_impulse(times, x):
+    """The time-scaled impulse as the per-sample loop it replaced: one
+    product per time."""
+    return np.array([float(t) * np.asarray(x, dtype=float) for t in times])
 
 
 def make_problem(A=None, dim=2, mesh=None, phi0=None, beta=1.0, impulses=None,
@@ -22,7 +28,7 @@ def make_problem(A=None, dim=2, mesh=None, phi0=None, beta=1.0, impulses=None,
     mesh = mesh or build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
     phi0 = np.zeros(dim) if phi0 is None else np.asarray(phi0, dtype=float)
     if impulses is None:
-        impulses = tuple(theta_x for _ in range(mesh.n_impulses))
+        impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = kwargs.pop("constants", AssumptionConstants(
         impulse_lipschitz=tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1)),
         impulse_sup=tuple(2.0 for _ in range(mesh.n_impulses))))
@@ -56,7 +62,7 @@ class TestOperator:
         traj = report.trajectory
         x_minus = traj.left_value_at_theta(1)
         times = traj.seg_times[1]
-        expected = np.array([theta_x(t, x_minus) for t in times])
+        expected = per_sample_impulse(times, x_minus)
         np.testing.assert_array_equal(traj.seg_values[1], expected)
 
     def test_uncontrolled_constant_forcing(self):
@@ -131,10 +137,37 @@ class TestPicard:
 
 class TestPieces:
     def test_zero_impulse(self):
-        prob = make_problem(impulses=((lambda th, x: 0.0 * np.asarray(x)),),
+        prob = make_problem(impulses=((lambda th, x: 0.0 * np.outer(th, x)),),
                             phi0=np.ones(2))
         traj = Sweep(prob, Numerics(time_step=1e-2)).initial_iterate()
         np.testing.assert_array_equal(window_start(prob, traj, 1), np.zeros(2))
+
+    @pytest.mark.parametrize("source", ["linear-config", "case1", "case2", "corpus"])
+    def test_impulse_path_matches_per_sample_loop(self, source):
+        # every shipped impulse map, on a whole window in one call, gives the
+        # per-sample products bit for bit
+        from evosteer.acceptance import _random_linear_instance
+        from evosteer.config import load_config
+        from evosteer.transport import build_case2
+        if source == "linear-config":
+            prob = load_config(str(CONFIGS / "linear-2d.ini")).problem
+        elif source == "corpus":
+            prob, _ = _random_linear_instance(np.random.default_rng(40), 4)
+        else:
+            build = build_case1 if source == "case1" else build_case2
+            prob = build(TransportConfig(N=16))
+        rng = np.random.default_rng(41)
+        for j in range(1, prob.mesh.n_impulses + 1):
+            times = np.sort(rng.uniform(0.0, 1.0, size=37))
+            x = rng.normal(size=prob.dim)
+            assert np.array_equal(prob.impulse_path(j, times, x),
+                                  per_sample_impulse(times, x))
+
+    def test_impulse_map_of_wrong_shape_is_refused(self):
+        prob = make_problem(impulses=((lambda th, x: 0.5 * np.asarray(x)),))
+        with pytest.raises(ValueError, match=r"impulse map 1 returned shape "
+                                             r"\(2,\) for 5 times, expected \(5, 2\)"):
+            prob.impulse_path(1, np.linspace(0.3, 0.5, 5), np.ones(2))
 
     def test_control_vanishes_off_control_windows(self):
         rng = np.random.default_rng(36)
@@ -228,7 +261,7 @@ class TestVerifyTargets:
         traj = report.trajectory
         for j, k in ((1, 1), (2, 3)):
             x_minus = traj.left_value_at_theta(j)
-            expected = np.array([theta_x(t, x_minus) for t in traj.seg_times[k]])
+            expected = per_sample_impulse(traj.seg_times[k], x_minus)
             np.testing.assert_array_equal(traj.seg_values[k], expected)
         from evosteer.oracle import oracle_linear
         oracle = oracle_linear(prob, report.control, targets, num)
@@ -255,7 +288,7 @@ class TestVerifyTargets:
         assert max(report.per_window_defect) <= 1e-6
         traj = report.trajectory
         x_minus = traj.left_value_at_theta(1)
-        expected = np.array([theta_x(t, x_minus) for t in traj.seg_times[1]])
+        expected = per_sample_impulse(traj.seg_times[1], x_minus)
         np.testing.assert_array_equal(traj.seg_values[1], expected)
 
     def test_large_ridge_spoils_one_window(self):
