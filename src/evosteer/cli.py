@@ -71,6 +71,21 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    finally:
+        _release_freed_memory()
+
+
+def _release_freed_memory() -> None:
+    """Return the heap pages the finished command freed to the OS (glibc's
+    ``malloc_trim``; a no-op elsewhere).  glibc keeps freed pages resident,
+    and one small block left high in the heap keeps a whole region of them,
+    so a process that runs several commands would otherwise start each one
+    on a heap whose resident size depends on where the last one's blocks
+    happened to land."""
+    import ctypes
+    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
+    if trim is not None:
+        trim(0)
 
 
 def _dispatch(args, cfg: RunConfig) -> int:

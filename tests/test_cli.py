@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from evosteer import reports
+from evosteer import cli, reports
 from evosteer.cli import main
 from evosteer.config import ConfigError, load_config
 from evosteer.core import PiecewiseTrajectory, build_time_mesh, path_sup_norm
@@ -224,6 +224,21 @@ class TestCommands:
         for name in ("report.json", "trajectory.csv", "control.csv", "oracle.csv"):
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert "emit_s" not in (outs[0] / "report.json").read_text()
+
+    def test_freed_memory_is_released_after_each_command(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # a process running several commands starts each on a trimmed heap,
+        # whether the command succeeded or failed
+        cli._release_freed_memory()
+        calls = []
+        monkeypatch.setattr(cli, "_release_freed_memory", lambda: calls.append(1))
+        ok = write(tmp_path, "a.ini", LINEAR_CFG.format(out=tmp_path / "a"))
+        assert main(["oracle", ok, "--no-timing"]) == 0
+        assert calls == [1]
+        nonlinear = write(tmp_path, "b.ini", PRESET_CFG.format(out=tmp_path / "b"))
+        assert main(["oracle", nonlinear]) == 2
+        assert "requires a problem linear" in capsys.readouterr().err
+        assert calls == [1, 1]
 
     def test_oversized_kernel_exits_2(self, tmp_path, capsys, monkeypatch):
         # steps 23077/15385/38462 make every interval's step differ, so the
