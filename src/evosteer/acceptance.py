@@ -253,7 +253,7 @@ def criterion_integro(c: Checks) -> None:
     """Case 2: kernel mass, hand-substituted constant, solve quality."""
     result = case2_run()
     kb = result.certificate.kernel_mass
-    b = result.problem.mesh.b
+    b = result.sweep.problem.mesh.b
     c.close(abs(kb - b * b / 2.0), 1e-10, "kernel mass vs closed form")
     # The Volterra forcing's Lipschitz constant is L_q = 1/(a+2) = 0.5 times
     # the kernel mass b^2/2 = 0.5.
@@ -333,7 +333,7 @@ def criterion_impulse_exactness(c: Checks) -> None:
     worst = 0.0
     for result in linear_corpus() + [case1_run(), case2_run()]:
         traj = result.solve.trajectory
-        problem = result.problem
+        problem = result.sweep.problem
         for k, (a, end, kind, j) in enumerate(problem.mesh.intervals()):
             if kind != "impulse":
                 continue

@@ -12,12 +12,12 @@ divergence -- the condition is sufficient only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .discretize import KernelDiscretization
-from .problems import Numerics, Problem
+from .problems import Problem
+from .solver import Sweep
 
 
 def delay_ratio(b: float, beta: float) -> float:
@@ -126,25 +126,21 @@ def control_bound(problem: Problem, j: int, target: np.ndarray,
     return (M * K / floor) * (zn + head + tail)
 
 
-def certificate_for(problem: Problem, blocks, targets, numerics=None,
-                    kern: Optional[KernelDiscretization] = None) -> Certificate:
-    """Assemble the full certificate from a problem, its Gramian blocks and
-    the window targets.  Both variants share one set of formulas: the
-    integro forcing's constants are q's times the kernel mass
+def certificate_for(sweep: Sweep, targets) -> Certificate:
+    """Assemble the full certificate from a prepared sweep's problem and
+    Gramian blocks and the window targets.  Both variants share one set of
+    formulas: the integro forcing's constants are q's times the kernel mass
     max_i sum_k w_ik |kappa(t_i - s_k)| of the Volterra sum actually solved,
-    read from ``kern`` (built on ``numerics``' grid when not given)."""
+    read from the sweep's kernel.  The sweep has already refused every
+    Gramian below its invertibility floor, so every floor is positive."""
+    problem, blocks = sweep.problem, sweep.blocks
     c = problem.constants
     b = problem.mesh.b
     gamma = delay_ratio(b, problem.beta)
     floors = tuple(blk.floor_used for blk in blocks)
-    for blk in blocks:
-        if blk.floor_used <= 0:
-            raise ValueError("certificate undefined for a singular Gramian; "
-                             f"window {blk.index} floor {blk.floor_used:.3e}")
     kb, gain = 0.0, 1.0
-    if problem.variant == "integro":
-        kern = kern or KernelDiscretization(problem, numerics or Numerics())
-        kb = gain = kern.kernel_mass
+    if sweep.kern is not None:
+        kb = gain = sweep.kern.kernel_mass
     lf, branch = contraction_constant(
         c.semigroup_bound, c.control_op_norm, b, gamma,
         c.nonlin_lipschitz * gain, c.impulse_lipschitz, c.nonlocal_lipschitz,

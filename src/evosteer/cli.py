@@ -96,7 +96,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
         result = certify(cfg.problem, cfg.targets, cfg.numerics)
         report = build_report("certify", cfg.echo, cfg.numerics,
                               certificate=result.certificate,
-                              blocks=result.blocks,
+                              blocks=result.sweep.blocks,
                               timings=result.timings if timings_wanted else None)
         write_report(os.path.join(outdir, "report.json"), report)
         print(f"contraction constant {result.certificate.contraction_constant:.6g} "
@@ -125,7 +125,8 @@ def _dispatch(args, cfg: RunConfig) -> int:
                       "defects": list(result.oracle.defects)}
     result.timings["emit_s"] = time.perf_counter() - t0
     report = build_report(args.command, cfg.echo, cfg.numerics,
-                          certificate=result.certificate, blocks=result.blocks,
+                          certificate=result.certificate,
+                          blocks=result.sweep.blocks,
                           solve=result.solve, verdict=result.verdict,
                           oracle_cmp=oracle_cmp,
                           timings=result.timings if timings_wanted else None)

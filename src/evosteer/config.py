@@ -38,9 +38,12 @@ class RunConfig:
 
 def _parse_vector(text: str, field: str) -> np.ndarray:
     try:
-        return np.array([float(x) for x in text.split()], dtype=float)
+        vec = np.array([float(x) for x in text.split()], dtype=float)
     except ValueError as exc:
         raise ConfigError(f"{field}: expected whitespace-separated numbers") from exc
+    if not np.all(np.isfinite(vec)):
+        raise ConfigError(f"{field}: expected finite numbers, got {text.strip()!r}")
+    return vec
 
 
 def _parse_matrix(text: str, field: str) -> np.ndarray:
@@ -53,14 +56,17 @@ def _parse_matrix(text: str, field: str) -> np.ndarray:
     return np.array(data)
 
 
-def _get(section, key, cast, default=None, field=""):
+def _get(section, key, cast, field, default=None):
     raw = section.get(key)
     if raw is None or raw.strip() == "":
         return default
     try:
-        return cast(raw.strip())
+        val = cast(raw.strip())
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field or key}: cannot parse {raw!r}") from exc
+        raise ConfigError(f"{field}: cannot parse {raw!r}") from exc
+    if cast is float and not np.isfinite(val):
+        raise ConfigError(f"{field}: expected a finite number, got {raw!r}")
+    return val
 
 
 def load_config(path: str) -> RunConfig:

@@ -95,11 +95,11 @@ def build_time_mesh(breakpoints, b: float) -> TimeMesh:
     return TimeMesh(theta=tuple(theta), lam=tuple(lam), b=b)
 
 
-def segment_norm(samples: np.ndarray, beta: float, weight: float = 1.0) -> float:
+def segment_norm(samples: np.ndarray, beta: float) -> float:
     """Time-averaged integral norm (1/beta) * int_{-beta}^0 |x(kappa)| dkappa
     of a segment sampled as ``(k, dim)`` on a uniform grid over [-beta, 0],
     by composite trapezoid on that grid."""
-    norms = np.sqrt(weight) * np.linalg.norm(samples, axis=1)
+    norms = np.linalg.norm(samples, axis=1)
     h = beta / (len(norms) - 1)
     return float(np.trapezoid(norms, dx=h) / beta)
 
@@ -159,7 +159,7 @@ class PiecewiseTrajectory:
         the piece ending at or after each time (times within 1e-12 past
         either end clamp)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < -self.beta - 1e-12) or np.any(t > self.mesh.b + 1e-12):
+        if not np.all((t >= -self.beta - 1e-12) & (t <= self.mesh.b + 1e-12)):
             raise ValueError("evaluation time outside [-beta, b]")
         p = np.minimum(np.searchsorted(self._ends, t), len(self._ends) - 1)
         m = self._m[p]
@@ -206,7 +206,7 @@ def history_segment(traj: PiecewiseTrajectory, times, offsets) -> np.ndarray:
     read of the path; values below time 0 come from the stored history."""
     times = np.asarray(times, dtype=float)
     offsets = np.asarray(offsets, dtype=float)
-    if np.any(times < 0.0) or np.any(times > traj.mesh.b + 1e-12):
+    if not np.all((times >= 0.0) & (times <= traj.mesh.b + 1e-12)):
         raise ValueError("segment base time outside [0, b]")
     vals = traj.values((times[:, None] + offsets[None, :]).ravel())
     return vals.reshape(len(times), len(offsets), traj.dim)

@@ -19,7 +19,6 @@ operator reproduces the target at the window end to solver round-off.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -84,10 +83,9 @@ class GramianBlock:
 
 
 def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
-                       numerics: Optional[Numerics] = None) -> GramianBlock:
+                       numerics: Numerics) -> GramianBlock:
     """Gramian of one control window on its shared tau-grid; ``scale`` is the
     state-to-control weight ratio that makes B* the adjoint of B."""
-    numerics = numerics or Numerics()
     G = grid.table.gramian(B, grid.weights[::-1])
     G = 0.5 * scale * (G + G.T)
     min_eig = float(np.linalg.eigvalsh(G)[0])
@@ -96,11 +94,12 @@ def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
                         delta_floor=numerics.delta_floor)
 
 
-def assemble_gramian(semigroup, control_matrix, window, quad_steps: int,
-                     index: int = 0, control_weight: Optional[float] = None,
-                     numerics: Optional[Numerics] = None) -> GramianBlock:
+def assemble_gramian(semigroup, control_matrix, window,
+                     quad_steps: int) -> GramianBlock:
     """Assemble the Gramian of one window (start, end] with ``quad_steps``
-    composite-trapezoid steps.  Convenience wrapper over the grid path."""
+    composite-trapezoid steps, the control space weighted like the state
+    space and the default numerics.  Convenience wrapper over the grid
+    path."""
     start, end = float(window[0]), float(window[1])
     if end <= start:
         raise ValueError(f"degenerate window ({start}, {end}]")
@@ -108,10 +107,9 @@ def assemble_gramian(semigroup, control_matrix, window, quad_steps: int,
         raise ValueError("quad_steps must be at least 2")
     times = np.linspace(start, end, quad_steps + 1)
     table = semigroup.lag_table((end - start) / quad_steps, quad_steps)
-    grid = WindowGrid(index=index, start=start, end=end, times=times, table=table)
-    cw = control_weight if control_weight is not None else semigroup.weight
+    grid = WindowGrid(index=0, start=start, end=end, times=times, table=table)
     B = np.atleast_2d(np.asarray(control_matrix, dtype=float))
-    return assemble_from_grid(B, semigroup.weight / cw, grid, numerics)
+    return assemble_from_grid(B, 1.0, grid, Numerics())
 
 
 def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
@@ -143,18 +141,17 @@ def window_start(problem: Problem, traj: PiecewiseTrajectory, j: int) -> np.ndar
     return problem.impulse_path(j, [problem.mesh.lam[j]], x_minus)[0]
 
 
-def steering_residual(problem: Problem, j: int, traj: PiecewiseTrajectory,
-                      target: np.ndarray, grid: WindowGrid,
+def steering_residual(start: np.ndarray, target: np.ndarray, grid: WindowGrid,
                       forcing: np.ndarray) -> np.ndarray:
-    """Residual of window j: the uncontrolled terminal defect
+    """Residual of a control window: the uncontrolled terminal defect
 
         r = target - T(end - start) x0 - int T(end - tau) f(tau) dtau,
 
-    with x0 the window start and f the forcing sampled on the window grid
-    (eta(tau, x_tau) for the semilinear variant, the running kernel
-    convolution for the integro one).
+    with x0 = ``start`` the window start (see :func:`window_start`) and f
+    the forcing sampled on the window grid (eta(tau, x_tau) for the
+    semilinear variant, the running kernel convolution for the integro one).
     """
-    free = grid.table.apply(grid.m, window_start(problem, traj, j))
+    free = grid.table.apply(grid.m, start)
     lags = grid.m - np.arange(grid.m + 1)
     integral = grid.table.lagged_weighted_sum(lags, forcing, grid.weights)
     return np.asarray(target, dtype=float) - free - integral
@@ -207,9 +204,8 @@ def synthesize_control(problem: Problem, grids: list, blocks: list,
                          samples=samples, preimages=preimages)
 
 
-def assemble_all(problem: Problem, numerics: Optional[Numerics] = None):
+def assemble_all(problem: Problem, numerics: Numerics):
     """Window grids plus their Gramian blocks, the pipeline's first stage."""
-    numerics = numerics or Numerics()
     grids = build_window_grids(problem, numerics)
     scale = problem.state_weight / problem.control_weight
     blocks = [assemble_from_grid(problem.control_matrix, scale, g, numerics)

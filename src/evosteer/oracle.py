@@ -17,7 +17,6 @@ advanced by its exact one-step matrix: P^refine once per solver node.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy.linalg import expm
@@ -34,8 +33,8 @@ class OracleResult:
     defects: list
 
 
-def oracle_linear(problem: Problem, control: ControlSignal, targets=None,
-                  numerics: Optional[Numerics] = None) -> OracleResult:
+def oracle_linear(problem: Problem, control: ControlSignal, targets,
+                  numerics: Numerics) -> OracleResult:
     """Reference trajectory for a linear problem driven by ``control``.
 
     Rejects problems with a nonlinearity, a kernel, or a nonlocal coupling,
@@ -47,7 +46,6 @@ def oracle_linear(problem: Problem, control: ControlSignal, targets=None,
         raise ValueError("oracle does not support nonlocal initial coupling")
     if not hasattr(problem.semigroup, "A"):
         raise ValueError("oracle needs a dense generator matrix")
-    numerics = numerics or Numerics()
     A = problem.semigroup.A
     B = problem.control_matrix
     B_adj = problem.control_adjoint()
@@ -85,8 +83,7 @@ def oracle_linear(problem: Problem, control: ControlSignal, targets=None,
             vals[i + 1] = z[:d]
         seg_values.append(vals)
         x = vals[-1].copy()
-        if targets is not None:
-            defects.append(problem.norm(x - np.asarray(targets[j], dtype=float)))
+        defects.append(problem.norm(x - np.asarray(targets[j], dtype=float)))
     traj = PiecewiseTrajectory(problem.mesh, problem.beta, hist,
                                seg_times, seg_values,
                                weight=problem.state_weight)

@@ -32,6 +32,9 @@ import numpy as np
 
 from .core import PiecewiseTrajectory, TimeMesh
 
+# The fewest steps any mesh interval's sample grid takes.
+MIN_STEPS = 8
+
 
 @dataclass(frozen=True)
 class AssumptionConstants:
@@ -90,7 +93,7 @@ class WeightedSampleNonlocal:
 
     def __call__(self, traj: PiecewiseTrajectory) -> np.ndarray:
         for t in self.instants:
-            if t < 0.0 or t > traj.mesh.b:
+            if not 0.0 <= t <= traj.mesh.b:
                 raise ValueError(f"nonlocal sample instant {t} outside [0, b]")
         out = np.zeros(traj.dim)
         for a, t in zip(self.alphas, self.instants):
@@ -175,7 +178,7 @@ class Numerics:
     """Discretization and iteration knobs shared across the pipeline.
 
     ``time_step`` sets the step count of every mesh interval, shared by the
-    solver grids and the oracle, with at least ``min_steps`` steps each.
+    solver grids and the oracle, with at least ``MIN_STEPS`` steps each.
     ``history_samples`` sets only the stored history grid on [-beta, 0]
     (that many steps); a forcing node with t <= beta reads x(t - beta) from
     it by interpolation.
@@ -187,21 +190,23 @@ class Numerics:
     max_iter: int = 200
     delta_floor: float = 1e-8
     ridge: object = 0.0
-    min_steps: int = 8
     oracle_refine: int = 10
     target_tol: float = 1e-6
     seed: int = 1
 
     def __post_init__(self):
         for name in ("time_step", "tol", "delta_floor", "target_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
-        for name in ("history_samples", "max_iter", "min_steps", "oracle_refine"):
+        for name in ("history_samples", "max_iter", "oracle_refine"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
+        ridge = np.asarray(self.ridge, dtype=float)
+        if not np.all((ridge >= 0.0) & (ridge < np.inf)):
+            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
 
     def steps_for(self, length: float) -> int:
-        return max(self.min_steps, int(np.ceil(length / self.time_step)))
+        return max(MIN_STEPS, int(np.ceil(length / self.time_step)))
 
     def ridge_for(self, window: int) -> float:
         if np.isscalar(self.ridge):

@@ -1,4 +1,4 @@
-"""End-to-end orchestration: build the discretization once, compute the
+"""End-to-end orchestration: prepare the discretization once, compute the
 certificate from its Gramians, run the Picard solve on it, verify the
 targets, optionally cross-check against the linear oracle."""
 
@@ -10,7 +10,6 @@ from typing import Optional
 
 from .certificates import Certificate, certificate_for
 from .core import sup_distance
-from .gramian import NotInvertibleError, assemble_all
 from .oracle import OracleResult, oracle_linear
 from .problems import Numerics, Problem
 from .solver import (SolveReport, Sweep, TargetVerdict, picard_solve,
@@ -19,64 +18,39 @@ from .solver import (SolveReport, Sweep, TargetVerdict, picard_solve,
 
 @dataclass
 class RunResult:
-    problem: Problem
-    targets: list
-    numerics: Numerics
-    grids: list
-    blocks: list
+    sweep: Sweep
     certificate: Certificate
+    timings: dict
     solve: Optional[SolveReport] = None
     verdict: Optional[TargetVerdict] = None
     oracle: Optional[OracleResult] = None
     oracle_distance: Optional[float] = None
-    timings: Optional[dict] = None
 
 
-def _check_invertible(blocks):
-    for blk in blocks:
-        if not blk.invertible:
-            raise NotInvertibleError(blk.index, blk.min_eig, blk.delta_floor)
-
-
-def certify(problem: Problem, targets, numerics: Optional[Numerics] = None) -> RunResult:
-    """Gramians and certificate only, no solve."""
-    numerics = numerics or Numerics()
-    t0 = time.perf_counter()
-    grids, blocks = assemble_all(problem, numerics)
-    _check_invertible(blocks)
-    cert = certificate_for(problem, blocks, targets, numerics)
-    timings = {"assemble_s": time.perf_counter() - t0}
-    return RunResult(problem=problem, targets=targets, numerics=numerics,
-                     grids=grids, blocks=blocks, certificate=cert,
-                     timings=timings)
-
-
-def run(problem: Problem, targets, numerics: Optional[Numerics] = None,
-        with_oracle: bool = False, raise_on_fail: bool = True) -> RunResult:
-    """The full pipeline behind the solve/oracle commands."""
-    numerics = numerics or Numerics()
-    timings = {}
+def certify(problem: Problem, targets, numerics: Numerics) -> RunResult:
+    """Prepare the run's sweep and certify it, no solve: the first half of
+    :func:`run`."""
     t0 = time.perf_counter()
     sweep = Sweep(problem, numerics)
-    _check_invertible(sweep.blocks)
-    cert = certificate_for(problem, sweep.blocks, targets, numerics, sweep.kern)
-    timings["assemble_s"] = time.perf_counter() - t0
+    cert = certificate_for(sweep, targets)
+    return RunResult(sweep=sweep, certificate=cert,
+                     timings={"assemble_s": time.perf_counter() - t0})
 
+
+def run(problem: Problem, targets, numerics: Numerics,
+        with_oracle: bool = False) -> RunResult:
+    """The full pipeline behind the solve/oracle commands: :func:`certify`,
+    then the Picard solve on the same sweep and the target verdict."""
+    result = certify(problem, targets, numerics)
+    timings = result.timings
     t0 = time.perf_counter()
-    solve = picard_solve(problem, targets, numerics, raise_on_fail=raise_on_fail,
-                         sweep=sweep)
+    result.solve = solve = picard_solve(result.sweep, targets)
     timings["solve_s"] = time.perf_counter() - t0
-    verdict = (verify_targets(solve, targets, numerics.target_tol)
-               if solve.converged else None)
-
-    oracle = None
-    distance = None
+    result.verdict = verify_targets(solve, targets, numerics.target_tol)
     if with_oracle:
         t0 = time.perf_counter()
-        oracle = oracle_linear(problem, solve.control, targets, numerics)
-        distance = sup_distance(solve.trajectory, oracle.trajectory)
+        result.oracle = oracle_linear(problem, solve.control, targets, numerics)
+        result.oracle_distance = sup_distance(solve.trajectory,
+                                              result.oracle.trajectory)
         timings["oracle_s"] = time.perf_counter() - t0
-    return RunResult(problem=problem, targets=targets, numerics=numerics,
-                     grids=sweep.grids, blocks=sweep.blocks, certificate=cert,
-                     solve=solve, verdict=verdict, oracle=oracle,
-                     oracle_distance=distance, timings=timings)
+    return result

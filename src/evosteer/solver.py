@@ -24,8 +24,8 @@ import numpy as np
 
 from .core import PiecewiseTrajectory, path_sup_norm, sup_distance
 from .discretize import KernelDiscretization, eta_values, interval_times
-from .gramian import (ControlSignal, assemble_all, steering_residual,
-                      synthesize_control, window_start)
+from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
+                      steering_residual, synthesize_control, window_start)
 from .problems import Numerics, Problem
 
 
@@ -63,13 +63,20 @@ class SolveReport:
 
 class Sweep:
     """The run's discretization -- window grids, Gramian blocks and, for the
-    integro variant, the kernel sums -- built once and shared by every
-    operator application."""
+    integro variant, the kernel sums -- built once and shared by the
+    certificate and every operator application.
+
+    Refuses a Gramian below its invertibility floor with
+    :class:`NotInvertibleError` before the kernel is built.
+    """
 
     def __init__(self, problem: Problem, numerics: Numerics):
         self.problem = problem
         self.numerics = numerics
         self.grids, self.blocks = assemble_all(problem, numerics)
+        for blk in self.blocks:
+            if not blk.invertible:
+                raise NotInvertibleError(blk.index, blk.min_eig, blk.delta_floor)
         self.kern = (KernelDiscretization(problem, numerics)
                      if problem.variant == "integro" else None)
         self.intervals = problem.mesh.intervals()
@@ -91,22 +98,23 @@ class Sweep:
         return flat.with_values(seg_values)
 
     def apply(self, traj: PiecewiseTrajectory, targets):
-        """One application of the steered operator; returns the new path,
-        the synthesized control and the residuals it was built from."""
+        """One application of the steered operator; returns the new path and
+        the synthesized control (None without targets)."""
         problem = self.problem
         if self.kern is not None:
             inner_all = self.kern.inner_convolution(traj)
-        forcings, residuals = [], []
+        starts, forcings, residuals = [], [], []
         for grid in self.grids:
+            start = window_start(problem, traj, grid.index)
             if self.kern is not None:
                 forcing = inner_all[self.kern.block_slice(2 * grid.index)]
             else:
                 forcing = eta_values(problem, traj, grid.times)
+            starts.append(start)
             forcings.append(forcing)
             if targets is not None:
-                residuals.append(steering_residual(problem, grid.index, traj,
-                                                   targets[grid.index], grid,
-                                                   forcing))
+                residuals.append(steering_residual(start, targets[grid.index],
+                                                   grid, forcing))
         control = (synthesize_control(problem, self.grids, self.blocks, residuals)
                    if targets is not None else None)
         seg_values = []
@@ -119,31 +127,24 @@ class Sweep:
             F = forcings[j].copy()
             if control is not None:
                 F += control.samples[j] @ problem.control_matrix.T
-            z = grid.table.evolve(window_start(problem, traj, j))
+            z = grid.table.evolve(starts[j])
             z += grid.table.convolve(F, grid.delta)
             seg_values.append(z)
-        return traj.with_values(seg_values), control, residuals
+        return traj.with_values(seg_values), control
 
 
-def picard_solve(problem: Problem, targets, numerics: Optional[Numerics] = None,
-                 tol: Optional[float] = None, max_iter: Optional[int] = None,
-                 raise_on_fail: bool = True,
-                 sweep: Optional[Sweep] = None) -> SolveReport:
-    """Iterate the steered operator to its fixed point.
+def picard_solve(sweep: Sweep, targets) -> SolveReport:
+    """Iterate the sweep's steered operator to its fixed point.
 
     Starts from the flat extension of phi(0) (plus the nonlocal coupling of
     that extension) with the impulse branches applied once.  Stops when the
-    sup-norm update drops below tol relative to the iterate scale.  The
-    update ratio ||d_{k+1}||/||d_k|| is recorded from the second iteration
-    onward as the measured contraction rate.  ``sweep`` reuses a
-    discretization already built for the same problem and numerics.
+    sup-norm update drops below ``numerics.tol`` relative to the iterate
+    scale, and raises :class:`NonConvergenceError` after
+    ``numerics.max_iter`` iterations without.  The update ratio
+    ||d_{k+1}||/||d_k|| is recorded from the second iteration onward as the
+    measured contraction rate.
     """
-    numerics = numerics or Numerics()
-    tol = tol if tol is not None else numerics.tol
-    max_iter = max_iter if max_iter is not None else numerics.max_iter
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
-    sweep = sweep or Sweep(problem, numerics)
+    tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
     traj = sweep.initial_iterate()
     control = None
     prev_update = None
@@ -152,7 +153,7 @@ def picard_solve(problem: Problem, targets, numerics: Optional[Numerics] = None,
     iterations = 0
     converged = False
     for it in range(1, max_iter + 1):
-        new, control, _ = sweep.apply(traj, targets)
+        new, control = sweep.apply(traj, targets)
         update = sup_distance(new, traj)
         if it >= 2 and prev_update is not None and prev_update > 0:
             ratio = max(ratio, update / prev_update)
@@ -162,11 +163,11 @@ def picard_solve(problem: Problem, targets, numerics: Optional[Numerics] = None,
         if update <= tol * max(1.0, path_sup_norm(traj)):
             converged = True
             break
-    defects = _window_defects(problem, traj, targets)
+    defects = _window_defects(sweep.problem, traj, targets)
     report = SolveReport(trajectory=traj, control=control, iterations=iterations,
                          final_update=float(update), per_window_defect=defects,
                          converged=converged, measured_ratio=float(ratio))
-    if not converged and raise_on_fail:
+    if not converged:
         raise NonConvergenceError(report)
     return report
 

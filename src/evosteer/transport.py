@@ -48,7 +48,7 @@ class TransportConfig:
             raise ValueError("delay length beta must be positive")
         if len(self.alphas) != len(self.instants):
             raise ValueError("one nonlocal weight per sample instant required")
-        if any(t < 0.0 or t > self.mesh.b for t in self.instants):
+        if not all(0.0 <= t <= self.mesh.b for t in self.instants):
             raise ValueError("nonlocal sample instants must lie in [0, b]")
 
     def resolved_targets(self) -> list:
@@ -59,11 +59,12 @@ class TransportConfig:
                 for _ in range(self.mesh.n_impulses + 1)]
 
 
-def smooth_unit_field(N: int, rng: np.random.Generator, modes: int = 4) -> np.ndarray:
-    """Random combination of the first sine modes, normalized to unit norm in
-    the grid-weighted L2 inner product.  Vanishes at the outflow boundary."""
+def smooth_unit_field(N: int, rng: np.random.Generator) -> np.ndarray:
+    """Random combination of the first four sine modes, normalized to unit
+    norm in the grid-weighted L2 inner product.  Vanishes at the outflow
+    boundary."""
     nodes = np.arange(N) * np.pi / N
-    coeff = rng.normal(size=modes)
+    coeff = rng.normal(size=4)
     field_vals = sum(c * np.sin((k + 1) * nodes) for k, c in enumerate(coeff))
     h = np.pi / N
     return field_vals / (np.sqrt(h) * np.linalg.norm(field_vals))

@@ -5,10 +5,10 @@ from evosteer.certificates import (certificate_for, contraction_constant,
                                    delay_ratio, solution_bound)
 from evosteer.core import build_time_mesh
 from evosteer.discretize import KernelDiscretization, interval_times
-from evosteer.gramian import assemble_all
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
                                Problem)
 from evosteer.semigroups import MatrixSemigroup
+from evosteer.solver import Sweep
 from evosteer.transport import TransportConfig, build_case1
 
 
@@ -124,8 +124,7 @@ class TestIntegroConstant:
                 + np.trapezoid(kappa(t - own[:i + 1]), own[:i + 1])
                 for bi, own in enumerate(blocks) for i, t in enumerate(own)]
         assert max(sums) > 0.2456
-        _, gramians = assemble_all(prob, num)
-        cert = certificate_for(prob, gramians, [np.zeros(1)] * 3, num)
+        cert = certificate_for(Sweep(prob, num), [np.zeros(1)] * 3)
         assert cert.kernel_mass == pytest.approx(max(sums), rel=1e-12)
 
 
@@ -155,22 +154,21 @@ class TestCertificatePipeline:
                            semigroup_bound=2.0, control_op_norm=1.0,
                            impulse_lipschitz=(0.6,), impulse_sup=(1.5,)))
         num = Numerics(time_step=2e-3)
-        grids, blocks = assemble_all(prob, num)
+        sweep = Sweep(prob, num)
         targets = [rng.normal(size=3), rng.normal(size=3)]
-        cert = certificate_for(prob, blocks, targets, num)
-        assert cert.gramian_floors == tuple(b.floor_used for b in blocks)
+        cert = certificate_for(sweep, targets)
+        assert cert.gramian_floors == tuple(b.floor_used for b in sweep.blocks)
         assert cert.variant == "semilinear"
         assert cert.contracts == (cert.contraction_constant < 1.0)
         assert len(cert.control_bounds) == 2
-        again = certificate_for(prob, blocks, targets, num)
+        again = certificate_for(sweep, targets)
         assert again.contraction_constant == cert.contraction_constant
 
     def test_case1_certificate_structure(self):
         cfg = TransportConfig(N=16)
         prob = build_case1(cfg)
         num = Numerics(time_step=4e-3, history_samples=32)
-        grids, blocks = assemble_all(prob, num)
-        cert = certificate_for(prob, blocks, cfg.resolved_targets(), num)
+        cert = certificate_for(Sweep(prob, num), cfg.resolved_targets())
         assert cert.delay_ratio == 1.0
         assert cert.semigroup_bound == 1.0
         # the outflow-boundary node caps the floor at bound^2 * pi/N
@@ -236,8 +234,7 @@ class TestMergedIntegroCertificate:
                            impulse_sup=(0.9, 0.7)))
         num = Numerics(time_step=0.01)
         targets = [rng.normal(size=2) for _ in range(3)]
-        _, blocks = assemble_all(prob, num)
-        cert = certificate_for(prob, blocks, targets, num)
+        cert = certificate_for(Sweep(prob, num), targets)
         km = cert.kernel_mass
         assert km == KernelDiscretization(prob, num).kernel_mass > 0.0
         c = prob.constants

@@ -1,3 +1,4 @@
+import configparser
 import csv
 import io
 import json
@@ -155,6 +156,41 @@ class TestConfigParsing:
         assert main(["solve", path]) == 2
         assert named in capsys.readouterr().err
 
+    @pytest.mark.parametrize("preset, field, value", [
+        ("transport-case1", "numerics.tol", "nan"),
+        ("transport-case1", "numerics.target_tol", "nan"),
+        ("transport-case1", "numerics.delta_floor", "nan"),
+        ("transport-case1", "numerics.time_step", "nan"),
+        ("transport-case1", "problem.instants", "nan"),
+        ("transport-case1", "numerics.time_step", "inf"),
+        ("linear-2d", "problem.generator", "0 1; nan 0"),
+    ], ids=["tol-nan", "target_tol-nan", "delta_floor-nan", "time_step-nan",
+            "instants-nan", "time_step-inf", "generator-nan"])
+    def test_non_finite_number_is_named(self, tmp_path, capsys, monkeypatch,
+                                        preset, field, value):
+        # every comparison with NaN is false: such a value used to run on to
+        # a wrong exit code, a silent verdict or a traceback
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read(CONFIGS / f"{preset}.ini")
+        if preset == "transport-case1":
+            parser["problem"]["n"] = "16"
+        section, key = field.split(".")
+        parser[section][key] = value
+        path = tmp_path / "bad.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert main(["solve", str(path)]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_negative_ridge_is_a_config_error(self, tmp_path, capsys):
+        # floor_used = min_eig + ridge: a negative ridge lowered the floor
+        # below the measured eigenvalue and refused the Gramian (exit 3)
+        bad = PRESET_CFG.replace("time_step = 5e-3", "time_step = 5e-3\nridge = -1")
+        path = write(tmp_path, "r.ini", bad.format(out=tmp_path / "o"))
+        assert main(["certify", path]) == 2
+        assert "ridge must be finite and nonnegative" in capsys.readouterr().err
+
     def test_explicit_targets(self, tmp_path):
         text = LINEAR_CFG.replace("targets = random",
                                   "targets = 1 0; 0 1")
@@ -188,6 +224,20 @@ class TestCommands:
         assert "solve" not in report
         assert report["certificate"]["contracts"] in (True, False)
         assert len(report["gramians"]["min_eig"]) == 2
+
+    @pytest.mark.parametrize("preset", ["linear-2d", "transport-case1",
+                                        "transport-case2"])
+    def test_certify_and_solve_report_one_preparation(self, tmp_path,
+                                                      monkeypatch, preset):
+        reports = {}
+        for command in ("certify", "solve"):
+            out = tmp_path / command
+            monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+            assert main([command, str(CONFIGS / f"{preset}.ini"),
+                         "--no-timing"]) == 0
+            reports[command] = json.loads((out / "report.json").read_text())
+        for block in ("certificate", "gramians"):
+            assert reports["certify"][block] == reports["solve"][block]
 
     def test_oracle_command_linear(self, tmp_path):
         out = tmp_path / "out"

@@ -92,6 +92,10 @@ class TestHistorySegment:
             history_segment(traj, [0.5, -0.1], (0.0,))
         with pytest.raises(ValueError):
             history_segment(traj, [1.5], (-1.0,))
+        with pytest.raises(ValueError):
+            history_segment(traj, [0.5, np.nan], (0.0,))
+        with pytest.raises(ValueError):
+            history_segment(traj, [0.5], (np.nan,))
 
 
 class TestSegmentNorm:
@@ -189,6 +193,8 @@ class TestEvaluation:
             traj.value(1.2)
         with pytest.raises(ValueError):
             traj.value(-1.5)
+        with pytest.raises(ValueError):
+            traj.values([0.5, np.nan])
 
     def test_sup_distance_matches_manual(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)

@@ -84,7 +84,7 @@ class TestKernelDiscretization:
                                lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
-        traj = picard_solve(prob, None, num).trajectory
+        traj = picard_solve(Sweep(prob, num), None).trajectory
         inner = kern.inner_convolution(traj)
         np.testing.assert_allclose(inner[:, 0], kern.times, atol=1e-12)
 
@@ -96,7 +96,7 @@ class TestKernelDiscretization:
                                lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
-        traj = picard_solve(prob, None, num).trajectory
+        traj = picard_solve(Sweep(prob, num), None).trajectory
         inner = kern.inner_convolution(traj)
         np.testing.assert_allclose(inner[:, 0], kern.times ** 2 / 2.0, atol=1e-12)
 
@@ -107,7 +107,7 @@ class TestKernelDiscretization:
         ones = lambda s: np.ones_like(np.asarray(s))
         prob = _kernel_problem(ones, lambda t, v: np.ones_like(v), mesh=mesh)
         kern = KernelDiscretization(prob, num)
-        traj = picard_solve(prob, None, num).trajectory
+        traj = picard_solve(Sweep(prob, num), None).trajectory
         i, k = (int(np.argmin(np.abs(kern.times - t))) for t in (0.5, 0.7))
         assert kern.inner_convolution(traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
         prob0 = _kernel_problem(ones, lambda t, v: np.zeros_like(v), mesh=mesh)
@@ -213,14 +213,14 @@ def test_eta_values_zero_without_nonlinearity():
                    control_matrix=np.eye(2), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2))
     num = Numerics(time_step=0.1, history_samples=8)
-    traj = picard_solve(prob, None, num).trajectory
+    traj = picard_solve(Sweep(prob, num), None).trajectory
     vals = eta_values(prob, traj, np.linspace(0, 1, 5))
     np.testing.assert_array_equal(vals, np.zeros((5, 2)))
 
 
 @pytest.mark.parametrize("variant", ["semilinear", "integro"])
 def test_one_grid_per_interval(variant):
-    # two impulses; unequal step counts, three of them raised to min_steps = 8
+    # two impulses; unequal step counts, three of them raised to MIN_STEPS = 8
     mesh = build_time_mesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0], 1.0)
     prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)),
                            lambda t, v: v, mesh=mesh, dim=2)
@@ -239,7 +239,7 @@ def test_one_grid_per_interval(variant):
         others = KernelDiscretization(prob, num).block_times
     else:
         targets = [np.ones(2), -np.ones(2), np.zeros(2)]
-        _, control, _ = sweep.apply(sweep.initial_iterate(), targets)
+        _, control = sweep.apply(sweep.initial_iterate(), targets)
         others = oracle_linear(prob, control, targets, num).trajectory.seg_times
     assert len(others) == len(expected)
     for got, ref in zip(others, sweep.seg_times):

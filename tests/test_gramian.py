@@ -57,7 +57,7 @@ class TestAssembly:
                 M = ((1.0 - c) * Bp[:, o:o + N] + c * Bp[:, o + 1:o + 1 + N]).T
             G += w[m - g] * (M @ M.T)
         G = 0.5 * 0.7 * (G + G.T)
-        got = assemble_from_grid(B, 0.7, grid).matrix
+        got = assemble_from_grid(B, 0.7, grid, Numerics()).matrix
         if backend == "matrix":
             assert np.array_equal(got, G)
         else:
@@ -189,8 +189,8 @@ class TestResiduals:
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         target = expm(A) @ phi0
-        r = steering_residual(prob, 0, traj, target, grids[0],
-                              _eta(prob, traj, grids[0]))
+        r = steering_residual(window_start(prob, traj, 0), target,
+                              grids[0], _eta(prob, traj, grids[0]))
         assert np.linalg.norm(r) <= 1e-10
 
     def test_constant_forcing_closed_form(self):
@@ -202,8 +202,8 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = steering_residual(prob, 0, traj, np.array([2.0]), grids[0],
-                              _eta(prob, traj, grids[0]))
+        r = steering_residual(window_start(prob, traj, 0), np.array([2.0]),
+                              grids[0], _eta(prob, traj, grids[0]))
         assert r[0] == pytest.approx(2.0 - 0.3, abs=1e-13)
 
     def test_impulse_window_residual(self):
@@ -220,8 +220,8 @@ class TestResiduals:
         traj = _flat_traj(prob, num)
         x_minus = traj.left_value_at_theta(1)
         target = rng.normal(size=2)
-        r = steering_residual(prob, 1, traj, target, grids[1],
-                              _eta(prob, traj, grids[1]))
+        r = steering_residual(window_start(prob, traj, 1), target,
+                              grids[1], _eta(prob, traj, grids[1]))
         manual = target - expm(0.5 * A) @ (0.5 * x_minus)
         np.testing.assert_allclose(r, manual, atol=1e-11)
 
@@ -236,8 +236,8 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = steering_residual(prob, 0, traj, np.array([2.0]), grids[0],
-                              _inner(prob, traj, num))
+        r = steering_residual(window_start(prob, traj, 0), np.array([2.0]),
+                              grids[0], _inner(prob, traj, num))
         assert r[0] == pytest.approx(2.0 - 0.25 - 0.5, abs=1e-12)
 
     def test_kernel_residual_zero_integrand(self):
@@ -253,8 +253,8 @@ class TestResiduals:
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         target = rng.normal(size=2)
-        r = steering_residual(prob, 0, traj, target, grids[0],
-                              _inner(prob, traj, num))
+        r = steering_residual(window_start(prob, traj, 0), target,
+                              grids[0], _inner(prob, traj, num))
         np.testing.assert_allclose(r, target - expm(A) @ phi0, atol=1e-11)
 
 

@@ -71,3 +71,67 @@ def test_every_definition_is_referenced():
                           for name, line in _definitions(tree)
                           if name.split(".")[-1] not in used)
     assert not unreferenced, f"definitions named nowhere: {unreferenced}"
+
+
+def _defaulted_parameters(tree):
+    """Every parameter with a default of every function and method, as
+    (callee name, position or None, parameter, line); the position counts
+    from the first argument a caller passes, so ``self`` is not counted and
+    an ``__init__`` is named by its class."""
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, ast.FunctionDef):
+                method = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list)
+                name = cls if method and child.name == "__init__" else child.name
+                positional = child.args.posonlyargs + child.args.args
+                offset = 1 if method else 0
+                first = len(positional) - len(child.args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    yield name, i - offset, arg.arg, child.lineno
+                for arg, default in zip(child.args.kwonlyargs,
+                                        child.args.kw_defaults):
+                    if default is not None:
+                        yield name, None, arg.arg, child.lineno
+                yield from visit(child, None)
+            else:
+                yield from visit(child, cls)
+    yield from visit(tree, None)
+
+
+def _calls(tree):
+    """Per called name: (positional count, keywords, passes * or **) of every
+    call site."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = (func.id if isinstance(func, ast.Name)
+                else func.attr if isinstance(func, ast.Attribute) else None)
+        if name is None:
+            continue
+        spread = (any(isinstance(a, ast.Starred) for a in node.args)
+                  or any(k.arg is None for k in node.keywords))
+        yield name, len(node.args), {k.arg for k in node.keywords}, spread
+
+
+def test_every_default_is_overridden_somewhere():
+    """A defaulted parameter that no call in the package, the tests or the
+    benchmark ever sets is a constant in disguise."""
+    sources = (sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+               + sorted((ROOT / "tests").glob("*.py")))
+    trees = {p: ast.parse(p.read_text()) for p in sources}
+    calls = {}
+    for tree in trees.values():
+        for name, npos, keywords, spread in _calls(tree):
+            calls.setdefault(name, []).append((npos, keywords, spread))
+    unset = sorted(
+        f"{p.name}:{line} {name}({param})"
+        for p, tree in trees.items() if p.parent == PACKAGE
+        for name, pos, param, line in _defaulted_parameters(tree)
+        if not any(spread or param in keywords or (pos is not None and npos > pos)
+                   for npos, keywords, spread in calls.get(name, ())))
+    assert not unset, f"defaulted parameters no call sets: {unset}"

@@ -6,7 +6,7 @@ from evosteer.oracle import oracle_linear
 from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
 from evosteer.runner import run
 from evosteer.semigroups import MatrixSemigroup
-from evosteer.solver import picard_solve
+from evosteer.solver import Sweep, picard_solve
 
 
 def rk4_reference(problem, control, numerics):
@@ -62,7 +62,7 @@ class TestOracle:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
         num = Numerics(time_step=1e-3)
-        report = picard_solve(prob, [np.array([2.5])], num)
+        report = picard_solve(Sweep(prob, num), [np.array([2.5])])
         res = oracle_linear(prob, report.control, [np.array([2.5])], num)
         assert abs(res.trajectory.seg_values[0][-1, 0] - 2.5) <= 1e-10
 
@@ -73,7 +73,7 @@ class TestOracle:
         num = Numerics(time_step=2e-3)
         # steer to the free endpoint: the control is (numerically) zero
         target = np.array([np.exp(a)])
-        report = picard_solve(prob, [target], num)
+        report = picard_solve(Sweep(prob, num), [target])
         res = oracle_linear(prob, report.control, [target], num)
         t = res.trajectory.seg_times[0]
         np.testing.assert_allclose(res.trajectory.seg_values[0][:, 0],
@@ -86,7 +86,7 @@ class TestOracle:
         num = Numerics(time_step=1e-3)
         from scipy.linalg import expm
         target = expm(A) @ np.array([1.0, 0.0])
-        report = picard_solve(prob, [target], num)
+        report = picard_solve(Sweep(prob, num), [target])
         res = oracle_linear(prob, report.control, [target], num)
         norms = np.linalg.norm(res.trajectory.seg_values[0], axis=1)
         np.testing.assert_allclose(norms, 1.0, atol=1e-8)
@@ -110,7 +110,7 @@ class TestOracle:
         # coarse steps, so that a wrong Taylor coefficient shows above 1e-11
         num = Numerics(time_step=0.05, oracle_refine=2)
         targets = [rng.normal(size=3), rng.normal(size=3)]
-        report = picard_solve(prob, targets, num)
+        report = picard_solve(Sweep(prob, num), targets)
         res = oracle_linear(prob, report.control, targets, num)
         paths = rk4_reference(prob, report.control, num)
         assert len(paths) == len(res.trajectory.seg_values) == 3

@@ -47,8 +47,8 @@ class TestOperator:
         prob = make_problem(A, mesh=mesh, phi0=rng.normal(size=3))
         targets = [rng.normal(size=3)]
         num = Numerics(time_step=2e-3)
-        report = picard_solve(prob, targets, num)
         sweep = Sweep(prob, num)
+        report = picard_solve(sweep, targets)
         once = sweep.apply(report.trajectory, targets)[0]
         twice = sweep.apply(once, targets)[0]
         assert sup_distance(twice, once) <= 1e-10
@@ -58,7 +58,7 @@ class TestOperator:
         prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.4, -0.1])
         num = Numerics(time_step=2e-3)
         targets = [rng.normal(size=2), rng.normal(size=2)]
-        report = picard_solve(prob, targets, num)
+        report = picard_solve(Sweep(prob, num), targets)
         traj = report.trajectory
         x_minus = traj.left_value_at_theta(1)
         times = traj.seg_times[1]
@@ -72,7 +72,7 @@ class TestOperator:
         prob = make_problem(dim=1, mesh=mesh, phi0=[1.0],
                             nonlinearity=lambda t, v: np.full_like(v, c))
         num = Numerics(time_step=1e-3, history_samples=16)
-        report = picard_solve(prob, targets=None, numerics=num)
+        report = picard_solve(Sweep(prob, num), None)
         t = report.trajectory.seg_times[0]
         np.testing.assert_allclose(report.trajectory.seg_values[0][:, 0],
                                    1.0 + c * t, atol=1e-12)
@@ -82,9 +82,9 @@ class TestOperator:
         cfg = TransportConfig(N=16)
         prob = build_case1(cfg)
         num = Numerics(time_step=4e-3, history_samples=48, tol=1e-10)
-        report = picard_solve(prob, cfg.resolved_targets(), num)
-        again = Sweep(prob, num).apply(report.trajectory,
-                                       cfg.resolved_targets())[0]
+        sweep = Sweep(prob, num)
+        report = picard_solve(sweep, cfg.resolved_targets())
+        again = sweep.apply(report.trajectory, cfg.resolved_targets())[0]
         assert sup_distance(again, report.trajectory) <= 2.0 * 1e-10 * max(
             1.0, path_sup_norm(report.trajectory))
 
@@ -95,8 +95,8 @@ class TestPicard:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = make_problem(rng.normal(size=(4, 4)) / 2.0, mesh=mesh,
                             phi0=rng.normal(size=4))
-        report = picard_solve(prob, [rng.normal(size=4)],
-                              Numerics(time_step=1e-3))
+        report = picard_solve(Sweep(prob, Numerics(time_step=1e-3)),
+                              [rng.normal(size=4)])
         assert report.converged
         assert report.iterations <= 2
         assert max(report.per_window_defect) <= 1e-8
@@ -105,7 +105,7 @@ class TestPicard:
         cfg = TransportConfig(N=24)
         prob = build_case1(cfg)
         num = Numerics(time_step=2e-3, history_samples=64)
-        report = picard_solve(prob, cfg.resolved_targets(), num)
+        report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
         assert report.converged
         assert max(report.per_window_defect) <= 1e-3
         assert 0.0 < report.measured_ratio < 1.0
@@ -115,18 +115,16 @@ class TestPicard:
         prob = build_case1(cfg)
         num = Numerics(time_step=5e-3, history_samples=32, max_iter=2)
         with pytest.raises(NonConvergenceError) as err:
-            picard_solve(prob, cfg.resolved_targets(), num)
+            picard_solve(Sweep(prob, num), cfg.resolved_targets())
         assert err.value.report.iterations == 2
         assert err.value.measured_ratio >= 0.0
-        report = picard_solve(prob, cfg.resolved_targets(), num,
-                              raise_on_fail=False)
-        assert not report.converged
+        assert not err.value.report.converged
 
     def test_history_is_preserved_and_nonlocal_selfconsistent(self):
         cfg = TransportConfig(N=16)
         prob = build_case1(cfg)
         num = Numerics(time_step=4e-3, history_samples=48)
-        report = picard_solve(prob, cfg.resolved_targets(), num)
+        report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
         traj = report.trajectory
         np.testing.assert_array_equal(traj.history,
                                       prob.sample_history(num.history_samples))
@@ -173,7 +171,7 @@ class TestPieces:
         rng = np.random.default_rng(36)
         prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.2, 0.0])
         targets = [rng.normal(size=2), rng.normal(size=2)]
-        report = picard_solve(prob, targets, Numerics(time_step=2e-3))
+        report = picard_solve(Sweep(prob, Numerics(time_step=2e-3)), targets)
         for t in (0.45, 0.5, 0.55, 0.0):
             np.testing.assert_array_equal(report.control.value(t), np.zeros(2))
         assert np.any(report.control.value(0.2) != 0.0)
@@ -182,7 +180,7 @@ class TestPieces:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = make_problem(dim=1, mesh=mesh, phi0=[2.0])
         num = Numerics(time_step=1e-2, history_samples=8)
-        report = picard_solve(prob, None, num)
+        report = picard_solve(Sweep(prob, num), None)
         assert window_start(prob, report.trajectory, 0)[0] == 2.0
         nl = WeightedSampleNonlocal([0.1], [0.5])
         assert nl(report.trajectory)[0] == pytest.approx(0.2, rel=1e-12)
@@ -194,7 +192,7 @@ class TestPieces:
         assert nl.lipschitz == pytest.approx(0.45)
         prob = make_problem(dim=2, mesh=mesh)
         num = Numerics(time_step=1e-2, history_samples=8)
-        base = picard_solve(prob, None, num).trajectory
+        base = picard_solve(Sweep(prob, num), None).trajectory
         for _ in range(10):
             vx = [rng.normal(size=v.shape) for v in base.seg_values]
             vy = [rng.normal(size=v.shape) for v in base.seg_values]
@@ -205,11 +203,12 @@ class TestPieces:
     def test_nonlocal_instant_validation(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = make_problem(dim=1, mesh=mesh)
-        base = picard_solve(prob, None, Numerics(time_step=1e-2,
-                                                 history_samples=8)).trajectory
-        nl = WeightedSampleNonlocal([1.0], [1.5])
-        with pytest.raises(ValueError, match="instant"):
-            nl(base)
+        num = Numerics(time_step=1e-2, history_samples=8)
+        base = picard_solve(Sweep(prob, num), None).trajectory
+        for instant in (1.5, np.nan):
+            nl = WeightedSampleNonlocal([1.0], [instant])
+            with pytest.raises(ValueError, match="instant"):
+                nl(base)
 
 
 class TestVerifyTargets:
@@ -218,7 +217,7 @@ class TestVerifyTargets:
         prob = make_problem(rng.normal(size=(3, 3)) / 2.0, dim=3,
                             phi0=rng.normal(size=3))
         targets = [rng.normal(size=3), rng.normal(size=3)]
-        report = picard_solve(prob, targets, Numerics(time_step=1e-3))
+        report = picard_solve(Sweep(prob, Numerics(time_step=1e-3)), targets)
         verdict = verify_targets(report, targets, tol_hit=1e-6)
         assert verdict.totally_controllable
         assert verdict.exactly_controllable
@@ -227,12 +226,11 @@ class TestVerifyTargets:
     def test_refuses_nonconverged(self):
         cfg = TransportConfig(N=12)
         prob = build_case1(cfg)
-        report = picard_solve(prob, cfg.resolved_targets(),
-                              Numerics(time_step=5e-3, history_samples=32,
-                                       max_iter=1),
-                              raise_on_fail=False)
+        num = Numerics(time_step=5e-3, history_samples=32, max_iter=1)
+        with pytest.raises(NonConvergenceError) as err:
+            picard_solve(Sweep(prob, num), cfg.resolved_targets())
         with pytest.raises(NonConvergenceError):
-            verify_targets(report, cfg.resolved_targets())
+            verify_targets(err.value.report, cfg.resolved_targets())
 
     def test_exact_without_total(self):
         # spoiling only the first window leaves the final-state conclusion
@@ -241,7 +239,7 @@ class TestVerifyTargets:
         prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
         targets = [rng.normal(size=2), rng.normal(size=2)]
         num = Numerics(time_step=1e-3, ridge=[0.5, 0.0])
-        report = picard_solve(prob, targets, num)
+        report = picard_solve(Sweep(prob, num), targets)
         verdict = verify_targets(report, targets, tol_hit=1e-6)
         assert verdict.exactly_controllable
         assert not verdict.totally_controllable
@@ -253,7 +251,7 @@ class TestVerifyTargets:
         prob = make_problem(A, mesh=mesh, phi0=rng.normal(size=3) / 2.0)
         targets = [rng.normal(size=3) for _ in range(3)]
         num = Numerics(time_step=5e-4)
-        report = picard_solve(prob, targets, num)
+        report = picard_solve(Sweep(prob, num), targets)
         assert report.converged
         assert max(report.per_window_defect) <= 1e-8
         verdict = verify_targets(report, targets)
@@ -274,7 +272,7 @@ class TestVerifyTargets:
         prob = build_case1(cfg)
         assert len(prob.impulses) == 2
         num = Numerics(time_step=4e-3, history_samples=32)
-        report = picard_solve(prob, cfg.resolved_targets(), num)
+        report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
         assert report.converged
         assert max(report.per_window_defect) <= 1e-3
 
@@ -283,7 +281,7 @@ class TestVerifyTargets:
         cfg = TransportConfig(N=16)
         prob = build_case2(cfg)
         num = Numerics(time_step=4e-3, history_samples=32)
-        report = picard_solve(prob, cfg.resolved_targets(), num)
+        report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
         assert report.converged
         assert max(report.per_window_defect) <= 1e-6
         traj = report.trajectory
@@ -298,7 +296,7 @@ class TestVerifyTargets:
         prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
         targets = [rng.normal(size=2), rng.normal(size=2)]
         num = Numerics(time_step=1e-3, ridge=[0.0, 0.5])
-        report = picard_solve(prob, targets, num)
+        report = picard_solve(Sweep(prob, num), targets)
         verdict = verify_targets(report, targets, tol_hit=1e-6)
         assert not verdict.totally_controllable
         assert verdict.hits == [True, False]
@@ -307,8 +305,7 @@ class TestVerifyTargets:
         prob = make_problem(dim=2)
         prob.control_matrix = np.zeros((2, 2))
         with pytest.raises(NotInvertibleError):
-            picard_solve(prob, [np.ones(2), np.ones(2)],
-                         Numerics(time_step=1e-2))
+            Sweep(prob, Numerics(time_step=1e-2))
 
 
 @pytest.mark.parametrize("entry", ["run", "certify"])
@@ -320,13 +317,38 @@ def test_one_gramian_assembly_per_run(monkeypatch, entry):
         calls.append(args)
         return gramian.assemble_all(*args, **kwargs)
 
-    for module in (runner, solver):
-        monkeypatch.setattr(module, "assemble_all", counting)
+    monkeypatch.setattr(solver, "assemble_all", counting)
     rng = np.random.default_rng(39)
     prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
     targets = [rng.normal(size=2), rng.normal(size=2)]
     getattr(runner, entry)(prob, targets, Numerics(time_step=2e-3))
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("entry", ["run", "certify"])
+def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
+    # both commands prepare through one Sweep, which checks every Gramian
+    # before it builds the Volterra kernel
+    from evosteer import discretize, runner
+    from evosteer.transport import TransportConfig, build_case2
+    calls = []
+    monkeypatch.setattr(discretize.KernelDiscretization, "__init__",
+                        lambda self, *args: calls.append(args))
+    cfg = TransportConfig(N=8)
+    prob = build_case2(cfg)
+    prob.control_matrix = np.zeros((8, 8))
+    with pytest.raises(NotInvertibleError):
+        getattr(runner, entry)(prob, cfg.resolved_targets(),
+                               Numerics(time_step=1e-2, history_samples=16))
+    assert calls == []
+
+
+@pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf, [0.0, -0.5], [0.0, np.nan]])
+def test_ridge_must_be_finite_and_nonnegative(ridge):
+    # floor_used = min_eig + ridge: a negative ridge lowers the floor the
+    # certificate reads below the measured eigenvalue
+    with pytest.raises(ValueError, match="ridge"):
+        Numerics(ridge=ridge)
 
 
 @pytest.mark.parametrize("entry", ["run", "certify"])

@@ -5,7 +5,7 @@ from evosteer.core import build_time_mesh, sup_distance
 from evosteer.discretize import KernelDiscretization
 from evosteer.problems import Numerics
 from evosteer.semigroups import ShiftSemigroup
-from evosteer.solver import picard_solve
+from evosteer.solver import Sweep, picard_solve
 from evosteer.transport import (TransportConfig, build_case1, build_case2,
                                 smooth_unit_field)
 
@@ -33,6 +33,8 @@ class TestConfig:
             TransportConfig(beta=0.0)
         with pytest.raises(ValueError):
             TransportConfig(instants=(1.4,))
+        with pytest.raises(ValueError):
+            TransportConfig(instants=(np.nan,))
 
 
 class TestShiftSemigroupBuilder:
@@ -101,12 +103,10 @@ class TestCase1:
 
     def test_zero_gain_certificate_is_impulse_driven(self):
         from evosteer.certificates import certificate_for, contraction_constant
-        from evosteer.gramian import assemble_all
         cfg = TransportConfig(N=16, k0=0.0)
         prob = build_case1(cfg)
         num = Numerics(time_step=5e-3, history_samples=16)
-        grids, blocks = assemble_all(prob, num)
-        cert = certificate_for(prob, blocks, cfg.resolved_targets(), num)
+        cert = certificate_for(Sweep(prob, num), cfg.resolved_targets())
         # with no forcing gain the constant reduces to the impulse branches
         expected, _ = contraction_constant(
             1.0, 1.0, 1.0, 1.0, 0.0, prob.constants.impulse_lipschitz,
@@ -193,7 +193,7 @@ class TestDelaySensitivity:
         def solve_with(history_fn):
             prob = build_case1(cfg)
             prob.history = history_fn
-            return picard_solve(prob, targets, num).trajectory
+            return picard_solve(Sweep(prob, num), targets).trajectory
 
         ref = solve_with(base.history)
 
