@@ -220,16 +220,21 @@ class KernelDiscretization:
             self.kernel_mass = max(self.kernel_mass,
                                    float(mass.max() + fft_error * spread))
 
-    def q_values(self, traj: PiecewiseTrajectory) -> np.ndarray:
-        """q(t, x(t - beta)) at every global node, read one mesh interval at
-        a time so that the read's temporaries stay interval-sized."""
+    def q_values(self, traj: PiecewiseTrajectory, rows: slice) -> np.ndarray:
+        """q(t, x(t - beta)) at the global nodes ``rows`` (at least one),
+        read one mesh interval at a time so that the read's temporaries stay
+        interval-sized."""
+        lo, hi, _ = rows.indices(len(self.times))
+        parts = [t[max(lo - o, 0):max(hi - o, 0)]
+                 for t, o in zip(self.block_times, self._offsets)]
         return np.concatenate([_delayed_forcing(self.problem.kernel.q, traj, t)
-                               for t in self.block_times])
+                               for t in parts if len(t)])
 
-    def inner_convolution(self, traj: PiecewiseTrajectory) -> np.ndarray:
-        """The forcing int_0^{t} kappa(t-s) q(s, x(s - beta)) ds at every
-        global node."""
-        q = self.q_values(traj)
+    def inner_convolution(self, q: np.ndarray) -> np.ndarray:
+        """The forcing int_0^{t} kappa(t-s) q(s) ds at every global node,
+        from the samples ``q`` at every global node.  Output interval bi
+        reads only the samples of intervals up to bi, so its bits do not
+        depend on later samples."""
         n = self._n
         Q = [np.fft.rfft(w[:, None] * q[self.block_slice(bk)], n, axis=0)
              for bk, w in enumerate(self._weights)]

@@ -57,8 +57,8 @@ class GramianBlock:
     index: int
     matrix: np.ndarray
     min_eig: float
+    delta_floor: float
     ridge: float = 0.0
-    delta_floor: float = 1e-8
 
     def __post_init__(self):
         self._factor = None

@@ -198,6 +198,8 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
             "measured_ratio": solve.measured_ratio,
             "per_window_defect": list(solve.per_window_defect),
             "control_sup": solve.control_sup_norms(),
+            "frozen_forcing_rows": solve.frozen_forcing_rows,
+            "window_solves": solve.window_solves,
         }
     if verdict is not None:
         out["targets"] = {

@@ -15,10 +15,13 @@ Two backends:
 
 Both expose a ``lag_table`` with the grid machinery the steering pipeline
 needs: propagator action at every lag g * delta of a uniform window grid.
-Lag-table data is immutable after construction.
+Lag-table data is immutable after construction; the shift table keeps its
+lag kernel's spectrum once formed.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 from scipy.linalg import expm
@@ -106,6 +109,9 @@ class ShiftLagTable:
         self.off = lag.astype(int)
         self.frac = lag - self.off
         self.pad = int(self.off[-1]) + 2
+        # Circular lengths below (2m+1, N+P) would alias into the rows and
+        # columns the convolution reads back.
+        self._fft_shape = (fft_length(2 * m + 1), fft_length(N + self.pad))
 
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         """Forward shift of v by the lag g (zero past pi)."""
@@ -151,20 +157,31 @@ class ShiftLagTable:
         c = self.frac[lags][:, None]
         return np.sum((1.0 - c) * lo + c * hi, axis=0)
 
+    @functools.cached_property
+    def _kernel_spectrum(self) -> np.ndarray:
+        """The spectrum of the two-tap lag kernel, formed on the first
+        convolve and kept, so that a run which only certifies pays
+        nothing."""
+        m, P = self.m, self.pad
+        g = np.arange(m + 1)
+        K = np.zeros((m + 1, P + 1))
+        K[g, P - self.off] = 1.0 - self.frac
+        K[g, P - self.off - 1] = self.frac
+        return np.fft.rfft2(K, self._fft_shape)
+
     def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
         """Trapezoid approximations of int_0^{g*delta} T(g*delta - s) f(s) ds
         for every g, as one linear time-by-space convolution of F with the
         two-tap lag kernel, taken by FFT."""
         m, N, P = self.m, self.N, self.pad
-        g = np.arange(m + 1)
-        K = np.zeros((m + 1, P + 1))
-        K[g, P - self.off] = 1.0 - self.frac
-        K[g, P - self.off - 1] = self.frac
-        # Circular lengths below (2m+1, N+P) would alias into the rows and
-        # columns read back.
-        shape = (fft_length(2 * m + 1), fft_length(N + P))
-        spec = np.fft.rfft2(F, shape) * np.fft.rfft2(K, shape)
-        conv = np.fft.irfft2(spec, shape)[:m + 1, P:P + N]
+        n_time, n_space = self._fft_shape
+        spec = np.fft.rfft2(F, self._fft_shape)
+        spec *= self._kernel_spectrum
+        # irfft2's two passes, in place and with the last one on the rows
+        # read back only: the same bits in less memory
+        np.fft.ifft(spec, n_time, axis=0, out=spec)
+        conv = np.fft.irfft(spec[:m + 1], n_space, axis=1)[:, P:P + N]
+        del spec    # before evolve's temporaries
         out = delta * (conv - 0.5 * (self.evolve(F[0]) + F))
         out[0] = 0.0
         return out

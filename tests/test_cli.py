@@ -275,6 +275,28 @@ class TestCommands:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         assert "emit_s" not in (outs[0] / "report.json").read_text()
 
+    @pytest.mark.parametrize("preset, frozen, solves", [
+        # every forcing row lies at t <= beta = b: Case 1's eta rows on the
+        # 301 + 501 control-window nodes, Case 2's q rows on all 301 + 201 +
+        # 501 kernel nodes
+        ("transport-case1", 802, lambda it: 2 * it),  # nonlocal start moves
+        ("transport-case2", 1003, lambda it: 3)])     # 3 of 6 windows solved
+    def test_solve_reports_frozen_rows_and_window_solves(self, tmp_path,
+                                                         monkeypatch, preset,
+                                                         frozen, solves):
+        texts = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+            assert main(["solve", str(CONFIGS / f"{preset}.ini"),
+                         "--no-timing"]) == 0
+            texts.append((out / "report.json").read_text())
+        assert texts[0] == texts[1]
+        solve = json.loads(texts[0])["solve"]
+        assert solve["frozen_forcing_rows"] == frozen
+        assert solve["window_solves"] == solves(solve["iterations"])
+        assert solve["iterations"] == (8 if preset == "transport-case1" else 3)
+
     def test_freed_memory_is_released_after_each_command(self, tmp_path, capsys,
                                                           monkeypatch):
         # a process running several commands starts each on a trimmed heap,

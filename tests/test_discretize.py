@@ -77,6 +77,11 @@ def dense_kernel_reference(times, blocks, kappa):
     return kap * M
 
 
+def volterra(kern, traj):
+    """The inner convolution of q read from ``traj`` at every node."""
+    return kern.inner_convolution(kern.q_values(traj, slice(None)))
+
+
 class TestKernelDiscretization:
     def test_inner_convolution_closed_form(self):
         # kappa == 1, q == 1: the inner convolution at t is exactly t
@@ -85,7 +90,7 @@ class TestKernelDiscretization:
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         traj = picard_solve(Sweep(prob, num), None).trajectory
-        inner = kern.inner_convolution(traj)
+        inner = volterra(kern, traj)
         np.testing.assert_allclose(inner[:, 0], kern.times, atol=1e-12)
 
     def test_linear_kernel_closed_form(self):
@@ -97,7 +102,7 @@ class TestKernelDiscretization:
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         traj = picard_solve(Sweep(prob, num), None).trajectory
-        inner = kern.inner_convolution(traj)
+        inner = volterra(kern, traj)
         np.testing.assert_allclose(inner[:, 0], kern.times ** 2 / 2.0, atol=1e-12)
 
     def test_inner_convolution_at_nodes(self):
@@ -109,9 +114,9 @@ class TestKernelDiscretization:
         kern = KernelDiscretization(prob, num)
         traj = picard_solve(Sweep(prob, num), None).trajectory
         i, k = (int(np.argmin(np.abs(kern.times - t))) for t in (0.5, 0.7))
-        assert kern.inner_convolution(traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
+        assert volterra(kern, traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
         prob0 = _kernel_problem(ones, lambda t, v: np.zeros_like(v), mesh=mesh)
-        assert KernelDiscretization(prob0, num).inner_convolution(traj)[k, 0] == 0.0
+        assert volterra(KernelDiscretization(prob0, num), traj)[k, 0] == 0.0
 
     def test_block_slices_tile_the_grid(self):
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
@@ -143,8 +148,8 @@ class TestKernelDiscretization:
         assert mesh.n_impulses == 2 and bool(kern.dense_blocks) == any_dense
         traj = Sweep(prob, num).initial_iterate()
         KW = dense_kernel_reference(kern.times, kern.block_times, kappa)
-        ref = KW @ kern.q_values(traj)
-        new = kern.inner_convolution(traj)
+        ref = KW @ kern.q_values(traj, slice(None))
+        new = volterra(kern, traj)
         assert new.shape == ref.shape == (len(kern.times), 2)
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
@@ -287,7 +292,7 @@ def test_grid_forcing_matches_per_node_reference(variant):
         got = [eta_values(prob, traj, t) for t in grids]
     else:
         grids = [sweep.kern.times]
-        got = [sweep.kern.q_values(traj)]
+        got = [sweep.kern.q_values(traj, slice(None))]
     delayed = np.concatenate(grids) - prob.beta
     assert np.any(delayed <= 0.0) and np.any(delayed > 0.0)
     assert {0.25, 0.5} <= set(delayed)
@@ -299,7 +304,9 @@ def test_grid_forcing_matches_per_node_reference(variant):
 
 @pytest.mark.parametrize("variant", ["semilinear", "integro"])
 def test_one_forcing_call_per_grid(variant):
-    # eta once per control window, q once per mesh interval
+    # eta on each control window, q on each mesh interval: the rows at
+    # t <= beta = 0.25 read only the history, once per grid per run; the
+    # rows after it, once per grid per sweep
     sizes = []
 
     def fn(t, v):
@@ -307,12 +314,21 @@ def test_one_forcing_call_per_grid(variant):
         return 0.1 * v
 
     prob, num, sweep, traj = _mixed_delay_case(variant, fn)
-    sizes.clear()
-    sweep.apply(traj, [np.ones(2), -np.ones(2)])
     if variant == "semilinear":
-        assert sizes == [len(g.times) for g in sweep.grids]
+        grids = [g.times for g in sweep.grids]
+        frozen, live = [65, 0], [0, 129]
     else:
-        assert sizes == [len(t) for t in sweep.kern.block_times]
+        grids = sweep.kern.block_times
+        frozen, live = [65, 1, 0], [0, 64, 129]
+    assert [int(np.sum(t <= prob.beta)) for t in grids] == frozen
+    assert [len(t) for t in grids] == [k + n for k, n in zip(frozen, live)]
+    assert sweep.frozen_forcing_rows == sum(frozen)
+    sizes.clear()
+    for first in (True, False, False):
+        sweep.apply(traj, [np.ones(2), -np.ones(2)])
+        reads = [k for k in frozen if k] if first else []
+        assert sizes == reads + [n for n in live if n]
+        sizes.clear()
 
 
 def test_forcing_of_wrong_shape_is_refused():

@@ -143,12 +143,14 @@ class TestAssembly:
 
 class TestSolve:
     def test_identity(self):
-        blk = GramianBlock(index=0, matrix=np.eye(3), min_eig=1.0)
+        blk = GramianBlock(index=0, matrix=np.eye(3), min_eig=1.0,
+                           delta_floor=Numerics().delta_floor)
         v = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(gramian_solve(blk, v), v, atol=1e-14)
 
     def test_diagonal(self):
-        blk = GramianBlock(index=0, matrix=np.diag([2.0, 4.0]), min_eig=2.0)
+        blk = GramianBlock(index=0, matrix=np.diag([2.0, 4.0]), min_eig=2.0,
+                           delta_floor=Numerics().delta_floor)
         np.testing.assert_allclose(gramian_solve(blk, np.array([2.0, 4.0])),
                                    [1.0, 1.0], atol=1e-14)
 
@@ -157,14 +159,16 @@ class TestSolve:
         R = rng.normal(size=(8, 8))
         G = R @ R.T + 0.05 * np.eye(8)
         blk = GramianBlock(index=0, matrix=G,
-                           min_eig=float(np.linalg.eigvalsh(G)[0]))
+                           min_eig=float(np.linalg.eigvalsh(G)[0]),
+                           delta_floor=Numerics().delta_floor)
         for _ in range(10):
             v = rng.normal(size=8)
             w = gramian_solve(blk, v)
             assert np.linalg.norm(G @ w - v) <= 1e-10 * np.linalg.norm(v)
 
     def test_singular_raises_with_diagnostics(self):
-        blk = GramianBlock(index=2, matrix=np.zeros((2, 2)), min_eig=0.0)
+        blk = GramianBlock(index=2, matrix=np.zeros((2, 2)), min_eig=0.0,
+                           delta_floor=Numerics().delta_floor)
         with pytest.raises(NotInvertibleError) as err:
             gramian_solve(blk, np.ones(2))
         assert err.value.window == 2
@@ -172,7 +176,7 @@ class TestSolve:
 
     def test_ridge_is_reported_and_used(self):
         blk = GramianBlock(index=0, matrix=np.zeros((2, 2)), min_eig=0.0,
-                           ridge=0.5)
+                           delta_floor=Numerics().delta_floor, ridge=0.5)
         assert blk.floor_used == pytest.approx(0.5)
         np.testing.assert_allclose(gramian_solve(blk, np.array([1.0, 0.0])),
                                    [2.0, 0.0], atol=1e-12)
@@ -381,4 +385,4 @@ def _eta(problem, traj, grid):
 
 def _inner(problem, traj, numerics):
     kern = KernelDiscretization(problem, numerics)
-    return kern.inner_convolution(traj)[kern.block_slice(0)]
+    return kern.inner_convolution(kern.q_values(traj, slice(None)))[kern.block_slice(0)]

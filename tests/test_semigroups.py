@@ -252,3 +252,22 @@ class TestLagTables:
         got = table.convolve(F, delta)[rows]
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         assert np.array_equal(got[rows == 0], expected[rows == 0])
+
+
+def test_shift_kernel_spectrum_is_formed_once(monkeypatch):
+    # the two-tap kernel's transform is taken on the first convolve only;
+    # later calls give what a fresh table gives, bit for bit
+    N, m, delta = 12, 30, 0.04
+    rng = np.random.default_rng(13)
+    forcings = [rng.normal(size=(m + 1, N)) for _ in range(3)]
+    fresh = [ShiftSemigroup(N).lag_table(delta, m).convolve(F, delta)
+             for F in forcings]
+    calls = []
+    rfft2 = np.fft.rfft2
+    monkeypatch.setattr(np.fft, "rfft2",
+                        lambda *args, **kwargs: calls.append(1) or rfft2(*args, **kwargs))
+    table = ShiftSemigroup(N).lag_table(delta, m)
+    assert calls == []
+    for F, want in zip(forcings, fresh):
+        assert table.convolve(F, delta).tobytes() == want.tobytes()
+    assert len(calls) == 1 + len(forcings)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from evosteer.core import build_time_mesh, path_sup_norm, sup_distance
-from evosteer.gramian import NotInvertibleError, window_start
+from evosteer.discretize import eta_values
+from evosteer.gramian import (NotInvertibleError, steering_residual,
+                              synthesize_control, window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup
@@ -218,7 +220,7 @@ class TestVerifyTargets:
                             phi0=rng.normal(size=3))
         targets = [rng.normal(size=3), rng.normal(size=3)]
         report = picard_solve(Sweep(prob, Numerics(time_step=1e-3)), targets)
-        verdict = verify_targets(report, targets, tol_hit=1e-6)
+        verdict = verify_targets(report, targets, Numerics().target_tol)
         assert verdict.totally_controllable
         assert verdict.exactly_controllable
         assert verdict.hits == [True, True]
@@ -230,7 +232,8 @@ class TestVerifyTargets:
         with pytest.raises(NonConvergenceError) as err:
             picard_solve(Sweep(prob, num), cfg.resolved_targets())
         with pytest.raises(NonConvergenceError):
-            verify_targets(err.value.report, cfg.resolved_targets())
+            verify_targets(err.value.report, cfg.resolved_targets(),
+                           Numerics().target_tol)
 
     def test_exact_without_total(self):
         # spoiling only the first window leaves the final-state conclusion
@@ -240,7 +243,7 @@ class TestVerifyTargets:
         targets = [rng.normal(size=2), rng.normal(size=2)]
         num = Numerics(time_step=1e-3, ridge=[0.5, 0.0])
         report = picard_solve(Sweep(prob, num), targets)
-        verdict = verify_targets(report, targets, tol_hit=1e-6)
+        verdict = verify_targets(report, targets, Numerics().target_tol)
         assert verdict.exactly_controllable
         assert not verdict.totally_controllable
 
@@ -254,7 +257,7 @@ class TestVerifyTargets:
         report = picard_solve(Sweep(prob, num), targets)
         assert report.converged
         assert max(report.per_window_defect) <= 1e-8
-        verdict = verify_targets(report, targets)
+        verdict = verify_targets(report, targets, Numerics().target_tol)
         assert verdict.totally_controllable
         traj = report.trajectory
         for j, k in ((1, 1), (2, 3)):
@@ -297,7 +300,7 @@ class TestVerifyTargets:
         targets = [rng.normal(size=2), rng.normal(size=2)]
         num = Numerics(time_step=1e-3, ridge=[0.0, 0.5])
         report = picard_solve(Sweep(prob, num), targets)
-        verdict = verify_targets(report, targets, tol_hit=1e-6)
+        verdict = verify_targets(report, targets, Numerics().target_tol)
         assert not verdict.totally_controllable
         assert verdict.hits == [True, False]
 
@@ -369,3 +372,170 @@ def test_one_kernel_build_per_run(monkeypatch, entry):
                                     Numerics(time_step=1e-2, history_samples=16))
     assert len(calls) == 1
     assert result.certificate.kernel_mass == pytest.approx(0.5, abs=1e-12)
+
+
+def reference_apply(self, traj, targets):
+    """``Sweep.apply`` as it was before history-only forcing and unchanged
+    windows were kept: every sweep reads the whole forcing, runs the Volterra
+    product and solves every control window."""
+    problem = self.problem
+    if self.kern is not None:
+        inner_all = self.kern.inner_convolution(self.kern.q_values(traj, slice(None)))
+    starts, forcings, residuals = [], [], []
+    for grid in self.grids:
+        start = window_start(problem, traj, grid.index)
+        if self.kern is not None:
+            forcing = inner_all[self.kern.block_slice(2 * grid.index)]
+        else:
+            forcing = eta_values(problem, traj, grid.times)
+        starts.append(start)
+        forcings.append(forcing)
+        if targets is not None:
+            residuals.append(steering_residual(start, targets[grid.index],
+                                               grid, forcing))
+    control = (synthesize_control(problem, self.grids, self.blocks, residuals)
+               if targets is not None else None)
+    seg_values = []
+    for k, (a, end, kind, j) in enumerate(self.intervals):
+        if kind == "impulse":
+            seg_values.append(problem.impulse_path(
+                j, self.seg_times[k], traj.left_value_at_theta(j)))
+            continue
+        grid = self.grids[j]
+        F = forcings[j].copy()
+        if control is not None:
+            F += control.samples[j] @ problem.control_matrix.T
+        z = grid.table.evolve(starts[j])
+        z += grid.table.convolve(F, grid.delta)
+        seg_values.append(z)
+    return traj.with_values(seg_values), control
+
+
+def assert_same_apply(got, want):
+    (path, control), (ref_path, ref_control) = got, want
+    assert np.array_equal(path.sample_stack(), ref_path.sample_stack())
+    assert path.sample_stack().tobytes() == ref_path.sample_stack().tobytes()
+    assert (control is None) == (ref_control is None)
+    if control is not None:
+        for name in ("samples", "preimages"):
+            for a, b in zip(getattr(control, name), getattr(ref_control, name)):
+                assert a.tobytes() == b.tobytes()
+
+
+def _mixed_forcing(t, v):
+    return 0.2 * v * (1.0 - 0.1 * v) + 0.05 * t[:, None]
+
+
+def _equivalence_case(name):
+    """(problem, numerics, targets, window solves per iteration count)."""
+    from test_discretize import _mixed_delay_case
+    if name.startswith("transport"):
+        from evosteer.transport import build_case2
+        cfg = TransportConfig(N=16)
+        build = build_case1 if name == "transport-case1" else build_case2
+        num = Numerics(time_step=4e-3, history_samples=48)
+        # Case 1's nonlocal start moves every sweep; Case 2's window 0
+        # starts at phi(0) and window 1's start is final after sweep 2
+        solves = (lambda it: 2 * it) if name == "transport-case1" else (lambda it: 3)
+        return build(cfg), num, cfg.resolved_targets(), solves
+    if name.startswith("mixed"):
+        prob, num, _, _ = _mixed_delay_case(name.split("-")[1], _mixed_forcing)
+        # window 1 reads the live path every sweep
+        return prob, num, [np.ones(2), -np.ones(2)], lambda it: 1 + it
+    rng = np.random.default_rng(42)
+    prob = make_problem(rng.normal(size=(3, 3)) / 2.0, phi0=rng.normal(size=3))
+    return prob, Numerics(time_step=2e-3), [rng.normal(size=3) for _ in range(2)], \
+        lambda it: 3
+
+
+def _solve(sweep, targets):
+    try:
+        return picard_solve(sweep, targets)
+    except NonConvergenceError as err:
+        return err.report
+
+
+@pytest.mark.parametrize("name", ["transport-case1", "transport-case2",
+                                  "mixed-semilinear", "mixed-integro",
+                                  "linear-impulse"])
+def test_kept_forcing_and_windows_give_the_reference_solve(monkeypatch, name):
+    # reading history-only forcing once and keeping unchanged windows
+    # changes no bit of the Picard solve
+    prob, num, targets, solves = _equivalence_case(name)
+    report = _solve(Sweep(prob, num), targets)
+    with monkeypatch.context() as m:
+        m.setattr(Sweep, "apply", reference_apply)
+        ref = _solve(Sweep(prob, num), targets)
+    assert report.converged and ref.converged
+    assert_same_apply((report.trajectory, report.control),
+                      (ref.trajectory, ref.control))
+    assert report.iterations == ref.iterations
+    assert report.final_update == ref.final_update
+    assert report.measured_ratio == ref.measured_ratio
+    assert report.per_window_defect == ref.per_window_defect
+    assert report.window_solves == solves(report.iterations)
+
+
+def test_changed_inputs_are_solved_again():
+    from evosteer.transport import build_case2
+    cfg = TransportConfig(N=16)
+    prob = build_case2(cfg)
+    num = Numerics(time_step=4e-3, history_samples=48)
+    targets = cfg.resolved_targets()
+    sweep, ref = Sweep(prob, num), Sweep(prob, num)
+    traj = sweep.initial_iterate()
+    for _ in range(3):
+        traj, _ = sweep.apply(traj, targets)
+    solves = sweep.window_solves
+    assert solves == 3
+    # unchanged start and target: both windows kept
+    assert_same_apply(sweep.apply(traj, targets), reference_apply(ref, traj, targets))
+    assert sweep.window_solves == solves
+
+    def with_left_value(path, value):
+        values = [v.copy() for v in path.seg_values]
+        values[0][-1] = value
+        return path.with_values(values)
+
+    zero = traj.seg_values[0][-1].copy()
+    zero[0] = 0.0
+    negative_zero = zero.copy()
+    negative_zero[0] = -0.0
+    moved = [targets[0] + 0.25, targets[1]]
+    # (path, targets, windows solved again)
+    cases = [(traj, moved, 1),                             # window 0's target
+             (traj, targets, 1),                           # and back
+             (with_left_value(traj, 1.5 * zero), targets, 1),  # window 1's start
+             (with_left_value(traj, zero), targets, 1),
+             (with_left_value(traj, negative_zero), targets, 1),  # sign of a zero
+             (with_left_value(traj, negative_zero), None, 2)]     # no targets
+    for path, tg, count in cases:
+        solves = sweep.window_solves
+        assert_same_apply(sweep.apply(path, tg), reference_apply(ref, path, tg))
+        assert sweep.window_solves == solves + count
+
+
+def test_kept_state_grows_linearly_with_the_grid():
+    # the frozen forcing, one path per window and the kernel and shift
+    # spectra a Sweep keeps after a solve grow with G, not G^2: halving
+    # the step about doubles them
+    import gc
+    import tracemalloc
+    from evosteer.transport import build_case2
+    cfg = TransportConfig(N=8)
+    kept = []
+    for time_step in (1e-3, 5e-4):
+        num = Numerics(time_step=time_step, history_samples=16)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            sweep = Sweep(build_case2(cfg), num)
+            report = picard_solve(sweep, cfg.resolved_targets())
+            assert sweep.kern.dense_blocks == {}
+            del report
+            gc.collect()
+            kept.append(tracemalloc.get_traced_memory()[0])
+        finally:
+            tracemalloc.stop()
+        del sweep
+    assert 1.5 * kept[0] < kept[1] < 2.5 * kept[0]
