@@ -26,7 +26,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from .certificates import contraction_constant
 from .core import (PiecewiseTrajectory, build_time_mesh, history_segment,
@@ -34,7 +33,7 @@ from .core import (PiecewiseTrajectory, build_time_mesh, history_segment,
 from .gramian import assemble_gramian
 from .problems import AssumptionConstants, Numerics, Problem
 from .runner import run
-from .semigroups import MatrixSemigroup
+from .semigroups import MatrixSemigroup, expm
 from .transport import TransportConfig, build_case1, build_case2
 
 _CACHE: dict = {}
@@ -253,7 +252,7 @@ def criterion_integro(c: Checks) -> None:
     """Case 2: kernel mass, hand-substituted constant, solve quality."""
     result = case2_run()
     kb = result.certificate.kernel_mass
-    b = result.sweep.problem.mesh.b
+    b = result.problem.mesh.b
     c.close(abs(kb - b * b / 2.0), 1e-10, "kernel mass vs closed form")
     # The Volterra forcing's Lipschitz constant is L_q = 1/(a+2) = 0.5 times
     # the kernel mass b^2/2 = 0.5.
@@ -333,7 +332,7 @@ def criterion_impulse_exactness(c: Checks) -> None:
     worst = 0.0
     for result in linear_corpus() + [case1_run(), case2_run()]:
         traj = result.solve.trajectory
-        problem = result.sweep.problem
+        problem = result.problem
         for k, (a, end, kind, j) in enumerate(problem.mesh.intervals()):
             if kind != "impulse":
                 continue

@@ -96,7 +96,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
         result = certify(cfg.problem, cfg.targets, cfg.numerics)
         report = build_report("certify", cfg.echo, cfg.numerics,
                               certificate=result.certificate,
-                              blocks=result.sweep.blocks,
+                              blocks=result.blocks,
                               timings=result.timings if timings_wanted else None)
         write_report(os.path.join(outdir, "report.json"), report)
         print(f"contraction constant {result.certificate.contraction_constant:.6g} "
@@ -126,7 +126,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
     result.timings["emit_s"] = time.perf_counter() - t0
     report = build_report(args.command, cfg.echo, cfg.numerics,
                           certificate=result.certificate,
-                          blocks=result.sweep.blocks,
+                          blocks=result.blocks,
                           solve=result.solve, verdict=result.verdict,
                           oracle_cmp=oracle_cmp,
                           timings=result.timings if timings_wanted else None)

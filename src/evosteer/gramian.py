@@ -5,7 +5,7 @@ For each control window (start, end] the Gramian
     G = int_start^end  T(end - tau) B B* T(end - tau)*  d tau
 
 is assembled by composite trapezoid on the window grid, symmetrized, and
-factorized once.  The synthesized feedback on the window is
+eigendecomposed once, for its floor and its solve.  The feedback on it is
 
     u(tau) = B* T(end - tau)* G^{-1} r,
 
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import PiecewiseTrajectory
 from .discretize import WindowGrid, build_window_grids
@@ -48,20 +47,21 @@ class NotInvertibleError(Exception):
 class GramianBlock:
     """One window's assembled Gramian with its conditioning diagnostics.
 
-    ``min_eig`` is measured on the raw symmetrized matrix; ``ridge`` (if any)
-    is added to the diagonal of the solve matrix and reported, never silent.
-    ``floor_used`` = min_eig + ridge is the realized invertibility floor that
-    certificates consume as the per-window delta.
+    The symmetric ``matrix`` is decomposed once, by ``eigh`` at construction;
+    ``min_eig`` is its smallest eigenvalue.  ``ridge`` (if any) shifts every
+    eigenvalue of the solve and is reported, never silent.  ``floor_used`` =
+    min_eig + ridge is the realized invertibility floor that certificates
+    consume as the per-window delta.
     """
 
     index: int
     matrix: np.ndarray
-    min_eig: float
     delta_floor: float
     ridge: float = 0.0
 
     def __post_init__(self):
-        self._factor = None
+        self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
+        self.min_eig = float(self.eigvals[0])
 
     @property
     def floor_used(self) -> float:
@@ -71,16 +71,6 @@ class GramianBlock:
     def invertible(self) -> bool:
         return self.floor_used >= self.delta_floor
 
-    def solve_matrix(self) -> np.ndarray:
-        if self.ridge:
-            return self.matrix + self.ridge * np.eye(self.matrix.shape[0])
-        return self.matrix
-
-    def factor(self):
-        if self._factor is None:
-            self._factor = cho_factor(self.solve_matrix(), lower=True)
-        return self._factor
-
 
 def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
                        numerics: Numerics) -> GramianBlock:
@@ -88,8 +78,7 @@ def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
     state-to-control weight ratio that makes B* the adjoint of B."""
     G = grid.table.gramian(B, grid.weights[::-1])
     G = 0.5 * scale * (G + G.T)
-    min_eig = float(np.linalg.eigvalsh(G)[0])
-    return GramianBlock(index=grid.index, matrix=G, min_eig=min_eig,
+    return GramianBlock(index=grid.index, matrix=G,
                         ridge=numerics.ridge_for(grid.index),
                         delta_floor=numerics.delta_floor)
 
@@ -113,18 +102,18 @@ def assemble_gramian(semigroup, control_matrix, window,
 
 
 def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
-    """Solve G w = v through the symmetric factorization, refined until the
-    residual is at most 1e-12 relative to v, or after 3 refinement steps."""
+    """Solve (G + ridge I) w = v as V ((V^T r) / (lam + ridge)) from the
+    block's eigendecomposition, refined until the residual r is at most
+    1e-12 relative to v, or after 3 refinement steps."""
     if not block.invertible:
         raise NotInvertibleError(block.index, block.min_eig, block.delta_floor)
-    A = block.solve_matrix()
-    fac = block.factor()
-    w = cho_solve(fac, v)
-    for _ in range(3):
-        r = v - A @ w
+    V, lam = block.eigvecs, block.eigvals + block.ridge
+    w, r = 0.0, v
+    for _ in range(4):
+        w = w + V @ ((V.T @ r) / lam)
+        r = v - (block.matrix @ w + block.ridge * w)
         if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
             break
-        w = w + cho_solve(fac, r)
     return w
 
 

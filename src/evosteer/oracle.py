@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .core import PiecewiseTrajectory
 from .discretize import interval_times
 from .gramian import ControlSignal
 from .problems import Numerics, Problem
+from .semigroups import expm
 
 
 @dataclass

@@ -18,7 +18,9 @@ from .solver import (SolveReport, Sweep, TargetVerdict, picard_solve,
 
 @dataclass
 class RunResult:
-    sweep: Sweep
+    # what callers read of the sweep; the sweep itself is freed with the run
+    problem: Problem
+    blocks: list
     certificate: Certificate
     timings: dict
     solve: Optional[SolveReport] = None
@@ -27,24 +29,27 @@ class RunResult:
     oracle_distance: Optional[float] = None
 
 
+def _prepare(problem: Problem, targets, numerics: Numerics):
+    t0 = time.perf_counter()
+    sweep = Sweep(problem, numerics)
+    return sweep, RunResult(problem, sweep.blocks, certificate_for(sweep, targets),
+                            {"assemble_s": time.perf_counter() - t0})
+
+
 def certify(problem: Problem, targets, numerics: Numerics) -> RunResult:
     """Prepare the run's sweep and certify it, no solve: the first half of
     :func:`run`."""
-    t0 = time.perf_counter()
-    sweep = Sweep(problem, numerics)
-    cert = certificate_for(sweep, targets)
-    return RunResult(sweep=sweep, certificate=cert,
-                     timings={"assemble_s": time.perf_counter() - t0})
+    return _prepare(problem, targets, numerics)[1]
 
 
 def run(problem: Problem, targets, numerics: Numerics,
         with_oracle: bool = False) -> RunResult:
     """The full pipeline behind the solve/oracle commands: :func:`certify`,
     then the Picard solve on the same sweep and the target verdict."""
-    result = certify(problem, targets, numerics)
+    sweep, result = _prepare(problem, targets, numerics)
     timings = result.timings
     t0 = time.perf_counter()
-    result.solve = solve = picard_solve(result.sweep, targets)
+    result.solve = solve = picard_solve(sweep, targets)
     timings["solve_s"] = time.perf_counter() - t0
     result.verdict = verify_targets(solve, targets, numerics.target_tol)
     if with_oracle:

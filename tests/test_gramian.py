@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import cho_factor, cho_solve, expm
 
 from evosteer.certificates import control_bound
 from evosteer.core import build_time_mesh
@@ -15,6 +15,7 @@ from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
+from evosteer.transport import TransportConfig, build_case1
 
 
 def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
@@ -143,13 +144,13 @@ class TestAssembly:
 
 class TestSolve:
     def test_identity(self):
-        blk = GramianBlock(index=0, matrix=np.eye(3), min_eig=1.0,
+        blk = GramianBlock(index=0, matrix=np.eye(3),
                            delta_floor=Numerics().delta_floor)
         v = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(gramian_solve(blk, v), v, atol=1e-14)
 
     def test_diagonal(self):
-        blk = GramianBlock(index=0, matrix=np.diag([2.0, 4.0]), min_eig=2.0,
+        blk = GramianBlock(index=0, matrix=np.diag([2.0, 4.0]),
                            delta_floor=Numerics().delta_floor)
         np.testing.assert_allclose(gramian_solve(blk, np.array([2.0, 4.0])),
                                    [1.0, 1.0], atol=1e-14)
@@ -158,16 +159,30 @@ class TestSolve:
         rng = np.random.default_rng(23)
         R = rng.normal(size=(8, 8))
         G = R @ R.T + 0.05 * np.eye(8)
-        blk = GramianBlock(index=0, matrix=G,
-                           min_eig=float(np.linalg.eigvalsh(G)[0]),
-                           delta_floor=Numerics().delta_floor)
+        blk = GramianBlock(index=0, matrix=G, delta_floor=Numerics().delta_floor)
         for _ in range(10):
             v = rng.normal(size=8)
             w = gramian_solve(blk, v)
             assert np.linalg.norm(G @ w - v) <= 1e-10 * np.linalg.norm(v)
 
+    def test_matches_cholesky_on_case1_n256(self):
+        # the two Case-1 window Gramians at N = 256, condition numbers about
+        # 84 and 141, against scipy's Cholesky solve
+        _, blocks = assemble_all(build_case1(TransportConfig(N=256)),
+                                 Numerics(time_step=1e-3))
+        rng = np.random.default_rng(25)
+        for blk in blocks:
+            assert blk.min_eig == pytest.approx(
+                np.linalg.eigvalsh(blk.matrix)[0], rel=1e-12)
+            fac = cho_factor(blk.matrix, lower=True)
+            for _ in range(10):
+                v = rng.normal(size=256)
+                ref = cho_solve(fac, v)
+                err = np.linalg.norm(gramian_solve(blk, v) - ref)
+                assert err <= 1e-14 * np.linalg.norm(ref)
+
     def test_singular_raises_with_diagnostics(self):
-        blk = GramianBlock(index=2, matrix=np.zeros((2, 2)), min_eig=0.0,
+        blk = GramianBlock(index=2, matrix=np.zeros((2, 2)),
                            delta_floor=Numerics().delta_floor)
         with pytest.raises(NotInvertibleError) as err:
             gramian_solve(blk, np.ones(2))
@@ -175,11 +190,26 @@ class TestSolve:
         assert err.value.min_eig == 0.0
 
     def test_ridge_is_reported_and_used(self):
-        blk = GramianBlock(index=0, matrix=np.zeros((2, 2)), min_eig=0.0,
+        blk = GramianBlock(index=0, matrix=np.zeros((2, 2)),
                            delta_floor=Numerics().delta_floor, ridge=0.5)
         assert blk.floor_used == pytest.approx(0.5)
         np.testing.assert_allclose(gramian_solve(blk, np.array([1.0, 0.0])),
                                    [2.0, 0.0], atol=1e-12)
+
+
+def test_each_gramian_is_decomposed_once(monkeypatch):
+    # one eigh per window Gramian serves its floor, the certificate and
+    # every solve of the Picard iteration
+    from evosteer.runner import run
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh"))
+    cfg = TransportConfig(N=16)
+    result = run(build_case1(cfg), cfg.resolved_targets(),
+                 Numerics(time_step=4e-3, history_samples=32))
+    assert result.solve.window_solves >= 4
+    assert shapes == [(16, 16), (16, 16)]
 
 
 class TestResiduals:

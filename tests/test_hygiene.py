@@ -25,6 +25,19 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def test_package_imports_no_scipy():
+    """The package runs on numpy alone; scipy is a test-side reference."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module or ""] if isinstance(node, ast.ImportFrom)
+                     else [])
+            found += [f"{path.name}:{node.lineno} {n}" for n in names
+                      if n.split(".")[0] == "scipy"]
+    assert not found, f"scipy imported by the package: {found}"
+
+
 def _definitions(tree):
     """Module-level functions, classes and constants, and non-dunder
     methods, as (name, line)."""

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm as scipy_expm
 
-from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
+from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, expm
 
 
 def recurrence_reference(table, F, delta):
@@ -14,6 +15,46 @@ def recurrence_reference(table, F, delta):
         acc = E @ acc + F[g]
         out[g] = delta * (acc - 0.5 * F[g])
     return out
+
+
+class TestExpm:
+    def test_diagonal(self):
+        d = np.array([-3.0, 0.0, 0.5, 7.0])
+        np.testing.assert_allclose(expm(np.diag(d)), np.diag(np.exp(d)),
+                                   rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("t", [0.3, 2.0, 40.0])
+    def test_rotation(self, t):
+        got = expm(np.array([[0.0, -t], [t, 0.0]]))
+        want = np.array([[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]])
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, t)
+
+    @pytest.mark.parametrize("lam", [-4.0, 0.0, 1.5])
+    def test_jordan_block(self, lam):
+        # exp([[l, 1], [0, l]]) = e^l [[1, 1], [0, 1]]
+        got = expm(np.array([[lam, 1.0], [0.0, lam]]))
+        want = np.exp(lam) * np.array([[1.0, 1.0], [0.0, 1.0]])
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    def test_matches_scipy_on_random_matrices(self):
+        rng = np.random.default_rng(30)
+        worst = 0.0
+        for _ in range(250):
+            d = int(rng.integers(2, 7))
+            A = rng.normal(size=(d, d))
+            A *= rng.uniform(0.0, 30.0 * np.sqrt(d)) / np.linalg.norm(A, 2)
+            ref = scipy_expm(A)
+            worst = max(worst, np.linalg.norm(expm(A) - ref) / np.linalg.norm(ref))
+        assert worst <= 1e-11
+
+    def test_matches_scipy_on_lag_steps(self):
+        # the lag tables exponentiate delta * A with delta a solver step
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            d = int(rng.integers(1, 9))
+            dA = float(rng.uniform(1e-4, 1e-3)) * rng.normal(size=(d, d))
+            ref = scipy_expm(dA)
+            assert np.linalg.norm(expm(dA) - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
 class TestMatrixBackend:
@@ -174,6 +215,30 @@ class TestLagTables:
         expected = sum(w[k] * T.apply(0.013 * lags[k], F[k]) for k in range(41))
         np.testing.assert_allclose(table.lagged_weighted_sum(lags, F, w),
                                    expected, atol=1e-12)
+
+    @pytest.mark.parametrize("N, m", [(256, 300), (64, 1200), (16, 10)])
+    def test_shift_gathers_match_index_arrays(self, N, m):
+        # evolve, adjoint_evolve and lagged_weighted_sum read windows of the
+        # padded vector; the same bits as gathering through index arrays
+        table = ShiftSemigroup(N).lag_table(0.45 / m, m)
+        assert np.count_nonzero(table.frac) > m // 2
+        rng = np.random.default_rng(14)
+        v, F, w = rng.normal(size=N), rng.normal(size=(m + 1, N)), rng.random(m + 1)
+        off, c, P = table.off[:, None], table.frac[:, None], table.pad
+        cols = np.arange(N)[None, :]
+        Vp = np.pad(v, (0, P))
+        assert np.array_equal(table.evolve(v), (1.0 - c) * Vp[off + cols]
+                              + c * Vp[off + cols + 1])
+        Vp = np.pad(v, (P, 0))
+        assert np.array_equal(table.adjoint_evolve(v), (1.0 - c) * Vp[P + cols - off]
+                              + c * Vp[P + cols - off - 1])
+        lags = m - np.arange(m + 1)
+        Fp = np.pad(w[:, None] * F, ((0, 0), (0, P)))
+        idx = table.off[lags][:, None] + cols
+        cl = table.frac[lags][:, None]
+        want = np.sum((1.0 - cl) * np.take_along_axis(Fp, idx, axis=1)
+                      + cl * np.take_along_axis(Fp, idx + 1, axis=1), axis=0)
+        assert np.array_equal(table.lagged_weighted_sum(lags, F, w), want)
 
     def test_convolution_matches_quadrature(self):
         # matrix backend: trapezoid sum built lag-by-lag equals the fused sweep

@@ -329,6 +329,33 @@ def test_one_gramian_assembly_per_run(monkeypatch, entry):
 
 
 @pytest.mark.parametrize("entry", ["run", "certify"])
+def test_run_result_releases_the_sweep(monkeypatch, entry):
+    # the CLI writes its outputs from the result; the sweep's grids, lag
+    # tables and kernel are freed before that, only its blocks are kept
+    import dataclasses
+    import gc
+    import weakref
+    from evosteer import runner
+    made = []
+
+    class Tracked(Sweep):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(runner, "Sweep", Tracked)
+    rng = np.random.default_rng(39)
+    prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
+    targets = [rng.normal(size=2), rng.normal(size=2)]
+    result = getattr(runner, entry)(prob, targets, Numerics(time_step=2e-3))
+    assert not any(isinstance(getattr(result, f.name), Sweep)
+                   for f in dataclasses.fields(result))
+    assert result.problem is prob and len(result.blocks) == 2
+    gc.collect()
+    assert len(made) == 1 and made[0]() is None
+
+
+@pytest.mark.parametrize("entry", ["run", "certify"])
 def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
     # both commands prepare through one Sweep, which checks every Gramian
     # before it builds the Volterra kernel
