@@ -130,19 +130,25 @@ def window_start(problem: Problem, traj: PiecewiseTrajectory, j: int) -> np.ndar
     return problem.impulse_path(j, [problem.mesh.lam[j]], x_minus)[0]
 
 
+def forcing_integral(grid: WindowGrid, forcing: np.ndarray) -> np.ndarray:
+    """int_start^end T(end - tau) f(tau) dtau by trapezoid on the window
+    grid, with f the forcing sampled on it (eta(tau, x_tau) for the
+    semilinear variant, the running kernel convolution for the integro one).
+    """
+    lags = grid.m - np.arange(grid.m + 1)
+    return grid.table.lagged_weighted_sum(lags, forcing, grid.weights)
+
+
 def steering_residual(start: np.ndarray, target: np.ndarray, grid: WindowGrid,
-                      forcing: np.ndarray) -> np.ndarray:
+                      integral: np.ndarray) -> np.ndarray:
     """Residual of a control window: the uncontrolled terminal defect
 
         r = target - T(end - start) x0 - int T(end - tau) f(tau) dtau,
 
-    with x0 = ``start`` the window start (see :func:`window_start`) and f
-    the forcing sampled on the window grid (eta(tau, x_tau) for the
-    semilinear variant, the running kernel convolution for the integro one).
+    with x0 = ``start`` the window start (see :func:`window_start`) and the
+    forcing's ``integral`` from :func:`forcing_integral`.
     """
     free = grid.table.apply(grid.m, start)
-    lags = grid.m - np.arange(grid.m + 1)
-    integral = grid.table.lagged_weighted_sum(lags, forcing, grid.weights)
     return np.asarray(target, dtype=float) - free - integral
 
 

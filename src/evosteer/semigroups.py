@@ -55,6 +55,25 @@ def expm(A: np.ndarray) -> np.ndarray:
     return E
 
 
+def powers(P: np.ndarray, m: int, X: np.ndarray) -> np.ndarray:
+    """The stack P^0 X..P^m X of a square P times a d x c block X, by
+    batched doubling: with P^0 X..P^k X known, P^{k+1} X..P^{2k} X are P^k
+    times P^1 X..P^k X, one matmul into the stack, and P^k is then squared,
+    so ceil(log2 m) steps in all (N. J. Higham, Functions of Matrices, SIAM
+    2008, ch. 4).  X = I gives the powers themselves."""
+    stack = np.empty((m + 1,) + X.shape)
+    stack[0] = X
+    stack[1:2] = P @ X    # no row when m = 0
+    Pk, k = P, 1    # Pk = P^k
+    while k < m:
+        n = min(k, m - k)
+        np.matmul(Pk, stack[1:n + 1], out=stack[k + 1:k + n + 1])
+        k += n
+        if k < m:
+            Pk = Pk @ Pk
+    return stack
+
+
 def fft_length(n: int) -> int:
     """The smallest 5-smooth integer >= n: numpy's FFT is several times
     slower at lengths with large prime factors."""
@@ -71,17 +90,15 @@ def fft_length(n: int) -> int:
 class MatrixLagTable:
     """Propagators T(g * delta) = E^g, E = expm(delta * A), for g = 0..m.
 
-    The powers are formed once, by repeated multiplication, into ``stack``;
-    the Gramian, the window sweep and the residual all read that one array.
+    The powers are formed once, by batched doubling (:func:`powers`), into
+    ``stack``; the Gramian, the window sweep and the residual all read that
+    one array.  ``growth`` = max(1, |E^m|_2) sets the convolution's tilt.
     """
 
     def __init__(self, E: np.ndarray, m: int):
-        d = E.shape[0]
-        self.stack = np.empty((m + 1, d, d))
-        self.stack[0] = np.eye(d)
-        for g in range(1, m + 1):
-            self.stack[g] = E @ self.stack[g - 1]
+        self.stack = powers(E, m, np.eye(E.shape[0]))
         self.m = m
+        self.growth = max(1.0, np.linalg.norm(self.stack[m], 2))
 
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         return self.stack[g] @ v
@@ -112,7 +129,7 @@ class MatrixLagTable:
         with r^m = max(1, |E^m|_2): each row keeps its own relative accuracy."""
         m = self.m
         assert F.shape[0] - 1 == m
-        tilt = max(1.0, np.linalg.norm(self.stack[m], 2)) ** (-np.arange(m + 1) / m)
+        tilt = self.growth ** (-np.arange(m + 1) / m)
         Fw = tilt[:, None] * F
         Fw[0] *= 0.5
         n = fft_length(2 * m + 1)    # shorter circular lengths alias

@@ -19,8 +19,8 @@ fixed history: those rows are read once per run, the method of steps
 (A. Bellen and M. Zennaro, Numerical Methods for Delay Differential
 Equations, OUP 2003).  Control is recomputed only for the windows whose
 inputs changed: a window whose forcing rows are all read from the history
-keeps its path and control while its start and target stay bit for bit the
-same.
+keeps its forcing integral for the run, and its path and control while its
+start and target stay bit for bit the same.
 """
 
 from __future__ import annotations
@@ -33,7 +33,8 @@ import numpy as np
 from .core import PiecewiseTrajectory, path_sup_norm, sup_distance
 from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
-                      steering_residual, synthesize_control, window_start)
+                      forcing_integral, steering_residual, synthesize_control,
+                      window_start)
 from .problems import Numerics, Problem
 
 
@@ -115,6 +116,7 @@ class Sweep:
                                                            side="right"))
         # Window j's forcing reads the forcing rows up to its end only.
         self._frozen_windows = [g.end <= beta for g in self.grids]
+        self._integrals = [None] * len(self.grids)
         self._forcing = None
         self._q = None
         self._solved = [None] * len(self.grids)
@@ -168,6 +170,18 @@ class Sweep:
         self._forcing = [inner[kern.block_slice(2 * g.index)] for g in self.grids]
         return self._forcing
 
+    def _integral(self, grid, forcing: np.ndarray) -> np.ndarray:
+        """The window's forcing integral, kept once computed for a window
+        whose forcing rows are all frozen: its forcing is then the same bits
+        on every sweep."""
+        j = grid.index
+        integral = self._integrals[j]
+        if integral is None:
+            integral = forcing_integral(grid, forcing)
+            if self._frozen_windows[j]:
+                self._integrals[j] = integral
+        return integral
+
     def apply(self, traj: PiecewiseTrajectory, targets):
         """One application of the steered operator; returns the new path and
         the synthesized control (None without targets).
@@ -194,7 +208,7 @@ class Sweep:
         self.window_solves += len(todo)
         if targets is not None and todo:
             residuals = [steering_residual(start, targets[grid.index], grid,
-                                           forcings[grid.index])
+                                           self._integral(grid, forcings[grid.index]))
                          for grid, start, key in todo]
             fresh = synthesize_control(problem, [grid for grid, *_ in todo],
                                        [self.blocks[grid.index] for grid, *_ in todo],

@@ -10,7 +10,7 @@ from evosteer.discretize import (KernelDiscretization, WindowGrid,
                                  build_window_grids, eta_values)
 from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
                               assemble_from_grid, assemble_gramian,
-                              gramian_solve, steering_residual,
+                              forcing_integral, gramian_solve, steering_residual,
                               synthesize_control, window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
@@ -223,8 +223,8 @@ class TestResiduals:
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         target = expm(A) @ phi0
-        r = steering_residual(window_start(prob, traj, 0), target,
-                              grids[0], _eta(prob, traj, grids[0]))
+        r = _residual(window_start(prob, traj, 0), target,
+                      grids[0], _eta(prob, traj, grids[0]))
         assert np.linalg.norm(r) <= 1e-10
 
     def test_constant_forcing_closed_form(self):
@@ -236,8 +236,8 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = steering_residual(window_start(prob, traj, 0), np.array([2.0]),
-                              grids[0], _eta(prob, traj, grids[0]))
+        r = _residual(window_start(prob, traj, 0), np.array([2.0]),
+                      grids[0], _eta(prob, traj, grids[0]))
         assert r[0] == pytest.approx(2.0 - 0.3, abs=1e-13)
 
     def test_impulse_window_residual(self):
@@ -254,8 +254,8 @@ class TestResiduals:
         traj = _flat_traj(prob, num)
         x_minus = traj.left_value_at_theta(1)
         target = rng.normal(size=2)
-        r = steering_residual(window_start(prob, traj, 1), target,
-                              grids[1], _eta(prob, traj, grids[1]))
+        r = _residual(window_start(prob, traj, 1), target,
+                      grids[1], _eta(prob, traj, grids[1]))
         manual = target - expm(0.5 * A) @ (0.5 * x_minus)
         np.testing.assert_allclose(r, manual, atol=1e-11)
 
@@ -270,8 +270,8 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = steering_residual(window_start(prob, traj, 0), np.array([2.0]),
-                              grids[0], _inner(prob, traj, num))
+        r = _residual(window_start(prob, traj, 0), np.array([2.0]),
+                      grids[0], _inner(prob, traj, num))
         assert r[0] == pytest.approx(2.0 - 0.25 - 0.5, abs=1e-12)
 
     def test_kernel_residual_zero_integrand(self):
@@ -287,8 +287,8 @@ class TestResiduals:
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         target = rng.normal(size=2)
-        r = steering_residual(window_start(prob, traj, 0), target,
-                              grids[0], _inner(prob, traj, num))
+        r = _residual(window_start(prob, traj, 0), target,
+                      grids[0], _inner(prob, traj, num))
         np.testing.assert_allclose(r, target - expm(A) @ phi0, atol=1e-11)
 
 
@@ -402,6 +402,10 @@ class TestControlBound:
         q = control_bound(prob, 1, np.array([1.0]), 0.5, forcing_sup=1.0)
         # (M K / floor) (|target| + K * impulse_sup + K N b)
         assert q == pytest.approx((1.0 / 0.5) * (1.0 + 0.2 + 1.0), abs=1e-13)
+
+
+def _residual(start, target, grid, forcing):
+    return steering_residual(start, target, grid, forcing_integral(grid, forcing))
 
 
 def _flat_traj(problem, numerics):

@@ -1,11 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from evosteer.config import load_config
 from evosteer.core import build_time_mesh
+from evosteer.discretize import interval_times
 from evosteer.oracle import oracle_linear
 from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
 from evosteer.runner import run
-from evosteer.semigroups import MatrixSemigroup
+from evosteer.semigroups import MatrixSemigroup, expm
 from evosteer.solver import Sweep, picard_solve
 
 
@@ -38,6 +42,40 @@ def rk4_reference(problem, control, numerics):
                     z = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 vals.append(z[:d])
             vals = np.array(vals)
+        paths.append(vals)
+        x = vals[-1].copy()
+    return paths
+
+
+CONFIGS = Path(__file__).parents[1] / "configs"
+
+
+def per_node_reference(problem, control, numerics):
+    """Per-window sample paths of the oracle as it advanced before batched
+    doubling: the same RK4 step matrix, applied once per solver node."""
+    A, d, refine = problem.semigroup.A, problem.dim, numerics.oracle_refine
+    M = np.zeros((2 * d, 2 * d))
+    M[:d, :d] = A
+    M[:d, d:] = problem.control_matrix @ problem.control_adjoint()
+    M[d:, d:] = -A.T
+    eye = np.eye(2 * d)
+    x = problem.phi0().copy()
+    paths = []
+    for times, (a, end, kind, j) in zip(interval_times(problem.mesh, numerics),
+                                        problem.mesh.intervals()):
+        m = len(times) - 1
+        if kind == "impulse":
+            vals = problem.impulse_path(j, times, x)
+        else:
+            z = np.concatenate([x, expm(A.T * (end - a)) @ control.preimages[j]])
+            hM = (end - a) / (m * refine) * M
+            P = eye + hM @ (eye + hM @ (eye + hM @ (eye + hM / 4.0) / 3.0) / 2.0)
+            step = np.linalg.matrix_power(P, refine)
+            vals = np.empty((m + 1, d))
+            vals[0] = x
+            for i in range(m):
+                z = step @ z
+                vals[i + 1] = z[:d]
         paths.append(vals)
         x = vals[-1].copy()
     return paths
@@ -116,6 +154,27 @@ class TestOracle:
         assert len(paths) == len(res.trajectory.seg_values) == 3
         for ref, got in zip(paths, res.trajectory.seg_values):
             np.testing.assert_allclose(got, ref, rtol=0.0, atol=1e-11)
+
+    @pytest.mark.parametrize("case", ["linear-2d", "non-normal"])
+    def test_matches_per_node_stepping(self, case):
+        # every node state within 1e-12 of the paths' largest entry
+        # (measured at most 3.2e-14)
+        if case == "linear-2d":
+            cfg = load_config(str(CONFIGS / "linear-2d.ini"))
+            prob, targets, num = cfg.problem, cfg.targets, cfg.numerics
+        else:
+            mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+            prob = linear_problem([[-5.0, 100.0], [0.0, -5.0]], mesh, [1.0, -0.5])
+            targets = [np.array([0.5, 0.2]), np.array([-0.3, 0.1])]
+            num = Numerics(time_step=2e-4)
+        report = picard_solve(Sweep(prob, num), targets)
+        got = oracle_linear(prob, report.control, targets, num).trajectory.seg_values
+        want = per_node_reference(prob, report.control, num)
+        scale = max(np.abs(w).max() for w in want)
+        assert len(got) == len(want) == 3
+        for g, w in zip(got, want):
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= 1e-12 * scale
 
     def test_rejects_nonlinear(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)

@@ -5,8 +5,9 @@ import pytest
 
 from evosteer.core import build_time_mesh, path_sup_norm, sup_distance
 from evosteer.discretize import eta_values
-from evosteer.gramian import (NotInvertibleError, steering_residual,
-                              synthesize_control, window_start)
+from evosteer.gramian import (NotInvertibleError, forcing_integral,
+                              steering_residual, synthesize_control,
+                              window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup
@@ -418,8 +419,8 @@ def reference_apply(self, traj, targets):
         starts.append(start)
         forcings.append(forcing)
         if targets is not None:
-            residuals.append(steering_residual(start, targets[grid.index],
-                                               grid, forcing))
+            residuals.append(steering_residual(start, targets[grid.index], grid,
+                                               forcing_integral(grid, forcing)))
     control = (synthesize_control(problem, self.grids, self.blocks, residuals)
                if targets is not None else None)
     seg_values = []
@@ -475,6 +476,10 @@ def _equivalence_case(name):
         lambda it: 3
 
 
+EQUIVALENCE_CASES = ["transport-case1", "transport-case2", "mixed-semilinear",
+                     "mixed-integro", "linear-impulse"]
+
+
 def _solve(sweep, targets):
     try:
         return picard_solve(sweep, targets)
@@ -482,9 +487,7 @@ def _solve(sweep, targets):
         return err.report
 
 
-@pytest.mark.parametrize("name", ["transport-case1", "transport-case2",
-                                  "mixed-semilinear", "mixed-integro",
-                                  "linear-impulse"])
+@pytest.mark.parametrize("name", EQUIVALENCE_CASES)
 def test_kept_forcing_and_windows_give_the_reference_solve(monkeypatch, name):
     # reading history-only forcing once and keeping unchanged windows
     # changes no bit of the Picard solve
@@ -501,6 +504,27 @@ def test_kept_forcing_and_windows_give_the_reference_solve(monkeypatch, name):
     assert report.measured_ratio == ref.measured_ratio
     assert report.per_window_defect == ref.per_window_defect
     assert report.window_solves == solves(report.iterations)
+
+
+@pytest.mark.parametrize("name", EQUIVALENCE_CASES)
+def test_frozen_window_forcing_integral_is_computed_once(monkeypatch, name):
+    # a window whose forcing rows are all frozen takes its forcing integral
+    # once per run, however often it is solved; a live window, every sweep
+    from collections import Counter
+    from evosteer.semigroups import MatrixLagTable, ShiftLagTable
+    calls = Counter()
+    for cls in (MatrixLagTable, ShiftLagTable):
+        def counted(self, *args, original=cls.lagged_weighted_sum):
+            calls[id(self)] += 1
+            return original(self, *args)
+        monkeypatch.setattr(cls, "lagged_weighted_sum", counted)
+    prob, num, targets, _ = _equivalence_case(name)
+    sweep = Sweep(prob, num)
+    report = _solve(sweep, targets)
+    frozen = [g.end <= prob.beta for g in sweep.grids]
+    assert any(frozen)
+    assert [calls[id(g.table)] for g in sweep.grids] == \
+        [1 if f else report.iterations for f in frozen]
 
 
 def test_changed_inputs_are_solved_again():
