@@ -17,6 +17,7 @@ environment variable overrides the configured output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -35,7 +36,11 @@ EXIT_SINGULAR = 3
 EXIT_NO_CONVERGENCE = 4
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it costs an
+    order of magnitude more than parsing a command line, and a process may
+    run many commands."""
     parser = argparse.ArgumentParser(
         prog="evosteer",
         description="Minimum-energy steering of impulsive delay evolution "
@@ -48,7 +53,11 @@ def main(argv=None) -> int:
                        help="omit wall-clock timings from the report")
     st = sub.add_parser("selftest")
     st.add_argument("--criterion", help="run a single criterion by name")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     if args.command == "selftest":
         return _selftest(args)
@@ -113,10 +122,9 @@ def _dispatch(args, cfg: RunConfig) -> int:
     result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=with_oracle)
 
     t0 = time.perf_counter()
-    control_fields = emit_control(result.solve.control,
-                                  os.path.join(outdir, "control.csv"))
+    emit_control(result.solve.control, os.path.join(outdir, "control.csv"))
     emit_trajectory(result.solve.trajectory, result.solve.control,
-                    os.path.join(outdir, "trajectory.csv"), control_fields)
+                    os.path.join(outdir, "trajectory.csv"))
     oracle_cmp = None
     if with_oracle:
         emit_trajectory(result.oracle.trajectory, None,

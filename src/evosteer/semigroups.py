@@ -15,8 +15,8 @@ Two backends:
 
 Both expose a ``lag_table`` with the grid machinery the steering pipeline
 needs: propagator action at every lag g * delta of a uniform window grid.
-Lag-table data is immutable after construction; the shift table keeps its
-lag kernel's spectrum once formed.
+Lag-table data is immutable after construction; each table keeps its
+convolution kernel's spectrum once formed.
 """
 
 from __future__ import annotations
@@ -121,6 +121,16 @@ class MatrixLagTable:
         """sum_k w_k T(lags_k * delta) F_k."""
         return np.einsum("kij,kj->i", self.stack[lags], w[:, None] * F)
 
+    @functools.cached_property
+    def _tilted_spectrum(self) -> tuple:
+        """The tilt r^-g and the spectrum of the tilted stack, formed on the
+        first convolve and kept: neither changes, and a run which only
+        certifies pays nothing."""
+        m = self.m
+        tilt = self.growth ** (-np.arange(m + 1) / m)
+        n = fft_length(2 * m + 1)    # shorter circular lengths alias
+        return tilt, np.fft.rfft(tilt[:, None, None] * self.stack, n, axis=0)
+
     def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
         """Trapezoid approximations of int_0^{g*delta} T(g*delta - s) f(s) ds
         for every g, where f is sampled row-wise in F, as one FFT product of
@@ -129,11 +139,10 @@ class MatrixLagTable:
         with r^m = max(1, |E^m|_2): each row keeps its own relative accuracy."""
         m = self.m
         assert F.shape[0] - 1 == m
-        tilt = self.growth ** (-np.arange(m + 1) / m)
+        tilt, spec = self._tilted_spectrum
         Fw = tilt[:, None] * F
         Fw[0] *= 0.5
-        n = fft_length(2 * m + 1)    # shorter circular lengths alias
-        spec = np.fft.rfft(tilt[:, None, None] * self.stack, n, axis=0)
+        n = fft_length(2 * m + 1)
         prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
         out = delta * (np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None] - 0.5 * F)
         out[0] = 0.0

@@ -1,3 +1,4 @@
+import argparse
 import configparser
 import csv
 import io
@@ -312,6 +313,35 @@ class TestCommands:
         assert "requires a problem linear" in capsys.readouterr().err
         assert calls == [1, 1]
 
+    def test_one_parser_serves_every_command(self, tmp_path, capsys, monkeypatch):
+        # a process running several commands builds its argument parser
+        # once, and each command keeps its own exit code and message
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        cli._parser.cache_clear()
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        ok = write(tmp_path, "a.ini", PRESET_CFG.format(out=tmp_path / "a"))
+        bad = write(tmp_path, "b.ini", PRESET_CFG.replace("n = 12", "n = 12\nbeta = -1")
+                    .format(out=tmp_path / "b"))
+        try:
+            assert main(["solve", ok, "--no-timing"]) == 0
+            assert "totally controllable: True" in capsys.readouterr().out
+            assert main(["certify", ok, "--no-timing"]) == 0
+            assert "contraction constant" in capsys.readouterr().out
+            assert main(["solve", bad]) == 2
+            assert capsys.readouterr().err.startswith("config error: ")
+            with pytest.raises(SystemExit) as usage:
+                main(["solve"])
+            assert usage.value.code == 2
+        finally:
+            cli._parser.cache_clear()
+        assert built.count("evosteer") == 1
+
     def test_oversized_kernel_exits_2(self, tmp_path, capsys, monkeypatch):
         # steps 23077/15385/38462 make every interval's step differ, so the
         # three off-diagonal pairs need 13.7 GiB of dense blocks
@@ -385,11 +415,12 @@ def control_reference(control) -> bytes:
          for t, u in zip(times, U)])
 
 
-# Rows per chunk: None keeps CHUNK_VALUES (no boundary inside an interval),
-# 1 puts a boundary before every row, 7 inside every interval, and 20 before
-# the L row of every interval of both test meshes (60/40/100 and 400/200/400
-# steps), which is then a chunk of its own.
-CHUNK_ROWS = [None, 1, 7, 20]
+# Rows per block: None keeps CHUNK_VALUES (each test file is one block
+# across all its intervals), 1 puts a boundary before every row, 7 and 20
+# put boundaries inside intervals and blocks across interval ends, and 16
+# starts a block at the history's L row of both test runs (129 and 33
+# history rows).
+CHUNK_ROWS = [None, 1, 7, 16, 20]
 
 
 CHUNK_VALUES = reports.CHUNK_VALUES
@@ -474,16 +505,16 @@ class TestCsvRoundTrip:
             assert path.read_bytes() == control_reference(control), rows
 
     def test_transport_rows_across_chunks(self, preset_run, tmp_path, monkeypatch):
-        # the command's data flow: emit_control's fields spliced into the
-        # trajectory, each file with its own chunk boundaries
+        # the command's data flow: both files of one run, each with its own
+        # block boundaries
         traj, control = preset_run.solve.trajectory, preset_run.solve.control
         mu = control.samples[0].shape[1]
-        assert [len(t) % 20 for t in traj.seg_times] == [1, 1, 1]
+        assert len(traj.history_times()) % 16 == 1
         for rows in CHUNK_ROWS:
             set_chunk_rows(monkeypatch, rows, 1 + mu)
-            fields = emit_control(control, str(tmp_path / "c.csv"))
+            emit_control(control, str(tmp_path / "c.csv"))
             set_chunk_rows(monkeypatch, rows, 1 + traj.dim + mu)
-            emit_trajectory(traj, control, str(tmp_path / "t.csv"), fields)
+            emit_trajectory(traj, control, str(tmp_path / "t.csv"))
             assert ((tmp_path / "t.csv").read_bytes()
                     == trajectory_reference(traj, control)), rows
             assert (tmp_path / "c.csv").read_bytes() == control_reference(control), rows
@@ -506,23 +537,24 @@ def synthetic_path(steps: int, dim: int):
 
 
 def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
-    # Per value of a chunk a writer holds a float object, references to it
-    # and a few copies of its formatted text at once: about 72-81 bytes at
-    # 1,000, 4,000 and 16,000 steps.  The transient memory beyond what
-    # emission returns stays under 96 bytes per chunk value at both
-    # resolutions, while at the finer one the trajectory file, and the rows
-    # of its last control window alone (at least 18 characters per value),
-    # are larger than that bound.
+    # Per value of a block a writer holds the value, its 32-byte text slot,
+    # the block's word matrix with the rows' literal words, and then the
+    # compacted text, one at a time or two together, plus a formatting
+    # pass's temporaries: about 66 bytes at 1,000 and 4,000 steps.  The
+    # transient memory beyond what was retained before stays under 96 bytes
+    # per chunk value at both resolutions, while at the finer one the
+    # trajectory file, and the rows of its last control window alone (at
+    # least 18 characters per value), are larger than that bound.
     bound = 96 * reports.CHUNK_VALUES
     for steps in (1000, 4000):
         traj, control = synthetic_path(steps, 32)
         tracemalloc.start()
         try:
-            fields = emit_control(control, str(tmp_path / "c.csv"))
+            emit_control(control, str(tmp_path / "c.csv"))
             retained, peak = tracemalloc.get_traced_memory()
             assert peak - retained <= bound
             tracemalloc.reset_peak()
-            emit_trajectory(traj, control, str(tmp_path / "t.csv"), fields)
+            emit_trajectory(traj, control, str(tmp_path / "t.csv"))
             assert tracemalloc.get_traced_memory()[1] - retained <= bound
         finally:
             tracemalloc.stop()

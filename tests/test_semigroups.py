@@ -1,8 +1,15 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.linalg import expm as scipy_expm
 
-from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, expm, powers
+from evosteer.config import load_config
+from evosteer.runner import run
+from evosteer.semigroups import (MatrixLagTable, MatrixSemigroup, ShiftSemigroup,
+                                 expm, fft_length, powers)
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def recurrence_reference(table, F, delta):
@@ -14,6 +21,21 @@ def recurrence_reference(table, F, delta):
     for g in range(1, F.shape[0]):
         acc = E @ acc + F[g]
         out[g] = delta * (acc - 0.5 * F[g])
+    return out
+
+
+def tilted_fft_reference(table, F, delta):
+    """The matrix convolve as it was formed before the table kept its
+    spectrum: the tilted stack transformed again on every call."""
+    m = table.m
+    tilt = table.growth ** (-np.arange(m + 1) / m)
+    Fw = tilt[:, None] * F
+    Fw[0] *= 0.5
+    n = fft_length(2 * m + 1)
+    spec = np.fft.rfft(tilt[:, None, None] * table.stack, n, axis=0)
+    prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
+    out = delta * (np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None] - 0.5 * F)
+    out[0] = 0.0
     return out
 
 
@@ -404,3 +426,35 @@ def test_shift_kernel_spectrum_is_formed_once(monkeypatch):
     for F, want in zip(forcings, fresh):
         assert table.convolve(F, delta).tobytes() == want.tobytes()
     assert len(calls) == 1 + len(forcings)
+
+
+def test_matrix_spectrum_is_formed_once(monkeypatch):
+    # the tilted stack's transform is taken on a table's first convolve only;
+    # every convolve gives what the per-call transform gave, bit for bit
+    rng = np.random.default_rng(15)
+    m, delta = 40, 2.5e-2
+    table = MatrixSemigroup(rng.normal(size=(3, 3))).lag_table(delta, m)
+    forcings = [rng.normal(size=(m + 1, 3)) for _ in range(3)]
+    wants = [tilted_fft_reference(table, F, delta) for F in forcings]
+    stack_ffts = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs:
+                        stack_ffts.append(np.ndim(a) == 3) or rfft(a, *args, **kwargs))
+    for F, want in zip(forcings, wants):
+        assert np.array_equal(table.convolve(F, delta), want)
+    assert sum(stack_ffts) == 1
+
+
+def test_matrix_spectrum_once_per_table_over_a_run(monkeypatch):
+    # a whole linear solve transforms each convolving table's stack once,
+    # however many Picard sweeps it runs
+    cfg = load_config(str(CONFIGS / "linear-2d.ini"))
+    stack_ffts, tables = [], set()
+    rfft, convolve = np.fft.rfft, MatrixLagTable.convolve
+    monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs:
+                        stack_ffts.append(np.ndim(a) == 3) or rfft(a, *args, **kwargs))
+    monkeypatch.setattr(MatrixLagTable, "convolve", lambda self, F, delta:
+                        tables.add(id(self)) or convolve(self, F, delta))
+    result = run(cfg.problem, cfg.targets, cfg.numerics)
+    assert result.solve.iterations > 1 and tables
+    assert sum(stack_ffts) == len(tables)
