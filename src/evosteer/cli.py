@@ -24,8 +24,8 @@ import time
 
 from .config import ConfigError, RunConfig, load_config
 from .gramian import NotInvertibleError
-from .reports import (build_report, emit_control, emit_trajectory,
-                      ensure_outdir, write_report)
+from .reports import (build_report, emit_trajectory, ensure_outdir,
+                      write_report)
 from .runner import certify, run
 from .solver import NonConvergenceError
 
@@ -91,10 +91,20 @@ def _release_freed_memory() -> None:
     so a process that runs several commands would otherwise start each one
     on a heap whose resident size depends on where the last one's blocks
     happened to land."""
+    trim = _malloc_trim()
+    if trim is not None:
+        trim(0)
+
+
+@functools.cache
+def _malloc_trim():
+    """glibc's ``malloc_trim``, or None, looked up once per process: loading
+    the C library's handle costs far more than the trim itself."""
     import ctypes
     trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
     if trim is not None:
-        trim(0)
+        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
 
 
 def _dispatch(args, cfg: RunConfig) -> int:
@@ -122,9 +132,9 @@ def _dispatch(args, cfg: RunConfig) -> int:
     result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=with_oracle)
 
     t0 = time.perf_counter()
-    emit_control(result.solve.control, os.path.join(outdir, "control.csv"))
     emit_trajectory(result.solve.trajectory, result.solve.control,
-                    os.path.join(outdir, "trajectory.csv"))
+                    os.path.join(outdir, "trajectory.csv"),
+                    os.path.join(outdir, "control.csv"))
     oracle_cmp = None
     if with_oracle:
         emit_trajectory(result.oracle.trajectory, None,

@@ -191,7 +191,9 @@ def synthesize_control(problem: Problem, grids: list, blocks: list,
     for grid, block, r in zip(grids, blocks, residuals):
         y = gramian_solve(block, r)
         adj = grid.table.adjoint_evolve(y)          # rows T(g*delta)* y
-        U = adj[grid.m - np.arange(grid.m + 1)] @ B_adj.T
+        U = adj[grid.m - np.arange(grid.m + 1)]
+        if not problem.identity_control:
+            U = U @ B_adj.T
         times.append(grid.times)
         samples.append(U)
         preimages.append(y)

@@ -131,6 +131,11 @@ class Problem:
             raise ValueError("the integro variant carries no nonlocal coupling")
         if self.control_weight is None:
             self.control_weight = self.semigroup.weight
+        # B = I with equal weights makes B and B* the identity, and the
+        # solve skips their products, which would only copy
+        self.identity_control = (self.control_weight == self.state_weight
+                                 and np.array_equal(self.control_matrix,
+                                                    np.eye(self.dim)))
 
     @property
     def dim(self) -> int:

@@ -3,14 +3,18 @@ report.  All numbers are written at full precision (%.17g) so re-ingesting a
 file reproduces the run's norms exactly and identical runs emit identical
 bytes.  A CSV file is written in blocks of rows holding at most
 ``CHUNK_VALUES`` values, so emission memory stays bounded when the grid is
-refined.  A block is one matrix of little-endian words: per row its time,
-its literal fields and its state and control values, each value a 32-byte
-slot of NUL-padded text that ``_format17`` renders for a whole block at
-once.  Deleting the NULs leaves the bytes ``csv.writer`` would write with one
-``'%.17g' %`` per value (no field ever needs quoting; rows end in CRLF)."""
+refined.  A block's values are rendered once, each into a 32-byte slot of
+NUL-padded text that ``_format17`` renders for a whole block at once.  Each
+file's block is then one matrix of little-endian words: per row the time
+slot, the literal fields and the value slots.  Deleting the NULs leaves the
+bytes ``csv.writer`` would write with one ``'%.17g' %`` per value (no field
+ever needs quoting; rows end in CRLF).  ``control.csv`` written beside
+``trajectory.csv`` is cut from the same slots: the time and control columns
+of the control-window rows."""
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import json
@@ -29,8 +33,8 @@ CHUNK_VALUES = 1 << 14
 _XMIN, _XMAX = -290, 290
 _SPLIT = 2.0 ** 27 + 1      # Veltkamp's splitter into 26-bit halves
 # Values whose scaled fraction lies this close to 1/2 are rounded by the
-# fallback: the fast path's error is below 1e-14, and exact ties round to
-# even there.
+# fallback where 10^(16 - X) is not a double: the fast path's error is
+# below 1e-14 there, and exact ties round to even in the fallback.
 _TIE = 1e-6
 _PASS_VALUES = 1 << 12
 
@@ -136,15 +140,23 @@ def _format17(x: np.ndarray) -> np.ndarray:
 
     The 17 digits are ``D = round(|x| 10^(16 - X))``, X = floor(log10 |x|)
     corrected by one where the scaled value leaves [1e16, 1e17) (T. J.
-    Dekker, Numer. Math. 18, 1971).  Zeros are written here; ties and
-    near-ties, non-finite values and exponents outside [_XMIN, _XMAX] go to
-    ``_fallback``.  The work runs in passes of at most ``_PASS_VALUES``
-    values, so its temporaries (about 90 bytes a value) stay a fraction of
-    the block's text."""
+    Dekker, Numer. Math. 18, 1971).  Zeros and, where 10^(16 - X) is exact,
+    ties are written here; other ties and near-ties, non-finite values and
+    exponents outside [_XMIN, _XMAX] go to ``_fallback``.  The work runs in
+    passes of at most ``_PASS_VALUES`` values, so its temporaries (about 90
+    bytes a value) stay a fraction of the block's text."""
     out = np.empty((x.size, 4), dtype=np.uint64)
     for lo in range(0, x.size, _PASS_VALUES):
         _format_pass(x[lo:lo + _PASS_VALUES], out[lo:lo + _PASS_VALUES])
     return out
+
+
+def _divmod(a: np.ndarray, c: int) -> tuple:
+    """``np.divmod(a, c)`` for nonnegative ``a`` by one floor division,
+    which numpy strength-reduces for a scalar divisor (a divmod it does
+    not)."""
+    q = a // c
+    return q, a - q * c
 
 
 def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
@@ -171,7 +183,11 @@ def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
     del ax, low, high
     rounded = np.rint(r)
     r -= rounded
+    # Where 10^(16 - X) is a double (lo == 0, X >= -6) the two-product
+    # makes r exact and p is even, so rint already rounds a tie half to
+    # even; elsewhere a near-tie goes to the fallback.
     slow = np.abs(np.abs(r, out=r) - 0.5) <= _TIE
+    slow &= powers[1][i] != 0.0
     slow |= ~(fast | zero)
     D = p.astype(np.int64)
     D += rounded.astype(np.int64)
@@ -182,10 +198,10 @@ def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
 
     # D's digits: d0, then four groups of four; its form is X and the
     # count of digits before D's trailing zeros
-    high8, g34 = np.divmod(D, 10 ** 8)
-    d0, g12 = np.divmod(high8, 10 ** 8)
-    g1, g2 = np.divmod(g12, 10 ** 4)
-    g3, g4 = np.divmod(g34, 10 ** 4)
+    high8, g34 = _divmod(D, 10 ** 8)
+    d0, g12 = _divmod(high8, 10 ** 8)
+    g1, g2 = _divmod(g12, 10 ** 4)
+    g3, g4 = _divmod(g34, 10 ** 4)
     del D, high8, g12, g34
     trailing = zeros[g4]
     below = g4 == 0
@@ -238,90 +254,137 @@ def _blocks(lengths: list, rows: int):
         yield block
 
 
-def _write_csv(path: str, header, width: int, pieces: list) -> None:
-    """Write ``header`` and the rows of ``pieces``, ``width`` values a row,
-    in blocks of at most ``CHUNK_VALUES`` values.  A piece is (times, value
-    blocks, literals): the blocks fill the row's columns after the time in
-    order, the columns past them are zero, and the literal fields follow the
-    time, one for the piece's first, inner and last row."""
-    nlit = max(len(s) for *_, lits in pieces for s in lits) // 8 + 1
-    pieces = [(times, blocks,
-               np.frombuffer(b"".join(s.encode().ljust(8 * nlit, b"\0") for s in lits),
-                             dtype=np.uint64).reshape(3, nlit))
-              for times, blocks, lits in pieces]
+def _literal_words(lits: list) -> list:
+    """Per piece its literal triple as a (3, n) word array, or None."""
+    nlit = max(len(s) for t in lits if t is not None for s in t) // 8 + 1
+    return [None if t is None else
+            np.frombuffer(b"".join(s.encode().ljust(8 * nlit, b"\0") for s in t),
+                          dtype=np.uint64).reshape(3, nlit)
+            for t in lits]
+
+
+def _write_csv(files: list, width: int, pieces: list) -> None:
+    """Write the rows of ``pieces``, ``width`` values a row, to every file
+    of ``files`` in blocks of at most ``CHUNK_VALUES`` values, each block
+    formatted once for all of them.  A piece is (times, value blocks): the
+    blocks fill the row's columns after the time in order, and the columns
+    past them are zero.  A file is (path, header, first column, literals):
+    its rows hold the time, the literal fields and the values from the first
+    column on.  Per piece the literals are a triple, one for the piece's
+    first, inner and last row, or None to leave the piece out of the file.
+    The last file's text is compacted after the block's slots are freed, so
+    the widest file goes last."""
+    lengths = [len(times) for times, _ in pieces]
     try:
-        with open(path, "wb") as fh:
-            fh.write((",".join(header) + "\r\n").encode())
-            for block in _blocks([len(p[0]) for p in pieces],
-                                 max(1, CHUNK_VALUES // width)):
-                fh.write(_block_text(pieces, block, width))
+        with contextlib.ExitStack() as stack:
+            outs = []
+            for path, header, start, lits in files:
+                fh = stack.enter_context(open(path, "wb"))
+                fh.write((",".join(header) + "\r\n").encode())
+                outs.append((path, fh, start, _literal_words(lits)))
+            for block in _blocks(lengths, max(1, CHUNK_VALUES // width)):
+                slots = _block_slots(pieces, block, width)
+                for n, (path, fh, start, lits) in enumerate(outs, 1):
+                    text = _block_text(slots, block, lengths, start, lits)
+                    if n == len(outs):
+                        del slots
+                    fh.write(text.translate(None, b"\0"))
+                    del text
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _block_text(pieces: list, block: list, width: int) -> bytearray:
-    """The CSV text of one block of rows, (piece, lo, hi) ranges of
-    ``_write_csv``'s pieces with their literals as words.  A block's arrays
-    die on return, so no two blocks' text is held at once."""
+def _block_slots(pieces: list, block: list, width: int) -> np.ndarray:
+    """The ``(rows, width, 4)`` slots of one block of rows, (piece, lo, hi)
+    ranges of ``_write_csv``'s pieces."""
     rows = sum(hi - lo for _, lo, hi in block)
-    nlit = pieces[0][2].shape[1]
     values = np.zeros((rows, width))
-    literal = np.empty((rows, nlit), dtype=np.uint64)
     r = 0
     for k, lo, hi in block:
-        times, blocks, lits = pieces[k]
+        times, blocks = pieces[k]
         end = r + hi - lo
         values[r:end, 0] = times[lo:hi]
         col = 1
         for B in blocks:
             values[r:end, col:col + B.shape[1]] = B[lo:hi]
             col += B.shape[1]
-        literal[r:end] = lits[1]
-        if lo == 0:
-            literal[r] = lits[0]
-        if hi == len(times):
-            literal[end - 1] = lits[2]
         r = end
-    slots = _format17(values.ravel()).reshape(rows, width, 4)
-    del values
-    text = bytearray(8 * rows * (4 * width + nlit + 1))
+    return _format17(values.ravel()).reshape(rows, width, 4)
+
+
+def _block_text(slots: np.ndarray, block: list, lengths: list, start: int,
+                lits: list) -> bytearray:
+    """One file's CSV text of a block, NULs not yet deleted: per row of the
+    pieces it takes, the time slot without its separator, the literal words,
+    the slots from column ``start`` on and CRLF."""
+    rows = sum(hi - lo for k, lo, hi in block if lits[k] is not None)
+    if not rows:
+        return bytearray()
+    nlit = next(w for w in lits if w is not None).shape[1]
+    text = bytearray(8 * rows * (4 * (1 + slots.shape[1] - start) + nlit + 1))
     words = np.frombuffer(text, dtype=np.uint64).reshape(rows, -1)
-    words[:, :4] = slots[:, 0]
+    r = f = 0
+    for k, lo, hi in block:
+        n = hi - lo
+        if lits[k] is not None:
+            words[f:f + n, :4] = slots[r:r + n, 0]
+            words[f:f + n, 4:4 + nlit] = lits[k][1]
+            if lo == 0:
+                words[f, 4:4 + nlit] = lits[k][0]
+            if hi == lengths[k]:
+                words[f + n - 1, 4:4 + nlit] = lits[k][2]
+            words[f:f + n, 4 + nlit:-1] = slots[r:r + n, start:].reshape(n, -1)
+            f += n
+        r += n
     words[:, 0] &= ~np.uint64(0xFF)     # no separator before the time
-    words[:, 4:4 + nlit] = literal
-    words[:, 4 + nlit:-1] = slots[:, 1:].reshape(rows, -1)
     words[:, -1] = _word(b"\r\n", 0)
-    del slots, words
-    return text.translate(None, b"\0")
+    return text
 
 
-def emit_trajectory(traj: PiecewiseTrajectory, control, path: str) -> None:
+def _control_header(mu: int) -> list:
+    return ["t", "window"] + [f"u{i}" for i in range(mu)]
+
+
+def emit_trajectory(traj: PiecewiseTrajectory, control, path: str,
+                    control_path: Optional[str] = None) -> None:
     """One row per stored sample: t, window kind, breakpoint side, state
     components, control components.  Breakpoints appear twice, flagged L/R;
-    control columns are zero off the control windows."""
+    control columns are zero off the control windows.
+
+    With ``control_path``, the file :func:`emit_control` writes goes there
+    too, cut from the same formatted rows: control window j is interval 2j,
+    sampled on the trajectory's grid."""
     d = traj.dim
     mu = control.samples[0].shape[1] if control is not None else 0
     header = (["t", "kind", "side"] + [f"x{i}" for i in range(d)]
               + [f"u{i}" for i in range(mu)])
-    pieces = [(traj.history_times(), [traj.history],
-               [",history,-", ",history,-", ",history,L"])]
+    pieces = [(traj.history_times(), [traj.history])]
+    lits = [[",history,-", ",history,-", ",history,L"]]
+    window_lits = [None]
     for k, (a, end, kind, j) in enumerate(traj.mesh.intervals()):
         blocks = [traj.seg_values[k]]
-        if kind == "control" and control is not None:
+        controlled = kind == "control" and control is not None
+        if controlled:
             blocks.append(control.samples[j])
-        pieces.append((traj.seg_times[k], blocks,
-                       [f",{kind},{side}" for side in "R-L"]))
-    _write_csv(path, header, 1 + d + mu, pieces)
+        pieces.append((traj.seg_times[k], blocks))
+        lits.append([f",{kind},{side}" for side in "R-L"])
+        window_lits.append([f",{j}"] * 3 if controlled else None)
+    files = [(path, header, 1, lits)]
+    if control_path is not None:
+        if not all(np.array_equal(t, traj.seg_times[2 * j])
+                   for j, t in enumerate(control.window_times)):
+            raise ValueError("control samples lie off the trajectory's grid")
+        files.insert(0, (control_path, _control_header(mu), 1 + d, window_lits))
+    _write_csv(files, 1 + d + mu, pieces)
 
 
 def emit_control(control, path: str) -> None:
     """Control samples alone: t, window index, control components."""
     mu = control.samples[0].shape[1]
-    header = ["t", "window"] + [f"u{i}" for i in range(mu)]
-    _write_csv(path, header, 1 + mu,
-               [(times, [U], [f",{j}"] * 3)
-                for j, (times, U) in enumerate(zip(control.window_times,
-                                                   control.samples))])
+    _write_csv([(path, _control_header(mu), 1,
+                 [[f",{j}"] * 3 for j in range(len(control.samples))])],
+               1 + mu, [(times, [U]) for times, U in zip(control.window_times,
+                                                         control.samples)])
 
 
 def read_trajectory_csv(path: str) -> dict:

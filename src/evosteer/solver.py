@@ -218,7 +218,8 @@ class Sweep:
             samples = preimage = None
             if targets is not None:
                 samples, preimage = fresh.samples[i], fresh.preimages[i]
-                F += samples @ problem.control_matrix.T
+                F += (samples if problem.identity_control
+                      else samples @ problem.control_matrix.T)
             z = grid.table.evolve(start)
             z += grid.table.convolve(F, grid.delta)
             self._solved[grid.index] = _Solved(key, z, samples, preimage)

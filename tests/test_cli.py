@@ -313,6 +313,25 @@ class TestCommands:
         assert "requires a problem linear" in capsys.readouterr().err
         assert calls == [1, 1]
 
+    def test_malloc_trim_is_looked_up_once(self, monkeypatch):
+        # loading the C library's handle costs more than the trim itself
+        import ctypes
+        loads = []
+        load = ctypes.CDLL
+
+        def counting(*args, **kwargs):
+            loads.append(args)
+            return load(*args, **kwargs)
+
+        cli._malloc_trim.cache_clear()
+        monkeypatch.setattr(ctypes, "CDLL", counting)
+        try:
+            for _ in range(3):
+                cli._release_freed_memory()
+        finally:
+            cli._malloc_trim.cache_clear()
+        assert loads == [(None,)]
+
     def test_one_parser_serves_every_command(self, tmp_path, capsys, monkeypatch):
         # a process running several commands builds its argument parser
         # once, and each command keeps its own exit code and message
@@ -505,19 +524,51 @@ class TestCsvRoundTrip:
             assert path.read_bytes() == control_reference(control), rows
 
     def test_transport_rows_across_chunks(self, preset_run, tmp_path, monkeypatch):
-        # the command's data flow: both files of one run, each with its own
-        # block boundaries
+        # the command's data flow: both files of one run from one pass
         traj, control = preset_run.solve.trajectory, preset_run.solve.control
         mu = control.samples[0].shape[1]
         assert len(traj.history_times()) % 16 == 1
         for rows in CHUNK_ROWS:
-            set_chunk_rows(monkeypatch, rows, 1 + mu)
-            emit_control(control, str(tmp_path / "c.csv"))
             set_chunk_rows(monkeypatch, rows, 1 + traj.dim + mu)
-            emit_trajectory(traj, control, str(tmp_path / "t.csv"))
+            emit_trajectory(traj, control, str(tmp_path / "t.csv"),
+                            str(tmp_path / "c.csv"))
             assert ((tmp_path / "t.csv").read_bytes()
                     == trajectory_reference(traj, control)), rows
             assert (tmp_path / "c.csv").read_bytes() == control_reference(control), rows
+
+    @pytest.mark.parametrize("preset", ["transport-case1", "transport-case2",
+                                        "linear-2d"])
+    def test_control_file_cut_from_trajectory_rows(self, preset, tmp_path,
+                                                   monkeypatch):
+        # control.csv written beside trajectory.csv, its rows cut from the
+        # trajectory's formatted blocks, is emit_control's file byte for
+        # byte, also where blocks cut control windows and windows share
+        # blocks with history and impulse rows
+        cfg = load_config(str(CONFIGS / f"{preset}.ini"))
+        solve = run(cfg.problem, cfg.targets, cfg.numerics).solve
+        traj, control = solve.trajectory, solve.control
+        width = 1 + traj.dim + control.samples[0].shape[1]
+        emit_control(control, str(tmp_path / "alone.csv"))
+        emit_trajectory(traj, control, str(tmp_path / "alone_t.csv"))
+        alone = (tmp_path / "alone.csv").read_bytes()
+        alone_t = (tmp_path / "alone_t.csv").read_bytes()
+        for rows in CHUNK_ROWS:
+            set_chunk_rows(monkeypatch, rows, width)
+            emit_trajectory(traj, control, str(tmp_path / "t.csv"),
+                            str(tmp_path / "c.csv"))
+            assert (tmp_path / "c.csv").read_bytes() == alone, rows
+            assert (tmp_path / "t.csv").read_bytes() == alone_t, rows
+        assert alone == control_reference(control)
+
+    def test_control_off_the_trajectory_grid_is_refused(self, linear_run,
+                                                        tmp_path):
+        traj, control = linear_run.solve.trajectory, linear_run.solve.control
+        shifted = ControlSignal(problem=control.problem,
+                                window_times=[t + 1e-9 for t in control.window_times],
+                                samples=control.samples, preimages=[])
+        with pytest.raises(ValueError, match="off the trajectory's grid"):
+            emit_trajectory(traj, shifted, str(tmp_path / "t.csv"),
+                            str(tmp_path / "c.csv"))
 
 
 def synthetic_path(steps: int, dim: int):
@@ -540,11 +591,14 @@ def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
     # Per value of a block a writer holds the value, its 32-byte text slot,
     # the block's word matrix with the rows' literal words, and then the
     # compacted text, one at a time or two together, plus a formatting
-    # pass's temporaries: about 66 bytes at 1,000 and 4,000 steps.  The
-    # transient memory beyond what was retained before stays under 96 bytes
-    # per chunk value at both resolutions, while at the finer one the
-    # trajectory file, and the rows of its last control window alone (at
-    # least 18 characters per value), are larger than that bound.
+    # pass's temporaries; writing both files from one pass adds the control
+    # file's smaller word matrix and text while the slots live, and frees the
+    # slots before the trajectory's text is compacted: about 66 bytes at
+    # 1,000 and 4,000 steps, alone or both.  The transient memory beyond what
+    # was retained before stays under 96 bytes per chunk value at both
+    # resolutions, while at the finer one the trajectory file, and the rows
+    # of its last control window alone (at least 18 characters per value),
+    # are larger than that bound.
     bound = 96 * reports.CHUNK_VALUES
     for steps in (1000, 4000):
         traj, control = synthetic_path(steps, 32)
@@ -555,6 +609,10 @@ def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
             assert peak - retained <= bound
             tracemalloc.reset_peak()
             emit_trajectory(traj, control, str(tmp_path / "t.csv"))
+            assert tracemalloc.get_traced_memory()[1] - retained <= bound
+            tracemalloc.reset_peak()
+            emit_trajectory(traj, control, str(tmp_path / "t.csv"),
+                            str(tmp_path / "c.csv"))
             assert tracemalloc.get_traced_memory()[1] - retained <= bound
         finally:
             tracemalloc.stop()

@@ -37,18 +37,19 @@ def fallback(monkeypatch):
     return seen
 
 
-def exact_ties(rng, per_exponent: int) -> np.ndarray:
+def exact_ties(rng, per_exponent: int) -> tuple:
     """Doubles exactly halfway between two 17-digit decimals: v 10^j =
     D + 1/2 with 10^16 <= D < 10^17, i.e. v = q 2^-(j+1) with q odd and
-    q 5^j in [2e16, 2e17)."""
-    out = []
+    q 5^j in [2e16, 2e17); with the j of each."""
+    out, js = [], []
     for j in range(1, 25):
         lo, hi = -(-2 * 10 ** 16 // 5 ** j), min(2 * 10 ** 17 // 5 ** j, 2 ** 53)
         q = rng.integers(lo, hi, size=per_exponent) | 1
         q = q[(q * 5 ** j >= 2 * 10 ** 16) & (q * 5 ** j < 2 * 10 ** 17)]
         out.append(np.ldexp(q.astype(float), -(j + 1)))
-    ties = np.concatenate(out)
-    return np.concatenate([ties, -ties])
+        js.append(np.full(q.size, j))
+    ties, js = np.concatenate(out), np.concatenate(js)
+    return np.concatenate([ties, -ties]), np.concatenate([js, js])
 
 
 def near_tie(v: float) -> bool:
@@ -101,11 +102,15 @@ def test_integers_near_1e16_and_1e17():
     assert rendered(x) == expected(x)
 
 
-def test_exact_ties_round_half_to_even_by_the_fallback(fallback):
-    ties = exact_ties(np.random.default_rng(4), 1000)
+def test_exact_ties_round_half_to_even(fallback):
+    ties, j = exact_ties(np.random.default_rng(4), 1000)
     assert ties.size == 48_000
     assert rendered(ties) == expected(ties)
-    assert fallback == ties.tolist()
+    # X = 16 - j: 10^j is a double for j <= 22, so there the fast path's
+    # remainder is exact and rint rounds the tie half to even itself; only
+    # the ties with j = 23, 24 reach the fallback
+    assert fallback == ties[j >= 23].tolist()
+    assert {23, 24} <= set(j.tolist())
     assert rendered([177084250429.890625]) == [b"177084250429.89062"]
 
 

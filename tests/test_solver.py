@@ -590,3 +590,43 @@ def test_kept_state_grows_linearly_with_the_grid():
             tracemalloc.stop()
         del sweep
     assert 1.5 * kept[0] < kept[1] < 2.5 * kept[0]
+
+
+def test_identity_control_skips_its_products():
+    # The transport presets steer through B = I with equal weights, so B and
+    # B* are the identity and the solve skips both products.  A product by I
+    # adds exact zeros to x * 1: it keeps every nonzero value, and could only
+    # turn a -0.0 into +0.0.  The shift adjoint's zeros come from its +0.0
+    # padding, so the samples hold no -0.0 (checked below), and skipping the
+    # products gives the matmul path's samples and paths byte for byte.
+    from evosteer.config import load_config
+    cfg = load_config(str(CONFIGS / "transport-case1.ini"))
+    assert cfg.problem.identity_control
+    skipped = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
+    cfg.problem.identity_control = False
+    taken = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
+    assert_same_apply((skipped.trajectory, skipped.control),
+                      (taken.trajectory, taken.control))
+    samples = np.concatenate(skipped.control.samples)
+    zeros = samples == 0.0
+    assert zeros.any() and not np.signbit(samples[zeros]).any()
+
+
+def test_other_control_operators_take_the_products(tmp_path):
+    # a bench-style random B on linear-2d, and B = I with unequal weights,
+    # are not the identity: the control steers only through the products
+    from evosteer.config import load_config
+    rng = np.random.default_rng(7)
+    Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
+    B = Q @ np.diag(rng.uniform(0.8, 1.25, size=2))
+    text = (CONFIGS / "linear-2d.ini").read_text()
+    assert "control = 1 0; 0 1" in text
+    ini = tmp_path / "random-b.ini"
+    ini.write_text(text.replace("control = 1 0; 0 1", "control = "
+                                + "; ".join(" ".join(map(repr, row)) for row in B.tolist())))
+    cfg = load_config(str(ini))
+    assert not cfg.problem.identity_control
+    report = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
+    assert max(report.per_window_defect) <= 1e-9
+    assert make_problem(dim=2).identity_control
+    assert not make_problem(dim=2, control_weight=2.0).identity_control
