@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import PiecewiseTrajectory, TimeMesh, history_segment
 from .problems import Numerics, Problem
-from .semigroups import fft_length
+from .semigroups import fft_length, fft_row_sum_error
 
 # The largest total of dense Volterra pair blocks (8 bytes per entry) a run
 # may allocate; only intervals of unequal steps need them.
@@ -105,28 +105,6 @@ def _kappa_values(kappa, s: np.ndarray) -> np.ndarray:
     return kap
 
 
-def _fft_row_sum_error(n: int, pairs: int) -> float:
-    """c such that FFT row sums of at most ``pairs`` products of lags a >= 0
-    and weights w >= 0 at length n are within c * sum (|a|_2 |w|_1 +
-    |a|_1 |w|_2) of the exact sums.
-
-    A computed DFT y = F x obeys |fl(y) - y|_2 <= e |y|_2, e = t eta /
-    (1 - t eta), eta = u + gamma_4 (sqrt(2) + u), t = log2 n (N. J. Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
-    24.1).  As |F a|_inf <= |a|_1, |F a|_2 = sqrt(n) |a|_2 and |a * w|_2 <=
-    |a|_2 |w|_1, the transforms of a and w add e |a|_2 |w|_1 and
-    e |a|_1 |w|_2, the products and their sum gamma_{pairs+3} |a|_2 |w|_1,
-    the inverse e |a|_2 |w|_1; a 2-norm bound bounds every row.  The factor
-    2 covers second-order terms, the last additions and mixed radices.
-    """
-    u = np.finfo(float).eps / 2
-    t = np.log2(n)
-    eta = u + 4 * u / (1 - 4 * u) * (np.sqrt(2.0) + u)
-    e = t * eta / (1.0 - t * eta)
-    k = pairs + 3
-    return float(2.0 * (3.0 * e + k * u / (1.0 - k * u)))
-
-
 class KernelDiscretization:
     """Volterra machinery for the integro variant on the global grid.
 
@@ -180,7 +158,7 @@ class KernelDiscretization:
         kappa = problem.kernel.kappa
         weight_spectra = [np.fft.rfft(w, n) for w in self._weights]
         weight_norms = [(w.sum(), np.sqrt(w @ w)) for w in self._weights]
-        fft_error = _fft_row_sum_error(n, len(self.block_times))
+        fft_error = fft_row_sum_error(n, len(self.block_times))
         self._spectra = []
         self._half_kappa0 = []
         self.dense_blocks = {}

@@ -131,11 +131,6 @@ class Problem:
             raise ValueError("the integro variant carries no nonlocal coupling")
         if self.control_weight is None:
             self.control_weight = self.semigroup.weight
-        # B = I with equal weights makes B and B* the identity, and the
-        # solve skips their products, which would only copy
-        self.identity_control = (self.control_weight == self.state_weight
-                                 and np.array_equal(self.control_matrix,
-                                                    np.eye(self.dim)))
 
     @property
     def dim(self) -> int:
@@ -152,6 +147,14 @@ class Problem:
     @property
     def state_weight(self) -> float:
         return self.semigroup.weight
+
+    @property
+    def identity_control(self) -> bool:
+        """Whether B = I with equal weights, which makes B and B* the
+        identity: the solve then skips their products, which would only
+        copy.  Read from the current fields, so a reassigned B counts."""
+        return (self.control_weight == self.state_weight
+                and np.array_equal(self.control_matrix, np.eye(self.dim)))
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.state_weight) * np.linalg.norm(v))

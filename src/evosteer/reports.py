@@ -75,9 +75,12 @@ def _tables() -> tuple:
     hh = np.ldexp(big - (big - mant), exp)
     powers = (hi, np.array(lo), hh, hi - hh)
 
-    groups = np.array([_word(b"%04d" % g, 0) for g in range(10000)], dtype=np.uint64)
-    zeros = np.array([4] + [len(s) - len(s.rstrip("0"))
-                            for s in map(str, range(1, 10000))], dtype=np.uint8)
+    # digit k of g (thousands first) goes to byte k; each of 10, 100, 1000
+    # and 10000 that divides g adds a trailing zero (all four for 0000)
+    g = np.arange(10000, dtype=np.uint64)
+    groups = sum((ord("0") + g // 10 ** (3 - k) % 10) << np.uint64(8 * k)
+                 for k in range(4))
+    zeros = sum((g % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
 
     forms = np.zeros((10, 23, 17), dtype=np.uint64)
     for X in range(-5, 18):

@@ -87,18 +87,44 @@ def fft_length(n: int) -> int:
         n += 1
 
 
+def fft_row_sum_error(n: int, pairs: int) -> float:
+    """c such that FFT row sums of at most ``pairs`` products of lags a >= 0
+    and weights w >= 0 at length n are within c * sum (|a|_2 |w|_1 +
+    |a|_1 |w|_2) of the exact sums.
+
+    A computed DFT y = F x obeys |fl(y) - y|_2 <= e |y|_2, e = t eta /
+    (1 - t eta), eta = u + gamma_4 (sqrt(2) + u), t = log2 n (N. J. Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., 2002, section
+    24.1).  As |F a|_inf <= |a|_1, |F a|_2 = sqrt(n) |a|_2 and |a * w|_2 <=
+    |a|_2 |w|_1, the transforms of a and w add e |a|_2 |w|_1 and
+    e |a|_1 |w|_2, the products and their sum gamma_{pairs+3} |a|_2 |w|_1,
+    the inverse e |a|_2 |w|_1; a 2-norm bound bounds every row.  The factor
+    2 covers second-order terms, the last additions and mixed radices.
+    """
+    u = np.finfo(float).eps / 2
+    t = np.log2(n)
+    eta = u + 4 * u / (1 - 4 * u) * (np.sqrt(2.0) + u)
+    e = t * eta / (1.0 - t * eta)
+    k = pairs + 3
+    return float(2.0 * (3.0 * e + k * u / (1.0 - k * u)))
+
+
 class MatrixLagTable:
     """Propagators T(g * delta) = E^g, E = expm(delta * A), for g = 0..m.
 
     The powers are formed once, by batched doubling (:func:`powers`), into
     ``stack``; the Gramian, the window sweep and the residual all read that
     one array.  ``growth`` = max(1, |E^m|_2) sets the convolution's tilt.
+    ``fft_error`` is :func:`fft_row_sum_error` at the convolution's
+    transform length, each row summing one product per state component.
     """
 
     def __init__(self, E: np.ndarray, m: int):
         self.stack = powers(E, m, np.eye(E.shape[0]))
         self.m = m
         self.growth = max(1.0, np.linalg.norm(self.stack[m], 2))
+        self._n = fft_length(2 * m + 1)    # shorter circular lengths alias
+        self.fft_error = fft_row_sum_error(self._n, E.shape[0])
 
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         return self.stack[g] @ v
@@ -128,8 +154,7 @@ class MatrixLagTable:
         certifies pays nothing."""
         m = self.m
         tilt = self.growth ** (-np.arange(m + 1) / m)
-        n = fft_length(2 * m + 1)    # shorter circular lengths alias
-        return tilt, np.fft.rfft(tilt[:, None, None] * self.stack, n, axis=0)
+        return tilt, np.fft.rfft(tilt[:, None, None] * self.stack, self._n, axis=0)
 
     def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
         """Trapezoid approximations of int_0^{g*delta} T(g*delta - s) f(s) ds
@@ -142,7 +167,7 @@ class MatrixLagTable:
         tilt, spec = self._tilted_spectrum
         Fw = tilt[:, None] * F
         Fw[0] *= 0.5
-        n = fft_length(2 * m + 1)
+        n = self._n
         prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
         out = delta * (np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None] - 0.5 * F)
         out[0] = 0.0
@@ -154,7 +179,8 @@ class ShiftLagTable:
 
     Each lag is applied directly (a single linear interpolation), never by
     composing one-step shifts, so the semigroup evaluated here is exactly the
-    backend's T at those lags.
+    backend's T at those lags.  ``fft_error`` is :func:`fft_row_sum_error`
+    at the convolution's 2-D transform length, one product per frequency.
     """
 
     def __init__(self, N: int, h: float, delta: float, m: int):
@@ -166,6 +192,7 @@ class ShiftLagTable:
         # Circular lengths below (2m+1, N+P) would alias into the rows and
         # columns the convolution reads back.
         self._fft_shape = (fft_length(2 * m + 1), fft_length(N + self.pad))
+        self.fft_error = fft_row_sum_error(self._fft_shape[0] * self._fft_shape[1], 1)
 
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         """Forward shift of v by the lag g (zero past pi)."""
@@ -185,6 +212,14 @@ class ShiftLagTable:
         diag = (np.bincount(off, w * (1.0 - c) ** 2, minlength=P)
                 + np.bincount(off + 1, w * c ** 2, minlength=P))
         cross = np.bincount(off, w * (1.0 - c) * c, minlength=P)
+        if np.array_equal(B, np.eye(N)):
+            # C = I: entry i of the diagonal gains diag[o] while i + o < N,
+            # and the cross diagonals gain cross[o] while i + 1 + o < N, in
+            # offset order, so running sums give the loop's bits
+            i = np.arange(N)
+            upper = np.cumsum(cross)[np.minimum(P - 1, N - 2 - i[:-1])]
+            return (np.diag(np.cumsum(diag)[np.minimum(P - 1, N - 1 - i)])
+                    + np.diag(upper, 1) + np.diag(upper, -1))
         Cp = np.pad(B @ B.T, (0, P))
         G = np.zeros((N, N))
         for o in range(P):

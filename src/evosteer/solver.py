@@ -20,7 +20,9 @@ fixed history: those rows are read once per run, the method of steps
 Equations, OUP 2003).  Control is recomputed only for the windows whose
 inputs changed: a window whose forcing rows are all read from the history
 keeps its forcing integral for the run, and its path and control while its
-start and target stay bit for bit the same.
+target stays bit for bit the same and its start moves by no more than its
+lag table's FFT rounding bound relative to the start (see
+:meth:`Sweep.apply`).
 """
 
 from __future__ import annotations
@@ -73,10 +75,11 @@ class SolveReport:
 
 
 class _Solved(NamedTuple):
-    """What a control window was last solved from (its start and target
-    bits) and to."""
+    """What a control window was last solved from (its start and its target's
+    bytes) and to."""
 
-    key: tuple
+    start: np.ndarray
+    target: Optional[bytes]
     path: np.ndarray
     samples: Optional[np.ndarray]
     preimage: Optional[np.ndarray]
@@ -187,9 +190,18 @@ class Sweep:
         the synthesized control (None without targets).
 
         A control window whose forcing rows are all frozen keeps the path,
-        control samples and preimage it was last solved to while its start
-        and target are bit for bit the ones it was solved from: every step
-        is deterministic, so recomputing them would give the same bits.
+        control samples and preimage it was last solved to while its target
+        is bit for bit the one it was solved from and no component of its
+        start has moved from the kept start s by more than eps |s|_inf, with
+        eps = ``table.fft_error``, the bound on the relative rounding of one
+        row of the window's convolution.  A later window starts at the
+        impulse of the previous window's end value, which the steering puts
+        onto that window's target whatever the iterate, so between sweeps
+        such a start moves only by the rounding of the convolution that
+        lands it there, while a move of the iterate itself is orders above
+        eps.  Every step is deterministic, so an unmoved start gives the
+        kept bits, and a start moved by round-off changes the outputs by
+        round-off.  A bound that is too tight only forgoes the reuse.
         """
         problem = self.problem
         forcings = self._forcings(traj)
@@ -197,32 +209,33 @@ class Sweep:
         for grid in self.grids:
             j = grid.index
             start = window_start(problem, traj, j)
-            # bytes, not np.array_equal, which takes -0.0 for 0.0
-            key = (start.tobytes(), None if targets is None
-                   else np.asarray(targets[j], dtype=float).tobytes())
+            target = (None if targets is None
+                      else np.asarray(targets[j], dtype=float).tobytes())
             solved = self._solved[j]
             if not (self._frozen_windows[j] and solved is not None
-                    and solved.key == key):
-                todo.append((grid, start, key))
+                    and solved.target == target
+                    and np.abs(start - solved.start).max()
+                    <= grid.table.fft_error * np.abs(solved.start).max()):
+                todo.append((grid, start, target))
                 self._solved[j] = None
         self.window_solves += len(todo)
         if targets is not None and todo:
             residuals = [steering_residual(start, targets[grid.index], grid,
                                            self._integral(grid, forcings[grid.index]))
-                         for grid, start, key in todo]
+                         for grid, start, target in todo]
             fresh = synthesize_control(problem, [grid for grid, *_ in todo],
                                        [self.blocks[grid.index] for grid, *_ in todo],
                                        residuals)
-        for i, (grid, start, key) in enumerate(todo):
+        identity = problem.identity_control
+        for i, (grid, start, target) in enumerate(todo):
             F = forcings[grid.index].copy()
             samples = preimage = None
             if targets is not None:
                 samples, preimage = fresh.samples[i], fresh.preimages[i]
-                F += (samples if problem.identity_control
-                      else samples @ problem.control_matrix.T)
+                F += samples if identity else samples @ problem.control_matrix.T
             z = grid.table.evolve(start)
             z += grid.table.convolve(F, grid.delta)
-            self._solved[grid.index] = _Solved(key, z, samples, preimage)
+            self._solved[grid.index] = _Solved(start, target, z, samples, preimage)
         control = None
         if targets is not None:
             control = ControlSignal(problem=problem,

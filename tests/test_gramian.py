@@ -7,7 +7,8 @@ from scipy.linalg import cho_factor, cho_solve, expm
 from evosteer.certificates import control_bound
 from evosteer.core import build_time_mesh
 from evosteer.discretize import (KernelDiscretization, WindowGrid,
-                                 build_window_grids, eta_values)
+                                 build_window_grids, eta_values,
+                                 trapezoid_weights)
 from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
                               assemble_from_grid, assemble_gramian,
                               forcing_integral, gramian_solve, steering_residual,
@@ -24,6 +25,20 @@ def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
     return Problem(semigroup=MatrixSemigroup(A), control_matrix=B, mesh=mesh,
                    beta=beta, history=lambda s: phi0, impulses=impulses,
                    constants=constants or AssumptionConstants(), **kwargs)
+
+
+def offset_loop_gramian(table, B, w):
+    """``ShiftLagTable.gramian`` as the loop over offsets alone."""
+    N, P, off, c = table.N, table.pad, table.off, table.frac
+    diag = (np.bincount(off, w * (1.0 - c) ** 2, minlength=P)
+            + np.bincount(off + 1, w * c ** 2, minlength=P))
+    cross = np.bincount(off, w * (1.0 - c) * c, minlength=P)
+    Cp = np.pad(B @ B.T, (0, P))
+    G = np.zeros((N, N))
+    for o in range(P):
+        X = Cp[o:o + N, o + 1:o + 1 + N]
+        G += diag[o] * Cp[o:o + N, o:o + N] + cross[o] * (X + X.T)
+    return G
 
 
 class TestAssembly:
@@ -73,6 +88,17 @@ class TestAssembly:
         assert blk.matrix[0, 1] != 0.0
         assert np.array_equal(np.triu(blk.matrix, 2), np.zeros((64, 64)))
         assert np.array_equal(np.tril(blk.matrix, -2), np.zeros((64, 64)))
+
+    @pytest.mark.parametrize("N, m, length", [
+        (256, 300, 0.3), (256, 500, 0.5), (64, 1200, 0.3), (64, 2000, 0.5),
+        (16, 300, 0.3), (16, 40, 3.5)])     # the last shifts past pi
+    def test_shift_identity_gramian_is_the_offset_loop(self, N, m, length):
+        # B = I takes running sums of the per-offset weights, and gives the
+        # bytes of the loop over offsets that every other B takes
+        table = ShiftSemigroup(N).lag_table(length / m, m)
+        w = trapezoid_weights(m, length / m)[::-1]
+        got = table.gramian(np.eye(N), w)
+        assert got.tobytes() == offset_loop_gramian(table, np.eye(N), w).tobytes()
 
     def test_identity_semigroup_unit_window(self):
         blk = assemble_gramian(MatrixSemigroup(np.zeros((3, 3))), np.eye(3),

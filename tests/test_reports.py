@@ -114,6 +114,17 @@ def test_exact_ties_round_half_to_even(fallback):
     assert rendered([177084250429.890625]) == [b"177084250429.89062"]
 
 
+def test_digit_group_tables_match_the_per_entry_builder():
+    _, groups, zeros, _, _ = reports._tables()
+    want_groups = np.array([reports._word(b"%04d" % g, 0) for g in range(10000)],
+                           dtype=np.uint64)
+    want_zeros = np.array([4] + [len(s) - len(s.rstrip("0"))
+                                 for s in map(str, range(1, 10000))], dtype=np.uint8)
+    assert groups.dtype == want_groups.dtype and zeros.dtype == want_zeros.dtype
+    assert groups.tobytes() == want_groups.tobytes()
+    assert zeros.tobytes() == want_zeros.tobytes()
+
+
 def test_tables_are_built_on_first_emission_not_at_import():
     script = ("import evosteer.cli, evosteer.reports as r\n"
               "assert r._tables.cache_info().currsize == 0\n")
