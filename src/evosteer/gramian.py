@@ -4,8 +4,13 @@ For each control window (start, end] the Gramian
 
     G = int_start^end  T(end - tau) B B* T(end - tau)*  d tau
 
-is assembled by composite trapezoid on the window grid, symmetrized, and
-eigendecomposed once, for its floor and its solve.  The feedback on it is
+is assembled by composite trapezoid on the window grid and factored once,
+for its floor and its solve.  The matrix backend's G is a small dense
+array, symmetrized and eigendecomposed.  The shift backend's G (B = I) is
+exactly tridiagonal and is kept as its two diagonals: its floor is a
+certified lower bound on its smallest eigenvalue, from Sturm counts, and
+its solve runs on one LDL^T factorization, so no N x N array is formed.
+The feedback on G is
 
     u(tau) = B* T(end - tau)* G^{-1} r,
 
@@ -18,6 +23,8 @@ operator reproduces the target at the window end to solver round-off.
 
 from __future__ import annotations
 
+import functools
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +33,17 @@ from .core import PiecewiseTrajectory
 from .discretize import WindowGrid, build_window_grids
 from .problems import Numerics, Problem
 
+# Unit roundoff and the smallest normal double
+_U = np.finfo(float).eps / 2
+_TINY = np.finfo(float).tiny
+
 
 class NotInvertibleError(Exception):
     """A window Gramian fell below the invertibility floor.
 
-    Carries the measured smallest eigenvalue so the caller can refine the
-    grid, shrink the window, or add ridge regularization.
+    Carries the smallest eigenvalue (a certified lower bound on it for a
+    tridiagonal Gramian) so the caller can refine the grid, shrink the
+    window, or add ridge regularization.
     """
 
     def __init__(self, window: int, min_eig: float, floor: float):
@@ -43,25 +55,141 @@ class NotInvertibleError(Exception):
             f"min eigenvalue {min_eig:.3e} < floor {floor:.3e}")
 
 
+def sturm_count(diag: list, off_sq: list, z: float) -> int:
+    """Nonpositive pivots of the LDL^T factorization of T - z I, T the
+    symmetric tridiagonal with diagonal ``diag`` and squared off-diagonal
+    ``off_sq`` (led by a 0 for the first row): the number of eigenvalues
+    below z (Sylvester's law of inertia).  A zero pivot counts as negative
+    and is replaced by -tiny, so the recurrence goes on.
+
+    Computed in floating point, the count is exact for a T^ with T's
+    diagonal and each off-diagonal entry changed by at most 2.5 u of
+    itself, u the unit roundoff, barring underflow (W. Kahan; J. W. Demmel,
+    Applied Numerical Linear Algebra, SIAM 1997, section 5.3.4)."""
+    count, q = 0, 1.0
+    for a, b2 in zip(diag, off_sq):
+        q = (a - z) - b2 / q
+        if q <= 0.0:
+            count += 1
+            if q == 0.0:
+                q = -_TINY
+    return count
+
+
+def _ordered(x: float) -> int:
+    """The doubles in order as integers: adjacent doubles differ by 1."""
+    i = struct.unpack("<q", struct.pack("<d", x))[0]
+    return i if i >= 0 else -(i & 0x7FFF_FFFF_FFFF_FFFF)
+
+
+def _double(k: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", k if k >= 0 else -k | 1 << 63))[0]
+
+
+def smallest_eigenvalue_bracket(diag: np.ndarray, off: np.ndarray) -> tuple:
+    """Adjacent doubles lo < hi with count(lo) = 0 and count(hi) >= 1 by
+    :func:`sturm_count`, for the symmetric tridiagonal T with diagonal
+    ``diag`` and off-diagonal ``off``, bisected on the ordered doubles: each
+    count halves the doubles left, so at most 64 counts.
+
+    hi starts at min(diag), which bounds the smallest eigenvalue of the
+    counts' T^ from above (T^ keeps T's diagonal), so its count is at least
+    1; lo starts at Gershgorin's lower bound, lowered should the counts'
+    rounding need it."""
+    radius = np.abs(np.concatenate(([0.0], off))) + np.abs(np.concatenate((off, [0.0])))
+    d, e2 = diag.tolist(), [0.0] + (off * off).tolist()
+    lo, hi = float(np.min(diag - radius)), float(np.min(diag))
+    if not np.isfinite(lo):
+        raise ValueError("the tridiagonal Gramian has non-finite entries")
+    while sturm_count(d, e2, lo):
+        lo -= hi - lo + abs(lo) + _TINY
+    a, b = _ordered(lo), _ordered(hi)
+    while b - a > 1:
+        mid = (a + b) // 2
+        if sturm_count(d, e2, _double(mid)):
+            b = mid
+        else:
+            a = mid
+    return _double(a), _double(b)
+
+
+def tridiagonal_floor(diag: np.ndarray, off: np.ndarray) -> float:
+    """A certified lower bound on the smallest eigenvalue of the symmetric
+    tridiagonal T with diagonal ``diag`` and off-diagonal ``off``.
+
+    With lo from :func:`smallest_eigenvalue_bracket`, count(lo) = 0 says
+    every eigenvalue of the count's T^ (see :func:`sturm_count`) exceeds
+    lo, and |T^ - T|_2 <= 2 max |T^_i,i+1 - T_i,i+1| <= 5 u max |off|
+    (Weyl), so lo - 5 u max |off|, rounded down, is below every eigenvalue
+    of T."""
+    lo, _ = smallest_eigenvalue_bracket(diag, off)
+    margin = 5.000001 * _U * float(np.max(np.abs(off), initial=0.0))
+    return float(np.nextafter(lo - margin, -np.inf))
+
+
+class _Tridiagonal:
+    """T + ridge I for a symmetric tridiagonal T, with its LDL^T
+    factorization: pivots p and multipliers l, T + ridge I = L diag(p) L^T
+    with L unit lower bidiagonal."""
+
+    def __init__(self, diag: np.ndarray, off: np.ndarray, ridge: float):
+        self.diag, self.off = diag + ridge, off
+        p, ls = [], []
+        q = float(self.diag[0])
+        for a, b in zip(self.diag[1:].tolist(), off.tolist()):
+            p.append(q)
+            ls.append(b / q)
+            q = a - ls[-1] * b
+        p.append(q)
+        self.pivots, self.mult = np.array(p), ls
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """(T + ridge I)^{-1} v: L y = v, then L^T x = y / p."""
+        y = [float(v[0])]
+        for li, vi in zip(self.mult, v[1:].tolist()):
+            y.append(vi - li * y[-1])
+        z = (np.array(y) / self.pivots).tolist()
+        x = [z[-1]]
+        for li, zi in zip(reversed(self.mult), reversed(z[:-1])):
+            x.append(zi - li * x[-1])
+        return np.array(x[::-1])
+
+    def apply(self, w: np.ndarray) -> np.ndarray:
+        """(T + ridge I) w."""
+        out = self.diag * w
+        out[:-1] += self.off * w[1:]
+        out[1:] += self.off * w[:-1]
+        return out
+
+
 @dataclass
 class GramianBlock:
     """One window's assembled Gramian with its conditioning diagnostics.
 
-    The symmetric ``matrix`` is decomposed once, by ``eigh`` at construction;
-    ``min_eig`` is its smallest eigenvalue.  ``ridge`` (if any) shifts every
-    eigenvalue of the solve and is reported, never silent.  ``floor_used`` =
-    min_eig + ridge is the realized invertibility floor that certificates
-    consume as the per-window delta.
+    ``matrix`` is what the window's lag table returned: a dense symmetric
+    array, decomposed once by ``eigh`` at construction, with ``min_eig``
+    its smallest eigenvalue; or the (diagonal, off-diagonal) pair of a
+    symmetric tridiagonal, with ``min_eig`` a certified lower bound on its
+    smallest eigenvalue (:func:`tridiagonal_floor`), at most 5 u max |off|
+    and 2 ulp below the counts' bracket, and its solve on an LDL^T
+    factorization made on the first solve.  ``ridge`` (if any) shifts every
+    eigenvalue of the solve and is reported, never silent.  ``floor_used``
+    = min_eig + ridge is the realized invertibility floor that certificates
+    consume as the per-window delta; for a tridiagonal it is a true lower
+    bound.
     """
 
     index: int
-    matrix: np.ndarray
+    matrix: object
     delta_floor: float
     ridge: float = 0.0
 
     def __post_init__(self):
-        self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
-        self.min_eig = float(self.eigvals[0])
+        if isinstance(self.matrix, tuple):
+            self.min_eig = tridiagonal_floor(*self.matrix)
+        else:
+            self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
+            self.min_eig = float(self.eigvals[0])
 
     @property
     def floor_used(self) -> float:
@@ -71,13 +199,21 @@ class GramianBlock:
     def invertible(self) -> bool:
         return self.floor_used >= self.delta_floor
 
+    @functools.cached_property
+    def _tridiagonal(self) -> _Tridiagonal:
+        return _Tridiagonal(*self.matrix, self.ridge)
+
 
 def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
                        numerics: Numerics) -> GramianBlock:
     """Gramian of one control window on its shared tau-grid; ``scale`` is the
-    state-to-control weight ratio that makes B* the adjoint of B."""
+    state-to-control weight ratio that makes B* the adjoint of B.  A dense
+    Gramian is symmetrized; a tridiagonal one is symmetric as stored."""
     G = grid.table.gramian(B, grid.weights[::-1])
-    G = 0.5 * scale * (G + G.T)
+    if isinstance(G, tuple):
+        G = (scale * G[0], scale * G[1])
+    else:
+        G = 0.5 * scale * (G + G.T)
     return GramianBlock(index=grid.index, matrix=G,
                         ridge=numerics.ridge_for(grid.index),
                         delta_floor=numerics.delta_floor)
@@ -102,16 +238,23 @@ def assemble_gramian(semigroup, control_matrix, window,
 
 
 def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
-    """Solve (G + ridge I) w = v as V ((V^T r) / (lam + ridge)) from the
-    block's eigendecomposition, refined until the residual r is at most
-    1e-12 relative to v, or after 3 refinement steps."""
+    """Solve (G + ridge I) w = v, refined until the residual r is at most
+    1e-12 relative to v, or after 3 refinement steps.  Each step solves for
+    r by the block's factorization: V ((V^T r) / (lam + ridge)) from a
+    dense Gramian's eigendecomposition, the LDL^T sweeps for a tridiagonal
+    one."""
     if not block.invertible:
         raise NotInvertibleError(block.index, block.min_eig, block.delta_floor)
-    V, lam = block.eigvecs, block.eigvals + block.ridge
+    if isinstance(block.matrix, tuple):
+        step, apply = block._tridiagonal.solve, block._tridiagonal.apply
+    else:
+        V, lam = block.eigvecs, block.eigvals + block.ridge
+        step = lambda r: V @ ((V.T @ r) / lam)
+        apply = lambda w: block.matrix @ w + block.ridge * w
     w, r = 0.0, v
     for _ in range(4):
-        w = w + V @ ((V.T @ r) / lam)
-        r = v - (block.matrix @ w + block.ridge * w)
+        w = w + step(r)
+        r = v - apply(w)
         if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
             break
     return w
@@ -185,14 +328,15 @@ class ControlSignal:
 
 def synthesize_control(problem: Problem, grids: list, blocks: list,
                        residuals: list) -> ControlSignal:
-    """Sampled feedback on every control window from the solved residuals."""
-    B_adj = problem.control_adjoint()
+    """Sampled feedback on every control window from the solved residuals;
+    B* is formed only when it is not the identity."""
+    B_adj = None if problem.identity_control else problem.control_adjoint()
     times, samples, preimages = [], [], []
     for grid, block, r in zip(grids, blocks, residuals):
         y = gramian_solve(block, r)
         adj = grid.table.adjoint_evolve(y)          # rows T(g*delta)* y
         U = adj[grid.m - np.arange(grid.m + 1)]
-        if not problem.identity_control:
+        if B_adj is not None:
             U = U @ B_adj.T
         times.append(grid.times)
         samples.append(U)

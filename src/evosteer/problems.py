@@ -31,6 +31,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import PiecewiseTrajectory, TimeMesh
+from .semigroups import is_identity
 
 # The fewest steps any mesh interval's sample grid takes.
 MIN_STEPS = 8
@@ -152,9 +153,10 @@ class Problem:
     def identity_control(self) -> bool:
         """Whether B = I with equal weights, which makes B and B* the
         identity: the solve then skips their products, which would only
-        copy.  Read from the current fields, so a reassigned B counts."""
+        copy.  Read from the current fields, so a reassigned B counts, and
+        tested without forming an identity."""
         return (self.control_weight == self.state_weight
-                and np.array_equal(self.control_matrix, np.eye(self.dim)))
+                and is_identity(self.control_matrix))
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.state_weight) * np.linalg.norm(v))

@@ -109,6 +109,14 @@ def fft_row_sum_error(n: int, pairs: int) -> float:
     return float(2.0 * (3.0 * e + k * u / (1.0 - k * u)))
 
 
+def is_identity(M: np.ndarray) -> bool:
+    """Whether the 2-D M is a square identity, tested without forming one:
+    as many nonzero entries as rows, and every diagonal entry 1."""
+    n = M.shape[0]
+    return (M.shape == (n, n) and np.count_nonzero(M) == n
+            and bool(np.all(M.diagonal() == 1.0)))
+
+
 class MatrixLagTable:
     """Propagators T(g * delta) = E^g, E = expm(delta * A), for g = 0..m.
 
@@ -200,32 +208,28 @@ class ShiftLagTable:
         vp = np.pad(v, (0, o + 2))
         return (1.0 - c) * vp[o:o + N] + c * vp[o + 1:o + 1 + N]
 
-    def gramian(self, B: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, summed per offset.
+    def gramian(self, B: np.ndarray, w: np.ndarray) -> tuple:
+        """sum_g w_g T(g*delta) T(g*delta)^T as its diagonal and first
+        off-diagonal: with B = I, the only control matrix the shift
+        backend takes, the Gramian is exactly tridiagonal.
 
         T(g*delta) = (1-c_g) S_o + c_g S_{o+1} with S_o the shift by o
-        nodes and o = off_g, so each lag contributes shifted diagonal blocks
-        C[o:o+N, o:o+N] of C = B B^T and the cross blocks
-        X_o = C[o:o+N, o+1:o+1+N]; lags sharing an offset share blocks.
+        nodes and o = off_g, so entry i of the diagonal gains the lag's
+        (1-c)^2 and c^2 weights while i + o < N and i + o + 1 < N, and the
+        off-diagonal gains (1-c) c while i + 1 + o < N: running sums of
+        the per-offset weights, in offset order, give the bits of adding
+        each offset's weights in turn.
         """
+        if not is_identity(B):
+            raise ValueError("the shift backend takes only the identity as "
+                             "its control matrix, whose Gramian is tridiagonal")
         N, P, off, c = self.N, self.pad, self.off, self.frac
         diag = (np.bincount(off, w * (1.0 - c) ** 2, minlength=P)
                 + np.bincount(off + 1, w * c ** 2, minlength=P))
         cross = np.bincount(off, w * (1.0 - c) * c, minlength=P)
-        if np.array_equal(B, np.eye(N)):
-            # C = I: entry i of the diagonal gains diag[o] while i + o < N,
-            # and the cross diagonals gain cross[o] while i + 1 + o < N, in
-            # offset order, so running sums give the loop's bits
-            i = np.arange(N)
-            upper = np.cumsum(cross)[np.minimum(P - 1, N - 2 - i[:-1])]
-            return (np.diag(np.cumsum(diag)[np.minimum(P - 1, N - 1 - i)])
-                    + np.diag(upper, 1) + np.diag(upper, -1))
-        Cp = np.pad(B @ B.T, (0, P))
-        G = np.zeros((N, N))
-        for o in range(P):
-            X = Cp[o:o + N, o + 1:o + 1 + N]
-            G += diag[o] * Cp[o:o + N, o:o + N] + cross[o] * (X + X.T)
-        return G
+        i = np.arange(N)
+        return (np.cumsum(diag)[np.minimum(P - 1, N - 1 - i)],
+                np.cumsum(cross)[np.minimum(P - 1, N - 2 - i[:-1])])
 
     # each row interpolates a window of N + 1 padded values, gathered once
     def evolve(self, v: np.ndarray) -> np.ndarray:

@@ -1,22 +1,29 @@
+import csv
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, expm
+from scipy.linalg import cho_factor, cho_solve, eigvalsh_tridiagonal, expm
 
 from evosteer.certificates import control_bound
+from evosteer.config import load_config
 from evosteer.core import build_time_mesh
 from evosteer.discretize import (KernelDiscretization, WindowGrid,
                                  build_window_grids, eta_values,
                                  trapezoid_weights)
 from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
                               assemble_from_grid, assemble_gramian,
-                              forcing_integral, gramian_solve, steering_residual,
-                              synthesize_control, window_start)
+                              forcing_integral, gramian_solve,
+                              smallest_eigenvalue_bracket, steering_residual,
+                              sturm_count, synthesize_control,
+                              tridiagonal_floor, window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
 from evosteer.transport import TransportConfig, build_case1
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
@@ -25,6 +32,27 @@ def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
     return Problem(semigroup=MatrixSemigroup(A), control_matrix=B, mesh=mesh,
                    beta=beta, history=lambda s: phi0, impulses=impulses,
                    constants=constants or AssumptionConstants(), **kwargs)
+
+
+def dense(tridiagonal):
+    """The N x N array of a (diagonal, off-diagonal) Gramian."""
+    d, e = tridiagonal
+    return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+
+
+def eigh_solve(block, v):
+    """``gramian_solve`` as it was for every Gramian before the tridiagonal
+    path: the dense array's eigendecomposition, refined the same way."""
+    G = dense(block.matrix) if isinstance(block.matrix, tuple) else block.matrix
+    lam, V = np.linalg.eigh(G)
+    lam = lam + block.ridge
+    w, r = 0.0, v
+    for _ in range(4):
+        w = w + V @ ((V.T @ r) / lam)
+        r = v - (G @ w + block.ridge * w)
+        if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
+            break
+    return w
 
 
 def offset_loop_gramian(table, B, w):
@@ -56,7 +84,7 @@ class TestAssembly:
         if backend == "matrix":
             T, B = MatrixSemigroup(rng.normal(size=(N, N))), rng.normal(size=(N, N - 1))
         else:
-            T, B = ShiftSemigroup(N), rng.normal(size=(N, 3))
+            T, B = ShiftSemigroup(N), np.eye(N)
         table = T.lag_table(end / m, m)
         if backend == "shift":
             assert table.frac[5] != 0.0 and table.off[-1] > 2
@@ -78,27 +106,47 @@ class TestAssembly:
             assert np.array_equal(got, G)
         else:
             # summed per offset rather than per lag: round-off differs
-            assert np.abs(got - G).max() <= 1e-13 * np.abs(G).max()
+            assert np.abs(dense(got) - G).max() <= 1e-13 * np.abs(G).max()
+
+    @pytest.mark.parametrize("B", [
+        np.random.default_rng(21).normal(size=(12, 3)),
+        np.random.default_rng(21).normal(size=(12, 12)),
+        2.0 * np.eye(12), np.eye(12)[::-1], np.eye(12, 13)],
+        ids=["random-12x3", "random-12x12", "scaled-identity", "permutation",
+             "wide-identity"])
+    def test_shift_refuses_other_control_matrices(self, B):
+        # only B = I gives a tridiagonal Gramian; any other B is refused at
+        # assembly, naming the control matrix
+        with pytest.raises(ValueError, match="control matrix"):
+            assemble_gramian(ShiftSemigroup(12), B, (0.0, 1.0), 13)
+        prob = Problem(semigroup=ShiftSemigroup(12), control_matrix=B,
+                       mesh=build_time_mesh([0.0, 1.0], 1.0), beta=1.0,
+                       history=lambda s: np.zeros(12))
+        with pytest.raises(ValueError, match="control matrix"):
+            assemble_all(prob, Numerics(time_step=1e-2))
 
     def test_shift_identity_control_is_tridiagonal(self):
-        # with B = I only the shifted diagonals and the first cross
-        # diagonals are ever added, so the rest is exactly zero
+        # with B = I the block holds the diagonal and the off-diagonal alone
         T = ShiftSemigroup(64)
         blk = assemble_gramian(T, np.eye(64), (0.0, 0.3), 300)
-        assert blk.matrix[0, 1] != 0.0
-        assert np.array_equal(np.triu(blk.matrix, 2), np.zeros((64, 64)))
-        assert np.array_equal(np.tril(blk.matrix, -2), np.zeros((64, 64)))
+        d, e = blk.matrix
+        assert d.shape == (64,) and e.shape == (63,)
+        assert e[0] != 0.0
 
     @pytest.mark.parametrize("N, m, length", [
         (256, 300, 0.3), (256, 500, 0.5), (64, 1200, 0.3), (64, 2000, 0.5),
         (16, 300, 0.3), (16, 40, 3.5)])     # the last shifts past pi
     def test_shift_identity_gramian_is_the_offset_loop(self, N, m, length):
         # B = I takes running sums of the per-offset weights, and gives the
-        # bytes of the loop over offsets that every other B takes
+        # bytes of the two diagonals of the loop over offsets, whose other
+        # entries are exactly zero
         table = ShiftSemigroup(N).lag_table(length / m, m)
         w = trapezoid_weights(m, length / m)[::-1]
-        got = table.gramian(np.eye(N), w)
-        assert got.tobytes() == offset_loop_gramian(table, np.eye(N), w).tobytes()
+        d, e = table.gramian(np.eye(N), w)
+        G = offset_loop_gramian(table, np.eye(N), w)
+        assert d.tobytes() == np.diag(G).tobytes()
+        assert e.tobytes() == np.diag(G, 1).tobytes() == np.diag(G, -1).tobytes()
+        assert np.array_equal(G, dense((d, e)))
 
     def test_identity_semigroup_unit_window(self):
         blk = assemble_gramian(MatrixSemigroup(np.zeros((3, 3))), np.eye(3),
@@ -127,9 +175,8 @@ class TestAssembly:
         w[0] = w[-1] = h / 2
         expected = np.array([sum(w[g] for g in range(steps + 1)
                                  if i + g <= N - 1) for i in range(N)])
-        np.testing.assert_allclose(np.diag(blk.matrix), expected, atol=1e-13)
-        off = blk.matrix - np.diag(np.diag(blk.matrix))
-        assert np.abs(off).max() <= 1e-13
+        np.testing.assert_allclose(blk.matrix[0], expected, atol=1e-13)
+        assert np.abs(blk.matrix[1]).max() <= 1e-13
         nodes = np.arange(N) * h
         assert np.abs(expected - np.minimum(width, np.pi - nodes)).max() <= 1.5 * h
 
@@ -193,14 +240,17 @@ class TestSolve:
 
     def test_matches_cholesky_on_case1_n256(self):
         # the two Case-1 window Gramians at N = 256, condition numbers about
-        # 84 and 141, against scipy's Cholesky solve
+        # 84 and 141: the LDL^T solve of the tridiagonal against scipy's
+        # Cholesky solve of its dense array
         _, blocks = assemble_all(build_case1(TransportConfig(N=256)),
                                  Numerics(time_step=1e-3))
         rng = np.random.default_rng(25)
         for blk in blocks:
-            assert blk.min_eig == pytest.approx(
-                np.linalg.eigvalsh(blk.matrix)[0], rel=1e-12)
-            fac = cho_factor(blk.matrix, lower=True)
+            G = dense(blk.matrix)
+            lam = np.linalg.eigvalsh(G)[0]
+            assert blk.min_eig <= lam
+            assert blk.min_eig == pytest.approx(lam, rel=1e-12)
+            fac = cho_factor(G, lower=True)
             for _ in range(10):
                 v = rng.normal(size=256)
                 ref = cho_solve(fac, v)
@@ -222,20 +272,128 @@ class TestSolve:
         np.testing.assert_allclose(gramian_solve(blk, np.array([1.0, 0.0])),
                                    [2.0, 0.0], atol=1e-12)
 
+    def test_tridiagonal_ridge_is_reported_and_used(self):
+        blk = GramianBlock(index=0, matrix=(np.zeros(3), np.zeros(2)),
+                           delta_floor=Numerics().delta_floor, ridge=0.5)
+        assert -1e-300 <= blk.min_eig <= 0.0
+        assert blk.floor_used == pytest.approx(0.5)
+        np.testing.assert_allclose(gramian_solve(blk, np.array([1.0, 0.0, -2.0])),
+                                   [2.0, 0.0, -4.0], atol=1e-12)
 
-def test_each_gramian_is_decomposed_once(monkeypatch):
-    # one eigh per window Gramian serves its floor, the certificate and
-    # every solve of the Picard iteration
+    def test_tridiagonal_ridge_shifts_the_solve(self):
+        # a positive semidefinite tridiagonal made invertible by its ridge,
+        # against the dense solve of G + ridge I
+        rng = np.random.default_rng(27)
+        d, e = rng.uniform(1.0, 2.0, size=40), rng.uniform(-0.5, 0.5, size=39)
+        d[0] = e[0] ** 2    # the leading 2 x 2 block is singular
+        lam = np.linalg.eigvalsh(dense((d, e)))[0]
+        blk = GramianBlock(index=1, matrix=(d - lam, e),
+                           delta_floor=Numerics().delta_floor, ridge=0.25)
+        assert blk.min_eig <= 0.0 and blk.floor_used >= 0.25 - 1e-15
+        v = rng.normal(size=40)
+        want = np.linalg.solve(dense((d - lam + 0.25, e)), v)
+        assert np.abs(gramian_solve(blk, v) - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_tridiagonal_singular_raises_with_diagnostics(self):
+        # [[1, 1], [1, 1]] has the eigenvalues 0 and 2
+        blk = GramianBlock(index=2, matrix=(np.ones(2), np.ones(1)),
+                           delta_floor=Numerics().delta_floor)
+        assert -1e-15 <= blk.min_eig <= 0.0
+        assert not blk.invertible
+        with pytest.raises(NotInvertibleError) as err:
+            gramian_solve(blk, np.ones(2))
+        assert err.value.window == 2
+        assert err.value.min_eig == blk.min_eig
+
+    def test_tridiagonal_non_finite_is_refused(self):
+        # a NaN would leave every count 0 and the bracket unending
+        with pytest.raises(ValueError, match="non-finite"):
+            GramianBlock(index=0, matrix=(np.array([1.0, np.nan]), np.zeros(1)),
+                         delta_floor=Numerics().delta_floor)
+
+
+@pytest.mark.parametrize("N", [16, 64, 256, 1024])
+def test_sturm_floor_is_a_lower_bound_within_2n_ulp(N):
+    # the bisection ends on adjacent doubles whose counts are 0 and >= 1;
+    # the floor lies 5 u max|off| and at most 2 ulp below the lower one, so
+    # it is never above the smallest eigenvalue by scipy's tridiagonal
+    # solver or by eigh, and within 2N ulp of scipy's (measured at most 6,
+    # 31, 81 and 628 ulp at N = 16, 64, 256, 1024)
+    _, blocks = assemble_all(build_case1(TransportConfig(N=N)),
+                             Numerics(time_step=1e-3))
+    u = np.finfo(float).eps / 2
+    for blk in blocks:
+        d, e = blk.matrix
+        diag, off_sq = d.tolist(), [0.0] + (e * e).tolist()
+        lo, hi = smallest_eigenvalue_bracket(d, e)
+        assert hi == np.nextafter(lo, np.inf)
+        assert sturm_count(diag, off_sq, lo) == 0
+        assert sturm_count(diag, off_sq, hi) >= 1
+        assert sturm_count(diag, off_sq, blk.min_eig) == 0
+        assert blk.min_eig == tridiagonal_floor(d, e)
+        assert 0.0 < lo - blk.min_eig <= 5.000001 * u * np.abs(e).max() + 2 * np.spacing(lo)
+        ref = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
+        assert blk.min_eig <= ref
+        assert ref - blk.min_eig <= 2 * N * np.spacing(ref)
+        assert blk.min_eig <= np.linalg.eigvalsh(dense(blk.matrix))[0]
+
+
+def test_transport_run_calls_no_lapack_routine(monkeypatch):
+    # the tridiagonal Gramian's floor and solve run on Sturm counts and
+    # LDL^T sweeps: a transport run calls none of numpy's LAPACK routines
     from evosteer.runner import run
-    shapes = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh"))
+    for name in ("eigh", "eigvalsh", "solve", "cholesky", "inv"):
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *args, name=name, **kwargs: pytest.fail(name))
     cfg = TransportConfig(N=16)
     result = run(build_case1(cfg), cfg.resolved_targets(),
                  Numerics(time_step=4e-3, history_samples=32))
     assert result.solve.window_solves >= 4
-    assert shapes == [(16, 16), (16, 16)]
+    assert max(result.solve.per_window_defect) <= 1e-9
+
+
+def test_linear_run_takes_one_eigh_per_window(monkeypatch):
+    # on the dense path one eigh per window Gramian serves its floor, the
+    # certificate and every solve of the Picard iteration
+    from evosteer.runner import run
+    cfg = load_config(str(CONFIGS / "linear-2d.ini"))
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh"))
+    result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=True)
+    assert shapes == [(2, 2), (2, 2)]
+    assert result.solve.window_solves > len(shapes)
+
+
+def _csv_values(path):
+    """A CSV file's text columns, and its value columns as one array."""
+    with open(path, newline="") as f:
+        header, *rows = list(csv.reader(f))
+    numeric = [i for i, name in enumerate(header) if name[0] in "xu"]
+    text = [[r[i] for i in range(len(header)) if i not in numeric] for r in rows]
+    return text, np.array([[float(r[i]) for i in numeric] for r in rows])
+
+
+@pytest.mark.parametrize("preset", ["transport-case1", "transport-case2"])
+def test_transport_files_within_round_off_of_the_eigh_solve(tmp_path, monkeypatch,
+                                                            preset):
+    # the LDL^T solve moves a transport run's states and controls by
+    # round-off only: every value of trajectory.csv and control.csv within
+    # 1e-14 of its file's largest |value| from the dense eigh solve, with
+    # the time column and text fields identical
+    from evosteer import gramian
+    from evosteer.cli import main
+    for name in ("ldl", "eigh"):
+        if name == "eigh":
+            monkeypatch.setattr(gramian, "gramian_solve", eigh_solve)
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / name))
+        assert main(["solve", str(CONFIGS / f"{preset}.ini"), "--no-timing"]) == 0
+    for file in ("trajectory.csv", "control.csv"):
+        text, got = _csv_values(tmp_path / "ldl" / file)
+        want_text, want = _csv_values(tmp_path / "eigh" / file)
+        assert text == want_text
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestResiduals:
@@ -354,7 +512,9 @@ class TestControl:
         if backend == "matrix":
             T, B = MatrixSemigroup(rng.normal(size=(6, 6))), rng.normal(size=(6, 6))
         else:
-            T, B = ShiftSemigroup(64), rng.normal(size=(64, 64))
+            # the shift backend's one control matrix; the unequal weights
+            # still take the products with B*
+            T, B = ShiftSemigroup(64), np.eye(64)
         phi0 = rng.normal(size=T.dim)
         prob = Problem(semigroup=T, control_matrix=B,
                        mesh=build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0),

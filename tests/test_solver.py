@@ -1,3 +1,4 @@
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -359,18 +360,19 @@ def test_run_result_releases_the_sweep(monkeypatch, entry):
 @pytest.mark.parametrize("entry", ["run", "certify"])
 def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
     # both commands prepare through one Sweep, which checks every Gramian
-    # before it builds the Volterra kernel
+    # before it builds the Volterra kernel; the shift backend takes B = I
+    # only, so its Gramians are held below an invertibility floor above
+    # their certified floors (at most pi/N)
     from evosteer import discretize, runner
     from evosteer.transport import TransportConfig, build_case2
     calls = []
     monkeypatch.setattr(discretize.KernelDiscretization, "__init__",
                         lambda self, *args: calls.append(args))
     cfg = TransportConfig(N=8)
-    prob = build_case2(cfg)
-    prob.control_matrix = np.zeros((8, 8))
     with pytest.raises(NotInvertibleError):
-        getattr(runner, entry)(prob, cfg.resolved_targets(),
-                               Numerics(time_step=1e-2, history_samples=16))
+        getattr(runner, entry)(build_case2(cfg), cfg.resolved_targets(),
+                               Numerics(time_step=1e-2, history_samples=16,
+                                        delta_floor=1.0))
     assert calls == []
 
 
@@ -704,3 +706,16 @@ def test_reassigned_control_matrix_takes_the_products():
     targets = [rng.normal(size=2), rng.normal(size=2)]
     report = picard_solve(Sweep(prob, Numerics(time_step=2e-3)), targets)
     assert max(report.per_window_defect) <= 1e-9
+
+
+def test_identity_control_forms_no_identity():
+    # the flag is read once per sweep and once per synthesis; testing it
+    # allocates no N x N array (8 MiB at N = 1024)
+    prob = build_case1(TransportConfig(N=1024))
+    tracemalloc.start()
+    try:
+        assert prob.identity_control
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024
