@@ -187,17 +187,29 @@ class PiecewiseTrajectory:
                                    self.seg_times, seg_values, self.weight)
 
 
-def path_sup_norm(traj: PiecewiseTrajectory) -> float:
+def path_sup_norm(traj: PiecewiseTrajectory, pieces=None) -> float:
     """Supremum of pointwise state norms over all stored samples on [0, b],
-    both one-sided breakpoint values included."""
-    stack = traj.sample_stack()
-    return float(np.sqrt(traj.weight) * np.max(np.linalg.norm(stack, axis=1)))
+    both one-sided breakpoint values included; with ``pieces``, over the
+    samples of those intervals only (0 for none)."""
+    parts = ([traj.sample_stack()] if pieces is None
+             else [traj.seg_values[k] for k in pieces])
+    return _sup_norm(traj.weight, parts)
 
 
-def sup_distance(a: PiecewiseTrajectory, b: PiecewiseTrajectory) -> float:
-    """path_sup_norm of the sample-wise difference of two paths sharing grids."""
-    d = a.sample_stack() - b.sample_stack()
-    return float(np.sqrt(a.weight) * np.max(np.linalg.norm(d, axis=1)))
+def sup_distance(a: PiecewiseTrajectory, b: PiecewiseTrajectory,
+                 pieces=None) -> float:
+    """path_sup_norm of the sample-wise difference of two paths sharing
+    grids, over the intervals of ``pieces`` only if given."""
+    parts = ([a.sample_stack() - b.sample_stack()] if pieces is None
+             else [a.seg_values[k] - b.seg_values[k] for k in pieces])
+    return _sup_norm(a.weight, parts)
+
+
+def _sup_norm(weight: float, parts: list) -> float:
+    """sqrt(weight) times the largest row norm of the arrays ``parts``: the
+    largest of the parts' maxima is the maximum over their rows."""
+    return float(np.sqrt(weight) * max((np.max(np.linalg.norm(p, axis=1))
+                                        for p in parts), default=0.0))
 
 
 def history_segment(traj: PiecewiseTrajectory, times, offsets) -> np.ndarray:

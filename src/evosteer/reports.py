@@ -10,7 +10,13 @@ slot, the literal fields and the value slots.  Deleting the NULs leaves the
 bytes ``csv.writer`` would write with one ``'%.17g' %`` per value (no field
 ever needs quoting; rows end in CRLF).  ``control.csv`` written beside
 ``trajectory.csv`` is cut from the same slots: the time and control columns
-of the control-window rows."""
+of the control-window rows.  Only the values a row stores are formatted:
+the control columns of history and impulse rows are padding zeros, and take
+the one constant slot of ``'%.17g' % 0``.  The formatter works in passes of
+8,192 values: each of its numpy calls then covers enough values to hide
+the call's fixed cost, while a pass's temporaries (about 90 bytes a value)
+come to 45 bytes per value of a full block, and emission as a whole holds
+about 87 bytes per block value."""
 
 from __future__ import annotations
 
@@ -36,7 +42,9 @@ _SPLIT = 2.0 ** 27 + 1      # Veltkamp's splitter into 26-bit halves
 # fallback where 10^(16 - X) is not a double: the fast path's error is
 # below 1e-14 there, and exact ties round to even in the fallback.
 _TIE = 1e-6
-_PASS_VALUES = 1 << 12
+_PASS_VALUES = 1 << 13
+# the slot of '%.17g' % 0, for the columns past a piece's values
+_ZERO_SLOT = np.frombuffer(b",0".ljust(32, b"\0"), dtype=np.uint64)
 
 
 def _word(text: bytes, at: int) -> int:
@@ -59,16 +67,19 @@ def _tables() -> tuple:
       byte right past the point, and the point itself;
     * ``exponents``: per X, the ``e+XX`` suffix in the body's last word.
     """
+    # 10^(16 - X) from exact integers, p = 10^|16 - X| stepped along X;
+    # float(int) and int / int round correctly
     hi, lo = [], []
+    p = 10 ** (17 - _XMIN)
     for X in range(_XMIN, _XMAX + 1):
-        k = 16 - X
-        if k >= 0:
-            hi.append(float(10 ** k))
-            lo.append(float(10 ** k - int(hi[-1])))
+        p = p // 10 if X <= 16 else p * 10
+        if X <= 16:
+            hi.append(float(p))
+            lo.append(float(p - int(hi[-1])))
         else:
-            hi.append(1 / 10 ** -k)
+            hi.append(1 / p)
             num, den = hi[-1].as_integer_ratio()
-            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
+            lo.append((den - num * p) / (den * p))
     hi = np.array(hi)
     mant, exp = np.frexp(hi)    # split the mantissa: hi * _SPLIT may overflow
     big = mant * _SPLIT
@@ -82,25 +93,41 @@ def _tables() -> tuple:
                  for k in range(4))
     zeros = sum((g % 10 ** k == 0).astype(np.uint8) for k in range(1, 5))
 
-    forms = np.zeros((10, 23, 17), dtype=np.uint64)
-    for X in range(-5, 18):
-        for nd in range(1, 18):
-            if -4 <= X < 0:         # 0.000ddd
-                head, point, keep = b"0." + b"0" * (-X - 1), None, nd
-            elif 0 <= X <= 16:      # ddd.ddd, or ddd0 without a point
-                head, point, keep = b"", X + 1, max(nd, X + 1)
-            else:                   # d.ddde+XX
-                head, point, keep = b"", 1, nd
-            if point is not None and nd > point:
-                masks = (b"\xff" * point, bytes(point + 1) + b"\xff" * (nd - point),
-                         bytes(point) + b".")
-            else:
-                masks = (b"\xff" * keep, b"", b"")
-            body = np.frombuffer(b"".join(m.ljust(24, b"\0") for m in masks),
-                                 dtype=np.uint64)
-            forms[:, X + 5, nd - 1] = [_word(b"," + bytes(1) + head, 0), *body]
-    exponents = np.array([0 if -4 <= X <= 16 else _word(b"e%+03d" % X, 3)
-                          for X in range(_XMIN, _XMAX + 1)], dtype=np.uint64)
+    # forms by byte: 0.000ddd (-4 <= X < 0) after a head of ``0.`` and
+    # -X - 1 zeros; ddd.ddd or ddd0 (0 <= X <= 16) with the point after
+    # digit X + 1; d.ddde+XX otherwise, the point after digit 1
+    Xf = np.arange(-5, 18)[:, None, None]
+    nd = np.arange(1, 18)[None, :, None]
+    byte = np.arange(24)
+    lead, fixed = (Xf >= -4) & (Xf < 0), (Xf >= 0) & (Xf <= 16)
+    point = np.where(fixed, Xf + 1, 1)
+    split = ~lead & (nd > point)
+    kept = np.where(split | fixed, point, nd)     # digits kept in place
+    body = np.stack(np.broadcast_arrays(
+        (byte < kept) * 0xFF,
+        (split & (byte > point) & (byte <= nd)) * 0xFF,
+        (split & (byte == point)) * ord(".")), axis=2).astype(np.uint8)
+    byte = byte[:8]
+    head = np.where(byte == 0, ord(","),
+                    (lead & (byte >= 2) & (byte < 3 - Xf))
+                    * np.where(byte == 3, ord("."), ord("0")))
+    head = np.broadcast_to(head.astype(np.uint8), (23, 17, 8))
+    forms = np.concatenate([head.view(np.uint64),
+                            body.view(np.uint64).reshape(23, 17, 9)], axis=2)
+    forms = forms.transpose(2, 0, 1)
+
+    # per X, bytes 3 on: ``e``, the sign and |X| in three digits, or in two
+    # below 100
+    X = np.arange(_XMIN, _XMAX + 1)
+    suffix = np.zeros((X.size, 8), dtype=np.uint8)
+    suffix[:, 3] = ord("e")
+    suffix[:, 4] = np.where(X < 0, ord("-"), ord("+"))
+    suffix[:, 5:] = np.abs(X)[:, None] // [100, 10, 1] % 10 + ord("0")
+    two = np.abs(X) < 100
+    suffix[two, 5:7] = suffix[two, 6:]
+    suffix[two, 7] = 0
+    suffix[(X >= -4) & (X <= 16)] = 0
+    exponents = suffix.view(np.uint64)[:, 0]
     return powers, groups, zeros, forms.reshape(10, -1), exponents
 
 
@@ -147,7 +174,7 @@ def _format17(x: np.ndarray) -> np.ndarray:
     ties are written here; other ties and near-ties, non-finite values and
     exponents outside [_XMIN, _XMAX] go to ``_fallback``.  The work runs in
     passes of at most ``_PASS_VALUES`` values, so its temporaries (about 90
-    bytes a value) stay a fraction of the block's text."""
+    bytes a value) stay bounded whatever the block's size."""
     out = np.empty((x.size, 4), dtype=np.uint64)
     for lo in range(0, x.size, _PASS_VALUES):
         _format_pass(x[lo:lo + _PASS_VALUES], out[lo:lo + _PASS_VALUES])
@@ -299,20 +326,34 @@ def _write_csv(files: list, width: int, pieces: list) -> None:
 
 def _block_slots(pieces: list, block: list, width: int) -> np.ndarray:
     """The ``(rows, width, 4)`` slots of one block of rows, (piece, lo, hi)
-    ranges of ``_write_csv``'s pieces."""
-    rows = sum(hi - lo for _, lo, hi in block)
-    values = np.zeros((rows, width))
-    r = 0
+    ranges of ``_write_csv``'s pieces.  Only the columns a piece stores are
+    formatted; the columns past them take the slot of ``'%.17g' % 0``."""
+    spans, size = [], 0     # per range: its values' offset, rows and columns
     for k, lo, hi in block:
+        cols = 1 + sum(B.shape[1] for B in pieces[k][1])
+        spans.append((size, hi - lo, cols))
+        size += (hi - lo) * cols
+    values = np.empty(size)
+    for (k, lo, hi), (at, n, cols) in zip(block, spans):
         times, blocks = pieces[k]
-        end = r + hi - lo
-        values[r:end, 0] = times[lo:hi]
+        rows = values[at:at + n * cols].reshape(n, cols)
+        rows[:, 0] = times[lo:hi]
         col = 1
         for B in blocks:
-            values[r:end, col:col + B.shape[1]] = B[lo:hi]
+            rows[:, col:col + B.shape[1]] = B[lo:hi]
             col += B.shape[1]
-        r = end
-    return _format17(values.ravel()).reshape(rows, width, 4)
+    text = _format17(values)
+    del values
+    rows = sum(n for _, n, _ in spans)
+    if size == rows * width:
+        return text.reshape(rows, width, 4)
+    slots = np.empty((rows, width, 4), dtype=np.uint64)
+    r = 0
+    for at, n, cols in spans:
+        slots[r:r + n, :cols] = text[at:at + n * cols].reshape(n, cols, 4)
+        slots[r:r + n, cols:] = _ZERO_SLOT
+        r += n
+    return slots
 
 
 def _block_text(slots: np.ndarray, block: list, lengths: list, start: int,

@@ -17,6 +17,19 @@ Both expose a ``lag_table`` with the grid machinery the steering pipeline
 needs: propagator action at every lag g * delta of a uniform window grid.
 Lag-table data is immutable after construction; each table keeps its
 convolution kernel's spectrum once formed.
+
+A table's ``convolve(s, F)`` returns a window's whole mild-solution path
+z_g = T(g delta) s + int_0^{g delta} T(g delta - r) f(r) dr, the integral
+by the trapezoid rule, from one FFT product: with the start entering as an
+impulse at r = 0 (A. Pazy, Semigroups of Linear Operators and Applications
+to PDE, Springer 1983, ch. 4), z = delta * (K' * F') for g >= 1, where
+K'_0 = I / 2 and K'_l = T(l delta) for l >= 1 (the trapezoid's end weight
+on the newest sample), and F'_0 = F_0 / 2 + s / delta, F'_k = F_k for
+k >= 1 (its end weight on the oldest sample, and the start).  delta is
+folded into the kernel's spectrum, and row 0 is s itself.  ``fft_error``
+bounds the rounding of one row relative to the sum of the magnitudes it
+adds, |T(g delta)| |s| + delta sum_k |T((g-k) delta)| |F_k|, so the start's
+share of a row is rounded like the forcing's.
 """
 
 from __future__ import annotations
@@ -127,9 +140,9 @@ class MatrixLagTable:
     transform length, each row summing one product per state component.
     """
 
-    def __init__(self, E: np.ndarray, m: int):
+    def __init__(self, E: np.ndarray, m: int, delta: float):
         self.stack = powers(E, m, np.eye(E.shape[0]))
-        self.m = m
+        self.m, self.delta = m, delta
         self.growth = max(1.0, np.linalg.norm(self.stack[m], 2))
         self._n = fft_length(2 * m + 1)    # shorter circular lengths alias
         self.fft_error = fft_row_sum_error(self._n, E.shape[0])
@@ -142,10 +155,6 @@ class MatrixLagTable:
         M = self.stack @ B
         return (w[:, None, None] * (M @ M.transpose(0, 2, 1))).sum(axis=0)
 
-    def evolve(self, v: np.ndarray) -> np.ndarray:
-        """Rows T(g*delta) v for g = 0..m."""
-        return np.einsum("gij,j->gi", self.stack, v)
-
     def adjoint_evolve(self, v: np.ndarray) -> np.ndarray:
         """Rows T(g*delta)* v for g = 0..m."""
         return np.einsum("gji,j->gi", self.stack, v)
@@ -157,28 +166,33 @@ class MatrixLagTable:
 
     @functools.cached_property
     def _tilted_spectrum(self) -> tuple:
-        """The tilt r^-g and the spectrum of the tilted stack, formed on the
-        first convolve and kept: neither changes, and a run which only
-        certifies pays nothing."""
+        """The tilt r^-g and the spectrum of delta times the tilted kernel
+        stack, its lag-0 term halved, formed on the first convolve and
+        kept: neither changes, and a run which only certifies pays
+        nothing."""
         m = self.m
         tilt = self.growth ** (-np.arange(m + 1) / m)
-        return tilt, np.fft.rfft(tilt[:, None, None] * self.stack, self._n, axis=0)
+        K = tilt[:, None, None] * self.stack
+        K[0] *= 0.5
+        K *= self.delta
+        return tilt, np.fft.rfft(K, self._n, axis=0)
 
-    def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
-        """Trapezoid approximations of int_0^{g*delta} T(g*delta - s) f(s) ds
-        for every g, where f is sampled row-wise in F, as one FFT product of
-        the stack with F.  FFT round-off is relative to the largest term, so
-        lag g and row k are scaled by r^-g and r^-k and output row g by r^g,
-        with r^m = max(1, |E^m|_2): each row keeps its own relative accuracy."""
-        m = self.m
+    def convolve(self, start: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """The path T(g*delta) start + int_0^{g*delta} T(g*delta - s) f(s) ds
+        for every g, the integral by the trapezoid rule on f sampled
+        row-wise in F, as one FFT product of the stack with F, the start
+        folded into row 0.  FFT round-off is relative to the largest term,
+        so lag g and row k are scaled by r^-g and r^-k and output row g by
+        r^g, with r^m = max(1, |E^m|_2): each row keeps its own relative
+        accuracy."""
+        m, n = self.m, self._n
         assert F.shape[0] - 1 == m
         tilt, spec = self._tilted_spectrum
         Fw = tilt[:, None] * F
-        Fw[0] *= 0.5
-        n = self._n
+        Fw[0] = 0.5 * F[0] + start / self.delta    # tilt[0] = 1
         prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
-        out = delta * (np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None] - 0.5 * F)
-        out[0] = 0.0
+        out = np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None]
+        out[0] = start
         return out
 
 
@@ -192,7 +206,7 @@ class ShiftLagTable:
     """
 
     def __init__(self, N: int, h: float, delta: float, m: int):
-        self.N, self.h, self.m = N, h, m
+        self.N, self.h, self.delta, self.m = N, h, delta, m
         lag = np.arange(m + 1) * delta / h
         self.off = lag.astype(int)
         self.frac = lag - self.off
@@ -232,10 +246,6 @@ class ShiftLagTable:
                 np.cumsum(cross)[np.minimum(P - 1, N - 2 - i[:-1])])
 
     # each row interpolates a window of N + 1 padded values, gathered once
-    def evolve(self, v: np.ndarray) -> np.ndarray:
-        win = sliding_window_view(np.pad(v, (0, self.pad)), self.N + 1)[self.off]
-        return (1.0 - self.frac[:, None]) * win[:, :-1] + self.frac[:, None] * win[:, 1:]
-
     def adjoint_evolve(self, v: np.ndarray) -> np.ndarray:
         win = sliding_window_view(np.pad(v, (self.pad, 0)), self.N + 1)
         win = win[self.pad - 1 - self.off]
@@ -251,31 +261,39 @@ class ShiftLagTable:
 
     @functools.cached_property
     def _kernel_spectrum(self) -> np.ndarray:
-        """The spectrum of the two-tap lag kernel, formed on the first
-        convolve and kept, so that a run which only certifies pays
-        nothing."""
+        """The spectrum of delta times the two-tap lag kernel, its lag-0 tap
+        halved, formed on the first convolve and kept, so that a run which
+        only certifies pays nothing."""
         m, P = self.m, self.pad
         g = np.arange(m + 1)
         K = np.zeros((m + 1, P + 1))
         K[g, P - self.off] = 1.0 - self.frac
         K[g, P - self.off - 1] = self.frac
+        K[0] *= 0.5
+        K *= self.delta
         return np.fft.rfft2(K, self._fft_shape)
 
-    def convolve(self, F: np.ndarray, delta: float) -> np.ndarray:
-        """Trapezoid approximations of int_0^{g*delta} T(g*delta - s) f(s) ds
-        for every g, as one linear time-by-space convolution of F with the
-        two-tap lag kernel, taken by FFT."""
+    def convolve(self, start: np.ndarray, F: np.ndarray) -> np.ndarray:
+        """The path T(g*delta) start + int_0^{g*delta} T(g*delta - s) f(s) ds
+        for every g, the integral by the trapezoid rule, as one linear
+        time-by-space convolution of F, the start folded into row 0, with
+        the two-tap lag kernel, taken by FFT; returned as its own
+        ``(m+1, N)`` array."""
         m, N, P = self.m, self.N, self.pad
-        n_time, n_space = self._fft_shape
-        spec = np.fft.rfft2(F, self._fft_shape)
-        spec *= self._kernel_spectrum
+        kernel = self._kernel_spectrum
+        # rfft2's two passes, the first straight into the spectrum's rows
+        # and the second in place over them and their zero padding
+        spec = np.empty_like(kernel)
+        np.fft.rfft(F, self._fft_shape[1], axis=1, out=spec[:m + 1])
+        spec[0] = np.fft.rfft(0.5 * F[0] + start / self.delta, self._fft_shape[1])
+        spec[m + 1:] = 0.0
+        np.fft.fft(spec, axis=0, out=spec)
+        spec *= kernel
         # irfft2's two passes, in place and with the last one on the rows
         # read back only: the same bits in less memory
-        np.fft.ifft(spec, n_time, axis=0, out=spec)
-        conv = np.fft.irfft(spec[:m + 1], n_space, axis=1)[:, P:P + N]
-        del spec    # before evolve's temporaries
-        out = delta * (conv - 0.5 * (self.evolve(F[0]) + F))
-        out[0] = 0.0
+        np.fft.ifft(spec, axis=0, out=spec)
+        out = np.fft.irfft(spec[:m + 1], self._fft_shape[1], axis=1)[:, P:P + N].copy()
+        out[0] = start
         return out
 
 
@@ -315,7 +333,7 @@ class MatrixSemigroup:
         return self.propagator(theta).T @ v
 
     def lag_table(self, delta: float, m: int) -> MatrixLagTable:
-        return MatrixLagTable(self.propagator(delta), m)
+        return MatrixLagTable(self.propagator(delta), m, delta)
 
 
 class ShiftSemigroup:

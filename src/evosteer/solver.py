@@ -22,7 +22,11 @@ inputs changed: a window whose forcing rows are all read from the history
 keeps its forcing integral for the run, and its path and control while its
 target stays bit for bit the same and its start moves by no more than its
 lag table's FFT rounding bound relative to the start (see
-:meth:`Sweep.apply`).
+:meth:`Sweep.apply`).  A window's path is one FFT product of its lag table
+(``table.convolve(start, F)``).  A kept window holds the previous iterate's
+bits, so from the second sweep on the update and the iterate's sup norm
+read only the intervals the sweep recomputed: its solved control windows
+and every impulse window.
 """
 
 from __future__ import annotations
@@ -124,6 +128,9 @@ class Sweep:
         self._q = None
         self._solved = [None] * len(self.grids)
         self.window_solves = 0
+        # the intervals the last apply computed (all before the first);
+        # every other one holds the bits the apply before it gave
+        self.recomputed = list(range(len(self.intervals)))
 
     def initial_iterate(self) -> PiecewiseTrajectory:
         problem, numerics = self.problem, self.numerics
@@ -228,27 +235,30 @@ class Sweep:
                                        residuals)
         identity = problem.identity_control
         for i, (grid, start, target) in enumerate(todo):
-            F = forcings[grid.index].copy()
+            F = forcings[grid.index]
             samples = preimage = None
             if targets is not None:
                 samples, preimage = fresh.samples[i], fresh.preimages[i]
-                F += samples if identity else samples @ problem.control_matrix.T
-            z = grid.table.evolve(start)
-            z += grid.table.convolve(F, grid.delta)
-            self._solved[grid.index] = _Solved(start, target, z, samples, preimage)
+                F = F + (samples if identity else samples @ problem.control_matrix.T)
+            self._solved[grid.index] = _Solved(start, target,
+                                               grid.table.convolve(start, F),
+                                               samples, preimage)
         control = None
         if targets is not None:
             control = ControlSignal(problem=problem,
                                     window_times=[g.times for g in self.grids],
                                     samples=[w.samples for w in self._solved],
                                     preimages=[w.preimage for w in self._solved])
-        seg_values = []
+        solved = {grid.index for grid, *_ in todo}
+        seg_values, self.recomputed = [], []
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
                 seg_values.append(problem.impulse_path(
                     j, self.seg_times[k], traj.left_value_at_theta(j)))
             else:
                 seg_values.append(self._solved[j].path)
+            if kind == "impulse" or j in solved:
+                self.recomputed.append(k)
         return traj.with_values(seg_values), control
 
 
@@ -261,7 +271,9 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     scale, and raises :class:`NonConvergenceError` after
     ``numerics.max_iter`` iterations without.  The update ratio
     ||d_{k+1}||/||d_k|| is recorded from the second iteration onward as the
-    measured contraction rate.
+    measured contraction rate.  From the second sweep on, the update and the
+    iterate's norm read only the intervals the sweep recomputed (see
+    :func:`_sweep_norms`).
     """
     tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
     solves = sweep.window_solves
@@ -272,15 +284,17 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     update = np.inf
     iterations = 0
     converged = False
+    norms = [0.0] * len(sweep.intervals)
     for it in range(1, max_iter + 1):
         new, control = sweep.apply(traj, targets)
-        update = sup_distance(new, traj)
+        pieces = sweep.recomputed if it > 1 else range(len(norms))
+        update, norm = _sweep_norms(new, traj, pieces, norms)
         if it >= 2 and prev_update is not None and prev_update > 0:
             ratio = max(ratio, update / prev_update)
         prev_update = update
         traj = new
         iterations = it
-        if update <= tol * max(1.0, path_sup_norm(traj)):
+        if update <= tol * max(1.0, norm):
             converged = True
             break
     defects = _window_defects(sweep.problem, traj, targets)
@@ -292,6 +306,18 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     if not converged:
         raise NonConvergenceError(report)
     return report
+
+
+def _sweep_norms(new: PiecewiseTrajectory, old: PiecewiseTrajectory,
+                 pieces, norms: list) -> tuple:
+    """``sup_distance(new, old)`` and ``path_sup_norm(new)``, bit for bit,
+    from the intervals of ``pieces`` only, where every other interval of
+    ``new`` holds ``old``'s bits: it adds an exact zero to the update, and
+    its norm is the one kept in ``norms`` (per interval, updated here).
+    The largest of per-interval maxima is the maximum over all samples."""
+    for k in pieces:
+        norms[k] = path_sup_norm(new, (k,))
+    return sup_distance(new, old, pieces), max(norms)
 
 
 def _window_defects(problem: Problem, traj: PiecewiseTrajectory, targets) -> list:

@@ -595,12 +595,12 @@ def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
     # compacted text, one at a time or two together, plus a formatting
     # pass's temporaries; writing both files from one pass adds the control
     # file's smaller word matrix and text while the slots live, and frees the
-    # slots before the trajectory's text is compacted: about 66 bytes at
-    # 1,000 and 4,000 steps, alone or both.  The transient memory beyond what
-    # was retained before stays under 96 bytes per chunk value at both
-    # resolutions, while at the finer one the trajectory file, and the rows
-    # of its last control window alone (at least 18 characters per value),
-    # are larger than that bound.
+    # slots before the trajectory's text is compacted: about 87 bytes at
+    # 1,000 and 4,000 steps, alone or both, 45 of them a formatting pass's
+    # temporaries.  The transient memory beyond what was retained before
+    # stays under 96 bytes per chunk value at both resolutions, while at the
+    # finer one the trajectory file, and the rows of its last control window
+    # alone (at least 18 characters per value), are larger than that bound.
     bound = 96 * reports.CHUNK_VALUES
     for steps in (1000, 4000):
         traj, control = synthetic_path(steps, 32)

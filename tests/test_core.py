@@ -135,6 +135,26 @@ class TestPathNorms:
         vals[2][:] = 1.0
         assert path_sup_norm(traj.with_values(vals)) == 3.0
 
+    def test_listed_pieces_only(self):
+        # the norms over listed intervals: none reads 0, all reads the
+        # whole-path value bit for bit, and the largest of per-interval
+        # values is the whole-path value
+        rng = np.random.default_rng(5)
+        mesh = build_time_mesh([0.0, 0.4, 0.5, 1.0], 1.0)
+        x = make_traj(mesh, 1.0, lambda t: rng.normal(), dim=3)
+        y = make_traj(mesh, 1.0, lambda t: rng.normal(), dim=3)
+        x.weight = y.weight = 0.3
+        every = range(len(mesh.intervals()))
+        assert path_sup_norm(x, ()) == sup_distance(x, y, ()) == 0.0
+        assert path_sup_norm(x, every) == path_sup_norm(x)
+        assert sup_distance(x, y, every) == sup_distance(x, y)
+        assert max(path_sup_norm(x, (k,)) for k in every) == path_sup_norm(x)
+        assert max(sup_distance(x, y, (k,)) for k in every) == sup_distance(x, y)
+        vals = [v.copy() for v in x.seg_values]
+        vals[1] += 1.0
+        moved = x.with_values(vals)
+        assert sup_distance(moved, x, (1,)) == sup_distance(moved, x)
+
     def test_sine_peak(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         traj = make_traj(mesh, 1.0, lambda t: np.sin(np.pi * t), steps=100)

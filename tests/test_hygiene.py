@@ -25,6 +25,31 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
+def test_every_bench_probe_names_a_package_attribute():
+    """The benchmark's probes (``PROBES`` in ``bench/spans.py``, read as
+    source) name modules and attributes that exist: a renamed function
+    fails here, not only in a traced bench run."""
+    import importlib
+    tree = ast.parse((BENCH / "spans.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and any(isinstance(t, ast.Name) and t.id == "PROBES"
+                         for t in node.targets))
+    probes = [(row.elts[1].value, row.elts[2].value) for row in table.elts]
+    assert len(probes) > 20
+    missing = []
+    for module, attr in probes:
+        try:
+            owner = importlib.import_module(f"evosteer.{module}")
+            for part in attr.split("."):
+                owner = getattr(owner, part)
+        except (ImportError, AttributeError):
+            missing.append(f"{module}.{attr}")
+        else:
+            if not callable(owner):
+                missing.append(f"{module}.{attr} (not callable)")
+    assert not missing, f"bench probes naming nothing: {missing}"
+
+
 def test_package_imports_no_scipy():
     """The package runs on numpy alone; scipy is a test-side reference."""
     found = []

@@ -1,7 +1,9 @@
 """The CSV writer's vectorised %.17g formatter against Python's own
 ``'%.17g' %``, value by value."""
 
+import csv
 import decimal
+import io
 import os
 import subprocess
 import sys
@@ -125,6 +127,58 @@ def test_digit_group_tables_match_the_per_entry_builder():
     assert zeros.tobytes() == want_zeros.tobytes()
 
 
+def per_entry_tables() -> tuple:
+    """``powers``, ``forms`` and ``exponents`` as the formatter built them
+    entry by entry, from Python ints and byte strings."""
+    word = reports._word
+    hi, lo = [], []
+    for X in range(reports._XMIN, reports._XMAX + 1):
+        k = 16 - X
+        if k >= 0:
+            hi.append(float(10 ** k))
+            lo.append(float(10 ** k - int(hi[-1])))
+        else:
+            hi.append(1 / 10 ** -k)
+            num, den = hi[-1].as_integer_ratio()
+            lo.append((den - num * 10 ** -k) / (den * 10 ** -k))
+    hi = np.array(hi)
+    mant, exp = np.frexp(hi)
+    big = mant * reports._SPLIT
+    hh = np.ldexp(big - (big - mant), exp)
+    powers = (hi, np.array(lo), hh, hi - hh)
+
+    forms = np.zeros((10, 23, 17), dtype=np.uint64)
+    for X in range(-5, 18):
+        for nd in range(1, 18):
+            if -4 <= X < 0:
+                head, point, keep = b"0." + b"0" * (-X - 1), None, nd
+            elif 0 <= X <= 16:
+                head, point, keep = b"", X + 1, max(nd, X + 1)
+            else:
+                head, point, keep = b"", 1, nd
+            if point is not None and nd > point:
+                masks = (b"\xff" * point, bytes(point + 1) + b"\xff" * (nd - point),
+                         bytes(point) + b".")
+            else:
+                masks = (b"\xff" * keep, b"", b"")
+            body = np.frombuffer(b"".join(m.ljust(24, b"\0") for m in masks),
+                                 dtype=np.uint64)
+            forms[:, X + 5, nd - 1] = [word(b"," + bytes(1) + head, 0), *body]
+    exponents = np.array([0 if -4 <= X <= 16 else word(b"e%+03d" % X, 3)
+                          for X in range(reports._XMIN, reports._XMAX + 1)],
+                         dtype=np.uint64)
+    return powers, forms.reshape(10, -1), exponents
+
+
+def test_power_form_and_exponent_tables_match_the_per_entry_builder():
+    powers, _, _, forms, exponents = reports._tables()
+    want_powers, want_forms, want_exponents = per_entry_tables()
+    for got, want in [*zip(powers, want_powers), (forms, want_forms),
+                      (exponents, want_exponents)]:
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_tables_are_built_on_first_emission_not_at_import():
     script = ("import evosteer.cli, evosteer.reports as r\n"
               "assert r._tables.cache_info().currsize == 0\n")
@@ -132,3 +186,82 @@ def test_tables_are_built_on_first_emission_not_at_import():
     done = subprocess.run([sys.executable, "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def csv_reference(width, pieces, header, start, lits) -> bytes:
+    """One file of ``_write_csv`` through ``csv.writer`` and one
+    ``'%.17g' %`` per value: per row the time, the literal fields and the
+    values from column ``start`` on, the columns past a piece's blocks 0."""
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    for (times, blocks), lit in zip(pieces, lits):
+        if lit is None:
+            continue
+        values = np.zeros((len(times), width))
+        values[:, 0] = times
+        if blocks:
+            stored = np.hstack(blocks)
+            values[:, 1:1 + stored.shape[1]] = stored
+        for i, row in enumerate(values.tolist()):
+            fields = lit[2] if i == len(times) - 1 else lit[1] if i else lit[0]
+            writer.writerow(["%.17g" % row[0]] + fields.split(",")[1:]
+                            + ["%.17g" % v for v in row[start:]])
+    return out.getvalue().encode()
+
+
+def mixed_values(rng, shape):
+    """Normal values over many magnitudes, with exact and negative zeros."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+    x[rng.random(shape) < 0.1] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+def assert_files_match_csv_writer(tmp_path, width, pieces, files):
+    paths = [tmp_path / f"{n}.csv" for n in range(len(files))]
+    reports._write_csv([(str(p),) + f for p, f in zip(paths, files)], width, pieces)
+    for p, (header, start, lits) in zip(paths, files):
+        assert p.read_bytes() == csv_reference(width, pieces, header, start, lits)
+
+
+def test_short_pieces_fill_their_columns_with_zeros(tmp_path, monkeypatch):
+    # history and impulse rows store no control: their control columns
+    # take the zero slot in the trajectory file, and the control file
+    # leaves them out
+    rng = np.random.default_rng(5)
+    d, mu = 3, 2
+    lengths = [4, 7, 5, 9]
+    pieces = [(np.sort(rng.random(n)), [mixed_values(rng, (n, d))]
+               + ([mixed_values(rng, (n, mu))] if k % 2 else []))
+              for k, n in enumerate(lengths)]
+    header = (["t", "kind", "side"] + [f"x{i}" for i in range(d)]
+              + [f"u{i}" for i in range(mu)])
+    lits = [[",a,R", ",a,-", ",a,L"] for _ in lengths]
+    window = [None if k % 2 == 0 else [f",{k}"] * 3 for k in range(len(lengths))]
+    files = [(["t", "window", "u0", "u1"], 1 + d, window), (header, 1, lits)]
+    for rows in (1, 3, 100):    # blocks of 1 row, of 3 rows, and one block
+        monkeypatch.setattr(reports, "CHUNK_VALUES", rows * (1 + d + mu))
+        assert_files_match_csv_writer(tmp_path, 1 + d + mu, pieces, files)
+
+
+def test_block_spanning_three_pieces(tmp_path, monkeypatch):
+    rng = np.random.default_rng(6)
+    width, lengths = 4, [5, 2, 1, 8]
+    monkeypatch.setattr(reports, "CHUNK_VALUES", 8 * width)
+    assert [len(b) for b in reports._blocks(lengths, 8)] == [3, 1]
+    pieces = [(np.arange(n, dtype=float), [mixed_values(rng, (n, width - 1 - k % 2))])
+              for k, n in enumerate(lengths)]
+    lits = [[",first", ",inner", ",last"] for _ in lengths]
+    assert_files_match_csv_writer(tmp_path, width, pieces,
+                                  [(["t", "f", "x0", "x1", "x2"], 1, lits)])
+
+
+@pytest.mark.parametrize("count", [8191, 8192, 8193])
+def test_pass_boundaries(tmp_path, count):
+    # one block of ``count`` values runs as one pass, a full pass, or a
+    # full pass and one value
+    assert reports._PASS_VALUES == 8192 and count < reports.CHUNK_VALUES
+    times = mixed_values(np.random.default_rng(count), count)
+    assert_files_match_csv_writer(tmp_path, 1, [(times, [])],
+                                  [(["t", "f"], 1, [[",a", ",b", ",c"]])])

@@ -2,19 +2,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm as scipy_expm
 
 from evosteer.config import load_config
 from evosteer.runner import run
-from evosteer.semigroups import (MatrixLagTable, MatrixSemigroup, ShiftSemigroup,
-                                 expm, fft_length, powers)
+from evosteer.semigroups import (MatrixLagTable, MatrixSemigroup, ShiftLagTable,
+                                 ShiftSemigroup, expm, fft_length, powers)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def recurrence_reference(table, F, delta):
-    """The matrix convolve as a one-step recurrence, acc_g = E acc_{g-1} + F_g
-    from acc_0 = F_0 / 2, one mat-vec per grid step."""
+    """The matrix trapezoid convolution as a one-step recurrence, acc_g =
+    E acc_{g-1} + F_g from acc_0 = F_0 / 2, one mat-vec per grid step."""
     E = table.stack[1]
     out = np.zeros_like(F)
     acc = 0.5 * F[0]
@@ -24,9 +25,21 @@ def recurrence_reference(table, F, delta):
     return out
 
 
+def evolve(table, v):
+    """Rows T(g*delta) v for g = 0..m, as the lag tables formed them before
+    the start went through the convolution: the stack's products, or one
+    gathered interpolation per shift lag."""
+    if isinstance(table, MatrixLagTable):
+        return np.einsum("gij,j->gi", table.stack, v)
+    win = sliding_window_view(np.pad(v, (0, table.pad)), table.N + 1)[table.off]
+    c = table.frac[:, None]
+    return (1.0 - c) * win[:, :-1] + c * win[:, 1:]
+
+
 def tilted_fft_reference(table, F, delta):
-    """The matrix convolve as it was formed before the table kept its
-    spectrum: the tilted stack transformed again on every call."""
+    """The matrix trapezoid convolution as it was formed before the start
+    was folded in and the table kept its spectrum: the tilted stack
+    transformed again on every call, row 0 zero."""
     m = table.m
     tilt = table.growth ** (-np.arange(m + 1) / m)
     Fw = tilt[:, None] * F
@@ -36,6 +49,47 @@ def tilted_fft_reference(table, F, delta):
     prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
     out = delta * (np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None] - 0.5 * F)
     out[0] = 0.0
+    return out
+
+
+def shift_fft_reference(table, F, delta):
+    """The shift trapezoid convolution as it was formed before the start
+    was folded in: F and the two-tap kernel transformed in 2-D, and the
+    trapezoid's end terms F_0 / 2 and F_g / 2 taken off afterwards."""
+    m, N, P = table.m, table.N, table.pad
+    g = np.arange(m + 1)
+    K = np.zeros((m + 1, P + 1))
+    K[g, P - table.off] = 1.0 - table.frac
+    K[g, P - table.off - 1] = table.frac
+    spec = np.fft.rfft2(F, table._fft_shape) * np.fft.rfft2(K, table._fft_shape)
+    conv = np.fft.irfft2(spec, table._fft_shape)[:m + 1, P:P + N]
+    out = delta * (conv - 0.5 * (evolve(table, F[0]) + F))
+    out[0] = 0.0
+    return out
+
+
+def unfolded_path(table, start, F):
+    """The window path as the solver formed it before the start was folded
+    into the convolution: the evolved start plus the trapezoid sums."""
+    convolve = (tilted_fft_reference if isinstance(table, MatrixLagTable)
+                else shift_fft_reference)
+    return evolve(table, start) + convolve(table, F, table.delta)
+
+
+def folded_matrix_reference(table, start, F):
+    """The matrix path with the tilted kernel transformed on every call:
+    what a table's first convolve computes."""
+    m, n, delta = table.m, fft_length(2 * table.m + 1), table.delta
+    tilt = table.growth ** (-np.arange(m + 1) / m)
+    K = tilt[:, None, None] * table.stack
+    K[0] *= 0.5
+    K *= delta
+    Fw = tilt[:, None] * F
+    Fw[0] = 0.5 * F[0] + start / delta
+    prod = np.einsum("fij,fj->fi", np.fft.rfft(K, n, axis=0),
+                     np.fft.rfft(Fw, n, axis=0))
+    out = np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None]
+    out[0] = start
     return out
 
 
@@ -286,7 +340,7 @@ class TestLagTables:
             np.testing.assert_allclose(table.apply(g, v), T.apply(0.013 * g, v),
                                        atol=1e-14)
         F = rng.normal(size=(41, 16))
-        ev = table.evolve(v)
+        ev = table.convolve(v, np.zeros_like(F))    # the free path from v
         adj = table.adjoint_evolve(v)
         for g in (0, 3, 40):
             np.testing.assert_allclose(ev[g], T.apply(0.013 * g, v), atol=1e-14)
@@ -300,8 +354,9 @@ class TestLagTables:
 
     @pytest.mark.parametrize("N, m", [(256, 300), (64, 1200), (16, 10)])
     def test_shift_gathers_match_index_arrays(self, N, m):
-        # evolve, adjoint_evolve and lagged_weighted_sum read windows of the
-        # padded vector; the same bits as gathering through index arrays
+        # adjoint_evolve, lagged_weighted_sum and the tests' evolve read
+        # windows of the padded vector; the same bits as gathering through
+        # index arrays
         table = ShiftSemigroup(N).lag_table(0.45 / m, m)
         assert np.count_nonzero(table.frac) > m // 2
         rng = np.random.default_rng(14)
@@ -309,7 +364,7 @@ class TestLagTables:
         off, c, P = table.off[:, None], table.frac[:, None], table.pad
         cols = np.arange(N)[None, :]
         Vp = np.pad(v, (0, P))
-        assert np.array_equal(table.evolve(v), (1.0 - c) * Vp[off + cols]
+        assert np.array_equal(evolve(table, v), (1.0 - c) * Vp[off + cols]
                               + c * Vp[off + cols + 1])
         Vp = np.pad(v, (P, 0))
         assert np.array_equal(table.adjoint_evolve(v), (1.0 - c) * Vp[P + cols - off]
@@ -329,14 +384,15 @@ class TestLagTables:
         T = MatrixSemigroup(A)
         m, delta = 24, 0.02
         table = T.lag_table(delta, m)
-        F = rng.normal(size=(m + 1, 3))
-        out = table.convolve(F, delta)
+        F, start = rng.normal(size=(m + 1, 3)), rng.normal(size=3)
+        out = table.convolve(start, F)
         for i in (1, 5, m):
             w = np.full(i + 1, delta)
             w[0] = w[-1] = delta / 2
-            direct = sum(w[k] * table.apply(i - k, F[k]) for k in range(i + 1))
+            direct = table.apply(i, start) + sum(w[k] * table.apply(i - k, F[k])
+                                                 for k in range(i + 1))
             np.testing.assert_allclose(out[i], direct, rtol=1e-11, atol=1e-13)
-        np.testing.assert_allclose(out[0], 0.0)
+        assert np.array_equal(out[0], start)
 
     @pytest.mark.parametrize("A, m, delta", [
         ([[-0.7]], 8, 0.1),
@@ -348,39 +404,43 @@ class TestLagTables:
     def test_matrix_convolution_matches_recurrence(self, A, m, delta):
         # The FFT's round-off is relative to the largest term it sums; the
         # tilt keeps every row within 1e-12 of its own absolute sum
-        # delta * sum_k |E^{g-k}|_2 |F_k| (measured at most 1.3e-14).  Without
-        # the tilt the growing case misses by 0.31.
+        # |E^g|_2 |s| + delta * sum_k |E^{g-k}|_2 |F_k|.  Without the tilt
+        # the growing case misses by 0.31.
         rng = np.random.default_rng(13)
         A = rng.normal(size=(6, 6)) / 2.0 if A is None else np.array(A)
         table = MatrixSemigroup(A).lag_table(delta, m)
-        F = rng.normal(size=(m + 1, A.shape[0]))
-        got = table.convolve(F, delta)
-        err = np.linalg.norm(got - recurrence_reference(table, F, delta), axis=1)
-        size = delta * np.convolve(np.linalg.norm(table.stack, 2, axis=(1, 2)),
-                                   np.linalg.norm(F, axis=1))[:m + 1]
+        F, start = rng.normal(size=(m + 1, A.shape[0])), rng.normal(size=A.shape[0])
+        got = table.convolve(start, F)
+        want = evolve(table, start) + recurrence_reference(table, F, delta)
+        err = np.linalg.norm(got - want, axis=1)
+        norms = np.linalg.norm(table.stack, 2, axis=(1, 2))
+        size = (norms * np.linalg.norm(start)
+                + delta * np.convolve(norms, np.linalg.norm(F, axis=1))[:m + 1])
         assert np.all(err[1:] <= 1e-12 * size[1:])
-        assert np.array_equal(got[0], np.zeros(A.shape[0]))
+        assert np.array_equal(got[0], start)
 
     def test_matrix_convolution_reads_its_growth_once(self, monkeypatch):
         rng = np.random.default_rng(14)
         table = MatrixSemigroup(rng.normal(size=(3, 3))).lag_table(1e-2, 50)
-        F = rng.normal(size=(51, 3))
-        want = table.convolve(F, 1e-2)
+        F, start = rng.normal(size=(51, 3)), rng.normal(size=3)
+        want = table.convolve(start, F)
         monkeypatch.setattr(np.linalg, "norm", lambda *a, **k: pytest.fail("norm"))
-        assert np.array_equal(table.convolve(F, 1e-2), want)
+        assert np.array_equal(table.convolve(start, F), want)
 
     def test_shift_convolution_matches_quadrature(self):
         T = ShiftSemigroup(12)
         m, delta = 18, 0.04
         table = T.lag_table(delta, m)
         rng = np.random.default_rng(11)
-        F = rng.normal(size=(m + 1, 12))
-        out = table.convolve(F, delta)
+        F, start = rng.normal(size=(m + 1, 12)), rng.normal(size=12)
+        out = table.convolve(start, F)
         for i in (1, 9, m):
             w = np.full(i + 1, delta)
             w[0] = w[-1] = delta / 2
-            direct = sum(w[k] * T.apply(delta * (i - k), F[k]) for k in range(i + 1))
+            direct = T.apply(delta * i, start) + sum(
+                w[k] * T.apply(delta * (i - k), F[k]) for k in range(i + 1))
             np.testing.assert_allclose(out[i], direct, atol=1e-13)
+        assert np.array_equal(out[0], start)
 
     @pytest.mark.parametrize("N, m, delta, rows", [
         (12, 30, 0.04, None),       # offset reaches 4, delta / h not integer
@@ -393,7 +453,8 @@ class TestLagTables:
         # is to a stated round-off tolerance, not bit for bit.
         table = ShiftSemigroup(N).lag_table(delta, m)
         assert table.frac[7] != 0.0 and table.off[-1] > 2
-        F = np.random.default_rng(12).normal(size=(m + 1, N))
+        rng = np.random.default_rng(12)
+        F, start = rng.normal(size=(m + 1, N)), rng.normal(size=N)
         rows = np.arange(m + 1) if rows is None else np.asarray(rows)
         conv = F[rows].copy()
         ev0 = np.array([table.apply(r, F[0]) for r in rows])
@@ -403,45 +464,50 @@ class TestLagTables:
             Fp = np.pad(F[rows[hit] - g], ((0, 0), (0, o + 2)))
             conv[hit] += (1.0 - c) * Fp[:, o:o + N] + c * Fp[:, o + 1:o + 1 + N]
         expected = delta * (conv - 0.5 * (ev0 + F[rows]))
-        expected[rows == 0] = 0.0
-        got = table.convolve(F, delta)[rows]
+        expected += np.array([table.apply(r, start) for r in rows])
+        expected[rows == 0] = start
+        got = table.convolve(start, F)[rows]
         assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
         assert np.array_equal(got[rows == 0], expected[rows == 0])
 
 
 def test_shift_kernel_spectrum_is_formed_once(monkeypatch):
     # the two-tap kernel's transform is taken on the first convolve only;
-    # later calls give what a fresh table gives, bit for bit
+    # later calls give what a fresh table gives, bit for bit, and each is
+    # returned as its own compact array, not a view of the transform
     N, m, delta = 12, 30, 0.04
     rng = np.random.default_rng(13)
-    forcings = [rng.normal(size=(m + 1, N)) for _ in range(3)]
-    fresh = [ShiftSemigroup(N).lag_table(delta, m).convolve(F, delta)
-             for F in forcings]
+    inputs = [(rng.normal(size=N), rng.normal(size=(m + 1, N))) for _ in range(3)]
+    fresh = [ShiftSemigroup(N).lag_table(delta, m).convolve(s, F) for s, F in inputs]
     calls = []
     rfft2 = np.fft.rfft2
     monkeypatch.setattr(np.fft, "rfft2",
                         lambda *args, **kwargs: calls.append(1) or rfft2(*args, **kwargs))
     table = ShiftSemigroup(N).lag_table(delta, m)
     assert calls == []
-    for F, want in zip(forcings, fresh):
-        assert table.convolve(F, delta).tobytes() == want.tobytes()
-    assert len(calls) == 1 + len(forcings)
+    paths = [table.convolve(s, F) for s, F in inputs]
+    for path, want in zip(paths, fresh):
+        assert path.tobytes() == want.tobytes()
+        assert path.shape == (m + 1, N) and path.flags.c_contiguous
+        assert path.base is None
+    assert len(calls) == 1
 
 
 def test_matrix_spectrum_is_formed_once(monkeypatch):
-    # the tilted stack's transform is taken on a table's first convolve only;
-    # every convolve gives what the per-call transform gave, bit for bit
+    # the tilted kernel's transform is taken on a table's first convolve
+    # only; every convolve gives what the per-call transform gives, bit for
+    # bit
     rng = np.random.default_rng(15)
     m, delta = 40, 2.5e-2
     table = MatrixSemigroup(rng.normal(size=(3, 3))).lag_table(delta, m)
-    forcings = [rng.normal(size=(m + 1, 3)) for _ in range(3)]
-    wants = [tilted_fft_reference(table, F, delta) for F in forcings]
+    inputs = [(rng.normal(size=3), rng.normal(size=(m + 1, 3))) for _ in range(3)]
+    wants = [folded_matrix_reference(table, s, F) for s, F in inputs]
     stack_ffts = []
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs:
                         stack_ffts.append(np.ndim(a) == 3) or rfft(a, *args, **kwargs))
-    for F, want in zip(forcings, wants):
-        assert np.array_equal(table.convolve(F, delta), want)
+    for (s, F), want in zip(inputs, wants):
+        assert np.array_equal(table.convolve(s, F), want)
     assert sum(stack_ffts) == 1
 
 
@@ -453,8 +519,52 @@ def test_matrix_spectrum_once_per_table_over_a_run(monkeypatch):
     rfft, convolve = np.fft.rfft, MatrixLagTable.convolve
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs:
                         stack_ffts.append(np.ndim(a) == 3) or rfft(a, *args, **kwargs))
-    monkeypatch.setattr(MatrixLagTable, "convolve", lambda self, F, delta:
-                        tables.add(id(self)) or convolve(self, F, delta))
+    monkeypatch.setattr(MatrixLagTable, "convolve", lambda self, start, F:
+                        tables.add(id(self)) or convolve(self, start, F))
     result = run(cfg.problem, cfg.targets, cfg.numerics)
     assert result.solve.iterations > 1 and tables
     assert sum(stack_ffts) == len(tables)
+
+
+@pytest.mark.parametrize("preset", ["transport-case1", "transport-case2", "linear-2d"])
+def test_folded_path_matches_evolve_plus_convolve(preset):
+    # the start passes through the transform with the forcing: on every
+    # window grid of the preset the path lies within 1e-14 of its largest
+    # |value| from the evolved start plus the unfolded trapezoid sums, and
+    # row 0 is the start itself
+    from evosteer.discretize import build_window_grids
+    cfg = load_config(str(CONFIGS / f"{preset}.ini"))
+    rng = np.random.default_rng(16)
+    for grid in build_window_grids(cfg.problem, cfg.numerics):
+        table, dim = grid.table, cfg.problem.dim
+        assert isinstance(table, ShiftLagTable if preset.startswith("transport")
+                          else MatrixLagTable) and table.delta == grid.delta
+        for scale in (1.0, 1.0 / (grid.end - grid.start)):
+            start = rng.normal(size=dim)
+            F = scale * rng.normal(size=(table.m + 1, dim))
+            got, want = table.convolve(start, F), unfolded_path(table, start, F)
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            assert np.array_equal(got[0], start)
+
+
+@pytest.mark.parametrize("preset", ["transport-case1", "transport-case2", "linear-2d"])
+def test_preset_files_within_round_off_of_the_unfolded_path(tmp_path, monkeypatch,
+                                                            preset):
+    # folding the start into the transform moves a run's states and
+    # controls by round-off only: every value of trajectory.csv and
+    # control.csv within 1e-14 of its file's largest |value| from the
+    # evolve-plus-convolve path, with the time column and text fields
+    # identical
+    from test_gramian import _csv_values
+    from evosteer.cli import main
+    for name in ("folded", "unfolded"):
+        if name == "unfolded":
+            for cls in (MatrixLagTable, ShiftLagTable):
+                monkeypatch.setattr(cls, "convolve", unfolded_path)
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / name))
+        assert main(["solve", str(CONFIGS / f"{preset}.ini"), "--no-timing"]) == 0
+    for file in ("trajectory.csv", "control.csv"):
+        text, got = _csv_values(tmp_path / "folded" / file)
+        want_text, want = _csv_values(tmp_path / "unfolded" / file)
+        assert text == want_text
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

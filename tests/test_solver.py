@@ -12,8 +12,8 @@ from evosteer.gramian import (NotInvertibleError, forcing_integral,
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup
-from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
-                             verify_targets)
+from evosteer.solver import (NonConvergenceError, Sweep, _sweep_norms,
+                             picard_solve, verify_targets)
 from evosteer.transport import TransportConfig, build_case1
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -435,9 +435,7 @@ def reference_apply(self, traj, targets):
         F = forcings[j].copy()
         if control is not None:
             F += control.samples[j] @ problem.control_matrix.T
-        z = grid.table.evolve(starts[j])
-        z += grid.table.convolve(F, grid.delta)
-        seg_values.append(z)
+        seg_values.append(grid.table.convolve(starts[j], F))
     return traj.with_values(seg_values), control
 
 
@@ -719,3 +717,32 @@ def test_identity_control_forms_no_identity():
     finally:
         tracemalloc.stop()
     assert peak < 64 * 1024
+
+
+@pytest.mark.parametrize("preset, reads", [
+    ("transport-case1", [[0, 1, 2], [0, 1, 2]] + [[0, 1]] * 6),
+    ("transport-case2", [[0, 1, 2], [1, 2], [1]]),
+    ("linear-2d", [[0, 1, 2], [1, 2], [1]]),
+])
+def test_sweep_norms_read_only_recomputed_pieces(preset, reads):
+    # an interval the sweep kept holds the previous iterate's bits, so the
+    # update and the iterate's norm read from the recomputed intervals are
+    # sup_distance and path_sup_norm bit for bit, at every sweep up to
+    # convergence; on Case 2 and linear-2d the third sweep keeps both
+    # control windows, and its impulse window repeats the last one's bits
+    from evosteer.config import load_config
+    cfg = load_config(str(CONFIGS / f"{preset}.ini"))
+    sweep = Sweep(cfg.problem, cfg.numerics)
+    traj = sweep.initial_iterate()
+    norms = [0.0] * len(sweep.intervals)
+    for it, want in enumerate(reads, 1):
+        new, _ = sweep.apply(traj, cfg.targets)
+        pieces = sweep.recomputed if it > 1 else range(len(norms))
+        assert list(pieces) == want
+        update, norm = _sweep_norms(new, traj, pieces, norms)
+        bits = np.float64([update, norm]).tobytes()
+        assert bits == np.float64([sup_distance(new, traj), path_sup_norm(new)]).tobytes()
+        traj = new
+    assert (update == 0.0) == (preset != "transport-case1")
+    report = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
+    assert report.iterations == len(reads)
