@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import PiecewiseTrajectory, TimeMesh, history_segment
 from .problems import Numerics, Problem
-from .semigroups import fft_length, fft_row_sum_error
+from .semigroups import fft_length, fft_row_sum_error, trapezoid_weights
 
 # The largest total of dense Volterra pair blocks (8 bytes per entry) a run
 # may allocate; only intervals of unequal steps need them.
@@ -33,19 +33,12 @@ def interval_times(mesh: TimeMesh, numerics: Numerics) -> list:
             for a, end, kind, j in mesh.intervals()]
 
 
-def trapezoid_weights(m: int, delta: float) -> np.ndarray:
-    w = np.full(m + 1, delta)
-    w[0] = w[-1] = 0.5 * delta
-    return w
-
-
 @dataclass(frozen=True)
 class WindowGrid:
     """Uniform tau-grid on one control window, with the lag-propagator table
     for T((end - tau_k)) shared by every integral on the window."""
 
     index: int
-    start: float
     end: float
     times: np.ndarray
     table: object
@@ -53,14 +46,6 @@ class WindowGrid:
     @property
     def m(self) -> int:
         return len(self.times) - 1
-
-    @property
-    def delta(self) -> float:
-        return (self.end - self.start) / self.m
-
-    @property
-    def weights(self) -> np.ndarray:
-        return trapezoid_weights(self.m, self.delta)
 
 
 def build_window_grids(problem: Problem, numerics: Numerics) -> list:
@@ -70,7 +55,7 @@ def build_window_grids(problem: Problem, numerics: Numerics) -> list:
     for j, ((a, end), times) in enumerate(windows):
         m = len(times) - 1
         table = problem.semigroup.lag_table((end - a) / m, m)
-        grids.append(WindowGrid(index=j, start=a, end=end, times=times, table=table))
+        grids.append(WindowGrid(index=j, end=end, times=times, table=table))
     return grids
 
 

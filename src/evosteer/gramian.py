@@ -4,12 +4,13 @@ For each control window (start, end] the Gramian
 
     G = int_start^end  T(end - tau) B B* T(end - tau)*  d tau
 
-is assembled by composite trapezoid on the window grid and factored once,
-for its floor and its solve.  The matrix backend's G is a small dense
-array, symmetrized and eigendecomposed.  The shift backend's G (B = I) is
-exactly tridiagonal and is kept as its two diagonals: its floor is a
-certified lower bound on its smallest eigenvalue, from Sturm counts, and
-its solve runs on one LDL^T factorization, so no N x N array is formed.
+is assembled by composite trapezoid on the window grid, by the window's
+lag table, and factored once, for its floor and its solve.  The matrix
+backend's G is a small dense array, symmetrized and eigendecomposed.  The
+shift backend's G (B = I) is exactly tridiagonal and is kept as its two
+diagonals: its floor is a certified lower bound on its smallest
+eigenvalue, from Sturm counts, and its solve runs on one LDL^T
+factorization, so no N x N array is formed.
 The feedback on G is
 
     u(tau) = B* T(end - tau)* G^{-1} r,
@@ -166,17 +167,17 @@ class _Tridiagonal:
 class GramianBlock:
     """One window's assembled Gramian with its conditioning diagnostics.
 
-    ``matrix`` is what the window's lag table returned: a dense symmetric
-    array, decomposed once by ``eigh`` at construction, with ``min_eig``
-    its smallest eigenvalue; or the (diagonal, off-diagonal) pair of a
-    symmetric tridiagonal, with ``min_eig`` a certified lower bound on its
-    smallest eigenvalue (:func:`tridiagonal_floor`), at most 5 u max |off|
-    and 2 ulp below the counts' bracket, and its solve on an LDL^T
-    factorization made on the first solve.  ``ridge`` (if any) shifts every
-    eigenvalue of the solve and is reported, never silent.  ``floor_used``
-    = min_eig + ridge is the realized invertibility floor that certificates
-    consume as the per-window delta; for a tridiagonal it is a true lower
-    bound.
+    ``matrix`` is what the window's lag table returned: a dense array,
+    symmetrized and decomposed once by ``eigh`` at construction, with
+    ``min_eig`` its smallest eigenvalue; or the (diagonal, off-diagonal)
+    pair of a symmetric tridiagonal, with ``min_eig`` a certified lower
+    bound on its smallest eigenvalue (:func:`tridiagonal_floor`), at most
+    5 u max |off| and 2 ulp below the counts' bracket, and its solve on an
+    LDL^T factorization made on the first solve.  ``ridge`` (if any)
+    shifts every eigenvalue of the solve and is reported, never silent.
+    ``floor_used`` = min_eig + ridge is the realized invertibility floor
+    that certificates consume as the per-window delta; for a tridiagonal it
+    is a true lower bound.
     """
 
     index: int
@@ -188,6 +189,7 @@ class GramianBlock:
         if isinstance(self.matrix, tuple):
             self.min_eig = tridiagonal_floor(*self.matrix)
         else:
+            self.matrix = 0.5 * (self.matrix + self.matrix.T)
             self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
             self.min_eig = float(self.eigvals[0])
 
@@ -204,19 +206,11 @@ class GramianBlock:
         return _Tridiagonal(*self.matrix, self.ridge)
 
 
-def assemble_from_grid(B: np.ndarray, scale: float, grid: WindowGrid,
+def assemble_from_grid(B: np.ndarray, grid: WindowGrid,
                        numerics: Numerics) -> GramianBlock:
-    """Gramian of one control window on its shared tau-grid; ``scale`` is the
-    state-to-control weight ratio that makes B* the adjoint of B.  A dense
-    Gramian is symmetrized; a tridiagonal one is symmetric as stored."""
-    G = grid.table.gramian(B, grid.weights[::-1])
-    if isinstance(G, tuple):
-        G = (scale * G[0], scale * G[1])
-    else:
-        G = 0.5 * scale * (G + G.T)
-    return GramianBlock(index=grid.index, matrix=G,
-                        ridge=numerics.ridge_for(grid.index),
-                        delta_floor=numerics.delta_floor)
+    """Gramian of one control window on its shared tau-grid."""
+    return GramianBlock(index=grid.index, matrix=grid.table.gramian(B),
+                        ridge=numerics.ridge, delta_floor=numerics.delta_floor)
 
 
 def assemble_gramian(semigroup, control_matrix, window,
@@ -232,9 +226,9 @@ def assemble_gramian(semigroup, control_matrix, window,
         raise ValueError("quad_steps must be at least 2")
     times = np.linspace(start, end, quad_steps + 1)
     table = semigroup.lag_table((end - start) / quad_steps, quad_steps)
-    grid = WindowGrid(index=0, start=start, end=end, times=times, table=table)
+    grid = WindowGrid(index=0, end=end, times=times, table=table)
     B = np.atleast_2d(np.asarray(control_matrix, dtype=float))
-    return assemble_from_grid(B, 1.0, grid, Numerics())
+    return assemble_from_grid(B, grid, Numerics())
 
 
 def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
@@ -260,26 +254,14 @@ def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
     return w
 
 
-def window_start(problem: Problem, traj: PiecewiseTrajectory, j: int) -> np.ndarray:
-    """Initial state of control window j under the iterate ``traj``:
-    phi(0) + nu(x) on the first window (the integro variant carries no nu),
-    the impulse value impulse_j(lam_j, x(theta_j-)) on later ones."""
-    if j == 0:
-        x0 = problem.phi0().copy()
-        if problem.nonlocal_term is not None:
-            x0 = x0 + problem.nonlocal_term(traj)
-        return x0
-    x_minus = traj.left_value_at_theta(j)
-    return problem.impulse_path(j, [problem.mesh.lam[j]], x_minus)[0]
-
-
-def forcing_integral(grid: WindowGrid, forcing: np.ndarray) -> np.ndarray:
-    """int_start^end T(end - tau) f(tau) dtau by trapezoid on the window
-    grid, with f the forcing sampled on it (eta(tau, x_tau) for the
-    semilinear variant, the running kernel convolution for the integro one).
-    """
-    lags = grid.m - np.arange(grid.m + 1)
-    return grid.table.lagged_weighted_sum(lags, forcing, grid.weights)
+def window_start(problem: Problem, traj: PiecewiseTrajectory) -> np.ndarray:
+    """Initial state phi(0) + nu(x) of the first control window under the
+    iterate ``traj`` (the integro variant carries no nu).  A later window
+    starts at the last sample of the impulse window before it."""
+    x0 = problem.phi0().copy()
+    if problem.nonlocal_term is not None:
+        x0 = x0 + problem.nonlocal_term(traj)
+    return x0
 
 
 def steering_residual(start: np.ndarray, target: np.ndarray, grid: WindowGrid,
@@ -288,8 +270,10 @@ def steering_residual(start: np.ndarray, target: np.ndarray, grid: WindowGrid,
 
         r = target - T(end - start) x0 - int T(end - tau) f(tau) dtau,
 
-    with x0 = ``start`` the window start (see :func:`window_start`) and the
-    forcing's ``integral`` from :func:`forcing_integral`.
+    with x0 = ``start`` the window start and the forcing's ``integral``,
+    the lag table's ``end_integral`` of the forcing samples (eta(tau, x_tau)
+    for the semilinear variant, the running kernel convolution for the
+    integro one).
     """
     free = grid.table.apply(grid.m, start)
     return np.asarray(target, dtype=float) - free - integral
@@ -313,7 +297,7 @@ class ControlSignal:
 
     def sup_norms(self) -> list:
         """Largest weighted control norm per window, from batched row dots."""
-        scale = np.sqrt(self.problem.control_weight)
+        scale = np.sqrt(self.problem.state_weight)
         return [float(scale * np.sqrt((U[:, None, :] @ U[:, :, None]).max()))
                 for U in self.samples]
 
@@ -326,29 +310,22 @@ class ControlSignal:
         return np.zeros(self.problem.control_dim)
 
 
-def synthesize_control(problem: Problem, grids: list, blocks: list,
-                       residuals: list) -> ControlSignal:
-    """Sampled feedback on every control window from the solved residuals;
-    B* is formed only when it is not the identity."""
-    B_adj = None if problem.identity_control else problem.control_adjoint()
-    times, samples, preimages = [], [], []
-    for grid, block, r in zip(grids, blocks, residuals):
-        y = gramian_solve(block, r)
-        adj = grid.table.adjoint_evolve(y)          # rows T(g*delta)* y
-        U = adj[grid.m - np.arange(grid.m + 1)]
-        if B_adj is not None:
-            U = U @ B_adj.T
-        times.append(grid.times)
-        samples.append(U)
-        preimages.append(y)
-    return ControlSignal(problem=problem, window_times=times,
-                         samples=samples, preimages=preimages)
+def synthesize_control(problem: Problem, grid: WindowGrid, block: GramianBlock,
+                       residual: np.ndarray) -> tuple:
+    """The sampled feedback on one control window and its Gramian preimage
+    y = G^{-1} r, as ``(samples, preimage)``; the product with B* is taken
+    only when B is not the identity."""
+    y = gramian_solve(block, residual)
+    adj = grid.table.adjoint_evolve(y)          # rows T(g*delta)* y
+    U = adj[grid.m - np.arange(grid.m + 1)]
+    if not problem.identity_control:
+        U = U @ problem.control_adjoint().T
+    return U, y
 
 
 def assemble_all(problem: Problem, numerics: Numerics):
     """Window grids plus their Gramian blocks, the pipeline's first stage."""
     grids = build_window_grids(problem, numerics)
-    scale = problem.state_weight / problem.control_weight
-    blocks = [assemble_from_grid(problem.control_matrix, scale, g, numerics)
+    blocks = [assemble_from_grid(problem.control_matrix, g, numerics)
               for g in grids]
     return grids, blocks

@@ -104,7 +104,8 @@ class WeightedSampleNonlocal:
 
 @dataclass
 class Problem:
-    """Full problem tuple consumed by the Gramian/steering/solver pipeline."""
+    """Full problem tuple consumed by the Gramian/steering/solver pipeline;
+    the control space is weighted like the state space, so B* is B^T."""
 
     semigroup: object
     control_matrix: np.ndarray
@@ -116,7 +117,6 @@ class Problem:
     impulses: tuple = ()
     nonlocal_term: Optional[Callable] = None
     constants: AssumptionConstants = field(default_factory=AssumptionConstants)
-    control_weight: Optional[float] = None
 
     def __post_init__(self):
         self.control_matrix = np.atleast_2d(np.asarray(self.control_matrix, dtype=float))
@@ -130,8 +130,6 @@ class Problem:
             raise ValueError("kernel and pointwise nonlinearity are exclusive variants")
         if self.kernel is not None and self.nonlocal_term is not None:
             raise ValueError("the integro variant carries no nonlocal coupling")
-        if self.control_weight is None:
-            self.control_weight = self.semigroup.weight
 
     @property
     def dim(self) -> int:
@@ -151,19 +149,17 @@ class Problem:
 
     @property
     def identity_control(self) -> bool:
-        """Whether B = I with equal weights, which makes B and B* the
-        identity: the solve then skips their products, which would only
-        copy.  Read from the current fields, so a reassigned B counts, and
-        tested without forming an identity."""
-        return (self.control_weight == self.state_weight
-                and is_identity(self.control_matrix))
+        """Whether B = I, which makes B and B* the identity: the solve then
+        skips their products, which would only copy.  Read from the current
+        B, so a reassigned B counts, and tested without forming one."""
+        return is_identity(self.control_matrix)
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.state_weight) * np.linalg.norm(v))
 
     def control_adjoint(self) -> np.ndarray:
-        """Matrix of B* under the scaled inner products on state and control."""
-        return (self.state_weight / self.control_weight) * self.control_matrix.T
+        """Matrix of B*: B^T, state and control being weighted alike."""
+        return self.control_matrix.T
 
     def phi0(self) -> np.ndarray:
         return np.asarray(self.history(0.0), dtype=float)
@@ -191,7 +187,8 @@ class Numerics:
     solver grids and the oracle, with at least ``MIN_STEPS`` steps each.
     ``history_samples`` sets only the stored history grid on [-beta, 0]
     (that many steps); a forcing node with t <= beta reads x(t - beta) from
-    it by interpolation.
+    it by interpolation.  ``ridge`` is one nonnegative shift added to
+    every window's Gramian.
     """
 
     time_step: float = 1e-3
@@ -199,7 +196,7 @@ class Numerics:
     tol: float = 1e-9
     max_iter: int = 200
     delta_floor: float = 1e-8
-    ridge: object = 0.0
+    ridge: float = 0.0
     oracle_refine: int = 10
     target_tol: float = 1e-6
     seed: int = 1
@@ -211,14 +208,8 @@ class Numerics:
         for name in ("history_samples", "max_iter", "oracle_refine"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        ridge = np.asarray(self.ridge, dtype=float)
-        if not np.all((ridge >= 0.0) & (ridge < np.inf)):
+        if not 0.0 <= self.ridge < np.inf:
             raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
 
     def steps_for(self, length: float) -> int:
         return max(MIN_STEPS, int(np.ceil(length / self.time_step)))
-
-    def ridge_for(self, window: int) -> float:
-        if np.isscalar(self.ridge):
-            return float(self.ridge)
-        return float(self.ridge[window])

@@ -14,7 +14,8 @@ Two backends:
   node 0 would break duality by O(h)).
 
 Both expose a ``lag_table`` with the grid machinery the steering pipeline
-needs: propagator action at every lag g * delta of a uniform window grid.
+needs: propagator action at every lag g * delta of a uniform window grid,
+and the trapezoid sums on that grid, with the table's own ``weights``.
 Lag-table data is immutable after construction; each table keeps its
 convolution kernel's spectrum once formed.
 
@@ -122,6 +123,19 @@ def fft_row_sum_error(n: int, pairs: int) -> float:
     return float(2.0 * (3.0 * e + k * u / (1.0 - k * u)))
 
 
+def trapezoid_weights(m: int, delta: float) -> np.ndarray:
+    w = np.full(m + 1, delta)
+    w[0] = w[-1] = 0.5 * delta
+    return w
+
+
+def _shifted(v: np.ndarray, o: int, c: float) -> np.ndarray:
+    """v shifted left by o + c nodes, interpolated linearly, zero past pi."""
+    N = len(v)
+    vp = np.pad(v, (0, o + 2))
+    return (1.0 - c) * vp[o:o + N] + c * vp[o + 1:o + 1 + N]
+
+
 def is_identity(M: np.ndarray) -> bool:
     """Whether the 2-D M is a square identity, tested without forming one:
     as many nonzero entries as rows, and every diagonal entry 1."""
@@ -143,6 +157,7 @@ class MatrixLagTable:
     def __init__(self, E: np.ndarray, m: int, delta: float):
         self.stack = powers(E, m, np.eye(E.shape[0]))
         self.m, self.delta = m, delta
+        self.weights = trapezoid_weights(m, delta)
         self.growth = max(1.0, np.linalg.norm(self.stack[m], 2))
         self._n = fft_length(2 * m + 1)    # shorter circular lengths alias
         self.fft_error = fft_row_sum_error(self._n, E.shape[0])
@@ -150,19 +165,20 @@ class MatrixLagTable:
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         return self.stack[g] @ v
 
-    def gramian(self, B: np.ndarray, w: np.ndarray) -> np.ndarray:
+    def gramian(self, B: np.ndarray) -> np.ndarray:
         """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, as one batched product."""
         M = self.stack @ B
-        return (w[:, None, None] * (M @ M.transpose(0, 2, 1))).sum(axis=0)
+        return (self.weights[:, None, None] * (M @ M.transpose(0, 2, 1))).sum(axis=0)
 
     def adjoint_evolve(self, v: np.ndarray) -> np.ndarray:
         """Rows T(g*delta)* v for g = 0..m."""
         return np.einsum("gji,j->gi", self.stack, v)
 
-    def lagged_weighted_sum(self, lags: np.ndarray, F: np.ndarray,
-                            w: np.ndarray) -> np.ndarray:
-        """sum_k w_k T(lags_k * delta) F_k."""
-        return np.einsum("kij,kj->i", self.stack[lags], w[:, None] * F)
+    def end_integral(self, F: np.ndarray) -> np.ndarray:
+        """sum_k w_k T((m - k) delta) F_k, the trapezoid rule for the
+        integral over the window of T(m delta - s) f(s), f sampled in F."""
+        lags = self.m - np.arange(self.m + 1)
+        return np.einsum("kij,kj->i", self.stack[lags], self.weights[:, None] * F)
 
     @functools.cached_property
     def _tilted_spectrum(self) -> tuple:
@@ -207,6 +223,7 @@ class ShiftLagTable:
 
     def __init__(self, N: int, h: float, delta: float, m: int):
         self.N, self.h, self.delta, self.m = N, h, delta, m
+        self.weights = trapezoid_weights(m, delta)
         lag = np.arange(m + 1) * delta / h
         self.off = lag.astype(int)
         self.frac = lag - self.off
@@ -218,11 +235,9 @@ class ShiftLagTable:
 
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
         """Forward shift of v by the lag g (zero past pi)."""
-        o, c, N = self.off[g], self.frac[g], self.N
-        vp = np.pad(v, (0, o + 2))
-        return (1.0 - c) * vp[o:o + N] + c * vp[o + 1:o + 1 + N]
+        return _shifted(v, self.off[g], self.frac[g])
 
-    def gramian(self, B: np.ndarray, w: np.ndarray) -> tuple:
+    def gramian(self, B: np.ndarray) -> tuple:
         """sum_g w_g T(g*delta) T(g*delta)^T as its diagonal and first
         off-diagonal: with B = I, the only control matrix the shift
         backend takes, the Gramian is exactly tridiagonal.
@@ -237,7 +252,7 @@ class ShiftLagTable:
         if not is_identity(B):
             raise ValueError("the shift backend takes only the identity as "
                              "its control matrix, whose Gramian is tridiagonal")
-        N, P, off, c = self.N, self.pad, self.off, self.frac
+        N, P, off, c, w = self.N, self.pad, self.off, self.frac, self.weights
         diag = (np.bincount(off, w * (1.0 - c) ** 2, minlength=P)
                 + np.bincount(off + 1, w * c ** 2, minlength=P))
         cross = np.bincount(off, w * (1.0 - c) * c, minlength=P)
@@ -251,12 +266,12 @@ class ShiftLagTable:
         win = win[self.pad - 1 - self.off]
         return (1.0 - self.frac[:, None]) * win[:, 1:] + self.frac[:, None] * win[:, :-1]
 
-    def lagged_weighted_sum(self, lags: np.ndarray, F: np.ndarray,
-                            w: np.ndarray) -> np.ndarray:
-        Fp = np.pad(w[:, None] * F, ((0, 0), (0, self.pad)))
+    def end_integral(self, F: np.ndarray) -> np.ndarray:
+        """sum_k w_k T((m - k) delta) F_k: row k shifted by the lag m - k."""
+        Fp = np.pad(self.weights[:, None] * F, ((0, 0), (0, self.pad)))
         win = sliding_window_view(Fp, self.N + 1, axis=1)
-        win = win[np.arange(len(lags)), self.off[lags]]
-        c = self.frac[lags][:, None]
+        win = win[np.arange(self.m + 1), self.off[::-1]]
+        c = self.frac[::-1, None]
         return np.sum((1.0 - c) * win[:, :-1] + c * win[:, 1:], axis=0)
 
     @functools.cached_property
@@ -362,9 +377,7 @@ class ShiftSemigroup:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.N,):
             raise ValueError(f"state dimension mismatch: {v.shape} vs {self.N}")
-        o, c = self._params(theta)
-        vp = np.pad(v, (0, o + 2))
-        return (1.0 - c) * vp[o:o + self.N] + c * vp[o + 1:o + 1 + self.N]
+        return _shifted(v, *self._params(theta))
 
     def apply_adjoint(self, theta: float, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

@@ -9,10 +9,13 @@ branch-wise on the mesh:
 
 with the feedback control u recomputed from the *current* iterate inside
 every sweep (the steering residuals depend on x through the forcing, the
-impulse values and the nonlocal coupling).  The fixed point is
-simultaneously a mild solution and a steered trajectory, which is exactly
-the property the contraction certificate predicts.  The integro variant
-replaces eta by the running kernel convolution and drops the nonlocal term.
+impulse values and the nonlocal coupling).  A sweep is one pass over the
+mesh: each impulse window is evaluated once, and each control window starts
+at phi(0) + nu(x) or at the last sample of the impulse window before it.
+The fixed point is simultaneously a mild solution and a steered trajectory,
+which is exactly the property the contraction certificate predicts.  The
+integro variant replaces eta by the running kernel convolution and drops
+the nonlocal term.
 
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
@@ -39,8 +42,7 @@ import numpy as np
 from .core import PiecewiseTrajectory, path_sup_norm, sup_distance
 from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
-                      forcing_integral, steering_residual, synthesize_control,
-                      window_start)
+                      steering_residual, synthesize_control, window_start)
 from .problems import Numerics, Problem
 
 
@@ -140,7 +142,7 @@ class Sweep:
         flat = PiecewiseTrajectory(problem.mesh, problem.beta, hist,
                                    self.seg_times, seg_values,
                                    weight=problem.state_weight)
-        v0 = window_start(problem, flat, 0)
+        v0 = window_start(problem, flat)
         seg_values = [np.tile(v0, (len(t), 1)) for t in self.seg_times]
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
@@ -187,14 +189,14 @@ class Sweep:
         j = grid.index
         integral = self._integrals[j]
         if integral is None:
-            integral = forcing_integral(grid, forcing)
+            integral = grid.table.end_integral(forcing)
             if self._frozen_windows[j]:
                 self._integrals[j] = integral
         return integral
 
     def apply(self, traj: PiecewiseTrajectory, targets):
-        """One application of the steered operator; returns the new path and
-        the synthesized control (None without targets).
+        """One application of the steered operator, one pass over the mesh:
+        the new path and the synthesized control (None without targets).
 
         A control window whose forcing rows are all frozen keeps the path,
         control samples and preimage it was last solved to while its target
@@ -212,53 +214,43 @@ class Sweep:
         """
         problem = self.problem
         forcings = self._forcings(traj)
-        todo = []
-        for grid in self.grids:
-            j = grid.index
-            start = window_start(problem, traj, j)
-            target = (None if targets is None
-                      else np.asarray(targets[j], dtype=float).tobytes())
-            solved = self._solved[j]
-            if not (self._frozen_windows[j] and solved is not None
-                    and solved.target == target
-                    and np.abs(start - solved.start).max()
-                    <= grid.table.fft_error * np.abs(solved.start).max()):
-                todo.append((grid, start, target))
-                self._solved[j] = None
-        self.window_solves += len(todo)
-        if targets is not None and todo:
-            residuals = [steering_residual(start, targets[grid.index], grid,
-                                           self._integral(grid, forcings[grid.index]))
-                         for grid, start, target in todo]
-            fresh = synthesize_control(problem, [grid for grid, *_ in todo],
-                                       [self.blocks[grid.index] for grid, *_ in todo],
-                                       residuals)
-        identity = problem.identity_control
-        for i, (grid, start, target) in enumerate(todo):
-            F = forcings[grid.index]
-            samples = preimage = None
-            if targets is not None:
-                samples, preimage = fresh.samples[i], fresh.preimages[i]
-                F = F + (samples if identity else samples @ problem.control_matrix.T)
-            self._solved[grid.index] = _Solved(start, target,
-                                               grid.table.convolve(start, F),
-                                               samples, preimage)
+        start = window_start(problem, traj)
+        seg_values, self.recomputed = [], []
+        for k, (a, end, kind, j) in enumerate(self.intervals):
+            if kind == "impulse":
+                path = problem.impulse_path(j, self.seg_times[k],
+                                            traj.left_value_at_theta(j))
+                start = path[-1].copy()    # a kept start holds no impulse path
+            else:
+                grid, solved = self.grids[j], self._solved[j]
+                target = (None if targets is None
+                          else np.asarray(targets[j], dtype=float).tobytes())
+                if (self._frozen_windows[j] and solved is not None
+                        and solved.target == target
+                        and np.abs(start - solved.start).max()
+                        <= grid.table.fft_error * np.abs(solved.start).max()):
+                    seg_values.append(solved.path)
+                    continue
+                self.window_solves += 1
+                F = forcings[j]
+                samples = preimage = None
+                if targets is not None:
+                    residual = steering_residual(start, targets[j], grid,
+                                                 self._integral(grid, F))
+                    samples, preimage = synthesize_control(problem, grid,
+                                                           self.blocks[j], residual)
+                    F = F + (samples if problem.identity_control
+                             else samples @ problem.control_matrix.T)
+                path = grid.table.convolve(start, F)
+                self._solved[j] = _Solved(start, target, path, samples, preimage)
+            seg_values.append(path)
+            self.recomputed.append(k)
         control = None
         if targets is not None:
             control = ControlSignal(problem=problem,
                                     window_times=[g.times for g in self.grids],
                                     samples=[w.samples for w in self._solved],
                                     preimages=[w.preimage for w in self._solved])
-        solved = {grid.index for grid, *_ in todo}
-        seg_values, self.recomputed = [], []
-        for k, (a, end, kind, j) in enumerate(self.intervals):
-            if kind == "impulse":
-                seg_values.append(problem.impulse_path(
-                    j, self.seg_times[k], traj.left_value_at_theta(j)))
-            else:
-                seg_values.append(self._solved[j].path)
-            if kind == "impulse" or j in solved:
-                self.recomputed.append(k)
         return traj.with_values(seg_values), control
 
 

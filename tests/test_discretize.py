@@ -8,10 +8,10 @@ import pytest
 from evosteer import discretize
 from evosteer.core import build_time_mesh
 from evosteer.discretize import (KernelDiscretization, build_window_grids,
-                                 eta_values, interval_times, trapezoid_weights)
+                                 eta_values, interval_times)
 from evosteer.oracle import oracle_linear
 from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
-from evosteer.semigroups import MatrixSemigroup
+from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import Sweep, picard_solve
 from evosteer.transport import TransportConfig, build_case2
 
@@ -37,7 +37,7 @@ def test_window_grids_share_breakpoints():
     assert [g.index for g in grids] == [0, 1]
     assert grids[0].times[0] == 0.0 and grids[0].times[-1] == 0.3
     assert grids[1].times[0] == 0.5 and grids[1].times[-1] == 1.0
-    assert grids[0].weights.sum() == pytest.approx(0.3)
+    assert grids[0].table.weights.sum() == pytest.approx(0.3)
 
 
 def _kernel_problem(kappa, q, mesh=None, dim=1):

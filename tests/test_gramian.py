@@ -10,18 +10,17 @@ from evosteer.certificates import control_bound
 from evosteer.config import load_config
 from evosteer.core import build_time_mesh
 from evosteer.discretize import (KernelDiscretization, WindowGrid,
-                                 build_window_grids, eta_values,
-                                 trapezoid_weights)
-from evosteer.gramian import (GramianBlock, NotInvertibleError, assemble_all,
-                              assemble_from_grid, assemble_gramian,
-                              forcing_integral, gramian_solve,
-                              smallest_eigenvalue_bracket, steering_residual,
-                              sturm_count, synthesize_control,
+                                 build_window_grids, eta_values)
+from evosteer.gramian import (ControlSignal, GramianBlock, NotInvertibleError,
+                              assemble_all, assemble_from_grid, assemble_gramian,
+                              gramian_solve, smallest_eigenvalue_bracket,
+                              steering_residual, sturm_count, synthesize_control,
                               tridiagonal_floor, window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
-from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup
+from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
 from evosteer.transport import TransportConfig, build_case1
+from test_solver import window_start_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -88,9 +87,9 @@ class TestAssembly:
         table = T.lag_table(end / m, m)
         if backend == "shift":
             assert table.frac[5] != 0.0 and table.off[-1] > 2
-        grid = WindowGrid(index=0, start=0.0, end=end,
-                          times=np.linspace(0.0, end, m + 1), table=table)
-        w = grid.weights
+        grid = WindowGrid(index=0, end=end, times=np.linspace(0.0, end, m + 1),
+                          table=table)
+        w = trapezoid_weights(m, end / m)
         G = np.zeros((B.shape[0], B.shape[0]))
         for g in range(m + 1):
             if backend == "matrix":
@@ -100,8 +99,8 @@ class TestAssembly:
                 Bp = np.pad(B.T, ((0, 0), (0, o + 2)))
                 M = ((1.0 - c) * Bp[:, o:o + N] + c * Bp[:, o + 1:o + 1 + N]).T
             G += w[m - g] * (M @ M.T)
-        G = 0.5 * 0.7 * (G + G.T)
-        got = assemble_from_grid(B, 0.7, grid, Numerics()).matrix
+        G = 0.5 * (G + G.T)
+        got = assemble_from_grid(B, grid, Numerics()).matrix
         if backend == "matrix":
             assert np.array_equal(got, G)
         else:
@@ -142,7 +141,7 @@ class TestAssembly:
         # entries are exactly zero
         table = ShiftSemigroup(N).lag_table(length / m, m)
         w = trapezoid_weights(m, length / m)[::-1]
-        d, e = table.gramian(np.eye(N), w)
+        d, e = table.gramian(np.eye(N))
         G = offset_loop_gramian(table, np.eye(N), w)
         assert d.tobytes() == np.diag(G).tobytes()
         assert e.tobytes() == np.diag(G, 1).tobytes() == np.diag(G, -1).tobytes()
@@ -407,7 +406,7 @@ class TestResiduals:
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         target = expm(A) @ phi0
-        r = _residual(window_start(prob, traj, 0), target,
+        r = _residual(window_start(prob, traj), target,
                       grids[0], _eta(prob, traj, grids[0]))
         assert np.linalg.norm(r) <= 1e-10
 
@@ -420,7 +419,7 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = _residual(window_start(prob, traj, 0), np.array([2.0]),
+        r = _residual(window_start(prob, traj), np.array([2.0]),
                       grids[0], _eta(prob, traj, grids[0]))
         assert r[0] == pytest.approx(2.0 - 0.3, abs=1e-13)
 
@@ -438,7 +437,7 @@ class TestResiduals:
         traj = _flat_traj(prob, num)
         x_minus = traj.left_value_at_theta(1)
         target = rng.normal(size=2)
-        r = _residual(window_start(prob, traj, 1), target,
+        r = _residual(window_start_reference(prob, traj, 1), target,
                       grids[1], _eta(prob, traj, grids[1]))
         manual = target - expm(0.5 * A) @ (0.5 * x_minus)
         np.testing.assert_allclose(r, manual, atol=1e-11)
@@ -454,7 +453,7 @@ class TestResiduals:
         num = Numerics(time_step=1e-2, history_samples=16)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
-        r = _residual(window_start(prob, traj, 0), np.array([2.0]),
+        r = _residual(window_start(prob, traj), np.array([2.0]),
                       grids[0], _inner(prob, traj, num))
         assert r[0] == pytest.approx(2.0 - 0.25 - 0.5, abs=1e-12)
 
@@ -471,7 +470,7 @@ class TestResiduals:
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
         target = rng.normal(size=2)
-        r = _residual(window_start(prob, traj, 0), target,
+        r = _residual(window_start(prob, traj), target,
                       grids[0], _inner(prob, traj, num))
         np.testing.assert_allclose(r, target - expm(A) @ phi0, atol=1e-11)
 
@@ -481,7 +480,7 @@ class TestControl:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.0, 0.0])
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
-        u = synthesize_control(prob, grids, blocks, [np.zeros(2)]).value(0.5)
+        u = _control(prob, grids, blocks, [np.zeros(2)]).value(0.5)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
     def test_scalar_constant_control(self):
@@ -489,7 +488,7 @@ class TestControl:
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0])
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
-        control = synthesize_control(prob, grids, blocks, [np.array([2.5])])
+        control = _control(prob, grids, blocks, [np.array([2.5])])
         for theta in (0.1, 0.5, 1.0):
             assert control.value(theta)[0] == pytest.approx(2.5, rel=1e-12)
 
@@ -500,8 +499,7 @@ class TestControl:
                               constants=AssumptionConstants(
                                   impulse_lipschitz=(0.0,), impulse_sup=(0.0,)))
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
-        control = synthesize_control(prob, grids, blocks,
-                                     [np.ones(1), np.ones(1)])
+        control = _control(prob, grids, blocks, [np.ones(1), np.ones(1)])
         for theta in (0.0, 0.5):
             np.testing.assert_array_equal(control.value(theta), np.zeros(1))
         assert control.value(0.2)[0] != 0.0
@@ -509,11 +507,11 @@ class TestControl:
     @pytest.mark.parametrize("backend", ["matrix", "shift"])
     def test_sup_norms_match_per_row_norms(self, backend):
         rng = np.random.default_rng(32)
+        # the control space is weighted like the state space: 1 on the
+        # matrix backend, h = pi/N on the shift backend
         if backend == "matrix":
             T, B = MatrixSemigroup(rng.normal(size=(6, 6))), rng.normal(size=(6, 6))
         else:
-            # the shift backend's one control matrix; the unequal weights
-            # still take the products with B*
             T, B = ShiftSemigroup(64), np.eye(64)
         phi0 = rng.normal(size=T.dim)
         prob = Problem(semigroup=T, control_matrix=B,
@@ -521,12 +519,12 @@ class TestControl:
                        beta=1.0, history=lambda s: phi0,
                        impulses=(np.outer,),
                        constants=AssumptionConstants(impulse_lipschitz=(1.0,),
-                                                     impulse_sup=(1.0,)),
-                       control_weight=0.3)
+                                                     impulse_sup=(1.0,)))
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
-        control = synthesize_control(prob, grids, blocks,
-                                     [rng.normal(size=T.dim) for _ in grids])
-        per_row = [max(float(np.sqrt(0.3) * np.linalg.norm(u)) for u in U)
+        control = _control(prob, grids, blocks,
+                           [rng.normal(size=T.dim) for _ in grids])
+        weight = np.sqrt(T.weight)
+        per_row = [max(float(weight * np.linalg.norm(u)) for u in U)
                    for U in control.samples]
         assert control.sup_norms() == per_row
 
@@ -554,8 +552,33 @@ class TestWindowStart:
         flat = _flat_traj(prob, Numerics(time_step=1e-2, history_samples=8))
         x = np.array([1.0, -2.0])
         traj = flat.with_values([np.tile(x, (len(t), 1)) for t in flat.seg_times])
-        np.testing.assert_allclose(window_start(prob, traj, j), expected,
-                                   rtol=1e-15)
+        start = (window_start(prob, traj) if j == 0
+                 else window_start_reference(prob, traj, j))
+        np.testing.assert_allclose(start, expected, rtol=1e-15)
+
+    @pytest.mark.parametrize("backend", ["matrix", "shift"])
+    def test_later_window_starts_at_the_impulse_branch(self, backend):
+        # the sweep starts window 1 at the last sample of the impulse window
+        # before it: the bits of the impulse map at lam_1 alone
+        from evosteer.solver import Sweep
+        rng = np.random.default_rng(44)
+        if backend == "matrix":
+            prob = linear_problem(rng.normal(size=(3, 3)), np.eye(3),
+                                  build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0),
+                                  rng.normal(size=3), impulses=(np.outer,),
+                                  constants=AssumptionConstants(
+                                      impulse_lipschitz=(0.5,), impulse_sup=(1.0,)))
+            targets = [rng.normal(size=3) for _ in range(2)]
+        else:
+            cfg = TransportConfig(N=16)
+            prob, targets = build_case1(cfg), cfg.resolved_targets()
+        sweep = Sweep(prob, Numerics(time_step=4e-3, history_samples=48))
+        traj = sweep.initial_iterate()
+        traj = traj.with_values([rng.normal(size=v.shape) for v in traj.seg_values])
+        new, _ = sweep.apply(traj, targets)
+        want = window_start_reference(prob, traj, 1)
+        assert np.array_equal(new.seg_values[1][-1], want)
+        assert np.array_equal(new.seg_values[2][0], want)
 
 
 class TestControlBound:
@@ -591,7 +614,16 @@ class TestControlBound:
 
 
 def _residual(start, target, grid, forcing):
-    return steering_residual(start, target, grid, forcing_integral(grid, forcing))
+    return steering_residual(start, target, grid, grid.table.end_integral(forcing))
+
+
+def _control(problem, grids, blocks, residuals):
+    """The control signal of every window of ``grids`` from its residual."""
+    pairs = [synthesize_control(problem, g, b, r)
+             for g, b, r in zip(grids, blocks, residuals)]
+    return ControlSignal(problem=problem, window_times=[g.times for g in grids],
+                         samples=[u for u, _ in pairs],
+                         preimages=[y for _, y in pairs])
 
 
 def _flat_traj(problem, numerics):

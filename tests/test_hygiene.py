@@ -173,3 +173,21 @@ def test_every_default_is_overridden_somewhere():
         if not any(spread or param in keywords or (pos is not None and npos > pos)
                    for npos, keywords, spread in calls.get(name, ())))
     assert not unset, f"defaulted parameters no call sets: {unset}"
+
+
+def test_every_problem_and_numerics_field_is_set_outside_the_tests():
+    """A field of ``Problem`` or ``Numerics`` that only tests set is a knob
+    no run can turn: each is passed by name to its class in the package or
+    the benchmark, or read from a config key of ``config._NUMERICS_KEYS``
+    (``[problem]`` keys reach ``Problem`` through the package's calls)."""
+    import dataclasses
+    from evosteer import config
+    from evosteer.problems import Numerics, Problem
+    passed = {"Problem": set(), "Numerics": set(config._NUMERICS_KEYS)}
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        for name, _, keywords, _ in _calls(ast.parse(path.read_text())):
+            if name in passed:
+                passed[name] |= keywords
+    unset = [f"{cls.__name__}.{f.name}" for cls in (Problem, Numerics)
+             for f in dataclasses.fields(cls) if f.name not in passed[cls.__name__]]
+    assert not unset, f"fields only the tests set: {unset}"

@@ -8,7 +8,8 @@ from scipy.linalg import expm as scipy_expm
 from evosteer.config import load_config
 from evosteer.runner import run
 from evosteer.semigroups import (MatrixLagTable, MatrixSemigroup, ShiftLagTable,
-                                 ShiftSemigroup, expm, fft_length, powers)
+                                 ShiftSemigroup, expm, fft_length, powers,
+                                 trapezoid_weights)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,6 +35,33 @@ def evolve(table, v):
     win = sliding_window_view(np.pad(v, (0, table.pad)), table.N + 1)[table.off]
     c = table.frac[:, None]
     return (1.0 - c) * win[:, :-1] + c * win[:, 1:]
+
+
+def explicit_weight_gramian(table, B, w):
+    """A lag table's Gramian with the weights w passed in, as the tables
+    formed it before they kept their own trapezoid weights."""
+    if isinstance(table, MatrixLagTable):
+        M = table.stack @ B
+        return (w[:, None, None] * (M @ M.transpose(0, 2, 1))).sum(axis=0)
+    N, P, off, c = table.N, table.pad, table.off, table.frac
+    diag = (np.bincount(off, w * (1.0 - c) ** 2, minlength=P)
+            + np.bincount(off + 1, w * c ** 2, minlength=P))
+    cross = np.bincount(off, w * (1.0 - c) * c, minlength=P)
+    i = np.arange(N)
+    return (np.cumsum(diag)[np.minimum(P - 1, N - 1 - i)],
+            np.cumsum(cross)[np.minimum(P - 1, N - 2 - i[:-1])])
+
+
+def lagged_weighted_sum(table, lags, F, w):
+    """sum_k w_k T(lags_k * delta) F_k for any lags and weights, as the
+    tables formed a window's forcing integral before ``end_integral``."""
+    if isinstance(table, MatrixLagTable):
+        return np.einsum("kij,kj->i", table.stack[lags], w[:, None] * F)
+    Fp = np.pad(w[:, None] * F, ((0, 0), (0, table.pad)))
+    win = sliding_window_view(Fp, table.N + 1, axis=1)
+    win = win[np.arange(len(lags)), table.off[lags]]
+    c = table.frac[lags][:, None]
+    return np.sum((1.0 - c) * win[:, :-1] + c * win[:, 1:], axis=0)
 
 
 def tilted_fft_reference(table, F, delta):
@@ -337,8 +365,7 @@ class TestLagTables:
         rng = np.random.default_rng(9)
         v = rng.normal(size=16)
         for g in (0, 1, 17, 40):
-            np.testing.assert_allclose(table.apply(g, v), T.apply(0.013 * g, v),
-                                       atol=1e-14)
+            assert np.array_equal(table.apply(g, v), T.apply(0.013 * g, v))
         F = rng.normal(size=(41, 16))
         ev = table.convolve(v, np.zeros_like(F))    # the free path from v
         adj = table.adjoint_evolve(v)
@@ -347,20 +374,18 @@ class TestLagTables:
             np.testing.assert_allclose(adj[g], T.apply_adjoint(0.013 * g, v),
                                        atol=1e-14)
         lags = 40 - np.arange(41)
-        w = np.full(41, 0.013)
+        w = trapezoid_weights(40, 0.013)
         expected = sum(w[k] * T.apply(0.013 * lags[k], F[k]) for k in range(41))
-        np.testing.assert_allclose(table.lagged_weighted_sum(lags, F, w),
-                                   expected, atol=1e-12)
+        np.testing.assert_allclose(table.end_integral(F), expected, atol=1e-12)
 
     @pytest.mark.parametrize("N, m", [(256, 300), (64, 1200), (16, 10)])
     def test_shift_gathers_match_index_arrays(self, N, m):
-        # adjoint_evolve, lagged_weighted_sum and the tests' evolve read
-        # windows of the padded vector; the same bits as gathering through
-        # index arrays
+        # adjoint_evolve, end_integral and the tests' evolve read windows of
+        # the padded vector; the same bits as gathering through index arrays
         table = ShiftSemigroup(N).lag_table(0.45 / m, m)
         assert np.count_nonzero(table.frac) > m // 2
         rng = np.random.default_rng(14)
-        v, F, w = rng.normal(size=N), rng.normal(size=(m + 1, N)), rng.random(m + 1)
+        v, F, w = rng.normal(size=N), rng.normal(size=(m + 1, N)), table.weights
         off, c, P = table.off[:, None], table.frac[:, None], table.pad
         cols = np.arange(N)[None, :]
         Vp = np.pad(v, (0, P))
@@ -375,7 +400,31 @@ class TestLagTables:
         cl = table.frac[lags][:, None]
         want = np.sum((1.0 - cl) * np.take_along_axis(Fp, idx, axis=1)
                       + cl * np.take_along_axis(Fp, idx + 1, axis=1), axis=0)
-        assert np.array_equal(table.lagged_weighted_sum(lags, F, w), want)
+        assert np.array_equal(table.end_integral(F), want)
+
+    @pytest.mark.parametrize("backend, d, m", [
+        ("matrix", 2, 8), ("matrix", 5, 37), ("matrix", 17, 300),
+        ("matrix", 3, 1501), ("shift", 16, 8), ("shift", 64, 1200),
+        ("shift", 256, 300), ("shift", 16, 1501)])
+    def test_own_weights_match_explicit_weights(self, backend, d, m):
+        # a table's Gramian and end integral, on its own trapezoid weights,
+        # are the bits of the explicit-weight formulas they replace
+        rng = np.random.default_rng(d * m)
+        delta = rng.uniform(0.2, 1.2) / m
+        if backend == "matrix":
+            table = MatrixSemigroup(rng.normal(size=(d, d))).lag_table(delta, m)
+            B = rng.normal(size=(d, max(1, d - 1)))
+        else:
+            table, B = ShiftSemigroup(d).lag_table(delta, m), np.eye(d)
+        w = trapezoid_weights(m, delta)
+        assert np.array_equal(table.weights, w)
+        want = explicit_weight_gramian(table, B, w[::-1])
+        got = table.gramian(B)
+        for a, b in (zip(got, want) if backend == "shift" else [(got, want)]):
+            assert np.array_equal(a, b)
+        F = rng.normal(size=(m + 1, d)) * np.exp(rng.normal(size=(m + 1, 1)))
+        assert np.array_equal(table.end_integral(F),
+                              lagged_weighted_sum(table, m - np.arange(m + 1), F, w))
 
     def test_convolution_matches_quadrature(self):
         # matrix backend: trapezoid sum built lag-by-lag equals the fused sweep
@@ -538,8 +587,8 @@ def test_folded_path_matches_evolve_plus_convolve(preset):
     for grid in build_window_grids(cfg.problem, cfg.numerics):
         table, dim = grid.table, cfg.problem.dim
         assert isinstance(table, ShiftLagTable if preset.startswith("transport")
-                          else MatrixLagTable) and table.delta == grid.delta
-        for scale in (1.0, 1.0 / (grid.end - grid.start)):
+                          else MatrixLagTable)
+        for scale in (1.0, 1.0 / (grid.times[-1] - grid.times[0])):
             start = rng.normal(size=dim)
             F = scale * rng.normal(size=(table.m + 1, dim))
             got, want = table.convolve(start, F), unfolded_path(table, start, F)

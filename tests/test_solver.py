@@ -6,12 +6,11 @@ import pytest
 
 from evosteer.core import build_time_mesh, path_sup_norm, sup_distance
 from evosteer.discretize import eta_values
-from evosteer.gramian import (NotInvertibleError, forcing_integral,
-                              steering_residual, synthesize_control,
-                              window_start)
+from evosteer.gramian import (ControlSignal, NotInvertibleError, gramian_solve,
+                              steering_residual, window_start)
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
-from evosteer.semigroups import MatrixSemigroup
+from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import (NonConvergenceError, Sweep, _sweep_norms,
                              picard_solve, verify_targets)
 from evosteer.transport import TransportConfig, build_case1
@@ -141,8 +140,9 @@ class TestPieces:
     def test_zero_impulse(self):
         prob = make_problem(impulses=((lambda th, x: 0.0 * np.outer(th, x)),),
                             phi0=np.ones(2))
-        traj = Sweep(prob, Numerics(time_step=1e-2)).initial_iterate()
-        np.testing.assert_array_equal(window_start(prob, traj, 1), np.zeros(2))
+        sweep = Sweep(prob, Numerics(time_step=1e-2))
+        new, _ = sweep.apply(sweep.initial_iterate(), None)
+        np.testing.assert_array_equal(new.seg_values[2][0], np.zeros(2))
 
     @pytest.mark.parametrize("source", ["linear-config", "case1", "case2", "corpus"])
     def test_impulse_path_matches_per_sample_loop(self, source):
@@ -165,6 +165,23 @@ class TestPieces:
             assert np.array_equal(prob.impulse_path(j, times, x),
                                   per_sample_impulse(times, x))
 
+    def test_each_impulse_is_evaluated_once_per_sweep(self):
+        # the sweep takes window j's start from impulse window j's last
+        # sample: one call of each impulse map, on its whole window
+        calls = []
+
+        def impulse(times, x):
+            calls.append(len(times))
+            return np.outer(times, x)
+
+        mesh = build_time_mesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0], 1.0)
+        prob = make_problem(mesh=mesh, phi0=[0.3, 0.1], impulses=(impulse, impulse))
+        sweep = Sweep(prob, Numerics(time_step=1e-2))
+        traj = sweep.initial_iterate()
+        calls.clear()
+        sweep.apply(traj, [np.ones(2)] * 3)
+        assert calls == [len(sweep.seg_times[1]), len(sweep.seg_times[3])]
+
     def test_impulse_map_of_wrong_shape_is_refused(self):
         prob = make_problem(impulses=((lambda th, x: 0.5 * np.asarray(x)),))
         with pytest.raises(ValueError, match=r"impulse map 1 returned shape "
@@ -185,7 +202,7 @@ class TestPieces:
         prob = make_problem(dim=1, mesh=mesh, phi0=[2.0])
         num = Numerics(time_step=1e-2, history_samples=8)
         report = picard_solve(Sweep(prob, num), None)
-        assert window_start(prob, report.trajectory, 0)[0] == 2.0
+        assert window_start(prob, report.trajectory)[0] == 2.0
         nl = WeightedSampleNonlocal([0.1], [0.5])
         assert nl(report.trajectory)[0] == pytest.approx(0.2, rel=1e-12)
 
@@ -238,13 +255,15 @@ class TestVerifyTargets:
                            Numerics().target_tol)
 
     def test_exact_without_total(self):
-        # spoiling only the first window leaves the final-state conclusion
-        # intact while the all-windows verdict fails
+        # spoiling only the first window (a ridge on its Gramian block
+        # alone) leaves the final-state conclusion intact while the
+        # all-windows verdict fails
         rng = np.random.default_rng(37)
         prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
         targets = [rng.normal(size=2), rng.normal(size=2)]
-        num = Numerics(time_step=1e-3, ridge=[0.5, 0.0])
-        report = picard_solve(Sweep(prob, num), targets)
+        sweep = Sweep(prob, Numerics(time_step=1e-3))
+        sweep.blocks[0].ridge = 0.5
+        report = picard_solve(sweep, targets)
         verdict = verify_targets(report, targets, Numerics().target_tol)
         assert verdict.exactly_controllable
         assert not verdict.totally_controllable
@@ -295,12 +314,14 @@ class TestVerifyTargets:
         np.testing.assert_array_equal(traj.seg_values[1], expected)
 
     def test_large_ridge_spoils_one_window(self):
-        # heavy diagonal loading on window 1's Gramian biases its steering;
-        # that window misses while window 0 still hits
+        # heavy diagonal loading on every Gramian biases the steering of a
+        # window with a nonzero residual: window 1 misses, while window 0,
+        # whose target is the free evolution of phi(0), still hits
         rng = np.random.default_rng(35)
-        prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
-        targets = [rng.normal(size=2), rng.normal(size=2)]
-        num = Numerics(time_step=1e-3, ridge=[0.0, 0.5])
+        A = rng.normal(size=(2, 2)) / 2.0
+        prob = make_problem(A, phi0=[0.3, 0.1])
+        targets = [MatrixSemigroup(A).apply(0.4, prob.phi0()), rng.normal(size=2)]
+        num = Numerics(time_step=1e-3, ridge=0.5)
         report = picard_solve(Sweep(prob, num), targets)
         verdict = verify_targets(report, targets, Numerics().target_tol)
         assert not verdict.totally_controllable
@@ -376,7 +397,7 @@ def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
     assert calls == []
 
 
-@pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf, [0.0, -0.5], [0.0, np.nan]])
+@pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
 def test_ridge_must_be_finite_and_nonnegative(ridge):
     # floor_used = min_eig + ridge: a negative ridge lowers the floor the
     # certificate reads below the measured eigenvalue
@@ -404,16 +425,48 @@ def test_one_kernel_build_per_run(monkeypatch, entry):
     assert result.certificate.kernel_mass == pytest.approx(0.5, abs=1e-12)
 
 
+def window_start_reference(problem, traj, j):
+    """The start of control window j as it was formed before the sweep took
+    a later window's start from the impulse window before it: phi(0) +
+    nu(x) on the first window, the impulse map at lam_j alone on later
+    ones."""
+    if j == 0:
+        return window_start(problem, traj)
+    x_minus = traj.left_value_at_theta(j)
+    return problem.impulse_path(j, [problem.mesh.lam[j]], x_minus)[0]
+
+
+def synthesize_reference(problem, grids, blocks, residuals):
+    """The control on every window at once, as one synthesis made it before
+    a sweep solved its windows one at a time."""
+    B_adj = None if problem.identity_control else problem.control_adjoint()
+    times, samples, preimages = [], [], []
+    for grid, block, r in zip(grids, blocks, residuals):
+        y = gramian_solve(block, r)
+        adj = grid.table.adjoint_evolve(y)
+        U = adj[grid.m - np.arange(grid.m + 1)]
+        if B_adj is not None:
+            U = U @ B_adj.T
+        times.append(grid.times)
+        samples.append(U)
+        preimages.append(y)
+    return ControlSignal(problem=problem, window_times=times,
+                         samples=samples, preimages=preimages)
+
+
 def reference_apply(self, traj, targets):
     """``Sweep.apply`` as it was before history-only forcing and unchanged
-    windows were kept: every sweep reads the whole forcing, runs the Volterra
-    product and solves every control window."""
+    windows were kept and before it became one pass over the mesh: every
+    sweep reads the whole forcing, runs the Volterra product, takes each
+    forcing integral with explicit trapezoid weights, solves every control
+    window in one synthesis and evaluates each impulse twice."""
+    from test_semigroups import lagged_weighted_sum
     problem = self.problem
     if self.kern is not None:
         inner_all = self.kern.inner_convolution(self.kern.q_values(traj, slice(None)))
     starts, forcings, residuals = [], [], []
     for grid in self.grids:
-        start = window_start(problem, traj, grid.index)
+        start = window_start_reference(problem, traj, grid.index)
         if self.kern is not None:
             forcing = inner_all[self.kern.block_slice(2 * grid.index)]
         else:
@@ -421,9 +474,12 @@ def reference_apply(self, traj, targets):
         starts.append(start)
         forcings.append(forcing)
         if targets is not None:
+            m, delta = grid.m, (grid.times[-1] - grid.times[0]) / grid.m
+            integral = lagged_weighted_sum(grid.table, m - np.arange(m + 1), forcing,
+                                           trapezoid_weights(m, delta))
             residuals.append(steering_residual(start, targets[grid.index], grid,
-                                               forcing_integral(grid, forcing)))
-    control = (synthesize_control(problem, self.grids, self.blocks, residuals)
+                                               integral))
+    control = (synthesize_reference(problem, self.grids, self.blocks, residuals)
                if targets is not None else None)
     seg_values = []
     for k, (a, end, kind, j) in enumerate(self.intervals):
@@ -538,10 +594,10 @@ def test_frozen_window_forcing_integral_is_computed_once(monkeypatch, name):
     from evosteer.semigroups import MatrixLagTable, ShiftLagTable
     calls = Counter()
     for cls in (MatrixLagTable, ShiftLagTable):
-        def counted(self, *args, original=cls.lagged_weighted_sum):
+        def counted(self, *args, original=cls.end_integral):
             calls[id(self)] += 1
             return original(self, *args)
-        monkeypatch.setattr(cls, "lagged_weighted_sum", counted)
+        monkeypatch.setattr(cls, "end_integral", counted)
     prob, num, targets, _ = _equivalence_case(name)
     sweep = Sweep(prob, num)
     report = _solve(sweep, targets)
@@ -549,6 +605,14 @@ def test_frozen_window_forcing_integral_is_computed_once(monkeypatch, name):
     assert any(frozen)
     assert [calls[id(g.table)] for g in sweep.grids] == \
         [1 if f else report.iterations for f in frozen]
+
+
+def with_left_value(path, value):
+    """``path`` with x(theta_1-), the last sample of window 0, set to
+    ``value``."""
+    values = [v.copy() for v in path.seg_values]
+    values[0][-1] = value
+    return path.with_values(values)
 
 
 def test_changed_inputs_are_solved_again():
@@ -566,11 +630,6 @@ def test_changed_inputs_are_solved_again():
     # unchanged start and target: both windows kept
     assert_same_apply(sweep.apply(traj, targets), reference_apply(ref, traj, targets))
     assert sweep.window_solves == solves
-
-    def with_left_value(path, value):
-        values = [v.copy() for v in path.seg_values]
-        values[0][-1] = value
-        return path.with_values(values)
 
     end = traj.seg_values[0][-1]
     eps = sweep.grids[1].table.fft_error
@@ -603,10 +662,10 @@ def test_changed_inputs_are_solved_again():
 
 
 @pytest.mark.parametrize("factor, count", [(0.99, 0), (1.01, 1)])
-def test_start_kept_up_to_the_rounding_bound(monkeypatch, factor, count):
+def test_start_kept_up_to_the_rounding_bound(factor, count):
     # window 1 is kept while its start lies within eps |s|_inf of the kept
-    # start s, eps = table.fft_error, and solved again past that
-    from evosteer import solver
+    # start s, eps = table.fft_error, and solved again past that; the start
+    # lam_1 x(theta_1-) is moved through the left value x(theta_1-)
     from evosteer.transport import build_case2
     cfg = TransportConfig(N=16)
     prob, targets = build_case2(cfg), cfg.resolved_targets()
@@ -614,15 +673,17 @@ def test_start_kept_up_to_the_rounding_bound(monkeypatch, factor, count):
     traj = sweep.initial_iterate()
     for _ in range(3):
         traj, _ = sweep.apply(traj, targets)
-    kept = window_start(prob, traj, 1)
+    kept = window_start_reference(prob, traj, 1)
+    eps = sweep.grids[1].table.fft_error
     k = int(np.argmax(np.abs(kept)))
-    moved = kept.copy()
-    moved[k] += factor * sweep.grids[1].table.fft_error * abs(kept[k])
-    assert moved[k] != kept[k]
-    monkeypatch.setattr(solver, "window_start", lambda p, t, j: (
-        moved.copy() if j == 1 else window_start(p, t, j)))
+    x = traj.left_value_at_theta(1).copy()
+    x[k] += factor * eps * abs(kept[k]) / prob.mesh.lam[1]
+    path = with_left_value(traj, x)
+    moved = window_start_reference(prob, path, 1)
+    assert moved[k] != kept[k] and np.array_equal(np.delete(moved, k), np.delete(kept, k))
+    assert (abs(moved[k] - kept[k]) <= eps * abs(kept[k])) == (count == 0)
     solves = sweep.window_solves
-    sweep.apply(traj, targets)
+    sweep.apply(path, targets)
     assert sweep.window_solves == solves + count
 
 
@@ -653,8 +714,8 @@ def test_kept_state_grows_linearly_with_the_grid():
 
 
 def test_identity_control_skips_its_products(monkeypatch):
-    # The transport presets steer through B = I with equal weights, so B and
-    # B* are the identity and the solve skips both products.  A product by I
+    # The transport presets steer through B = I, so B and B* are the
+    # identity and the solve skips both products.  A product by I
     # adds exact zeros to x * 1: it keeps every nonzero value, and could only
     # turn a -0.0 into +0.0.  The shift adjoint's zeros come from its +0.0
     # padding, so the samples hold no -0.0 (checked below), and skipping the
@@ -673,8 +734,8 @@ def test_identity_control_skips_its_products(monkeypatch):
 
 
 def test_other_control_operators_take_the_products(tmp_path):
-    # a bench-style random B on linear-2d, and B = I with unequal weights,
-    # are not the identity: the control steers only through the products
+    # a bench-style random B on linear-2d is not the identity: the control
+    # steers only through the products
     from evosteer.config import load_config
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
@@ -689,7 +750,6 @@ def test_other_control_operators_take_the_products(tmp_path):
     report = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
     assert max(report.per_window_defect) <= 1e-9
     assert make_problem(dim=2).identity_control
-    assert not make_problem(dim=2, control_weight=2.0).identity_control
 
 
 def test_reassigned_control_matrix_takes_the_products():
@@ -707,8 +767,8 @@ def test_reassigned_control_matrix_takes_the_products():
 
 
 def test_identity_control_forms_no_identity():
-    # the flag is read once per sweep and once per synthesis; testing it
-    # allocates no N x N array (8 MiB at N = 1024)
+    # the flag is read twice per window solve; testing it allocates no
+    # N x N array (8 MiB at N = 1024)
     prob = build_case1(TransportConfig(N=1024))
     tracemalloc.start()
     try:
