@@ -53,21 +53,6 @@ class Certificate:
     def contracts(self) -> bool:
         return self.contraction_constant < 1.0
 
-    def as_dict(self) -> dict:
-        return {
-            "variant": self.variant,
-            "delay_ratio": self.delay_ratio,
-            "semigroup_bound": self.semigroup_bound,
-            "control_op_norm": self.control_op_norm,
-            "gramian_floors": list(self.gramian_floors),
-            "contraction_constant": self.contraction_constant,
-            "binding_branch": self.binding_branch,
-            "solution_bound": self.solution_bound,
-            "control_bounds": list(self.control_bounds),
-            "kernel_mass": self.kernel_mass,
-            "contracts": self.contracts,
-        }
-
 
 def contraction_constant(K: float, M: float, b: float, gamma: float,
                          nonlin_lipschitz: float, impulse_lipschitz: Sequence[float],

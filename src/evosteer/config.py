@@ -8,6 +8,7 @@ offending section.key so the CLI can fail with an actionable message.
 from __future__ import annotations
 
 import configparser
+import io
 import os
 from dataclasses import dataclass
 
@@ -72,8 +73,15 @@ def _get(section, key, cast, field, default=None):
 def load_config(path: str) -> RunConfig:
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
-        if not parser.read(path):
-            raise ConfigError(f"config file not found: {path}")
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+    except OSError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    try:
+        # universal newlines, as a file opened in text mode reads them
+        parser.read_file(io.StringIO(text, newline=None), source=path)
         echo = {s: dict(parser.items(s)) for s in parser.sections()}
     except configparser.DuplicateOptionError as exc:
         raise ConfigError(f"{exc.section}.{exc.option}: duplicate key "

@@ -39,7 +39,6 @@ class WindowGrid:
     for T((end - tau_k)) shared by every integral on the window."""
 
     index: int
-    end: float
     times: np.ndarray
     table: object
 
@@ -55,7 +54,7 @@ def build_window_grids(problem: Problem, numerics: Numerics) -> list:
     for j, ((a, end), times) in enumerate(windows):
         m = len(times) - 1
         table = problem.semigroup.lag_table((end - a) / m, m)
-        grids.append(WindowGrid(index=j, end=end, times=times, table=table))
+        grids.append(WindowGrid(index=j, times=times, table=table))
     return grids
 
 

@@ -226,7 +226,7 @@ def assemble_gramian(semigroup, control_matrix, window,
         raise ValueError("quad_steps must be at least 2")
     times = np.linspace(start, end, quad_steps + 1)
     table = semigroup.lag_table((end - start) / quad_steps, quad_steps)
-    grid = WindowGrid(index=0, end=end, times=times, table=table)
+    grid = WindowGrid(index=0, times=times, table=table)
     B = np.atleast_2d(np.asarray(control_matrix, dtype=float))
     return assemble_from_grid(B, grid, Numerics())
 

@@ -1,10 +1,11 @@
 """Emission of run artifacts: trajectory/control CSV files and the JSON
 report.  All numbers are written at full precision (%.17g) so re-ingesting a
 file reproduces the run's norms exactly and identical runs emit identical
-bytes.  A CSV file is written in blocks of rows holding at most
-``CHUNK_VALUES`` values, so emission memory stays bounded when the grid is
-refined.  A block's values are rendered once, each into a 32-byte slot of
-NUL-padded text that ``_format17`` renders for a whole block at once.  Each
+bytes.  A CSV file is written piece by piece (the history, then each mesh
+interval), each piece in blocks of rows holding at most ``CHUNK_VALUES``
+values, so emission memory stays bounded when the grid is refined.  A
+block's values are rendered once, each into a 32-byte slot of NUL-padded
+text that ``_format17`` renders for a whole block at once.  Each
 file's block is then one matrix of little-endian words: per row the time
 slot, the literal fields and the value slots.  Deleting the NULs leaves the
 bytes ``csv.writer`` would write with one ``'%.17g' %`` per value (no field
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import dataclasses
 import functools
 import json
 import os
@@ -265,25 +267,6 @@ def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
         out[slow] = _fallback(x[slow].tolist())
 
 
-def _blocks(lengths: list, rows: int):
-    """The rows of pieces of the given lengths, in blocks of at most
-    ``rows`` rows, each a list of (piece, lo, hi); a block may span
-    pieces."""
-    block, room = [], rows
-    for k, n in enumerate(lengths):
-        lo = 0
-        while lo < n:
-            hi = min(n, lo + room)
-            block.append((k, lo, hi))
-            room -= hi - lo
-            lo = hi
-            if not room:
-                yield block
-                block, room = [], rows
-    if block:
-        yield block
-
-
 def _literal_words(lits: list) -> list:
     """Per piece its literal triple as a (3, n) word array, or None."""
     nlit = max(len(s) for t in lits if t is not None for s in t) // 8 + 1
@@ -295,16 +278,16 @@ def _literal_words(lits: list) -> list:
 
 def _write_csv(files: list, width: int, pieces: list) -> None:
     """Write the rows of ``pieces``, ``width`` values a row, to every file
-    of ``files`` in blocks of at most ``CHUNK_VALUES`` values, each block
-    formatted once for all of them.  A piece is (times, value blocks): the
-    blocks fill the row's columns after the time in order, and the columns
-    past them are zero.  A file is (path, header, first column, literals):
-    its rows hold the time, the literal fields and the values from the first
-    column on.  Per piece the literals are a triple, one for the piece's
-    first, inner and last row, or None to leave the piece out of the file.
-    The last file's text is compacted after the block's slots are freed, so
-    the widest file goes last."""
-    lengths = [len(times) for times, _ in pieces]
+    of ``files``, piece by piece in blocks of at most ``CHUNK_VALUES``
+    values, each block formatted once for all of them.  A piece is (times,
+    value blocks): the blocks fill the row's columns after the time in
+    order, and the columns past them are zero.  A file is (path, header,
+    first column, literals): its rows hold the time, the literal fields and
+    the values from the first column on.  Per piece the literals are a
+    triple, one for the piece's first, inner and last row, or None to leave
+    the piece out of the file.  The last file's text is compacted after the
+    block's slots are freed, so the widest file goes last."""
+    rows = max(1, CHUNK_VALUES // width)
     try:
         with contextlib.ExitStack() as stack:
             outs = []
@@ -312,74 +295,56 @@ def _write_csv(files: list, width: int, pieces: list) -> None:
                 fh = stack.enter_context(open(path, "wb"))
                 fh.write((",".join(header) + "\r\n").encode())
                 outs.append((path, fh, start, _literal_words(lits)))
-            for block in _blocks(lengths, max(1, CHUNK_VALUES // width)):
-                slots = _block_slots(pieces, block, width)
-                for n, (path, fh, start, lits) in enumerate(outs, 1):
-                    text = _block_text(slots, block, lengths, start, lits)
-                    if n == len(outs):
-                        del slots
-                    fh.write(text.translate(None, b"\0"))
-                    del text
+            for k, (times, blocks) in enumerate(pieces):
+                for lo in range(0, len(times), rows):
+                    hi = lo + rows
+                    slots = _block_slots(times[lo:hi], [B[lo:hi] for B in blocks], width)
+                    for f, (path, fh, start, lits) in enumerate(outs, 1):
+                        text = _block_text(slots, start, lits[k], lo == 0,
+                                           hi >= len(times))
+                        if f == len(outs):
+                            del slots
+                        fh.write(text.translate(None, b"\0"))
+                        del text
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _block_slots(pieces: list, block: list, width: int) -> np.ndarray:
-    """The ``(rows, width, 4)`` slots of one block of rows, (piece, lo, hi)
-    ranges of ``_write_csv``'s pieces.  Only the columns a piece stores are
+def _block_slots(times: np.ndarray, blocks: list, width: int) -> np.ndarray:
+    """The ``(rows, width, 4)`` slots of one block of a piece's rows: its
+    ``times`` and value ``blocks``.  Only the columns the piece stores are
     formatted; the columns past them take the slot of ``'%.17g' % 0``."""
-    spans, size = [], 0     # per range: its values' offset, rows and columns
-    for k, lo, hi in block:
-        cols = 1 + sum(B.shape[1] for B in pieces[k][1])
-        spans.append((size, hi - lo, cols))
-        size += (hi - lo) * cols
-    values = np.empty(size)
-    for (k, lo, hi), (at, n, cols) in zip(block, spans):
-        times, blocks = pieces[k]
-        rows = values[at:at + n * cols].reshape(n, cols)
-        rows[:, 0] = times[lo:hi]
-        col = 1
-        for B in blocks:
-            rows[:, col:col + B.shape[1]] = B[lo:hi]
-            col += B.shape[1]
-    text = _format17(values)
+    values = np.column_stack([times] + blocks)
+    n, cols = values.shape
+    text = _format17(values.ravel()).reshape(n, cols, 4)
     del values
-    rows = sum(n for _, n, _ in spans)
-    if size == rows * width:
-        return text.reshape(rows, width, 4)
-    slots = np.empty((rows, width, 4), dtype=np.uint64)
-    r = 0
-    for at, n, cols in spans:
-        slots[r:r + n, :cols] = text[at:at + n * cols].reshape(n, cols, 4)
-        slots[r:r + n, cols:] = _ZERO_SLOT
-        r += n
+    if cols == width:
+        return text
+    slots = np.empty((n, width, 4), dtype=np.uint64)
+    slots[:, :cols] = text
+    slots[:, cols:] = _ZERO_SLOT
     return slots
 
 
-def _block_text(slots: np.ndarray, block: list, lengths: list, start: int,
-                lits: list) -> bytearray:
-    """One file's CSV text of a block, NULs not yet deleted: per row of the
-    pieces it takes, the time slot without its separator, the literal words,
-    the slots from column ``start`` on and CRLF."""
-    rows = sum(hi - lo for k, lo, hi in block if lits[k] is not None)
-    if not rows:
+def _block_text(slots: np.ndarray, start: int, lits: Optional[np.ndarray],
+                first: bool, last: bool) -> bytearray:
+    """One file's CSV text of a block of one piece, NULs not yet deleted:
+    per row the time slot without its separator, the literal words, the
+    slots from column ``start`` on and CRLF.  ``first`` and ``last`` say
+    whether the block holds the piece's first and last row, which take
+    their own literals; a piece without literals (None) is left out."""
+    if lits is None:
         return bytearray()
-    nlit = next(w for w in lits if w is not None).shape[1]
-    text = bytearray(8 * rows * (4 * (1 + slots.shape[1] - start) + nlit + 1))
-    words = np.frombuffer(text, dtype=np.uint64).reshape(rows, -1)
-    r = f = 0
-    for k, lo, hi in block:
-        n = hi - lo
-        if lits[k] is not None:
-            words[f:f + n, :4] = slots[r:r + n, 0]
-            words[f:f + n, 4:4 + nlit] = lits[k][1]
-            if lo == 0:
-                words[f, 4:4 + nlit] = lits[k][0]
-            if hi == lengths[k]:
-                words[f + n - 1, 4:4 + nlit] = lits[k][2]
-            words[f:f + n, 4 + nlit:-1] = slots[r:r + n, start:].reshape(n, -1)
-            f += n
-        r += n
+    n, nlit = len(slots), lits.shape[1]
+    text = bytearray(8 * n * (4 * (1 + slots.shape[1] - start) + nlit + 1))
+    words = np.frombuffer(text, dtype=np.uint64).reshape(n, -1)
+    words[:, :4] = slots[:, 0]
+    words[:, 4:4 + nlit] = lits[1]
+    if first:
+        words[0, 4:4 + nlit] = lits[0]
+    if last:
+        words[-1, 4:4 + nlit] = lits[2]
+    words[:, 4 + nlit:-1] = slots[:, start:].reshape(n, -1)
     words[:, 0] &= ~np.uint64(0xFF)     # no separator before the time
     words[:, -1] = _word(b"\r\n", 0)
     return text
@@ -476,7 +441,8 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
         "config": echo,
     }
     if certificate is not None:
-        out["certificate"] = certificate.as_dict()
+        out["certificate"] = {**dataclasses.asdict(certificate),
+                              "contracts": certificate.contracts}
     if blocks is not None:
         out["gramians"] = {
             "min_eig": [b.min_eig for b in blocks],

@@ -113,21 +113,18 @@ class Sweep:
                      if problem.variant == "integro" else None)
         self.intervals = problem.mesh.intervals()
         self.seg_times = interval_times(problem.mesh, numerics)
-        # Nodes are sorted, so the rows at t <= beta lead every grid: eta's
-        # on each control window, q's on the whole kernel grid.
-        beta = problem.beta
-        if self.kern is None:
-            self._split = [int(np.searchsorted(g.times, beta, side="right"))
-                           for g in self.grids]
-            self.frozen_forcing_rows = sum(self._split)
-        else:
-            self.frozen_forcing_rows = int(np.searchsorted(self.kern.times, beta,
-                                                           side="right"))
-        # Window j's forcing reads the forcing rows up to its end only.
-        self._frozen_windows = [g.end <= beta for g in self.grids]
+        # The forcing's nodes, sorted, so the rows at t <= beta lead: eta's
+        # on the control windows, q's on the whole kernel grid.
+        self._nodes = (np.concatenate([g.times for g in self.grids])
+                       if self.kern is None else self.kern.times)
+        self.frozen_forcing_rows = int(np.searchsorted(self._nodes, problem.beta,
+                                                       side="right"))
+        # Window j's forcing reads the forcing rows up to its end only, its
+        # last node (linspace stores the stop exactly).
+        self._frozen_windows = [g.times[-1] <= problem.beta for g in self.grids]
         self._integrals = [None] * len(self.grids)
+        self._rows = None
         self._forcing = None
-        self._q = None
         self._solved = [None] * len(self.grids)
         self.window_solves = 0
         # the intervals the last apply computed (all before the first);
@@ -150,36 +147,33 @@ class Sweep:
         return flat.with_values(seg_values)
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
-        """The forcing on every control window's grid.  A row at a node
-        t <= beta reads x(t - beta) from the history, which every path of
-        the run shares, so it is read on the first call only; the other
-        rows are read on every call, one read per grid."""
-        problem, kern = self.problem, self.kern
-        first = self._forcing is None
-        if kern is None:
-            if first:
-                self._forcing = [np.empty((len(g.times), problem.dim))
-                                 for g in self.grids]
-                for g, k, F in zip(self.grids, self._split, self._forcing):
-                    if k:
-                        F[:k] = eta_values(problem, traj, g.times[:k])
-            for g, k, F in zip(self.grids, self._split, self._forcing):
-                if k < len(g.times):
-                    F[k:] = eta_values(problem, traj, g.times[k:])
+        """The forcing on every control window's grid from the rows of eta
+        or q at the forcing nodes: the rows at t <= beta read x(t - beta)
+        from the history every path of the run shares, and take one read
+        per run; the others take one read per call.  A semilinear window's
+        forcing is a view of its rows, an integro window's a slice of their
+        Volterra sum, which with every row frozen is formed once, the rows
+        then dropped."""
+        K, G = self.frozen_forcing_rows, len(self._nodes)
+        if self._forcing is not None and K == G:
             return self._forcing
-        K, G = self.frozen_forcing_rows, len(kern.times)
-        if not first and K == G:
-            return self._forcing
-        if first:
-            self._q = np.empty((G, problem.dim))
+        read = (self.kern.q_values if self.kern is not None else
+                lambda traj, rows: eta_values(self.problem, traj, self._nodes[rows]))
+        if self._rows is None:
+            self._rows = np.empty((G, self.problem.dim))
             if K:
-                self._q[:K] = kern.q_values(traj, slice(0, K))
+                self._rows[:K] = read(traj, slice(0, K))
         if K < G:
-            self._q[K:] = kern.q_values(traj, slice(K, G))
-        inner = kern.inner_convolution(self._q)
-        if K == G:
-            self._q = None    # never read again
-        self._forcing = [inner[kern.block_slice(2 * g.index)] for g in self.grids]
+            self._rows[K:] = read(traj, slice(K, G))
+        if self.kern is None:
+            self._forcing = np.split(self._rows,
+                                     np.cumsum([len(g.times) for g in self.grids])[:-1])
+        else:
+            inner = self.kern.inner_convolution(self._rows)
+            if K == G:
+                self._rows = None
+            self._forcing = [inner[self.kern.block_slice(2 * g.index)]
+                             for g in self.grids]
         return self._forcing
 
     def _integral(self, grid, forcing: np.ndarray) -> np.ndarray:

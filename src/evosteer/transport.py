@@ -70,19 +70,37 @@ def smooth_unit_field(N: int, rng: np.random.Generator) -> np.ndarray:
     return field_vals / (np.sqrt(h) * np.linalg.norm(field_vals))
 
 
-def _history(cfg: TransportConfig):
-    nodes = np.arange(cfg.N) * np.pi / cfg.N
-    profile = np.sin(nodes)
-
-    def phi(theta: float) -> np.ndarray:
-        return profile * (1.0 + theta)
-
-    return phi
-
-
-def _impulses(cfg: TransportConfig) -> tuple:
+def _problem(cfg: TransportConfig, *, nonlin_lipschitz: float,
+             nonlin_sup: float, nonlinearity=None, kernel=None,
+             nonlocal_term: Optional[WeightedSampleNonlocal] = None) -> Problem:
+    """The transport problem both cases share -- the shift semigroup,
+    B = I, the history phi(theta) = (1 + theta) sin(x) and the impulse
+    x -> theta * x on each impulse window -- with a case's forcing, its
+    nonlocal term and the forcing's constants."""
+    profile = np.sin(np.arange(cfg.N) * np.pi / cfg.N)
+    mesh, n = cfg.mesh, cfg.mesh.n_impulses
+    lip = nonlocal_term.lipschitz if nonlocal_term is not None else 0.0
+    constants = AssumptionConstants(
+        semigroup_bound=1.0,
+        control_op_norm=1.0,
+        nonlin_lipschitz=nonlin_lipschitz,
+        nonlin_sup=nonlin_sup,
+        impulse_lipschitz=tuple(mesh.b for _ in range(n)),
+        # theta * x on an impulse window is bounded only on bounded sets;
+        # lam_j * 2 covers paths steered to unit-norm targets at desk scale.
+        impulse_sup=tuple(2.0 * mesh.lam[j] for j in range(1, n + 1)),
+        nonlocal_lipschitz=lip,
+        # weighted sampling is bounded only on bounded sets; 4x the weight
+        # sum covers paths steered between unit-norm targets at desk scale
+        nonlocal_sup=4.0 * lip,
+    )
     # np.outer(times, x) has the rows theta_i * x: the map on a whole window
-    return tuple(np.outer for _ in range(cfg.mesh.n_impulses))
+    return Problem(semigroup=ShiftSemigroup(cfg.N), control_matrix=np.eye(cfg.N),
+                   mesh=mesh, beta=cfg.beta,
+                   history=lambda theta: profile * (1.0 + theta),
+                   nonlinearity=nonlinearity, kernel=kernel,
+                   impulses=tuple(np.outer for _ in range(n)),
+                   nonlocal_term=nonlocal_term, constants=constants)
 
 
 def build_case1(cfg: TransportConfig) -> Problem:
@@ -93,35 +111,15 @@ def build_case1(cfg: TransportConfig) -> Problem:
     sin node-wise and scales by the gain k0, so k0 is both its Lipschitz
     constant and (node-wise) its uniform bound.
     """
-    semigroup = ShiftSemigroup(cfg.N)
-    B = np.eye(cfg.N)
     k0 = cfg.k0
 
     def eta(t: np.ndarray, v: np.ndarray) -> np.ndarray:
         return k0 * np.sin(v)
 
-    b = cfg.mesh.b
-    n = cfg.mesh.n_impulses
     nonloc = (WeightedSampleNonlocal(cfg.alphas, cfg.instants)
               if cfg.alphas else None)
-    constants = AssumptionConstants(
-        semigroup_bound=1.0,
-        control_op_norm=1.0,
-        nonlin_lipschitz=k0,
-        nonlin_sup=k0,
-        impulse_lipschitz=tuple(b for _ in range(n)),
-        # theta * x on an impulse window is bounded only on bounded sets;
-        # lam_j * 2 covers paths steered to unit-norm targets at desk scale.
-        impulse_sup=tuple(2.0 * cfg.mesh.lam[j] for j in range(1, n + 1)),
-        nonlocal_lipschitz=nonloc.lipschitz if nonloc else 0.0,
-        # weighted sampling is bounded only on bounded sets; 4x the weight
-        # sum covers paths steered between unit-norm targets at desk scale
-        nonlocal_sup=4.0 * nonloc.lipschitz if nonloc else 0.0,
-    )
-    return Problem(semigroup=semigroup, control_matrix=B, mesh=cfg.mesh,
-                   beta=cfg.beta, history=_history(cfg), nonlinearity=eta,
-                   impulses=_impulses(cfg), nonlocal_term=nonloc,
-                   constants=constants)
+    return _problem(cfg, nonlin_lipschitz=k0, nonlin_sup=k0, nonlinearity=eta,
+                    nonlocal_term=nonloc)
 
 
 def build_case2(cfg: TransportConfig) -> Problem:
@@ -131,8 +129,6 @@ def build_case2(cfg: TransportConfig) -> Problem:
     x(t - beta) the state one delay back; Lipschitz constant 1/(a+2), uniform
     bound below 1.
     """
-    semigroup = ShiftSemigroup(cfg.N)
-    B = np.eye(cfg.N)
     a = cfg.a
 
     def q(t: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -140,17 +136,5 @@ def build_case2(cfg: TransportConfig) -> Problem:
         return (np.exp(-t)[:, None] * v
                 / ((a + 2.0 * np.exp(t))[:, None] * (1.0 + 2.0 * v)))
 
-    kernel = ConvolutionKernel(kappa=lambda s: s, q=q)
-    b = cfg.mesh.b
-    n = cfg.mesh.n_impulses
-    constants = AssumptionConstants(
-        semigroup_bound=1.0,
-        control_op_norm=1.0,
-        impulse_lipschitz=tuple(b for _ in range(n)),
-        impulse_sup=tuple(2.0 * cfg.mesh.lam[j] for j in range(1, n + 1)),
-        nonlin_lipschitz=1.0 / (a + 2.0),
-        nonlin_sup=1.0,
-    )
-    return Problem(semigroup=semigroup, control_matrix=B, mesh=cfg.mesh,
-                   beta=cfg.beta, history=_history(cfg), kernel=kernel,
-                   impulses=_impulses(cfg), constants=constants)
+    return _problem(cfg, nonlin_lipschitz=1.0 / (a + 2.0), nonlin_sup=1.0,
+                    kernel=ConvolutionKernel(kappa=lambda s: s, q=q))

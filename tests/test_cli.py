@@ -157,6 +157,16 @@ class TestConfigParsing:
         assert main(["solve", path]) == 2
         assert named in capsys.readouterr().err
 
+    def test_non_utf8_file_is_a_config_error(self, tmp_path, capsys):
+        # decoded with the locale's codec, the file escaped as a traceback
+        # with exit 1, the code of missed targets
+        path = tmp_path / "bad.ini"
+        path.write_bytes(b"[problem]\npreset = transport-case1\nn = 16\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="not UTF-8 text"):
+            load_config(str(path))
+        assert main(["certify", str(path)]) == 2
+        assert f"{path}: not UTF-8 text (byte 42)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("preset, field, value", [
         ("transport-case1", "numerics.tol", "nan"),
         ("transport-case1", "numerics.target_tol", "nan"),

@@ -261,15 +261,15 @@ def per_node_reference(fn, traj, times, history_samples):
     return np.array(rows)
 
 
-def _mixed_delay_case(variant, fn):
-    """beta = 0.25 on mesh 0 < 0.25 < 0.5 < 1 with step 2^-8: nodes up to
-    0.25 read the history, later ones the live path, and t - beta hits the
-    breakpoints 0.25 and 0.5 exactly.  The path is random on every
-    interval, so each breakpoint carries a jump."""
+def _mixed_delay_case(variant, fn, beta=0.25):
+    """beta = 0.25 (by default) on mesh 0 < 0.25 < 0.5 < 1 with step 2^-8:
+    nodes up to 0.25 read the history, later ones the live path, and
+    t - beta hits the breakpoints 0.25 and 0.5 exactly.  The path is random
+    on every interval, so each breakpoint carries a jump."""
     mesh = build_time_mesh([0.0, 0.25, 0.5, 1.0], 1.0)
     prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)), fn,
                            mesh=mesh, dim=2)
-    prob = dataclasses.replace(prob, beta=0.25,
+    prob = dataclasses.replace(prob, beta=beta,
                                history=lambda s: np.array([1.0 + s, np.cos(5.0 * s)]))
     if variant == "semilinear":
         prob = dataclasses.replace(prob, kernel=None, nonlinearity=fn)
@@ -302,32 +302,37 @@ def test_grid_forcing_matches_per_node_reference(variant):
         assert np.array_equal(vals, ref)
 
 
-@pytest.mark.parametrize("variant", ["semilinear", "integro"])
-def test_one_forcing_call_per_grid(variant):
-    # eta on each control window, q on each mesh interval: the rows at
-    # t <= beta = 0.25 read only the history, once per grid per run; the
-    # rows after it, once per grid per sweep
+@pytest.mark.parametrize("variant, beta, frozen, live", [
+    ("semilinear", 0.25, [65, 0], [0, 129]),
+    ("integro", 0.25, [65, 1, 0], [0, 64, 129]),
+    ("semilinear", 0.125, [33, 0], [32, 129])],
+    ids=["semilinear", "integro", "semilinear-beta-inside-window-0"])
+def test_one_forcing_call_per_grid(variant, beta, frozen, live):
+    # the rows at t <= beta read only the history and take one read per
+    # run; the rows after it take one read per sweep: one eta call over
+    # every live control-window node, even where they span both windows,
+    # and q one read per mesh interval
     sizes = []
 
     def fn(t, v):
         sizes.append(len(t))
         return 0.1 * v
 
-    prob, num, sweep, traj = _mixed_delay_case(variant, fn)
+    prob, num, sweep, traj = _mixed_delay_case(variant, fn, beta)
     if variant == "semilinear":
         grids = [g.times for g in sweep.grids]
-        frozen, live = [65, 0], [0, 129]
+        frozen_reads, live_reads = [sum(frozen)], [sum(live)]
     else:
         grids = sweep.kern.block_times
-        frozen, live = [65, 1, 0], [0, 64, 129]
+        frozen_reads, live_reads = frozen, live
     assert [int(np.sum(t <= prob.beta)) for t in grids] == frozen
     assert [len(t) for t in grids] == [k + n for k, n in zip(frozen, live)]
     assert sweep.frozen_forcing_rows == sum(frozen)
     sizes.clear()
     for first in (True, False, False):
         sweep.apply(traj, [np.ones(2), -np.ones(2)])
-        reads = [k for k in frozen if k] if first else []
-        assert sizes == reads + [n for n in live if n]
+        reads = frozen_reads if first else []
+        assert sizes == [n for n in reads + live_reads if n]
         sizes.clear()
 
 

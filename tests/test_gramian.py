@@ -87,8 +87,7 @@ class TestAssembly:
         table = T.lag_table(end / m, m)
         if backend == "shift":
             assert table.frac[5] != 0.0 and table.off[-1] > 2
-        grid = WindowGrid(index=0, end=end, times=np.linspace(0.0, end, m + 1),
-                          table=table)
+        grid = WindowGrid(index=0, times=np.linspace(0.0, end, m + 1), table=table)
         w = trapezoid_weights(m, end / m)
         G = np.zeros((B.shape[0], B.shape[0]))
         for g in range(m + 1):

@@ -601,10 +601,31 @@ def test_frozen_window_forcing_integral_is_computed_once(monkeypatch, name):
     prob, num, targets, _ = _equivalence_case(name)
     sweep = Sweep(prob, num)
     report = _solve(sweep, targets)
-    frozen = [g.end <= prob.beta for g in sweep.grids]
+    frozen = [g.times[-1] <= prob.beta for g in sweep.grids]
     assert any(frozen)
     assert [calls[id(g.table)] for g in sweep.grids] == \
         [1 if f else report.iterations for f in frozen]
+
+
+def test_all_frozen_volterra_product_runs_once(monkeypatch):
+    # with every q row frozen (beta = b) the Volterra product is formed on
+    # the first sweep only, and the q rows are not kept after it
+    from evosteer.discretize import KernelDiscretization
+    calls = []
+    original = KernelDiscretization.inner_convolution
+
+    def counted(self, q):
+        calls.append(len(q))
+        return original(self, q)
+
+    monkeypatch.setattr(KernelDiscretization, "inner_convolution", counted)
+    prob, num, targets, _ = _equivalence_case("transport-case2")
+    sweep = Sweep(prob, num)
+    assert sweep.frozen_forcing_rows == len(sweep.kern.times)
+    report = _solve(sweep, targets)
+    assert report.iterations > 1
+    assert calls == [len(sweep.kern.times)]
+    assert sweep._rows is None
 
 
 def with_left_value(path, value):
