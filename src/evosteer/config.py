@@ -75,8 +75,10 @@ def load_config(path: str) -> RunConfig:
     try:
         with open(path, "rb") as fh:
             text = fh.read().decode("utf-8")
-    except OSError:
+    except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start})") from None
     try:

@@ -14,6 +14,7 @@ discretized problems use grid-weighted L2 norms.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,15 +141,18 @@ class PiecewiseTrajectory:
         self._offsets = np.cumsum([0] + sizes)
         if not np.all(np.isfinite(self._values[self._offsets[1]:])):
             raise ValueError("segment contains non-finite entries")
-        self.history = self._values[:self._offsets[1]]
-        self.seg_values = [self._values[lo:hi] for lo, hi in
-                           zip(self._offsets[1:-1], self._offsets[2:])]
+        self._views()
         # per piece (history, then each interval): first and last time,
         # step count and step length
         self._first = np.array([-self.beta] + [t[0] for t in self.seg_times])
         self._ends = np.array([0.0] + [t[-1] for t in self.seg_times])
         self._m = np.array(sizes) - 1
         self._step = (self._ends - self._first) / self._m
+
+    def _views(self):
+        self.history = self._values[:self._offsets[1]]
+        self.seg_values = [self._values[lo:hi] for lo, hi in
+                           zip(self._offsets[1:-1], self._offsets[2:])]
 
     def history_times(self) -> np.ndarray:
         return np.linspace(-self.beta, 0.0, self.history.shape[0])
@@ -182,9 +186,25 @@ class PiecewiseTrajectory:
         updates)."""
         return self._values[self._offsets[1]:]
 
-    def with_values(self, seg_values: list) -> "PiecewiseTrajectory":
-        return PiecewiseTrajectory(self.mesh, self.beta, self.history,
-                                   self.seg_times, seg_values, self.weight)
+    def with_values(self, seg_values: list, pieces=None) -> "PiecewiseTrajectory":
+        """A new path holding ``seg_values[i]`` on interval ``pieces[i]``
+        (every interval in order by default) and this path's samples
+        elsewhere: one copy of the stacked samples, with only the written
+        intervals checked for shape and finiteness."""
+        pieces = range(len(self.seg_values)) if pieces is None else pieces
+        if len(seg_values) != len(pieces):
+            raise ValueError("one sample array per listed interval required")
+        new = copy.copy(self)
+        new._values = self._values.copy()
+        new._views()
+        for k, v in zip(pieces, seg_values):
+            v = np.asarray(v, dtype=float)
+            if v.shape != new.seg_values[k].shape:
+                raise ValueError("segment sample shape mismatch")
+            if not np.all(np.isfinite(v)):
+                raise ValueError("segment contains non-finite entries")
+            new.seg_values[k][...] = v
+        return new
 
 
 def path_sup_norm(traj: PiecewiseTrajectory, pieces=None) -> float:

@@ -17,6 +17,15 @@ which is exactly the property the contraction certificate predicts.  The
 integro variant replaces eta by the running kernel convolution and drops
 the nonlocal term.
 
+The fixed point is reached from any first iterate, and every iterate the
+operator returns ends each control window on its target.  The iteration
+starts from such a path (:meth:`Sweep.initial_iterate`): the first sweep
+then solves each later window from the start every later sweep computes, up
+to the round-off of the steered end, so such a window whose forcing rows
+are all frozen is solved once per run, and the measured update ratio is the
+contraction along the solved path rather than the one-off move of the
+start of window 1 from a flat path to the steered one.
+
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
 (A. Bellen and M. Zennaro, Numerical Methods for Delay Differential
@@ -27,9 +36,9 @@ target stays bit for bit the same and its start moves by no more than its
 lag table's FFT rounding bound relative to the start (see
 :meth:`Sweep.apply`).  A window's path is one FFT product of its lag table
 (``table.convolve(start, F)``).  A kept window holds the previous iterate's
-bits, so from the second sweep on the update and the iterate's sup norm
-read only the intervals the sweep recomputed: its solved control windows
-and every impulse window.
+bits, so each sweep writes, and from the second sweep on the update and
+the iterate's sup norm read, only the intervals it recomputed: its solved
+control windows and every impulse window.
 """
 
 from __future__ import annotations
@@ -82,11 +91,11 @@ class SolveReport:
 
 class _Solved(NamedTuple):
     """What a control window was last solved from (its start and its target's
-    bytes) and to."""
+    bytes) and the control it was solved to; its path is the one the sweep
+    last returned."""
 
     start: np.ndarray
     target: Optional[bytes]
-    path: np.ndarray
     samples: Optional[np.ndarray]
     preimage: Optional[np.ndarray]
 
@@ -126,25 +135,38 @@ class Sweep:
         self._rows = None
         self._forcing = None
         self._solved = [None] * len(self.grids)
+        self._path = None    # the path the last apply returned
         self.window_solves = 0
         # the intervals the last apply computed (all before the first);
         # every other one holds the bits the apply before it gave
         self.recomputed = list(range(len(self.intervals)))
 
-    def initial_iterate(self) -> PiecewiseTrajectory:
+    def initial_iterate(self, targets=None) -> PiecewiseTrajectory:
+        """The first iterate: every control window at v0 = phi(0) + nu of the
+        flat extension of phi(0), and each impulse window its impulse map of
+        the window before it.  With ``targets``, each control window that an
+        impulse follows ends on its target, as every iterate the steered
+        operator returns does, so the first sweep solves each later window
+        from the start the steering fixes; without, the path is flat."""
         problem, numerics = self.problem, self.numerics
         hist = problem.sample_history(numerics.history_samples)
+
+        def path(values):
+            return PiecewiseTrajectory(problem.mesh, problem.beta, hist,
+                                       self.seg_times, values,
+                                       weight=problem.state_weight)
+
         phi0 = problem.phi0()
-        seg_values = [np.tile(phi0, (len(t), 1)) for t in self.seg_times]
-        flat = PiecewiseTrajectory(problem.mesh, problem.beta, hist,
-                                   self.seg_times, seg_values,
-                                   weight=problem.state_weight)
-        v0 = window_start(problem, flat)
+        v0 = window_start(problem, path([np.tile(phi0, (len(t), 1))
+                                         for t in self.seg_times]))
         seg_values = [np.tile(v0, (len(t), 1)) for t in self.seg_times]
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
-                seg_values[k] = problem.impulse_path(j, self.seg_times[k], v0)
-        return flat.with_values(seg_values)
+                if targets is not None:
+                    seg_values[k - 1][-1] = targets[j - 1]
+                seg_values[k] = problem.impulse_path(j, self.seg_times[k],
+                                                     seg_values[k - 1][-1])
+        return path(seg_values)
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
         """The forcing on every control window's grid from the rows of eta
@@ -205,11 +227,15 @@ class Sweep:
         eps.  Every step is deterministic, so an unmoved start gives the
         kept bits, and a start moved by round-off changes the outputs by
         round-off.  A bound that is too tight only forgoes the reuse.
+
+        The new path is a copy of ``traj`` with the recomputed intervals
+        written.  A kept window's path is the one in the path the last
+        apply returned, so it is written only when ``traj`` is another path.
         """
         problem = self.problem
         forcings = self._forcings(traj)
         start = window_start(problem, traj)
-        seg_values, self.recomputed = [], []
+        seg_values, self.recomputed, written = [], [], []
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
                 path = problem.impulse_path(j, self.seg_times[k],
@@ -223,7 +249,9 @@ class Sweep:
                         and solved.target == target
                         and np.abs(start - solved.start).max()
                         <= grid.table.fft_error * np.abs(solved.start).max()):
-                    seg_values.append(solved.path)
+                    if traj is not self._path:
+                        seg_values.append(self._path.seg_values[k])
+                        written.append(k)
                     continue
                 self.window_solves += 1
                 F = forcings[j]
@@ -236,8 +264,9 @@ class Sweep:
                     F = F + (samples if problem.identity_control
                              else samples @ problem.control_matrix.T)
                 path = grid.table.convolve(start, F)
-                self._solved[j] = _Solved(start, target, path, samples, preimage)
+                self._solved[j] = _Solved(start, target, samples, preimage)
             seg_values.append(path)
+            written.append(k)
             self.recomputed.append(k)
         control = None
         if targets is not None:
@@ -245,14 +274,16 @@ class Sweep:
                                     window_times=[g.times for g in self.grids],
                                     samples=[w.samples for w in self._solved],
                                     preimages=[w.preimage for w in self._solved])
-        return traj.with_values(seg_values), control
+        self._path = traj.with_values(seg_values, written)
+        return self._path, control
 
 
 def picard_solve(sweep: Sweep, targets) -> SolveReport:
     """Iterate the sweep's steered operator to its fixed point.
 
-    Starts from the flat extension of phi(0) (plus the nonlocal coupling of
-    that extension) with the impulse branches applied once.  Stops when the
+    Starts from ``sweep.initial_iterate(targets)``: with targets, each
+    control window an impulse follows ends on its target, as in every
+    iterate the operator returns.  Stops when the
     sup-norm update drops below ``numerics.tol`` relative to the iterate
     scale, and raises :class:`NonConvergenceError` after
     ``numerics.max_iter`` iterations without.  The update ratio
@@ -263,7 +294,7 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     """
     tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
     solves = sweep.window_solves
-    traj = sweep.initial_iterate()
+    traj = sweep.initial_iterate(targets)
     control = None
     prev_update = None
     ratio = 0.0

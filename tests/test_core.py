@@ -223,6 +223,26 @@ class TestEvaluation:
         manual = max(abs(t - t * t) for t in np.linspace(0, 1, 65))
         assert sup_distance(x, y) == pytest.approx(manual, rel=1e-12)
 
+    def test_with_values_writes_listed_pieces_only(self):
+        # the listed intervals take the given samples, the others and the
+        # history this path's bits, in a copy: the parent is unchanged
+        mesh = build_time_mesh([0.0, 0.5, 0.6, 1.0], 1.0)
+        traj = make_traj(mesh, 1.0, lambda t: t, dim=2)
+        vals = [np.full_like(traj.seg_values[k], k + 10.0) for k in (2, 0)]
+        new = traj.with_values(vals, [2, 0])
+        assert np.all(new.seg_values[0] == 10.0) and np.all(new.seg_values[2] == 12.0)
+        assert new.seg_values[1].tobytes() == traj.seg_values[1].tobytes()
+        assert new.history.tobytes() == traj.history.tobytes()
+        assert not np.shares_memory(new.sample_stack(), traj.sample_stack())
+        assert traj.value(0.25)[0] == pytest.approx(0.25)
+        assert new.value(0.25)[0] == 10.0
+        assert traj.with_values([], []).sample_stack().tobytes() == \
+            traj.sample_stack().tobytes()
+        with pytest.raises(ValueError, match="one sample array per listed"):
+            traj.with_values(vals, [2])
+        with pytest.raises(ValueError, match="shape"):
+            traj.with_values([vals[0][:-1]], [2])
+
     def test_rejects_nonfinite(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         traj = make_traj(mesh, 1.0, lambda t: t)

@@ -352,16 +352,31 @@ def test_transport_run_calls_no_lapack_routine(monkeypatch):
 
 def test_linear_run_takes_one_eigh_per_window(monkeypatch):
     # on the dense path one eigh per window Gramian serves its floor, the
-    # certificate and every solve of the Picard iteration
-    from evosteer.runner import run
+    # certificate and every solve of the run's sweep: the Picard iteration
+    # solves each window once, and two more sweeps from the flat start
+    # solve window 1 twice again
+    from evosteer import runner
+    from evosteer.solver import picard_solve
     cfg = load_config(str(CONFIGS / "linear-2d.ini"))
     shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: pytest.fail("eigvalsh"))
-    result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=True)
+    sweeps = []
+
+    def solve_and_sweep_again(sweep, targets):
+        report = picard_solve(sweep, targets)
+        traj = sweep.initial_iterate()
+        for _ in range(2):
+            traj, _ = sweep.apply(traj, targets)
+        sweeps.append(sweep)
+        return report
+
+    monkeypatch.setattr(runner, "picard_solve", solve_and_sweep_again)
+    result = runner.run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=True)
     assert shapes == [(2, 2), (2, 2)]
-    assert result.solve.window_solves > len(shapes)
+    assert result.solve.window_solves == len(shapes)
+    assert sweeps[0].window_solves > len(shapes)
 
 
 def _csv_values(path):
