@@ -125,24 +125,15 @@ def linear_corpus() -> list:
     return _CACHE["linear"]
 
 
-def case1_run():
-    if "case1" not in _CACHE:
+def _transport_run(key: str, builder):
+    """The run of the transport case ``builder`` makes at its default
+    configuration, cached under ``key``."""
+    if key not in _CACHE:
         cfg = TransportConfig()
-        problem = build_case1(cfg)
         numerics = Numerics(time_step=1e-3, history_samples=128, tol=1e-9,
                             max_iter=200, seed=cfg.seed)
-        _CACHE["case1"] = run(problem, cfg.resolved_targets(), numerics)
-    return _CACHE["case1"]
-
-
-def case2_run():
-    if "case2" not in _CACHE:
-        cfg = TransportConfig()
-        problem = build_case2(cfg)
-        numerics = Numerics(time_step=1e-3, history_samples=128, tol=1e-9,
-                            max_iter=200, seed=cfg.seed)
-        _CACHE["case2"] = run(problem, cfg.resolved_targets(), numerics)
-    return _CACHE["case2"]
+        _CACHE[key] = run(builder(cfg), cfg.resolved_targets(), numerics)
+    return _CACHE[key]
 
 
 # ---------------------------------------------------------------- criteria
@@ -219,7 +210,7 @@ def criterion_linear_steering(c: Checks) -> None:
 
 def criterion_case1_solve(c: Checks) -> None:
     """Transport Case 1: convergence, target hits, measured contraction."""
-    result = case1_run()
+    result = _transport_run("case1", build_case1)
     c.check(result.solve.converged,
             f"Picard converged in {result.solve.iterations} iterations")
     for j, d in enumerate(result.solve.per_window_defect):
@@ -239,7 +230,7 @@ def criterion_case1_certificate(c: Checks) -> None:
     above 1 even though the iteration converges (the condition is sufficient
     only).  See the module docstring and README.
     """
-    result = case1_run()
+    result = _transport_run("case1", build_case1)
     lf = result.certificate.contraction_constant
     floors = ", ".join(f"{f:.3e}" for f in result.certificate.gramian_floors)
     c.check(lf < 1.0,
@@ -250,7 +241,7 @@ def criterion_case1_certificate(c: Checks) -> None:
 
 def criterion_integro(c: Checks) -> None:
     """Case 2: kernel mass, hand-substituted constant, solve quality."""
-    result = case2_run()
+    result = _transport_run("case2", build_case2)
     kb = result.certificate.kernel_mass
     b = result.problem.mesh.b
     c.close(abs(kb - b * b / 2.0), 1e-10, "kernel mass vs closed form")
@@ -312,7 +303,8 @@ def criterion_delay_estimate(c: Checks) -> None:
 
 def criterion_boundedness(c: Checks) -> None:
     """Synthesized controls stay under their bounds, paths under theirs."""
-    corpus = linear_corpus() + [case1_run(), case2_run()]
+    corpus = linear_corpus() + [_transport_run("case1", build_case1),
+                                _transport_run("case2", build_case2)]
     for tag, result in zip([f"linear{i}" for i in range(10)] + ["case1", "case2"],
                            corpus):
         sups = result.solve.control_sup_norms()
@@ -330,7 +322,8 @@ def criterion_impulse_exactness(c: Checks) -> None:
     """On impulse windows the converged path equals the impulse map of the
     left limit at every stored sample, to round-off."""
     worst = 0.0
-    for result in linear_corpus() + [case1_run(), case2_run()]:
+    for result in linear_corpus() + [_transport_run("case1", build_case1),
+                                     _transport_run("case2", build_case2)]:
         traj = result.solve.trajectory
         problem = result.problem
         for k, (a, end, kind, j) in enumerate(problem.mesh.intervals()):

@@ -14,7 +14,6 @@ discretized problems use grid-weighted L2 norms.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,18 +140,15 @@ class PiecewiseTrajectory:
         self._offsets = np.cumsum([0] + sizes)
         if not np.all(np.isfinite(self._values[self._offsets[1]:])):
             raise ValueError("segment contains non-finite entries")
-        self._views()
+        self.history = self._values[:self._offsets[1]]
+        self.seg_values = [self._values[lo:hi] for lo, hi in
+                           zip(self._offsets[1:-1], self._offsets[2:])]
         # per piece (history, then each interval): first and last time,
         # step count and step length
         self._first = np.array([-self.beta] + [t[0] for t in self.seg_times])
         self._ends = np.array([0.0] + [t[-1] for t in self.seg_times])
         self._m = np.array(sizes) - 1
         self._step = (self._ends - self._first) / self._m
-
-    def _views(self):
-        self.history = self._values[:self._offsets[1]]
-        self.seg_values = [self._values[lo:hi] for lo, hi in
-                           zip(self._offsets[1:-1], self._offsets[2:])]
 
     def history_times(self) -> np.ndarray:
         return np.linspace(-self.beta, 0.0, self.history.shape[0])
@@ -186,50 +182,22 @@ class PiecewiseTrajectory:
         updates)."""
         return self._values[self._offsets[1]:]
 
-    def with_values(self, seg_values: list, pieces=None) -> "PiecewiseTrajectory":
-        """A new path holding ``seg_values[i]`` on interval ``pieces[i]``
-        (every interval in order by default) and this path's samples
-        elsewhere: one copy of the stacked samples, with only the written
-        intervals checked for shape and finiteness."""
-        pieces = range(len(self.seg_values)) if pieces is None else pieces
-        if len(seg_values) != len(pieces):
-            raise ValueError("one sample array per listed interval required")
-        new = copy.copy(self)
-        new._values = self._values.copy()
-        new._views()
-        for k, v in zip(pieces, seg_values):
-            v = np.asarray(v, dtype=float)
-            if v.shape != new.seg_values[k].shape:
-                raise ValueError("segment sample shape mismatch")
-            if not np.all(np.isfinite(v)):
-                raise ValueError("segment contains non-finite entries")
-            new.seg_values[k][...] = v
-        return new
 
-
-def path_sup_norm(traj: PiecewiseTrajectory, pieces=None) -> float:
+def path_sup_norm(traj: PiecewiseTrajectory) -> float:
     """Supremum of pointwise state norms over all stored samples on [0, b],
-    both one-sided breakpoint values included; with ``pieces``, over the
-    samples of those intervals only (0 for none)."""
-    parts = ([traj.sample_stack()] if pieces is None
-             else [traj.seg_values[k] for k in pieces])
-    return _sup_norm(traj.weight, parts)
+    both one-sided breakpoint values included."""
+    return _sup_norm(traj.weight, traj.sample_stack())
 
 
-def sup_distance(a: PiecewiseTrajectory, b: PiecewiseTrajectory,
-                 pieces=None) -> float:
+def sup_distance(a: PiecewiseTrajectory, b: PiecewiseTrajectory) -> float:
     """path_sup_norm of the sample-wise difference of two paths sharing
-    grids, over the intervals of ``pieces`` only if given."""
-    parts = ([a.sample_stack() - b.sample_stack()] if pieces is None
-             else [a.seg_values[k] - b.seg_values[k] for k in pieces])
-    return _sup_norm(a.weight, parts)
+    grids."""
+    return _sup_norm(a.weight, a.sample_stack() - b.sample_stack())
 
 
-def _sup_norm(weight: float, parts: list) -> float:
-    """sqrt(weight) times the largest row norm of the arrays ``parts``: the
-    largest of the parts' maxima is the maximum over their rows."""
-    return float(np.sqrt(weight) * max((np.max(np.linalg.norm(p, axis=1))
-                                        for p in parts), default=0.0))
+def _sup_norm(weight: float, samples: np.ndarray) -> float:
+    """sqrt(weight) times the largest row norm of ``samples``."""
+    return float(np.sqrt(weight) * np.max(np.linalg.norm(samples, axis=1)))
 
 
 def history_segment(traj: PiecewiseTrajectory, times, offsets) -> np.ndarray:

@@ -35,10 +35,11 @@ keeps its forcing integral for the run, and its path and control while its
 target stays bit for bit the same and its start moves by no more than its
 lag table's FFT rounding bound relative to the start (see
 :meth:`Sweep.apply`).  A window's path is one FFT product of its lag table
-(``table.convolve(start, F)``).  A kept window holds the previous iterate's
-bits, so each sweep writes, and from the second sweep on the update and
-the iterate's sup norm read, only the intervals it recomputed: its solved
-control windows and every impulse window.
+(``table.convolve(start, F)``).  The iteration needs only the current
+iterate and the size of each step, so a sweep advances the iterate in
+place: it writes only the intervals it recomputed, its solved control
+windows and every impulse window, and takes the step and the iterate's sup
+norm as it writes them; a kept window already holds its path.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .core import PiecewiseTrajectory, path_sup_norm, sup_distance
+from .core import PiecewiseTrajectory
 from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
                       steering_residual, synthesize_control, window_start)
@@ -91,8 +92,8 @@ class SolveReport:
 
 class _Solved(NamedTuple):
     """What a control window was last solved from (its start and its target's
-    bytes) and the control it was solved to; its path is the one the sweep
-    last returned."""
+    bytes) and the control it was solved to; its path is the one the iterate
+    holds on its interval."""
 
     start: np.ndarray
     target: Optional[bytes]
@@ -135,11 +136,9 @@ class Sweep:
         self._rows = None
         self._forcing = None
         self._solved = [None] * len(self.grids)
-        self._path = None    # the path the last apply returned
+        # per interval, the largest row norm of the path it holds
+        self._norms = [0.0] * len(self.intervals)
         self.window_solves = 0
-        # the intervals the last apply computed (all before the first);
-        # every other one holds the bits the apply before it gave
-        self.recomputed = list(range(len(self.intervals)))
 
     def initial_iterate(self, targets=None) -> PiecewiseTrajectory:
         """The first iterate: every control window at v0 = phi(0) + nu of the
@@ -147,26 +146,24 @@ class Sweep:
         the window before it.  With ``targets``, each control window that an
         impulse follows ends on its target, as every iterate the steered
         operator returns does, so the first sweep solves each later window
-        from the start the steering fixes; without, the path is flat."""
-        problem, numerics = self.problem, self.numerics
-        hist = problem.sample_history(numerics.history_samples)
-
-        def path(values):
-            return PiecewiseTrajectory(problem.mesh, problem.beta, hist,
-                                       self.seg_times, values,
-                                       weight=problem.state_weight)
-
-        phi0 = problem.phi0()
-        v0 = window_start(problem, path([np.tile(phi0, (len(t), 1))
-                                         for t in self.seg_times]))
-        seg_values = [np.tile(v0, (len(t), 1)) for t in self.seg_times]
+        from the start the steering fixes; without, the path is flat.  No
+        interval of it holds a solved path, so the sweep forgets the windows
+        it kept."""
+        problem = self.problem
+        traj = PiecewiseTrajectory(
+            problem.mesh, problem.beta,
+            problem.sample_history(self.numerics.history_samples), self.seg_times,
+            [np.tile(problem.phi0(), (len(t), 1)) for t in self.seg_times],
+            weight=problem.state_weight)
+        traj.sample_stack()[...] = window_start(problem, traj)
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
                 if targets is not None:
-                    seg_values[k - 1][-1] = targets[j - 1]
-                seg_values[k] = problem.impulse_path(j, self.seg_times[k],
-                                                     seg_values[k - 1][-1])
-        return path(seg_values)
+                    traj.seg_values[k - 1][-1] = targets[j - 1]
+                traj.seg_values[k][...] = problem.impulse_path(
+                    j, self.seg_times[k], traj.seg_values[k - 1][-1])
+        self._solved = [None] * len(self.grids)
+        return traj
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
         """The forcing on every control window's grid from the rows of eta
@@ -211,35 +208,44 @@ class Sweep:
         return integral
 
     def apply(self, traj: PiecewiseTrajectory, targets):
-        """One application of the steered operator, one pass over the mesh:
-        the new path and the synthesized control (None without targets).
+        """One application of the steered operator, one pass over the mesh,
+        advancing ``traj`` in place: ``(update, norm, control)``, the sup
+        distance of the new path to the old (``sup_distance``), the new
+        path's sup norm (``path_sup_norm``), both bit for bit, and the
+        synthesized control (None without targets).
 
-        A control window whose forcing rows are all frozen keeps the path,
-        control samples and preimage it was last solved to while its target
-        is bit for bit the one it was solved from and no component of its
-        start has moved from the kept start s by more than eps |s|_inf, with
-        eps = ``table.fft_error``, the bound on the relative rounding of one
-        row of the window's convolution.  A later window starts at the
-        impulse of the previous window's end value, which the steering puts
-        onto that window's target whatever the iterate, so between sweeps
-        such a start moves only by the rounding of the convolution that
-        lands it there, while a move of the iterate itself is orders above
-        eps.  Every step is deterministic, so an unmoved start gives the
-        kept bits, and a start moved by round-off changes the outputs by
-        round-off.  A bound that is too tight only forgoes the reuse.
+        Everything the sweep reads of the old path -- the forcing rows, the
+        first window's start and each x(theta_j-) -- is read before the
+        first write.  Each recomputed interval is then checked for
+        finiteness and written, and its distance to the samples it replaced and its
+        largest row norm are taken as it is written; the largest of
+        per-interval maxima is the maximum over all samples.
 
-        The new path is a copy of ``traj`` with the recomputed intervals
-        written.  A kept window's path is the one in the path the last
-        apply returned, so it is written only when ``traj`` is another path.
+        A control window whose forcing rows are all frozen is kept, not
+        written, while its target is bit for bit the one it was solved from
+        and no component of its start has moved from the kept start s by
+        more than eps |s|_inf, with eps = ``table.fft_error``, the bound on
+        the relative rounding of one row of the window's convolution.  A
+        later window starts at the impulse of the previous window's end
+        value, which the steering puts onto that window's target whatever
+        the iterate, so between sweeps such a start moves only by the
+        rounding of the convolution that lands it there, while a move of the
+        iterate itself is orders above eps.  Every step is deterministic, so
+        an unmoved start gives the kept bits, and a start moved by round-off
+        changes the outputs by round-off.  A bound that is too tight only
+        forgoes the reuse.  A kept window adds an exact zero to the update
+        and its kept row norm to the norm; ``traj`` must hold there the path
+        it was solved to, as every path the sweep hands out does.
         """
         problem = self.problem
         forcings = self._forcings(traj)
         start = window_start(problem, traj)
-        seg_values, self.recomputed, written = [], [], []
+        lefts = [None] + [traj.left_value_at_theta(j).copy()
+                          for j in range(1, problem.mesh.n_impulses + 1)]
+        update = 0.0
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
-                path = problem.impulse_path(j, self.seg_times[k],
-                                            traj.left_value_at_theta(j))
+                path = problem.impulse_path(j, self.seg_times[k], lefts[j])
                 start = path[-1].copy()    # a kept start holds no impulse path
             else:
                 grid, solved = self.grids[j], self._solved[j]
@@ -249,9 +255,6 @@ class Sweep:
                         and solved.target == target
                         and np.abs(start - solved.start).max()
                         <= grid.table.fft_error * np.abs(solved.start).max()):
-                    if traj is not self._path:
-                        seg_values.append(self._path.seg_values[k])
-                        written.append(k)
                     continue
                 self.window_solves += 1
                 F = forcings[j]
@@ -265,17 +268,21 @@ class Sweep:
                              else samples @ problem.control_matrix.T)
                 path = grid.table.convolve(start, F)
                 self._solved[j] = _Solved(start, target, samples, preimage)
-            seg_values.append(path)
-            written.append(k)
-            self.recomputed.append(k)
+            if not np.all(np.isfinite(path)):
+                raise ValueError("segment contains non-finite entries")
+            piece = traj.seg_values[k]
+            piece -= path    # the step, in the samples it then replaces
+            update = max(update, np.linalg.norm(piece, axis=1).max())
+            piece[...] = path
+            self._norms[k] = np.linalg.norm(piece, axis=1).max()
         control = None
         if targets is not None:
             control = ControlSignal(problem=problem,
                                     window_times=[g.times for g in self.grids],
                                     samples=[w.samples for w in self._solved],
                                     preimages=[w.preimage for w in self._solved])
-        self._path = traj.with_values(seg_values, written)
-        return self._path, control
+        scale = np.sqrt(traj.weight)
+        return float(scale * update), float(scale * max(self._norms)), control
 
 
 def picard_solve(sweep: Sweep, targets) -> SolveReport:
@@ -288,28 +295,23 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     scale, and raises :class:`NonConvergenceError` after
     ``numerics.max_iter`` iterations without.  The update ratio
     ||d_{k+1}||/||d_k|| is recorded from the second iteration onward as the
-    measured contraction rate.  From the second sweep on, the update and the
-    iterate's norm read only the intervals the sweep recomputed (see
-    :func:`_sweep_norms`).
+    measured contraction rate.  Each sweep advances the one iterate in place
+    and gives the update and the iterate's norm (see :meth:`Sweep.apply`).
     """
     tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
     solves = sweep.window_solves
     traj = sweep.initial_iterate(targets)
     control = None
-    prev_update = None
+    prev_update = 0.0
     ratio = 0.0
     update = np.inf
     iterations = 0
     converged = False
-    norms = [0.0] * len(sweep.intervals)
     for it in range(1, max_iter + 1):
-        new, control = sweep.apply(traj, targets)
-        pieces = sweep.recomputed if it > 1 else range(len(norms))
-        update, norm = _sweep_norms(new, traj, pieces, norms)
-        if it >= 2 and prev_update is not None and prev_update > 0:
+        update, norm, control = sweep.apply(traj, targets)
+        if prev_update > 0:
             ratio = max(ratio, update / prev_update)
         prev_update = update
-        traj = new
         iterations = it
         if update <= tol * max(1.0, norm):
             converged = True
@@ -323,18 +325,6 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     if not converged:
         raise NonConvergenceError(report)
     return report
-
-
-def _sweep_norms(new: PiecewiseTrajectory, old: PiecewiseTrajectory,
-                 pieces, norms: list) -> tuple:
-    """``sup_distance(new, old)`` and ``path_sup_norm(new)``, bit for bit,
-    from the intervals of ``pieces`` only, where every other interval of
-    ``new`` holds ``old``'s bits: it adds an exact zero to the update, and
-    its norm is the one kept in ``norms`` (per interval, updated here).
-    The largest of per-interval maxima is the maximum over all samples."""
-    for k in pieces:
-        norms[k] = path_sup_norm(new, (k,))
-    return sup_distance(new, old, pieces), max(norms)
 
 
 def _window_defects(problem: Problem, traj: PiecewiseTrajectory, targets) -> list:

@@ -19,6 +19,14 @@ def make_traj(mesh, beta, fn, steps=64, hsamples=64, dim=1, hist_fn=None):
     return PiecewiseTrajectory(mesh, beta, hist, seg_t, seg_v)
 
 
+def rebuilt(path, seg_values=None):
+    """A new path on ``path``'s grids and history holding ``seg_values``, by
+    default a copy of ``path``'s own samples, built by the constructor."""
+    return PiecewiseTrajectory(path.mesh, path.beta, path.history, path.seg_times,
+                               path.seg_values if seg_values is None else seg_values,
+                               weight=path.weight)
+
+
 class TestTimeMesh:
     def test_no_impulse(self):
         mesh = build_time_mesh([0.0, 0.4], 0.4)
@@ -133,27 +141,7 @@ class TestPathNorms:
         vals[0][:] = 1.0
         vals[1][:] = 3.0
         vals[2][:] = 1.0
-        assert path_sup_norm(traj.with_values(vals)) == 3.0
-
-    def test_listed_pieces_only(self):
-        # the norms over listed intervals: none reads 0, all reads the
-        # whole-path value bit for bit, and the largest of per-interval
-        # values is the whole-path value
-        rng = np.random.default_rng(5)
-        mesh = build_time_mesh([0.0, 0.4, 0.5, 1.0], 1.0)
-        x = make_traj(mesh, 1.0, lambda t: rng.normal(), dim=3)
-        y = make_traj(mesh, 1.0, lambda t: rng.normal(), dim=3)
-        x.weight = y.weight = 0.3
-        every = range(len(mesh.intervals()))
-        assert path_sup_norm(x, ()) == sup_distance(x, y, ()) == 0.0
-        assert path_sup_norm(x, every) == path_sup_norm(x)
-        assert sup_distance(x, y, every) == sup_distance(x, y)
-        assert max(path_sup_norm(x, (k,)) for k in every) == path_sup_norm(x)
-        assert max(sup_distance(x, y, (k,)) for k in every) == sup_distance(x, y)
-        vals = [v.copy() for v in x.seg_values]
-        vals[1] += 1.0
-        moved = x.with_values(vals)
-        assert sup_distance(moved, x, (1,)) == sup_distance(moved, x)
+        assert path_sup_norm(rebuilt(traj, vals)) == 3.0
 
     def test_sine_peak(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
@@ -168,11 +156,11 @@ class TestPathNorms:
             y = make_traj(mesh, 1.0, lambda t: rng.normal(), dim=1)
             c = float(rng.normal())
             assert path_sup_norm(x) >= 0.0
-            scaled = x.with_values([c * v for v in x.seg_values])
+            scaled = rebuilt(x, [c * v for v in x.seg_values])
             assert path_sup_norm(scaled) == pytest.approx(abs(c) * path_sup_norm(x),
                                                           rel=1e-12)
-            summed = x.with_values([vx + vy for vx, vy in
-                                    zip(x.seg_values, y.seg_values)])
+            summed = rebuilt(x, [vx + vy for vx, vy in
+                                 zip(x.seg_values, y.seg_values)])
             assert (path_sup_norm(summed)
                     <= path_sup_norm(x) + path_sup_norm(y) + 1e-12)
 
@@ -194,7 +182,7 @@ class TestEvaluation:
         traj = make_traj(mesh, 1.0, lambda t: t)
         vals = [v.copy() for v in traj.seg_values]
         vals[1][:] = -7.0  # impulse interval carries a jump
-        traj = traj.with_values(vals)
+        traj = rebuilt(traj, vals)
         assert traj.value(0.5)[0] == pytest.approx(0.5)       # left limit
         assert traj.value(0.5 + 1e-9)[0] == pytest.approx(-7.0)
         assert traj.value(0.6)[0] == pytest.approx(-7.0)
@@ -223,33 +211,13 @@ class TestEvaluation:
         manual = max(abs(t - t * t) for t in np.linspace(0, 1, 65))
         assert sup_distance(x, y) == pytest.approx(manual, rel=1e-12)
 
-    def test_with_values_writes_listed_pieces_only(self):
-        # the listed intervals take the given samples, the others and the
-        # history this path's bits, in a copy: the parent is unchanged
-        mesh = build_time_mesh([0.0, 0.5, 0.6, 1.0], 1.0)
-        traj = make_traj(mesh, 1.0, lambda t: t, dim=2)
-        vals = [np.full_like(traj.seg_values[k], k + 10.0) for k in (2, 0)]
-        new = traj.with_values(vals, [2, 0])
-        assert np.all(new.seg_values[0] == 10.0) and np.all(new.seg_values[2] == 12.0)
-        assert new.seg_values[1].tobytes() == traj.seg_values[1].tobytes()
-        assert new.history.tobytes() == traj.history.tobytes()
-        assert not np.shares_memory(new.sample_stack(), traj.sample_stack())
-        assert traj.value(0.25)[0] == pytest.approx(0.25)
-        assert new.value(0.25)[0] == 10.0
-        assert traj.with_values([], []).sample_stack().tobytes() == \
-            traj.sample_stack().tobytes()
-        with pytest.raises(ValueError, match="one sample array per listed"):
-            traj.with_values(vals, [2])
-        with pytest.raises(ValueError, match="shape"):
-            traj.with_values([vals[0][:-1]], [2])
-
     def test_rejects_nonfinite(self):
         mesh = build_time_mesh([0.0, 1.0], 1.0)
         traj = make_traj(mesh, 1.0, lambda t: t)
         bad = [v.copy() for v in traj.seg_values]
         bad[0][3, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            traj.with_values(bad)
+            rebuilt(traj, bad)
 
 
 def _reference_piece(times, vals, t):

@@ -14,6 +14,7 @@ from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, 
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import Sweep, picard_solve
 from evosteer.transport import TransportConfig, build_case2
+from test_core import rebuilt
 
 # Two impulses; ceil(length / time_step) makes the steps differ at 0.03.
 UNEQUAL = [0.0, 0.32, 0.4, 0.55, 0.85, 1.0]
@@ -244,7 +245,7 @@ def test_one_grid_per_interval(variant):
         others = KernelDiscretization(prob, num).block_times
     else:
         targets = [np.ones(2), -np.ones(2), np.zeros(2)]
-        _, control = sweep.apply(sweep.initial_iterate(), targets)
+        control = sweep.apply(sweep.initial_iterate(), targets)[2]
         others = oracle_linear(prob, control, targets, num).trajectory.seg_times
     assert len(others) == len(expected)
     for got, ref in zip(others, sweep.seg_times):
@@ -277,7 +278,7 @@ def _mixed_delay_case(variant, fn, beta=0.25):
     sweep = Sweep(prob, num)
     rng = np.random.default_rng(60)
     traj = sweep.initial_iterate()
-    traj = traj.with_values([rng.normal(size=v.shape) for v in traj.seg_values])
+    traj = rebuilt(traj, [rng.normal(size=v.shape) for v in traj.seg_values])
     return prob, num, sweep, traj
 
 

@@ -20,6 +20,7 @@ from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
 from evosteer.transport import TransportConfig, build_case1
+from test_core import rebuilt
 from test_solver import window_start_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -354,7 +355,7 @@ def test_linear_run_takes_one_eigh_per_window(monkeypatch):
     # on the dense path one eigh per window Gramian serves its floor, the
     # certificate and every solve of the run's sweep: the Picard iteration
     # solves each window once, and two more sweeps from the flat start
-    # solve window 1 twice again
+    # solve both windows again and window 1 once more
     from evosteer import runner
     from evosteer.solver import picard_solve
     cfg = load_config(str(CONFIGS / "linear-2d.ini"))
@@ -368,7 +369,7 @@ def test_linear_run_takes_one_eigh_per_window(monkeypatch):
         report = picard_solve(sweep, targets)
         traj = sweep.initial_iterate()
         for _ in range(2):
-            traj, _ = sweep.apply(traj, targets)
+            sweep.apply(traj, targets)
         sweeps.append(sweep)
         return report
 
@@ -565,7 +566,7 @@ class TestWindowStart:
                               **kwargs)
         flat = _flat_traj(prob, Numerics(time_step=1e-2, history_samples=8))
         x = np.array([1.0, -2.0])
-        traj = flat.with_values([np.tile(x, (len(t), 1)) for t in flat.seg_times])
+        traj = rebuilt(flat, [np.tile(x, (len(t), 1)) for t in flat.seg_times])
         start = (window_start(prob, traj) if j == 0
                  else window_start_reference(prob, traj, j))
         np.testing.assert_allclose(start, expected, rtol=1e-15)
@@ -588,8 +589,9 @@ class TestWindowStart:
             prob, targets = build_case1(cfg), cfg.resolved_targets()
         sweep = Sweep(prob, Numerics(time_step=4e-3, history_samples=48))
         traj = sweep.initial_iterate()
-        traj = traj.with_values([rng.normal(size=v.shape) for v in traj.seg_values])
-        new, _ = sweep.apply(traj, targets)
+        traj = rebuilt(traj, [rng.normal(size=v.shape) for v in traj.seg_values])
+        new = rebuilt(traj)
+        sweep.apply(new, targets)
         want = window_start_reference(prob, traj, 1)
         assert np.array_equal(new.seg_values[1][-1], want)
         assert np.array_equal(new.seg_values[2][0], want)

@@ -12,9 +12,10 @@ from evosteer.gramian import (ControlSignal, NotInvertibleError, gramian_solve,
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
                                Numerics, Problem, WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
-from evosteer.solver import (NonConvergenceError, Sweep, _sweep_norms,
-                             picard_solve, verify_targets)
+from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
+                             verify_targets)
 from evosteer.transport import TransportConfig, build_case1
+from test_core import rebuilt
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -53,8 +54,8 @@ class TestOperator:
         num = Numerics(time_step=2e-3)
         sweep = Sweep(prob, num)
         report = picard_solve(sweep, targets)
-        once = sweep.apply(report.trajectory, targets)[0]
-        twice = sweep.apply(once, targets)[0]
+        once = swept(sweep, report.trajectory, targets)[0]
+        twice = swept(sweep, once, targets)[0]
         assert sup_distance(twice, once) <= 1e-10
 
     def test_impulse_branch_replays_left_limit(self):
@@ -88,7 +89,7 @@ class TestOperator:
         num = Numerics(time_step=4e-3, history_samples=48, tol=1e-10)
         sweep = Sweep(prob, num)
         report = picard_solve(sweep, cfg.resolved_targets())
-        again = sweep.apply(report.trajectory, cfg.resolved_targets())[0]
+        again = swept(sweep, report.trajectory, cfg.resolved_targets())[0]
         assert sup_distance(again, report.trajectory) <= 2.0 * 1e-10 * max(
             1.0, path_sup_norm(report.trajectory))
 
@@ -142,7 +143,7 @@ class TestPieces:
         prob = make_problem(impulses=((lambda th, x: 0.0 * np.outer(th, x)),),
                             phi0=np.ones(2))
         sweep = Sweep(prob, Numerics(time_step=1e-2))
-        new, _ = sweep.apply(sweep.initial_iterate(), None)
+        new, _ = swept(sweep, sweep.initial_iterate(), None)
         np.testing.assert_array_equal(new.seg_values[2][0], np.zeros(2))
 
     @pytest.mark.parametrize("source", ["linear-config", "case1", "case2", "corpus"])
@@ -218,7 +219,7 @@ class TestPieces:
         for _ in range(10):
             vx = [rng.normal(size=v.shape) for v in base.seg_values]
             vy = [rng.normal(size=v.shape) for v in base.seg_values]
-            x, y = base.with_values(vx), base.with_values(vy)
+            x, y = rebuilt(base, vx), rebuilt(base, vy)
             gap = np.linalg.norm(nl(x) - nl(y))
             assert gap <= nl.lipschitz * sup_distance(x, y) + 1e-12
 
@@ -455,12 +456,20 @@ def synthesize_reference(problem, grids, blocks, residuals):
                          samples=samples, preimages=preimages)
 
 
-def reference_apply(self, traj, targets):
-    """``Sweep.apply`` as it was before history-only forcing and unchanged
-    windows were kept and before it became one pass over the mesh: every
-    sweep reads the whole forcing, runs the Volterra product, takes each
-    forcing integral with explicit trapezoid weights, solves every control
-    window in one synthesis and evaluates each impulse twice."""
+def swept(sweep, traj, targets):
+    """``sweep.apply`` as a pure operator: the sweep advances a copy of
+    ``traj``; (that copy, the control)."""
+    new = rebuilt(traj)
+    return new, sweep.apply(new, targets)[2]
+
+
+def reference_sweep(self, traj, targets):
+    """``Sweep.apply`` as a pure operator, as it was before history-only
+    forcing and unchanged windows were kept and before it became one pass
+    over the mesh: every sweep reads the whole forcing, runs the Volterra
+    product, takes each forcing integral with explicit trapezoid weights,
+    solves every control window in one synthesis and evaluates each impulse
+    twice.  Gives the new path and the control."""
     from test_semigroups import lagged_weighted_sum
     problem = self.problem
     if self.kern is not None:
@@ -493,7 +502,16 @@ def reference_apply(self, traj, targets):
         if control is not None:
             F += control.samples[j] @ problem.control_matrix.T
         seg_values.append(grid.table.convolve(starts[j], F))
-    return traj.with_values(seg_values), control
+    return rebuilt(traj, seg_values), control
+
+
+def reference_apply(self, traj, targets):
+    """:func:`reference_sweep` in ``Sweep.apply``'s form: ``traj`` advanced
+    in place, and the update, the new path's norm and the control."""
+    new, control = reference_sweep(self, traj, targets)
+    update, norm = sup_distance(new, traj), path_sup_norm(new)
+    traj.sample_stack()[...] = new.sample_stack()
+    return update, norm, control
 
 
 def assert_same_apply(got, want):
@@ -612,7 +630,7 @@ def flat_start(self, targets=None):
     for k, (a, end, kind, j) in enumerate(self.intervals):
         if kind == "impulse":
             seg_values[k] = problem.impulse_path(j, self.seg_times[k], v0)
-    return flat.with_values(seg_values)
+    return rebuilt(flat, seg_values)
 
 
 def _start_case(name):
@@ -722,7 +740,7 @@ def with_left_value(path, value):
     ``value``."""
     values = [v.copy() for v in path.seg_values]
     values[0][-1] = value
-    return path.with_values(values)
+    return rebuilt(path, values)
 
 
 def test_changed_inputs_are_solved_again():
@@ -734,16 +752,11 @@ def test_changed_inputs_are_solved_again():
     sweep, ref = Sweep(prob, num), Sweep(prob, num)
     traj = sweep.initial_iterate()
     for _ in range(3):
-        traj, _ = sweep.apply(traj, targets)
+        sweep.apply(traj, targets)
     solves = sweep.window_solves
     assert solves == 3
     # unchanged start and target: both windows kept
-    assert_same_apply(sweep.apply(traj, targets), reference_apply(ref, traj, targets))
-    assert sweep.window_solves == solves
-    # kept windows take the paths they were solved to, also on a path that
-    # holds other samples there (here window 1, which no forcing reads)
-    other = traj.with_values([np.full_like(traj.seg_values[2], 7.0)], [2])
-    assert_same_apply(sweep.apply(other, targets), reference_apply(ref, other, targets))
+    assert_same_apply(swept(sweep, traj, targets), reference_sweep(ref, traj, targets))
     assert sweep.window_solves == solves
 
     end = traj.seg_values[0][-1]
@@ -758,7 +771,9 @@ def test_changed_inputs_are_solved_again():
     nudged[1] += 1e3 * eps * np.abs(end).max()
     moved = [targets[0] + 0.25, targets[1]]
     # (path, targets, windows solved again, whether a kept window's start
-    # moved, so that the outputs match the reference within eps only)
+    # moved, so that the outputs match the reference within eps only).  A
+    # kept window is not written, so where window 0 is kept the moved end
+    # stays in it, while the reference solves window 0 again
     cases = [(traj, moved, 1, False),                      # window 0's target
              (traj, targets, 1, False),                    # and back
              (with_left_value(traj, zero), targets, 0, True),    # round-off
@@ -767,8 +782,11 @@ def test_changed_inputs_are_solved_again():
              (with_left_value(traj, 1.5 * zero), targets, 1, False),  # moved
              (with_left_value(traj, negative_zero), None, 2, False)]  # no targets
     for path, tg, count, moved_start in cases:
-        solves = sweep.window_solves
-        got, want = sweep.apply(path, tg), reference_apply(ref, path, tg)
+        solves, first = sweep.window_solves, sweep._solved[0]
+        got, want = swept(sweep, path, tg), reference_sweep(ref, path, tg)
+        if sweep._solved[0] is first:
+            assert got[0].seg_values[0].tobytes() == path.seg_values[0].tobytes()
+            want[0].seg_values[0][-1] = path.seg_values[0][-1]
         if moved_start:
             assert_close_apply(got, want, eps)
         else:
@@ -787,7 +805,7 @@ def test_start_kept_up_to_the_rounding_bound(factor, count):
     sweep = Sweep(prob, Numerics(time_step=4e-3, history_samples=48))
     traj = sweep.initial_iterate()
     for _ in range(3):
-        traj, _ = sweep.apply(traj, targets)
+        sweep.apply(traj, targets)
     kept = window_start_reference(prob, traj, 1)
     eps = sweep.grids[1].table.fft_error
     k = int(np.argmax(np.abs(kept)))
@@ -803,8 +821,8 @@ def test_start_kept_up_to_the_rounding_bound(factor, count):
 
 
 def test_kept_state_grows_linearly_with_the_grid():
-    # the frozen forcing, one path per window and the kernel and shift
-    # spectra a Sweep keeps after a solve grow with G, not G^2: halving
+    # the frozen forcing, each window's kept control and the kernel and
+    # shift spectra a Sweep keeps after a solve grow with G, not G^2: halving
     # the step about doubles them
     import gc
     import tracemalloc
@@ -898,28 +916,58 @@ def test_identity_control_forms_no_identity():
     ("transport-case1", [[0, 1, 2]] + [[0, 1]] * 7),
     ("transport-case2", [[0, 1, 2], [1]]),
     ("linear-2d", [[0, 1, 2], [1]]),
+    ("case1-beta0.25", [[0, 1, 2]] * 8),
+    ("case2-beta0.25", [[0, 1, 2]] * 4),
 ])
 def test_sweep_norms_read_only_recomputed_pieces(preset, reads):
-    # an interval the sweep kept holds the previous iterate's bits, so the
-    # update and the iterate's norm read from the recomputed intervals are
-    # sup_distance and path_sup_norm bit for bit, at every sweep up to
-    # convergence.  From the steered start the second sweep keeps window 1,
-    # whose start moved by round-off only; on Case 2 and linear-2d it keeps
-    # both control windows, and its impulse window moves by round-off
+    # at every sweep up to convergence, apply's update and norm are
+    # sup_distance and path_sup_norm of the advanced iterate against a copy
+    # taken before the sweep, bit for bit; the sweep writes the intervals of
+    # ``reads`` (its solved control windows and every impulse window), and
+    # every other interval keeps its bytes.  From the steered start the
+    # second sweep keeps window 1, whose start moved by round-off only; at
+    # beta = b on Case 2 and linear-2d it keeps both control windows, and
+    # its impulse window moves by round-off.  At beta = 0.25 both windows
+    # read the live path, so every sweep writes every interval
+    prob, num, targets = _start_case(preset if "beta" in preset else f"{preset}.ini")
+    sweep = Sweep(prob, num)
+    traj = sweep.initial_iterate(targets)
+    got = []
+    for it in range(1, num.max_iter + 1):
+        before, solved = rebuilt(traj), list(sweep._solved)
+        update, norm, _ = sweep.apply(traj, targets)
+        assert np.float64([update, norm]).tobytes() == \
+            np.float64([sup_distance(traj, before), path_sup_norm(traj)]).tobytes()
+        written = [k for k, (a, end, kind, j) in enumerate(sweep.intervals)
+                   if kind == "impulse" or sweep._solved[j] is not solved[j]]
+        got.append(written)
+        for k in set(range(len(sweep.intervals))) - set(written):
+            assert traj.seg_values[k].tobytes() == before.seg_values[k].tobytes()
+        if update <= num.tol * max(1.0, norm):
+            break
+    assert got == reads
+    eps = max(g.table.fft_error for g in sweep.grids)
+    assert 0.0 < update and (update <= eps * norm) == ("case1" not in preset)
+    assert picard_solve(Sweep(prob, num), targets).iterations == len(reads)
+
+
+def test_apply_advances_the_iterate_in_place():
+    # the sweep writes the new iterate into the buffer it is given and
+    # returns the step to it, its norm and the control
     from evosteer.config import load_config
-    cfg = load_config(str(CONFIGS / f"{preset}.ini"))
+    cfg = load_config(str(CONFIGS / "linear-2d.ini"))
     sweep = Sweep(cfg.problem, cfg.numerics)
     traj = sweep.initial_iterate(cfg.targets)
-    norms = [0.0] * len(sweep.intervals)
-    for it, want in enumerate(reads, 1):
-        new, _ = sweep.apply(traj, cfg.targets)
-        pieces = sweep.recomputed if it > 1 else range(len(norms))
-        assert list(pieces) == want
-        update, norm = _sweep_norms(new, traj, pieces, norms)
-        bits = np.float64([update, norm]).tobytes()
-        assert bits == np.float64([sup_distance(new, traj), path_sup_norm(new)]).tobytes()
-        traj = new
-    eps = max(g.table.fft_error for g in sweep.grids)
-    assert 0.0 < update and (update <= eps * norm) == (preset != "transport-case1")
-    report = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
-    assert report.iterations == len(reads)
+    stack, before = traj.sample_stack(), rebuilt(traj)
+    update, norm, control = sweep.apply(traj, cfg.targets)
+    assert np.shares_memory(traj.sample_stack(), stack)
+    assert update > 0.0 and stack.tobytes() != before.sample_stack().tobytes()
+    assert (update, norm) == (sup_distance(traj, before), path_sup_norm(traj))
+    assert isinstance(control, ControlSignal)
+
+
+def test_apply_refuses_a_non_finite_interval():
+    prob = make_problem(impulses=((lambda th, x: np.full((len(th), len(x)), np.inf)),))
+    sweep = Sweep(prob, Numerics(time_step=1e-2))
+    with pytest.raises(ValueError, match="non-finite"):
+        sweep.apply(sweep.initial_iterate(), None)
