@@ -10,7 +10,8 @@ Subcommands:
 * ``selftest``         -- runs the acceptance corpus, one line per criterion.
 
 Exit codes: 0 success; 1 targets missed or selftest failure; 2 configuration
-errors; 3 singular Gramian; 4 non-convergence.  The EVOSTEER_OUTDIR
+errors, an unknown selftest criterion or an unwritable output; 3 singular
+Gramian; 4 non-convergence.  The EVOSTEER_OUTDIR
 environment variable overrides the configured output directory.
 """
 
@@ -79,6 +80,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:    # the only files a command touches are its outputs
+        print(f"output error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
         _release_freed_memory()
@@ -158,8 +162,12 @@ def _dispatch(args, cfg: RunConfig) -> int:
 
 
 def _selftest(args) -> int:
-    from .acceptance import run_all
+    from .acceptance import CRITERIA, run_all
     results = run_all(only=args.criterion)
+    if not results:
+        print(f"config error: no criterion matches {args.criterion!r}; known: "
+              f"{', '.join(name for name, _, _ in CRITERIA)}", file=sys.stderr)
+        return EXIT_CONFIG
     failed = [r for r in results if not r.ok]
     for r in results:
         status = "PASS" if r.ok else "FAIL"

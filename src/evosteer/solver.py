@@ -17,14 +17,17 @@ which is exactly the property the contraction certificate predicts.  The
 integro variant replaces eta by the running kernel convolution and drops
 the nonlocal term.
 
-The fixed point is reached from any first iterate, and every iterate the
-operator returns ends each control window on its target.  The iteration
-starts from such a path (:meth:`Sweep.initial_iterate`): the first sweep
-then solves each later window from the start every later sweep computes, up
-to the round-off of the steered end, so such a window whose forcing rows
-are all frozen is solved once per run, and the measured update ratio is the
-contraction along the solved path rather than the one-off move of the
-start of window 1 from a flat path to the steered one.
+The fixed point is reached from any first iterate, which sets only how many
+sweeps reach it, and every iterate the operator returns ends each control
+window on its target.  The iteration starts from such a path, each control
+window on the straight line from its start to its target
+(:meth:`Sweep.initial_iterate`): the first sweep then solves each later
+window from the start every later sweep computes, up to the round-off of
+the steered end, so such a window whose forcing rows are all frozen is
+solved once per run, a nonlocal term reads the first window near the
+solved path, and the measured update ratio is the contraction along the
+solved path rather than the one-off move of the start of window 1 from a
+flat path to the steered one.
 
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
@@ -141,27 +144,36 @@ class Sweep:
         self.window_solves = 0
 
     def initial_iterate(self, targets=None) -> PiecewiseTrajectory:
-        """The first iterate: every control window at v0 = phi(0) + nu of the
-        flat extension of phi(0), and each impulse window its impulse map of
-        the window before it.  With ``targets``, each control window that an
-        impulse follows ends on its target, as every iterate the steered
-        operator returns does, so the first sweep solves each later window
-        from the start the steering fixes; without, the path is flat.  No
-        interval of it holds a solved path, so the sweep forgets the windows
-        it kept."""
+        """The first iterate, one pass over the mesh as a sweep makes it:
+        window 0 starts at phi(0) + nu of the flat extension of phi(0), each
+        impulse window is its impulse map of the previous window's last
+        sample, and the next control window starts at that impulse window's
+        last sample.  With ``targets``, each control window runs on the
+        straight line from its start to its target, which it ends on exactly,
+        as every iterate the steered operator returns ends it, so the first
+        sweep solves each later window from the start the steering fixes and
+        a nonlocal term reads window 0 near the path the steering bends;
+        without, each control window stays at its start.  No interval of it
+        holds a solved path, so the sweep forgets the windows it kept."""
         problem = self.problem
         traj = PiecewiseTrajectory(
             problem.mesh, problem.beta,
             problem.sample_history(self.numerics.history_samples), self.seg_times,
             [np.tile(problem.phi0(), (len(t), 1)) for t in self.seg_times],
             weight=problem.state_weight)
-        traj.sample_stack()[...] = window_start(problem, traj)
+        start = window_start(problem, traj)
         for k, (a, end, kind, j) in enumerate(self.intervals):
+            times, piece = self.seg_times[k], traj.seg_values[k]
             if kind == "impulse":
-                if targets is not None:
-                    traj.seg_values[k - 1][-1] = targets[j - 1]
-                traj.seg_values[k][...] = problem.impulse_path(
-                    j, self.seg_times[k], traj.seg_values[k - 1][-1])
+                piece[...] = problem.impulse_path(j, times, traj.seg_values[k - 1][-1])
+                start = piece[-1]
+            elif targets is None:
+                piece[...] = start
+            else:
+                # s runs from exactly 0 to exactly 1 (linspace stores both
+                # ends), so the line starts on ``start`` and ends on the target
+                s = ((times - a) / (end - a))[:, None]
+                piece[...] = (1.0 - s) * start + s * np.asarray(targets[j], dtype=float)
         self._solved = [None] * len(self.grids)
         return traj
 
@@ -289,8 +301,8 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     """Iterate the sweep's steered operator to its fixed point.
 
     Starts from ``sweep.initial_iterate(targets)``: with targets, each
-    control window an impulse follows ends on its target, as in every
-    iterate the operator returns.  Stops when the
+    control window runs on the straight line to its target, which it ends
+    on, as in every iterate the operator returns.  Stops when the
     sup-norm update drops below ``numerics.tol`` relative to the iterate
     scale, and raises :class:`NonConvergenceError` after
     ``numerics.max_iter`` iterations without.  The update ratio
