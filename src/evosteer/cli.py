@@ -155,7 +155,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
     write_report(os.path.join(outdir, "report.json"), report)
 
     v = result.verdict
-    print(f"converged in {result.solve.iterations} iterations; "
+    print(f"converged in {result.solve.iterations_text()}; "
           f"defects {['%.3e' % d for d in v.defects]}; "
           f"totally controllable: {v.totally_controllable}")
     return EXIT_OK if v.totally_controllable else EXIT_FAIL

@@ -9,30 +9,33 @@ branch-wise on the mesh:
 
 with the feedback control u recomputed from the *current* iterate inside
 every sweep (the steering residuals depend on x through the forcing, the
-impulse values and the nonlocal coupling).  A sweep is one pass over the
-mesh: each impulse window is evaluated once, and each control window starts
-at phi(0) + nu(x) or at the last sample of the impulse window before it.
-The fixed point is simultaneously a mild solution and a steered trajectory,
-which is exactly the property the contraction certificate predicts.  The
-integro variant replaces eta by the running kernel convolution and drops
-the nonlocal term.
+impulse values and the nonlocal coupling).  A sweep is one forward pass
+over the mesh, in the order of the method of steps: each impulse window is
+evaluated once, from the left value x(theta_j-) of the control window the
+sweep has just written or kept, and each control window starts at
+phi(0) + nu(x) or at the last sample of the impulse window before it.  So
+every path a sweep hands out has each impulse window exactly its impulse
+map of the path's own left value.  The fixed point is simultaneously a
+mild solution and a steered trajectory, which is exactly the property the
+contraction certificate predicts.  The integro variant replaces eta by the
+running kernel convolution and drops the nonlocal term.
 
 The fixed point is reached from any first iterate, which sets only how many
 sweeps reach it, and every iterate the operator returns ends each control
 window on its target.  The iteration starts from such a path, each control
 window on the straight line from its start to its target
-(:meth:`Sweep.initial_iterate`): the first sweep then solves each later
-window from the start every later sweep computes, up to the round-off of
-the steered end, so such a window whose forcing rows are all frozen is
-solved once per run, a nonlocal term reads the first window near the
-solved path, and the measured update ratio is the contraction along the
-solved path rather than the one-off move of the start of window 1 from a
-flat path to the steered one.
+(:meth:`Sweep.initial_iterate`), so that a nonlocal term first reads the
+first window near the solved path.
 
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
 (A. Bellen and M. Zennaro, Numerical Methods for Delay Differential
-Equations, OUP 2003).  Control is recomputed only for the windows whose
+Equations, OUP 2003).  When no forcing row reads the iterate (every node
+at t <= beta, or neither a nonlinearity nor a kernel) and there is no
+nonlocal term, a sweep reads nothing of the iterate that can move, so the
+next sweep would read what the first one read and return its path
+unchanged: the iteration stops after one sweep with an update of exactly 0
+(:func:`picard_solve`).  Control is recomputed only for the windows whose
 inputs changed: a window whose forcing rows are all read from the history
 keeps its forcing integral for the run, and its path and control while its
 target stays bit for bit the same and its start moves by no more than its
@@ -70,14 +73,18 @@ class NonConvergenceError(Exception):
         self.report = report
         self.measured_ratio = report.measured_ratio
         super().__init__(
-            f"no convergence after {report.iterations} iterations "
+            f"no convergence after {report.iterations_text()} "
             f"(last update {report.final_update:.3e}, "
             f"measured ratio {report.measured_ratio:.3f})")
 
 
 @dataclass
 class SolveReport:
-    """Outcome of a Picard solve."""
+    """Outcome of a Picard solve.  A ``final_update`` of exactly 0.0 means
+    the solve stopped because the next sweep would read what the last one
+    read (see :func:`picard_solve`): the trajectory is then the operator's
+    fixed point bit for bit, and ``iterations`` counts only the sweeps run.
+    """
 
     trajectory: PiecewiseTrajectory
     control: Optional[ControlSignal]
@@ -91,6 +98,11 @@ class SolveReport:
 
     def control_sup_norms(self) -> list:
         return self.control.sup_norms() if self.control is not None else []
+
+    def iterations_text(self) -> str:
+        """The sweep count as text: "1 iteration", "7 iterations"."""
+        n = self.iterations
+        return f"{n} iteration{'' if n == 1 else 's'}"
 
 
 class _Solved(NamedTuple):
@@ -135,6 +147,12 @@ class Sweep:
         # Window j's forcing reads the forcing rows up to its end only, its
         # last node (linspace stores the stop exactly).
         self._frozen_windows = [g.times[-1] <= problem.beta for g in self.grids]
+        # Whether one sweep reaches the fixed point: no nonlocal term moves
+        # the first window's start and no forcing row reads the iterate (a
+        # live row, of a nonlinearity or a kernel; without either, eta is 0).
+        self.one_sweep = problem.nonlocal_term is None and not (
+            self.frozen_forcing_rows < len(self._nodes)
+            and (problem.nonlinearity is not None or self.kern is not None))
         self._integrals = [None] * len(self.grids)
         self._rows = None
         self._forcing = None
@@ -150,11 +168,13 @@ class Sweep:
         sample, and the next control window starts at that impulse window's
         last sample.  With ``targets``, each control window runs on the
         straight line from its start to its target, which it ends on exactly,
-        as every iterate the steered operator returns ends it, so the first
-        sweep solves each later window from the start the steering fixes and
-        a nonlocal term reads window 0 near the path the steering bends;
-        without, each control window stays at its start.  No interval of it
-        holds a solved path, so the sweep forgets the windows it kept."""
+        as every iterate the steered operator returns ends it; without, each
+        control window stays at its start.  The lines serve only a nonlocal
+        term, which then reads window 0 near the path the steering bends,
+        and the size of the first update: a sweep starts each later window
+        from the path it is advancing, whatever the first iterate.  No
+        interval of it holds a solved path, so the sweep forgets the windows
+        it kept."""
         problem = self.problem
         traj = PiecewiseTrajectory(
             problem.mesh, problem.beta,
@@ -220,18 +240,20 @@ class Sweep:
         return integral
 
     def apply(self, traj: PiecewiseTrajectory, targets):
-        """One application of the steered operator, one pass over the mesh,
-        advancing ``traj`` in place: ``(update, norm, control)``, the sup
-        distance of the new path to the old (``sup_distance``), the new
-        path's sup norm (``path_sup_norm``), both bit for bit, and the
+        """One application of the steered operator, one forward pass over
+        the mesh, advancing ``traj`` in place: ``(update, norm, control)``,
+        the sup distance of the new path to the old (``sup_distance``), the
+        new path's sup norm (``path_sup_norm``), both bit for bit, and the
         synthesized control (None without targets).
 
-        Everything the sweep reads of the old path -- the forcing rows, the
-        first window's start and each x(theta_j-) -- is read before the
-        first write.  Each recomputed interval is then checked for
-        finiteness and written, and its distance to the samples it replaced and its
-        largest row norm are taken as it is written; the largest of
-        per-interval maxima is the maximum over all samples.
+        What the sweep reads of the old path -- the forcing rows and the
+        first window's start -- is read before the first write.  Each
+        impulse window reads x(theta_j-) from the path being advanced: the
+        last sample of the control window just written or kept.  Each
+        recomputed interval is checked for finiteness and written, and its
+        distance to the samples it replaced and its largest row norm are
+        taken as it is written; the largest of per-interval maxima is the
+        maximum over all samples.
 
         A control window whose forcing rows are all frozen is kept, not
         written, while its target is bit for bit the one it was solved from
@@ -252,12 +274,11 @@ class Sweep:
         problem = self.problem
         forcings = self._forcings(traj)
         start = window_start(problem, traj)
-        lefts = [None] + [traj.left_value_at_theta(j).copy()
-                          for j in range(1, problem.mesh.n_impulses + 1)]
         update = 0.0
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
-                path = problem.impulse_path(j, self.seg_times[k], lefts[j])
+                path = problem.impulse_path(j, self.seg_times[k],
+                                            traj.left_value_at_theta(j))
                 start = path[-1].copy()    # a kept start holds no impulse path
             else:
                 grid, solved = self.grids[j], self._solved[j]
@@ -304,11 +325,18 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     control window runs on the straight line to its target, which it ends
     on, as in every iterate the operator returns.  Stops when the
     sup-norm update drops below ``numerics.tol`` relative to the iterate
-    scale, and raises :class:`NonConvergenceError` after
-    ``numerics.max_iter`` iterations without.  The update ratio
-    ||d_{k+1}||/||d_k|| is recorded from the second iteration onward as the
-    measured contraction rate.  Each sweep advances the one iterate in place
-    and gives the update and the iterate's norm (see :meth:`Sweep.apply`).
+    scale, or after the first sweep when the next would read exactly what
+    it read (``Sweep.one_sweep``): without a nonlocal term the first
+    window's start is phi(0), and with no forcing row reading the iterate
+    nothing else a sweep reads of it can move.  Every step is deterministic,
+    so that sweep would keep or re-solve every control window to the same
+    bits and rewrite each impulse window with the same bits; its update is
+    exactly 0, which is reported as ``final_update`` without running it.
+    Raises :class:`NonConvergenceError` after ``numerics.max_iter``
+    iterations without either.  The update ratio ||d_{k+1}||/||d_k|| is
+    recorded from the second iteration onward as the measured contraction
+    rate.  Each sweep advances the one iterate in place and gives the update
+    and the iterate's norm (see :meth:`Sweep.apply`).
     """
     tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
     solves = sweep.window_solves
@@ -327,6 +355,9 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
         iterations = it
         if update <= tol * max(1.0, norm):
             converged = True
+            break
+        if sweep.one_sweep:
+            update, converged = 0.0, True
             break
     defects = _window_defects(sweep.problem, traj, targets)
     report = SolveReport(trajectory=traj, control=control, iterations=iterations,

@@ -298,11 +298,11 @@ class TestCommands:
         # every forcing row lies at t <= beta = b: Case 1's eta rows on the
         # 301 + 501 control-window nodes, Case 2's q rows on all 301 + 201 +
         # 501 kernel nodes
-        # the straight-line start puts window 1's start where every sweep
-        # puts it, up to round-off, so window 1 is solved once; Case 1's
-        # nonlocal start moves window 0 every sweep
+        # Case 1's nonlocal start moves window 0 every sweep and window 1's
+        # start by round-off only, so window 1 is solved once; Case 2's
+        # start stays phi(0), so its one sweep solves both windows
         ("transport-case1", 802, lambda it: it + 1),
-        ("transport-case2", 1003, lambda it: 2)])     # 2 of 4 windows solved
+        ("transport-case2", 1003, lambda it: 2)])
     def test_solve_reports_frozen_rows_and_window_solves(self, tmp_path,
                                                          monkeypatch, preset,
                                                          frozen, solves):
@@ -317,7 +317,38 @@ class TestCommands:
         solve = json.loads(texts[0])["solve"]
         assert solve["frozen_forcing_rows"] == frozen
         assert solve["window_solves"] == solves(solve["iterations"])
-        assert solve["iterations"] == (7 if preset == "transport-case1" else 2)
+        assert solve["iterations"] == (7 if preset == "transport-case1" else 1)
+
+    @pytest.mark.parametrize("preset, edit, code, frozen", [
+        ("linear-2d", None, 0, 1602),
+        ("transport-case2", None, 0, 1003),
+        # window 1's 801 forcing rows are live, but no forcing reads the path
+        ("linear-2d", ("beta = 1.0", "beta = 0.5"), 0, 801),
+        # nu moves window 0's start every sweep
+        ("transport-case1", None, 4, None)])
+    def test_one_sweep_stops_where_the_next_would_read_the_same_bits(
+            self, tmp_path, capsys, monkeypatch, preset, edit, code, frozen):
+        # with no forcing row reading the path and no nonlocal term, the
+        # first sweep's path is the fixed point bit for bit: the solve stops
+        # after it with an update of exactly 0, within max_iter = 1
+        text = (CONFIGS / f"{preset}.ini").read_text()
+        text = text.replace("max_iter = 200\n", "").replace(
+            "[numerics]\n", "[numerics]\nmax_iter = 1\n")
+        if edit is not None:
+            assert edit[0] in text
+            text = text.replace(*edit)
+        out = tmp_path / "out"
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+        assert main(["solve", write(tmp_path, "a.ini", text), "--no-timing"]) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            solve = json.loads((out / "report.json").read_text())["solve"]
+            assert (solve["iterations"], solve["final_update"],
+                    solve["measured_ratio"]) == (1, 0.0, 0.0)
+            assert solve["frozen_forcing_rows"] == frozen
+            assert "converged in 1 iteration;" in captured.out
+        else:
+            assert "no convergence after 1 iteration (" in captured.err
 
     def test_freed_memory_is_released_after_each_command(self, tmp_path, capsys,
                                                           monkeypatch):

@@ -355,7 +355,7 @@ def test_linear_run_takes_one_eigh_per_window(monkeypatch):
     # on the dense path one eigh per window Gramian serves its floor, the
     # certificate and every solve of the run's sweep: the Picard iteration
     # solves each window once, and two more sweeps from the flat start
-    # solve both windows again and window 1 once more
+    # solve both windows again
     from evosteer import runner
     from evosteer.solver import picard_solve
     cfg = load_config(str(CONFIGS / "linear-2d.ini"))
@@ -377,7 +377,7 @@ def test_linear_run_takes_one_eigh_per_window(monkeypatch):
     result = runner.run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=True)
     assert shapes == [(2, 2), (2, 2)]
     assert result.solve.window_solves == len(shapes)
-    assert sweeps[0].window_solves > len(shapes)
+    assert sweeps[0].window_solves == 2 * len(shapes)
 
 
 def _csv_values(path):
@@ -574,7 +574,8 @@ class TestWindowStart:
     @pytest.mark.parametrize("backend", ["matrix", "shift"])
     def test_later_window_starts_at_the_impulse_branch(self, backend):
         # the sweep starts window 1 at the last sample of the impulse window
-        # before it: the bits of the impulse map at lam_1 alone
+        # before it: the bits of the impulse map at lam_1 alone, of the left
+        # value x(theta_1-) of the path the sweep has just advanced
         from evosteer.solver import Sweep
         rng = np.random.default_rng(44)
         if backend == "matrix":
@@ -592,7 +593,8 @@ class TestWindowStart:
         traj = rebuilt(traj, [rng.normal(size=v.shape) for v in traj.seg_values])
         new = rebuilt(traj)
         sweep.apply(new, targets)
-        want = window_start_reference(prob, traj, 1)
+        want = window_start_reference(prob, new, 1)
+        assert not np.array_equal(want, window_start_reference(prob, traj, 1))
         assert np.array_equal(new.seg_values[1][-1], want)
         assert np.array_equal(new.seg_values[2][0], want)
 

@@ -1,3 +1,4 @@
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import expm as scipy_expm
 
 from evosteer.config import load_config
-from evosteer.runner import run
 from evosteer.semigroups import (MatrixLagTable, MatrixSemigroup, ShiftLagTable,
                                  ShiftSemigroup, expm, fft_length, powers,
                                  trapezoid_weights)
@@ -561,17 +561,23 @@ def test_matrix_spectrum_is_formed_once(monkeypatch):
 
 
 def test_matrix_spectrum_once_per_table_over_a_run(monkeypatch):
-    # a whole linear solve transforms each convolving table's stack once,
-    # however many Picard sweeps it runs
+    # a sweep transforms each convolving table's stack once, however many
+    # sweeps convolve with it: the solve stops after one sweep, so three
+    # sweeps from the flat start follow it, solving both windows again
+    from evosteer.solver import Sweep, picard_solve
     cfg = load_config(str(CONFIGS / "linear-2d.ini"))
-    stack_ffts, tables = [], set()
+    stack_ffts, tables = [], Counter()
     rfft, convolve = np.fft.rfft, MatrixLagTable.convolve
     monkeypatch.setattr(np.fft, "rfft", lambda a, *args, **kwargs:
                         stack_ffts.append(np.ndim(a) == 3) or rfft(a, *args, **kwargs))
     monkeypatch.setattr(MatrixLagTable, "convolve", lambda self, start, F:
-                        tables.add(id(self)) or convolve(self, start, F))
-    result = run(cfg.problem, cfg.targets, cfg.numerics)
-    assert result.solve.iterations > 1 and tables
+                        tables.update([id(self)]) or convolve(self, start, F))
+    sweep = Sweep(cfg.problem, cfg.numerics)
+    picard_solve(sweep, cfg.targets)
+    traj = sweep.initial_iterate()
+    for _ in range(3):
+        sweep.apply(traj, cfg.targets)
+    assert list(tables.values()) == [2, 2]
     assert sum(stack_ffts) == len(tables)
 
 
