@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .certificates import contraction_constant
-from .core import (PiecewiseTrajectory, build_time_mesh, history_segment,
+from .core import (PiecewiseTrajectory, TimeMesh, history_segment,
                    path_sup_norm, segment_norm, sup_distance)
 from .gramian import assemble_gramian
 from .problems import AssumptionConstants, Numerics, Problem
@@ -93,7 +93,7 @@ def _random_linear_instance(rng: np.random.Generator, dim: int):
     B = Q @ np.diag(rng.uniform(0.8, 1.25, size=dim))
     phi0 = rng.normal(size=dim)
     phi0 *= 0.5 / np.linalg.norm(phi0)
-    mesh = build_time_mesh([0.0, 0.45, 0.55, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 0.45, 0.55, 1.0])
     semigroup = MatrixSemigroup(A)
     K = max(1.0, _sampled_growth(semigroup, np.linspace(0.0, 1.0, 129)) * 1.02)
     targets = []
@@ -284,7 +284,7 @@ def criterion_delay_estimate(c: Checks) -> None:
     """Averaged history distance <= (b/beta) * path sup distance, on 100
     random trajectory pairs sharing their history."""
     rng = np.random.default_rng(13)
-    mesh = build_time_mesh([0.0, 0.35, 0.45, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 0.35, 0.45, 1.0])
     beta = 0.7
     gamma = mesh.b / beta
     offsets = np.linspace(-beta, 0.0, 97)

@@ -11,8 +11,10 @@ Subcommands:
 
 Exit codes: 0 success; 1 targets missed or selftest failure; 2 configuration
 errors, an unknown selftest criterion or an unwritable output; 3 singular
-Gramian; 4 non-convergence.  The EVOSTEER_OUTDIR
-environment variable overrides the configured output directory.
+Gramian; 4 non-convergence, which still writes report.json: the certificate,
+the Gramians and the unconverged solve, no target verdict and no CSV file.
+The EVOSTEER_OUTDIR environment variable overrides the configured output
+directory.
 """
 
 from __future__ import annotations
@@ -113,15 +115,16 @@ def _malloc_trim():
 
 def _dispatch(args, cfg: RunConfig) -> int:
     outdir = ensure_outdir(cfg.outdir)
-    timings_wanted = not args.no_timing
+
+    def report(result, **sections):
+        write_report(os.path.join(outdir, "report.json"), build_report(
+            args.command, cfg.echo, cfg.numerics, certificate=result.certificate,
+            blocks=result.blocks, timings=None if args.no_timing else result.timings,
+            **sections))
 
     if args.command == "certify":
         result = certify(cfg.problem, cfg.targets, cfg.numerics)
-        report = build_report("certify", cfg.echo, cfg.numerics,
-                              certificate=result.certificate,
-                              blocks=result.blocks,
-                              timings=result.timings if timings_wanted else None)
-        write_report(os.path.join(outdir, "report.json"), report)
+        report(result)
         print(f"contraction constant {result.certificate.contraction_constant:.6g} "
               f"({'<' if result.certificate.contracts else '>='} 1, "
               f"binding branch {result.certificate.binding_branch})")
@@ -133,7 +136,11 @@ def _dispatch(args, cfg: RunConfig) -> int:
                         or cfg.problem.nonlocal_term is not None):
         raise ConfigError("the oracle command requires a problem linear in "
                           "the state (no nonlinearity, kernel, or nonlocal term)")
-    result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=with_oracle)
+    try:
+        result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=with_oracle)
+    except NonConvergenceError as exc:
+        report(exc.run, solve=exc.report)
+        raise
 
     t0 = time.perf_counter()
     emit_trajectory(result.solve.trajectory, result.solve.control,
@@ -146,13 +153,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
         oracle_cmp = {"sup_distance": result.oracle_distance,
                       "defects": list(result.oracle.defects)}
     result.timings["emit_s"] = time.perf_counter() - t0
-    report = build_report(args.command, cfg.echo, cfg.numerics,
-                          certificate=result.certificate,
-                          blocks=result.blocks,
-                          solve=result.solve, verdict=result.verdict,
-                          oracle_cmp=oracle_cmp,
-                          timings=result.timings if timings_wanted else None)
-    write_report(os.path.join(outdir, "report.json"), report)
+    report(result, solve=result.solve, verdict=result.verdict, oracle_cmp=oracle_cmp)
 
     v = result.verdict
     print(f"converged in {result.solve.iterations_text()}; "

@@ -2,7 +2,8 @@
 outputs sections, matrices as ';'-separated whitespace row lists.
 
 Parsed with the stdlib configparser; every validation error names the
-offending section.key so the CLI can fail with an actionable message.
+offending section.key so the CLI can fail with an actionable message, and an
+unknown section or key is refused, not ignored.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import build_time_mesh
+from .core import TimeMesh
 from .problems import AssumptionConstants, Numerics, Problem
 from .semigroups import MatrixSemigroup
 from .transport import TransportConfig, build_case1, build_case2
@@ -93,11 +94,21 @@ def load_config(path: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(" ".join(str(exc).split())) from exc
 
+    prob = parser["problem"] if parser.has_section("problem") else {}
+    preset = prob.get("preset", "").strip()
+    kind = prob.get("kind", "").strip()
+    known = {"problem": (_PRESET_KEYS.keys() | {"preset", "alphas", "instants", "targets"}
+                         if preset else _LINEAR_KEYS),
+             "mesh": {"breakpoints"}, "numerics": _NUMERICS_KEYS.keys(),
+             "outputs": {"directory"}}
+    for name in parser.sections():
+        if name not in known:
+            raise ConfigError(f"[{name}]: unknown section")
+        for key in parser[name]:
+            if key not in known[name]:
+                raise ConfigError(f"{name}.{key}: unknown key")
     numerics = _load_numerics(parser)
     mesh = _load_mesh(parser)
-    prob = parser["problem"] if parser.has_section("problem") else {}
-    preset = prob.get("preset", "").strip() if prob else ""
-    kind = prob.get("kind", "").strip() if prob else ""
     if preset:
         problem, targets = _load_preset(prob, preset, mesh, numerics)
     elif kind == "linear":
@@ -116,13 +127,13 @@ def load_config(path: str) -> RunConfig:
 _NUMERICS_KEYS = {"time_step": float, "history_samples": int, "tol": float,
                   "max_iter": int, "delta_floor": float, "ridge": float,
                   "oracle_refine": int, "target_tol": float, "seed": int}
+_PRESET_KEYS = {"n": int, "beta": float, "k0": float, "a": float, "seed": int}
+_LINEAR_KEYS = {"kind", "generator", "control", "phi0", "beta", "semigroup_bound",
+                "impulse", "targets"}
 
 
 def _load_numerics(parser) -> Numerics:
     sec = parser["numerics"] if parser.has_section("numerics") else {}
-    for key in sec:
-        if key not in _NUMERICS_KEYS:
-            raise ConfigError(f"numerics.{key}: unknown key")
     kwargs = {}
     for key, cast in _NUMERICS_KEYS.items():
         val = _get(sec, key, cast, field=f"numerics.{key}")
@@ -135,16 +146,12 @@ def _load_numerics(parser) -> Numerics:
 
 
 def _load_mesh(parser):
-    if not parser.has_section("mesh"):
-        return None
-    sec = parser["mesh"]
+    sec = parser["mesh"] if parser.has_section("mesh") else {}
     pts_raw = sec.get("breakpoints", "").strip()
     if not pts_raw:
         return None
-    pts = _parse_vector(pts_raw, "mesh.breakpoints")
-    b = _get(sec, "b", float, default=float(pts[-1]), field="mesh.b")
     try:
-        return build_time_mesh(pts, b)
+        return TimeMesh(_parse_vector(pts_raw, "mesh.breakpoints"))
     except ValueError as exc:
         raise ConfigError(f"mesh.breakpoints: {exc}") from exc
 
@@ -156,8 +163,7 @@ def _load_preset(sec, preset: str, mesh, numerics: Numerics):
     kwargs = {}
     if mesh is not None:
         kwargs["mesh"] = mesh
-    for key, cast in (("n", int), ("beta", float), ("k0", float), ("a", float),
-                      ("seed", int)):
+    for key, cast in _PRESET_KEYS.items():
         val = _get(sec, key, cast, field=f"problem.{key}")
         if val is not None:
             kwargs["N" if key == "n" else key] = val

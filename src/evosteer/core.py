@@ -21,78 +21,49 @@ import numpy as np
 
 @dataclass(frozen=True)
 class TimeMesh:
-    """Breakpoints splitting (0, b] into control windows and impulse windows.
-
-    theta[0] = lam[0] = 0 and theta[-1] = b; the interior points interleave
-    strictly: theta[j] < lam[j] < theta[j+1].  Control windows are
-    (lam[j], theta[j+1]] for j = 0..n, impulse windows (theta[j], lam[j]]
-    for j = 1..n.
+    """The breakpoints 0 = lam_0 < theta_1 < lam_1 < ... < theta_n < lam_n <
+    theta_{n+1} = b as one increasing tuple ``points``; with no impulses it
+    is (0, b).  Control windows are (lam_j, theta_{j+1}] for j = 0..n,
+    impulse windows (theta_j, lam_j] for j = 1..n.
     """
 
-    theta: tuple
-    lam: tuple
-    b: float
+    points: tuple
 
     def __post_init__(self):
-        theta, lam = self.theta, self.lam
-        if len(theta) != len(lam) + 1:
-            raise ValueError("need one more theta instant than lambda instants")
-        if theta[0] != 0.0 or lam[0] != 0.0:
-            raise ValueError("mesh must start at theta_0 = lambda_0 = 0")
-        if theta[-1] != self.b:
-            raise ValueError(f"final instant {theta[-1]} != horizon b = {self.b}")
-        if self.b <= 0:
-            raise ValueError("horizon b must be positive")
-        seq = [0.0]
-        for j in range(1, len(theta)):
-            seq.append(theta[j])
-            if j < len(lam):
-                seq.append(lam[j])
-        if any(seq[i] >= seq[i + 1] for i in range(len(seq) - 1)):
-            raise ValueError(f"breakpoints must interleave strictly, got {seq}")
+        pts = tuple(float(p) for p in self.points)
+        object.__setattr__(self, "points", pts)
+        if len(pts) < 2 or len(pts) % 2:
+            raise ValueError("breakpoint list must alternate theta/lambda "
+                             f"instants (even length >= 2), got {len(pts)} points")
+        if pts[0] != 0.0:
+            raise ValueError("first breakpoint must be 0")
+        if not (all(p < q for p, q in zip(pts, pts[1:])) and np.isfinite(pts[-1])):
+            raise ValueError("breakpoints must be finite and interleave strictly, "
+                             f"got {list(pts)}")
+
+    @property
+    def b(self) -> float:
+        return self.points[-1]
+
+    @property
+    def lam(self) -> tuple:
+        return self.points[0::2]
 
     @property
     def n_impulses(self) -> int:
-        return len(self.lam) - 1
+        return len(self.points) // 2 - 1
 
     def control_windows(self) -> list:
         """(lam[j], theta[j+1]] for j = 0..n, as (start, end) pairs."""
-        return [(self.lam[j], self.theta[j + 1]) for j in range(self.n_impulses + 1)]
+        return list(zip(self.points[0::2], self.points[1::2]))
 
     def intervals(self) -> list:
         """All intervals of (0, b] in order as (start, end, kind, j).
 
         kind is "control" or "impulse"; j indexes the window within its kind.
         """
-        out = [(self.lam[0], self.theta[1], "control", 0)]
-        for j in range(1, self.n_impulses + 1):
-            out.append((self.theta[j], self.lam[j], "impulse", j))
-            out.append((self.lam[j], self.theta[j + 1], "control", j))
-        return out
-
-
-def build_time_mesh(breakpoints, b: float) -> TimeMesh:
-    """Build a TimeMesh from the flat increasing breakpoint list.
-
-    ``breakpoints`` is [0, theta_1, lam_1, ..., theta_n, lam_n, b]; with no
-    impulses it degenerates to [0, b].  Rejects lists that do not start at 0,
-    do not end at b, or are not strictly increasing.
-    """
-    pts = [float(p) for p in breakpoints]
-    if not pts:
-        raise ValueError("breakpoint list is empty")
-    if b <= 0:
-        raise ValueError("horizon b must be positive")
-    if len(pts) % 2 != 0:
-        raise ValueError("breakpoint list must alternate theta/lambda instants "
-                         f"(even length), got {len(pts)} points")
-    if pts[0] != 0.0:
-        raise ValueError("first breakpoint must be 0")
-    if pts[-1] != b:
-        raise ValueError(f"last breakpoint {pts[-1]} must equal the horizon b = {b}")
-    theta = [0.0] + pts[1:-1:2] + [b] if len(pts) > 2 else [0.0, b]
-    lam = [0.0] + pts[2:-1:2]
-    return TimeMesh(theta=tuple(theta), lam=tuple(lam), b=b)
+        return [(a, end, "impulse" if k % 2 else "control", (k + 1) // 2)
+                for k, (a, end) in enumerate(zip(self.points, self.points[1:]))]
 
 
 def segment_norm(samples: np.ndarray, beta: float) -> float:

@@ -12,8 +12,8 @@ from .certificates import Certificate, certificate_for
 from .core import sup_distance
 from .oracle import OracleResult, oracle_linear
 from .problems import Numerics, Problem
-from .solver import (SolveReport, Sweep, TargetVerdict, picard_solve,
-                     verify_targets)
+from .solver import (NonConvergenceError, SolveReport, Sweep, TargetVerdict,
+                     picard_solve, verify_targets)
 
 
 @dataclass
@@ -45,12 +45,18 @@ def certify(problem: Problem, targets, numerics: Numerics) -> RunResult:
 def run(problem: Problem, targets, numerics: Numerics,
         with_oracle: bool = False) -> RunResult:
     """The full pipeline behind the solve/oracle commands: :func:`certify`,
-    then the Picard solve on the same sweep and the target verdict."""
+    then the Picard solve on the same sweep and the target verdict.  A
+    :class:`NonConvergenceError` carries the run so far as ``exc.run``."""
     sweep, result = _prepare(problem, targets, numerics)
     timings = result.timings
     t0 = time.perf_counter()
-    result.solve = solve = picard_solve(sweep, targets)
-    timings["solve_s"] = time.perf_counter() - t0
+    try:
+        result.solve = solve = picard_solve(sweep, targets)
+    except NonConvergenceError as exc:
+        exc.run = result
+        raise
+    finally:
+        timings["solve_s"] = time.perf_counter() - t0
     result.verdict = verify_targets(solve, targets, numerics.target_tol)
     if with_oracle:
         t0 = time.perf_counter()

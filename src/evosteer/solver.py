@@ -65,8 +65,9 @@ from .problems import Numerics, Problem
 class NonConvergenceError(Exception):
     """Picard iteration exhausted max_iter without meeting the tolerance.
 
-    Carries the measured update ratio so the caller can compare it with the
-    contraction certificate.
+    Carries the solve's report and its measured update ratio so the caller
+    can compare it with the contraction certificate; :func:`runner.run` adds
+    ``run``, the run up to the solve.
     """
 
     def __init__(self, report: "SolveReport"):
@@ -106,12 +107,13 @@ class SolveReport:
 
 
 class _Solved(NamedTuple):
-    """What a control window was last solved from (its start and its target's
-    bytes) and the control it was solved to; its path is the one the iterate
-    holds on its interval."""
+    """What a control window was last solved from (its start, its target's
+    bytes and its forcing integral) and the control it was solved to; its
+    path is the one the iterate holds on its interval."""
 
     start: np.ndarray
     target: Optional[bytes]
+    integral: Optional[np.ndarray]
     samples: Optional[np.ndarray]
     preimage: Optional[np.ndarray]
 
@@ -153,7 +155,6 @@ class Sweep:
         self.one_sweep = problem.nonlocal_term is None and not (
             self.frozen_forcing_rows < len(self._nodes)
             and (problem.nonlinearity is not None or self.kern is not None))
-        self._integrals = [None] * len(self.grids)
         self._rows = None
         self._forcing = None
         self._solved = [None] * len(self.grids)
@@ -227,18 +228,6 @@ class Sweep:
                              for g in self.grids]
         return self._forcing
 
-    def _integral(self, grid, forcing: np.ndarray) -> np.ndarray:
-        """The window's forcing integral, kept once computed for a window
-        whose forcing rows are all frozen: its forcing is then the same bits
-        on every sweep."""
-        j = grid.index
-        integral = self._integrals[j]
-        if integral is None:
-            integral = grid.table.end_integral(forcing)
-            if self._frozen_windows[j]:
-                self._integrals[j] = integral
-        return integral
-
     def apply(self, traj: PiecewiseTrajectory, targets):
         """One application of the steered operator, one forward pass over
         the mesh, advancing ``traj`` in place: ``(update, norm, control)``,
@@ -281,26 +270,29 @@ class Sweep:
                                             traj.left_value_at_theta(j))
                 start = path[-1].copy()    # a kept start holds no impulse path
             else:
-                grid, solved = self.grids[j], self._solved[j]
+                grid = self.grids[j]
+                # a frozen window's forcing is the same bits on every sweep
+                kept = self._solved[j] if self._frozen_windows[j] else None
                 target = (None if targets is None
                           else np.asarray(targets[j], dtype=float).tobytes())
-                if (self._frozen_windows[j] and solved is not None
-                        and solved.target == target
-                        and np.abs(start - solved.start).max()
-                        <= grid.table.fft_error * np.abs(solved.start).max()):
+                if (kept is not None and kept.target == target
+                        and np.abs(start - kept.start).max()
+                        <= grid.table.fft_error * np.abs(kept.start).max()):
                     continue
                 self.window_solves += 1
                 F = forcings[j]
                 samples = preimage = None
+                integral = None if kept is None else kept.integral
                 if targets is not None:
-                    residual = steering_residual(start, targets[j], grid,
-                                                 self._integral(grid, F))
+                    if integral is None:
+                        integral = grid.table.end_integral(F)
+                    residual = steering_residual(start, targets[j], grid, integral)
                     samples, preimage = synthesize_control(problem, grid,
                                                            self.blocks[j], residual)
                     F = F + (samples if problem.identity_control
                              else samples @ problem.control_matrix.T)
                 path = grid.table.convolve(start, F)
-                self._solved[j] = _Solved(start, target, samples, preimage)
+                self._solved[j] = _Solved(start, target, integral, samples, preimage)
             if not np.all(np.isfinite(path)):
                 raise ValueError("segment contains non-finite entries")
             piece = traj.seg_values[k]

@@ -10,12 +10,12 @@ saturating integrand and drops the nonlocal coupling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import TimeMesh, build_time_mesh
+from .core import TimeMesh
 from .problems import (AssumptionConstants, ConvolutionKernel, Problem,
                        WeightedSampleNonlocal)
 from .semigroups import ShiftSemigroup
@@ -31,7 +31,7 @@ class TransportConfig:
 
     N: int = 64
     beta: float = 1.0
-    mesh: TimeMesh = field(default_factory=lambda: build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0))
+    mesh: TimeMesh = TimeMesh((0.0, 0.3, 0.5, 1.0))
     k0: float = 0.05
     a: float = 0.0
     alphas: tuple = (0.1,)

@@ -3,7 +3,7 @@ import pytest
 
 from evosteer.certificates import (certificate_for, contraction_constant,
                                    delay_ratio, solution_bound)
-from evosteer.core import build_time_mesh
+from evosteer.core import TimeMesh
 from evosteer.discretize import KernelDiscretization, interval_times
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
                                Problem)
@@ -93,7 +93,7 @@ class TestIntegroConstant:
 
     @staticmethod
     def _integro_problem(kappa, breakpoints):
-        mesh = build_time_mesh(breakpoints, breakpoints[-1])
+        mesh = TimeMesh(breakpoints)
         n = mesh.n_impulses
         return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
                        control_matrix=np.eye(1), mesh=mesh, beta=1.0,
@@ -146,7 +146,7 @@ class TestCertificatePipeline:
     def test_uses_realized_floors(self):
         rng = np.random.default_rng(40)
         A = rng.normal(size=(3, 3)) / 2.0
-        mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(3),
                        mesh=mesh, beta=1.0, history=lambda s: np.zeros(3),
                        impulses=(np.outer,),
@@ -215,7 +215,7 @@ def _reference_integro_solution_bound(K, M, b, control_sup, phi0_norm,
 
 class TestMergedIntegroCertificate:
     def test_matches_reference_formulas(self):
-        mesh = build_time_mesh([0.0, 0.25, 0.4, 0.6, 0.7, 0.9], 0.9)
+        mesh = TimeMesh([0.0, 0.25, 0.4, 0.6, 0.7, 0.9])
         rng = np.random.default_rng(41)
         A = rng.normal(size=(2, 2)) / 2.0
         K, M = 1.7, 1.3

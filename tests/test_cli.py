@@ -16,7 +16,7 @@ from scipy.linalg import expm
 from evosteer import cli, reports
 from evosteer.cli import main
 from evosteer.config import ConfigError, load_config
-from evosteer.core import PiecewiseTrajectory, build_time_mesh, path_sup_norm
+from evosteer.core import PiecewiseTrajectory, TimeMesh, path_sup_norm
 from evosteer.gramian import ControlSignal
 from evosteer.reports import (emit_control, emit_trajectory,
                               path_sup_norm_from_csv, read_trajectory_csv)
@@ -148,6 +148,38 @@ class TestConfigParsing:
             load_config(path)
         assert main(["solve", path]) == 2
         assert f"numerics.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("preset, anchor, line, named", [
+        # a misspelt key used to leave its default in force, unseen
+        ("transport-case1", "instants = 0.2\n", "instnats = 0.9\n",
+         "problem.instnats"),
+        ("transport-case1", "n = 64\n", "generator = 0 1; -1 0\n",
+         "problem.generator"),
+        ("linear-2d", "phi0 = 0.5 0\n", "n = 4\n", "problem.n"),
+        ("transport-case1", "breakpoints = 0 0.3 0.5 1.0\n",
+         "breakpoint = 0 0.4 0.6 1.0\n", "mesh.breakpoint"),
+        ("linear-2d", "breakpoints = 0 0.4 0.6 1.0\n", "b = 1.0\n", "mesh.b"),
+        ("transport-case2", "directory = out/case2\n", "dir = elsewhere\n",
+         "outputs.dir"),
+    ], ids=["preset-typo", "linear-key-in-preset", "preset-key-in-linear",
+            "mesh-typo", "mesh-b", "outputs"])
+    def test_unknown_key_in_any_section_is_named(self, tmp_path, capsys, preset,
+                                                  anchor, line, named):
+        text = (CONFIGS / f"{preset}.ini").read_text()
+        assert anchor in text
+        path = write(tmp_path, "k.ini", text.replace(anchor, anchor + line))
+        with pytest.raises(ConfigError, match=f"^{named}: unknown key$"):
+            load_config(path)
+        assert main(["certify", path]) == 2
+        assert capsys.readouterr().err == f"config error: {named}: unknown key\n"
+
+    def test_unknown_section_is_named(self, tmp_path, capsys):
+        text = (CONFIGS / "transport-case1.ini").read_text()
+        path = write(tmp_path, "s.ini", text + "\n[output]\ndirectory = elsewhere\n")
+        with pytest.raises(ConfigError, match=r"^\[output\]: unknown section$"):
+            load_config(path)
+        assert main(["certify", path]) == 2
+        assert capsys.readouterr().err == "config error: [output]: unknown section\n"
 
     @pytest.mark.parametrize("text, named", [
         ("n = 3\n[problem]\npreset = transport-case1\n", "no section headers"),
@@ -349,6 +381,36 @@ class TestCommands:
             assert "converged in 1 iteration;" in captured.out
         else:
             assert "no convergence after 1 iteration (" in captured.err
+
+    def test_unconverged_solve_still_writes_its_report(self, tmp_path, capsys,
+                                                       monkeypatch):
+        # the certificate, the Gramians and the solve's last update are
+        # written; the verdict and the CSV files are not
+        text = (CONFIGS / "transport-case1.ini").read_text().replace(
+            "max_iter = 200", "max_iter = 1")
+        path = write(tmp_path, "a.ini", text)
+        out = tmp_path / "out"
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+        reports = []
+        for _ in range(2):
+            assert main(["solve", path, "--no-timing"]) == 4
+            err = capsys.readouterr().err
+            assert err.startswith("solver error: no convergence after 1 iteration (")
+            assert err.count("\n") == 1
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert sorted(os.listdir(out)) == ["report.json"]
+        report = json.loads(reports[0])
+        assert list(report) == ["schema", "command", "seed", "config",
+                                "certificate", "gramians", "solve"]
+        assert report["config"]["numerics"]["max_iter"] == "1"
+        solve = report["solve"]
+        assert (solve["converged"], solve["iterations"]) == (False, 1)
+        assert solve["final_update"] > 0.0
+        assert solve["measured_ratio"] == 0.0
+        assert len(report["gramians"]["min_eig"]) == 2
+        assert main(["solve", path]) == 4
+        assert "solve_s" in json.loads((out / "report.json").read_text())["timings"]
 
     def test_freed_memory_is_released_after_each_command(self, tmp_path, capsys,
                                                           monkeypatch):
@@ -665,7 +727,7 @@ def synthetic_path(steps: int, dim: int):
     """A random path and control on the mesh 0 0.3 0.5 1, ``steps`` steps
     per unit time, every value drawn at full precision."""
     rng = np.random.default_rng(5)
-    mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
     seg_times = [np.linspace(a, end, round(steps * (end - a)) + 1)
                  for a, end, _, _ in mesh.intervals()]
     traj = PiecewiseTrajectory(mesh, 1.0, rng.normal(size=(129, dim)), seg_times,

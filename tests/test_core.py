@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evosteer.core import (PiecewiseTrajectory, build_time_mesh, history_segment,
+from evosteer.core import (PiecewiseTrajectory, TimeMesh, history_segment,
                            path_sup_norm, segment_norm, sup_distance)
 
 
@@ -28,14 +28,33 @@ def rebuilt(path, seg_values=None):
 
 
 class TestTimeMesh:
+    @pytest.mark.parametrize("points, b, lam, windows, intervals", [
+        ([0, 0.4], 0.4, (0.0,), [(0.0, 0.4)], [(0.0, 0.4, "control", 0)]),
+        ([0, 0.3, 0.5, 1], 1.0, (0.0, 0.5), [(0.0, 0.3), (0.5, 1.0)],
+         [(0.0, 0.3, "control", 0), (0.3, 0.5, "impulse", 1),
+          (0.5, 1.0, "control", 1)]),
+        ([0, 0.2, 0.3, 0.6, 0.7, 2], 2.0, (0.0, 0.3, 0.7),
+         [(0.0, 0.2), (0.3, 0.6), (0.7, 2.0)],
+         [(0.0, 0.2, "control", 0), (0.2, 0.3, "impulse", 1),
+          (0.3, 0.6, "control", 1), (0.6, 0.7, "impulse", 2),
+          (0.7, 2.0, "control", 2)]),
+    ], ids=["no-impulse", "one-impulse", "two-impulses"])
+    def test_breakpoints_give_the_windows(self, points, b, lam, windows, intervals):
+        mesh = TimeMesh(points)
+        assert mesh.points == tuple(float(p) for p in points)
+        assert all(type(p) is float for p in mesh.points)
+        assert (mesh.b, mesh.lam, mesh.n_impulses) == (b, lam, len(lam) - 1)
+        assert mesh.control_windows() == windows
+        assert mesh.intervals() == intervals
+
     def test_no_impulse(self):
-        mesh = build_time_mesh([0.0, 0.4], 0.4)
+        mesh = TimeMesh([0.0, 0.4])
         assert mesh.n_impulses == 0
         assert mesh.control_windows() == [(0.0, 0.4)]
         assert mesh.intervals() == [(0.0, 0.4, "control", 0)]
 
     def test_one_impulse(self):
-        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
         assert mesh.n_impulses == 1
         assert mesh.control_windows() == [(0.0, 0.3), (0.5, 1.0)]
         assert mesh.intervals()[1] == (0.3, 0.5, "impulse", 1)
@@ -44,31 +63,41 @@ class TestTimeMesh:
 
     def test_interleaving_violation(self):
         with pytest.raises(ValueError, match="interleave"):
-            build_time_mesh([0.0, 0.5, 0.4, 1.0], 1.0)
+            TimeMesh([0.0, 0.5, 0.4, 1.0])
 
     def test_endpoint_mismatch(self):
-        with pytest.raises(ValueError, match="horizon"):
-            build_time_mesh([0.0, 0.3, 0.5, 0.9], 1.0)
-        with pytest.raises(ValueError):
-            build_time_mesh([0.1, 0.3, 0.5, 1.0], 1.0)
+        with pytest.raises(ValueError, match="first breakpoint must be 0"):
+            TimeMesh([0.1, 0.3, 0.5, 1.0])
 
     def test_empty_and_nonpositive_horizon(self):
-        with pytest.raises(ValueError):
-            build_time_mesh([], 1.0)
-        with pytest.raises(ValueError):
-            build_time_mesh([0.0, 1.0], -1.0)
+        with pytest.raises(ValueError, match="even length"):
+            TimeMesh([])
+        with pytest.raises(ValueError, match="interleave"):
+            TimeMesh([0.0, -1.0])
+
+    @pytest.mark.parametrize("points, named", [
+        ([0.0], "even length"),
+        ([0.0, 0.3, 1.0], "even length"),
+        ([0.0, 0.5, 0.5, 1.0], "interleave"),
+        ([0.0, 0.0], "interleave"),
+        ([0.0, 0.3, float("nan"), 1.0], "interleave"),
+        ([0.0, float("inf")], "interleave"),
+    ], ids=["one-point", "odd-length", "repeated", "zero-horizon", "nan", "inf"])
+    def test_more_refusals(self, points, named):
+        with pytest.raises(ValueError, match=named):
+            TimeMesh(points)
 
 
 class TestHistorySegment:
     def test_at_zero_equals_history(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: 2.0 * t)
         seg = history_segment(traj, [0.0], np.linspace(-1.0, 0.0, 65))[0]
         np.testing.assert_allclose(seg[:, 0],
                                    2.0 * np.linspace(-1.0, 0.0, 65), atol=1e-12)
 
     def test_constant_trajectory(self):
-        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
         traj = make_traj(mesh, 0.5, lambda t: 3.0)
         segs = history_segment(traj, [0.0, 0.3, 0.41, 0.99],
                                np.linspace(-0.5, 0.0, 33))
@@ -78,7 +107,7 @@ class TestHistorySegment:
     def test_ramp_with_zero_history(self):
         # phi == 0 on [-1, 0], x(s) = s on [0, b]: the segment at t = 0.5 is
         # max(0, 0.5 + kappa) evaluated on the offset grid
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: t, hist_fn=lambda t: 0.0, steps=1000)
         kappas = np.linspace(-1.0, 0.0, 101)
         seg = history_segment(traj, [0.5], kappas)[0]
@@ -86,7 +115,7 @@ class TestHistorySegment:
                                    atol=1e-12)
 
     def test_offset_zero_is_left_limit(self):
-        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: t)
         # overwrite the impulse interval with a jump
         traj.seg_values[1][:] = 9.0
@@ -94,7 +123,7 @@ class TestHistorySegment:
         assert seg[-1, 0] == pytest.approx(0.3, abs=1e-12)
 
     def test_base_time_out_of_range(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: t)
         with pytest.raises(ValueError):
             history_segment(traj, [0.5, -0.1], (0.0,))
@@ -134,7 +163,7 @@ class TestSegmentNorm:
 
 class TestPathNorms:
     def test_zero_and_jump(self):
-        mesh = build_time_mesh([0.0, 0.5, 0.6, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.5, 0.6, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: 0.0)
         assert path_sup_norm(traj) == 0.0
         vals = [v.copy() for v in traj.seg_values]
@@ -144,13 +173,13 @@ class TestPathNorms:
         assert path_sup_norm(rebuilt(traj, vals)) == 3.0
 
     def test_sine_peak(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: np.sin(np.pi * t), steps=100)
         assert path_sup_norm(traj) == pytest.approx(1.0, abs=1e-12)
 
     def test_norm_axioms_on_random_paths(self):
         rng = np.random.default_rng(3)
-        mesh = build_time_mesh([0.0, 0.4, 0.5, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.4, 0.5, 1.0])
         for _ in range(20):
             x = make_traj(mesh, 1.0, lambda t: rng.normal(), dim=1)
             y = make_traj(mesh, 1.0, lambda t: rng.normal(), dim=1)
@@ -178,7 +207,7 @@ class TestPathNorms:
 
 class TestEvaluation:
     def test_left_limit_convention_at_breakpoints(self):
-        mesh = build_time_mesh([0.0, 0.5, 0.6, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.5, 0.6, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: t)
         vals = [v.copy() for v in traj.seg_values]
         vals[1][:] = -7.0  # impulse interval carries a jump
@@ -189,13 +218,13 @@ class TestEvaluation:
         assert traj.value(0.6 + 1e-9)[0] == pytest.approx(0.6)
 
     def test_history_side_of_zero(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: t + 1.0, hist_fn=lambda t: t)
         assert traj.value(0.0)[0] == pytest.approx(0.0)       # phi(0)
         assert traj.value(1e-9)[0] == pytest.approx(1.0)      # jump to x(0+)
 
     def test_out_of_domain(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: t)
         with pytest.raises(ValueError):
             traj.value(1.2)
@@ -205,14 +234,14 @@ class TestEvaluation:
             traj.values([0.5, np.nan])
 
     def test_sup_distance_matches_manual(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         x = make_traj(mesh, 1.0, lambda t: t)
         y = make_traj(mesh, 1.0, lambda t: t * t)
         manual = max(abs(t - t * t) for t in np.linspace(0, 1, 65))
         assert sup_distance(x, y) == pytest.approx(manual, rel=1e-12)
 
     def test_rejects_nonfinite(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         traj = make_traj(mesh, 1.0, lambda t: t)
         bad = [v.copy() for v in traj.seg_values]
         bad[0][3, 0] = np.nan
@@ -251,7 +280,7 @@ class TestOneInterpolationPath:
     """The stacked path reads exactly as the per-interval storage did."""
 
     beta = 0.6
-    mesh = build_time_mesh([0.0, 0.3, 0.45, 0.7, 0.8, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 0.3, 0.45, 0.7, 0.8, 1.0])
 
     def _parts(self):
         rng = np.random.default_rng(5)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from evosteer import discretize
-from evosteer.core import build_time_mesh
+from evosteer.core import TimeMesh
 from evosteer.discretize import (KernelDiscretization, build_window_grids,
                                  eta_values, interval_times)
 from evosteer.oracle import oracle_linear
@@ -27,7 +27,7 @@ def test_trapezoid_weights_sum_to_length():
 
 
 def test_window_grids_share_breakpoints():
-    mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
     prob = Problem(semigroup=MatrixSemigroup(np.zeros((2, 2))),
                    control_matrix=np.eye(2), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2),
@@ -42,7 +42,7 @@ def test_window_grids_share_breakpoints():
 
 
 def _kernel_problem(kappa, q, mesh=None, dim=1):
-    mesh = mesh or build_time_mesh([0.0, 0.4, 0.5, 1.0], 1.0)
+    mesh = mesh or TimeMesh([0.0, 0.4, 0.5, 1.0])
     impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = AssumptionConstants(
         impulse_lipschitz=tuple(0.5 for _ in range(mesh.n_impulses)),
@@ -108,7 +108,7 @@ class TestKernelDiscretization:
 
     def test_inner_convolution_at_nodes(self):
         # kappa == 1: q == 1 gives t at t = 0.5, q == 0 gives exactly 0 at 0.7
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         num = Numerics(time_step=1e-2, history_samples=8)
         ones = lambda s: np.ones_like(np.asarray(s))
         prob = _kernel_problem(ones, lambda t, v: np.ones_like(v), mesh=mesh)
@@ -139,7 +139,7 @@ class TestKernelDiscretization:
     def test_volterra_product_matches_dense_reference(self, breakpoints,
                                                       time_step, kappa, any_dense):
         # two impulses, dim 2; q differs per node and per component
-        mesh = build_time_mesh(breakpoints, 1.0)
+        mesh = TimeMesh(breakpoints)
         prob = _kernel_problem(kappa, lambda t, v: np.stack([np.sin(7.0 * t),
                                                              np.cos(3.0 * t) - t],
                                                             axis=1),
@@ -162,7 +162,7 @@ class TestKernelDiscretization:
                          (4, 0), (4, 1), (4, 3)}),
     ], ids=["bench-2.5e-4", "bench-1e-4", "unequal"])
     def test_dense_pairs_only_for_unequal_steps(self, breakpoints, time_step, dense):
-        mesh = build_time_mesh(breakpoints, 1.0)
+        mesh = TimeMesh(breakpoints)
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
                                lambda t, v: np.zeros_like(v), mesh=mesh)
         kern = KernelDiscretization(prob, Numerics(time_step=time_step))
@@ -172,7 +172,7 @@ class TestKernelDiscretization:
 
     def test_kernel_size_limit(self, monkeypatch):
         # only the dense blocks of unequal-step pairs count toward the limit
-        mesh = build_time_mesh(UNEQUAL, 1.0)
+        mesh = TimeMesh(UNEQUAL)
         prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
                                lambda t, v: np.zeros_like(v), mesh=mesh)
         num = Numerics(time_step=0.03, history_samples=8)
@@ -205,7 +205,7 @@ class TestKernelDiscretization:
         assert peak < 64 * 2 ** 20
 
     def test_requires_kernel(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
                        control_matrix=[[1.0]], mesh=mesh, beta=1.0,
                        history=lambda s: np.zeros(1))
@@ -214,7 +214,7 @@ class TestKernelDiscretization:
 
 
 def test_eta_values_zero_without_nonlinearity():
-    mesh = build_time_mesh([0.0, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 1.0])
     prob = Problem(semigroup=MatrixSemigroup(np.zeros((2, 2))),
                    control_matrix=np.eye(2), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2))
@@ -227,7 +227,7 @@ def test_eta_values_zero_without_nonlinearity():
 @pytest.mark.parametrize("variant", ["semilinear", "integro"])
 def test_one_grid_per_interval(variant):
     # two impulses; unequal step counts, three of them raised to MIN_STEPS = 8
-    mesh = build_time_mesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0])
     prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)),
                            lambda t, v: v, mesh=mesh, dim=2)
     if variant == "semilinear":
@@ -267,7 +267,7 @@ def _mixed_delay_case(variant, fn, beta=0.25):
     nodes up to 0.25 read the history, later ones the live path, and
     t - beta hits the breakpoints 0.25 and 0.5 exactly.  The path is random
     on every interval, so each breakpoint carries a jump."""
-    mesh = build_time_mesh([0.0, 0.25, 0.5, 1.0], 1.0)
+    mesh = TimeMesh([0.0, 0.25, 0.5, 1.0])
     prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)), fn,
                            mesh=mesh, dim=2)
     prob = dataclasses.replace(prob, beta=beta,

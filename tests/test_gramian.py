@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve, eigvalsh_tridiagonal, expm
 
 from evosteer.certificates import control_bound
 from evosteer.config import load_config
-from evosteer.core import build_time_mesh
+from evosteer.core import TimeMesh
 from evosteer.discretize import (KernelDiscretization, WindowGrid,
                                  build_window_grids, eta_values)
 from evosteer.gramian import (ControlSignal, GramianBlock, NotInvertibleError,
@@ -119,7 +119,7 @@ class TestAssembly:
         with pytest.raises(ValueError, match="control matrix"):
             assemble_gramian(ShiftSemigroup(12), B, (0.0, 1.0), 13)
         prob = Problem(semigroup=ShiftSemigroup(12), control_matrix=B,
-                       mesh=build_time_mesh([0.0, 1.0], 1.0), beta=1.0,
+                       mesh=TimeMesh([0.0, 1.0]), beta=1.0,
                        history=lambda s: np.zeros(12))
         with pytest.raises(ValueError, match="control matrix"):
             assemble_all(prob, Numerics(time_step=1e-2))
@@ -414,7 +414,7 @@ class TestResiduals:
     def test_zero_defect_when_target_is_free_evolution(self):
         rng = np.random.default_rng(24)
         A = rng.normal(size=(3, 3)) / 2.0
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         phi0 = rng.normal(size=3)
         prob = linear_problem(A, np.eye(3), mesh, phi0)
         num = Numerics(time_step=1e-3)
@@ -427,7 +427,7 @@ class TestResiduals:
 
     def test_constant_forcing_closed_form(self):
         # A = 0, phi(0) = 0, eta == c on (0, 1]: residual = z - c
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         c = 0.3
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0],
                               nonlinearity=lambda t, v: np.full_like(v, c))
@@ -443,7 +443,7 @@ class TestResiduals:
         # T(theta_2 - lam_1) applied to lam_1 * x(theta_1-)
         rng = np.random.default_rng(25)
         A = rng.normal(size=(2, 2)) / 2.0
-        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
         prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2], impulses=(np.outer,),
                               constants=AssumptionConstants(
                                   impulse_lipschitz=(0.5,), impulse_sup=(1.0,)))
@@ -460,7 +460,7 @@ class TestResiduals:
     def test_kernel_residual_closed_form(self):
         # kappa == 1, q == 1, A = 0, window (0, 1]: inner integral tau,
         # outer integral 1/2
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         kernel = ConvolutionKernel(kappa=lambda s: np.ones_like(np.asarray(s)),
                                    q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.25],
@@ -476,7 +476,7 @@ class TestResiduals:
         # q == 0: the residual is target minus the free evolution of phi(0)
         rng = np.random.default_rng(26)
         A = rng.normal(size=(2, 2)) / 2.0
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         phi0 = rng.normal(size=2)
         kernel = ConvolutionKernel(kappa=lambda s: np.asarray(s, dtype=float),
                                    q=lambda t, v: np.zeros_like(v))
@@ -492,7 +492,7 @@ class TestResiduals:
 
 class TestControl:
     def test_zero_residual_zero_control(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.0, 0.0])
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
         u = _control(prob, grids, blocks, [np.zeros(2)]).value(0.5)
@@ -500,7 +500,7 @@ class TestControl:
 
     def test_scalar_constant_control(self):
         # A = 0, B = 1, window (0, 1]: Gramian is 1, so u == residual
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0])
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
         control = _control(prob, grids, blocks, [np.array([2.5])])
@@ -508,7 +508,7 @@ class TestControl:
             assert control.value(theta)[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_off_control_windows(self):
-        mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0],
                               impulses=(lambda th, x: 0.0 * np.outer(th, x),),
                               constants=AssumptionConstants(
@@ -530,7 +530,7 @@ class TestControl:
             T, B = ShiftSemigroup(64), np.eye(64)
         phi0 = rng.normal(size=T.dim)
         prob = Problem(semigroup=T, control_matrix=B,
-                       mesh=build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0),
+                       mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]),
                        beta=1.0, history=lambda s: phi0,
                        impulses=(np.outer,),
                        constants=AssumptionConstants(impulse_lipschitz=(1.0,),
@@ -551,7 +551,7 @@ class TestWindowStart:
         ("impulse", 1, [0.5, -1.0]),          # lam_1 * x(theta_1-)
     ], ids=["first-nonlocal", "first-integro", "impulse"])
     def test_window_start(self, case, j, expected):
-        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
         kwargs = {}
         if case == "first-nonlocal":
             kwargs["nonlocal_term"] = WeightedSampleNonlocal([0.1], [0.2])
@@ -580,7 +580,7 @@ class TestWindowStart:
         rng = np.random.default_rng(44)
         if backend == "matrix":
             prob = linear_problem(rng.normal(size=(3, 3)), np.eye(3),
-                                  build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0),
+                                  TimeMesh([0.0, 0.3, 0.5, 1.0]),
                                   rng.normal(size=3), impulses=(np.outer,),
                                   constants=AssumptionConstants(
                                       impulse_lipschitz=(0.5,), impulse_sup=(1.0,)))
@@ -601,8 +601,8 @@ class TestWindowStart:
 
 class TestControlBound:
     def _problem(self, nonlocal_sup=0.0, impulse_sup=()):
-        mesh = (build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0) if impulse_sup
-                else build_time_mesh([0.0, 1.0], 1.0))
+        mesh = (TimeMesh([0.0, 0.4, 0.6, 1.0]) if impulse_sup
+                else TimeMesh([0.0, 1.0]))
         impulses = ((lambda th, x: 0.0 * np.outer(th, x),)
                     if impulse_sup else ())
         constants = AssumptionConstants(

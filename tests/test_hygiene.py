@@ -191,3 +191,23 @@ def test_every_problem_and_numerics_field_is_set_outside_the_tests():
     unset = [f"{cls.__name__}.{f.name}" for cls in (Problem, Numerics)
              for f in dataclasses.fields(cls) if f.name not in passed[cls.__name__]]
     assert not unset, f"fields only the tests set: {unset}"
+
+
+def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
+    """Every shipped config and one generated input per benchmark workload
+    loads under the config's unknown-key check: a parser change cannot turn
+    a benchmark run into a failed one.  ``bench/workloads.py`` is imported
+    as the benchmark imports it, and only read."""
+    import importlib
+    from evosteer.config import load_config
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
+    paths = sorted((ROOT / "configs").glob("*.ini"))
+    assert len(paths) == 3
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        path = tmp_path / f"{name}.ini"
+        path.write_text(workload.instance(1, 0, tmp_path).ini)
+        paths.append(path)
+    for path in paths:
+        load_config(str(path))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from evosteer.config import load_config
-from evosteer.core import build_time_mesh
+from evosteer.core import TimeMesh
 from evosteer.discretize import interval_times
 from evosteer.oracle import oracle_linear
 from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
@@ -97,7 +97,7 @@ def linear_problem(A, mesh, phi0, B=None):
 class TestOracle:
     def test_constant_control_integral(self):
         # A = 0, B = 1, u == z on (0, 1]: x(1) = z
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
         num = Numerics(time_step=1e-3)
         report = picard_solve(Sweep(prob, num), [np.array([2.5])])
@@ -105,7 +105,7 @@ class TestOracle:
         assert abs(res.trajectory.seg_values[0][-1, 0] - 2.5) <= 1e-10
 
     def test_free_scalar_exponential(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         a = -0.8
         prob = linear_problem([[a]], mesh, [1.0])
         num = Numerics(time_step=2e-3)
@@ -118,7 +118,7 @@ class TestOracle:
                                    np.exp(a * t), atol=1e-8)
 
     def test_rotation_preserves_norm_with_zero_control(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         A = np.array([[0.0, 1.0], [-1.0, 0.0]])
         prob = linear_problem(A, mesh, [1.0, 0.0])
         num = Numerics(time_step=1e-3)
@@ -132,7 +132,7 @@ class TestOracle:
     def test_agrees_with_solver_through_impulse(self):
         rng = np.random.default_rng(60)
         A = rng.normal(size=(3, 3)) / 2.0
-        mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
         prob = linear_problem(A, mesh, rng.normal(size=3) / 2.0)
         num = Numerics(time_step=2e-4)
         targets = [rng.normal(size=3), rng.normal(size=3)]
@@ -143,7 +143,7 @@ class TestOracle:
     def test_step_matrix_matches_rk4_stages(self):
         rng = np.random.default_rng(61)
         A = rng.normal(size=(3, 3)) / 2.0
-        mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
         prob = linear_problem(A, mesh, rng.normal(size=3) / 2.0)
         # coarse steps, so that a wrong Taylor coefficient shows above 1e-11
         num = Numerics(time_step=0.05, oracle_refine=2)
@@ -163,7 +163,7 @@ class TestOracle:
             cfg = load_config(str(CONFIGS / "linear-2d.ini"))
             prob, targets, num = cfg.problem, cfg.targets, cfg.numerics
         else:
-            mesh = build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+            mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
             prob = linear_problem([[-5.0, 100.0], [0.0, -5.0]], mesh, [1.0, -0.5])
             targets = [np.array([0.5, 0.2]), np.array([-0.3, 0.1])]
             num = Numerics(time_step=2e-4)
@@ -177,7 +177,7 @@ class TestOracle:
             assert np.abs(g - w).max() <= 1e-12 * scale
 
     def test_rejects_nonlinear(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
         prob.nonlinearity = lambda t, v: np.zeros_like(v)
         num = Numerics(time_step=1e-2)
@@ -185,7 +185,7 @@ class TestOracle:
             oracle_linear(prob, None, None, num)
 
     def test_rejects_kernel_and_shift_backend(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
         prob.kernel = ConvolutionKernel(kappa=lambda s: s,
                                         q=lambda t, v: np.zeros_like(v))

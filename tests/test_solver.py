@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from evosteer.core import (PiecewiseTrajectory, build_time_mesh, path_sup_norm,
+from evosteer.core import (PiecewiseTrajectory, TimeMesh, path_sup_norm,
                            sup_distance)
 from evosteer.discretize import eta_values
 from evosteer.gramian import (ControlSignal, NotInvertibleError, gramian_solve,
@@ -30,7 +30,7 @@ def make_problem(A=None, dim=2, mesh=None, phi0=None, beta=1.0, impulses=None,
                  **kwargs):
     A = np.zeros((dim, dim)) if A is None else np.asarray(A, dtype=float)
     dim = A.shape[0]
-    mesh = mesh or build_time_mesh([0.0, 0.4, 0.6, 1.0], 1.0)
+    mesh = mesh or TimeMesh([0.0, 0.4, 0.6, 1.0])
     phi0 = np.zeros(dim) if phi0 is None else np.asarray(phi0, dtype=float)
     if impulses is None:
         impulses = tuple(np.outer for _ in range(mesh.n_impulses))
@@ -48,7 +48,7 @@ class TestOperator:
         # steered solution, a second changes nothing
         rng = np.random.default_rng(30)
         A = rng.normal(size=(3, 3)) / 2.0
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = make_problem(A, mesh=mesh, phi0=rng.normal(size=3))
         targets = [rng.normal(size=3)]
         num = Numerics(time_step=2e-3)
@@ -72,7 +72,7 @@ class TestOperator:
 
     def test_uncontrolled_constant_forcing(self):
         # A = 0, phi == 1, eta == c, no impulse, no control: x(t) = 1 + c t
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         c = 0.25
         prob = make_problem(dim=1, mesh=mesh, phi0=[1.0],
                             nonlinearity=lambda t, v: np.full_like(v, c))
@@ -97,7 +97,7 @@ class TestOperator:
 class TestPicard:
     def test_linear_converges_fast(self):
         rng = np.random.default_rng(32)
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = make_problem(rng.normal(size=(4, 4)) / 2.0, mesh=mesh,
                             phi0=rng.normal(size=4))
         report = picard_solve(Sweep(prob, Numerics(time_step=1e-3)),
@@ -176,7 +176,7 @@ class TestPieces:
             calls.append(len(times))
             return np.outer(times, x)
 
-        mesh = build_time_mesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0])
         prob = make_problem(mesh=mesh, phi0=[0.3, 0.1], impulses=(impulse, impulse))
         sweep = Sweep(prob, Numerics(time_step=1e-2))
         traj = sweep.initial_iterate()
@@ -200,7 +200,7 @@ class TestPieces:
         assert np.any(report.control.value(0.2) != 0.0)
 
     def test_nonlocal_zero_and_weighted(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = make_problem(dim=1, mesh=mesh, phi0=[2.0])
         num = Numerics(time_step=1e-2, history_samples=8)
         report = picard_solve(Sweep(prob, num), None)
@@ -210,7 +210,7 @@ class TestPieces:
 
     def test_weighted_nonlocal_lipschitz(self):
         rng = np.random.default_rng(33)
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         nl = WeightedSampleNonlocal([0.1, -0.3, 0.05], [0.2, 0.5, 0.9])
         assert nl.lipschitz == pytest.approx(0.45)
         prob = make_problem(dim=2, mesh=mesh)
@@ -224,7 +224,7 @@ class TestPieces:
             assert gap <= nl.lipschitz * sup_distance(x, y) + 1e-12
 
     def test_nonlocal_instant_validation(self):
-        mesh = build_time_mesh([0.0, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 1.0])
         prob = make_problem(dim=1, mesh=mesh)
         num = Numerics(time_step=1e-2, history_samples=8)
         base = picard_solve(Sweep(prob, num), None).trajectory
@@ -272,7 +272,7 @@ class TestVerifyTargets:
 
     def test_two_impulse_pipeline(self):
         rng = np.random.default_rng(38)
-        mesh = build_time_mesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0])
         A = rng.normal(size=(3, 3)) / 2.0
         prob = make_problem(A, mesh=mesh, phi0=rng.normal(size=3) / 2.0)
         targets = [rng.normal(size=3) for _ in range(3)]
@@ -293,7 +293,7 @@ class TestVerifyTargets:
 
     def test_two_impulse_transport_case1(self):
         from evosteer.transport import TransportConfig, build_case1
-        mesh = build_time_mesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0])
         cfg = TransportConfig(N=16, mesh=mesh)
         prob = build_case1(cfg)
         assert len(prob.impulses) == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from evosteer.core import build_time_mesh, sup_distance
+from evosteer.core import TimeMesh, sup_distance
 from evosteer.discretize import KernelDiscretization
 from evosteer.problems import Numerics
 from evosteer.semigroups import ShiftSemigroup
@@ -183,7 +183,7 @@ class TestDelaySensitivity:
         # beta = 2 with horizon 1: the forcing reads offsets in (-2, -1],
         # so perturbing phi inside (-1, 0) must not move the solution,
         # while perturbing near -2 must
-        mesh = build_time_mesh([0.0, 0.3, 0.5, 1.0], 1.0)
+        mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
         cfg = TransportConfig(N=12, beta=2.0, mesh=mesh, alphas=(),
                               instants=())
         base = build_case1(cfg)
