@@ -22,10 +22,12 @@ running kernel convolution and drops the nonlocal term.
 
 The fixed point is reached from any first iterate, which sets only how many
 sweeps reach it, and every iterate the operator returns ends each control
-window on its target.  The iteration starts from such a path, each control
-window on the straight line from its start to its target
-(:meth:`Sweep.initial_iterate`), so that a nonlocal term first reads the
-first window near the solved path.
+window on its target.  The iteration starts from such a path
+(:meth:`Sweep.initial_iterate`): on the shift backend each control window
+runs on its unforced continuum minimum-energy path to its target
+(:meth:`semigroups.ShiftLagTable.min_energy_path`), which the steering
+bends little, and on the matrix backend on the straight line to it, so
+that a nonlocal term first reads the first window near the solved path.
 
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
@@ -60,19 +62,19 @@ from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
                       steering_residual, synthesize_control, window_start)
 from .problems import Numerics, Problem
+from .semigroups import ShiftLagTable
 
 
 class NonConvergenceError(Exception):
     """Picard iteration exhausted max_iter without meeting the tolerance.
 
-    Carries the solve's report and its measured update ratio so the caller
-    can compare it with the contraction certificate; :func:`runner.run` adds
+    Carries the solve's report, whose measured update ratio the caller can
+    compare with the contraction certificate; :func:`runner.run` adds
     ``run``, the run up to the solve.
     """
 
     def __init__(self, report: "SolveReport"):
         self.report = report
-        self.measured_ratio = report.measured_ratio
         super().__init__(
             f"no convergence after {report.iterations_text()} "
             f"(last update {report.final_update:.3e}, "
@@ -167,15 +169,21 @@ class Sweep:
         window 0 starts at phi(0) + nu of the flat extension of phi(0), each
         impulse window is its impulse map of the previous window's last
         sample, and the next control window starts at that impulse window's
-        last sample.  With ``targets``, each control window runs on the
-        straight line from its start to its target, which it ends on exactly,
-        as every iterate the steered operator returns ends it; without, each
-        control window stays at its start.  The lines serve only a nonlocal
-        term, which then reads window 0 near the path the steering bends,
-        and the size of the first update: a sweep starts each later window
-        from the path it is advancing, whatever the first iterate.  No
-        interval of it holds a solved path, so the sweep forgets the windows
-        it kept."""
+        last sample.  With ``targets``, each control window ends exactly on
+        its target, as every iterate the steered operator returns ends it,
+        and runs on the straight line from its start to it.  On the shift
+        backend the window then runs instead on its unforced continuum
+        minimum-energy path (:meth:`ShiftLagTable.min_energy_path`), the
+        steered path but for the forcing and the discretization, with
+        window 0 restarted at phi(0) + nu of the line, which lies nearer
+        the solved path than the flat extension.  A run that stops after
+        one sweep (``one_sweep``) keeps the lines: only its first update,
+        which it discards, reads them.  Without targets each control window
+        stays at its start.  The paths serve only a nonlocal term, which
+        then reads window 0 near the path the steering bends, and the size
+        of the first update: a sweep starts each later window from the path
+        it is advancing, whatever the first iterate.  No interval of it
+        holds a solved path, so the sweep forgets the windows it kept."""
         problem = self.problem
         traj = PiecewiseTrajectory(
             problem.mesh, problem.beta,
@@ -183,6 +191,8 @@ class Sweep:
             [np.tile(problem.phi0(), (len(t), 1)) for t in self.seg_times],
             weight=problem.state_weight)
         start = window_start(problem, traj)
+        continuum = (isinstance(self.grids[0].table, ShiftLagTable)
+                     and not self.one_sweep)
         for k, (a, end, kind, j) in enumerate(self.intervals):
             times, piece = self.seg_times[k], traj.seg_values[k]
             if kind == "impulse":
@@ -191,10 +201,16 @@ class Sweep:
             elif targets is None:
                 piece[...] = start
             else:
-                # s runs from exactly 0 to exactly 1 (linspace stores both
-                # ends), so the line starts on ``start`` and ends on the target
-                s = ((times - a) / (end - a))[:, None]
-                piece[...] = (1.0 - s) * start + s * np.asarray(targets[j], dtype=float)
+                target = np.asarray(targets[j], dtype=float)
+                if not continuum or j == 0:
+                    # s runs from exactly 0 to exactly 1 (linspace stores both
+                    # ends), so the line starts on ``start`` and ends on the target
+                    s = ((times - a) / (end - a))[:, None]
+                    piece[...] = (1.0 - s) * start + s * target
+                if continuum:
+                    if j == 0:    # nu reads the line
+                        start = window_start(problem, traj)
+                    piece[...] = self.grids[j].table.min_energy_path(start, target)
         self._solved = [None] * len(self.grids)
         return traj
 
@@ -314,8 +330,9 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     """Iterate the sweep's steered operator to its fixed point.
 
     Starts from ``sweep.initial_iterate(targets)``: with targets, each
-    control window runs on the straight line to its target, which it ends
-    on, as in every iterate the operator returns.  Stops when the
+    control window runs on its continuum minimum-energy path (shift
+    backend) or the straight line (matrix backend) to its target, which it
+    ends on, as in every iterate the operator returns.  Stops when the
     sup-norm update drops below ``numerics.tol`` relative to the iterate
     scale, or after the first sweep when the next would read exactly what
     it read (``Sweep.one_sweep``): without a nonlocal term the first

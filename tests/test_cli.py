@@ -21,6 +21,7 @@ from evosteer.gramian import ControlSignal
 from evosteer.reports import (emit_control, emit_trajectory,
                               path_sup_norm_from_csv, read_trajectory_csv)
 from evosteer.runner import run
+from evosteer.solver import Sweep
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -104,6 +105,51 @@ class TestConfigParsing:
         assert K >= max(norms)
         if sup_norm == 1.0:
             assert K == 1.0
+        else:
+            # the log-norm bound e^{b mu_2(A)} alone gave 3.49e19
+            assert K <= 7.71
+
+    @pytest.mark.parametrize("generator, mu", [
+        ("-5 100; 0 -5", 45.0), ("0.3 0; 0 -1", 0.3)], ids=["non-normal", "normal"])
+    def test_linear_semigroup_bound_is_the_smaller_bound(self, tmp_path,
+                                                         generator, mu):
+        # K = min(e^{b mu}, max_k |e^{t_k A}|_2 e^{h mu} (1 + 1e-9)), mu =
+        # max(0, mu_2(A)), t_k = k h, h = b / 1024: the sampled bound for
+        # the non-normal generator, within 1e-9 of it from the samples taken
+        # one by one; the whole-interval bound, exactly, for a normal
+        # generator, whose samples peak at e^{b mu}
+        text = LINEAR_CFG.format(out=tmp_path / "o").replace(
+            "generator = 0 1; -1 0", f"generator = {generator}")
+        cfg = load_config(write(tmp_path, "k.ini", text))
+        A, b = cfg.problem.semigroup.A, cfg.problem.mesh.b
+        K = cfg.problem.constants.semigroup_bound
+        h = b / 1024
+        sampled = max(np.linalg.norm(expm(k * h * A), 2)
+                      for k in range(1025)) * np.exp(h * mu)
+        if mu == 45.0:
+            assert sampled < K <= sampled * (1.0 + 2e-9)
+        else:
+            assert K == np.exp(b * mu) < sampled
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 5.0, 50.0])
+    def test_linear_semigroup_bound_skips_only_runs_below_the_max(self, scale):
+        # the norms skipped in runs of 16 samples change no bit of K: it is
+        # the formula over every one of the 1025 samples
+        from evosteer.config import _semigroup_bound
+        from evosteer.semigroups import expm as own_expm, powers
+        rng = np.random.default_rng(int(scale * 10))
+        for d in range(2, 7):
+            A = scale * rng.normal(size=(d, d)) / np.sqrt(d)
+            mu = max(0.0, np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+            M = powers(own_expm(A / 1024), 1024, np.eye(d))
+            every = np.sqrt(np.linalg.eigvalsh(M.transpose(0, 2, 1) @ M)[:, -1]).max()
+            want = min(np.exp(mu), every * (1.0 + 1e-9) * np.exp(mu / 1024))
+            assert _semigroup_bound(A, 1.0) == want
+
+    def test_shipped_linear_preset_keeps_k_of_one(self):
+        # a rotation: mu_2(A) = 0, so K = e^0 = 1 exactly
+        cfg = load_config(str(CONFIGS / "linear-2d.ini"))
+        assert cfg.problem.constants.semigroup_bound == 1.0
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
@@ -350,6 +396,36 @@ class TestCommands:
         assert solve["frozen_forcing_rows"] == frozen
         assert solve["window_solves"] == solves(solve["iterations"])
         assert solve["iterations"] == (7 if preset == "transport-case1" else 1)
+
+    @pytest.mark.parametrize("preset, nodes, iterations", [
+        # Case 1's eta rows on the 151 + 251 control-window nodes, Case 2's
+        # q rows on all 151 + 101 + 251 kernel nodes; 126 of either lie at
+        # t <= beta = 0.25
+        ("transport-case1", 402, 8), ("transport-case2", 503, 3)])
+    def test_solve_with_live_forcing_rows(self, tmp_path, monkeypatch, preset,
+                                          nodes, iterations):
+        # the presets at N = 16, beta = 0.25, step 2e-3: the forcing rows
+        # past beta read the path each sweep, end to end through the CLI,
+        # and two runs write the same bytes
+        text = (CONFIGS / f"{preset}.ini").read_text()
+        for old, new in (("n = 64\n", "n = 16\n"), ("beta = 1.0\n", "beta = 0.25\n"),
+                         ("time_step = 1e-3\n", "time_step = 2e-3\n"),
+                         ("history_samples = 128\n", "history_samples = 48\n")):
+            assert old in text
+            text = text.replace(old, new)
+        ini = write(tmp_path, "live.ini", text)
+        cfg = load_config(ini)
+        assert len(Sweep(cfg.problem, cfg.numerics)._nodes) == nodes
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+            assert main(["solve", ini, "--no-timing"]) == 0
+        for name in ("report.json", "trajectory.csv", "control.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        solve = json.loads((outs[0] / "report.json").read_text())["solve"]
+        assert solve["converged"]
+        assert solve["frozen_forcing_rows"] == 126 < nodes
+        assert solve["iterations"] == iterations
 
     @pytest.mark.parametrize("preset, edit, code, frozen", [
         ("linear-2d", None, 0, 1602),
