@@ -454,6 +454,7 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
             "converged": solve.converged,
             "iterations": solve.iterations,
             "final_update": solve.final_update,
+            "updates": list(solve.updates),
             "measured_ratio": solve.measured_ratio,
             "per_window_defect": list(solve.per_window_defect),
             "control_sup": solve.control_sup_norms(),

@@ -136,6 +136,25 @@ def _shifted(v: np.ndarray, o: int, c: float) -> np.ndarray:
     return (1.0 - c) * vp[o:o + N] + c * vp[o + 1:o + 1 + N]
 
 
+def _shifted_adjoint(v: np.ndarray, o: int, c: float) -> np.ndarray:
+    """The transpose of :func:`_shifted`: out[q] = (1-c) v[q-o] + c
+    v[q-o-1]; the left pad of width o+2 absorbs the offset, so the slice is
+    fixed."""
+    N = len(v)
+    vp = np.pad(v, (o + 2, 0))
+    return (1.0 - c) * vp[2:2 + N] + c * vp[1:1 + N]
+
+
+def _lag(theta: float, h: float) -> tuple:
+    """A shift by theta on a grid of spacing h as whole nodes and the
+    fraction of one: (o, c)."""
+    if theta < 0:
+        raise ValueError("semigroup time must be nonnegative")
+    x = theta / h
+    o = int(x)
+    return o, x - o
+
+
 def is_identity(M: np.ndarray) -> bool:
     """Whether the 2-D M is a square identity, tested without forming one:
     as many nonzero entries as rows, and every diagonal entry 1."""
@@ -279,13 +298,31 @@ class ShiftLagTable:
         win = sliding_window_view(np.pad(start, (0, self.pad)), N + 1)[self.off]
         path = (1.0 - c) * win[:, :-1]
         path += c * win[:, 1:]    # rows T(g delta) s
-        tau = np.arange(self.m + 1)[:, None] * self.delta
-        L, room = tau[-1], self.h * (N - np.arange(N))    # room = pi - x
-        w = np.minimum(tau, room) / np.minimum(L, room + (L - tau))
+        w = self._path_weight(np.arange(self.m + 1)[:, None] * self.delta)
         w *= self.adjoint_evolve(target - path[-1])[::-1]
         path += w
         path[0], path[-1] = start, target
         return path
+
+    def path_derivative(self, tau: float, v: np.ndarray) -> np.ndarray:
+        """The derivative of :meth:`min_energy_path`'s row at time tau in
+        (0, L) with respect to the start, applied to v:
+
+            T(tau) v - w(tau, x) [T(L - tau)* T(L) v](x),
+
+        the path being affine in its start, r moving by -T(L) v.  Each shift
+        is interpolated at its own time, so at tau = g delta this is the
+        difference of two paths' rows g to round-off."""
+        L = self.m * self.delta
+        back = _shifted_adjoint(self.apply(self.m, v), *_lag(L - tau, self.h))
+        return _shifted(v, *_lag(tau, self.h)) - self._path_weight(tau) * back
+
+    def _path_weight(self, tau):
+        """The weight w(tau, x) = min(tau, pi - x) / min(L, pi - x + L -
+        tau) of :meth:`min_energy_path` at every node x, for a time tau or
+        a column of times, L = m delta."""
+        L, room = self.m * self.delta, self.h * (self.N - np.arange(self.N))
+        return np.minimum(tau, room) / np.minimum(L, room + (L - tau))
 
     # each row interpolates a window of N + 1 padded values, gathered once
     def adjoint_evolve(self, v: np.ndarray) -> np.ndarray:
@@ -393,28 +430,17 @@ class ShiftSemigroup:
         self.h = np.pi / N
         self.weight = self.h
 
-    def _params(self, theta: float):
-        if theta < 0:
-            raise ValueError("semigroup time must be nonnegative")
-        x = theta / self.h
-        o = int(x)
-        return o, x - o
-
     def apply(self, theta: float, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.N,):
             raise ValueError(f"state dimension mismatch: {v.shape} vs {self.N}")
-        return _shifted(v, *self._params(theta))
+        return _shifted(v, *_lag(theta, self.h))
 
     def apply_adjoint(self, theta: float, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)
         if v.shape != (self.N,):
             raise ValueError(f"state dimension mismatch: {v.shape} vs {self.N}")
-        o, c = self._params(theta)
-        # Transpose of the forward shift: out[q] = (1-c) v[q-o] + c v[q-o-1];
-        # the left pad of width o+2 absorbs the offset, so the slice is fixed.
-        vp = np.pad(v, (o + 2, 0))
-        return (1.0 - c) * vp[2:2 + self.N] + c * vp[1:1 + self.N]
+        return _shifted_adjoint(v, *_lag(theta, self.h))
 
     def lag_table(self, delta: float, m: int) -> ShiftLagTable:
         return ShiftLagTable(self.N, self.h, delta, m)

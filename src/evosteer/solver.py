@@ -12,10 +12,14 @@ every sweep (the steering residuals depend on x through the forcing, the
 impulse values and the nonlocal coupling).  A sweep is one forward pass
 over the mesh, in the order of the method of steps: each impulse window is
 evaluated once, from the left value x(theta_j-) of the control window the
-sweep has just written or kept, and each control window starts at
-phi(0) + nu(x) or at the last sample of the impulse window before it.  So
-every path a sweep hands out has each impulse window exactly its impulse
-map of the path's own left value.  The fixed point is simultaneously a
+sweep has just written or kept, and each later control window starts at
+the last sample of the impulse window before it.  So every path a sweep
+hands out has each impulse window exactly its impulse map of the path's
+own left value.  The first window starts at phi(0) + nu(x), or, where nu
+samples that window's interior on the shift backend, one chord step
+towards the start that nu reproduces (:meth:`Sweep._first_start`), which
+changes how the iteration reaches the fixed point but not the fixed
+point.  The fixed point is simultaneously a
 mild solution and a steered trajectory, which is exactly the property the
 contraction certificate predicts.  The integro variant replaces eta by the
 running kernel convolution and drops the nonlocal term.
@@ -26,8 +30,8 @@ window on its target.  The iteration starts from such a path
 (:meth:`Sweep.initial_iterate`): on the shift backend each control window
 runs on its unforced continuum minimum-energy path to its target
 (:meth:`semigroups.ShiftLagTable.min_energy_path`), which the steering
-bends little, and on the matrix backend on the straight line to it, so
-that a nonlocal term first reads the first window near the solved path.
+bends little and whose derivative in its start the chord step inverts,
+and on the matrix backend on the straight line to it.
 
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
@@ -61,8 +65,11 @@ from .core import PiecewiseTrajectory
 from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
                       steering_residual, synthesize_control, window_start)
-from .problems import Numerics, Problem
+from .problems import Numerics, Problem, WeightedSampleNonlocal
 from .semigroups import ShiftLagTable
+
+# Terms of the Neumann series of (I - J)^-1 in Sweep._first_start
+_NEUMANN_TERMS = 8
 
 
 class NonConvergenceError(Exception):
@@ -83,16 +90,19 @@ class NonConvergenceError(Exception):
 
 @dataclass
 class SolveReport:
-    """Outcome of a Picard solve.  A ``final_update`` of exactly 0.0 means
-    the solve stopped because the next sweep would read what the last one
-    read (see :func:`picard_solve`): the trajectory is then the operator's
-    fixed point bit for bit, and ``iterations`` counts only the sweeps run.
+    """Outcome of a Picard solve.  ``updates`` holds the update of every
+    sweep run, in order.  A ``final_update`` of exactly 0.0 means the solve
+    stopped because the next sweep would read what the last one read (see
+    :func:`picard_solve`): the trajectory is then the operator's fixed point
+    bit for bit, and ``iterations`` counts only the sweeps run; otherwise it
+    is the last of ``updates``.
     """
 
     trajectory: PiecewiseTrajectory
     control: Optional[ControlSignal]
     iterations: int
     final_update: float
+    updates: list
     per_window_defect: list
     converged: bool
     measured_ratio: float
@@ -157,6 +167,14 @@ class Sweep:
         self.one_sweep = problem.nonlocal_term is None and not (
             self.frozen_forcing_rows < len(self._nodes)
             and (problem.nonlinearity is not None or self.kern is not None))
+        # Whether a steered sweep takes window 0's start by a chord step
+        # (see _first_start): nu samples window 0's interior on the shift
+        # backend, with |J|_inf <= 2 sum |alpha_i| below 1.
+        nu, theta_1 = problem.nonlocal_term, problem.mesh.points[1]
+        self._chord = (isinstance(nu, WeightedSampleNonlocal)
+                       and isinstance(self.grids[0].table, ShiftLagTable)
+                       and len(nu.instants) > 0 and 2.0 * nu.lipschitz < 1.0
+                       and all(0.0 < t < theta_1 for t in nu.instants))
         self._rows = None
         self._forcing = None
         self._solved = [None] * len(self.grids)
@@ -170,20 +188,20 @@ class Sweep:
         impulse window is its impulse map of the previous window's last
         sample, and the next control window starts at that impulse window's
         last sample.  With ``targets``, each control window ends exactly on
-        its target, as every iterate the steered operator returns ends it,
-        and runs on the straight line from its start to it.  On the shift
-        backend the window then runs instead on its unforced continuum
+        its target, as every iterate the steered operator returns ends it.
+        On the shift backend it runs on its unforced continuum
         minimum-energy path (:meth:`ShiftLagTable.min_energy_path`), the
-        steered path but for the forcing and the discretization, with
-        window 0 restarted at phi(0) + nu of the line, which lies nearer
-        the solved path than the flat extension.  A run that stops after
-        one sweep (``one_sweep``) keeps the lines: only its first update,
-        which it discards, reads them.  Without targets each control window
-        stays at its start.  The paths serve only a nonlocal term, which
-        then reads window 0 near the path the steering bends, and the size
-        of the first update: a sweep starts each later window from the path
-        it is advancing, whatever the first iterate.  No interval of it
-        holds a solved path, so the sweep forgets the windows it kept."""
+        steered path but for the forcing and the discretization, from which
+        the first sweep's chord step (:meth:`_first_start`) moves window
+        0's start to the one nu of that path reproduces.  On the matrix
+        backend, and in a run that stops after one sweep (``one_sweep``),
+        whose discarded first update alone reads it, it runs on the
+        straight line from its start to its target.  Without targets each
+        control window stays at its start.  The paths serve only a nonlocal
+        term and the size of the first update: a sweep starts each later
+        window from the path it is advancing, whatever the first iterate.
+        No interval of it holds a solved path, so the sweep forgets the
+        windows it kept."""
         problem = self.problem
         traj = PiecewiseTrajectory(
             problem.mesh, problem.beta,
@@ -202,17 +220,46 @@ class Sweep:
                 piece[...] = start
             else:
                 target = np.asarray(targets[j], dtype=float)
-                if not continuum or j == 0:
+                if continuum:
+                    piece[...] = self.grids[j].table.min_energy_path(start, target)
+                else:
                     # s runs from exactly 0 to exactly 1 (linspace stores both
                     # ends), so the line starts on ``start`` and ends on the target
                     s = ((times - a) / (end - a))[:, None]
                     piece[...] = (1.0 - s) * start + s * target
-                if continuum:
-                    if j == 0:    # nu reads the line
-                        start = window_start(problem, traj)
-                    piece[...] = self.grids[j].table.min_energy_path(start, target)
         self._solved = [None] * len(self.grids)
         return traj
+
+    def _first_start(self, traj: PiecewiseTrajectory, targets) -> np.ndarray:
+        """Window 0's start for a sweep of ``traj``: phi(0) + nu(x), or, in
+        a steered sweep of a run whose nu = sum_i alpha_i x(t_i) reads
+        window 0's interior on the shift backend (``_chord``), the chord
+        step
+
+            s + (I - J)^-1 (phi(0) + nu(x) - s)
+
+        from the iterate's own start s, towards the start that nu of its
+        window's path reproduces (C. T. Kelley, Iterative Methods for Linear
+        and Nonlinear Equations, SIAM 1995, ch. 5).  J v = sum_i alpha_i
+        d_i v, d_i the derivative of window 0's unforced continuum
+        minimum-energy path at t_i with respect to its start
+        (:meth:`ShiftLagTable.path_derivative`), which a steered window's
+        path shares but for the forcing and the discretization; (I - J)^-1
+        is the first ``_NEUMANN_TERMS`` terms of its Neumann series, |J|_inf
+        being at most 2 sum |alpha_i| < 1.  The fixed point, where the
+        start is phi(0) + nu(x), is the plain iteration's; only the steps
+        to it change."""
+        start = window_start(self.problem, traj)
+        if not self._chord or targets is None:
+            return start
+        nu, table = self.problem.nonlocal_term, self.grids[0].table
+        s = traj.seg_values[0][0]
+        term = step = start - s
+        for _ in range(_NEUMANN_TERMS - 1):
+            term = sum(a * table.path_derivative(t, term)
+                       for a, t in zip(nu.alphas, nu.instants))
+            step = step + term
+        return s + step
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
         """The forcing on every control window's grid from the rows of eta
@@ -278,7 +325,7 @@ class Sweep:
         """
         problem = self.problem
         forcings = self._forcings(traj)
-        start = window_start(problem, traj)
+        start = self._first_start(traj, targets)
         update = 0.0
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
@@ -344,24 +391,23 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     Raises :class:`NonConvergenceError` after ``numerics.max_iter``
     iterations without either.  The update ratio ||d_{k+1}||/||d_k|| is
     recorded from the second iteration onward as the measured contraction
-    rate.  Each sweep advances the one iterate in place and gives the update
-    and the iterate's norm (see :meth:`Sweep.apply`).
+    rate, and every sweep's update is kept in order.  Each sweep advances
+    the one iterate in place and gives the update and the iterate's norm
+    (see :meth:`Sweep.apply`).
     """
     tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
     solves = sweep.window_solves
     traj = sweep.initial_iterate(targets)
     control = None
-    prev_update = 0.0
+    updates = []
     ratio = 0.0
     update = np.inf
-    iterations = 0
     converged = False
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         update, norm, control = sweep.apply(traj, targets)
-        if prev_update > 0:
-            ratio = max(ratio, update / prev_update)
-        prev_update = update
-        iterations = it
+        if updates and updates[-1] > 0:
+            ratio = max(ratio, update / updates[-1])
+        updates.append(update)
         if update <= tol * max(1.0, norm):
             converged = True
             break
@@ -369,8 +415,9 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
             update, converged = 0.0, True
             break
     defects = _window_defects(sweep.problem, traj, targets)
-    report = SolveReport(trajectory=traj, control=control, iterations=iterations,
-                         final_update=float(update), per_window_defect=defects,
+    report = SolveReport(trajectory=traj, control=control, iterations=len(updates),
+                         final_update=float(update), updates=updates,
+                         per_window_defect=defects,
                          converged=converged, measured_ratio=float(ratio),
                          frozen_forcing_rows=sweep.frozen_forcing_rows,
                          window_solves=sweep.window_solves - solves)

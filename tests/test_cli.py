@@ -362,15 +362,33 @@ class TestCommands:
         assert report["timings"]["emit_s"] > 0.0
 
     def test_no_timing_output_is_byte_identical(self, tmp_path, monkeypatch):
-        # the emission time goes into the report only when timings are on
-        ini = write(tmp_path, "b.ini", LINEAR_CFG.format(out=tmp_path / "o"))
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out in outs:
-            monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
-            assert main(["oracle", ini, "--no-timing"]) == 0
-        for name in ("report.json", "trajectory.csv", "control.csv", "oracle.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-        assert "emit_s" not in (outs[0] / "report.json").read_text()
+        # the emission time goes into the report only when timings are on;
+        # the update of every sweep, in order, goes in always: on Case 1
+        # each sweep's, the last the final update, on the linear run the
+        # one sweep's, its final update 0.0 standing for the sweep it skips
+        linear = write(tmp_path, "b.ini", LINEAR_CFG.format(out=tmp_path / "o"))
+        for command, ini in (("oracle", linear),
+                             ("solve", str(CONFIGS / "transport-case1.ini"))):
+            outs = [tmp_path / command / "a", tmp_path / command / "b"]
+            for out in outs:
+                monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+                assert main([command, ini, "--no-timing"]) == 0
+            names = ["report.json", "trajectory.csv", "control.csv"]
+            for name in names + (["oracle.csv"] if command == "oracle" else []):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+            text = (outs[0] / "report.json").read_text()
+            assert "emit_s" not in text
+            report = json.loads(text)
+            assert report["schema"] == "evosteer-report/1"
+            solve = report["solve"]
+            updates = solve["updates"]
+            assert len(updates) == solve["iterations"] and updates[0] > 0.0
+            if command == "oracle":
+                assert (len(updates), solve["final_update"]) == (1, 0.0)
+            else:
+                assert updates[-1] == solve["final_update"] > 0.0
+                assert solve["measured_ratio"] == max(
+                    b / a for a, b in zip(updates, updates[1:]))
 
     @pytest.mark.parametrize("preset, frozen, solves", [
         # every forcing row lies at t <= beta = b: Case 1's eta rows on the
@@ -395,13 +413,13 @@ class TestCommands:
         solve = json.loads(texts[0])["solve"]
         assert solve["frozen_forcing_rows"] == frozen
         assert solve["window_solves"] == solves(solve["iterations"])
-        assert solve["iterations"] == (7 if preset == "transport-case1" else 1)
+        assert solve["iterations"] == (5 if preset == "transport-case1" else 1)
 
     @pytest.mark.parametrize("preset, nodes, iterations", [
         # Case 1's eta rows on the 151 + 251 control-window nodes, Case 2's
         # q rows on all 151 + 101 + 251 kernel nodes; 126 of either lie at
         # t <= beta = 0.25
-        ("transport-case1", 402, 8), ("transport-case2", 503, 3)])
+        ("transport-case1", 402, 6), ("transport-case2", 503, 3)])
     def test_solve_with_live_forcing_rows(self, tmp_path, monkeypatch, preset,
                                           nodes, iterations):
         # the presets at N = 16, beta = 0.25, step 2e-3: the forcing rows

@@ -581,6 +581,23 @@ class TestMinEnergyPath:
             differs |= bool(np.any(path[g, live] != (tau / L) * shifted[live]))
         assert differs == (L > T.h)
 
+    @pytest.mark.parametrize("N, delta, m", CASES)
+    def test_derivative_is_the_difference_of_two_paths(self, N, delta, m):
+        # the path is affine in its start, so moving the start by v moves
+        # row g by path_derivative(g delta, v), to round-off of the largest
+        # |value| of the rows (measured: at most 2.0e-15 of it), at every
+        # interior lag; each term of the
+        # derivative is a shift and the weight is at most 1, so it is at
+        # most 2 |v|_inf
+        table = ShiftSemigroup(N).lag_table(delta, m)
+        start, v, target = np.random.default_rng(N + 2 * m).normal(size=(3, N))
+        moved = table.min_energy_path(start + v, target)
+        path = table.min_energy_path(start, target)
+        got = np.array([table.path_derivative(g * delta, v) for g in range(1, m)])
+        scale = max(np.abs(moved).max(), np.abs(path).max())
+        assert np.abs(got - (moved - path)[1:-1]).max() <= 4e-15 * scale
+        assert np.abs(got).max() <= 2.0 * np.abs(v).max()
+
 
 def test_shift_kernel_spectrum_is_formed_once(monkeypatch):
     # the two-tap kernel's transform is taken on the first convolve only;
