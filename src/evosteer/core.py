@@ -124,11 +124,11 @@ class PiecewiseTrajectory:
     def history_times(self) -> np.ndarray:
         return np.linspace(-self.beta, 0.0, self.history.shape[0])
 
-    def values(self, t) -> np.ndarray:
-        """Evaluate at an array of times in [-beta, b], left limits at
-        breakpoints and history values for t <= 0: linear interpolation in
-        the piece ending at or after each time (times within 1e-12 past
-        either end clamp)."""
+    def locate(self, t) -> tuple:
+        """Where :meth:`values` reads an array of times in [-beta, b]:
+        ``(p, j, frac)``, the piece ending at or after each time (0 the
+        history, k + 1 interval k), the row j of it and the fraction of the
+        step to row j + 1 (times within 1e-12 past either end clamp)."""
         t = np.atleast_1d(np.asarray(t, dtype=float))
         if not np.all((t >= -self.beta - 1e-12) & (t <= self.mesh.b + 1e-12)):
             raise ValueError("evaluation time outside [-beta, b]")
@@ -136,7 +136,14 @@ class PiecewiseTrajectory:
         m = self._m[p]
         pos = np.clip((t - self._first[p]) / self._step[p], 0.0, m)
         j = np.minimum(pos.astype(int), m - 1)
-        frac = (pos - j)[:, None]
+        return p, j, pos - j
+
+    def values(self, t) -> np.ndarray:
+        """Evaluate at an array of times in [-beta, b], left limits at
+        breakpoints and history values for t <= 0: linear interpolation
+        between the rows :meth:`locate` finds."""
+        p, j, frac = self.locate(t)
+        frac = frac[:, None]
         i = self._offsets[p] + j
         return (1.0 - frac) * self._values[i] + frac * self._values[i + 1]
 

@@ -460,6 +460,7 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
             "control_sup": solve.control_sup_norms(),
             "frozen_forcing_rows": solve.frozen_forcing_rows,
             "window_solves": solve.window_solves,
+            "window_solves_per_sweep": list(solve.window_solves_per_sweep),
         }
     if verdict is not None:
         out["targets"] = {

@@ -129,6 +129,21 @@ def trapezoid_weights(m: int, delta: float) -> np.ndarray:
     return w
 
 
+def band_product(band: tuple, v: np.ndarray) -> np.ndarray:
+    """M v for the N x N matrix M of ``band`` = (offsets, diagonals), M[i, i
+    + offsets[k]] = diagonals[k, i], from slices of v zero-padded by the
+    widest offsets: O(N) per diagonal, no N x N array."""
+    offsets, diagonals = band
+    N = len(v)
+    lo, hi = -min(0, offsets.min(initial=0)), max(0, offsets.max(initial=0))
+    vp = np.zeros(lo + N + hi)
+    vp[lo:lo + N] = v
+    out = np.zeros(N)
+    for o, d in zip(offsets.tolist(), diagonals):
+        out += d * vp[lo + o:lo + o + N]
+    return out
+
+
 def _shifted(v: np.ndarray, o: int, c: float) -> np.ndarray:
     """v shifted left by o + c nodes, interpolated linearly, zero past pi."""
     N = len(v)
@@ -304,18 +319,53 @@ class ShiftLagTable:
         path[0], path[-1] = start, target
         return path
 
-    def path_derivative(self, tau: float, v: np.ndarray) -> np.ndarray:
-        """The derivative of :meth:`min_energy_path`'s row at time tau in
-        (0, L) with respect to the start, applied to v:
+    def lag_band(self, rows, weights) -> tuple:
+        """sum_r weights_r T(rows_r delta) as a band (see
+        :func:`band_product`): the lag (1 - c) S_o + c S_{o+1}, S_o the
+        shift by o whole nodes, puts (1 - c) on diagonal o and c on o + 1."""
+        o, c, w = self.off[rows], self.frac[rows], np.asarray(weights, dtype=float)
+        p = np.concatenate((o, o + 1))
+        return self._band(p, p, np.concatenate((w * (1.0 - c), w * c)))
 
-            T(tau) v - w(tau, x) [T(L - tau)* T(L) v](x),
+    def cross_gramian(self, rows, weights) -> tuple:
+        """sum_r weights_r C_{rows_r} as a band (see :func:`band_product`),
 
-        the path being affine in its start, r moving by -T(L) v.  Each shift
-        is interpolated at its own time, so at tau = g delta this is the
-        difference of two paths' rows g to round-off."""
-        L = self.m * self.delta
-        back = _shifted_adjoint(self.apply(self.m, v), *_lag(L - tau, self.h))
-        return _shifted(v, *_lag(tau, self.h)) - self._path_weight(tau) * back
+            C_g = sum_{k <= g} w_k^(g) T((g - k) delta) T((m - k) delta)*,
+
+        w^(g) the trapezoid rule on [0, g delta] (C_0 = 0): the steered
+        path's row g gains C_g y from the feedback on the Gramian preimage
+        y (:meth:`convolve` of the samples T((m - k) delta)* y).  The lags
+        of each product differ by (m - g) delta, so its shift pairs S_p
+        S_q^T, each the shift by p - q below row N - p, fill at most 4
+        diagonals.  Each diagonal's entries are running sums over p, as in
+        :meth:`gramian`."""
+        off, c, m = self.off, self.frac, self.m
+        g, k, w = (np.concatenate(x) for x in zip(*[
+            (np.full(r + 1, r), np.arange(r + 1),
+             a * (r > 0) * trapezoid_weights(r, self.delta))
+            for r, a in zip(rows, weights)]))
+        oa, ca, ob, cb = off[g - k], c[g - k], off[m - k], c[m - k]
+        p = np.concatenate((oa, oa, oa + 1, oa + 1))
+        q = np.concatenate((ob, ob + 1, ob, ob + 1))
+        return self._band(p, p - q, np.concatenate((
+            w * (1.0 - ca) * (1.0 - cb), w * (1.0 - ca) * cb,
+            w * ca * (1.0 - cb), w * ca * cb)))
+
+    def _band(self, p, d, w) -> tuple:
+        """sum_t w_t S_{p_t} S_{p_t - d_t}^T as a band: entry (i, i + d) sums
+        the w_t of diagonal d with i + p_t < N, by running sums of the
+        per-p weights, and is 0 where column i + d is off the grid; a
+        diagonal of zero weights only is left out."""
+        N, P = self.N, self.pad
+        live = w != 0.0
+        offsets, diag = np.unique(d[live], return_inverse=True)
+        p, w = p[live], w[live]
+        sums = np.bincount(diag * P + p, w, minlength=len(offsets) * P)
+        i = np.arange(N)
+        bands = np.cumsum(sums.reshape(-1, P), axis=1)[:, np.minimum(P - 1, N - 1 - i)]
+        col = i + offsets[:, None]
+        bands[(col < 0) | (col >= N)] = 0.0
+        return offsets, bands
 
     def _path_weight(self, tau):
         """The weight w(tau, x) = min(tau, pi - x) / min(L, pi - x + L -

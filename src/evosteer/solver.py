@@ -17,12 +17,15 @@ the last sample of the impulse window before it.  So every path a sweep
 hands out has each impulse window exactly its impulse map of the path's
 own left value.  The first window starts at phi(0) + nu(x), or, where nu
 samples that window's interior on the shift backend, one chord step
-towards the start that nu reproduces (:meth:`Sweep._first_start`), which
-changes how the iteration reaches the fixed point but not the fixed
-point.  The fixed point is simultaneously a
-mild solution and a steered trajectory, which is exactly the property the
-contraction certificate predicts.  The integro variant replaces eta by the
-running kernel convolution and drops the nonlocal term.
+towards the start that nu reproduces, with the exact Jacobian of the
+discrete steered window-0 path in its start (:meth:`Sweep._first_start`),
+which changes how the iteration reaches the fixed point but not the fixed
+point: with every forcing row frozen, the step from a path a sweep wrote
+lands on it, and the next sweep keeps every window.  The fixed point is
+simultaneously a mild solution and a steered trajectory, which is exactly
+the property the contraction certificate predicts.  The integro variant
+replaces eta by the running kernel convolution and drops the nonlocal
+term.
 
 The fixed point is reached from any first iterate, which sets only how many
 sweeps reach it, and every iterate the operator returns ends each control
@@ -30,8 +33,7 @@ window on its target.  The iteration starts from such a path
 (:meth:`Sweep.initial_iterate`): on the shift backend each control window
 runs on its unforced continuum minimum-energy path to its target
 (:meth:`semigroups.ShiftLagTable.min_energy_path`), which the steering
-bends little and whose derivative in its start the chord step inverts,
-and on the matrix backend on the straight line to it.
+bends little, and on the matrix backend on the straight line to it.
 
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
@@ -66,10 +68,7 @@ from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
                       steering_residual, synthesize_control, window_start)
 from .problems import Numerics, Problem, WeightedSampleNonlocal
-from .semigroups import ShiftLagTable
-
-# Terms of the Neumann series of (I - J)^-1 in Sweep._first_start
-_NEUMANN_TERMS = 8
+from .semigroups import ShiftLagTable, band_product
 
 
 class NonConvergenceError(Exception):
@@ -91,11 +90,14 @@ class NonConvergenceError(Exception):
 @dataclass
 class SolveReport:
     """Outcome of a Picard solve.  ``updates`` holds the update of every
-    sweep run, in order.  A ``final_update`` of exactly 0.0 means the solve
-    stopped because the next sweep would read what the last one read (see
-    :func:`picard_solve`): the trajectory is then the operator's fixed point
-    bit for bit, and ``iterations`` counts only the sweeps run; otherwise it
-    is the last of ``updates``.
+    sweep run, in order, and ``window_solves_per_sweep`` the control
+    windows each of them solved.  A ``final_update`` of exactly 0.0 means
+    the trajectory is the operator's fixed point bit for bit: either the
+    last sweep run kept every window and so rewrote the path with its own
+    bits (its update, the last of ``updates``, is 0.0), or the solve
+    stopped after one sweep because the next would read what it read (see
+    :func:`picard_solve`), and ``iterations`` counts only the sweep run.
+    Otherwise it is the last of ``updates``.
     """
 
     trajectory: PiecewiseTrajectory
@@ -107,7 +109,11 @@ class SolveReport:
     converged: bool
     measured_ratio: float
     frozen_forcing_rows: int
-    window_solves: int
+    window_solves_per_sweep: list
+
+    @property
+    def window_solves(self) -> int:
+        return sum(self.window_solves_per_sweep)
 
     def control_sup_norms(self) -> list:
         return self.control.sup_norms() if self.control is not None else []
@@ -167,14 +173,24 @@ class Sweep:
         self.one_sweep = problem.nonlocal_term is None and not (
             self.frozen_forcing_rows < len(self._nodes)
             and (problem.nonlinearity is not None or self.kern is not None))
-        # Whether a steered sweep takes window 0's start by a chord step
-        # (see _first_start): nu samples window 0's interior on the shift
-        # backend, with |J|_inf <= 2 sum |alpha_i| below 1.
+        # The weights and instants of nu's samples that move with window
+        # 0's start, where a steered sweep takes that start by a chord step
+        # (see _first_start), else empty: nu samples window 0's interior
+        # on the shift backend, with 2 sum |alpha_i| < 1 over those
+        # samples.  An instant at 0, at theta_1 or past it reads the
+        # history, the target or windows the target fixes, unless a live
+        # forcing row carries window 0 into a later window.
         nu, theta_1 = problem.nonlocal_term, problem.mesh.points[1]
-        self._chord = (isinstance(nu, WeightedSampleNonlocal)
-                       and isinstance(self.grids[0].table, ShiftLagTable)
-                       and len(nu.instants) > 0 and 2.0 * nu.lipschitz < 1.0
-                       and all(0.0 < t < theta_1 for t in nu.instants))
+        self._chord = ()
+        if (isinstance(nu, WeightedSampleNonlocal)
+                and isinstance(self.grids[0].table, ShiftLagTable)):
+            inside = [(a, t) for a, t in zip(nu.alphas, nu.instants)
+                      if 0.0 < t < theta_1]
+            if (inside and 2.0 * sum(abs(a) for a, _ in inside) < 1.0
+                    and (len(inside) == len(nu.instants)
+                         or self.frozen_forcing_rows == len(self._nodes))):
+                self._chord = tuple(np.array(x) for x in zip(*inside))
+        self._jacobian = None
         self._rows = None
         self._forcing = None
         self._solved = [None] * len(self.grids)
@@ -193,7 +209,7 @@ class Sweep:
         minimum-energy path (:meth:`ShiftLagTable.min_energy_path`), the
         steered path but for the forcing and the discretization, from which
         the first sweep's chord step (:meth:`_first_start`) moves window
-        0's start to the one nu of that path reproduces.  On the matrix
+        0's start near the one nu reproduces.  On the matrix
         backend, and in a run that stops after one sweep (``one_sweep``),
         whose discarded first update alone reads it, it runs on the
         straight line from its start to its target.  Without targets each
@@ -232,33 +248,61 @@ class Sweep:
 
     def _first_start(self, traj: PiecewiseTrajectory, targets) -> np.ndarray:
         """Window 0's start for a sweep of ``traj``: phi(0) + nu(x), or, in
-        a steered sweep of a run whose nu = sum_i alpha_i x(t_i) reads
-        window 0's interior on the shift backend (``_chord``), the chord
-        step
+        a steered sweep of a run whose nu = sum_i alpha_i x(t_i) moves with
+        window 0's start on the shift backend (``_chord``), the chord step
 
             s + (I - J)^-1 (phi(0) + nu(x) - s)
 
         from the iterate's own start s, towards the start that nu of its
         window's path reproduces (C. T. Kelley, Iterative Methods for Linear
-        and Nonlinear Equations, SIAM 1995, ch. 5).  J v = sum_i alpha_i
-        d_i v, d_i the derivative of window 0's unforced continuum
-        minimum-energy path at t_i with respect to its start
-        (:meth:`ShiftLagTable.path_derivative`), which a steered window's
-        path shares but for the forcing and the discretization; (I - J)^-1
-        is the first ``_NEUMANN_TERMS`` terms of its Neumann series, |J|_inf
-        being at most 2 sum |alpha_i| < 1.  The fixed point, where the
-        start is phi(0) + nu(x), is the plain iteration's; only the steps
-        to it change."""
+        and Nonlinear Equations, SIAM 1995, ch. 5).  J is the exact
+        derivative in its start of that start map for window 0's discrete
+        steered path, with zero target and forcing: nu reads rows j_i and
+        j_i + 1 at fraction f_i (:meth:`PiecewiseTrajectory.locate`), so
+        J v = sum_i alpha_i [(1 - f_i) D_{j_i} v + f_i D_{j_i + 1} v],
+
+            D_g v = T(g delta) v - C_g G^-1 T(L) v,
+
+        C_g the cross-Gramian of row g (:meth:`ShiftLagTable.cross_gramian`)
+        and G the window's Gramian.  The sums over the samples are banded,
+        built on the first steered sweep, so each product with J is O(N):
+        three banded products and one LDL^T solve.  Where every forcing row
+        is frozen (beta = b) the start map is affine with Jacobian J, so
+        from a path the sweep wrote the step lands on its fixed point, up
+        to the series.  (I - J)^-1 is summed as its Neumann series until a
+        term is at most eps max(|s|_inf, |phi(0) + nu(x)|_inf), eps =
+        ``table.fft_error``: a start move the next sweep's keep rule
+        ignores.  Each D_g is a shift, |T(g delta)|_inf <= 1, less a
+        feedback term like it (|D_g|_inf measured at most 1.24 for N = 16
+        to 256), so 2 sum |alpha_i| < 1 makes the terms shrink
+        geometrically and bounds the count; a term that does not shrink
+        leaves the plain start.  The fixed point, where the start is phi(0)
+        + nu(x), is the plain iteration's; only the steps to it change."""
         start = window_start(self.problem, traj)
         if not self._chord or targets is None:
             return start
-        nu, table = self.problem.nonlocal_term, self.grids[0].table
+        table = self.grids[0].table
+        if self._jacobian is None:
+            alphas, instants = self._chord
+            _, j, f = traj.locate(instants)
+            rows = np.concatenate((j, j + 1))
+            weights = np.concatenate((alphas * (1.0 - f), alphas * f))
+            self._jacobian = (table.lag_band(rows, weights),
+                              table.lag_band([table.m], [1.0]),
+                              table.cross_gramian(rows, weights),
+                              self.blocks[0]._tridiagonal.solve)
+        lag, end, cross, solve = self._jacobian
         s = traj.seg_values[0][0]
+        bound = table.fft_error * max(np.abs(s).max(), np.abs(start).max())
         term = step = start - s
-        for _ in range(_NEUMANN_TERMS - 1):
-            term = sum(a * table.path_derivative(t, term)
-                       for a, t in zip(nu.alphas, nu.instants))
+        size = np.abs(term).max()
+        while size > bound:
+            term = (band_product(lag, term)
+                    - band_product(cross, solve(band_product(end, term))))
             step = step + term
+            size, last = np.abs(term).max(), size
+            if size >= last:    # |J|_inf >= 1: no series to sum
+                return start
         return s + step
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
@@ -391,20 +435,21 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     Raises :class:`NonConvergenceError` after ``numerics.max_iter``
     iterations without either.  The update ratio ||d_{k+1}||/||d_k|| is
     recorded from the second iteration onward as the measured contraction
-    rate, and every sweep's update is kept in order.  Each sweep advances
-    the one iterate in place and gives the update and the iterate's norm
-    (see :meth:`Sweep.apply`).
+    rate, and every sweep's update and window solves are kept in order.
+    Each sweep advances the one iterate in place and gives the update and
+    the iterate's norm (see :meth:`Sweep.apply`).
     """
     tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
-    solves = sweep.window_solves
     traj = sweep.initial_iterate(targets)
     control = None
-    updates = []
+    updates, solves = [], []
     ratio = 0.0
     update = np.inf
     converged = False
     for _ in range(max_iter):
+        before = sweep.window_solves
         update, norm, control = sweep.apply(traj, targets)
+        solves.append(sweep.window_solves - before)
         if updates and updates[-1] > 0:
             ratio = max(ratio, update / updates[-1])
         updates.append(update)
@@ -420,7 +465,7 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
                          per_window_defect=defects,
                          converged=converged, measured_ratio=float(ratio),
                          frozen_forcing_rows=sweep.frozen_forcing_rows,
-                         window_solves=sweep.window_solves - solves)
+                         window_solves_per_sweep=solves)
     if not converged:
         raise NonConvergenceError(report)
     return report

@@ -363,9 +363,11 @@ class TestCommands:
 
     def test_no_timing_output_is_byte_identical(self, tmp_path, monkeypatch):
         # the emission time goes into the report only when timings are on;
-        # the update of every sweep, in order, goes in always: on Case 1
-        # each sweep's, the last the final update, on the linear run the
-        # one sweep's, its final update 0.0 standing for the sweep it skips
+        # the update and the window solves of every sweep, in order, go in
+        # always: on Case 1 each sweep's, the last an exact 0.0 from the
+        # sweep that kept both windows, the final update; on the linear run
+        # the one sweep's, its final update 0.0 standing for the sweep it
+        # skips
         linear = write(tmp_path, "b.ini", LINEAR_CFG.format(out=tmp_path / "o"))
         for command, ini in (("oracle", linear),
                              ("solve", str(CONFIGS / "transport-case1.ini"))):
@@ -381,12 +383,14 @@ class TestCommands:
             report = json.loads(text)
             assert report["schema"] == "evosteer-report/1"
             solve = report["solve"]
-            updates = solve["updates"]
+            updates, solves = solve["updates"], solve["window_solves_per_sweep"]
             assert len(updates) == solve["iterations"] and updates[0] > 0.0
+            assert sum(solves) == solve["window_solves"]
             if command == "oracle":
-                assert (len(updates), solve["final_update"]) == (1, 0.0)
+                assert (len(updates), solve["final_update"], solves) == (1, 0.0, [2])
             else:
-                assert updates[-1] == solve["final_update"] > 0.0
+                assert solves == [2, 1, 0]
+                assert updates[-1] == solve["final_update"] == 0.0 < updates[-2]
                 assert solve["measured_ratio"] == max(
                     b / a for a, b in zip(updates, updates[1:]))
 
@@ -394,10 +398,11 @@ class TestCommands:
         # every forcing row lies at t <= beta = b: Case 1's eta rows on the
         # 301 + 501 control-window nodes, Case 2's q rows on all 301 + 201 +
         # 501 kernel nodes
-        # Case 1's nonlocal start moves window 0 every sweep and window 1's
-        # start by round-off only, so window 1 is solved once; Case 2's
-        # start stays phi(0), so its one sweep solves both windows
-        ("transport-case1", 802, lambda it: it + 1),
+        # Case 1's nonlocal start moves window 0 every sweep but the last,
+        # which keeps both windows, and window 1's start by round-off only,
+        # so window 1 is solved once; Case 2's start stays phi(0), so its
+        # one sweep solves both windows
+        ("transport-case1", 802, lambda it: it),
         ("transport-case2", 1003, lambda it: 2)])
     def test_solve_reports_frozen_rows_and_window_solves(self, tmp_path,
                                                          monkeypatch, preset,
@@ -413,7 +418,7 @@ class TestCommands:
         solve = json.loads(texts[0])["solve"]
         assert solve["frozen_forcing_rows"] == frozen
         assert solve["window_solves"] == solves(solve["iterations"])
-        assert solve["iterations"] == (5 if preset == "transport-case1" else 1)
+        assert solve["iterations"] == (3 if preset == "transport-case1" else 1)
 
     @pytest.mark.parametrize("preset, nodes, iterations", [
         # Case 1's eta rows on the 151 + 251 control-window nodes, Case 2's

@@ -8,8 +8,8 @@ from scipy.linalg import expm as scipy_expm
 
 from evosteer.config import load_config
 from evosteer.semigroups import (MatrixLagTable, MatrixSemigroup, ShiftLagTable,
-                                 ShiftSemigroup, expm, fft_length, powers,
-                                 trapezoid_weights)
+                                 ShiftSemigroup, band_product, expm, fft_length,
+                                 powers, trapezoid_weights)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -583,20 +583,48 @@ class TestMinEnergyPath:
 
     @pytest.mark.parametrize("N, delta, m", CASES)
     def test_derivative_is_the_difference_of_two_paths(self, N, delta, m):
-        # the path is affine in its start, so moving the start by v moves
-        # row g by path_derivative(g delta, v), to round-off of the largest
-        # |value| of the rows (measured: at most 2.0e-15 of it), at every
-        # interior lag; each term of the
-        # derivative is a shift and the weight is at most 1, so it is at
-        # most 2 |v|_inf
+        # the discrete steered path from s to z, unforced: the feedback on
+        # the Gramian preimage y of r = z - T(L) s, convolved from s.  It is
+        # affine in s, so moving s by v moves row g by D_g v = T(g delta) v
+        # - C_g G^-1 T(L) v, from the bands of lag_band and cross_gramian:
+        # read as nu reads it, at row j (an on-grid instant) and at (1 - f)
+        # row j + f row j + 1 (an off-grid one), within 1e-14 of the rows'
+        # largest |value| (measured: at most 4.7e-16 of it).  C_g y alone is
+        # row g of the feedback's path from a zero start (measured: 9.1e-16
+        # of its largest |value|), and C_g has at most 4 diagonals, at g =
+        # m the Gramian's 3 (measured: 2.1e-16 of its largest entry).  Each
+        # row of D v is at most 2 |v|_inf (measured: 0.99)
+        from evosteer.gramian import GramianBlock, gramian_solve
         table = ShiftSemigroup(N).lag_table(delta, m)
+        block = GramianBlock(index=0, matrix=table.gramian(np.eye(N)), delta_floor=0.0)
+
+        def feedback_path(start, residual):
+            y = gramian_solve(block, residual)
+            return table.convolve(start, table.adjoint_evolve(y)[::-1]), y
+
         start, v, target = np.random.default_rng(N + 2 * m).normal(size=(3, N))
-        moved = table.min_energy_path(start + v, target)
-        path = table.min_energy_path(start, target)
-        got = np.array([table.path_derivative(g * delta, v) for g in range(1, m)])
+        moved, _ = feedback_path(start + v, target - table.apply(m, start + v))
+        path, _ = feedback_path(start, target - table.apply(m, start))
+        diff = moved - path
+        feedback, y = feedback_path(np.zeros(N), -table.apply(m, v))    # y = -G^-1 T(L) v
         scale = max(np.abs(moved).max(), np.abs(path).max())
-        assert np.abs(got - (moved - path)[1:-1]).max() <= 4e-15 * scale
-        assert np.abs(got).max() <= 2.0 * np.abs(v).max()
+        j = m // 3
+        for rows, weights in (([j, j + 1], [1.0, 0.0]), ([j, j + 1], [0.63, 0.37]),
+                              ([1, 2], [0.5, 0.5]), ([m - 2, m - 1], [0.2, 0.8])):
+            cross = table.cross_gramian(rows, weights)
+            got = band_product(table.lag_band(rows, weights), v) + band_product(cross, y)
+            want = sum(w * diff[g] for g, w in zip(rows, weights))
+            assert np.abs(got - want).max() <= 1e-14 * scale
+            assert np.abs(band_product(cross, y)
+                          - sum(w * feedback[g] for g, w in zip(rows, weights))).max() \
+                <= 1e-14 * np.abs(feedback).max()
+        assert all(len(table.cross_gramian([g], [1.0])[0]) <= 4 for g in (1, j, m - 1))
+        offsets, diagonals = table.cross_gramian([m], [1.0])
+        diag, off = table.gramian(np.eye(N))
+        assert offsets.tolist() == [-1, 0, 1]
+        assert np.abs(diagonals[1] - diag).max() <= 1e-14 * diag.max()
+        assert np.abs(diagonals[2, :-1] - off).max() <= 1e-14 * diag.max()
+        assert np.abs(diff[1:-1]).max() <= 2.0 * np.abs(v).max()
 
 
 def test_shift_kernel_spectrum_is_formed_once(monkeypatch):
