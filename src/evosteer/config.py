@@ -18,7 +18,7 @@ import numpy as np
 from .core import TimeMesh
 from .problems import AssumptionConstants, Numerics, Problem
 from .semigroups import MatrixSemigroup, expm, powers
-from .transport import TransportConfig, build_case1, build_case2
+from .transport import FieldError, TransportConfig, build_case1, build_case2
 
 OUTDIR_ENV = "EVOSTEER_OUTDIR"
 
@@ -174,8 +174,9 @@ def _load_preset(sec, preset: str, mesh, numerics: Numerics):
     targets_raw = sec.get("targets", "random").strip()
     try:
         cfg = TransportConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+    except FieldError as exc:
+        # the keys are the fields' names, which configparser lower-cases
+        raise ConfigError(f"problem.{exc.field.lower()}: {exc}") from exc
     if targets_raw and targets_raw != "random":
         rows = _parse_matrix(targets_raw, "problem.targets")
         if rows.shape != (cfg.mesh.n_impulses + 1, cfg.N):

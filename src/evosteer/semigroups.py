@@ -340,16 +340,43 @@ class ShiftLagTable:
         diagonals.  Each diagonal's entries are running sums over p, as in
         :meth:`gramian`."""
         off, c, m = self.off, self.frac, self.m
-        g, k, w = (np.concatenate(x) for x in zip(*[
-            (np.full(r + 1, r), np.arange(r + 1),
-             a * (r > 0) * trapezoid_weights(r, self.delta))
-            for r, a in zip(rows, weights)]))
+        g, k, w = self._trapezoid_rows(rows, weights)
         oa, ca, ob, cb = off[g - k], c[g - k], off[m - k], c[m - k]
         p = np.concatenate((oa, oa, oa + 1, oa + 1))
         q = np.concatenate((ob, ob + 1, ob, ob + 1))
         return self._band(p, p - q, np.concatenate((
             w * (1.0 - ca) * (1.0 - cb), w * (1.0 - ca) * cb,
             w * ca * (1.0 - cb), w * ca * cb)))
+
+    def row_integral(self, F: np.ndarray, rows, weights) -> np.ndarray:
+        """sum_r weights_r sum_{k <= r} w_k^(r) T((r - k) delta) F_k, w^(r)
+        the trapezoid rule on [0, r delta]: the forcing's share of the
+        rows of :meth:`convolve`, summed with ``weights``.  Each term is
+        row k of F shifted by the lag r - k, read from one sliding window
+        of the weighted rows."""
+        g, k, w = self._trapezoid_rows(rows, weights)
+        lag = g - k
+        Fw = F[k]
+        Fw *= w[:, None]
+        win = sliding_window_view(np.pad(Fw, ((0, 0), (0, self.pad))), self.N + 1, axis=1)
+        win = win[np.arange(len(k)), self.off[lag]]
+        c = self.frac[lag, None]
+        return np.sum((1.0 - c) * win[:, :-1] + c * win[:, 1:], axis=0)
+
+    def end_integral(self, F: np.ndarray) -> np.ndarray:
+        """sum_k w_k T((m - k) delta) F_k, the trapezoid rule for the
+        integral over the window of T(m delta - s) f(s): the row integral
+        of row m."""
+        return self.row_integral(F, [self.m], [1.0])
+
+    def _trapezoid_rows(self, rows, weights) -> tuple:
+        """The terms of sum_r weights_r sum_{k <= r} w_k^(r) as three flat
+        arrays (r, k, weights_r w_k^(r)), w^(r) the trapezoid rule on [0, r
+        delta] and row 0's rule empty."""
+        return tuple(np.concatenate(x) for x in zip(*[
+            (np.full(r + 1, r), np.arange(r + 1),
+             a * (r > 0) * trapezoid_weights(r, self.delta))
+            for r, a in zip(rows, weights)]))
 
     def _band(self, p, d, w) -> tuple:
         """sum_t w_t S_{p_t} S_{p_t - d_t}^T as a band: entry (i, i + d) sums
@@ -379,14 +406,6 @@ class ShiftLagTable:
         win = sliding_window_view(np.pad(v, (self.pad, 0)), self.N + 1)
         win = win[self.pad - 1 - self.off]
         return (1.0 - self.frac[:, None]) * win[:, 1:] + self.frac[:, None] * win[:, :-1]
-
-    def end_integral(self, F: np.ndarray) -> np.ndarray:
-        """sum_k w_k T((m - k) delta) F_k: row k shifted by the lag m - k."""
-        Fp = np.pad(self.weights[:, None] * F, ((0, 0), (0, self.pad)))
-        win = sliding_window_view(Fp, self.N + 1, axis=1)
-        win = win[np.arange(self.m + 1), self.off[::-1]]
-        c = self.frac[::-1, None]
-        return np.sum((1.0 - c) * win[:, :-1] + c * win[:, 1:], axis=0)
 
     @functools.cached_property
     def _kernel_spectrum(self) -> np.ndarray:

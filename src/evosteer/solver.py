@@ -17,15 +17,16 @@ the last sample of the impulse window before it.  So every path a sweep
 hands out has each impulse window exactly its impulse map of the path's
 own left value.  The first window starts at phi(0) + nu(x), or, where nu
 samples that window's interior on the shift backend, one chord step
-towards the start that nu reproduces, with the exact Jacobian of the
-discrete steered window-0 path in its start (:meth:`Sweep._first_start`),
-which changes how the iteration reaches the fixed point but not the fixed
-point: with every forcing row frozen, the step from a path a sweep wrote
-lands on it, and the next sweep keeps every window.  The fixed point is
-simultaneously a mild solution and a steered trajectory, which is exactly
-the property the contraction certificate predicts.  The integro variant
-replaces eta by the running kernel convolution and drops the nonlocal
-term.
+towards the start that nu reproduces, nu read off the discrete steered
+window-0 path as predicted from the iterate's start with the sweep's own
+forcing and the step taken with that prediction's exact Jacobian
+(:meth:`Sweep._first_start`), which changes how the iteration reaches the
+fixed point but not the fixed point: with every forcing row frozen, the
+first sweep's step lands on it, and the second sweep keeps every window.
+The fixed point is simultaneously a mild solution and a steered
+trajectory, which is exactly the property the contraction certificate
+predicts.  The integro variant replaces eta by the running kernel
+convolution and drops the nonlocal term.
 
 The fixed point is reached from any first iterate, which sets only how many
 sweeps reach it, and every iterate the operator returns ends each control
@@ -209,7 +210,7 @@ class Sweep:
         minimum-energy path (:meth:`ShiftLagTable.min_energy_path`), the
         steered path but for the forcing and the discretization, from which
         the first sweep's chord step (:meth:`_first_start`) moves window
-        0's start near the one nu reproduces.  On the matrix
+        0's start to the one nu reproduces.  On the matrix
         backend, and in a run that stops after one sweep (``one_sweep``),
         whose discarded first update alone reads it, it runs on the
         straight line from its start to its target.  Without targets each
@@ -246,55 +247,71 @@ class Sweep:
         self._solved = [None] * len(self.grids)
         return traj
 
-    def _first_start(self, traj: PiecewiseTrajectory, targets) -> np.ndarray:
+    def _first_start(self, traj: PiecewiseTrajectory, targets, forcing=None,
+                     integral=None) -> np.ndarray:
         """Window 0's start for a sweep of ``traj``: phi(0) + nu(x), or, in
         a steered sweep of a run whose nu = sum_i alpha_i x(t_i) moves with
         window 0's start on the shift backend (``_chord``), the chord step
 
-            s + (I - J)^-1 (phi(0) + nu(x) - s)
+            s + (I - J)^-1 (phi(0) + nu(P(s)) - s)
 
         from the iterate's own start s, towards the start that nu of its
         window's path reproduces (C. T. Kelley, Iterative Methods for Linear
-        and Nonlinear Equations, SIAM 1995, ch. 5).  J is the exact
-        derivative in its start of that start map for window 0's discrete
-        steered path, with zero target and forcing: nu reads rows j_i and
-        j_i + 1 at fraction f_i (:meth:`PiecewiseTrajectory.locate`), so
-        J v = sum_i alpha_i [(1 - f_i) D_{j_i} v + f_i D_{j_i + 1} v],
+        and Nonlinear Equations, SIAM 1995, ch. 5).  P(s) is window 0's
+        discrete steered path from s with this sweep's forcing F (``forcing``,
+        with its end integral I_F, ``integral``; both read from ``traj``
+        where not given), predicted at the rows nu reads: rows j_i and j_i
+        + 1 at fraction f_i (:meth:`PiecewiseTrajectory.locate`), summed
+        with weights alpha_i (1 - f_i) and alpha_i f_i into
 
-            D_g v = T(g delta) v - C_g G^-1 T(L) v,
+            nu_in(P(s)) = Lag s + R(F) + C G^-1 (z_0 - T(L) s - I_F),
 
-        C_g the cross-Gramian of row g (:meth:`ShiftLagTable.cross_gramian`)
-        and G the window's Gramian.  The sums over the samples are banded,
-        built on the first steered sweep, so each product with J is O(N):
-        three banded products and one LDL^T solve.  Where every forcing row
-        is frozen (beta = b) the start map is affine with Jacobian J, so
-        from a path the sweep wrote the step lands on its fixed point, up
-        to the series.  (I - J)^-1 is summed as its Neumann series until a
-        term is at most eps max(|s|_inf, |phi(0) + nu(x)|_inf), eps =
+        Lag the sum of the lags T(g delta) (:meth:`ShiftLagTable.lag_band`),
+        C of the cross-Gramians (:meth:`ShiftLagTable.cross_gramian`), R(F)
+        of the forcing's rows (:meth:`ShiftLagTable.row_integral`), G the
+        window's Gramian and z_0 its target.  The instants outside (0,
+        theta_1) read the iterate, as phi(0) + nu(x) does.  The predicted
+        map is affine in s with Jacobian J = Lag - C G^-1 T(L), so the step
+        lands, up to the series, on the start that nu reproduces with its
+        window-0 reads taken on the path this sweep writes; where every
+        forcing row is frozen (beta = b) the next sweep reads the same
+        forcing and keeps window 0.  The
+        sums over the samples are banded, built on the first steered sweep,
+        so each product with J is O(N): three banded products and one LDL^T
+        solve.  (I - J)^-1 is summed as its Neumann series until a term is
+        at most eps max(|s|_inf, |phi(0) + nu(x)|_inf), eps =
         ``table.fft_error``: a start move the next sweep's keep rule
-        ignores.  Each D_g is a shift, |T(g delta)|_inf <= 1, less a
-        feedback term like it (|D_g|_inf measured at most 1.24 for N = 16
-        to 256), so 2 sum |alpha_i| < 1 makes the terms shrink
-        geometrically and bounds the count; a term that does not shrink
-        leaves the plain start.  The fixed point, where the start is phi(0)
-        + nu(x), is the plain iteration's; only the steps to it change."""
+        ignores.  Each row of J is a shift, |T(g delta)|_inf <= 1, less a
+        feedback term like it (measured at most 1.24 for N = 16 to 256), so
+        2 sum |alpha_i| < 1 makes the terms shrink geometrically and bounds
+        the count; a term that does not shrink leaves the plain start.  The
+        fixed point, where the start is phi(0) + nu(x), is the plain
+        iteration's; only the steps to it change."""
         start = window_start(self.problem, traj)
         if not self._chord or targets is None:
             return start
+        if forcing is None:
+            forcing = self._forcings(traj)[0]
+            integral = self._integral(0, forcing)
         table = self.grids[0].table
+        alphas, instants = self._chord
+        _, j, f = traj.locate(instants)
+        rows = np.concatenate((j, j + 1))
+        weights = np.concatenate((alphas * (1.0 - f), alphas * f))
         if self._jacobian is None:
-            alphas, instants = self._chord
-            _, j, f = traj.locate(instants)
-            rows = np.concatenate((j, j + 1))
-            weights = np.concatenate((alphas * (1.0 - f), alphas * f))
             self._jacobian = (table.lag_band(rows, weights),
                               table.lag_band([table.m], [1.0]),
                               table.cross_gramian(rows, weights),
                               self.blocks[0]._tridiagonal.solve)
         lag, end, cross, solve = self._jacobian
         s = traj.seg_values[0][0]
+        residual = np.asarray(targets[0], dtype=float) - band_product(end, s) - integral
+        predicted = (band_product(lag, s) + table.row_integral(forcing, rows, weights)
+                     + band_product(cross, solve(residual)))
         bound = table.fft_error * max(np.abs(s).max(), np.abs(start).max())
-        term = step = start - s
+        # phi(0) + nu(P(s)) - s: nu's reads of the iterate's window 0
+        # swapped for those of the predicted path
+        term = step = start - s + (predicted - weights @ traj.seg_values[0][rows])
         size = np.abs(term).max()
         while size > bound:
             term = (band_product(lag, term)
@@ -304,6 +321,15 @@ class Sweep:
             if size >= last:    # |J|_inf >= 1: no series to sum
                 return start
         return s + step
+
+    def _integral(self, j: int, F: np.ndarray) -> np.ndarray:
+        """Control window j's forcing integral for forcing F: the one it was
+        last solved with while its forcing rows are all frozen, else
+        ``end_integral(F)``."""
+        kept = self._solved[j] if self._frozen_windows[j] else None
+        if kept is not None and kept.integral is not None:
+            return kept.integral
+        return self.grids[j].table.end_integral(F)
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
         """The forcing on every control window's grid from the rows of eta
@@ -369,7 +395,9 @@ class Sweep:
         """
         problem = self.problem
         forcings = self._forcings(traj)
-        start = self._first_start(traj, targets)
+        # window 0's forcing integral, which its chord step reads too
+        integral_0 = None if targets is None else self._integral(0, forcings[0])
+        start = self._first_start(traj, targets, forcings[0], integral_0)
         update = 0.0
         for k, (a, end, kind, j) in enumerate(self.intervals):
             if kind == "impulse":
@@ -388,11 +416,9 @@ class Sweep:
                     continue
                 self.window_solves += 1
                 F = forcings[j]
-                samples = preimage = None
-                integral = None if kept is None else kept.integral
+                samples = preimage = integral = None
                 if targets is not None:
-                    if integral is None:
-                        integral = grid.table.end_integral(F)
+                    integral = integral_0 if j == 0 else self._integral(j, F)
                     residual = steering_residual(start, targets[j], grid, integral)
                     samples, preimage = synthesize_control(problem, grid,
                                                            self.blocks[j], residual)
@@ -435,7 +461,10 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     Raises :class:`NonConvergenceError` after ``numerics.max_iter``
     iterations without either.  The update ratio ||d_{k+1}||/||d_k|| is
     recorded from the second iteration onward as the measured contraction
-    rate, and every sweep's update and window solves are kept in order.
+    rate, and every sweep's update and window solves are kept in order: a
+    solve whose second sweep keeps every window, the chord step having
+    landed window 0's start in the first (Case 1 at beta = b), has one
+    nonzero update and a ratio of 0.0.
     Each sweep advances the one iterate in place and gives the update and
     the iterate's norm (see :meth:`Sweep.apply`).
     """

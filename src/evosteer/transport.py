@@ -21,6 +21,14 @@ from .problems import (AssumptionConstants, ConvolutionKernel, Problem,
 from .semigroups import ShiftSemigroup
 
 
+class FieldError(ValueError):
+    """A :class:`TransportConfig` field out of range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass
 class TransportConfig:
     """Desk-scale configuration of the transport benchmark.
@@ -40,16 +48,16 @@ class TransportConfig:
     seed: int = 7
 
     def __post_init__(self):
-        if self.N < 4:
-            raise ValueError("spatial grid size N must be at least 4")
-        if self.a <= -1.0:
-            raise ValueError("saturation parameter a must exceed -1")
-        if self.beta <= 0:
-            raise ValueError("delay length beta must be positive")
-        if len(self.alphas) != len(self.instants):
-            raise ValueError("one nonlocal weight per sample instant required")
-        if not all(0.0 <= t <= self.mesh.b for t in self.instants):
-            raise ValueError("nonlocal sample instants must lie in [0, b]")
+        for field, bad, message in (
+                ("N", self.N < 4, "spatial grid size N must be at least 4"),
+                ("a", self.a <= -1.0, "saturation parameter a must exceed -1"),
+                ("beta", self.beta <= 0, "delay length beta must be positive"),
+                ("alphas", len(self.alphas) != len(self.instants),
+                 "one nonlocal weight per sample instant required"),
+                ("instants", not all(0.0 <= t <= self.mesh.b for t in self.instants),
+                 "nonlocal sample instants must lie in [0, b]")):
+            if bad:
+                raise FieldError(field, message)
 
     def resolved_targets(self) -> list:
         if self.targets is not None:

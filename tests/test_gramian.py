@@ -347,7 +347,7 @@ def test_transport_run_calls_no_lapack_routine(monkeypatch):
     cfg = TransportConfig(N=16)
     result = run(build_case1(cfg), cfg.resolved_targets(),
                  Numerics(time_step=4e-3, history_samples=32))
-    assert result.solve.window_solves_per_sweep == [2, 1, 0]
+    assert result.solve.window_solves_per_sweep == [2, 0]
     assert max(result.solve.per_window_defect) <= 1e-9
 
 

@@ -626,6 +626,49 @@ class TestMinEnergyPath:
         assert np.abs(diagonals[2, :-1] - off).max() <= 1e-14 * diag.max()
         assert np.abs(diff[1:-1]).max() <= 2.0 * np.abs(v).max()
 
+    @pytest.mark.parametrize("N", [16, 256])
+    @pytest.mark.parametrize("forced", [False, True], ids=["unforced", "forced"])
+    def test_predicted_reads_are_the_steered_path(self, N, forced):
+        # the chord step reads nu off window 0's discrete steered path from
+        # s with forcing F, predicted at nu's rows as Lag s + R(F) + C G^-1
+        # (z - T(L) s - I_F) from lag_band, row_integral, cross_gramian and
+        # end_integral, with the LDL^T solve of the window's Gramian.
+        # Formed the long way -- the residual, gramian_solve,
+        # synthesize_control, then convolve of F plus the control -- and
+        # read as nu reads it, at an on-grid instant (row j) and an
+        # off-grid one ((1 - f) row j + f row j + 1), the path's reads are
+        # the prediction within 1e-14 of the path's largest |value|: the
+        # weights sum to 0.1, so the rows' FFT rounding in convolve
+        # (table.fft_error: 6.1e-14 and 7.8e-14) moves a read by at most
+        # 7.8e-15 of it, and the prediction's banded sums round far below
+        # that (measured: at most 5.9e-17)
+        from evosteer.discretize import build_window_grids
+        from evosteer.gramian import (assemble_from_grid, steering_residual,
+                                      synthesize_control)
+        from evosteer.problems import Numerics
+        from evosteer.transport import TransportConfig, build_case1
+        cfg = TransportConfig(N=N)
+        problem, numerics = build_case1(cfg), Numerics(time_step=1e-3)
+        grid = build_window_grids(problem, numerics)[0]
+        table, m = grid.table, grid.m
+        block = assemble_from_grid(problem.control_matrix, grid, numerics)
+        rng = np.random.default_rng(N)
+        s, z = rng.normal(size=(2, N))
+        F = (0.3 * rng.normal(size=(m + 1, N)) if forced else np.zeros((m + 1, N)))
+        integral = table.end_integral(F)
+        samples, _ = synthesize_control(problem, grid, block,
+                                        steering_residual(s, z, grid, integral))
+        path = table.convolve(s, F + samples)
+        j = 2 * m // 3
+        end = table.lag_band([m], [1.0])
+        y = block._tridiagonal.solve(z - band_product(end, s) - integral)
+        for rows, weights in (([j, j + 1], [0.1, 0.0]), ([j, j + 1], [0.063, 0.037])):
+            want = sum(w * path[g] for g, w in zip(rows, weights))
+            got = (band_product(table.lag_band(rows, weights), s)
+                   + table.row_integral(F, rows, weights)
+                   + band_product(table.cross_gramian(rows, weights), y))
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(path).max()
+
 
 def test_shift_kernel_spectrum_is_formed_once(monkeypatch):
     # the two-tap kernel's transform is taken on the first convolve only;
