@@ -294,31 +294,6 @@ class ShiftLagTable:
         return (np.cumsum(diag)[np.minimum(P - 1, N - 1 - i)],
                 np.cumsum(cross)[np.minimum(P - 1, N - 2 - i[:-1])])
 
-    def min_energy_path(self, start: np.ndarray, target: np.ndarray) -> np.ndarray:
-        """The unforced continuum minimum-energy path from ``start`` to
-        ``target`` over the window, B = I, at every lag: row g is
-
-            x(tau) = T(tau) s + w(tau, x) [T(L - tau)* r](x),
-            w = min(tau, pi - x) / min(L, pi - x + L - tau),
-
-        with tau = g delta, L = m delta and r = target - T(L) s.  In the
-        continuum the Gramian is multiplication by min(L, pi - x), and
-        T(tau - sigma) T(L - sigma)* is T(L - tau)* cut off where x + tau -
-        sigma >= pi, which sigma in [0, tau] avoids for a length
-        min(tau, pi - x): so the feedback u = T(L - sigma)* G^{-1} r adds
-        w T(L - tau)* r by time tau, and w is tau / L wherever x <= pi - L.
-        Row 0 is the start and row m the target, exactly; the shifts are
-        this table's interpolation."""
-        N, c = self.N, self.frac[:, None]
-        win = sliding_window_view(np.pad(start, (0, self.pad)), N + 1)[self.off]
-        path = (1.0 - c) * win[:, :-1]
-        path += c * win[:, 1:]    # rows T(g delta) s
-        w = self._path_weight(np.arange(self.m + 1)[:, None] * self.delta)
-        w *= self.adjoint_evolve(target - path[-1])[::-1]
-        path += w
-        path[0], path[-1] = start, target
-        return path
-
     def lag_band(self, rows, weights) -> tuple:
         """sum_r weights_r T(rows_r delta) as a band (see
         :func:`band_product`): the lag (1 - c) S_o + c S_{o+1}, S_o the
@@ -393,13 +368,6 @@ class ShiftLagTable:
         col = i + offsets[:, None]
         bands[(col < 0) | (col >= N)] = 0.0
         return offsets, bands
-
-    def _path_weight(self, tau):
-        """The weight w(tau, x) = min(tau, pi - x) / min(L, pi - x + L -
-        tau) of :meth:`min_energy_path` at every node x, for a time tau or
-        a column of times, L = m delta."""
-        L, room = self.m * self.delta, self.h * (self.N - np.arange(self.N))
-        return np.minimum(tau, room) / np.minimum(L, room + (L - tau))
 
     # each row interpolates a window of N + 1 padded values, gathered once
     def adjoint_evolve(self, v: np.ndarray) -> np.ndarray:

@@ -31,10 +31,8 @@ convolution and drops the nonlocal term.
 The fixed point is reached from any first iterate, which sets only how many
 sweeps reach it, and every iterate the operator returns ends each control
 window on its target.  The iteration starts from such a path
-(:meth:`Sweep.initial_iterate`): on the shift backend each control window
-runs on its unforced continuum minimum-energy path to its target
-(:meth:`semigroups.ShiftLagTable.min_energy_path`), which the steering
-bends little, and on the matrix backend on the straight line to it.
+(:meth:`Sweep.initial_iterate`): each control window on the straight line
+from its start to its target, on both backends.
 
 The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
@@ -204,21 +202,16 @@ class Sweep:
         window 0 starts at phi(0) + nu of the flat extension of phi(0), each
         impulse window is its impulse map of the previous window's last
         sample, and the next control window starts at that impulse window's
-        last sample.  With ``targets``, each control window ends exactly on
-        its target, as every iterate the steered operator returns ends it.
-        On the shift backend it runs on its unforced continuum
-        minimum-energy path (:meth:`ShiftLagTable.min_energy_path`), the
-        steered path but for the forcing and the discretization, from which
-        the first sweep's chord step (:meth:`_first_start`) moves window
-        0's start to the one nu reproduces.  On the matrix
-        backend, and in a run that stops after one sweep (``one_sweep``),
-        whose discarded first update alone reads it, it runs on the
-        straight line from its start to its target.  Without targets each
-        control window stays at its start.  The paths serve only a nonlocal
-        term and the size of the first update: a sweep starts each later
-        window from the path it is advancing, whatever the first iterate.
-        No interval of it holds a solved path, so the sweep forgets the
-        windows it kept."""
+        last sample.  With ``targets``, each control window runs on the
+        straight line from its start to its target, which it ends on exactly,
+        as every iterate the steered operator returns ends it; without, it
+        stays at its start.  The paths serve only a nonlocal term and the
+        size of the first update: a sweep starts each later window from the
+        path it is advancing, whatever the first iterate, and where nu
+        samples window 0's interior the first sweep's chord step
+        (:meth:`_first_start`) moves window 0's start to the one nu
+        reproduces.  No interval of it holds a solved path, so the sweep
+        forgets the windows it kept."""
         problem = self.problem
         traj = PiecewiseTrajectory(
             problem.mesh, problem.beta,
@@ -226,8 +219,6 @@ class Sweep:
             [np.tile(problem.phi0(), (len(t), 1)) for t in self.seg_times],
             weight=problem.state_weight)
         start = window_start(problem, traj)
-        continuum = (isinstance(self.grids[0].table, ShiftLagTable)
-                     and not self.one_sweep)
         for k, (a, end, kind, j) in enumerate(self.intervals):
             times, piece = self.seg_times[k], traj.seg_values[k]
             if kind == "impulse":
@@ -236,19 +227,15 @@ class Sweep:
             elif targets is None:
                 piece[...] = start
             else:
-                target = np.asarray(targets[j], dtype=float)
-                if continuum:
-                    piece[...] = self.grids[j].table.min_energy_path(start, target)
-                else:
-                    # s runs from exactly 0 to exactly 1 (linspace stores both
-                    # ends), so the line starts on ``start`` and ends on the target
-                    s = ((times - a) / (end - a))[:, None]
-                    piece[...] = (1.0 - s) * start + s * target
+                # s runs from exactly 0 to exactly 1 (linspace stores both
+                # ends), so the line starts on ``start`` and ends on the target
+                s = ((times - a) / (end - a))[:, None]
+                piece[...] = (1.0 - s) * start + s * np.asarray(targets[j], dtype=float)
         self._solved = [None] * len(self.grids)
         return traj
 
-    def _first_start(self, traj: PiecewiseTrajectory, targets, forcing=None,
-                     integral=None) -> np.ndarray:
+    def _first_start(self, traj: PiecewiseTrajectory, targets, forcing,
+                     integral) -> np.ndarray:
         """Window 0's start for a sweep of ``traj``: phi(0) + nu(x), or, in
         a steered sweep of a run whose nu = sum_i alpha_i x(t_i) moves with
         window 0's start on the shift backend (``_chord``), the chord step
@@ -259,10 +246,10 @@ class Sweep:
         window's path reproduces (C. T. Kelley, Iterative Methods for Linear
         and Nonlinear Equations, SIAM 1995, ch. 5).  P(s) is window 0's
         discrete steered path from s with this sweep's forcing F (``forcing``,
-        with its end integral I_F, ``integral``; both read from ``traj``
-        where not given), predicted at the rows nu reads: rows j_i and j_i
-        + 1 at fraction f_i (:meth:`PiecewiseTrajectory.locate`), summed
-        with weights alpha_i (1 - f_i) and alpha_i f_i into
+        with its end integral I_F, ``integral``), predicted at the rows nu
+        reads: rows j_i and j_i + 1 at fraction f_i
+        (:meth:`PiecewiseTrajectory.locate`), summed with weights alpha_i (1
+        - f_i) and alpha_i f_i into
 
             nu_in(P(s)) = Lag s + R(F) + C G^-1 (z_0 - T(L) s - I_F),
 
@@ -290,9 +277,6 @@ class Sweep:
         start = window_start(self.problem, traj)
         if not self._chord or targets is None:
             return start
-        if forcing is None:
-            forcing = self._forcings(traj)[0]
-            integral = self._integral(0, forcing)
         table = self.grids[0].table
         alphas, instants = self._chord
         _, j, f = traj.locate(instants)
@@ -447,9 +431,8 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     """Iterate the sweep's steered operator to its fixed point.
 
     Starts from ``sweep.initial_iterate(targets)``: with targets, each
-    control window runs on its continuum minimum-energy path (shift
-    backend) or the straight line (matrix backend) to its target, which it
-    ends on, as in every iterate the operator returns.  Stops when the
+    control window runs on the straight line to its target, which it ends
+    on, as in every iterate the operator returns.  Stops when the
     sup-norm update drops below ``numerics.tol`` relative to the iterate
     scale, or after the first sweep when the next would read exactly what
     it read (``Sweep.one_sweep``): without a nonlocal term the first

@@ -447,8 +447,9 @@ class TestCommands:
     @pytest.mark.parametrize("preset, nodes, iterations", [
         # Case 1's eta rows on the 151 + 251 control-window nodes, Case 2's
         # q rows on all 151 + 101 + 251 kernel nodes; 126 of either lie at
-        # t <= beta = 0.25
-        ("transport-case1", 402, 5), ("transport-case2", 503, 3)])
+        # t <= beta = 0.25.  From the straight-line first iterate Case 1
+        # takes 5 sweeps and Case 2 4
+        ("transport-case1", 402, 5), ("transport-case2", 503, 4)])
     def test_solve_with_live_forcing_rows(self, tmp_path, monkeypatch, preset,
                                           nodes, iterations):
         # the presets at N = 16, beta = 0.25, step 2e-3: the forcing rows

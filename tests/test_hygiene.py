@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,61 @@ def test_package_imports_no_scipy():
             found += [f"{path.name}:{node.lineno} {n}" for n in names
                       if n.split(".")[0] == "scipy"]
     assert not found, f"scipy imported by the package: {found}"
+
+
+_CROSS_REFERENCE = re.compile(r":(?:meth|func|class):`([\w.]+)`")
+
+
+def _docstrings(tree):
+    """The docstrings of a module, its classes and its functions, each as
+    (text, name of the enclosing class or None)."""
+    def visit(node, cls):
+        doc = ast.get_docstring(node, clean=False)
+        if doc:
+            yield doc, cls
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, cls)
+    yield from visit(tree, None)
+
+
+def _names_a_definition(owner, dotted):
+    """Whether the dotted name is an attribute chain from ``owner``; a part
+    that is a submodule of a module owner is imported."""
+    import importlib
+    import types
+    for part in dotted.split("."):
+        if not hasattr(owner, part) and isinstance(owner, types.ModuleType):
+            try:
+                importlib.import_module(f"{owner.__name__}.{part}")
+            except ImportError:
+                return False
+        if not hasattr(owner, part):
+            return False
+        owner = getattr(owner, part)
+    return True
+
+
+def test_every_docstring_cross_reference_names_a_definition():
+    """Each :meth:, :func: and :class: reference in a package docstring
+    names a definition that exists, a bare name resolved against the
+    enclosing class first, then the module, then the package: a deleted or
+    renamed function leaves no reference pointing at nothing."""
+    import importlib
+    package = importlib.import_module("evosteer")
+    found, dangling = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = importlib.import_module(f"evosteer.{path.stem}")
+        for doc, cls in _docstrings(ast.parse(path.read_text())):
+            for name in _CROSS_REFERENCE.findall(doc):
+                found += 1
+                owners = ([getattr(module, cls)] if cls else []) + [module, package]
+                if not any(_names_a_definition(o, name) for o in owners):
+                    dangling.append(f"{path.name} {cls or ''} {name}")
+    assert found >= 40
+    assert not dangling, f"docstring references naming nothing: {dangling}"
 
 
 def _definitions(tree):

@@ -520,66 +520,12 @@ class TestLagTables:
         assert np.array_equal(got[rows == 0], expected[rows == 0])
 
 
-def per_row_min_energy_path(T, delta, m, start, target):
-    """The continuum minimum-energy path one row at a time, from the
-    semigroup's own shifts: T(tau) s + w T(L - tau)* r, r = z - T(L) s,
-    w = min(tau, pi - x) / min(L, pi - x + L - tau)."""
-    x = np.arange(T.N) * T.h
-    L = m * delta
-    r = target - T.apply(L, start)
-    rows = []
-    for g in range(m + 1):
-        tau = g * delta
-        w = np.minimum(tau, np.pi - x) / np.minimum(L, np.pi - x + L - tau)
-        rows.append(T.apply(tau, start) + w * T.apply_adjoint((m - g) * delta, r))
-    return np.array(rows)
-
-
 class TestMinEnergyPath:
+    """The bands of the discrete steered window path, the path of the
+    minimum-energy control from a start to a target."""
+
     CASES = [(16, 0.3 / 150, 150), (64, 0.5 / 250, 250), (64, 0.3, 8),
              (32, np.pi / 32, 20), (256, 0.45 / 1000, 1000)]
-
-    @pytest.mark.parametrize("N, delta, m", CASES)
-    def test_ends_are_the_start_and_the_target(self, N, delta, m):
-        # bit for bit, a signed zero included
-        rng = np.random.default_rng(N + m)
-        start, target = rng.normal(size=N), rng.normal(size=N)
-        start[3], target[5] = -0.0, -0.0
-        path = ShiftSemigroup(N).lag_table(delta, m).min_energy_path(start, target)
-        assert path.shape == (m + 1, N)
-        assert path[0].tobytes() == start.tobytes()
-        assert path[-1].tobytes() == target.tobytes()
-
-    @pytest.mark.parametrize("N, delta, m", CASES)
-    def test_rows_match_the_per_row_formula(self, N, delta, m):
-        # the interior rows, against ShiftSemigroup.apply, apply_adjoint and
-        # the weight one row at a time: within 1e-15 of the largest |value|
-        T = ShiftSemigroup(N)
-        rng = np.random.default_rng(N * m)
-        start, target = rng.normal(size=N), rng.normal(size=N)
-        got = T.lag_table(delta, m).min_energy_path(start, target)
-        want = per_row_min_energy_path(T, delta, m, start, target)
-        assert np.abs(got[1:-1] - want[1:-1]).max() <= 1e-15 * np.abs(want).max()
-        # the formula's own last row misses the target by round-off only
-        assert np.abs(want[-1] - target).max() <= 1e-15 * np.abs(target).max()
-
-    @pytest.mark.parametrize("N, delta, m", CASES)
-    def test_weight_is_tau_over_L_away_from_the_outflow(self, N, delta, m):
-        # from a zero start, row g is w T((m-g) delta)* z, and w is exactly
-        # tau / L at every node x <= pi - L; nearer the outflow it is not
-        T = ShiftSemigroup(N)
-        target = np.random.default_rng(m).uniform(0.5, 1.5, size=N)
-        path = T.lag_table(delta, m).min_energy_path(np.zeros(N), target)
-        L = m * delta
-        inner = np.arange(N) * T.h <= np.pi - L - 1e-12
-        differs = False
-        for g in range(1, m):
-            tau = g * delta
-            shifted = T.apply_adjoint((m - g) * delta, target)
-            assert np.array_equal(path[g, inner], (tau / L) * shifted[inner])
-            live = ~inner & (shifted != 0.0)
-            differs |= bool(np.any(path[g, live] != (tau / L) * shifted[live]))
-        assert differs == (L > T.h)
 
     @pytest.mark.parametrize("N, delta, m", CASES)
     def test_derivative_is_the_difference_of_two_paths(self, N, delta, m):
