@@ -734,11 +734,11 @@ def _start_case(name):
         cfg.resolved_targets()
 
 
-# per start case: the sweeps of the solve from the first iterate, from
-# :func:`flat_start` and from :func:`steered_start`
-_START_SWEEPS = {"transport-case1.ini": (2, 2, 2), "transport-case2.ini": (1, 1, 1),
-                 "linear-2d.ini": (1, 1, 1), "case1-beta0.25": (5, 5, 5),
-                 "case2-beta0.25": (4, 4, 4)}
+# per start case: the sweeps of the solve from the first iterate and from
+# :func:`flat_start`
+_START_SWEEPS = {"transport-case1.ini": (2, 2), "transport-case2.ini": (1, 1),
+                 "linear-2d.ini": (1, 1), "case1-beta0.25": (5, 5),
+                 "case2-beta0.25": (4, 4)}
 
 
 @pytest.mark.parametrize("name", ["transport-case1.ini", "transport-case2.ini",
@@ -746,23 +746,21 @@ _START_SWEEPS = {"transport-case1.ini": (2, 2, 2), "transport-case2.ini": (1, 1,
                                   "case2-beta0.25"])
 def test_steered_start_gives_the_flat_start_solve(monkeypatch, name):
     # the first iterate, each control window on the straight line to its
-    # target, against the two starts before it: the flat one, and the flat
-    # one with each window an impulse follows ending on its target, where
-    # every later iterate ends it up to round-off.  They differ only inside
-    # the control windows.  Without a nonlocal term at beta = b a sweep
-    # reads nothing of the first iterate but the history and phi(0), so all
-    # three solves stop after that one sweep, bit for bit the same, update
-    # and measured ratio (exactly 0) included; at beta = 0.25 every path,
-    # control and preimage value lies within eps (the largest
+    # target, against the flat start, whose control windows hold phi(0) +
+    # nu(flat extension of phi(0)) whatever the targets.  They differ only
+    # inside the control windows.  Without a nonlocal term at beta = b a
+    # sweep reads nothing of the first iterate but the history and phi(0),
+    # so both solves stop after that one sweep, bit for bit the same,
+    # update and measured ratio (exactly 0) included; at beta = 0.25 every
+    # path, control and preimage value lies within eps (the largest
     # table.fft_error) of its array's largest |value|.  Case 1's nonlocal
     # term reads window 0's interior, which each first iterate fills
     # differently, so the solves stop at different sweeps of one
     # contraction: within the Picard tolerance tol * max(1, norm) of each
-    # other and of a solve at tol = 1e-14 (measured, as fractions of max(1,
-    # norm): at most 3.6e-16 at beta = b and 2.6e-13 at beta = 0.25, against
-    # tol = 1e-9), with defects at round-off.  A later window whose forcing
-    # rows are all frozen is solved once, not twice
-    import dataclasses
+    # other (measured, as fractions of max(1, norm): at most 3.6e-16 at
+    # beta = b and 2.6e-13 at beta = 0.25, against tol = 1e-9), with
+    # defects at round-off.  A later window whose forcing rows are all
+    # frozen is solved once, not twice
     from collections import Counter
     from evosteer import solver
     prob, num, targets = _start_case(name)
@@ -777,41 +775,80 @@ def test_steered_start_gives_the_flat_start_solve(monkeypatch, name):
         m.setattr(solver, "synthesize_control", counted)
         sweep = Sweep(prob, num)
         report = picard_solve(sweep, targets)
-    refs = []
-    for start in (flat_start, steered_start):
-        with monkeypatch.context() as m:
-            m.setattr(Sweep, "initial_iterate", start)
-            refs.append(picard_solve(Sweep(prob, num), targets))
-    assert (report.iterations, *(r.iterations for r in refs)) == _START_SWEEPS[name]
+    with monkeypatch.context() as m:
+        m.setattr(Sweep, "initial_iterate", flat_start)
+        ref = picard_solve(Sweep(prob, num), targets)
+    assert (report.iterations, ref.iterations) == _START_SWEEPS[name]
     eps = max(g.table.fft_error for g in sweep.grids)
+    scale = np.abs(ref.trajectory.sample_stack()).max()
+    got, want = (report.trajectory, report.control), (ref.trajectory, ref.control)
     nonlocal_start = prob.nonlocal_term is not None
     assert nonlocal_start == name.startswith(("transport-case1", "case1"))
     if nonlocal_start:
-        fine = picard_solve(Sweep(prob, dataclasses.replace(num, tol=1e-14)), targets)
-        assert sup_distance(report.trajectory, fine.trajectory) <= \
-            num.tol * max(1.0, path_sup_norm(fine.trajectory))
-    for ref in refs:
-        got, want = (report.trajectory, report.control), (ref.trajectory, ref.control)
-        scale = np.abs(ref.trajectory.sample_stack()).max()
-        if nonlocal_start:
-            assert sup_distance(report.trajectory, ref.trajectory) <= \
-                num.tol * max(1.0, path_sup_norm(ref.trajectory))
-            assert max(report.per_window_defect + ref.per_window_defect) <= eps * scale
-        elif prob.beta == prob.mesh.b:
-            assert_same_apply(got, want)
-            assert report.per_window_defect == ref.per_window_defect
-            assert (report.final_update, report.measured_ratio) == \
-                (ref.final_update, ref.measured_ratio) == (0.0, 0.0)
-            assert report.window_solves == ref.window_solves
-        else:
-            assert_close_apply(got, want, eps)
-            assert np.allclose(report.per_window_defect, ref.per_window_defect,
-                               rtol=0.0, atol=eps * scale)
+        assert sup_distance(report.trajectory, ref.trajectory) <= \
+            num.tol * max(1.0, path_sup_norm(ref.trajectory))
+        assert max(report.per_window_defect + ref.per_window_defect) <= eps * scale
+    elif prob.beta == prob.mesh.b:
+        assert_same_apply(got, want)
+        assert report.per_window_defect == ref.per_window_defect
+        assert (report.final_update, report.measured_ratio) == \
+            (ref.final_update, ref.measured_ratio) == (0.0, 0.0)
+        assert report.window_solves == ref.window_solves
+    else:
+        assert_close_apply(got, want, eps)
+        assert np.allclose(report.per_window_defect, ref.per_window_defect,
+                           rtol=0.0, atol=eps * scale)
     frozen = [g.times[-1] <= prob.beta for g in sweep.grids]
     assert all(frozen) == (prob.beta == prob.mesh.b)
     assert [solves[j] for j in range(1, len(frozen)) if frozen[j]] == \
         [1] * sum(frozen[1:])
     assert sum(solves.values()) == report.window_solves
+
+
+@pytest.mark.parametrize("name, iterations", [
+    ("transport-case1.ini", (2, 2)), ("transport-case2.ini", (1, 1)),
+    ("linear-2d.ini", (1, 1)), ("case1-beta0.25", (5, 5)),
+    ("case2-beta0.25", (4, 4))])
+def test_straight_start_gives_the_steered_start_solve(monkeypatch, name,
+                                                      iterations):
+    # the straight-line first iterate differs from the steered one only
+    # inside the control windows.  Where nothing reads those (no nonlocal
+    # term, every forcing row frozen: Case 2 and linear-2d at beta = b) the
+    # forward sweep reads of either only the history and phi(0): both
+    # solves stop after that one sweep, bit for bit the same, measured
+    # ratio and update included.  Case 2 at beta = 0.25 stays within eps
+    # (the largest table.fft_error) of it.  Case 1's nonlocal term reads
+    # window 0's interior, which the chord step reads off the predicted
+    # steered path instead, so both solves take the same sweeps and lie
+    # within the Picard tolerance tol * max(1, norm) of a solve at tol =
+    # 1e-14 (measured, as fractions of max(1, norm): at most 3.6e-16 at
+    # beta = b and 2.6e-13 at beta = 0.25, against tol = 1e-9), with
+    # defects at round-off
+    import dataclasses
+    prob, num, targets = _start_case(name)
+    sweep = Sweep(prob, num)
+    report = picard_solve(sweep, targets)
+    with monkeypatch.context() as m:
+        m.setattr(Sweep, "initial_iterate", steered_start)
+        ref = picard_solve(Sweep(prob, num), targets)
+    assert (report.iterations, ref.iterations) == iterations
+    eps = max(g.table.fft_error for g in sweep.grids)
+    got, want = (report.trajectory, report.control), (ref.trajectory, ref.control)
+    if prob.nonlocal_term is not None:
+        fine = picard_solve(Sweep(prob, dataclasses.replace(num, tol=1e-14)), targets)
+        bound = num.tol * max(1.0, path_sup_norm(fine.trajectory))
+        assert sup_distance(report.trajectory, fine.trajectory) <= bound
+        assert sup_distance(ref.trajectory, fine.trajectory) <= bound
+        scale = np.abs(fine.trajectory.sample_stack()).max()
+        assert max(report.per_window_defect) <= eps * scale
+    elif prob.beta == prob.mesh.b:
+        assert_same_apply(got, want)
+        assert report.per_window_defect == ref.per_window_defect
+        assert (report.final_update, report.measured_ratio, report.window_solves) == \
+            (0.0, 0.0, ref.window_solves)
+        assert (ref.final_update, ref.measured_ratio) == (0.0, 0.0)
+    else:
+        assert_close_apply(got, want, eps)
 
 
 @pytest.mark.parametrize("name", ["transport-case1.ini", "case2-beta0.25",
