@@ -80,12 +80,6 @@ def _linear_numerics(time_step: float = 3e-4) -> Numerics:
                     max_iter=60, oracle_refine=10, seed=5)
 
 
-def _sampled_growth(semigroup: MatrixSemigroup, grid) -> float:
-    """Largest |T(theta)|_2 over the grid, far tighter than e^{b mu_2(A)}."""
-    return max(float(np.linalg.norm(semigroup.propagator(float(t)), 2))
-               for t in grid)
-
-
 def _random_linear_instance(rng: np.random.Generator, dim: int):
     A = rng.normal(size=(dim, dim))
     A *= rng.uniform(0.5, 1.0) / np.linalg.norm(A, 2)
@@ -95,14 +89,13 @@ def _random_linear_instance(rng: np.random.Generator, dim: int):
     phi0 *= 0.5 / np.linalg.norm(phi0)
     mesh = TimeMesh([0.0, 0.45, 0.55, 1.0])
     semigroup = MatrixSemigroup(A)
-    K = max(1.0, _sampled_growth(semigroup, np.linspace(0.0, 1.0, 129)) * 1.02)
+    K = semigroup.bound(mesh.b)
     targets = []
     for _ in range(2):
         z = rng.normal(size=dim)
         targets.append(z / np.linalg.norm(z))
-    constants = AssumptionConstants(
-        semigroup_bound=K, control_op_norm=float(np.linalg.norm(B, 2)),
-        impulse_lipschitz=(0.55,), impulse_sup=(0.55 * 2.0 * K,))
+    constants = AssumptionConstants(impulse_lipschitz=(0.55,),
+                                    impulse_sup=(0.55 * 2.0 * K,))
     problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
                       beta=1.0, history=lambda s: phi0,
                       impulses=(np.outer,),

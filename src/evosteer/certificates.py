@@ -2,7 +2,8 @@
 
 The steered operator is a contraction in the path sup norm whenever a max
 over window-wise branch constants stays below 1.  Each branch combines the
-declared Lipschitz data with the window's Gramian floor; the floors used
+declared Lipschitz data, the window's Gramian floor and the computed bounds
+K >= |T(t)| and M = |B| (:func:`operator_bounds`); the floors used
 here are the *measured* smallest eigenvalues of the assembled Gramians (plus
 any ridge), so the certificate describes the discretization actually solved
 rather than an abstract assumption.  A verdict of False never asserts
@@ -96,12 +97,21 @@ def solution_bound(K: float, M: float, b: float, control_sup: float,
     return max(candidates)
 
 
+def operator_bounds(problem: Problem) -> tuple:
+    """(K, M): K >= |T(t)| on [0, b], the semigroup's own bound, and M =
+    |B|_2, exactly 1 for B = I without taking its SVD."""
+    K = problem.semigroup.bound(problem.mesh.b)
+    M = (1.0 if problem.identity_control
+         else float(np.linalg.norm(problem.control_matrix, 2)))
+    return K, M
+
+
 def control_bound(problem: Problem, j: int, target: np.ndarray,
                   floor: float, forcing_sup: float = 0.0) -> float:
-    """Worst-case sup bound on the window-j control from the declared
-    constants, the realized Gramian floor and the forcing's sup bound."""
+    """Worst-case sup bound on the window-j control from K and M, the
+    declared constants, the realized Gramian floor and the forcing's sup."""
     c = problem.constants
-    K, M, b = c.semigroup_bound, c.control_op_norm, problem.mesh.b
+    (K, M), b = operator_bounds(problem), problem.mesh.b
     zn = problem.norm(np.asarray(target, dtype=float))
     tail = K * forcing_sup * b
     if j == 0:
@@ -120,26 +130,23 @@ def certificate_for(sweep: Sweep, targets) -> Certificate:
     Gramian below its invertibility floor, so every floor is positive."""
     problem, blocks = sweep.problem, sweep.blocks
     c = problem.constants
-    b = problem.mesh.b
+    (K, M), b = operator_bounds(problem), problem.mesh.b
     gamma = delay_ratio(b, problem.beta)
     floors = tuple(blk.floor_used for blk in blocks)
     kb, gain = 0.0, 1.0
     if sweep.kern is not None:
         kb = gain = sweep.kern.kernel_mass
     lf, branch = contraction_constant(
-        c.semigroup_bound, c.control_op_norm, b, gamma,
-        c.nonlin_lipschitz * gain, c.impulse_lipschitz, c.nonlocal_lipschitz,
-        floors)
+        K, M, b, gamma, c.nonlin_lipschitz * gain, c.impulse_lipschitz,
+        c.nonlocal_lipschitz, floors)
     forcing_sup = c.nonlin_sup * gain
     qs = tuple(control_bound(problem, j, targets[j], floors[j], forcing_sup)
                for j in range(len(blocks)))
     alpha = solution_bound(
-        c.semigroup_bound, c.control_op_norm, b, max(qs),
-        problem.norm(problem.phi0()), forcing_sup=forcing_sup,
+        K, M, b, max(qs), problem.norm(problem.phi0()), forcing_sup=forcing_sup,
         nonlocal_sup=c.nonlocal_sup, impulse_sup=c.impulse_sup)
     return Certificate(variant=problem.variant, delay_ratio=gamma,
-                       semigroup_bound=c.semigroup_bound,
-                       control_op_norm=c.control_op_norm,
+                       semigroup_bound=K, control_op_norm=M,
                        gramian_floors=floors, contraction_constant=lf,
                        binding_branch=branch, solution_bound=alpha,
                        control_bounds=qs, kernel_mass=kb)

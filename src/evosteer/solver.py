@@ -256,24 +256,26 @@ class Sweep:
         Lag the sum of the lags T(g delta) (:meth:`ShiftLagTable.lag_band`),
         C of the cross-Gramians (:meth:`ShiftLagTable.cross_gramian`), R(F)
         of the forcing's rows (:meth:`ShiftLagTable.row_integral`), G the
-        window's Gramian and z_0 its target.  The instants outside (0,
-        theta_1) read the iterate, as phi(0) + nu(x) does.  The predicted
-        map is affine in s with Jacobian J = Lag - C G^-1 T(L), so the step
-        lands, up to the series, on the start that nu reproduces with its
-        window-0 reads taken on the path this sweep writes; where every
-        forcing row is frozen (beta = b) the next sweep reads the same
-        forcing and keeps window 0.  The
-        sums over the samples are banded, built on the first steered sweep,
-        so each product with J is O(N): three banded products and one LDL^T
-        solve.  (I - J)^-1 is summed as its Neumann series until a term is
-        at most eps max(|s|_inf, |phi(0) + nu(x)|_inf), eps =
-        ``table.fft_error``: a start move the next sweep's keep rule
-        ignores.  Each row of J is a shift, |T(g delta)|_inf <= 1, less a
-        feedback term like it (measured at most 1.24 for N = 16 to 256), so
-        2 sum |alpha_i| < 1 makes the terms shrink geometrically and bounds
-        the count; a term that does not shrink leaves the plain start.  The
-        fixed point, where the start is phi(0) + nu(x), is the plain
-        iteration's; only the steps to it change."""
+        window's Gramian, z_0 its target and z_0 - T(L) s - I_F the
+        window's steering residual (:func:`steering_residual`).  The
+        instants outside (0, theta_1) read the iterate, as phi(0) + nu(x)
+        does.  The predicted map is affine in s with Jacobian J = Lag - C
+        G^-1 T(L), so the step lands, up to the series, on the start that nu
+        reproduces with its window-0 reads taken on the path this sweep
+        writes; where every forcing row is frozen (beta = b) the next sweep
+        reads the same forcing and keeps window 0.  The sums over the
+        samples are banded, built on the first steered sweep, so each
+        product with J is O(N): two banded products, the shift T(L)
+        (``table.apply``) and one LDL^T solve.  (I - J)^-1 is summed as its
+        Neumann series until a term is at most eps max(|s|_inf, |phi(0) +
+        nu(x)|_inf), eps = ``table.fft_error``: a start move the next
+        sweep's keep rule ignores.  Each row of J is a shift, |T(g
+        delta)|_inf <= 1, less a feedback term like it (measured at most
+        1.24 for N = 16 to 256), so 2 sum |alpha_i| < 1 makes the terms
+        shrink geometrically and bounds the count; a term that does not
+        shrink leaves the plain start.  The fixed point, where the start is
+        phi(0) + nu(x), is the plain iteration's; only the steps to it
+        change."""
         start = window_start(self.problem, traj)
         if not self._chord or targets is None:
             return start
@@ -284,12 +286,11 @@ class Sweep:
         weights = np.concatenate((alphas * (1.0 - f), alphas * f))
         if self._jacobian is None:
             self._jacobian = (table.lag_band(rows, weights),
-                              table.lag_band([table.m], [1.0]),
                               table.cross_gramian(rows, weights),
                               self.blocks[0]._tridiagonal.solve)
-        lag, end, cross, solve = self._jacobian
+        lag, cross, solve = self._jacobian
         s = traj.seg_values[0][0]
-        residual = np.asarray(targets[0], dtype=float) - band_product(end, s) - integral
+        residual = steering_residual(s, targets[0], self.grids[0], integral)
         predicted = (band_product(lag, s) + table.row_integral(forcing, rows, weights)
                      + band_product(cross, solve(residual)))
         bound = table.fft_error * max(np.abs(s).max(), np.abs(start).max())
@@ -299,7 +300,7 @@ class Sweep:
         size = np.abs(term).max()
         while size > bound:
             term = (band_product(lag, term)
-                    - band_product(cross, solve(band_product(end, term))))
+                    - band_product(cross, solve(table.apply(table.m, term))))
             step = step + term
             size, last = np.abs(term).max(), size
             if size >= last:    # |J|_inf >= 1: no series to sum

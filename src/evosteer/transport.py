@@ -89,8 +89,6 @@ def _problem(cfg: TransportConfig, *, nonlin_lipschitz: float,
     mesh, n = cfg.mesh, cfg.mesh.n_impulses
     lip = nonlocal_term.lipschitz if nonlocal_term is not None else 0.0
     constants = AssumptionConstants(
-        semigroup_bound=1.0,
-        control_op_norm=1.0,
         nonlin_lipschitz=nonlin_lipschitz,
         nonlin_sup=nonlin_sup,
         impulse_lipschitz=tuple(mesh.b for _ in range(n)),

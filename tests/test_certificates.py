@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evosteer.certificates import (certificate_for, contraction_constant,
-                                   delay_ratio, solution_bound)
+                                   delay_ratio, operator_bounds, solution_bound)
 from evosteer.core import TimeMesh
 from evosteer.discretize import KernelDiscretization, interval_times
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
@@ -142,6 +142,28 @@ class TestSolutionBound:
         assert alpha == pytest.approx(5.0, abs=1e-14)
 
 
+class TestOperatorBounds:
+    def test_identity_control_is_one_without_an_svd(self, monkeypatch):
+        norms = []
+        norm = np.linalg.norm
+        monkeypatch.setattr(np.linalg, "norm",
+                            lambda x, *a, **k: norms.append(a) or norm(x, *a, **k))
+        mesh = TimeMesh([0.0, 1.0])
+        rng = np.random.default_rng(3)
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        A = rng.normal(size=(4, 4))
+        for B, M in ((np.eye(4), 1.0), (Q @ np.diag([0.8, 1.0, 1.1, 1.25]), None)):
+            prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=B,
+                           mesh=mesh, beta=1.0, history=lambda s: np.zeros(4))
+            K = prob.semigroup.bound(1.0)    # kept, so not taken again
+            norms.clear()
+            if M is None:
+                assert operator_bounds(prob) == (K, norm(B, 2))
+                assert norms == [(2,)]
+            else:
+                assert operator_bounds(prob) == (K, M) and norms == []
+
+
 class TestCertificatePipeline:
     def test_uses_realized_floors(self):
         rng = np.random.default_rng(40)
@@ -151,12 +173,14 @@ class TestCertificatePipeline:
                        mesh=mesh, beta=1.0, history=lambda s: np.zeros(3),
                        impulses=(np.outer,),
                        constants=AssumptionConstants(
-                           semigroup_bound=2.0, control_op_norm=1.0,
                            impulse_lipschitz=(0.6,), impulse_sup=(1.5,)))
         num = Numerics(time_step=2e-3)
         sweep = Sweep(prob, num)
         targets = [rng.normal(size=3), rng.normal(size=3)]
         cert = certificate_for(sweep, targets)
+        # K is the generator's own bound, M = |I|_2 exactly
+        assert cert.semigroup_bound == prob.semigroup.bound(1.0)
+        assert cert.control_op_norm == 1.0
         assert cert.gramian_floors == tuple(b.floor_used for b in sweep.blocks)
         assert cert.variant == "semilinear"
         assert cert.contracts == (cert.contraction_constant < 1.0)
@@ -193,9 +217,9 @@ def _reference_integro_constant(K, M, b, gamma, kernel_lipschitz, kernel_mass,
     return branches[binding], binding
 
 
-def _reference_integro_control_bound(problem, j, target, floor, kernel_mass):
+def _reference_integro_control_bound(problem, K, M, j, target, floor, kernel_mass):
     c = problem.constants
-    K, M, b = c.semigroup_bound, c.control_op_norm, problem.mesh.b
+    b = problem.mesh.b
     zn = problem.norm(np.asarray(target, dtype=float))
     tail = K * c.nonlin_sup * b * kernel_mass
     head = (K * problem.norm(problem.phi0()) if j == 0
@@ -218,7 +242,7 @@ class TestMergedIntegroCertificate:
         mesh = TimeMesh([0.0, 0.25, 0.4, 0.6, 0.7, 0.9])
         rng = np.random.default_rng(41)
         A = rng.normal(size=(2, 2)) / 2.0
-        K, M = 1.7, 1.3
+        M = 1.3
         kappa = lambda s: np.exp(-4.0 * np.asarray(s, dtype=float))
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=M * np.eye(2),
                        mesh=mesh, beta=0.6,
@@ -228,13 +252,14 @@ class TestMergedIntegroCertificate:
                        kernel=ConvolutionKernel(
                            kappa=kappa, q=lambda t, v: 0.3 * v),
                        constants=AssumptionConstants(
-                           semigroup_bound=K, control_op_norm=M,
                            nonlin_lipschitz=0.3, nonlin_sup=0.8,
                            impulse_lipschitz=(0.5, 0.45),
                            impulse_sup=(0.9, 0.7)))
         num = Numerics(time_step=0.01)
         targets = [rng.normal(size=2) for _ in range(3)]
         cert = certificate_for(Sweep(prob, num), targets)
+        K = prob.semigroup.bound(0.9)
+        assert (cert.semigroup_bound, cert.control_op_norm) == (K, M)
         km = cert.kernel_mass
         assert km == KernelDiscretization(prob, num).kernel_mass > 0.0
         c = prob.constants
@@ -244,7 +269,7 @@ class TestMergedIntegroCertificate:
         assert cert.delay_ratio == 1.5
         assert cert.binding_branch == branch
         assert cert.contraction_constant == pytest.approx(lf, rel=1e-15)
-        qs = [_reference_integro_control_bound(prob, j, targets[j], floor, km)
+        qs = [_reference_integro_control_bound(prob, K, M, j, targets[j], floor, km)
               for j, floor in enumerate(cert.gramian_floors)]
         assert cert.control_bounds == pytest.approx(qs, rel=1e-15)
         alpha = _reference_integro_solution_bound(

@@ -84,7 +84,7 @@ class TestConfigParsing:
         np.testing.assert_array_equal(cfg.problem.semigroup.A,
                                       [[0.0, 1.0], [-1.0, 0.0]])
         assert cfg.problem.mesh.n_impulses == 1
-        assert cfg.problem.constants.semigroup_bound >= 1.0
+        assert cfg.problem.semigroup.bound(cfg.problem.mesh.b) >= 1.0
 
     @pytest.mark.parametrize("generator,sup_norm", [
         ("0 0; 0 0", 1.0),
@@ -98,7 +98,7 @@ class TestConfigParsing:
             "generator = 0 1; -1 0", f"generator = {generator}")
         cfg = load_config(write(tmp_path, "k.ini", text))
         A = cfg.problem.semigroup.A
-        K = cfg.problem.constants.semigroup_bound
+        K = cfg.problem.semigroup.bound(cfg.problem.mesh.b)
         norms = [np.linalg.norm(expm(t * A), 2)
                  for t in np.linspace(0.0, cfg.problem.mesh.b, 4001)]
         assert max(norms) == pytest.approx(sup_norm, abs=1e-4)
@@ -122,7 +122,7 @@ class TestConfigParsing:
             "generator = 0 1; -1 0", f"generator = {generator}")
         cfg = load_config(write(tmp_path, "k.ini", text))
         A, b = cfg.problem.semigroup.A, cfg.problem.mesh.b
-        K = cfg.problem.constants.semigroup_bound
+        K = cfg.problem.semigroup.bound(b)
         h = b / 1024
         sampled = max(np.linalg.norm(expm(k * h * A), 2)
                       for k in range(1025)) * np.exp(h * mu)
@@ -131,25 +131,17 @@ class TestConfigParsing:
         else:
             assert K == np.exp(b * mu) < sampled
 
-    @pytest.mark.parametrize("scale", [0.5, 1.0, 5.0, 50.0])
-    def test_linear_semigroup_bound_skips_only_runs_below_the_max(self, scale):
-        # the norms skipped in runs of 16 samples change no bit of K: it is
-        # the formula over every one of the 1025 samples
-        from evosteer.config import _semigroup_bound
-        from evosteer.semigroups import expm as own_expm, powers
-        rng = np.random.default_rng(int(scale * 10))
-        for d in range(2, 7):
-            A = scale * rng.normal(size=(d, d)) / np.sqrt(d)
-            mu = max(0.0, np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
-            M = powers(own_expm(A / 1024), 1024, np.eye(d))
-            every = np.sqrt(np.linalg.eigvalsh(M.transpose(0, 2, 1) @ M)[:, -1]).max()
-            want = min(np.exp(mu), every * (1.0 + 1e-9) * np.exp(mu / 1024))
-            assert _semigroup_bound(A, 1.0) == want
-
     def test_shipped_linear_preset_keeps_k_of_one(self):
         # a rotation: mu_2(A) = 0, so K = e^0 = 1 exactly
         cfg = load_config(str(CONFIGS / "linear-2d.ini"))
-        assert cfg.problem.constants.semigroup_bound == 1.0
+        assert cfg.problem.semigroup.bound(cfg.problem.mesh.b) == 1.0
+
+    def test_semigroup_bound_key_is_unknown(self, tmp_path, capsys):
+        # K is computed from the generator, never declared
+        text = LINEAR_CFG.format(out=tmp_path / "o").replace(
+            "beta = 1.0", "beta = 1.0\nsemigroup_bound = 2")
+        assert main(["certify", write(tmp_path, "k.ini", text)]) == 2
+        assert "problem.semigroup_bound: unknown key" in capsys.readouterr().err
 
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):

@@ -605,8 +605,9 @@ class TestControlBound:
                 else TimeMesh([0.0, 1.0]))
         impulses = ((lambda th, x: 0.0 * np.outer(th, x),)
                     if impulse_sup else ())
+        # A = 0 and B = I: K = M = 1
         constants = AssumptionConstants(
-            semigroup_bound=1.0, control_op_norm=1.0, nonlocal_sup=nonlocal_sup,
+            nonlocal_sup=nonlocal_sup,
             impulse_lipschitz=tuple(0.0 for _ in impulse_sup),
             impulse_sup=impulse_sup)
         return linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [1.0],

@@ -280,8 +280,32 @@ class TestMatrixBackend:
         gaps = [np.linalg.norm(T.apply(d, v) - v) for d in (1e-1, 1e-2, 1e-3)]
         assert gaps[0] > gaps[1] > gaps[2]
 
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 5.0, 50.0])
+    def test_bound_skips_only_runs_below_the_max(self, scale):
+        # the norms skipped in runs of 16 samples change no bit of K: it is
+        # the formula over every one of the 1025 samples
+        rng = np.random.default_rng(int(scale * 10))
+        for d in range(2, 7):
+            A = scale * rng.normal(size=(d, d)) / np.sqrt(d)
+            mu = max(0.0, np.linalg.eigvalsh(0.5 * (A + A.T))[-1])
+            M = powers(expm(A / 1024), 1024, np.eye(d))
+            every = np.sqrt(np.linalg.eigvalsh(M.transpose(0, 2, 1) @ M)[:, -1]).max()
+            want = min(np.exp(mu), every * (1.0 + 1e-9) * np.exp(mu / 1024))
+            assert MatrixSemigroup(A).bound(1.0) == want
+
+    def test_bound_is_computed_once_per_horizon(self, monkeypatch):
+        from evosteer import semigroups
+        calls = []
+        monkeypatch.setattr(semigroups, "expm",
+                            lambda A: calls.append(A) or expm(A))
+        T = MatrixSemigroup(np.array([[-5.0, 100.0], [0.0, -5.0]]))
+        K = T.bound(1.0)
+        assert (T.bound(1.0), len(calls)) == (K, 1)
+        assert T.bound(0.5) < K and len(calls) == 2
+
     def test_declared_bound_never_exceeded(self):
-        # the logarithmic-norm bound e^{t mu_2(A)} that linear configs declare
+        # the logarithmic-norm bound e^{t mu_2(A)}, the whole-horizon branch
+        # of MatrixSemigroup.bound
         rng = np.random.default_rng(15)
         for _ in range(5):
             A = rng.normal(size=(5, 5)) / 2.0
@@ -331,6 +355,16 @@ class TestShiftBackend:
         for t in np.linspace(0, 1, 9):
             M = np.column_stack([T.apply(t, e) for e in np.eye(32)])
             assert np.linalg.norm(M, 2) <= 1.0 + 1e-12
+
+    def test_bound_is_a_true_bound(self):
+        # K = 1 bounds |T(g delta)|_2 at every lag of an N = 16 table, whole
+        # and fractional shifts and shifts past pi alike
+        T = ShiftSemigroup(16)
+        table = T.lag_table(0.037, 100)
+        assert T.bound(3.7) == 1.0
+        for g in range(table.m + 1):
+            dense = np.column_stack([table.apply(g, e) for e in np.eye(16)])
+            assert np.linalg.norm(dense, 2) <= 1.0
 
     def test_aligned_composition_exact(self):
         T = ShiftSemigroup(8)

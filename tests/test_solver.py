@@ -702,17 +702,16 @@ def iterate_chord_start(self, traj, targets, *window_0):
         rows = np.concatenate((j, j + 1))
         weights = np.concatenate((alphas * (1.0 - f), alphas * f))
         self._jacobian = (table.lag_band(rows, weights),
-                          table.lag_band([table.m], [1.0]),
                           table.cross_gramian(rows, weights),
                           self.blocks[0]._tridiagonal.solve)
-    lag, end, cross, solve = self._jacobian
+    lag, cross, solve = self._jacobian
     s = traj.seg_values[0][0]
     bound = table.fft_error * max(np.abs(s).max(), np.abs(start).max())
     term = step = start - s
     size = np.abs(term).max()
     while size > bound:
         term = (band_product(lag, term)
-                - band_product(cross, solve(band_product(end, term))))
+                - band_product(cross, solve(table.apply(table.m, term))))
         step = step + term
         size, last = np.abs(term).max(), size
         if size >= last:
@@ -1150,7 +1149,7 @@ def test_chord_step_leaves_a_series_that_does_not_shrink():
     sweep = Sweep(prob, num)
     traj = sweep.initial_iterate(targets)
     N, none = prob.dim, (np.array([], dtype=int), np.zeros((0, prob.dim)))
-    sweep._jacobian = ((np.array([0]), np.full((1, N), 2.0)), none, none, lambda v: v)
+    sweep._jacobian = ((np.array([0]), np.full((1, N), 2.0)), none, lambda v: v)
     start = window_start(prob, traj)
     assert np.abs(start - traj.seg_values[0][0]).max() > 0.0
     forcing = sweep._forcings(traj)[0]
