@@ -300,7 +300,7 @@ def criterion_boundedness(c: Checks) -> None:
                                 _transport_run("case2", build_case2)]
     for tag, result in zip([f"linear{i}" for i in range(10)] + ["case1", "case2"],
                            corpus):
-        sups = result.solve.control_sup_norms()
+        sups = result.solve.control.sup_norms()
         for j, (s, q) in enumerate(zip(sups, result.certificate.control_bounds)):
             c.check(s <= q + 1e-9, f"{tag} window {j}: sup|u| {s:.3e} <= "
                                    f"bound {q:.3e}")

@@ -4,10 +4,10 @@ The steered operator is a contraction in the path sup norm whenever a max
 over window-wise branch constants stays below 1.  Each branch combines the
 declared Lipschitz data, the window's Gramian floor and the computed bounds
 K >= |T(t)| and M = |B| (:func:`operator_bounds`); the floors used
-here are the *measured* smallest eigenvalues of the assembled Gramians (plus
-any ridge), so the certificate describes the discretization actually solved
-rather than an abstract assumption.  A verdict of False never asserts
-divergence -- the condition is sufficient only.
+here are the *measured* smallest eigenvalues of the assembled Gramians, so
+the certificate describes the discretization actually solved rather than an
+abstract assumption.  A verdict of False never asserts divergence -- the
+condition is sufficient only.
 """
 
 from __future__ import annotations
@@ -132,7 +132,7 @@ def certificate_for(sweep: Sweep, targets) -> Certificate:
     c = problem.constants
     (K, M), b = operator_bounds(problem), problem.mesh.b
     gamma = delay_ratio(b, problem.beta)
-    floors = tuple(blk.floor_used for blk in blocks)
+    floors = tuple(blk.min_eig for blk in blocks)
     kb, gain = 0.0, 1.0
     if sweep.kern is not None:
         kb = gain = sweep.kern.kernel_mass

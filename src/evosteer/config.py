@@ -11,7 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -124,9 +124,7 @@ def load_config(path: str) -> RunConfig:
                      outdir=outdir, echo=echo)
 
 
-_NUMERICS_KEYS = {"time_step": float, "history_samples": int, "tol": float,
-                  "max_iter": int, "delta_floor": float, "ridge": float,
-                  "oracle_refine": int, "target_tol": float, "seed": int}
+_NUMERICS_KEYS = {f.name: type(f.default) for f in fields(Numerics)}
 _PRESET_KEYS = {"n": int, "beta": float, "k0": float, "a": float, "seed": int}
 _LINEAR_KEYS = {"kind", "generator", "control", "phi0", "beta", "impulse",
                 "targets"}

@@ -78,14 +78,11 @@ def eta_values(problem: Problem, traj: PiecewiseTrajectory,
 
 
 def _kappa_values(kappa, s: np.ndarray) -> np.ndarray:
-    """kappa at every entry of s; a kernel written for scalars only goes
-    through np.vectorize."""
-    try:
-        kap = np.asarray(kappa(s), dtype=float)
-        if kap.shape != s.shape:
-            raise TypeError
-    except Exception:
-        kap = np.vectorize(kappa)(s).astype(float)
+    """kappa at every entry of s, in one call on the array."""
+    kap = np.asarray(kappa(s), dtype=float)
+    if kap.shape != s.shape:
+        raise ValueError(f"kernel returned shape {kap.shape} for lags of "
+                         f"shape {s.shape}")
     return kap
 
 

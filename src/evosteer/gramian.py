@@ -43,8 +43,8 @@ class NotInvertibleError(Exception):
     """A window Gramian fell below the invertibility floor.
 
     Carries the smallest eigenvalue (a certified lower bound on it for a
-    tridiagonal Gramian) so the caller can refine the grid, shrink the
-    window, or add ridge regularization.
+    tridiagonal Gramian) so the caller can refine the grid or shrink the
+    window.
     """
 
     def __init__(self, window: int, min_eig: float, floor: float):
@@ -129,12 +129,11 @@ def tridiagonal_floor(diag: np.ndarray, off: np.ndarray) -> float:
 
 
 class _Tridiagonal:
-    """T + ridge I for a symmetric tridiagonal T, with its LDL^T
-    factorization: pivots p and multipliers l, T + ridge I = L diag(p) L^T
-    with L unit lower bidiagonal."""
+    """A symmetric tridiagonal T with its LDL^T factorization: pivots p
+    and multipliers l, T = L diag(p) L^T with L unit lower bidiagonal."""
 
-    def __init__(self, diag: np.ndarray, off: np.ndarray, ridge: float):
-        self.diag, self.off = diag + ridge, off
+    def __init__(self, diag: np.ndarray, off: np.ndarray):
+        self.diag, self.off = diag, off
         p, ls = [], []
         q = float(self.diag[0])
         for a, b in zip(self.diag[1:].tolist(), off.tolist()):
@@ -145,7 +144,7 @@ class _Tridiagonal:
         self.pivots, self.mult = np.array(p), ls
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """(T + ridge I)^{-1} v: L y = v, then L^T x = y / p."""
+        """T^{-1} v: L y = v, then L^T x = y / p."""
         y = [float(v[0])]
         for li, vi in zip(self.mult, v[1:].tolist()):
             y.append(vi - li * y[-1])
@@ -156,7 +155,7 @@ class _Tridiagonal:
         return np.array(x[::-1])
 
     def apply(self, w: np.ndarray) -> np.ndarray:
-        """(T + ridge I) w."""
+        """T w."""
         out = self.diag * w
         out[:-1] += self.off * w[1:]
         out[1:] += self.off * w[:-1]
@@ -173,17 +172,14 @@ class GramianBlock:
     pair of a symmetric tridiagonal, with ``min_eig`` a certified lower
     bound on its smallest eigenvalue (:func:`tridiagonal_floor`), at most
     5 u max |off| and 2 ulp below the counts' bracket, and its solve on an
-    LDL^T factorization made on the first solve.  ``ridge`` (if any)
-    shifts every eigenvalue of the solve and is reported, never silent.
-    ``floor_used`` = min_eig + ridge is the realized invertibility floor
-    that certificates consume as the per-window delta; for a tridiagonal it
-    is a true lower bound.
+    LDL^T factorization made on the first solve.  ``min_eig`` is the
+    invertibility floor that certificates consume as the per-window delta;
+    for a tridiagonal it is a true lower bound.
     """
 
     index: int
     matrix: object
     delta_floor: float
-    ridge: float = 0.0
 
     def __post_init__(self):
         if isinstance(self.matrix, tuple):
@@ -194,23 +190,19 @@ class GramianBlock:
             self.min_eig = float(self.eigvals[0])
 
     @property
-    def floor_used(self) -> float:
-        return self.min_eig + self.ridge
-
-    @property
     def invertible(self) -> bool:
-        return self.floor_used >= self.delta_floor
+        return self.min_eig >= self.delta_floor
 
     @functools.cached_property
     def _tridiagonal(self) -> _Tridiagonal:
-        return _Tridiagonal(*self.matrix, self.ridge)
+        return _Tridiagonal(*self.matrix)
 
 
 def assemble_from_grid(B: np.ndarray, grid: WindowGrid,
                        numerics: Numerics) -> GramianBlock:
     """Gramian of one control window on its shared tau-grid."""
     return GramianBlock(index=grid.index, matrix=grid.table.gramian(B),
-                        ridge=numerics.ridge, delta_floor=numerics.delta_floor)
+                        delta_floor=numerics.delta_floor)
 
 
 def assemble_gramian(semigroup, control_matrix, window,
@@ -232,19 +224,18 @@ def assemble_gramian(semigroup, control_matrix, window,
 
 
 def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
-    """Solve (G + ridge I) w = v, refined until the residual r is at most
-    1e-12 relative to v, or after 3 refinement steps.  Each step solves for
-    r by the block's factorization: V ((V^T r) / (lam + ridge)) from a
-    dense Gramian's eigendecomposition, the LDL^T sweeps for a tridiagonal
-    one."""
+    """Solve G w = v, refined until the residual r is at most 1e-12
+    relative to v, or after 3 refinement steps.  Each step solves for r by
+    the block's factorization: V ((V^T r) / lam) from a dense Gramian's
+    eigendecomposition, the LDL^T sweeps for a tridiagonal one."""
     if not block.invertible:
         raise NotInvertibleError(block.index, block.min_eig, block.delta_floor)
     if isinstance(block.matrix, tuple):
         step, apply = block._tridiagonal.solve, block._tridiagonal.apply
     else:
-        V, lam = block.eigvecs, block.eigvals + block.ridge
+        V, lam = block.eigvecs, block.eigvals
         step = lambda r: V @ ((V.T @ r) / lam)
-        apply = lambda w: block.matrix @ w + block.ridge * w
+        apply = lambda w: block.matrix @ w
     w, r = 0.0, v
     for _ in range(4):
         w = w + step(r)

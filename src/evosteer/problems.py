@@ -64,10 +64,11 @@ class AssumptionConstants:
 @dataclass(frozen=True)
 class ConvolutionKernel:
     """Kernel pair for the integro-differential variant: scalar kernel
-    ``kappa(s)`` and delayed integrand ``q(t, v)``, called on a whole grid
-    with ``v[i] = x(t_i - beta)``."""
+    ``kappa(s)``, called on an array of lags and returning kappa at each
+    entry in an array of the same shape, and delayed integrand ``q(t, v)``,
+    called on a whole grid with ``v[i] = x(t_i - beta)``."""
 
-    kappa: Callable[[float], float]
+    kappa: Callable[[np.ndarray], np.ndarray]
     q: Callable
 
 
@@ -182,8 +183,7 @@ class Numerics:
     solver grids and the oracle, with at least ``MIN_STEPS`` steps each.
     ``history_samples`` sets only the stored history grid on [-beta, 0]
     (that many steps); a forcing node with t <= beta reads x(t - beta) from
-    it by interpolation.  ``ridge`` is one nonnegative shift added to
-    every window's Gramian.
+    it by interpolation.
     """
 
     time_step: float = 1e-3
@@ -191,7 +191,6 @@ class Numerics:
     tol: float = 1e-9
     max_iter: int = 200
     delta_floor: float = 1e-8
-    ridge: float = 0.0
     oracle_refine: int = 10
     target_tol: float = 1e-6
     seed: int = 1
@@ -203,8 +202,8 @@ class Numerics:
         for name in ("history_samples", "max_iter", "oracle_refine"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1")
-        if not 0.0 <= self.ridge < np.inf:
-            raise ValueError(f"ridge must be finite and nonnegative, got {self.ridge}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
     def steps_for(self, length: float) -> int:
         return max(MIN_STEPS, int(np.ceil(length / self.time_step)))

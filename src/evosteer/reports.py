@@ -435,7 +435,7 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
                  timings: Optional[dict] = None) -> dict:
     """Assemble the JSON report with a stable field order."""
     out = {
-        "schema": "evosteer-report/1",
+        "schema": "evosteer-report/2",
         "command": command,
         "seed": numerics.seed,
         "config": echo,
@@ -444,11 +444,7 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
         out["certificate"] = {**dataclasses.asdict(certificate),
                               "contracts": certificate.contracts}
     if blocks is not None:
-        out["gramians"] = {
-            "min_eig": [b.min_eig for b in blocks],
-            "ridge": [b.ridge for b in blocks],
-            "floor_used": [b.floor_used for b in blocks],
-        }
+        out["gramians"] = {"min_eig": [b.min_eig for b in blocks]}
     if solve is not None:
         out["solve"] = {
             "converged": solve.converged,
@@ -457,7 +453,7 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
             "updates": list(solve.updates),
             "measured_ratio": solve.measured_ratio,
             "per_window_defect": list(solve.per_window_defect),
-            "control_sup": solve.control_sup_norms(),
+            "control_sup": solve.control.sup_norms(),
             "frozen_forcing_rows": solve.frozen_forcing_rows,
             "window_solves": solve.window_solves,
             "window_solves_per_sweep": list(solve.window_solves_per_sweep),

@@ -58,7 +58,7 @@ norm as it writes them; a kept window already holds its path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -100,7 +100,7 @@ class SolveReport:
     """
 
     trajectory: PiecewiseTrajectory
-    control: Optional[ControlSignal]
+    control: ControlSignal
     iterations: int
     final_update: float
     updates: list
@@ -114,9 +114,6 @@ class SolveReport:
     def window_solves(self) -> int:
         return sum(self.window_solves_per_sweep)
 
-    def control_sup_norms(self) -> list:
-        return self.control.sup_norms() if self.control is not None else []
-
     def iterations_text(self) -> str:
         """The sweep count as text: "1 iteration", "7 iterations"."""
         n = self.iterations
@@ -129,10 +126,10 @@ class _Solved(NamedTuple):
     path is the one the iterate holds on its interval."""
 
     start: np.ndarray
-    target: Optional[bytes]
-    integral: Optional[np.ndarray]
-    samples: Optional[np.ndarray]
-    preimage: Optional[np.ndarray]
+    target: bytes
+    integral: np.ndarray
+    samples: np.ndarray
+    preimage: np.ndarray
 
 
 class Sweep:
@@ -173,7 +170,7 @@ class Sweep:
             self.frozen_forcing_rows < len(self._nodes)
             and (problem.nonlinearity is not None or self.kern is not None))
         # The weights and instants of nu's samples that move with window
-        # 0's start, where a steered sweep takes that start by a chord step
+        # 0's start, where a sweep takes that start by a chord step
         # (see _first_start), else empty: nu samples window 0's interior
         # on the shift backend, with 2 sum |alpha_i| < 1 over those
         # samples.  An instant at 0, at theta_1 or past it reads the
@@ -197,19 +194,18 @@ class Sweep:
         self._norms = [0.0] * len(self.intervals)
         self.window_solves = 0
 
-    def initial_iterate(self, targets=None) -> PiecewiseTrajectory:
+    def initial_iterate(self, targets) -> PiecewiseTrajectory:
         """The first iterate, one pass over the mesh as a sweep makes it:
         window 0 starts at phi(0) + nu of the flat extension of phi(0), each
         impulse window is its impulse map of the previous window's last
         sample, and the next control window starts at that impulse window's
-        last sample.  With ``targets``, each control window runs on the
-        straight line from its start to its target, which it ends on exactly,
-        as every iterate the steered operator returns ends it; without, it
-        stays at its start.  The paths serve only a nonlocal term and the
-        size of the first update: a sweep starts each later window from the
-        path it is advancing, whatever the first iterate, and where nu
-        samples window 0's interior the first sweep's chord step
-        (:meth:`_first_start`) moves window 0's start to the one nu
+        last sample.  Each control window runs on the straight line from its
+        start to its target, which it ends on exactly, as every iterate the
+        steered operator returns ends it.  The paths serve only a nonlocal
+        term and the size of the first update: a sweep starts each later
+        window from the path it is advancing, whatever the first iterate,
+        and where nu samples window 0's interior the first sweep's chord
+        step (:meth:`_first_start`) moves window 0's start to the one nu
         reproduces.  No interval of it holds a solved path, so the sweep
         forgets the windows it kept."""
         problem = self.problem
@@ -224,8 +220,6 @@ class Sweep:
             if kind == "impulse":
                 piece[...] = problem.impulse_path(j, times, traj.seg_values[k - 1][-1])
                 start = piece[-1]
-            elif targets is None:
-                piece[...] = start
             else:
                 # s runs from exactly 0 to exactly 1 (linspace stores both
                 # ends), so the line starts on ``start`` and ends on the target
@@ -237,8 +231,8 @@ class Sweep:
     def _first_start(self, traj: PiecewiseTrajectory, targets, forcing,
                      integral) -> np.ndarray:
         """Window 0's start for a sweep of ``traj``: phi(0) + nu(x), or, in
-        a steered sweep of a run whose nu = sum_i alpha_i x(t_i) moves with
-        window 0's start on the shift backend (``_chord``), the chord step
+        a run whose nu = sum_i alpha_i x(t_i) moves with window 0's start
+        on the shift backend (``_chord``), the chord step
 
             s + (I - J)^-1 (phi(0) + nu(P(s)) - s)
 
@@ -264,7 +258,7 @@ class Sweep:
         reproduces with its window-0 reads taken on the path this sweep
         writes; where every forcing row is frozen (beta = b) the next sweep
         reads the same forcing and keeps window 0.  The sums over the
-        samples are banded, built on the first steered sweep, so each
+        samples are banded, built on the first sweep, so each
         product with J is O(N): two banded products, the shift T(L)
         (``table.apply``) and one LDL^T solve.  (I - J)^-1 is summed as its
         Neumann series until a term is at most eps max(|s|_inf, |phi(0) +
@@ -277,7 +271,7 @@ class Sweep:
         phi(0) + nu(x), is the plain iteration's; only the steps to it
         change."""
         start = window_start(self.problem, traj)
-        if not self._chord or targets is None:
+        if not self._chord:
             return start
         table = self.grids[0].table
         alphas, instants = self._chord
@@ -312,7 +306,7 @@ class Sweep:
         last solved with while its forcing rows are all frozen, else
         ``end_integral(F)``."""
         kept = self._solved[j] if self._frozen_windows[j] else None
-        if kept is not None and kept.integral is not None:
+        if kept is not None:
             return kept.integral
         return self.grids[j].table.end_integral(F)
 
@@ -351,7 +345,7 @@ class Sweep:
         the mesh, advancing ``traj`` in place: ``(update, norm, control)``,
         the sup distance of the new path to the old (``sup_distance``), the
         new path's sup norm (``path_sup_norm``), both bit for bit, and the
-        synthesized control (None without targets).
+        synthesized control.
 
         What the sweep reads of the old path -- the forcing rows and the
         first window's start -- is read before the first write.  Each
@@ -381,7 +375,7 @@ class Sweep:
         problem = self.problem
         forcings = self._forcings(traj)
         # window 0's forcing integral, which its chord step reads too
-        integral_0 = None if targets is None else self._integral(0, forcings[0])
+        integral_0 = self._integral(0, forcings[0])
         start = self._first_start(traj, targets, forcings[0], integral_0)
         update = 0.0
         for k, (a, end, kind, j) in enumerate(self.intervals):
@@ -393,22 +387,19 @@ class Sweep:
                 grid = self.grids[j]
                 # a frozen window's forcing is the same bits on every sweep
                 kept = self._solved[j] if self._frozen_windows[j] else None
-                target = (None if targets is None
-                          else np.asarray(targets[j], dtype=float).tobytes())
+                target = np.asarray(targets[j], dtype=float).tobytes()
                 if (kept is not None and kept.target == target
                         and np.abs(start - kept.start).max()
                         <= grid.table.fft_error * np.abs(kept.start).max()):
                     continue
                 self.window_solves += 1
                 F = forcings[j]
-                samples = preimage = integral = None
-                if targets is not None:
-                    integral = integral_0 if j == 0 else self._integral(j, F)
-                    residual = steering_residual(start, targets[j], grid, integral)
-                    samples, preimage = synthesize_control(problem, grid,
-                                                           self.blocks[j], residual)
-                    F = F + (samples if problem.identity_control
-                             else samples @ problem.control_matrix.T)
+                integral = integral_0 if j == 0 else self._integral(j, F)
+                residual = steering_residual(start, targets[j], grid, integral)
+                samples, preimage = synthesize_control(problem, grid,
+                                                       self.blocks[j], residual)
+                F = F + (samples if problem.identity_control
+                         else samples @ problem.control_matrix.T)
                 path = grid.table.convolve(start, F)
                 self._solved[j] = _Solved(start, target, integral, samples, preimage)
             if not np.all(np.isfinite(path)):
@@ -418,12 +409,10 @@ class Sweep:
             update = max(update, np.linalg.norm(piece, axis=1).max())
             piece[...] = path
             self._norms[k] = np.linalg.norm(piece, axis=1).max()
-        control = None
-        if targets is not None:
-            control = ControlSignal(problem=problem,
-                                    window_times=[g.times for g in self.grids],
-                                    samples=[w.samples for w in self._solved],
-                                    preimages=[w.preimage for w in self._solved])
+        control = ControlSignal(problem=problem,
+                                window_times=[g.times for g in self.grids],
+                                samples=[w.samples for w in self._solved],
+                                preimages=[w.preimage for w in self._solved])
         scale = np.sqrt(traj.weight)
         return float(scale * update), float(scale * max(self._norms)), control
 
@@ -431,9 +420,9 @@ class Sweep:
 def picard_solve(sweep: Sweep, targets) -> SolveReport:
     """Iterate the sweep's steered operator to its fixed point.
 
-    Starts from ``sweep.initial_iterate(targets)``: with targets, each
-    control window runs on the straight line to its target, which it ends
-    on, as in every iterate the operator returns.  Stops when the
+    Starts from ``sweep.initial_iterate(targets)``: each control window
+    runs on the straight line to its target, which it ends on, as in every
+    iterate the operator returns.  Stops when the
     sup-norm update drops below ``numerics.tol`` relative to the iterate
     scale, or after the first sweep when the next would read exactly what
     it read (``Sweep.one_sweep``): without a nonlocal term the first
@@ -454,7 +443,6 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
     """
     tol, max_iter = sweep.numerics.tol, sweep.numerics.max_iter
     traj = sweep.initial_iterate(targets)
-    control = None
     updates, solves = [], []
     ratio = 0.0
     update = np.inf
@@ -485,8 +473,6 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
 
 
 def _window_defects(problem: Problem, traj: PiecewiseTrajectory, targets) -> list:
-    if targets is None:
-        return []
     defects = []
     for j in range(problem.mesh.n_impulses + 1):
         end_value = traj.seg_values[2 * j][-1]

@@ -52,6 +52,7 @@ class TransportConfig:
                 ("N", self.N < 4, "spatial grid size N must be at least 4"),
                 ("a", self.a <= -1.0, "saturation parameter a must exceed -1"),
                 ("beta", self.beta <= 0, "delay length beta must be positive"),
+                ("seed", self.seed < 0, "target seed must be nonnegative"),
                 ("alphas", len(self.alphas) != len(self.instants),
                  "one nonlocal weight per sample instant required"),
                 ("instants", not all(0.0 <= t <= self.mesh.b for t in self.instants),
@@ -114,8 +115,8 @@ def build_case1(cfg: TransportConfig) -> Problem:
     coupling.
 
     The forcing reads the state exactly one delay back, x(t - beta), applies
-    sin node-wise and scales by the gain k0, so k0 is both its Lipschitz
-    constant and (node-wise) its uniform bound.
+    sin node-wise and scales by the gain k0, so |k0| is both its Lipschitz
+    constant and (node-wise) its uniform bound, for either sign of k0.
     """
     k0 = cfg.k0
 
@@ -124,8 +125,8 @@ def build_case1(cfg: TransportConfig) -> Problem:
 
     nonloc = (WeightedSampleNonlocal(cfg.alphas, cfg.instants)
               if cfg.alphas else None)
-    return _problem(cfg, nonlin_lipschitz=k0, nonlin_sup=k0, nonlinearity=eta,
-                    nonlocal_term=nonloc)
+    return _problem(cfg, nonlin_lipschitz=abs(k0), nonlin_sup=abs(k0),
+                    nonlinearity=eta, nonlocal_term=nonloc)
 
 
 def build_case2(cfg: TransportConfig) -> Problem:

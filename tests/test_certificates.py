@@ -181,7 +181,7 @@ class TestCertificatePipeline:
         # K is the generator's own bound, M = |I|_2 exactly
         assert cert.semigroup_bound == prob.semigroup.bound(1.0)
         assert cert.control_op_norm == 1.0
-        assert cert.gramian_floors == tuple(b.floor_used for b in sweep.blocks)
+        assert cert.gramian_floors == tuple(b.min_eig for b in sweep.blocks)
         assert cert.variant == "semilinear"
         assert cert.contracts == (cert.contraction_constant < 1.0)
         assert len(cert.control_bounds) == 2

@@ -177,8 +177,10 @@ class TestConfigParsing:
                                 PRESET_CFG.format(out=tmp_path / "o")))
         assert cfg.outdir == str(tmp_path / "override")
 
-    @pytest.mark.parametrize("line", ["time_stpe = 1e-5", "quad_steps = 10"])
+    @pytest.mark.parametrize("line", ["time_stpe = 1e-5", "quad_steps = 10",
+                                      "ridge = 0"])
     def test_unknown_numerics_key_named(self, tmp_path, capsys, line):
+        # ridge, the Gramian shift (G + ridge I) that no run set, is gone
         bad = PRESET_CFG.replace("time_step = 5e-3", "time_step = 5e-3\n" + line)
         path = write(tmp_path, "h.ini", bad.format(out=tmp_path / "o"))
         key = line.split()[0]
@@ -278,8 +280,9 @@ class TestConfigParsing:
         ("transport-case2", "problem.a", "-2"),
         ("transport-case1", "problem.instants", "1.5"),
         ("transport-case1", "problem.alphas", "0.1 0.2"),
+        ("transport-case1", "problem.seed", "-1"),
     ], ids=["n-3", "beta-negative", "a-below-minus-1", "instant-past-b",
-            "alphas-count"])
+            "alphas-count", "seed-negative"])
     def test_out_of_range_preset_key_is_named(self, tmp_path, capsys, monkeypatch,
                                               preset, field, value):
         # a preset value the transport configuration refuses names its key,
@@ -296,13 +299,31 @@ class TestConfigParsing:
         assert main(["solve", str(path)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
 
-    def test_negative_ridge_is_a_config_error(self, tmp_path, capsys):
-        # floor_used = min_eig + ridge: a negative ridge lowered the floor
-        # below the measured eigenvalue and refused the Gramian (exit 3)
-        bad = PRESET_CFG.replace("time_step = 5e-3", "time_step = 5e-3\nridge = -1")
-        path = write(tmp_path, "r.ini", bad.format(out=tmp_path / "o"))
-        assert main(["certify", path]) == 2
-        assert "ridge must be finite and nonnegative" in capsys.readouterr().err
+    def test_negative_numerics_seed_is_a_config_error(self, tmp_path, capsys):
+        # np.random.default_rng refused it with a traceback and exit 1, the
+        # code of missed targets
+        bad = LINEAR_CFG.replace("seed = 3", "seed = -1")
+        path = write(tmp_path, "s.ini", bad.format(out=tmp_path / "o"))
+        assert main(["solve", path]) == 2
+        assert "config error: numerics: seed must be nonnegative" in \
+            capsys.readouterr().err
+
+    def test_negative_k0_certifies_as_its_magnitude(self, tmp_path, monkeypatch):
+        # |k0 sin v| is k0-Lipschitz and bounded by |k0| for either sign;
+        # k0 < 0 used to escape as a traceback from the declared constants
+        reports = []
+        for k0 in ("0.05", "-0.05"):
+            out = tmp_path / k0
+            monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+            parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+            parser.read(CONFIGS / "transport-case1.ini")
+            parser["problem"]["k0"] = k0
+            path = tmp_path / f"k0{k0}.ini"
+            with open(path, "w") as fh:
+                parser.write(fh)
+            assert main(["certify", str(path), "--no-timing"]) == 0
+            reports.append(json.loads((out / "report.json").read_text()))
+        assert reports[0]["certificate"] == reports[1]["certificate"]
 
     def test_explicit_targets(self, tmp_path):
         text = LINEAR_CFG.replace("targets = random",
@@ -397,7 +418,7 @@ class TestCommands:
             text = (outs[0] / "report.json").read_text()
             assert "emit_s" not in text
             report = json.loads(text)
-            assert report["schema"] == "evosteer-report/1"
+            assert report["schema"] == "evosteer-report/2"
             solve = report["solve"]
             updates, solves = solve["updates"], solve["window_solves_per_sweep"]
             assert len(updates) == solve["iterations"] and updates[0] > 0.0

@@ -1,5 +1,4 @@
 import dataclasses
-import math
 import tracemalloc
 
 import numpy as np
@@ -12,9 +11,10 @@ from evosteer.discretize import (KernelDiscretization, build_window_grids,
 from evosteer.oracle import oracle_linear
 from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
-from evosteer.solver import Sweep, picard_solve
+from evosteer.solver import Sweep
 from evosteer.transport import TransportConfig, build_case2
 from test_core import rebuilt
+from test_solver import flat_extension
 
 # Two impulses; ceil(length / time_step) makes the steps differ at 0.03.
 UNEQUAL = [0.0, 0.32, 0.4, 0.55, 0.85, 1.0]
@@ -57,11 +57,8 @@ def _kernel_problem(kappa, q, mesh=None, dim=1):
 def dense_kernel_reference(times, blocks, kappa):
     """The G x G Volterra matrix, kappa(t_i - s_k) times the cumulative
     trapezoid weights, as one dense array."""
-    diff = np.maximum(times[:, None] - times[None, :], 0.0)
-    try:
-        kap = np.asarray(kappa(diff), dtype=float)
-    except TypeError:
-        kap = np.vectorize(kappa)(diff).astype(float)
+    kap = np.asarray(kappa(np.maximum(times[:, None] - times[None, :], 0.0)),
+                     dtype=float)
     G = len(times)
     M = np.zeros((G, G))
     offsets = np.cumsum([0] + [len(t) for t in blocks])
@@ -90,7 +87,7 @@ class TestKernelDiscretization:
                                lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
-        traj = picard_solve(Sweep(prob, num), None).trajectory
+        traj = flat_extension(Sweep(prob, num))
         inner = volterra(kern, traj)
         np.testing.assert_allclose(inner[:, 0], kern.times, atol=1e-12)
 
@@ -102,7 +99,7 @@ class TestKernelDiscretization:
                                lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
-        traj = picard_solve(Sweep(prob, num), None).trajectory
+        traj = flat_extension(Sweep(prob, num))
         inner = volterra(kern, traj)
         np.testing.assert_allclose(inner[:, 0], kern.times ** 2 / 2.0, atol=1e-12)
 
@@ -113,7 +110,7 @@ class TestKernelDiscretization:
         ones = lambda s: np.ones_like(np.asarray(s))
         prob = _kernel_problem(ones, lambda t, v: np.ones_like(v), mesh=mesh)
         kern = KernelDiscretization(prob, num)
-        traj = picard_solve(Sweep(prob, num), None).trajectory
+        traj = flat_extension(Sweep(prob, num))
         i, k = (int(np.argmin(np.abs(kern.times - t))) for t in (0.5, 0.7))
         assert volterra(kern, traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
         prob0 = _kernel_problem(ones, lambda t, v: np.zeros_like(v), mesh=mesh)
@@ -134,8 +131,7 @@ class TestKernelDiscretization:
         ([0.0, 0.25, 0.375, 0.625, 0.75, 1.0], 2.0 ** -8,
          lambda s: np.exp(-np.asarray(s, dtype=float)), False),
         (UNEQUAL, 0.03, lambda s: np.exp(-np.asarray(s, dtype=float)), True),
-        (UNEQUAL, 0.03, lambda s: math.exp(-s), True),  # np.vectorize fallback
-    ], ids=["equal-steps", "unequal-steps", "scalar-kappa"])
+    ], ids=["equal-steps", "unequal-steps"])
     def test_volterra_product_matches_dense_reference(self, breakpoints,
                                                       time_step, kappa, any_dense):
         # two impulses, dim 2; q differs per node and per component
@@ -147,12 +143,20 @@ class TestKernelDiscretization:
         num = Numerics(time_step=time_step, history_samples=8)
         kern = KernelDiscretization(prob, num)
         assert mesh.n_impulses == 2 and bool(kern.dense_blocks) == any_dense
-        traj = Sweep(prob, num).initial_iterate()
+        traj = flat_extension(Sweep(prob, num))
         KW = dense_kernel_reference(kern.times, kern.block_times, kappa)
         ref = KW @ kern.q_values(traj, slice(None))
         new = volterra(kern, traj)
         assert new.shape == ref.shape == (len(kern.times), 2)
         assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+
+    def test_kernel_of_wrong_shape_is_refused(self):
+        # kappa is called on the array of lags; one that gives a scalar
+        # (written for scalars) is refused, not retried entry by entry
+        prob = _kernel_problem(lambda s: 1.0, lambda t, v: np.zeros_like(v),
+                               mesh=TimeMesh(UNEQUAL))
+        with pytest.raises(ValueError, match=r"kernel returned shape \(\) for lags"):
+            KernelDiscretization(prob, Numerics(time_step=0.03))
 
     @pytest.mark.parametrize("breakpoints, time_step, dense", [
         ([0.0, 0.3, 0.5, 1.0], 2.5e-4, set()),
@@ -219,7 +223,7 @@ def test_eta_values_zero_without_nonlinearity():
                    control_matrix=np.eye(2), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2))
     num = Numerics(time_step=0.1, history_samples=8)
-    traj = picard_solve(Sweep(prob, num), None).trajectory
+    traj = flat_extension(Sweep(prob, num))
     vals = eta_values(prob, traj, np.linspace(0, 1, 5))
     np.testing.assert_array_equal(vals, np.zeros((5, 2)))
 
@@ -245,7 +249,7 @@ def test_one_grid_per_interval(variant):
         others = KernelDiscretization(prob, num).block_times
     else:
         targets = [np.ones(2), -np.ones(2), np.zeros(2)]
-        control = sweep.apply(sweep.initial_iterate(), targets)[2]
+        control = sweep.apply(sweep.initial_iterate(targets), targets)[2]
         others = oracle_linear(prob, control, targets, num).trajectory.seg_times
     assert len(others) == len(expected)
     for got, ref in zip(others, sweep.seg_times):
@@ -277,7 +281,7 @@ def _mixed_delay_case(variant, fn, beta=0.25):
     num = Numerics(time_step=2.0 ** -8, history_samples=16)
     sweep = Sweep(prob, num)
     rng = np.random.default_rng(60)
-    traj = sweep.initial_iterate()
+    traj = flat_extension(sweep)
     traj = rebuilt(traj, [rng.normal(size=v.shape) for v in traj.seg_values])
     return prob, num, sweep, traj
 

@@ -21,7 +21,7 @@ from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
 from evosteer.transport import TransportConfig, build_case1
 from test_core import rebuilt
-from test_solver import window_start_reference
+from test_solver import flat_extension, window_start_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -45,11 +45,10 @@ def eigh_solve(block, v):
     path: the dense array's eigendecomposition, refined the same way."""
     G = dense(block.matrix) if isinstance(block.matrix, tuple) else block.matrix
     lam, V = np.linalg.eigh(G)
-    lam = lam + block.ridge
     w, r = 0.0, v
     for _ in range(4):
         w = w + V @ ((V.T @ r) / lam)
-        r = v - (G @ w + block.ridge * w)
+        r = v - G @ w
         if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
             break
     return w
@@ -264,35 +263,6 @@ class TestSolve:
         assert err.value.window == 2
         assert err.value.min_eig == 0.0
 
-    def test_ridge_is_reported_and_used(self):
-        blk = GramianBlock(index=0, matrix=np.zeros((2, 2)),
-                           delta_floor=Numerics().delta_floor, ridge=0.5)
-        assert blk.floor_used == pytest.approx(0.5)
-        np.testing.assert_allclose(gramian_solve(blk, np.array([1.0, 0.0])),
-                                   [2.0, 0.0], atol=1e-12)
-
-    def test_tridiagonal_ridge_is_reported_and_used(self):
-        blk = GramianBlock(index=0, matrix=(np.zeros(3), np.zeros(2)),
-                           delta_floor=Numerics().delta_floor, ridge=0.5)
-        assert -1e-300 <= blk.min_eig <= 0.0
-        assert blk.floor_used == pytest.approx(0.5)
-        np.testing.assert_allclose(gramian_solve(blk, np.array([1.0, 0.0, -2.0])),
-                                   [2.0, 0.0, -4.0], atol=1e-12)
-
-    def test_tridiagonal_ridge_shifts_the_solve(self):
-        # a positive semidefinite tridiagonal made invertible by its ridge,
-        # against the dense solve of G + ridge I
-        rng = np.random.default_rng(27)
-        d, e = rng.uniform(1.0, 2.0, size=40), rng.uniform(-0.5, 0.5, size=39)
-        d[0] = e[0] ** 2    # the leading 2 x 2 block is singular
-        lam = np.linalg.eigvalsh(dense((d, e)))[0]
-        blk = GramianBlock(index=1, matrix=(d - lam, e),
-                           delta_floor=Numerics().delta_floor, ridge=0.25)
-        assert blk.min_eig <= 0.0 and blk.floor_used >= 0.25 - 1e-15
-        v = rng.normal(size=40)
-        want = np.linalg.solve(dense((d - lam + 0.25, e)), v)
-        assert np.abs(gramian_solve(blk, v) - want).max() <= 1e-13 * np.abs(want).max()
-
     def test_tridiagonal_singular_raises_with_diagnostics(self):
         # [[1, 1], [1, 1]] has the eigenvalues 0 and 2
         blk = GramianBlock(index=2, matrix=(np.ones(2), np.ones(1)),
@@ -354,7 +324,7 @@ def test_transport_run_calls_no_lapack_routine(monkeypatch):
 def test_linear_run_takes_one_eigh_per_window(monkeypatch):
     # on the dense path one eigh per window Gramian serves its floor, the
     # certificate and every solve of the run's sweep: the Picard iteration
-    # solves each window once, and two more sweeps from the flat start
+    # solves each window once, and two more sweeps from a new first iterate
     # solve both windows again
     from evosteer import runner
     from evosteer.solver import picard_solve
@@ -367,7 +337,7 @@ def test_linear_run_takes_one_eigh_per_window(monkeypatch):
 
     def solve_and_sweep_again(sweep, targets):
         report = picard_solve(sweep, targets)
-        traj = sweep.initial_iterate()
+        traj = sweep.initial_iterate(targets)
         for _ in range(2):
             sweep.apply(traj, targets)
         sweeps.append(sweep)
@@ -589,7 +559,7 @@ class TestWindowStart:
             cfg = TransportConfig(N=16)
             prob, targets = build_case1(cfg), cfg.resolved_targets()
         sweep = Sweep(prob, Numerics(time_step=4e-3, history_samples=48))
-        traj = sweep.initial_iterate()
+        traj = flat_extension(sweep)
         traj = rebuilt(traj, [rng.normal(size=v.shape) for v in traj.seg_values])
         new = rebuilt(traj)
         sweep.apply(new, targets)
@@ -647,7 +617,7 @@ def _control(problem, grids, blocks, residuals):
 
 def _flat_traj(problem, numerics):
     from evosteer.solver import Sweep
-    return Sweep(problem, numerics).initial_iterate()
+    return flat_extension(Sweep(problem, numerics))
 
 
 def _eta(problem, traj, grid):

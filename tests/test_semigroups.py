@@ -693,7 +693,7 @@ def test_matrix_spectrum_is_formed_once(monkeypatch):
 def test_matrix_spectrum_once_per_table_over_a_run(monkeypatch):
     # a sweep transforms each convolving table's stack once, however many
     # sweeps convolve with it: the solve stops after one sweep, so three
-    # sweeps from the flat start follow it, solving both windows again
+    # sweeps from a new first iterate follow it, solving both windows again
     from evosteer.solver import Sweep, picard_solve
     cfg = load_config(str(CONFIGS / "linear-2d.ini"))
     stack_ffts, tables = [], Counter()
@@ -704,7 +704,7 @@ def test_matrix_spectrum_once_per_table_over_a_run(monkeypatch):
                         tables.update([id(self)]) or convolve(self, start, F))
     sweep = Sweep(cfg.problem, cfg.numerics)
     picard_solve(sweep, cfg.targets)
-    traj = sweep.initial_iterate()
+    traj = sweep.initial_iterate(cfg.targets)
     for _ in range(3):
         sweep.apply(traj, cfg.targets)
     assert list(tables.values()) == [2, 2]

@@ -71,17 +71,20 @@ class TestOperator:
         np.testing.assert_array_equal(traj.seg_values[1], expected)
 
     def test_uncontrolled_constant_forcing(self):
-        # A = 0, phi == 1, eta == c, no impulse, no control: x(t) = 1 + c t
+        # A = 0, phi == 1, eta == c, no impulse, steered to the free path's
+        # end 1 + c b: the residual and so the control are 0, and x(t) =
+        # 1 + c t
         mesh = TimeMesh([0.0, 1.0])
         c = 0.25
         prob = make_problem(dim=1, mesh=mesh, phi0=[1.0],
                             nonlinearity=lambda t, v: np.full_like(v, c))
         num = Numerics(time_step=1e-3, history_samples=16)
-        report = picard_solve(Sweep(prob, num), None)
+        report = picard_solve(Sweep(prob, num), [np.array([1.0 + c * mesh.b])])
         t = report.trajectory.seg_times[0]
         np.testing.assert_allclose(report.trajectory.seg_values[0][:, 0],
                                    1.0 + c * t, atol=1e-12)
-        assert report.per_window_defect == []
+        assert np.abs(report.control.samples[0]).max() <= 1e-12
+        assert report.per_window_defect[0] <= 1e-12
 
     def test_fixed_point_residual(self):
         cfg = TransportConfig(N=16)
@@ -150,7 +153,8 @@ class TestPieces:
         prob = make_problem(impulses=((lambda th, x: 0.0 * np.outer(th, x)),),
                             phi0=np.ones(2))
         sweep = Sweep(prob, Numerics(time_step=1e-2))
-        new, _ = swept(sweep, sweep.initial_iterate(), None)
+        targets = [np.ones(2)] * 2
+        new, _ = swept(sweep, sweep.initial_iterate(targets), targets)
         np.testing.assert_array_equal(new.seg_values[2][0], np.zeros(2))
 
     @pytest.mark.parametrize("source", ["linear-config", "case1", "case2", "corpus"])
@@ -186,9 +190,10 @@ class TestPieces:
         mesh = TimeMesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0])
         prob = make_problem(mesh=mesh, phi0=[0.3, 0.1], impulses=(impulse, impulse))
         sweep = Sweep(prob, Numerics(time_step=1e-2))
-        traj = sweep.initial_iterate()
+        targets = [np.ones(2)] * 3
+        traj = sweep.initial_iterate(targets)
         calls.clear()
-        sweep.apply(traj, [np.ones(2)] * 3)
+        sweep.apply(traj, targets)
         assert calls == [len(sweep.seg_times[1]), len(sweep.seg_times[3])]
 
     def test_impulse_map_of_wrong_shape_is_refused(self):
@@ -210,10 +215,10 @@ class TestPieces:
         mesh = TimeMesh([0.0, 1.0])
         prob = make_problem(dim=1, mesh=mesh, phi0=[2.0])
         num = Numerics(time_step=1e-2, history_samples=8)
-        report = picard_solve(Sweep(prob, num), None)
-        assert window_start(prob, report.trajectory)[0] == 2.0
+        flat = flat_extension(Sweep(prob, num))
+        assert window_start(prob, flat)[0] == 2.0
         nl = WeightedSampleNonlocal([0.1], [0.5])
-        assert nl(report.trajectory)[0] == pytest.approx(0.2, rel=1e-12)
+        assert nl(flat)[0] == pytest.approx(0.2, rel=1e-12)
 
     def test_weighted_nonlocal_lipschitz(self):
         rng = np.random.default_rng(33)
@@ -222,7 +227,7 @@ class TestPieces:
         assert nl.lipschitz == pytest.approx(0.45)
         prob = make_problem(dim=2, mesh=mesh)
         num = Numerics(time_step=1e-2, history_samples=8)
-        base = picard_solve(Sweep(prob, num), None).trajectory
+        base = flat_extension(Sweep(prob, num))
         for _ in range(10):
             vx = [rng.normal(size=v.shape) for v in base.seg_values]
             vy = [rng.normal(size=v.shape) for v in base.seg_values]
@@ -234,7 +239,7 @@ class TestPieces:
         mesh = TimeMesh([0.0, 1.0])
         prob = make_problem(dim=1, mesh=mesh)
         num = Numerics(time_step=1e-2, history_samples=8)
-        base = picard_solve(Sweep(prob, num), None).trajectory
+        base = flat_extension(Sweep(prob, num))
         for instant in (1.5, np.nan):
             nl = WeightedSampleNonlocal([1.0], [instant])
             with pytest.raises(ValueError, match="instant"):
@@ -264,16 +269,16 @@ class TestVerifyTargets:
                            Numerics().target_tol)
 
     def test_exact_without_total(self):
-        # spoiling only the first window (a ridge on its Gramian block
-        # alone) leaves the final-state conclusion intact while the
-        # all-windows verdict fails
+        # a converged solve that misses only the first window keeps the
+        # final-state conclusion while the all-windows verdict fails
+        import dataclasses
         rng = np.random.default_rng(37)
         prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
         targets = [rng.normal(size=2), rng.normal(size=2)]
-        sweep = Sweep(prob, Numerics(time_step=1e-3))
-        sweep.blocks[0].ridge = 0.5
-        report = picard_solve(sweep, targets)
-        verdict = verify_targets(report, targets, Numerics().target_tol)
+        report = picard_solve(Sweep(prob, Numerics(time_step=1e-3)), targets)
+        missed = dataclasses.replace(report, per_window_defect=[1.0, 0.0])
+        verdict = verify_targets(missed, targets, Numerics().target_tol)
+        assert verdict.hits == [False, True]
         assert verdict.exactly_controllable
         assert not verdict.totally_controllable
 
@@ -321,20 +326,6 @@ class TestVerifyTargets:
         x_minus = traj.left_value_at_theta(1)
         expected = per_sample_impulse(traj.seg_times[1], x_minus)
         np.testing.assert_array_equal(traj.seg_values[1], expected)
-
-    def test_large_ridge_spoils_one_window(self):
-        # heavy diagonal loading on every Gramian biases the steering of a
-        # window with a nonzero residual: window 1 misses, while window 0,
-        # whose target is the free evolution of phi(0), still hits
-        rng = np.random.default_rng(35)
-        A = rng.normal(size=(2, 2)) / 2.0
-        prob = make_problem(A, phi0=[0.3, 0.1])
-        targets = [MatrixSemigroup(A).apply(0.4, prob.phi0()), rng.normal(size=2)]
-        num = Numerics(time_step=1e-3, ridge=0.5)
-        report = picard_solve(Sweep(prob, num), targets)
-        verdict = verify_targets(report, targets, Numerics().target_tol)
-        assert not verdict.totally_controllable
-        assert verdict.hits == [True, False]
 
     def test_zero_control_matrix_not_invertible(self):
         prob = make_problem(dim=2)
@@ -404,14 +395,6 @@ def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
                                Numerics(time_step=1e-2, history_samples=16,
                                         delta_floor=1.0))
     assert calls == []
-
-
-@pytest.mark.parametrize("ridge", [-1.0, np.nan, np.inf])
-def test_ridge_must_be_finite_and_nonnegative(ridge):
-    # floor_used = min_eig + ridge: a negative ridge lowers the floor the
-    # certificate reads below the measured eigenvalue
-    with pytest.raises(ValueError, match="ridge"):
-        Numerics(ridge=ridge)
 
 
 @pytest.mark.parametrize("entry", ["run", "certify"])
@@ -497,20 +480,18 @@ def reference_sweep(self, traj, targets, forward=False):
             F = inner_all[self.kern.block_slice(2 * j)].copy()
         else:
             F = eta_values(problem, traj, grid.times)
-        if targets is not None:
-            m, delta = grid.m, (grid.times[-1] - grid.times[0]) / grid.m
-            integral = lagged_weighted_sum(grid.table, m - np.arange(m + 1), F,
-                                           trapezoid_weights(m, delta))
-            U, y = synthesize_reference(
-                problem, grid, self.blocks[j],
-                steering_residual(start, targets[j], grid, integral))
-            samples.append(U)
-            preimages.append(y)
-            F += U @ problem.control_matrix.T
+        m, delta = grid.m, (grid.times[-1] - grid.times[0]) / grid.m
+        integral = lagged_weighted_sum(grid.table, m - np.arange(m + 1), F,
+                                       trapezoid_weights(m, delta))
+        U, y = synthesize_reference(
+            problem, grid, self.blocks[j],
+            steering_residual(start, targets[j], grid, integral))
+        samples.append(U)
+        preimages.append(y)
+        F += U @ problem.control_matrix.T
         seg_values.append(grid.table.convolve(start, F))
-    control = (ControlSignal(problem=problem, window_times=[g.times for g in self.grids],
-                             samples=samples, preimages=preimages)
-               if targets is not None else None)
+    control = ControlSignal(problem=problem, window_times=[g.times for g in self.grids],
+                            samples=samples, preimages=preimages)
     return rebuilt(traj, seg_values), control
 
 
@@ -543,11 +524,9 @@ def assert_same_apply(got, want):
     (path, control), (ref_path, ref_control) = got, want
     assert np.array_equal(path.sample_stack(), ref_path.sample_stack())
     assert path.sample_stack().tobytes() == ref_path.sample_stack().tobytes()
-    assert (control is None) == (ref_control is None)
-    if control is not None:
-        for name in ("samples", "preimages"):
-            for a, b in zip(getattr(control, name), getattr(ref_control, name)):
-                assert a.tobytes() == b.tobytes()
+    for name in ("samples", "preimages"):
+        for a, b in zip(getattr(control, name), getattr(ref_control, name)):
+            assert a.tobytes() == b.tobytes()
 
 
 def assert_close_apply(got, want, eps):
@@ -555,9 +534,8 @@ def assert_close_apply(got, want, eps):
     the largest |value| of its array in ``want``."""
     (path, control), (ref_path, ref_control) = got, want
     pairs = [(path.sample_stack(), ref_path.sample_stack())]
-    if control is not None:
-        pairs += list(zip(control.samples + control.preimages,
-                          ref_control.samples + ref_control.preimages))
+    pairs += list(zip(control.samples + control.preimages,
+                      ref_control.samples + ref_control.preimages))
     for a, b in pairs:
         assert np.abs(a - b).max() <= eps * np.abs(b).max()
 
@@ -652,7 +630,7 @@ def flat_extension(self):
         weight=problem.state_weight)
 
 
-def flat_start(self, targets=None):
+def flat_start(self, targets):
     """``Sweep.initial_iterate`` as it was before the targets shaped it: every
     control window at phi(0) + nu(flat extension of phi(0)) and each impulse
     window its impulse map of that value, whatever the targets."""
@@ -666,14 +644,14 @@ def flat_start(self, targets=None):
     return rebuilt(flat, seg_values)
 
 
-def steered_start(self, targets=None):
+def steered_start(self, targets):
     """``Sweep.initial_iterate`` as it was before the straight-line start:
     :func:`flat_start`, with each control window that an impulse follows
     ending on its target and each impulse window its impulse map of that
     end."""
-    traj = flat_start(self)
+    traj = flat_start(self, targets)
     for k, (a, end, kind, j) in enumerate(self.intervals):
-        if kind == "impulse" and targets is not None:
+        if kind == "impulse":
             traj.seg_values[k - 1][-1] = targets[j - 1]
             traj.seg_values[k][...] = self.problem.impulse_path(
                 j, self.seg_times[k], traj.seg_values[k - 1][-1])
@@ -693,7 +671,7 @@ def iterate_chord_start(self, traj, targets, *window_0):
     iterate's window 0."""
     from evosteer.semigroups import band_product
     start = window_start(self.problem, traj)
-    if not self._chord or targets is None:
+    if not self._chord:
         return start
     table = self.grids[0].table
     if self._jacobian is None:
@@ -1111,20 +1089,20 @@ def _fallback_case(name):
     prob = build_case1(cfg)
     if name == "other-nu":
         prob.nonlocal_term = lambda traj: 0.1 * traj.value(0.2)
-    return prob, num, None if name == "unsteered" else cfg.resolved_targets()
+    return prob, num, cfg.resolved_targets()
 
 
-@pytest.mark.parametrize("name", ["matrix", "one-sweep", "unsteered", "other-nu",
+@pytest.mark.parametrize("name", ["matrix", "one-sweep", "other-nu",
                                   "instant-at-0", "instant-at-theta-1",
                                   "instant-in-window-1", "weights-too-large"])
 def test_runs_without_the_chord_step_keep_the_plain_start(monkeypatch, name):
-    # the chord step is taken only in a steered sweep on the shift backend
-    # whose nu is weighted samples with an instant in (0, theta_1), 2 sum
-    # |alpha_i| < 1 over those instants, and every instant there unless no
-    # forcing row is live.  Every other run starts each sweep's window 0 at
-    # phi(0) + nu(x), so from the same first iterate its solve is the plain
-    # start's bit for bit: the matrix backend, a run one sweep ends, an
-    # unsteered one, another nu, an instant at 0, at theta_1 or in window 1
+    # the chord step is taken only in a sweep on the shift backend whose nu
+    # is weighted samples with an instant in (0, theta_1), 2 sum |alpha_i|
+    # < 1 over those instants, and every instant there unless no forcing
+    # row is live.  Every other run starts each sweep's window 0 at phi(0)
+    # + nu(x), so from the same first iterate its solve is the plain
+    # start's bit for bit: the matrix backend, a run one sweep ends,
+    # another nu, an instant at 0, at theta_1 or in window 1
     # beside one inside window 0 at beta = 0.25, and weights too large for
     # the series
     prob, num, targets = _fallback_case(name)
@@ -1303,12 +1281,12 @@ def test_changed_inputs_are_solved_again():
     num = Numerics(time_step=4e-3, history_samples=48)
     targets = cfg.resolved_targets()
     sweep, ref = Sweep(prob, num), Sweep(prob, num)
-    traj = sweep.initial_iterate()
+    traj = sweep.initial_iterate(targets)
     for _ in range(3):
         sweep.apply(traj, targets)
     solves = sweep.window_solves
-    # from the flat start the first sweep solves both windows, and every
-    # later one starts each where the first started it
+    # the first sweep solves both windows, and every later one starts each
+    # where the first started it
     assert solves == 2
     # unchanged start and target: both windows kept
     assert_same_apply(swept(sweep, traj, targets),
@@ -1336,8 +1314,7 @@ def test_changed_inputs_are_solved_again():
              (zero, targets, 0, True),                 # round-off
              (negative_zero, targets, 0, True),        # -0.0
              (nudged, targets, 1, False),              # by 1e3 eps
-             (1.5 * zero, targets, 1, False),          # moved
-             (negative_zero, None, 2, False)]          # no targets
+             (1.5 * zero, targets, 1, False)]          # moved
     for value, tg, count, moved_start in cases:
         prob.impulses = ((impulse,) if value is None
                          else (lambda th, x, value=value: impulse(th, value),))
@@ -1359,7 +1336,7 @@ def test_start_kept_up_to_the_rounding_bound(factor, count):
     cfg = TransportConfig(N=16)
     prob, targets = build_case2(cfg), cfg.resolved_targets()
     sweep = Sweep(prob, Numerics(time_step=4e-3, history_samples=48))
-    traj = sweep.initial_iterate()
+    traj = sweep.initial_iterate(targets)
     for _ in range(3):
         sweep.apply(traj, targets)
     kept = window_start_reference(prob, traj, 1)
@@ -1541,4 +1518,4 @@ def test_apply_refuses_a_non_finite_interval():
     prob = make_problem(impulses=((lambda th, x: np.full((len(th), len(x)), np.inf)),))
     sweep = Sweep(prob, Numerics(time_step=1e-2))
     with pytest.raises(ValueError, match="non-finite"):
-        sweep.apply(sweep.initial_iterate(), None)
+        sweep.apply(flat_extension(sweep), [np.ones(2)] * 2)
