@@ -3,7 +3,8 @@ outputs sections, matrices as ';'-separated whitespace row lists.
 
 Parsed with the stdlib configparser; every validation error names the
 offending section.key so the CLI can fail with an actionable message, and an
-unknown section or key is refused, not ignored.
+unknown section or key is refused, not ignored: a preset takes only the keys
+its builder reads.  Random targets are drawn from ``[numerics] seed``.
 """
 
 from __future__ import annotations
@@ -16,13 +17,19 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import TimeMesh
-from .problems import AssumptionConstants, Numerics, Problem
+from .problems import AssumptionConstants, FieldError, Numerics, Problem
 from .semigroups import MatrixSemigroup
-from .transport import FieldError, TransportConfig, build_case1, build_case2
+from .transport import TransportConfig, build_case1, build_case2
 
 OUTDIR_ENV = "EVOSTEER_OUTDIR"
 
-_PRESETS = ("transport-case1", "transport-case2")
+# Each preset's builder and the [problem] keys it reads, with their casts
+# (tuple: a vector), besides ``preset`` and ``targets``.
+_PRESETS = {
+    "transport-case1": (build_case1, {"n": int, "beta": float, "k0": float,
+                                      "alphas": tuple, "instants": tuple}),
+    "transport-case2": (build_case2, {"n": int, "beta": float, "a": float}),
+}
 
 
 class ConfigError(Exception):
@@ -62,6 +69,8 @@ def _get(section, key, cast, field, default=None):
     raw = section.get(key)
     if raw is None or raw.strip() == "":
         return default
+    if cast is tuple:
+        return tuple(_parse_vector(raw, field))
     try:
         val = cast(raw.strip())
     except (TypeError, ValueError) as exc:
@@ -97,7 +106,10 @@ def load_config(path: str) -> RunConfig:
     prob = parser["problem"] if parser.has_section("problem") else {}
     preset = prob.get("preset", "").strip()
     kind = prob.get("kind", "").strip()
-    known = {"problem": (_PRESET_KEYS.keys() | {"preset", "alphas", "instants", "targets"}
+    if preset and preset not in _PRESETS:
+        raise ConfigError(f"problem.preset: unknown preset {preset!r}; "
+                          f"choose from {', '.join(_PRESETS)}")
+    known = {"problem": (_PRESETS[preset][1].keys() | {"preset", "targets"}
                          if preset else _LINEAR_KEYS),
              "mesh": {"breakpoints"}, "numerics": _NUMERICS_KEYS.keys(),
              "outputs": {"directory"}}
@@ -125,7 +137,6 @@ def load_config(path: str) -> RunConfig:
 
 
 _NUMERICS_KEYS = {f.name: type(f.default) for f in fields(Numerics)}
-_PRESET_KEYS = {"n": int, "beta": float, "k0": float, "a": float, "seed": int}
 _LINEAR_KEYS = {"kind", "generator", "control", "phi0", "beta", "impulse",
                 "targets"}
 
@@ -139,8 +150,8 @@ def _load_numerics(parser) -> Numerics:
             kwargs[key] = val
     try:
         return Numerics(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"numerics: {exc}") from exc
+    except FieldError as exc:
+        raise ConfigError(f"numerics.{exc.field}: {exc}") from exc
 
 
 def _load_mesh(parser):
@@ -155,20 +166,14 @@ def _load_mesh(parser):
 
 
 def _load_preset(sec, preset: str, mesh, numerics: Numerics):
-    if preset not in _PRESETS:
-        raise ConfigError(f"problem.preset: unknown preset {preset!r}; "
-                          f"choose from {', '.join(_PRESETS)}")
-    kwargs = {}
+    builder, keys = _PRESETS[preset]
+    kwargs = {"seed": numerics.seed}
     if mesh is not None:
         kwargs["mesh"] = mesh
-    for key, cast in _PRESET_KEYS.items():
+    for key, cast in keys.items():
         val = _get(sec, key, cast, field=f"problem.{key}")
         if val is not None:
             kwargs["N" if key == "n" else key] = val
-    for key in ("alphas", "instants"):
-        raw = sec.get(key, "").strip()
-        if raw:
-            kwargs[key] = tuple(_parse_vector(raw, f"problem.{key}"))
     targets_raw = sec.get("targets", "random").strip()
     try:
         cfg = TransportConfig(**kwargs)
@@ -181,9 +186,7 @@ def _load_preset(sec, preset: str, mesh, numerics: Numerics):
             raise ConfigError("problem.targets: need one row of length N per "
                               "control window")
         cfg.targets = [r for r in rows]
-    builder = build_case1 if preset.endswith("case1") else build_case2
-    problem = builder(cfg)
-    return problem, cfg.resolved_targets()
+    return builder(cfg), cfg.resolved_targets()
 
 
 def _load_linear(sec, mesh, numerics: Numerics):
@@ -209,17 +212,10 @@ def _load_linear(sec, mesh, numerics: Numerics):
 
     semigroup = MatrixSemigroup(A)
 
-    impulse_kind = sec.get("impulse", "theta_x" if mesh.n_impulses else "none").strip()
-    if impulse_kind == "theta_x":
-        impulses = tuple(np.outer for _ in range(mesh.n_impulses))
-        lips = tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1))
-    elif impulse_kind == "none":
-        if mesh.n_impulses:
-            raise ConfigError("problem.impulse = none requires a mesh without "
-                              "impulse windows")
-        impulses, lips = (), ()
-    else:
-        raise ConfigError(f"problem.impulse: unknown kind {impulse_kind!r}")
+    if sec.get("impulse", "theta_x").strip() != "theta_x":
+        raise ConfigError(f"problem.impulse: unknown kind {sec['impulse'].strip()!r}")
+    impulses = tuple(np.outer for _ in range(mesh.n_impulses))
+    lips = tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1))
 
     targets_raw = sec.get("targets", "random").strip()
     n_windows = mesh.n_impulses + 1

@@ -37,6 +37,14 @@ from .semigroups import is_identity
 MIN_STEPS = 8
 
 
+class FieldError(ValueError):
+    """A configuration field out of range; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class AssumptionConstants:
     """Declared Lipschitz/bound constants of the supplied callables.
@@ -168,6 +176,8 @@ class Problem:
         if out.shape != (len(times), self.dim):
             raise ValueError(f"impulse map {j} returned shape {out.shape} for "
                              f"{len(times)} times, expected {(len(times), self.dim)}")
+        if not np.all(np.isfinite(out)):
+            raise ValueError(f"impulse map {j} returned non-finite samples")
         return out
 
     def sample_history(self, samples: int) -> np.ndarray:
@@ -198,12 +208,12 @@ class Numerics:
     def __post_init__(self):
         for name in ("time_step", "tol", "delta_floor", "target_tol"):
             if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
+                raise FieldError(name, f"{name} must be positive")
         for name in ("history_samples", "max_iter", "oracle_refine"):
             if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1")
+                raise FieldError(name, f"{name} must be at least 1")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise FieldError("seed", f"seed must be nonnegative, got {self.seed}")
 
     def steps_for(self, length: float) -> int:
         return max(MIN_STEPS, int(np.ceil(length / self.time_step)))

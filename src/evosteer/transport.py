@@ -16,26 +16,18 @@ from typing import Optional
 import numpy as np
 
 from .core import TimeMesh
-from .problems import (AssumptionConstants, ConvolutionKernel, Problem,
-                       WeightedSampleNonlocal)
+from .problems import (AssumptionConstants, ConvolutionKernel, FieldError,
+                       Problem, WeightedSampleNonlocal)
 from .semigroups import ShiftSemigroup
-
-
-class FieldError(ValueError):
-    """A :class:`TransportConfig` field out of range; ``field`` names it."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass
 class TransportConfig:
-    """Desk-scale configuration of the transport benchmark.
-
+    """Desk-scale configuration of the transport benchmark: Case 1 reads
+    ``k0``, ``alphas`` and ``instants``, Case 2 ``a``, and both the rest.
     Defaults keep one impulse on (0.3, 0.5] inside a unit horizon with unit
-    delay.  Targets default to seeded smooth random fields of unit norm.
-    """
+    delay.  Targets default to smooth random unit-norm fields drawn from
+    ``seed``, which the config loader sets from ``[numerics] seed``."""
 
     N: int = 64
     beta: float = 1.0

@@ -22,6 +22,7 @@ from evosteer.reports import (emit_control, emit_trajectory,
                               path_sup_norm_from_csv, read_trajectory_csv)
 from evosteer.runner import run
 from evosteer.solver import Sweep
+from evosteer.transport import smooth_unit_field
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -201,8 +202,18 @@ class TestConfigParsing:
         ("linear-2d", "breakpoints = 0 0.4 0.6 1.0\n", "b = 1.0\n", "mesh.b"),
         ("transport-case2", "directory = out/case2\n", "dir = elsewhere\n",
          "outputs.dir"),
+        # a key of the other case used to be read and then ignored
+        ("transport-case1", "k0 = 0.05\n", "a = 3\n", "problem.a"),
+        ("transport-case2", "a = 0.0\n", "k0 = 5\n", "problem.k0"),
+        ("transport-case2", "a = 0.0\n", "alphas = 0.3\n", "problem.alphas"),
+        ("transport-case2", "a = 0.0\n", "instants = 0.4\n", "problem.instants"),
+        # preset targets are drawn from [numerics] seed, the reported one
+        ("transport-case1", "targets = random\n", "seed = 7\n", "problem.seed"),
+        ("transport-case2", "targets = random\n", "seed = 7\n", "problem.seed"),
     ], ids=["preset-typo", "linear-key-in-preset", "preset-key-in-linear",
-            "mesh-typo", "mesh-b", "outputs"])
+            "mesh-typo", "mesh-b", "outputs", "a-in-case1", "k0-in-case2",
+            "alphas-in-case2", "instants-in-case2", "seed-in-case1",
+            "seed-in-case2"])
     def test_unknown_key_in_any_section_is_named(self, tmp_path, capsys, preset,
                                                   anchor, line, named):
         text = (CONFIGS / f"{preset}.ini").read_text()
@@ -280,14 +291,18 @@ class TestConfigParsing:
         ("transport-case2", "problem.a", "-2"),
         ("transport-case1", "problem.instants", "1.5"),
         ("transport-case1", "problem.alphas", "0.1 0.2"),
-        ("transport-case1", "problem.seed", "-1"),
+        ("transport-case1", "numerics.seed", "-1"),
+        ("transport-case2", "numerics.tol", "-1"),
+        # theta_x gives no impulse maps on a mesh without impulse windows
+        ("linear-2d", "problem.impulse", "none"),
     ], ids=["n-3", "beta-negative", "a-below-minus-1", "instant-past-b",
-            "alphas-count", "seed-negative"])
+            "alphas-count", "seed-negative", "tol-negative", "impulse-none"])
     def test_out_of_range_preset_key_is_named(self, tmp_path, capsys, monkeypatch,
                                               preset, field, value):
         # a preset value the transport configuration refuses names its key,
-        # as the linear path names problem.beta, not the section alone; the
-        # count of alphas against instants is reported on alphas
+        # as the linear path names problem.beta and problem.impulse, and
+        # Numerics its own key, not the section alone; the count of alphas
+        # against instants is reported on alphas
         monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         parser.read(CONFIGS / f"{preset}.ini")
@@ -305,8 +320,20 @@ class TestConfigParsing:
         bad = LINEAR_CFG.replace("seed = 3", "seed = -1")
         path = write(tmp_path, "s.ini", bad.format(out=tmp_path / "o"))
         assert main(["solve", path]) == 2
-        assert "config error: numerics: seed must be nonnegative" in \
+        assert "config error: numerics.seed: seed must be nonnegative" in \
             capsys.readouterr().err
+
+    def test_preset_targets_come_from_the_numerics_seed(self, tmp_path):
+        # the seed that draws the random targets is the one report.json echoes
+        cfg = load_config(str(CONFIGS / "transport-case1.ini"))
+        assert cfg.numerics.seed == 7
+        rng = np.random.default_rng(7)
+        for target in cfg.targets:
+            np.testing.assert_array_equal(target, smooth_unit_field(64, rng))
+        text = (CONFIGS / "transport-case1.ini").read_text().replace(
+            "seed = 7", "seed = 8")
+        moved = load_config(write(tmp_path, "s.ini", text))
+        assert not np.array_equal(moved.targets[0], cfg.targets[0])
 
     def test_negative_k0_certifies_as_its_magnitude(self, tmp_path, monkeypatch):
         # |k0 sin v| is k0-Lipschitz and bounded by |k0| for either sign;
@@ -419,6 +446,7 @@ class TestCommands:
             assert "emit_s" not in text
             report = json.loads(text)
             assert report["schema"] == "evosteer-report/2"
+            assert report["seed"] == (3 if command == "oracle" else 7)
             solve = report["solve"]
             updates, solves = solve["updates"], solve["window_solves_per_sweep"]
             assert len(updates) == solve["iterations"] and updates[0] > 0.0

@@ -402,3 +402,40 @@ def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
         paths.append(path)
     for path in paths:
         load_config(str(path))
+
+
+@pytest.mark.parametrize("preset", ["transport-case1", "transport-case2"])
+def test_a_preset_accepts_exactly_the_keys_its_builder_reads(tmp_path, preset):
+    """A ``[problem]`` key the loader takes for a preset changes its run:
+    the keys the loader does not refuse as unknown, less ``preset`` and
+    ``targets``, are the ``TransportConfig`` fields the preset's builder
+    reads, ``n`` standing for ``N`` and ``mesh`` set from ``[mesh]``."""
+    import dataclasses
+    from evosteer import transport
+    from evosteer.config import ConfigError, load_config
+
+    class Recording(transport.TransportConfig):
+        def __getattribute__(self, name):
+            state = object.__getattribute__(self, "__dict__")
+            if "reads" in state:
+                state["reads"].add(name)
+            return object.__getattribute__(self, name)
+
+    cfg = Recording()
+    cfg.reads = set()
+    getattr(transport, "build_" + preset.split("-")[1])(cfg)
+    names = {f.name for f in dataclasses.fields(transport.TransportConfig)}
+    read = {"n" if f == "N" else f for f in cfg.reads & names} - {"mesh"}
+
+    base = (ROOT / "configs" / f"{preset}.ini").read_text()
+    accepted = set()
+    for key in sorted({n.lower() for n in names}):
+        path = tmp_path / f"{key}.ini"
+        path.write_text(base.replace("[problem]\n", f"[problem]\n{key} = 1\n"))
+        try:
+            load_config(str(path))
+        except ConfigError as exc:
+            if str(exc) == f"problem.{key}: unknown key":
+                continue
+        accepted.add(key)
+    assert accepted - {"targets"} == read

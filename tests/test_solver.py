@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -1519,3 +1520,13 @@ def test_apply_refuses_a_non_finite_interval():
     sweep = Sweep(prob, Numerics(time_step=1e-2))
     with pytest.raises(ValueError, match="non-finite"):
         sweep.apply(flat_extension(sweep), [np.ones(2)] * 2)
+
+
+def test_non_finite_impulse_map_is_refused_before_any_arithmetic():
+    # the first iterate's straight line from an inf start used to raise
+    # numpy's "invalid value encountered in multiply" before the refusal
+    prob = make_problem(impulses=((lambda th, x: np.full((len(th), len(x)), np.inf)),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match="^impulse map 1 returned non-finite"):
+            picard_solve(Sweep(prob, Numerics(time_step=1e-2)), [np.ones(2)] * 2)
