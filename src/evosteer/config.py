@@ -17,7 +17,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import TimeMesh
-from .problems import AssumptionConstants, FieldError, Numerics, Problem
+from .problems import (AssumptionConstants, FieldError, Numerics, Problem,
+                       theta_x_impulses)
 from .semigroups import MatrixSemigroup
 from .transport import TransportConfig, build_case1, build_case2
 
@@ -214,8 +215,7 @@ def _load_linear(sec, mesh, numerics: Numerics):
 
     if sec.get("impulse", "theta_x").strip() != "theta_x":
         raise ConfigError(f"problem.impulse: unknown kind {sec['impulse'].strip()!r}")
-    impulses = tuple(np.outer for _ in range(mesh.n_impulses))
-    lips = tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1))
+    impulses, lips = theta_x_impulses(mesh)
 
     targets_raw = sec.get("targets", "random").strip()
     n_windows = mesh.n_impulses + 1

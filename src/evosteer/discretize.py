@@ -4,25 +4,20 @@ One tau-grid per mesh interval, built by :func:`interval_times`, is reused
 for Gramian assembly, steering residuals, the kernel sums, the mild-solution
 sweep and the oracle, so that feeding the synthesized control back through
 the discrete solution operator reproduces the window targets to round-off
-rather than only to quadrature order.
+rather than only to quadrature order.  The integro variant's Volterra sum
+on that grid is a handful of running sums of its polynomial kernel
+(:class:`KernelDiscretization`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
 from .core import PiecewiseTrajectory, TimeMesh, history_segment
 from .problems import Numerics, Problem
-from .semigroups import fft_length, fft_row_sum_error, trapezoid_weights
-
-# The largest total of dense Volterra pair blocks (8 bytes per entry) a run
-# may allocate; only intervals of unequal steps need them.
-KERNEL_BYTES_LIMIT = 2 * 2 ** 30
-# Two interval steps this many ulp apart or closer count as equal, so their
-# block pair is Toeplitz.
-STEP_ULPS = 4
 
 
 def interval_times(mesh: TimeMesh, numerics: Numerics) -> list:
@@ -77,13 +72,12 @@ def eta_values(problem: Problem, traj: PiecewiseTrajectory,
     return _delayed_forcing(problem.nonlinearity, traj, times)
 
 
-def _kappa_values(kappa, s: np.ndarray) -> np.ndarray:
-    """kappa at every entry of s, in one call on the array."""
-    kap = np.asarray(kappa(s), dtype=float)
-    if kap.shape != s.shape:
-        raise ValueError(f"kernel returned shape {kap.shape} for lags of "
-                         f"shape {s.shape}")
-    return kap
+def _expansion(coeffs) -> list:
+    """The coefficients in s of P_l(s) = sum_{r >= l} c_r C(r, l) (-s)^(r - l)
+    for l = 0..deg, lowest power first, so that kappa(t - s) = sum_l t^l
+    P_l(s) for the polynomial kappa(s) = sum_r c_r s^r."""
+    return [[coeffs[r] * comb(r, l) * (-1.0) ** (r - l)
+             for r in range(l, len(coeffs))] for l in range(len(coeffs))]
 
 
 class KernelDiscretization:
@@ -92,23 +86,26 @@ class KernelDiscretization:
     The inner convolution int_0^{t_i} kappa(t_i - s) q(s, x(s - beta)) ds at
     a global node t_i is the trapezoid sum over every mesh interval before
     t_i's and over its own interval up to t_i.  Breakpoints carry both
-    one-sided nodes; each interval is integrated with its own endpoints,
-    which picks the correct side automatically.
+    one-sided nodes; each interval is integrated with its own endpoints and
+    its own step, which picks the correct side automatically.
 
-    Interval b has nodes a_b + i delta_b.  When a target interval and a
-    source interval share their step, kappa(t_i - s_k) depends on i - k
-    only, so the pair is a Toeplitz product taken by FFT from the kernel's
-    spectrum at the pair's m_bi + m_bk + 1 lags (Hairer, Lubich and
-    Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): O(G) memory.  A pair
-    whose steps differ (``ceil(length / time_step)`` rounded differently)
-    keeps a dense block in ``dense_blocks``, the only storage that grows
-    quadratically; more than ``KERNEL_BYTES_LIMIT`` of them is refused
-    before any is built.  :meth:`inner_convolution`'s transient memory is one
-    weighted spectrum of q per interval, a few times the size of q.
+    The kernel is the polynomial kappa(s) = sum_r c_r s^r, so kappa(t_i -
+    s) = sum_l t_i^l P_l(s) (:func:`_expansion`) and the sum at t_i is
+    sum_l t_i^l times the trapezoid sum of P_l(s) q(s) up to t_i: running
+    sums, one ``np.cumsum`` per interval that starts from the totals of the
+    intervals before it.  For kappa(s) = s that is t_i A_i - B_i, with A and
+    B the running trapezoid sums of q and s q.  Memory is O(G (deg + 1) dim)
+    at every step, equal or not.
 
-    ``kernel_mass`` is max_i sum_k w_ik |kappa(t_i - s_k)|, the sup-norm gain
-    of this Volterra sum, from the same pair data, rounded up by a bound on
-    the FFT's rounding error so that it never falls below the exact sum.
+    ``kernel_mass`` is the same sums with |c_r| and q = 1: an upper bound on
+    max_i sum_k w_ik |kappa(t_i - s_k)|, the sup-norm gain of this Volterra
+    sum, exact when the coefficients share a sign.  It is rounded up by an
+    a-priori bound on the sums' rounding error, so it never falls below the
+    exact sum: every product term c_r C(r, l) s_k^(r-l) t_i^l w_ik passes
+    through at most G + 4 (deg + 2) roundings, so the computed sum is within
+    gamma_n = n u / (1 - n u) of sum_k w_ik sum_r |c_r| (t_i + s_k)^r <=
+    b sum_r |c_r| (2 b)^r of the exact one (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., 2002, sections 3.1 and 5.1).
     """
 
     def __init__(self, problem: Problem, numerics: Numerics):
@@ -118,66 +115,41 @@ class KernelDiscretization:
         self.block_times = interval_times(problem.mesh, numerics)
         self._offsets = np.cumsum([0] + [len(t) for t in self.block_times])
         self.times = np.concatenate(self.block_times)
-        steps = [(t[-1] - t[0]) / (len(t) - 1) for t in self.block_times]
-        self._weights = [trapezoid_weights(len(t) - 1, d)
-                         for t, d in zip(self.block_times, steps)]
-        dense = {(bi, bk) for bi in range(len(steps)) for bk in range(bi)
-                 if abs(steps[bi] - steps[bk])
-                 > STEP_ULPS * np.spacing(max(steps[bi], steps[bk]))}
-        dense_bytes = sum(8 * len(self.block_times[bi]) * len(self.block_times[bk])
-                          for bi, bk in dense)
-        if dense_bytes > KERNEL_BYTES_LIMIT:
-            raise ValueError(
-                f"numerics.time_step = {numerics.time_step:g} gives G = "
-                f"{len(self.times)} kernel nodes on intervals of unequal "
-                f"steps; their dense Volterra blocks need "
-                f"{dense_bytes / 2 ** 30:.1f} GiB, above the "
-                f"{KERNEL_BYTES_LIMIT / 2 ** 30:g} GiB limit")
-        # One FFT length fits every pair without wrap-around: the lags of
-        # pair (bi, bk) run over m_bi + m_bk + 1 consecutive offsets.
-        n = self._n = fft_length(2 * max(len(t) for t in self.block_times) - 1)
-        kappa = problem.kernel.kappa
-        weight_spectra = [np.fft.rfft(w, n) for w in self._weights]
-        weight_norms = [(w.sum(), np.sqrt(w @ w)) for w in self._weights]
-        fft_error = fft_row_sum_error(n, len(self.block_times))
-        self._spectra = []
-        self._half_kappa0 = []
-        self.dense_blocks = {}
-        self.kernel_mass = 0.0
-        for bi, (t, step) in enumerate(zip(self.block_times, steps)):
-            spectra = []
-            abs_spectrum = np.zeros(n // 2 + 1, dtype=complex)
-            mass = np.zeros(len(t))
-            spread = 0.0
-            for bk, s in enumerate(self.block_times[:bi + 1]):
-                if (bi, bk) in dense:
-                    D = _kappa_values(kappa, np.maximum(t[:, None] - s[None, :], 0.0))
-                    D *= self._weights[bk]
-                    self.dense_blocks[bi, bk] = D
-                    mass += np.abs(D).sum(axis=1)
-                    continue
-                d = np.arange(1 - len(s), len(t))
-                h = _kappa_values(kappa, np.maximum((t[0] - s[0]) + d * step, 0.0))
-                if bk == bi:
-                    # The diagonal pair carries its interval's full trapezoid
-                    # weights; the running rule ending at node i < m weighs
-                    # q_i by delta/2, not delta (and row 0 by 0), corrected
-                    # below and in inner_convolution.
-                    h[d < 0] = 0.0
-                    kappa0 = h[len(s) - 1]
-                circ = np.zeros(n)
-                circ[d] = h
-                spectra.append((bk, np.fft.rfft(circ)))
-                circ[d] = a = np.abs(h)
-                abs_spectrum += np.fft.rfft(circ) * weight_spectra[bk]
-                w1, w2 = weight_norms[bk]
-                spread += np.sqrt(a @ a) * w1 + a.sum() * w2
-            self._spectra.append(spectra)
-            self._half_kappa0.append(0.5 * step * kappa0)
-            mass += np.fft.irfft(abs_spectrum, n)[:len(t)]
-            mass[:-1] -= 0.5 * step * abs(kappa0)
-            self.kernel_mass = max(self.kernel_mass,
-                                   float(mass.max() + fft_error * spread))
+        coeffs = problem.kernel.coeffs
+        self._expansion = _expansion(coeffs)
+        abs_coeffs = [abs(c) for c in coeffs]
+        mass = self._running_sums(_expansion(abs_coeffs),
+                                  np.ones((len(self.times), 1)))
+        n = len(self.times) + 4 * (len(coeffs) + 1)
+        u = np.finfo(float).eps / 2
+        b = self.times[-1]
+        rounding = (n * u / (1 - n * u) * b
+                    * sum(c * (2 * b) ** r for r, c in enumerate(abs_coeffs)))
+        self.kernel_mass = float(mass.max() + rounding)
+
+    def _running_sums(self, expansion: list, q: np.ndarray) -> np.ndarray:
+        """sum_l t_i^l times the trapezoid sum of P_l(s) q(s) up to t_i at
+        every global node t_i, P_l's coefficients from ``expansion``;
+        interval bi's rows read only the samples of intervals up to bi."""
+        out = np.empty_like(q)
+        carry = np.zeros((len(expansion),) + q.shape[1:])
+        for bi, t in enumerate(self.block_times):
+            rows = self.block_slice(bi)
+            P = np.stack([np.polyval(p[::-1], t) for p in expansion], axis=1)
+            f = P[:, :, None] * q[rows][:, None, :]
+            # row 0 the totals of the intervals before, row i >= 1 the
+            # trapezoid piece on [t_{i-1}, t_i]; their running sum
+            acc = np.empty_like(f)
+            acc[0] = carry
+            np.add(f[1:], f[:-1], out=acc[1:])
+            acc[1:] *= 0.5 * (t[-1] - t[0]) / (len(t) - 1)
+            np.cumsum(acc, axis=0, out=acc)
+            carry = acc[-1]
+            y = acc[:, -1]
+            for l in range(acc.shape[1] - 2, -1, -1):    # Horner in t_i
+                y = y * t[:, None] + acc[:, l]
+            out[rows] = y
+        return out
 
     def q_values(self, traj: PiecewiseTrajectory, rows: slice) -> np.ndarray:
         """q(t, x(t - beta)) at the global nodes ``rows`` (at least one),
@@ -194,19 +166,7 @@ class KernelDiscretization:
         from the samples ``q`` at every global node.  Output interval bi
         reads only the samples of intervals up to bi, so its bits do not
         depend on later samples."""
-        n = self._n
-        Q = [np.fft.rfft(w[:, None] * q[self.block_slice(bk)], n, axis=0)
-             for bk, w in enumerate(self._weights)]
-        out = np.empty_like(q)
-        for bi, spectra in enumerate(self._spectra):
-            rows = self.block_slice(bi)
-            y = np.fft.irfft(sum(S[:, None] * Q[bk] for bk, S in spectra),
-                             n, axis=0)[:rows.stop - rows.start]
-            y[:-1] -= self._half_kappa0[bi] * q[rows][:-1]
-            out[rows] = y
-        for (bi, bk), D in self.dense_blocks.items():
-            out[self.block_slice(bi)] += D @ q[self.block_slice(bk)]
-        return out
+        return self._running_sums(self._expansion, q)
 
     def block_slice(self, interval_index: int) -> slice:
         return slice(self._offsets[interval_index], self._offsets[interval_index + 1])

@@ -6,8 +6,8 @@ and the declared assumption constants.  Two variants exist:
 
 * semilinear -- forcing ``eta(t, x(t - beta))`` plus an optional nonlocal
   initial coupling ``x(0) = phi(0) + nonlocal(x)``;
-* integro -- forcing is the running convolution of a scalar kernel against a
-  delayed integrand ``q(t, x(t - beta))``; no nonlocal coupling.
+* integro -- forcing is the running convolution of a polynomial kernel
+  against a delayed integrand ``q(t, x(t - beta))``; no nonlocal coupling.
 
 Both ``eta`` and ``q`` are called once per sample grid: ``fn(t, v)`` takes the
 node times ``t`` of shape ``(n,)`` and the delayed states ``v[i] = x(t_i -
@@ -71,13 +71,28 @@ class AssumptionConstants:
 
 @dataclass(frozen=True)
 class ConvolutionKernel:
-    """Kernel pair for the integro-differential variant: scalar kernel
-    ``kappa(s)``, called on an array of lags and returning kappa at each
-    entry in an array of the same shape, and delayed integrand ``q(t, v)``,
-    called on a whole grid with ``v[i] = x(t_i - beta)``."""
+    """Kernel pair for the integro-differential variant: the polynomial
+    kernel kappa(s) = sum_r coeffs[r] s^r, lowest power first, and the
+    delayed integrand ``q(t, v)``, called on a whole grid with ``v[i] =
+    x(t_i - beta)``."""
 
-    kappa: Callable[[np.ndarray], np.ndarray]
+    coeffs: tuple
     q: Callable
+
+    def __post_init__(self):
+        coeffs = tuple(float(c) for c in self.coeffs)
+        if not coeffs or not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"kernel coeffs must be a nonempty list of finite "
+                             f"numbers, got {self.coeffs!r}")
+        object.__setattr__(self, "coeffs", coeffs)
+
+
+def theta_x_impulses(mesh: TimeMesh) -> tuple:
+    """The impulse x -> theta * x on every impulse window of ``mesh``, as
+    ``np.outer`` of the window's times and the left limit, with its
+    Lipschitz constants: on (theta_j, lam_j] the map scales by at most
+    lam_j."""
+    return tuple(np.outer for _ in range(mesh.n_impulses)), mesh.lam[1:]
 
 
 class WeightedSampleNonlocal:

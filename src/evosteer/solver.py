@@ -25,8 +25,9 @@ fixed point but not the fixed point: with every forcing row frozen, the
 first sweep's step lands on it, and the second sweep keeps every window.
 The fixed point is simultaneously a mild solution and a steered
 trajectory, which is exactly the property the contraction certificate
-predicts.  The integro variant replaces eta by the running kernel
-convolution and drops the nonlocal term.
+predicts.  The integro variant replaces eta by the running convolution of
+its polynomial kernel, the running sums of :class:`KernelDiscretization`,
+and drops the nonlocal term.
 
 The fixed point is reached from any first iterate, which sets only how many
 sweeps reach it, and every iterate the operator returns ends each control

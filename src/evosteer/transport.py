@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import TimeMesh
 from .problems import (AssumptionConstants, ConvolutionKernel, FieldError,
-                       Problem, WeightedSampleNonlocal)
+                       Problem, WeightedSampleNonlocal, theta_x_impulses)
 from .semigroups import ShiftSemigroup
 
 
@@ -79,26 +79,24 @@ def _problem(cfg: TransportConfig, *, nonlin_lipschitz: float,
     x -> theta * x on each impulse window -- with a case's forcing, its
     nonlocal term and the forcing's constants."""
     profile = np.sin(np.arange(cfg.N) * np.pi / cfg.N)
-    mesh, n = cfg.mesh, cfg.mesh.n_impulses
+    impulses, lips = theta_x_impulses(cfg.mesh)
     lip = nonlocal_term.lipschitz if nonlocal_term is not None else 0.0
     constants = AssumptionConstants(
         nonlin_lipschitz=nonlin_lipschitz,
         nonlin_sup=nonlin_sup,
-        impulse_lipschitz=tuple(mesh.b for _ in range(n)),
+        impulse_lipschitz=lips,
         # theta * x on an impulse window is bounded only on bounded sets;
         # lam_j * 2 covers paths steered to unit-norm targets at desk scale.
-        impulse_sup=tuple(2.0 * mesh.lam[j] for j in range(1, n + 1)),
+        impulse_sup=tuple(2.0 * lam for lam in lips),
         nonlocal_lipschitz=lip,
         # weighted sampling is bounded only on bounded sets; 4x the weight
         # sum covers paths steered between unit-norm targets at desk scale
         nonlocal_sup=4.0 * lip,
     )
-    # np.outer(times, x) has the rows theta_i * x: the map on a whole window
     return Problem(semigroup=ShiftSemigroup(cfg.N), control_matrix=np.eye(cfg.N),
-                   mesh=mesh, beta=cfg.beta,
+                   mesh=cfg.mesh, beta=cfg.beta,
                    history=lambda theta: profile * (1.0 + theta),
-                   nonlinearity=nonlinearity, kernel=kernel,
-                   impulses=tuple(np.outer for _ in range(n)),
+                   nonlinearity=nonlinearity, kernel=kernel, impulses=impulses,
                    nonlocal_term=nonlocal_term, constants=constants)
 
 
@@ -122,7 +120,8 @@ def build_case1(cfg: TransportConfig) -> Problem:
 
 
 def build_case2(cfg: TransportConfig) -> Problem:
-    """Convolution kernel kappa(s) = s with a saturating integrand.
+    """Convolution kernel kappa(s) = s, the polynomial coefficients (0, 1),
+    with a saturating integrand.
 
     q(t, v) = exp(-t) |v| / ((a + 2 exp(t)) (1 + 2|v|)) node-wise, v =
     x(t - beta) the state one delay back; Lipschitz constant 1/(a+2), uniform
@@ -136,4 +135,4 @@ def build_case2(cfg: TransportConfig) -> Problem:
                 / ((a + 2.0 * np.exp(t))[:, None] * (1.0 + 2.0 * v)))
 
     return _problem(cfg, nonlin_lipschitz=1.0 / (a + 2.0), nonlin_sup=1.0,
-                    kernel=ConvolutionKernel(kappa=lambda s: s, q=q))
+                    kernel=ConvolutionKernel(coeffs=(0.0, 1.0), q=q))

@@ -10,6 +10,7 @@ from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
 from evosteer.semigroups import MatrixSemigroup
 from evosteer.solver import Sweep
 from evosteer.transport import TransportConfig, build_case1
+from test_discretize import MIXED, UNEQUAL, kappa
 
 
 class TestDelayRatio:
@@ -92,7 +93,7 @@ class TestIntegroConstant:
         assert branch == "window_1"
 
     @staticmethod
-    def _integro_problem(kappa, breakpoints):
+    def _integro_problem(coeffs, breakpoints):
         mesh = TimeMesh(breakpoints)
         n = mesh.n_impulses
         return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
@@ -100,32 +101,36 @@ class TestIntegroConstant:
                        history=lambda s: np.zeros(1),
                        impulses=tuple((lambda th, x: np.tile(0.5 * x, (len(th), 1)))
                                       for _ in range(n)),
-                       kernel=ConvolutionKernel(kappa=kappa,
+                       kernel=ConvolutionKernel(coeffs=coeffs,
                                                 q=lambda t, v: np.zeros_like(v)),
                        constants=AssumptionConstants(
                            impulse_lipschitz=(0.5,) * n, impulse_sup=(1.0,) * n,
                            nonlin_lipschitz=0.5, nonlin_sup=1.0))
 
     def test_constant_kernel_mass_is_horizon(self):
-        prob = self._integro_problem(lambda s: np.ones_like(np.asarray(s)),
-                                     [0.0, 0.3, 0.5, 0.8])
+        prob = self._integro_problem((1.0,), [0.0, 0.3, 0.5, 0.8])
         kern = KernelDiscretization(prob, Numerics(time_step=1e-2))
         assert kern.kernel_mass == pytest.approx(0.8, abs=1e-12)
 
     def test_kernel_mass_bounds_the_solved_sum(self):
-        # exp(-4s) is convex, so the solver's trapezoid sums exceed
-        # int_0^1 exp(-4s) ds = 0.245421; the certificate's mass must be the
-        # largest sum actually formed, not the integral
-        kappa = lambda s: np.exp(-4.0 * np.asarray(s, dtype=float))
-        prob = self._integro_problem(kappa, [0.0, 0.32, 0.4, 0.55, 0.85, 1.0])
+        # MIXED's sum_r |c_r| s^r is convex, so the solver's trapezoid sums
+        # of it exceed its integral over [0, 1], 17/6; the certificate's mass
+        # must be the largest sum actually formed, not the integral, and it
+        # exceeds every sum of |kappa|, which changes sign
+        prob = self._integro_problem(MIXED, UNEQUAL)
         num = Numerics(time_step=0.03)
         blocks = interval_times(prob.mesh, num)
-        sums = [sum(np.trapezoid(kappa(t - s), s) for s in blocks[:bi])
-                + np.trapezoid(kappa(t - own[:i + 1]), own[:i + 1])
-                for bi, own in enumerate(blocks) for i, t in enumerate(own)]
-        assert max(sums) > 0.2456
+
+        def largest_sum(k):
+            return max(sum(np.trapezoid(k(t - s), s) for s in blocks[:bi])
+                       + np.trapezoid(k(t - own[:i + 1]), own[:i + 1])
+                       for bi, own in enumerate(blocks) for i, t in enumerate(own))
+
+        bar = largest_sum(lambda s: kappa(np.abs(MIXED), s))
+        assert bar > 17 / 6 + 1e-4
         cert = certificate_for(Sweep(prob, num), [np.zeros(1)] * 3)
-        assert cert.kernel_mass == pytest.approx(max(sums), rel=1e-12)
+        assert cert.kernel_mass == pytest.approx(bar, rel=1e-12)
+        assert cert.kernel_mass > largest_sum(lambda s: np.abs(kappa(MIXED, s)))
 
 
 class TestSolutionBound:
@@ -243,14 +248,13 @@ class TestMergedIntegroCertificate:
         rng = np.random.default_rng(41)
         A = rng.normal(size=(2, 2)) / 2.0
         M = 1.3
-        kappa = lambda s: np.exp(-4.0 * np.asarray(s, dtype=float))
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=M * np.eye(2),
                        mesh=mesh, beta=0.6,
                        history=lambda s: np.array([0.4, -0.3]),
                        impulses=tuple((lambda th, x: np.tile(0.5 * x, (len(th), 1)))
                                       for _ in range(2)),
                        kernel=ConvolutionKernel(
-                           kappa=kappa, q=lambda t, v: 0.3 * v),
+                           coeffs=MIXED, q=lambda t, v: 0.3 * v),
                        constants=AssumptionConstants(
                            nonlin_lipschitz=0.3, nonlin_sup=0.8,
                            impulse_lipschitz=(0.5, 0.45),

@@ -640,18 +640,6 @@ class TestCommands:
             cli._parser.cache_clear()
         assert built.count("evosteer") == 1
 
-    def test_oversized_kernel_exits_2(self, tmp_path, capsys, monkeypatch):
-        # steps 23077/15385/38462 make every interval's step differ, so the
-        # three off-diagonal pairs need 13.7 GiB of dense blocks
-        monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
-        text = (CONFIGS / "transport-case2.ini").read_text()
-        fine = text.replace("time_step = 1e-3", "time_step = 1.3e-5")
-        assert fine != text
-        assert main(["solve", write(tmp_path, "fine.ini", fine)]) == 2
-        err = capsys.readouterr().err
-        assert "numerics.time_step" in err and "G = 76927" in err
-        assert "13.7 GiB" in err
-
     @pytest.mark.parametrize("blocked", ["file/out", "report.json", "trajectory.csv"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, blocked):
         # an output directory below a regular file, or an output path that

@@ -1,10 +1,10 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from evosteer import discretize
 from evosteer.core import TimeMesh
 from evosteer.discretize import (KernelDiscretization, build_window_grids,
                                  eta_values, interval_times)
@@ -18,6 +18,11 @@ from test_solver import flat_extension
 
 # Two impulses; ceil(length / time_step) makes the steps differ at 0.03.
 UNEQUAL = [0.0, 0.32, 0.4, 0.55, 0.85, 1.0]
+# Dyadic lengths and step 2^-8: every interval has the same step exactly.
+EQUAL = [0.0, 0.25, 0.375, 0.625, 0.75, 1.0]
+# kappa(s) = 0.5 - 3 s + s^2 + 2 s^3, lowest power first: mixed signs, and
+# kappa changes sign on [0, 1], so sum |c_r| s^r exceeds |kappa| there.
+MIXED = (0.5, -3.0, 1.0, 2.0)
 
 
 def test_trapezoid_weights_sum_to_length():
@@ -41,7 +46,7 @@ def test_window_grids_share_breakpoints():
     assert grids[0].table.weights.sum() == pytest.approx(0.3)
 
 
-def _kernel_problem(kappa, q, mesh=None, dim=1):
+def _kernel_problem(coeffs, q, mesh=None, dim=1):
     mesh = mesh or TimeMesh([0.0, 0.4, 0.5, 1.0])
     impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = AssumptionConstants(
@@ -50,15 +55,19 @@ def _kernel_problem(kappa, q, mesh=None, dim=1):
     return Problem(semigroup=MatrixSemigroup(np.zeros((dim, dim))),
                    control_matrix=np.eye(dim), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(dim), impulses=impulses,
-                   kernel=ConvolutionKernel(kappa=kappa, q=q),
+                   kernel=ConvolutionKernel(coeffs=coeffs, q=q),
                    constants=constants)
 
 
-def dense_kernel_reference(times, blocks, kappa):
+def kappa(coeffs, s):
+    """The polynomial kernel sum_r coeffs[r] s^r at every entry of s."""
+    return np.polynomial.polynomial.polyval(s, coeffs)
+
+
+def dense_kernel_reference(times, blocks, coeffs):
     """The G x G Volterra matrix, kappa(t_i - s_k) times the cumulative
     trapezoid weights, as one dense array."""
-    kap = np.asarray(kappa(np.maximum(times[:, None] - times[None, :], 0.0)),
-                     dtype=float)
+    kap = kappa(coeffs, np.maximum(times[:, None] - times[None, :], 0.0))
     G = len(times)
     M = np.zeros((G, G))
     offsets = np.cumsum([0] + [len(t) for t in blocks])
@@ -83,8 +92,7 @@ def volterra(kern, traj):
 class TestKernelDiscretization:
     def test_inner_convolution_closed_form(self):
         # kappa == 1, q == 1: the inner convolution at t is exactly t
-        prob = _kernel_problem(lambda s: np.ones_like(np.asarray(s)),
-                               lambda t, v: np.ones_like(v))
+        prob = _kernel_problem((1.0,), lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         traj = flat_extension(Sweep(prob, num))
@@ -95,8 +103,7 @@ class TestKernelDiscretization:
         # kappa(s) = s, q == 1: int_0^t (t - s) ds = t^2 / 2, exact for the
         # trapezoid rule applied to a piecewise-linear integrand? the
         # integrand is linear in s per fixed t, so yes
-        prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, v: np.ones_like(v))
+        prob = _kernel_problem((0.0, 1.0), lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         traj = flat_extension(Sweep(prob, num))
@@ -107,18 +114,16 @@ class TestKernelDiscretization:
         # kappa == 1: q == 1 gives t at t = 0.5, q == 0 gives exactly 0 at 0.7
         mesh = TimeMesh([0.0, 1.0])
         num = Numerics(time_step=1e-2, history_samples=8)
-        ones = lambda s: np.ones_like(np.asarray(s))
-        prob = _kernel_problem(ones, lambda t, v: np.ones_like(v), mesh=mesh)
+        prob = _kernel_problem((1.0,), lambda t, v: np.ones_like(v), mesh=mesh)
         kern = KernelDiscretization(prob, num)
         traj = flat_extension(Sweep(prob, num))
         i, k = (int(np.argmin(np.abs(kern.times - t))) for t in (0.5, 0.7))
         assert volterra(kern, traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
-        prob0 = _kernel_problem(ones, lambda t, v: np.zeros_like(v), mesh=mesh)
+        prob0 = _kernel_problem((1.0,), lambda t, v: np.zeros_like(v), mesh=mesh)
         assert volterra(KernelDiscretization(prob0, num), traj)[k, 0] == 0.0
 
     def test_block_slices_tile_the_grid(self):
-        prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, v: np.zeros_like(v))
+        prob = _kernel_problem((0.0, 1.0), lambda t, v: np.zeros_like(v))
         num = Numerics(time_step=5e-2, history_samples=8)
         kern = KernelDiscretization(prob, num)
         total = sum(kern.block_slice(i).stop - kern.block_slice(i).start
@@ -126,77 +131,64 @@ class TestKernelDiscretization:
         assert total == len(kern.times)
         assert kern.block_slice(0).start == 0
 
-    @pytest.mark.parametrize("breakpoints, time_step, kappa, any_dense", [
-        # dyadic lengths and step: every interval has step 2^-8 exactly
-        ([0.0, 0.25, 0.375, 0.625, 0.75, 1.0], 2.0 ** -8,
-         lambda s: np.exp(-np.asarray(s, dtype=float)), False),
-        (UNEQUAL, 0.03, lambda s: np.exp(-np.asarray(s, dtype=float)), True),
-    ], ids=["equal-steps", "unequal-steps"])
+    @pytest.mark.parametrize("breakpoints, time_step, distinct_steps", [
+        (EQUAL, 2.0 ** -8, 1),
+        # steps 0.32/11, 0.01, 0.15/8, 0.03, 0.15/8
+        (UNEQUAL, 0.03, 4)], ids=["equal-steps", "unequal-steps"])
     def test_volterra_product_matches_dense_reference(self, breakpoints,
-                                                      time_step, kappa, any_dense):
+                                                      time_step, distinct_steps):
         # two impulses, dim 2; q differs per node and per component
         mesh = TimeMesh(breakpoints)
-        prob = _kernel_problem(kappa, lambda t, v: np.stack([np.sin(7.0 * t),
-                                                             np.cos(3.0 * t) - t],
-                                                            axis=1),
-                               mesh=mesh, dim=2)
         num = Numerics(time_step=time_step, history_samples=8)
-        kern = KernelDiscretization(prob, num)
-        assert mesh.n_impulses == 2 and bool(kern.dense_blocks) == any_dense
-        traj = flat_extension(Sweep(prob, num))
-        KW = dense_kernel_reference(kern.times, kern.block_times, kappa)
-        ref = KW @ kern.q_values(traj, slice(None))
-        new = volterra(kern, traj)
-        assert new.shape == ref.shape == (len(kern.times), 2)
-        assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
+        assert mesh.n_impulses == 2
+        for coeffs in ((1.0,), (0.0, 1.0), MIXED):
+            prob = _kernel_problem(coeffs,
+                                   lambda t, v: np.stack([np.sin(7.0 * t),
+                                                          np.cos(3.0 * t) - t], axis=1),
+                                   mesh=mesh, dim=2)
+            kern = KernelDiscretization(prob, num)
+            assert len({(t[-1] - t[0]) / (len(t) - 1)
+                        for t in kern.block_times}) == distinct_steps
+            traj = flat_extension(Sweep(prob, num))
+            KW = dense_kernel_reference(kern.times, kern.block_times, coeffs)
+            ref = KW @ kern.q_values(traj, slice(None))
+            new = volterra(kern, traj)
+            assert new.shape == ref.shape == (len(kern.times), 2)
+            assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
-    def test_kernel_of_wrong_shape_is_refused(self):
-        # kappa is called on the array of lags; one that gives a scalar
-        # (written for scalars) is refused, not retried entry by entry
-        prob = _kernel_problem(lambda s: 1.0, lambda t, v: np.zeros_like(v),
-                               mesh=TimeMesh(UNEQUAL))
-        with pytest.raises(ValueError, match=r"kernel returned shape \(\) for lags"):
-            KernelDiscretization(prob, Numerics(time_step=0.03))
+    def test_empty_or_non_finite_coeffs_are_refused(self):
+        for coeffs in ((), (1.0, np.nan), (np.inf,)):
+            with pytest.raises(ValueError, match=r"kernel coeffs must be"):
+                ConvolutionKernel(coeffs=coeffs, q=lambda t, v: np.zeros_like(v))
 
-    @pytest.mark.parametrize("breakpoints, time_step, dense", [
-        ([0.0, 0.3, 0.5, 1.0], 2.5e-4, set()),
-        ([0.0, 0.3, 0.5, 1.0], 1e-4, set()),
-        # steps 0.32/11, 0.01, 0.15/8, 0.03, 0.15/8: intervals 2 and 4 agree
-        (UNEQUAL, 0.03, {(1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2),
-                         (4, 0), (4, 1), (4, 3)}),
-    ], ids=["bench-2.5e-4", "bench-1e-4", "unequal"])
-    def test_dense_pairs_only_for_unequal_steps(self, breakpoints, time_step, dense):
+    @pytest.mark.parametrize("breakpoints, time_step", [
+        (EQUAL, 2.0 ** -8), (UNEQUAL, 0.03)], ids=["equal-steps", "unequal-steps"])
+    def test_kernel_mass_never_below_the_fsum_reference(self, breakpoints,
+                                                        time_step):
+        """kernel_mass bounds max_i sum_k w_ik |kappa(t_i - s_k)|: it is the
+        same sum of sum_r |c_r| s^r, which the running sums form within
+        their stated rounding bound and which is then rounded up by it.  The
+        reference sums every node's terms exactly by math.fsum."""
         mesh = TimeMesh(breakpoints)
-        prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, v: np.zeros_like(v), mesh=mesh)
-        kern = KernelDiscretization(prob, Numerics(time_step=time_step))
-        assert set(kern.dense_blocks) == dense
-        for (bi, bk), D in kern.dense_blocks.items():
-            assert D.shape == (len(kern.block_times[bi]), len(kern.block_times[bk]))
-
-    def test_kernel_size_limit(self, monkeypatch):
-        # only the dense blocks of unequal-step pairs count toward the limit
-        mesh = TimeMesh(UNEQUAL)
-        prob = _kernel_problem(lambda s: np.asarray(s, dtype=float),
-                               lambda t, v: np.zeros_like(v), mesh=mesh)
-        num = Numerics(time_step=0.03, history_samples=8)
-        kern = KernelDiscretization(prob, num)
-        G = len(kern.times)
-        sizes = [len(t) for t in kern.block_times]
-        limit = sum(8 * sizes[bi] * sizes[bk] for bi, bk in kern.dense_blocks)
-        assert limit == sum(D.nbytes for D in kern.dense_blocks.values())
-        assert 0 < limit < 8 * G * G // 2
-        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", limit)
-        KernelDiscretization(prob, num)
-        monkeypatch.setattr(discretize, "KERNEL_BYTES_LIMIT", limit - 1)
-        with pytest.raises(ValueError, match=rf"numerics\.time_step .* G = {G}"):
-            KernelDiscretization(prob, num)
+        for coeffs in ((0.0, 1.0), MIXED):
+            prob = _kernel_problem(coeffs, lambda t, v: np.zeros_like(v), mesh=mesh)
+            kern = KernelDiscretization(prob, Numerics(time_step=time_step))
+            KW = dense_kernel_reference(kern.times, kern.block_times, (1.0,))
+            lags = np.maximum(kern.times[:, None] - kern.times[None, :], 0.0)
+            exact, bar = (max(math.fsum(row) for row in KW * k) for k in (
+                np.abs(kappa(coeffs, lags)),
+                kappa(np.abs(coeffs), lags)))
+            n, u = len(kern.times) + 4 * (len(coeffs) + 1), 2.0 ** -53
+            rounding = n * u / (1 - n * u) * kappa(np.abs(coeffs), 2.0)  # b = 1
+            assert exact <= bar <= kern.kernel_mass <= bar + 2 * rounding
+            if coeffs == MIXED:
+                assert exact < 0.9 * bar
 
     def test_fine_equal_step_kernel_in_bounded_memory(self):
         """Case 2 at time_step 1e-5 (G = 100,003, 75 GiB as one dense kernel)
-        builds in a few MiB: every interval has the same step, so no pair is
-        dense.  Only construction is measured; inner_convolution's transient
-        memory stays a few times the size of q."""
+        builds in a few MiB (8.1 MiB measured).  Only construction is
+        measured; inner_convolution's transient memory is a few times the
+        size of q per mesh interval."""
         prob = build_case2(TransportConfig(N=4))
         tracemalloc.start()
         try:
@@ -205,8 +197,22 @@ class TestKernelDiscretization:
         finally:
             tracemalloc.stop()
         assert len(kern.times) == 100_003
-        assert kern.dense_blocks == {}
         assert peak < 64 * 2 ** 20
+
+    def test_fine_unequal_step_kernel_in_bounded_memory(self):
+        """The Case-2 preset's mesh at time_step 1.3e-5: steps 0.3/23077,
+        0.2/15385 and 0.5/38462 all differ, and G = 76,927 nodes build in
+        6.2 MiB (measured), as equal steps do."""
+        prob = build_case2(TransportConfig(N=4))
+        tracemalloc.start()
+        try:
+            kern = KernelDiscretization(prob, Numerics(time_step=1.3e-5))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [len(t) - 1 for t in kern.block_times] == [23077, 15385, 38462]
+        assert len(kern.times) == 76_927
+        assert peak < 16 * 2 ** 20
 
     def test_requires_kernel(self):
         mesh = TimeMesh([0.0, 1.0])
@@ -232,8 +238,7 @@ def test_eta_values_zero_without_nonlinearity():
 def test_one_grid_per_interval(variant):
     # two impulses; unequal step counts, three of them raised to MIN_STEPS = 8
     mesh = TimeMesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0])
-    prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)),
-                           lambda t, v: v, mesh=mesh, dim=2)
+    prob = _kernel_problem(MIXED, lambda t, v: v, mesh=mesh, dim=2)
     if variant == "semilinear":
         prob = dataclasses.replace(prob, kernel=None)
     num = Numerics(time_step=0.03, history_samples=8)
@@ -272,8 +277,7 @@ def _mixed_delay_case(variant, fn, beta=0.25):
     t - beta hits the breakpoints 0.25 and 0.5 exactly.  The path is random
     on every interval, so each breakpoint carries a jump."""
     mesh = TimeMesh([0.0, 0.25, 0.5, 1.0])
-    prob = _kernel_problem(lambda s: np.exp(-np.asarray(s, dtype=float)), fn,
-                           mesh=mesh, dim=2)
+    prob = _kernel_problem(MIXED, fn, mesh=mesh, dim=2)
     prob = dataclasses.replace(prob, beta=beta,
                                history=lambda s: np.array([1.0 + s, np.cos(5.0 * s)]))
     if variant == "semilinear":

@@ -431,8 +431,7 @@ class TestResiduals:
         # kappa == 1, q == 1, A = 0, window (0, 1]: inner integral tau,
         # outer integral 1/2
         mesh = TimeMesh([0.0, 1.0])
-        kernel = ConvolutionKernel(kappa=lambda s: np.ones_like(np.asarray(s)),
-                                   q=lambda t, v: np.ones_like(v))
+        kernel = ConvolutionKernel(coeffs=(1.0,), q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.25],
                               kernel=kernel)
         num = Numerics(time_step=1e-2, history_samples=16)
@@ -448,8 +447,7 @@ class TestResiduals:
         A = rng.normal(size=(2, 2)) / 2.0
         mesh = TimeMesh([0.0, 1.0])
         phi0 = rng.normal(size=2)
-        kernel = ConvolutionKernel(kappa=lambda s: np.asarray(s, dtype=float),
-                                   q=lambda t, v: np.zeros_like(v))
+        kernel = ConvolutionKernel(coeffs=(0.0, 1.0), q=lambda t, v: np.zeros_like(v))
         prob = linear_problem(A, np.eye(2), mesh, phi0, kernel=kernel)
         num = Numerics(time_step=1e-3, history_samples=8)
         grids = build_window_grids(prob, num)
@@ -526,9 +524,8 @@ class TestWindowStart:
         if case == "first-nonlocal":
             kwargs["nonlocal_term"] = WeightedSampleNonlocal([0.1], [0.2])
         elif case == "first-integro":
-            kwargs["kernel"] = ConvolutionKernel(
-                kappa=lambda s: np.ones_like(np.asarray(s)),
-                q=lambda t, v: np.ones_like(v))
+            kwargs["kernel"] = ConvolutionKernel(coeffs=(1.0,),
+                                                 q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
                               impulses=(np.outer,),
                               constants=AssumptionConstants(

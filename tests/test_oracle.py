@@ -187,7 +187,7 @@ class TestOracle:
     def test_rejects_kernel_and_shift_backend(self):
         mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
-        prob.kernel = ConvolutionKernel(kappa=lambda s: s,
+        prob.kernel = ConvolutionKernel(coeffs=(0.0, 1.0),
                                         q=lambda t, v: np.zeros_like(v))
         with pytest.raises(ValueError):
             oracle_linear(prob, None, None, Numerics(time_step=1e-2))

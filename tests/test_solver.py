@@ -1370,7 +1370,6 @@ def test_kept_state_grows_linearly_with_the_grid():
         try:
             sweep = Sweep(build_case2(cfg), num)
             report = picard_solve(sweep, cfg.resolved_targets())
-            assert sweep.kern.dense_blocks == {}
             del report
             gc.collect()
             kept.append(tracemalloc.get_traced_memory()[0])

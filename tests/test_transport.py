@@ -67,7 +67,7 @@ class TestCase1:
         prob = build_case1(cfg)
         c = prob.constants
         assert c.nonlin_lipschitz == 0.07 and c.nonlin_sup == 0.07
-        assert c.impulse_lipschitz == (1.0,)          # horizon bound
+        assert c.impulse_lipschitz == (0.5,)          # lam_1 of theta * x
         assert c.nonlocal_lipschitz == pytest.approx(0.15)
 
     def test_forcing_reads_one_delay_back(self):
@@ -114,16 +114,19 @@ class TestCase1:
         assert cert.contraction_constant == expected
 
     def test_impulse_lipschitz_constant_is_horizon(self):
+        # theta * x on (theta_1, lam_1] = (0.3, 0.5]: the declared constant
+        # is lam_1, not the horizon b, and the map attains it at theta = lam_1
         cfg = TransportConfig(N=8)
         prob = build_case1(cfg)
+        lam = cfg.mesh.lam[1]
+        assert prob.constants.impulse_lipschitz == (lam,) == (0.5,)
         rng = np.random.default_rng(56)
-        b = cfg.mesh.b
-        for _ in range(30):
-            theta = float(rng.uniform(0.3, 0.5))
+        for theta in list(rng.uniform(0.3, 0.5, size=30)) + [lam]:
             x, y = rng.normal(size=8), rng.normal(size=8)
             gap = np.linalg.norm(prob.impulses[0](theta, x)
                                  - prob.impulses[0](theta, y))
-            assert gap <= b * np.linalg.norm(x - y) + 1e-12
+            assert gap <= lam * np.linalg.norm(x - y) * (1 + 1e-15)
+        assert gap == pytest.approx(lam * np.linalg.norm(x - y), rel=1e-15)
 
 
 class TestCase2:
@@ -139,8 +142,8 @@ class TestCase2:
         assert prob.nonlocal_term is None
 
     def test_kernel_mass_never_below_the_exact_sum(self):
-        # kappa(s) = s: the largest trapezoid sum is exactly b^2/2; the FFT
-        # sum alone comes out at 0.49999999999999994 on this grid
+        # kappa(s) = s: the largest trapezoid sum is exactly b^2/2; the
+        # running sums alone come out at 0.49999999999989814 on this grid
         prob = build_case2(TransportConfig(N=8, a=0.0))
         kern = KernelDiscretization(prob, Numerics(time_step=5e-5))
         assert kern.kernel_mass >= 0.5
