@@ -94,12 +94,9 @@ def _random_linear_instance(rng: np.random.Generator, dim: int):
     for _ in range(2):
         z = rng.normal(size=dim)
         targets.append(z / np.linalg.norm(z))
-    constants = AssumptionConstants(impulse_lipschitz=(0.55,),
-                                    impulse_sup=(0.55 * 2.0 * K,))
+    constants = AssumptionConstants(impulse_sup=(2.0 * mesh.lam[1] * K,))
     problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
-                      beta=1.0, history=lambda s: phi0,
-                      impulses=(np.outer,),
-                      constants=constants)
+                      beta=1.0, history=lambda s: phi0, constants=constants)
     return problem, targets
 
 
@@ -242,7 +239,7 @@ def criterion_integro(c: Checks) -> None:
     # the kernel mass b^2/2 = 0.5.
     worked, _ = contraction_constant(
         K=1.0, M=1.0, b=1.0, gamma=1.0, nonlin_lipschitz=0.5 * 0.5,
-        impulse_lipschitz=[0.1], nonlocal_lipschitz=0.0, floors=[1.0, 1.0])
+        impulse_lips=[0.1], nonlocal_lip=0.0, floors=[1.0, 1.0])
     c.close(abs(worked - 0.7), 1e-12, "hand-substituted integro constant")
     c.check(result.solve.converged,
             f"Picard converged in {result.solve.iterations_text()}")
@@ -324,10 +321,9 @@ def criterion_impulse_exactness(c: Checks) -> None:
             if kind != "impulse":
                 continue
             x_minus = traj.left_value_at_theta(j)
-            expected = problem.impulses[j - 1](traj.seg_times[k], x_minus)
+            expected = problem.impulse_path(j, traj.seg_times[k], x_minus)
             windows += 1
-            inexact += (np.asarray(expected, dtype=float).tobytes()
-                        != traj.seg_values[k].tobytes())
+            inexact += expected.tobytes() != traj.seg_values[k].tobytes()
     c.check(inexact == 0, f"{inexact} of {windows} impulse windows differ "
                           f"from their impulse map")
     c.note(f"{windows} impulse windows equal their impulse maps bit for bit")

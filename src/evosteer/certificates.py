@@ -2,7 +2,8 @@
 
 The steered operator is a contraction in the path sup norm whenever a max
 over window-wise branch constants stays below 1.  Each branch combines the
-declared Lipschitz data, the window's Gramian floor and the computed bounds
+forcing's declared Lipschitz constant, the problem's computed ones of the
+impulse and of nu, the window's Gramian floor and the computed bounds
 K >= |T(t)| and M = |B| (:func:`operator_bounds`); the floors used
 here are the *measured* smallest eigenvalues of the assembled Gramians, so
 the certificate describes the discretization actually solved rather than an
@@ -56,8 +57,8 @@ class Certificate:
 
 
 def contraction_constant(K: float, M: float, b: float, gamma: float,
-                         nonlin_lipschitz: float, impulse_lipschitz: Sequence[float],
-                         nonlocal_lipschitz: float, floors: Sequence[float]):
+                         nonlin_lipschitz: float, impulse_lips: Sequence[float],
+                         nonlocal_lip: float, floors: Sequence[float]):
     """Contraction constant and its binding branch.
 
     Branches: for each impulse window j >= 1,
@@ -66,20 +67,21 @@ def contraction_constant(K: float, M: float, b: float, gamma: float,
         (1 + M^2 K^2 b / floor_0) (K * L_f * gamma * b + K * C_nonlocal);
     plus the bare max impulse Lipschitz constant.  L_f = ``nonlin_lipschitz``
     is the forcing's Lipschitz constant: L_eta, or for the integro variant
-    L_q times the kernel mass.
+    L_q times the kernel mass; L_imp_j = ``impulse_lips[j - 1]`` and
+    C_nonlocal = ``nonlocal_lip``.
     """
     floors = list(floors)
-    if len(floors) != len(impulse_lipschitz) + 1:
+    if len(floors) != len(impulse_lips) + 1:
         raise ValueError("one Gramian floor per control window required")
     branches = {}
-    for j, (lnu, floor) in enumerate(zip(impulse_lipschitz, floors[1:]), start=1):
+    for j, (lnu, floor) in enumerate(zip(impulse_lips, floors[1:]), start=1):
         amp = 1.0 + (M * M * K * K * b) / floor
         branches[f"window_{j}"] = amp * (K * nonlin_lipschitz * gamma * b + K * lnu)
     amp0 = 1.0 + (M * M * K * K * b) / floors[0]
     branches["window_0"] = amp0 * (K * nonlin_lipschitz * gamma * b
-                                   + K * nonlocal_lipschitz)
-    if impulse_lipschitz:
-        branches["impulse"] = max(impulse_lipschitz)
+                                   + K * nonlocal_lip)
+    if impulse_lips:
+        branches["impulse"] = max(impulse_lips)
     binding = max(branches, key=branches.get)
     return branches[binding], binding
 
@@ -137,8 +139,8 @@ def certificate_for(sweep: Sweep, targets) -> Certificate:
     if sweep.kern is not None:
         kb = gain = sweep.kern.kernel_mass
     lf, branch = contraction_constant(
-        K, M, b, gamma, c.nonlin_lipschitz * gain, c.impulse_lipschitz,
-        c.nonlocal_lipschitz, floors)
+        K, M, b, gamma, c.nonlin_lipschitz * gain, problem.impulse_lipschitz,
+        problem.nonlocal_lipschitz, floors)
     forcing_sup = c.nonlin_sup * gain
     qs = tuple(control_bound(problem, j, targets[j], floors[j], forcing_sup)
                for j in range(len(blocks)))

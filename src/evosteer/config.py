@@ -17,8 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import TimeMesh
-from .problems import (AssumptionConstants, FieldError, Numerics, Problem,
-                       theta_x_impulses)
+from .problems import AssumptionConstants, FieldError, Numerics, Problem
 from .semigroups import MatrixSemigroup
 from .transport import TransportConfig, build_case1, build_case2
 
@@ -215,7 +214,6 @@ def _load_linear(sec, mesh, numerics: Numerics):
 
     if sec.get("impulse", "theta_x").strip() != "theta_x":
         raise ConfigError(f"problem.impulse: unknown kind {sec['impulse'].strip()!r}")
-    impulses, lips = theta_x_impulses(mesh)
 
     targets_raw = sec.get("targets", "random").strip()
     n_windows = mesh.n_impulses + 1
@@ -235,13 +233,11 @@ def _load_linear(sec, mesh, numerics: Numerics):
                 + [float(np.linalg.norm(z)) for z in targets])
     K = semigroup.bound(mesh.b)
     constants = AssumptionConstants(
-        impulse_lipschitz=lips,
-        impulse_sup=tuple(2.0 * imp_l * scale * K for imp_l in lips))
+        impulse_sup=tuple(2.0 * lam * scale * K for lam in mesh.lam[1:]))
 
     def history(s: float) -> np.ndarray:
         return phi0
 
     problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
-                      beta=beta, history=history, impulses=impulses,
-                      constants=constants)
+                      beta=beta, history=history, constants=constants)
     return problem, targets

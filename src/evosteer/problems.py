@@ -5,21 +5,22 @@ semigroup, the control operator, the delay/history data, the forcing terms
 and the declared assumption constants.  Two variants exist:
 
 * semilinear -- forcing ``eta(t, x(t - beta))`` plus an optional nonlocal
-  initial coupling ``x(0) = phi(0) + nonlocal(x)``;
+  initial coupling ``x(0) = phi(0) + nu(x)``;
 * integro -- forcing is the running convolution of a polynomial kernel
   against a delayed integrand ``q(t, x(t - beta))``; no nonlocal coupling.
 
 Both ``eta`` and ``q`` are called once per sample grid: ``fn(t, v)`` takes the
 node times ``t`` of shape ``(n,)`` and the delayed states ``v[i] = x(t_i -
 beta)`` of shape ``(n, dim)`` and returns the ``(n, dim)`` forcing rows.
-The impulse maps take a whole window the same way: ``fn(t, x)`` takes the
-sample times ``t`` of shape ``(n,)`` and the left limit ``x = x(theta_j-)``
-of shape ``(dim,)`` and returns the ``(n, dim)`` samples of the window.
+The impulse is ``theta * x(theta_j-)`` on every impulse window (theta_j, lam_j].
 
-Only the constants of the supplied callables, which the code cannot
-introspect, are declared; the bounds on T and on B are computed.  One pair of
-constants describes whichever pointwise map the problem carries, ``eta`` or
-the integrand ``q``; :mod:`evosteer.certificates` scales the latter by the
+The problem computes the Lipschitz constants of the impulse (lam_j) and of
+nu (sum |alpha_i|); the certificate computes the bounds on T and on B.
+Declared are the constants of the supplied forcing, which the code cannot
+introspect, and the sup constants of the impulse and of nu, which hold on a
+ball only (:class:`AssumptionConstants`).  One pair of forcing constants
+describes whichever pointwise map the problem carries, ``eta`` or the
+integrand ``q``; :mod:`evosteer.certificates` scales the latter by the
 discrete kernel mass, so both variants share one set of formulas.
 """
 
@@ -47,25 +48,29 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class AssumptionConstants:
-    """Declared Lipschitz/bound constants of the supplied callables.
+    """Declared constants of the maps a problem carries.
 
-    nonlin_* belong to eta, or to the kernel integrand q.  The per-impulse
-    tuples are indexed j = 1..n.  Unused constants stay at 0.
+    nonlin_* are the Lipschitz constant and uniform bound of eta, or of the
+    kernel integrand q.  ``impulse_sup`` (indexed j = 1..n) and
+    ``nonlocal_sup`` are assumptions on a ball, not bounds: ``theta * x``
+    and ``sum_i alpha_i x(t_i)`` are unbounded maps, so each constant
+    bounds its map only on paths of sup norm up to a radius.  The transport
+    builders take radius 2 for the impulse (``2 lam_j``) and 4 for nu
+    (``4 sum |alpha_i|``); the linear loader takes ``2 scale K`` for the
+    impulse (``2 lam_j scale K``, scale the largest of 1, |phi(0)| and the
+    target norms).  Unused constants stay at 0.
     """
 
     nonlin_lipschitz: float = 0.0
     nonlin_sup: float = 0.0
-    impulse_lipschitz: tuple = ()
     impulse_sup: tuple = ()
-    nonlocal_lipschitz: float = 0.0
     nonlocal_sup: float = 0.0
 
     def __post_init__(self):
-        for name in ("nonlin_lipschitz", "nonlin_sup", "nonlocal_lipschitz",
-                     "nonlocal_sup"):
+        for name in ("nonlin_lipschitz", "nonlin_sup", "nonlocal_sup"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if any(c < 0 for c in self.impulse_lipschitz + self.impulse_sup):
+        if any(c < 0 for c in self.impulse_sup):
             raise ValueError("impulse constants must be nonnegative")
 
 
@@ -87,18 +92,11 @@ class ConvolutionKernel:
         object.__setattr__(self, "coeffs", coeffs)
 
 
-def theta_x_impulses(mesh: TimeMesh) -> tuple:
-    """The impulse x -> theta * x on every impulse window of ``mesh``, as
-    ``np.outer`` of the window's times and the left limit, with its
-    Lipschitz constants: on (theta_j, lam_j] the map scales by at most
-    lam_j."""
-    return tuple(np.outer for _ in range(mesh.n_impulses)), mesh.lam[1:]
-
-
 class WeightedSampleNonlocal:
     """Nonlocal initial coupling nu(x) = sum_j alpha_j * x(t_j).
 
-    Lipschitz in the path sup norm with constant sum |alpha_j|.
+    Lipschitz in the path sup norm with constant sum |alpha_j|.  A
+    :class:`Problem` refuses it unless every instant lies in [0, b].
     """
 
     def __init__(self, alphas: Sequence[float], instants: Sequence[float]):
@@ -112,9 +110,6 @@ class WeightedSampleNonlocal:
         return sum(abs(a) for a in self.alphas)
 
     def __call__(self, traj: PiecewiseTrajectory) -> np.ndarray:
-        for t in self.instants:
-            if not 0.0 <= t <= traj.mesh.b:
-                raise ValueError(f"nonlocal sample instant {t} outside [0, b]")
         out = np.zeros(traj.dim)
         for a, t in zip(self.alphas, self.instants):
             out += a * traj.value(t)
@@ -133,8 +128,7 @@ class Problem:
     history: Callable[[float], np.ndarray]
     nonlinearity: Optional[Callable] = None
     kernel: Optional[ConvolutionKernel] = None
-    impulses: tuple = ()
-    nonlocal_term: Optional[Callable] = None
+    nonlocal_term: Optional[WeightedSampleNonlocal] = None
     constants: AssumptionConstants = field(default_factory=AssumptionConstants)
 
     def __post_init__(self):
@@ -143,12 +137,14 @@ class Problem:
             raise ValueError("control matrix row count must match the state dimension")
         if self.beta <= 0:
             raise ValueError("delay length beta must be positive")
-        if len(self.impulses) != self.mesh.n_impulses:
-            raise ValueError("one impulse map per impulse window required")
         if self.kernel is not None and self.nonlinearity is not None:
             raise ValueError("kernel and pointwise nonlinearity are exclusive variants")
-        if self.kernel is not None and self.nonlocal_term is not None:
-            raise ValueError("the integro variant carries no nonlocal coupling")
+        if self.nonlocal_term is not None:
+            if self.kernel is not None:
+                raise ValueError("the integro variant carries no nonlocal coupling")
+            for t in self.nonlocal_term.instants:
+                if not 0.0 <= t <= self.mesh.b:
+                    raise ValueError(f"nonlocal sample instant {t} outside [0, b]")
 
     @property
     def dim(self) -> int:
@@ -157,6 +153,18 @@ class Problem:
     @property
     def control_dim(self) -> int:
         return self.control_matrix.shape[1]
+
+    @property
+    def impulse_lipschitz(self) -> tuple:
+        """Lipschitz constants of the impulse, j = 1..n: on (theta_j, lam_j]
+        ``theta * x`` scales by at most lam_j."""
+        return self.mesh.lam[1:]
+
+    @property
+    def nonlocal_lipschitz(self) -> float:
+        """Lipschitz constant of nu in the path sup norm, 0 without nu."""
+        nu = self.nonlocal_term
+        return nu.lipschitz if nu is not None else 0.0
 
     @property
     def variant(self) -> str:
@@ -184,15 +192,14 @@ class Problem:
         return np.asarray(self.history(0.0), dtype=float)
 
     def impulse_path(self, j: int, times, x_minus: np.ndarray) -> np.ndarray:
-        """Samples of impulse window j (j = 1..n) at ``times``: the impulse
-        map applied to the left limit x(theta_j-) = ``x_minus``, in one call."""
-        times = np.asarray(times, dtype=float)
-        out = np.asarray(self.impulses[j - 1](times, x_minus), dtype=float)
-        if out.shape != (len(times), self.dim):
-            raise ValueError(f"impulse map {j} returned shape {out.shape} for "
-                             f"{len(times)} times, expected {(len(times), self.dim)}")
+        """Samples of impulse window j (j = 1..n) at ``times``: ``theta *
+        x_minus`` at each time theta, x_minus = x(theta_j-), as one outer
+        product.  A product that overflows is refused with a ``ValueError``,
+        not left to numpy's overflow warning."""
+        with np.errstate(over="ignore"):
+            out = np.outer(times, x_minus)
         if not np.all(np.isfinite(out)):
-            raise ValueError(f"impulse map {j} returned non-finite samples")
+            raise ValueError(f"impulse {j}: theta * x(theta_j-) has non-finite entries")
         return out
 
     def sample_history(self, samples: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import TimeMesh
 from .problems import (AssumptionConstants, ConvolutionKernel, FieldError,
-                       Problem, WeightedSampleNonlocal, theta_x_impulses)
+                       Problem, WeightedSampleNonlocal)
 from .semigroups import ShiftSemigroup
 
 
@@ -76,27 +76,23 @@ def _problem(cfg: TransportConfig, *, nonlin_lipschitz: float,
              nonlocal_term: Optional[WeightedSampleNonlocal] = None) -> Problem:
     """The transport problem both cases share -- the shift semigroup,
     B = I, the history phi(theta) = (1 + theta) sin(x) and the impulse
-    x -> theta * x on each impulse window -- with a case's forcing, its
+    theta * x on each impulse window -- with a case's forcing, its
     nonlocal term and the forcing's constants."""
     profile = np.sin(np.arange(cfg.N) * np.pi / cfg.N)
-    impulses, lips = theta_x_impulses(cfg.mesh)
-    lip = nonlocal_term.lipschitz if nonlocal_term is not None else 0.0
     constants = AssumptionConstants(
         nonlin_lipschitz=nonlin_lipschitz,
         nonlin_sup=nonlin_sup,
-        impulse_lipschitz=lips,
         # theta * x on an impulse window is bounded only on bounded sets;
         # lam_j * 2 covers paths steered to unit-norm targets at desk scale.
-        impulse_sup=tuple(2.0 * lam for lam in lips),
-        nonlocal_lipschitz=lip,
+        impulse_sup=tuple(2.0 * lam for lam in cfg.mesh.lam[1:]),
         # weighted sampling is bounded only on bounded sets; 4x the weight
         # sum covers paths steered between unit-norm targets at desk scale
-        nonlocal_sup=4.0 * lip,
+        nonlocal_sup=4.0 * nonlocal_term.lipschitz if nonlocal_term else 0.0,
     )
     return Problem(semigroup=ShiftSemigroup(cfg.N), control_matrix=np.eye(cfg.N),
                    mesh=cfg.mesh, beta=cfg.beta,
                    history=lambda theta: profile * (1.0 + theta),
-                   nonlinearity=nonlinearity, kernel=kernel, impulses=impulses,
+                   nonlinearity=nonlinearity, kernel=kernel,
                    nonlocal_term=nonlocal_term, constants=constants)
 
 

@@ -29,8 +29,8 @@ class TestContractionConstant:
     def test_linear_impulse_free_is_zero(self):
         lf, branch = contraction_constant(K=1.0, M=1.0, b=1.0, gamma=1.0,
                                           nonlin_lipschitz=0.0,
-                                          impulse_lipschitz=(),
-                                          nonlocal_lipschitz=0.0,
+                                          impulse_lips=(),
+                                          nonlocal_lip=0.0,
                                           floors=[1.0])
         assert lf == 0.0
 
@@ -49,16 +49,16 @@ class TestContractionConstant:
 
     def test_monotonicity(self):
         base = dict(K=1.0, M=1.0, b=1.0, gamma=1.0, nonlin_lipschitz=0.1,
-                    impulse_lipschitz=(0.2,), nonlocal_lipschitz=0.1,
+                    impulse_lips=(0.2,), nonlocal_lip=0.1,
                     floors=[0.5, 0.5])
         lf0, _ = contraction_constant(**base)
-        for key, bump in (("nonlin_lipschitz", 0.05), ("nonlocal_lipschitz", 0.05),
+        for key, bump in (("nonlin_lipschitz", 0.05), ("nonlocal_lip", 0.05),
                           ("gamma", 0.5), ("b", 0.5)):
             kw = dict(base)
             kw[key] = kw[key] + bump
             assert contraction_constant(**kw)[0] >= lf0
         kw = dict(base)
-        kw["impulse_lipschitz"] = (0.3,)
+        kw["impulse_lips"] = (0.3,)
         assert contraction_constant(**kw)[0] >= lf0
         kw = dict(base)
         kw["floors"] = [1.0, 1.0]
@@ -99,12 +99,10 @@ class TestIntegroConstant:
         return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
                        control_matrix=np.eye(1), mesh=mesh, beta=1.0,
                        history=lambda s: np.zeros(1),
-                       impulses=tuple((lambda th, x: np.tile(0.5 * x, (len(th), 1)))
-                                      for _ in range(n)),
                        kernel=ConvolutionKernel(coeffs=coeffs,
                                                 q=lambda t, v: np.zeros_like(v)),
                        constants=AssumptionConstants(
-                           impulse_lipschitz=(0.5,) * n, impulse_sup=(1.0,) * n,
+                           impulse_sup=(1.0,) * n,
                            nonlin_lipschitz=0.5, nonlin_sup=1.0))
 
     def test_constant_kernel_mass_is_horizon(self):
@@ -176,9 +174,7 @@ class TestCertificatePipeline:
         mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(3),
                        mesh=mesh, beta=1.0, history=lambda s: np.zeros(3),
-                       impulses=(np.outer,),
-                       constants=AssumptionConstants(
-                           impulse_lipschitz=(0.6,), impulse_sup=(1.5,)))
+                       constants=AssumptionConstants(impulse_sup=(1.5,)))
         num = Numerics(time_step=2e-3)
         sweep = Sweep(prob, num)
         targets = [rng.normal(size=3), rng.normal(size=3)]
@@ -251,13 +247,10 @@ class TestMergedIntegroCertificate:
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=M * np.eye(2),
                        mesh=mesh, beta=0.6,
                        history=lambda s: np.array([0.4, -0.3]),
-                       impulses=tuple((lambda th, x: np.tile(0.5 * x, (len(th), 1)))
-                                      for _ in range(2)),
                        kernel=ConvolutionKernel(
                            coeffs=MIXED, q=lambda t, v: 0.3 * v),
                        constants=AssumptionConstants(
                            nonlin_lipschitz=0.3, nonlin_sup=0.8,
-                           impulse_lipschitz=(0.5, 0.45),
                            impulse_sup=(0.9, 0.7)))
         num = Numerics(time_step=0.01)
         targets = [rng.normal(size=2) for _ in range(3)]
@@ -268,7 +261,7 @@ class TestMergedIntegroCertificate:
         assert km == KernelDiscretization(prob, num).kernel_mass > 0.0
         c = prob.constants
         lf, branch = _reference_integro_constant(
-            K, M, 0.9, 1.5, c.nonlin_lipschitz, km, c.impulse_lipschitz,
+            K, M, 0.9, 1.5, c.nonlin_lipschitz, km, prob.impulse_lipschitz,
             cert.gramian_floors)
         assert cert.delay_ratio == 1.5
         assert cert.binding_branch == branch

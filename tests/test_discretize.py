@@ -35,10 +35,7 @@ def test_window_grids_share_breakpoints():
     mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
     prob = Problem(semigroup=MatrixSemigroup(np.zeros((2, 2))),
                    control_matrix=np.eye(2), mesh=mesh, beta=1.0,
-                   history=lambda s: np.zeros(2),
-                   impulses=((lambda th, x: 0.0 * np.outer(th, x)),),
-                   constants=AssumptionConstants(impulse_lipschitz=(0.0,),
-                                                 impulse_sup=(0.0,)))
+                   history=lambda s: np.zeros(2))
     grids = build_window_grids(prob, Numerics(time_step=1e-2))
     assert [g.index for g in grids] == [0, 1]
     assert grids[0].times[0] == 0.0 and grids[0].times[-1] == 0.3
@@ -48,13 +45,11 @@ def test_window_grids_share_breakpoints():
 
 def _kernel_problem(coeffs, q, mesh=None, dim=1):
     mesh = mesh or TimeMesh([0.0, 0.4, 0.5, 1.0])
-    impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = AssumptionConstants(
-        impulse_lipschitz=tuple(0.5 for _ in range(mesh.n_impulses)),
         impulse_sup=tuple(1.0 for _ in range(mesh.n_impulses)))
     return Problem(semigroup=MatrixSemigroup(np.zeros((dim, dim))),
                    control_matrix=np.eye(dim), mesh=mesh, beta=1.0,
-                   history=lambda s: np.zeros(dim), impulses=impulses,
+                   history=lambda s: np.zeros(dim),
                    kernel=ConvolutionKernel(coeffs=coeffs, q=q),
                    constants=constants)
 

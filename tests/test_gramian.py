@@ -26,11 +26,10 @@ from test_solver import flat_extension, window_start_reference
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def linear_problem(A, B, mesh, phi0, beta=1.0, impulses=(), constants=None,
-                   **kwargs):
+def linear_problem(A, B, mesh, phi0, beta=1.0, constants=None, **kwargs):
     phi0 = np.asarray(phi0, dtype=float)
     return Problem(semigroup=MatrixSemigroup(A), control_matrix=B, mesh=mesh,
-                   beta=beta, history=lambda s: phi0, impulses=impulses,
+                   beta=beta, history=lambda s: phi0,
                    constants=constants or AssumptionConstants(), **kwargs)
 
 
@@ -414,9 +413,8 @@ class TestResiduals:
         rng = np.random.default_rng(25)
         A = rng.normal(size=(2, 2)) / 2.0
         mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
-        prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2], impulses=(np.outer,),
-                              constants=AssumptionConstants(
-                                  impulse_lipschitz=(0.5,), impulse_sup=(1.0,)))
+        prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2],
+                              constants=AssumptionConstants(impulse_sup=(1.0,)))
         num = Numerics(time_step=1e-3)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
@@ -477,10 +475,7 @@ class TestControl:
 
     def test_zero_off_control_windows(self):
         mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
-        prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0],
-                              impulses=(lambda th, x: 0.0 * np.outer(th, x),),
-                              constants=AssumptionConstants(
-                                  impulse_lipschitz=(0.0,), impulse_sup=(0.0,)))
+        prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0])
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
         control = _control(prob, grids, blocks, [np.ones(1), np.ones(1)])
         for theta in (0.0, 0.5):
@@ -500,9 +495,7 @@ class TestControl:
         prob = Problem(semigroup=T, control_matrix=B,
                        mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]),
                        beta=1.0, history=lambda s: phi0,
-                       impulses=(np.outer,),
-                       constants=AssumptionConstants(impulse_lipschitz=(1.0,),
-                                                     impulse_sup=(1.0,)))
+                       constants=AssumptionConstants(impulse_sup=(1.0,)))
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
         control = _control(prob, grids, blocks,
                            [rng.normal(size=T.dim) for _ in grids])
@@ -527,9 +520,7 @@ class TestWindowStart:
             kwargs["kernel"] = ConvolutionKernel(coeffs=(1.0,),
                                                  q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
-                              impulses=(np.outer,),
-                              constants=AssumptionConstants(
-                                  impulse_lipschitz=(0.5,), impulse_sup=(1.0,)),
+                              constants=AssumptionConstants(impulse_sup=(1.0,)),
                               **kwargs)
         flat = _flat_traj(prob, Numerics(time_step=1e-2, history_samples=8))
         x = np.array([1.0, -2.0])
@@ -548,9 +539,8 @@ class TestWindowStart:
         if backend == "matrix":
             prob = linear_problem(rng.normal(size=(3, 3)), np.eye(3),
                                   TimeMesh([0.0, 0.3, 0.5, 1.0]),
-                                  rng.normal(size=3), impulses=(np.outer,),
-                                  constants=AssumptionConstants(
-                                      impulse_lipschitz=(0.5,), impulse_sup=(1.0,)))
+                                  rng.normal(size=3),
+                                  constants=AssumptionConstants(impulse_sup=(1.0,)))
             targets = [rng.normal(size=3) for _ in range(2)]
         else:
             cfg = TransportConfig(N=16)
@@ -570,15 +560,11 @@ class TestControlBound:
     def _problem(self, nonlocal_sup=0.0, impulse_sup=()):
         mesh = (TimeMesh([0.0, 0.4, 0.6, 1.0]) if impulse_sup
                 else TimeMesh([0.0, 1.0]))
-        impulses = ((lambda th, x: 0.0 * np.outer(th, x),)
-                    if impulse_sup else ())
         # A = 0 and B = I: K = M = 1
-        constants = AssumptionConstants(
-            nonlocal_sup=nonlocal_sup,
-            impulse_lipschitz=tuple(0.0 for _ in impulse_sup),
-            impulse_sup=impulse_sup)
+        constants = AssumptionConstants(nonlocal_sup=nonlocal_sup,
+                                        impulse_sup=impulse_sup)
         return linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [1.0],
-                              impulses=impulses, constants=constants)
+                              constants=constants)
 
     def test_all_zero(self):
         prob = self._problem()

@@ -439,3 +439,35 @@ def test_a_preset_accepts_exactly_the_keys_its_builder_reads(tmp_path, preset):
                 continue
         accepted.add(key)
     assert accepted - {"targets"} == read
+
+
+_IMPULSE_CONSTANTS = {"impulse_lipschitz", "nonlocal_lipschitz"}
+
+
+def test_the_impulse_model_is_formed_only_in_problems():
+    """The impulse product ``theta * x`` (``np.outer``) and the Lipschitz
+    constants of the impulse and of nu are formed in ``problems.py`` alone:
+    elsewhere in the package ``impulse_lipschitz`` and
+    ``nonlocal_lipschitz`` are only read, never assigned, passed by keyword,
+    taken as a parameter or defined, and nothing calls ``outer``."""
+    def formed(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr == "outer":
+                yield node.lineno, "outer"
+            names = ([(node.arg, node.lineno)]
+                     if isinstance(node, (ast.keyword, ast.arg)) else
+                     [(node.name, node.lineno)]
+                     if isinstance(node, ast.FunctionDef) else
+                     [(getattr(node, "id", None) or node.attr, node.lineno)]
+                     if isinstance(node, (ast.Name, ast.Attribute))
+                     and isinstance(node.ctx, ast.Store) else [])
+            for name, line in names:
+                if name in _IMPULSE_CONSTANTS:
+                    yield line, name
+
+    own = {name for _, name in formed(ast.parse((PACKAGE / "problems.py").read_text()))}
+    assert own == _IMPULSE_CONSTANTS | {"outer"}
+    found = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
+             if path.name != "problems.py"
+             for line, name in formed(ast.parse(path.read_text()))]
+    assert not found, f"impulse model formed outside problems.py: {found}"

@@ -28,7 +28,7 @@ def rk4_reference(problem, control, numerics):
     for a, end, kind, j in problem.mesh.intervals():
         m = numerics.steps_for(end - a)
         if kind == "impulse":
-            vals = problem.impulses[j - 1](np.linspace(a, end, m + 1), x)
+            vals = np.outer(np.linspace(a, end, m + 1), x)
         else:
             z = np.concatenate([x, expm(A.T * (end - a)) @ control.preimages[j]])
             h = (end - a) / (m * refine)
@@ -84,14 +84,12 @@ def per_node_reference(problem, control, numerics):
 def linear_problem(A, mesh, phi0, B=None):
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-    impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = AssumptionConstants(
-        impulse_lipschitz=tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1)),
         impulse_sup=tuple(2.0 for _ in range(mesh.n_impulses)))
     return Problem(semigroup=MatrixSemigroup(A),
                    control_matrix=np.eye(d) if B is None else B, mesh=mesh,
                    beta=1.0, history=lambda s: np.asarray(phi0, dtype=float),
-                   impulses=impulses, constants=constants)
+                   constants=constants)
 
 
 class TestOracle:

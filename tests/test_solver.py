@@ -27,20 +27,16 @@ def per_sample_impulse(times, x):
     return np.array([float(t) * np.asarray(x, dtype=float) for t in times])
 
 
-def make_problem(A=None, dim=2, mesh=None, phi0=None, beta=1.0, impulses=None,
-                 **kwargs):
+def make_problem(A=None, dim=2, mesh=None, phi0=None, beta=1.0, **kwargs):
     A = np.zeros((dim, dim)) if A is None else np.asarray(A, dtype=float)
     dim = A.shape[0]
     mesh = mesh or TimeMesh([0.0, 0.4, 0.6, 1.0])
     phi0 = np.zeros(dim) if phi0 is None else np.asarray(phi0, dtype=float)
-    if impulses is None:
-        impulses = tuple(np.outer for _ in range(mesh.n_impulses))
     constants = kwargs.pop("constants", AssumptionConstants(
-        impulse_lipschitz=tuple(mesh.lam[j] for j in range(1, mesh.n_impulses + 1)),
         impulse_sup=tuple(2.0 for _ in range(mesh.n_impulses))))
     return Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(dim),
                    mesh=mesh, beta=beta, history=lambda s: phi0,
-                   impulses=impulses, constants=constants, **kwargs)
+                   constants=constants, **kwargs)
 
 
 class TestOperator:
@@ -151,11 +147,14 @@ class TestPicard:
 
 class TestPieces:
     def test_zero_impulse(self):
-        prob = make_problem(impulses=((lambda th, x: 0.0 * np.outer(th, x)),),
-                            phi0=np.ones(2))
+        # window 0 steered from phi(0) = 0 to the target 0 ends on 0, so
+        # theta * x(theta_1-) is 0 on the impulse window and window 2
+        # starts at 0
+        prob = make_problem(phi0=np.zeros(2))
         sweep = Sweep(prob, Numerics(time_step=1e-2))
-        targets = [np.ones(2)] * 2
+        targets = [np.zeros(2), np.ones(2)]
         new, _ = swept(sweep, sweep.initial_iterate(targets), targets)
+        np.testing.assert_array_equal(new.seg_values[1], 0.0)
         np.testing.assert_array_equal(new.seg_values[2][0], np.zeros(2))
 
     @pytest.mark.parametrize("source", ["linear-config", "case1", "case2", "corpus"])
@@ -181,27 +180,18 @@ class TestPieces:
 
     def test_each_impulse_is_evaluated_once_per_sweep(self):
         # the sweep takes window j's start from impulse window j's last
-        # sample: one call of each impulse map, on its whole window
-        calls = []
-
-        def impulse(times, x):
-            calls.append(len(times))
-            return np.outer(times, x)
-
+        # sample: one impulse product per impulse window, on its whole window
         mesh = TimeMesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0])
-        prob = make_problem(mesh=mesh, phi0=[0.3, 0.1], impulses=(impulse, impulse))
+        prob = make_problem(mesh=mesh, phi0=[0.3, 0.1])
+        calls, impulse_path = [], prob.impulse_path
+        prob.impulse_path = (lambda j, times, x: calls.append((j, len(times)))
+                             or impulse_path(j, times, x))
         sweep = Sweep(prob, Numerics(time_step=1e-2))
         targets = [np.ones(2)] * 3
         traj = sweep.initial_iterate(targets)
         calls.clear()
         sweep.apply(traj, targets)
-        assert calls == [len(sweep.seg_times[1]), len(sweep.seg_times[3])]
-
-    def test_impulse_map_of_wrong_shape_is_refused(self):
-        prob = make_problem(impulses=((lambda th, x: 0.5 * np.asarray(x)),))
-        with pytest.raises(ValueError, match=r"impulse map 1 returned shape "
-                                             r"\(2,\) for 5 times, expected \(5, 2\)"):
-            prob.impulse_path(1, np.linspace(0.3, 0.5, 5), np.ones(2))
+        assert calls == [(1, len(sweep.seg_times[1])), (2, len(sweep.seg_times[3]))]
 
     def test_control_vanishes_off_control_windows(self):
         rng = np.random.default_rng(36)
@@ -237,14 +227,15 @@ class TestPieces:
             assert gap <= nl.lipschitz * sup_distance(x, y) + 1e-12
 
     def test_nonlocal_instant_validation(self):
+        # a hand-built problem whose nu samples past b (or at nan) is
+        # refused when it is built, before any sweep reads nu
         mesh = TimeMesh([0.0, 1.0])
-        prob = make_problem(dim=1, mesh=mesh)
-        num = Numerics(time_step=1e-2, history_samples=8)
-        base = flat_extension(Sweep(prob, num))
         for instant in (1.5, np.nan):
             nl = WeightedSampleNonlocal([1.0], [instant])
-            with pytest.raises(ValueError, match="instant"):
-                nl(base)
+            with pytest.raises(ValueError, match="nonlocal sample instant .* outside"):
+                make_problem(dim=1, mesh=mesh, nonlocal_term=nl)
+        assert make_problem(dim=1, mesh=mesh, nonlocal_term=WeightedSampleNonlocal(
+            [1.0, 1.0], [0.0, 1.0])).nonlocal_lipschitz == 2.0
 
 
 class TestVerifyTargets:
@@ -309,7 +300,7 @@ class TestVerifyTargets:
         mesh = TimeMesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0])
         cfg = TransportConfig(N=16, mesh=mesh)
         prob = build_case1(cfg)
-        assert len(prob.impulses) == 2
+        assert prob.impulse_lipschitz == (0.3, 0.7)
         num = Numerics(time_step=4e-3, history_samples=32)
         report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
         assert report.converged
@@ -1309,7 +1300,7 @@ def test_changed_inputs_are_solved_again():
     # window 1's start, targets, windows solved again, whether a kept
     # window's start moved, so that the outputs match the reference within
     # eps only).  Window 0's target moves its end, and so window 1's start
-    impulse = prob.impulses[0]
+    impulse_path = prob.impulse_path
     cases = [(None, moved, 2, False),                  # window 0's target
              (None, targets, 2, False),                # and back
              (zero, targets, 0, True),                 # round-off
@@ -1317,8 +1308,8 @@ def test_changed_inputs_are_solved_again():
              (nudged, targets, 1, False),              # by 1e3 eps
              (1.5 * zero, targets, 1, False)]          # moved
     for value, tg, count, moved_start in cases:
-        prob.impulses = ((impulse,) if value is None
-                         else (lambda th, x, value=value: impulse(th, value),))
+        prob.impulse_path = (impulse_path if value is None
+                             else lambda j, t, x, value=value: impulse_path(j, t, value))
         solves = sweep.window_solves
         got, want = swept(sweep, traj, tg), reference_sweep(ref, traj, tg, forward=True)
         if moved_start:
@@ -1514,18 +1505,32 @@ def test_apply_advances_the_iterate_in_place():
     assert isinstance(control, ControlSignal)
 
 
-def test_apply_refuses_a_non_finite_interval():
-    prob = make_problem(impulses=((lambda th, x: np.full((len(th), len(x)), np.inf)),))
-    sweep = Sweep(prob, Numerics(time_step=1e-2))
-    with pytest.raises(ValueError, match="non-finite"):
-        sweep.apply(flat_extension(sweep), [np.ones(2)] * 2)
+# On a horizon b = 3 the impulse window (1, 2] scales by theta up to 2, so
+# theta * x(theta_1-) overflows where window 0 ends on a target near 1e308.
+OVERFLOW_MESH = TimeMesh([0.0, 1.0, 2.0, 3.0])
+OVERFLOW_TARGETS = [np.array([1e308, 1.0]), np.ones(2)]
+OVERFLOW_REFUSAL = r"^impulse 1: theta \* x\(theta_j-\) has non-finite entries"
+
+
+def test_impulse_overflow_is_refused_without_a_warning():
+    # the impulse window's own grid, from the left limit window 0 ends on:
+    # theta * 1e308 overflows past theta = 1.8, and only the refusal shows
+    sweep = Sweep(make_problem(mesh=OVERFLOW_MESH), Numerics(time_step=1e-2))
+    times = sweep.seg_times[1]
+    assert times[-1] == 2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=OVERFLOW_REFUSAL):
+            sweep.problem.impulse_path(1, times, OVERFLOW_TARGETS[0])
+        # a left limit the product does not overflow passes
+        assert np.isfinite(sweep.problem.impulse_path(1, times, [8e307, 1.0])).all()
 
 
 def test_non_finite_impulse_map_is_refused_before_any_arithmetic():
-    # the first iterate's straight line from an inf start used to raise
-    # numpy's "invalid value encountered in multiply" before the refusal
-    prob = make_problem(impulses=((lambda th, x: np.full((len(th), len(x)), np.inf)),))
+    # the first iterate's impulse window overflows; numpy's "overflow
+    # encountered in multiply" must not come before the refusal
+    prob = make_problem(mesh=OVERFLOW_MESH)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(ValueError, match="^impulse map 1 returned non-finite"):
-            picard_solve(Sweep(prob, Numerics(time_step=1e-2)), [np.ones(2)] * 2)
+        with pytest.raises(ValueError, match=OVERFLOW_REFUSAL):
+            picard_solve(Sweep(prob, Numerics(time_step=1e-2)), OVERFLOW_TARGETS)

@@ -67,8 +67,8 @@ class TestCase1:
         prob = build_case1(cfg)
         c = prob.constants
         assert c.nonlin_lipschitz == 0.07 and c.nonlin_sup == 0.07
-        assert c.impulse_lipschitz == (0.5,)          # lam_1 of theta * x
-        assert c.nonlocal_lipschitz == pytest.approx(0.15)
+        assert prob.impulse_lipschitz == (0.5,)       # lam_1 of theta * x
+        assert prob.nonlocal_lipschitz == pytest.approx(0.15)
 
     def test_forcing_reads_one_delay_back(self):
         cfg = TransportConfig(N=8, k0=0.5)
@@ -109,22 +109,22 @@ class TestCase1:
         cert = certificate_for(Sweep(prob, num), cfg.resolved_targets())
         # with no forcing gain the constant reduces to the impulse branches
         expected, _ = contraction_constant(
-            1.0, 1.0, 1.0, 1.0, 0.0, prob.constants.impulse_lipschitz,
-            prob.constants.nonlocal_lipschitz, list(cert.gramian_floors))
+            1.0, 1.0, 1.0, 1.0, 0.0, prob.impulse_lipschitz,
+            prob.nonlocal_lipschitz, list(cert.gramian_floors))
         assert cert.contraction_constant == expected
 
     def test_impulse_lipschitz_constant_is_horizon(self):
-        # theta * x on (theta_1, lam_1] = (0.3, 0.5]: the declared constant
+        # theta * x on (theta_1, lam_1] = (0.3, 0.5]: the computed constant
         # is lam_1, not the horizon b, and the map attains it at theta = lam_1
         cfg = TransportConfig(N=8)
         prob = build_case1(cfg)
         lam = cfg.mesh.lam[1]
-        assert prob.constants.impulse_lipschitz == (lam,) == (0.5,)
+        assert prob.impulse_lipschitz == (lam,) == (0.5,)
         rng = np.random.default_rng(56)
         for theta in list(rng.uniform(0.3, 0.5, size=30)) + [lam]:
             x, y = rng.normal(size=8), rng.normal(size=8)
-            gap = np.linalg.norm(prob.impulses[0](theta, x)
-                                 - prob.impulses[0](theta, y))
+            gap = np.linalg.norm(prob.impulse_path(1, [theta], x)
+                                 - prob.impulse_path(1, [theta], y))
             assert gap <= lam * np.linalg.norm(x - y) * (1 + 1e-15)
         assert gap == pytest.approx(lam * np.linalg.norm(x - y), rel=1e-15)
 
@@ -179,6 +179,36 @@ class TestCase2:
     def test_rejects_bad_saturation(self):
         with pytest.raises(ValueError):
             build_case2(TransportConfig(N=8, a=-1.5))
+
+
+SLOPE_GRID = np.linspace(-6.0, 6.0, 100_001)
+
+
+@pytest.mark.parametrize("case, param", [
+    ("case1", 0.05), ("case1", -0.05), ("case2", -0.5), ("case2", 0.0),
+    ("case2", 1.0)], ids=["k0=0.05", "k0=-0.05", "a=-0.5", "a=0", "a=1"])
+def test_forcing_constants_hold_on_a_sampled_grid(case, param):
+    """A sampled check, not a bound: on a grid of v in [-6, 6] with spacing
+    1.2e-4, every finite-difference slope in v of the shipped forcing is at
+    most its declared Lipschitz constant and every value at most its
+    declared sup, for Case 2's q at 11 times t in [0, b].  A grid can miss
+    a steeper point between its nodes; the constants are true because
+    |d/dv k0 sin v| <= |k0| and |dq/dv| <= e^{-t} / (a + 2 e^t) <= 1/(a + 2)."""
+    if case == "case1":
+        prob = build_case1(TransportConfig(N=4, k0=param))
+        times, fn = [0.5], prob.nonlinearity
+        assert prob.constants.nonlin_lipschitz == abs(param)
+    else:
+        prob = build_case2(TransportConfig(N=4, a=param))
+        times, fn = np.linspace(0.0, prob.mesh.b, 11), prob.kernel.q
+        assert prob.constants.nonlin_lipschitz == 1.0 / (param + 2.0)
+        assert prob.constants.nonlin_sup == 1.0
+    c = prob.constants
+    for t in times:
+        f = fn(np.full(len(SLOPE_GRID), t), SLOPE_GRID[:, None])[:, 0]
+        slopes = np.diff(f) / np.diff(SLOPE_GRID)
+        assert np.abs(slopes).max() <= c.nonlin_lipschitz
+        assert np.abs(f).max() <= c.nonlin_sup
 
 
 class TestDelaySensitivity:
