@@ -31,7 +31,7 @@ from .certificates import contraction_constant
 from .core import (PiecewiseTrajectory, TimeMesh, history_segment,
                    path_sup_norm, segment_norm, sup_distance)
 from .gramian import assemble_gramian
-from .problems import AssumptionConstants, Numerics, Problem
+from .problems import Numerics, Problem
 from .runner import run
 from .semigroups import MatrixSemigroup, expm
 from .transport import TransportConfig, build_case1, build_case2
@@ -88,15 +88,12 @@ def _random_linear_instance(rng: np.random.Generator, dim: int):
     phi0 = rng.normal(size=dim)
     phi0 *= 0.5 / np.linalg.norm(phi0)
     mesh = TimeMesh([0.0, 0.45, 0.55, 1.0])
-    semigroup = MatrixSemigroup(A)
-    K = semigroup.bound(mesh.b)
     targets = []
     for _ in range(2):
         z = rng.normal(size=dim)
         targets.append(z / np.linalg.norm(z))
-    constants = AssumptionConstants(impulse_sup=(2.0 * mesh.lam[1] * K,))
-    problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
-                      beta=1.0, history=lambda s: phi0, constants=constants)
+    problem = Problem(semigroup=MatrixSemigroup(A), control_matrix=B, mesh=mesh,
+                      beta=1.0, history=lambda s: phi0)
     return problem, targets
 
 

@@ -9,6 +9,14 @@ here are the *measured* smallest eigenvalues of the assembled Gramians, so
 the certificate describes the discretization actually solved rather than an
 abstract assumption.  A verdict of False never asserts divergence -- the
 condition is sufficient only.
+
+The control and solution bounds also need sup constants of the impulse and
+of nu.  Both maps, ``theta * x`` and ``sum_i alpha_i x(t_i)``, are linear
+and unbounded, so their sup constants exist only on a ball of paths: on
+the ball of radius R (:func:`ball_radius`) they are lam_j R and
+sum |alpha_i| R.  The radius is an assumption, not a bound: nothing proves
+that the steered path stays inside it, so the report sets the solved
+path's sup norm beside it.
 """
 
 from __future__ import annotations
@@ -41,13 +49,15 @@ class Certificate:
     gramian_floors: tuple
     contraction_constant: float
     binding_branch: str
+    ball_radius: float
     solution_bound: float
     control_bounds: tuple
     kernel_mass: float = 0.0
 
     def __post_init__(self):
         for name in ("delay_ratio", "semigroup_bound", "control_op_norm",
-                     "contraction_constant", "solution_bound", "kernel_mass"):
+                     "contraction_constant", "ball_radius", "solution_bound",
+                     "kernel_mass"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
 
@@ -90,8 +100,8 @@ def solution_bound(K: float, M: float, b: float, control_sup: float,
                    phi0_norm: float, forcing_sup: float = 0.0,
                    nonlocal_sup: float = 0.0,
                    impulse_sup: Sequence[float] = ()) -> float:
-    """A-priori sup bound on the steered path from the declared constants
-    and the control bound; the fixed point stays inside this ball."""
+    """A-priori sup bound on the steered path from the sup constants and the
+    control bound; the fixed point stays inside this ball."""
     base = M * K * control_sup * b + K * forcing_sup * b
     candidates = [base + K * (phi0_norm + nonlocal_sup)]
     for c in impulse_sup:
@@ -108,18 +118,31 @@ def operator_bounds(problem: Problem) -> tuple:
     return K, M
 
 
-def control_bound(problem: Problem, j: int, target: np.ndarray,
-                  floor: float, forcing_sup: float = 0.0) -> float:
-    """Worst-case sup bound on the window-j control from K and M, the
-    declared constants, the realized Gramian floor and the forcing's sup."""
-    c = problem.constants
+def ball_radius(problem: Problem, targets) -> float:
+    """R = 2 K max(1, |phi(0)|, max_j |z_j|), the radius of the ball of paths
+    on which the sup constants of the impulse and of nu hold: twice the
+    largest start or target the semigroup can carry.  An assumption on the
+    path, not a bound on it."""
+    K = problem.semigroup.bound(problem.mesh.b)
+    scale = max([1.0, problem.norm(problem.phi0())]
+                + [problem.norm(np.asarray(z, dtype=float)) for z in targets])
+    return 2.0 * K * scale
+
+
+def control_bound(problem: Problem, j: int, target: np.ndarray, floor: float,
+                  radius: float, forcing_sup: float = 0.0) -> float:
+    """Worst-case sup bound on the window-j control from K and M, the sup
+    constant on the ball of ``radius`` of the map that sets the window's
+    start (nu for j = 0, the impulse otherwise), the realized Gramian floor
+    and the forcing's sup."""
     (K, M), b = operator_bounds(problem), problem.mesh.b
     zn = problem.norm(np.asarray(target, dtype=float))
     tail = K * forcing_sup * b
     if j == 0:
-        head = K * (problem.norm(problem.phi0()) + c.nonlocal_sup)
+        head = K * (problem.norm(problem.phi0())
+                    + problem.nonlocal_lipschitz * radius)
     else:
-        head = K * c.impulse_sup[j - 1]
+        head = K * (problem.impulse_lipschitz[j - 1] * radius)
     return (M * K / floor) * (zn + head + tail)
 
 
@@ -142,13 +165,15 @@ def certificate_for(sweep: Sweep, targets) -> Certificate:
         K, M, b, gamma, c.nonlin_lipschitz * gain, problem.impulse_lipschitz,
         problem.nonlocal_lipschitz, floors)
     forcing_sup = c.nonlin_sup * gain
-    qs = tuple(control_bound(problem, j, targets[j], floors[j], forcing_sup)
+    R = ball_radius(problem, targets)
+    qs = tuple(control_bound(problem, j, targets[j], floors[j], R, forcing_sup)
                for j in range(len(blocks)))
     alpha = solution_bound(
         K, M, b, max(qs), problem.norm(problem.phi0()), forcing_sup=forcing_sup,
-        nonlocal_sup=c.nonlocal_sup, impulse_sup=c.impulse_sup)
+        nonlocal_sup=problem.nonlocal_lipschitz * R,
+        impulse_sup=tuple(lam * R for lam in problem.impulse_lipschitz))
     return Certificate(variant=problem.variant, delay_ratio=gamma,
                        semigroup_bound=K, control_op_norm=M,
                        gramian_floors=floors, contraction_constant=lf,
-                       binding_branch=branch, solution_bound=alpha,
-                       control_bounds=qs, kernel_mass=kb)
+                       binding_branch=branch, ball_radius=R,
+                       solution_bound=alpha, control_bounds=qs, kernel_mass=kb)

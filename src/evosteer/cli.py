@@ -11,8 +11,8 @@ Subcommands:
 
 Exit codes: 0 success; 1 targets missed or selftest failure; 2 configuration
 errors, an unknown selftest criterion or an unwritable output; 3 singular
-Gramian; 4 non-convergence, which still writes report.json: the certificate,
-the Gramians and the unconverged solve, no target verdict and no CSV file.
+Gramian; 4 non-convergence, which still writes report.json: the certificate
+and the unconverged solve, no target verdict and no CSV file.
 The EVOSTEER_OUTDIR environment variable overrides the configured output
 directory.
 """
@@ -117,8 +117,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
     def report(result, **sections):
         write_report(os.path.join(outdir, "report.json"), build_report(
             args.command, cfg.echo, cfg.numerics, certificate=result.certificate,
-            blocks=result.blocks, timings=None if args.no_timing else result.timings,
-            **sections))
+            timings=None if args.no_timing else result.timings, **sections))
 
     if args.command == "certify":
         result = certify(cfg.problem, cfg.targets, cfg.numerics)
@@ -152,7 +151,7 @@ def _dispatch(args, cfg: RunConfig) -> int:
 
     v = result.verdict
     print(f"converged in {result.solve.iterations_text()}; "
-          f"defects {['%.3e' % d for d in v.defects]}; "
+          f"defects {['%.3e' % d for d in result.solve.per_window_defect]}; "
           f"totally controllable: {v.totally_controllable}")
     return EXIT_OK if v.totally_controllable else EXIT_FAIL
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import TimeMesh
-from .problems import AssumptionConstants, FieldError, Numerics, Problem
+from .problems import FieldError, Numerics, Problem
 from .semigroups import MatrixSemigroup
 from .transport import TransportConfig, build_case1, build_case2
 
@@ -210,8 +210,6 @@ def _load_linear(sec, mesh, numerics: Numerics):
     if beta is None or beta <= 0:
         raise ConfigError("problem.beta must be > 0")
 
-    semigroup = MatrixSemigroup(A)
-
     if sec.get("impulse", "theta_x").strip() != "theta_x":
         raise ConfigError(f"problem.impulse: unknown kind {sec['impulse'].strip()!r}")
 
@@ -229,15 +227,9 @@ def _load_linear(sec, mesh, numerics: Numerics):
             raise ConfigError("problem.targets: need one row per control window")
         targets = [r for r in rows]
 
-    scale = max([1.0, np.linalg.norm(phi0)]
-                + [float(np.linalg.norm(z)) for z in targets])
-    K = semigroup.bound(mesh.b)
-    constants = AssumptionConstants(
-        impulse_sup=tuple(2.0 * lam * scale * K for lam in mesh.lam[1:]))
-
     def history(s: float) -> np.ndarray:
         return phi0
 
-    problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
-                      beta=beta, history=history, constants=constants)
+    problem = Problem(semigroup=MatrixSemigroup(A), control_matrix=B, mesh=mesh,
+                      beta=beta, history=history)
     return problem, targets

@@ -2,7 +2,7 @@
 
 A :class:`Problem` bundles everything the steering pipeline consumes: the
 semigroup, the control operator, the delay/history data, the forcing terms
-and the declared assumption constants.  Two variants exist:
+and the forcing's declared constants.  Two variants exist:
 
 * semilinear -- forcing ``eta(t, x(t - beta))`` plus an optional nonlocal
   initial coupling ``x(0) = phi(0) + nu(x)``;
@@ -15,13 +15,14 @@ beta)`` of shape ``(n, dim)`` and returns the ``(n, dim)`` forcing rows.
 The impulse is ``theta * x(theta_j-)`` on every impulse window (theta_j, lam_j].
 
 The problem computes the Lipschitz constants of the impulse (lam_j) and of
-nu (sum |alpha_i|); the certificate computes the bounds on T and on B.
-Declared are the constants of the supplied forcing, which the code cannot
-introspect, and the sup constants of the impulse and of nu, which hold on a
-ball only (:class:`AssumptionConstants`).  One pair of forcing constants
-describes whichever pointwise map the problem carries, ``eta`` or the
-integrand ``q``; :mod:`evosteer.certificates` scales the latter by the
-discrete kernel mass, so both variants share one set of formulas.
+nu (sum |alpha_i|); the certificate computes the bounds on T and on B, and
+the sup constants of the impulse and of nu on one ball of paths
+(:func:`certificates.ball_radius`).  Declared are only the
+constants of the supplied forcing, which the code cannot introspect
+(:class:`AssumptionConstants`).  One pair of forcing constants describes
+whichever pointwise map the problem carries, ``eta`` or the integrand
+``q``; :mod:`evosteer.certificates` scales the latter by the discrete
+kernel mass, so both variants share one set of formulas.
 """
 
 from __future__ import annotations
@@ -48,30 +49,20 @@ class FieldError(ValueError):
 
 @dataclass(frozen=True)
 class AssumptionConstants:
-    """Declared constants of the maps a problem carries.
-
-    nonlin_* are the Lipschitz constant and uniform bound of eta, or of the
-    kernel integrand q.  ``impulse_sup`` (indexed j = 1..n) and
-    ``nonlocal_sup`` are assumptions on a ball, not bounds: ``theta * x``
-    and ``sum_i alpha_i x(t_i)`` are unbounded maps, so each constant
-    bounds its map only on paths of sup norm up to a radius.  The transport
-    builders take radius 2 for the impulse (``2 lam_j``) and 4 for nu
-    (``4 sum |alpha_i|``); the linear loader takes ``2 scale K`` for the
-    impulse (``2 lam_j scale K``, scale the largest of 1, |phi(0)| and the
-    target norms).  Unused constants stay at 0.
+    """Declared Lipschitz constant and uniform bound of the forcing: of eta,
+    or of the kernel integrand q.  The impulse ``theta * x`` and nu are
+    unbounded maps, so they have no sup constant to declare: the
+    certificate takes theirs on a ball of paths it names.  Unused
+    constants stay at 0.
     """
 
     nonlin_lipschitz: float = 0.0
     nonlin_sup: float = 0.0
-    impulse_sup: tuple = ()
-    nonlocal_sup: float = 0.0
 
     def __post_init__(self):
-        for name in ("nonlin_lipschitz", "nonlin_sup", "nonlocal_sup"):
+        for name in ("nonlin_lipschitz", "nonlin_sup"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative")
-        if any(c < 0 for c in self.impulse_sup):
-            raise ValueError("impulse constants must be nonnegative")
 
 
 @dataclass(frozen=True)

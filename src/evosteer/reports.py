@@ -431,11 +431,13 @@ def write_report(path: str, report: dict) -> None:
 
 
 def build_report(command: str, echo: dict, numerics, certificate=None,
-                 blocks=None, solve=None, verdict=None, oracle_cmp=None,
+                 solve=None, verdict=None, oracle_cmp=None,
                  timings: Optional[dict] = None) -> dict:
-    """Assemble the JSON report with a stable field order."""
+    """Assemble the JSON report with a stable field order.  A solve comes
+    with its certificate: ``solve.within_ball`` says whether the solved path
+    stayed inside the ball the certificate's sup constants assume."""
     out = {
-        "schema": "evosteer-report/2",
+        "schema": "evosteer-report/3",
         "command": command,
         "seed": numerics.seed,
         "config": echo,
@@ -443,13 +445,13 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
     if certificate is not None:
         out["certificate"] = {**dataclasses.asdict(certificate),
                               "contracts": certificate.contracts}
-    if blocks is not None:
-        out["gramians"] = {"min_eig": [b.min_eig for b in blocks]}
     if solve is not None:
         out["solve"] = {
             "converged": solve.converged,
             "iterations": solve.iterations,
             "final_update": solve.final_update,
+            "path_sup": solve.path_sup,
+            "within_ball": solve.path_sup <= certificate.ball_radius,
             "updates": list(solve.updates),
             "measured_ratio": solve.measured_ratio,
             "per_window_defect": list(solve.per_window_defect),
@@ -461,7 +463,6 @@ def build_report(command: str, echo: dict, numerics, certificate=None,
     if verdict is not None:
         out["targets"] = {
             "tol": verdict.tol_hit,
-            "defects": list(verdict.defects),
             "hits": list(verdict.hits),
             "totally_controllable": verdict.totally_controllable,
             "exactly_controllable": verdict.exactly_controllable,

@@ -20,7 +20,6 @@ from .solver import (NonConvergenceError, SolveReport, Sweep, TargetVerdict,
 class RunResult:
     # what callers read of the sweep; the sweep itself is freed with the run
     problem: Problem
-    blocks: list
     certificate: Certificate
     timings: dict
     solve: Optional[SolveReport] = None
@@ -32,7 +31,7 @@ class RunResult:
 def _prepare(problem: Problem, targets, numerics: Numerics):
     t0 = time.perf_counter()
     sweep = Sweep(problem, numerics)
-    return sweep, RunResult(problem, sweep.blocks, certificate_for(sweep, targets),
+    return sweep, RunResult(problem, certificate_for(sweep, targets),
                             {"assemble_s": time.perf_counter() - t0})
 
 

@@ -67,7 +67,7 @@ from .core import PiecewiseTrajectory
 from .discretize import KernelDiscretization, eta_values, interval_times
 from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
                       steering_residual, synthesize_control, window_start)
-from .problems import Numerics, Problem, WeightedSampleNonlocal
+from .problems import Numerics, Problem
 from .semigroups import ShiftLagTable, band_product
 
 
@@ -97,13 +97,15 @@ class SolveReport:
     bits (its update, the last of ``updates``, is 0.0), or the solve
     stopped after one sweep because the next would read what it read (see
     :func:`picard_solve`), and ``iterations`` counts only the sweep run.
-    Otherwise it is the last of ``updates``.
+    Otherwise it is the last of ``updates``.  ``path_sup`` is the sup norm
+    of ``trajectory`` off the history, as the last sweep took it.
     """
 
     trajectory: PiecewiseTrajectory
     control: ControlSignal
     iterations: int
     final_update: float
+    path_sup: float
     updates: list
     per_window_defect: list
     converged: bool
@@ -179,8 +181,7 @@ class Sweep:
         # forcing row carries window 0 into a later window.
         nu, theta_1 = problem.nonlocal_term, problem.mesh.points[1]
         self._chord = ()
-        if (isinstance(nu, WeightedSampleNonlocal)
-                and isinstance(self.grids[0].table, ShiftLagTable)):
+        if nu is not None and isinstance(self.grids[0].table, ShiftLagTable):
             inside = [(a, t) for a, t in zip(nu.alphas, nu.instants)
                       if 0.0 < t < theta_1]
             if (inside and 2.0 * sum(abs(a) for a, _ in inside) < 1.0
@@ -463,8 +464,8 @@ def picard_solve(sweep: Sweep, targets) -> SolveReport:
             break
     defects = _window_defects(sweep.problem, traj, targets)
     report = SolveReport(trajectory=traj, control=control, iterations=len(updates),
-                         final_update=float(update), updates=updates,
-                         per_window_defect=defects,
+                         final_update=float(update), path_sup=norm,
+                         updates=updates, per_window_defect=defects,
                          converged=converged, measured_ratio=float(ratio),
                          frozen_forcing_rows=sweep.frozen_forcing_rows,
                          window_solves_per_sweep=solves)
@@ -483,9 +484,9 @@ def _window_defects(problem: Problem, traj: PiecewiseTrajectory, targets) -> lis
 
 @dataclass
 class TargetVerdict:
-    """Per-window hit/miss decision plus the global verdicts."""
+    """Per-window hit/miss decision plus the global verdicts; the defects
+    judged are the solve's ``per_window_defect``."""
 
-    defects: list
     hits: list
     tol_hit: float
     totally_controllable: bool
@@ -504,7 +505,6 @@ def verify_targets(report: SolveReport, targets, tol_hit: float) -> TargetVerdic
     if len(report.per_window_defect) != len(targets):
         raise ValueError("one target per control window required")
     hits = [d <= tol_hit for d in report.per_window_defect]
-    return TargetVerdict(defects=list(report.per_window_defect), hits=hits,
-                         tol_hit=tol_hit,
+    return TargetVerdict(hits=hits, tol_hit=tol_hit,
                          totally_controllable=all(hits),
                          exactly_controllable=bool(hits[-1]))

@@ -79,16 +79,8 @@ def _problem(cfg: TransportConfig, *, nonlin_lipschitz: float,
     theta * x on each impulse window -- with a case's forcing, its
     nonlocal term and the forcing's constants."""
     profile = np.sin(np.arange(cfg.N) * np.pi / cfg.N)
-    constants = AssumptionConstants(
-        nonlin_lipschitz=nonlin_lipschitz,
-        nonlin_sup=nonlin_sup,
-        # theta * x on an impulse window is bounded only on bounded sets;
-        # lam_j * 2 covers paths steered to unit-norm targets at desk scale.
-        impulse_sup=tuple(2.0 * lam for lam in cfg.mesh.lam[1:]),
-        # weighted sampling is bounded only on bounded sets; 4x the weight
-        # sum covers paths steered between unit-norm targets at desk scale
-        nonlocal_sup=4.0 * nonlocal_term.lipschitz if nonlocal_term else 0.0,
-    )
+    constants = AssumptionConstants(nonlin_lipschitz=nonlin_lipschitz,
+                                    nonlin_sup=nonlin_sup)
     return Problem(semigroup=ShiftSemigroup(cfg.N), control_matrix=np.eye(cfg.N),
                    mesh=cfg.mesh, beta=cfg.beta,
                    history=lambda theta: profile * (1.0 + theta),

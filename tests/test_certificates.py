@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from evosteer.certificates import (certificate_for, contraction_constant,
-                                   delay_ratio, operator_bounds, solution_bound)
+from evosteer.certificates import (ball_radius, certificate_for,
+                                   contraction_constant, delay_ratio,
+                                   operator_bounds, solution_bound)
 from evosteer.core import TimeMesh
 from evosteer.discretize import KernelDiscretization, interval_times
 from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
@@ -94,16 +95,13 @@ class TestIntegroConstant:
 
     @staticmethod
     def _integro_problem(coeffs, breakpoints):
-        mesh = TimeMesh(breakpoints)
-        n = mesh.n_impulses
         return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
-                       control_matrix=np.eye(1), mesh=mesh, beta=1.0,
-                       history=lambda s: np.zeros(1),
+                       control_matrix=np.eye(1), mesh=TimeMesh(breakpoints),
+                       beta=1.0, history=lambda s: np.zeros(1),
                        kernel=ConvolutionKernel(coeffs=coeffs,
                                                 q=lambda t, v: np.zeros_like(v)),
-                       constants=AssumptionConstants(
-                           impulse_sup=(1.0,) * n,
-                           nonlin_lipschitz=0.5, nonlin_sup=1.0))
+                       constants=AssumptionConstants(nonlin_lipschitz=0.5,
+                                                     nonlin_sup=1.0))
 
     def test_constant_kernel_mass_is_horizon(self):
         prob = self._integro_problem((1.0,), [0.0, 0.3, 0.5, 0.8])
@@ -173,8 +171,7 @@ class TestCertificatePipeline:
         A = rng.normal(size=(3, 3)) / 2.0
         mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(3),
-                       mesh=mesh, beta=1.0, history=lambda s: np.zeros(3),
-                       constants=AssumptionConstants(impulse_sup=(1.5,)))
+                       mesh=mesh, beta=1.0, history=lambda s: np.zeros(3))
         num = Numerics(time_step=2e-3)
         sweep = Sweep(prob, num)
         targets = [rng.normal(size=3), rng.normal(size=3)]
@@ -188,6 +185,26 @@ class TestCertificatePipeline:
         assert len(cert.control_bounds) == 2
         again = certificate_for(sweep, targets)
         assert again.contraction_constant == cert.contraction_constant
+
+    def test_default_constants_certify_every_impulse_window(self):
+        # a problem built with the default constants declares no sup
+        # constant: window 1's control bound takes the impulse's lam_1 R,
+        # lam_1 = 0.6, R = 2 K max(1, |phi(0)|, |z_j|)
+        rng = np.random.default_rng(43)
+        phi0 = np.array([0.3, -1.5])
+        prob = Problem(semigroup=MatrixSemigroup(rng.normal(size=(2, 2)) / 2.0),
+                       control_matrix=np.eye(2),
+                       mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]), beta=1.0,
+                       history=lambda s: phi0)
+        targets = [np.array([0.6, 0.8]), np.array([-1.0, 1.0])]
+        cert = certificate_for(Sweep(prob, Numerics(time_step=2e-3)), targets)
+        K = prob.semigroup.bound(1.0)
+        R = 2.0 * K * max(1.0, np.linalg.norm(phi0), np.sqrt(2.0))
+        assert cert.ball_radius == pytest.approx(R, rel=1e-15)
+        assert cert.ball_radius == ball_radius(prob, targets)
+        floor = cert.gramian_floors[1]
+        want = (K / floor) * (np.sqrt(2.0) + K * 0.6 * R)
+        assert cert.control_bounds[1] == pytest.approx(want, rel=1e-14)
 
     def test_case1_certificate_structure(self):
         cfg = TransportConfig(N=16)
@@ -218,13 +235,14 @@ def _reference_integro_constant(K, M, b, gamma, kernel_lipschitz, kernel_mass,
     return branches[binding], binding
 
 
-def _reference_integro_control_bound(problem, K, M, j, target, floor, kernel_mass):
+def _reference_integro_control_bound(problem, K, M, j, target, floor, kernel_mass,
+                                     impulse_sup):
     c = problem.constants
     b = problem.mesh.b
     zn = problem.norm(np.asarray(target, dtype=float))
     tail = K * c.nonlin_sup * b * kernel_mass
     head = (K * problem.norm(problem.phi0()) if j == 0
-            else K * c.impulse_sup[j - 1])
+            else K * impulse_sup[j - 1])
     return (M * K / floor) * (zn + head + tail)
 
 
@@ -250,8 +268,7 @@ class TestMergedIntegroCertificate:
                        kernel=ConvolutionKernel(
                            coeffs=MIXED, q=lambda t, v: 0.3 * v),
                        constants=AssumptionConstants(
-                           nonlin_lipschitz=0.3, nonlin_sup=0.8,
-                           impulse_sup=(0.9, 0.7)))
+                           nonlin_lipschitz=0.3, nonlin_sup=0.8))
         num = Numerics(time_step=0.01)
         targets = [rng.normal(size=2) for _ in range(3)]
         cert = certificate_for(Sweep(prob, num), targets)
@@ -266,10 +283,16 @@ class TestMergedIntegroCertificate:
         assert cert.delay_ratio == 1.5
         assert cert.binding_branch == branch
         assert cert.contraction_constant == pytest.approx(lf, rel=1e-15)
-        qs = [_reference_integro_control_bound(prob, K, M, j, targets[j], floor, km)
+        # the impulse sup constants on the ball of radius
+        # R = 2 K max(1, |phi(0)|, max_j |z_j|): lam_j R
+        R = 2.0 * K * max([1.0, 0.5] + [np.linalg.norm(z) for z in targets])
+        assert cert.ball_radius == pytest.approx(R, rel=1e-15)
+        impulse_sup = [lam * R for lam in (0.4, 0.7)]
+        qs = [_reference_integro_control_bound(prob, K, M, j, targets[j], floor, km,
+                                               impulse_sup)
               for j, floor in enumerate(cert.gramian_floors)]
         assert cert.control_bounds == pytest.approx(qs, rel=1e-15)
         alpha = _reference_integro_solution_bound(
-            K, M, 0.9, max(qs), prob.norm(prob.phi0()), c.impulse_sup,
+            K, M, 0.9, max(qs), prob.norm(prob.phi0()), impulse_sup,
             c.nonlin_sup, km)
         assert cert.solution_bound == pytest.approx(alpha, rel=1e-15)

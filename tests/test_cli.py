@@ -384,7 +384,7 @@ class TestCommands:
         report = json.loads((out / "report.json").read_text())
         assert "solve" not in report
         assert report["certificate"]["contracts"] in (True, False)
-        assert len(report["gramians"]["min_eig"]) == 2
+        assert len(report["certificate"]["gramian_floors"]) == 2
 
     @pytest.mark.parametrize("preset", ["linear-2d", "transport-case1",
                                         "transport-case2"])
@@ -397,8 +397,7 @@ class TestCommands:
             assert main([command, str(CONFIGS / f"{preset}.ini"),
                          "--no-timing"]) == 0
             reports[command] = json.loads((out / "report.json").read_text())
-        for block in ("certificate", "gramians"):
-            assert reports["certify"][block] == reports["solve"][block]
+        assert reports["certify"]["certificate"] == reports["solve"]["certificate"]
 
     def test_oracle_command_linear(self, tmp_path):
         out = tmp_path / "out"
@@ -445,9 +444,28 @@ class TestCommands:
             text = (outs[0] / "report.json").read_text()
             assert "emit_s" not in text
             report = json.loads(text)
-            assert report["schema"] == "evosteer-report/2"
+            assert report["schema"] == "evosteer-report/3"
             assert report["seed"] == (3 if command == "oracle" else 7)
+            # one copy of each number: the floors only in the certificate,
+            # the window defects only in the solve
+            assert list(report) == ["schema", "command", "seed", "config",
+                                    "certificate", "solve", "targets"] + (
+                                        ["oracle"] if command == "oracle" else [])
+            assert list(report["certificate"]) == [
+                "variant", "delay_ratio", "semigroup_bound", "control_op_norm",
+                "gramian_floors", "contraction_constant", "binding_branch",
+                "ball_radius", "solution_bound", "control_bounds",
+                "kernel_mass", "contracts"]
             solve = report["solve"]
+            assert list(solve) == [
+                "converged", "iterations", "final_update", "path_sup",
+                "within_ball", "updates", "measured_ratio", "per_window_defect",
+                "control_sup", "frozen_forcing_rows", "window_solves",
+                "window_solves_per_sweep"]
+            assert list(report["targets"]) == [
+                "tol", "hits", "totally_controllable", "exactly_controllable"]
+            assert solve["within_ball"] == (
+                solve["path_sup"] <= report["certificate"]["ball_radius"]) is True
             updates, solves = solve["updates"], solve["window_solves_per_sweep"]
             assert len(updates) == solve["iterations"] and updates[0] > 0.0
             assert sum(solves) == solve["window_solves"]
@@ -549,8 +567,8 @@ class TestCommands:
 
     def test_unconverged_solve_still_writes_its_report(self, tmp_path, capsys,
                                                        monkeypatch):
-        # the certificate, the Gramians and the solve's last update are
-        # written; the verdict and the CSV files are not
+        # the certificate and the solve's last update are written; the
+        # verdict and the CSV files are not
         text = (CONFIGS / "transport-case1.ini").read_text().replace(
             "max_iter = 200", "max_iter = 1")
         path = write(tmp_path, "a.ini", text)
@@ -567,13 +585,14 @@ class TestCommands:
         assert sorted(os.listdir(out)) == ["report.json"]
         report = json.loads(reports[0])
         assert list(report) == ["schema", "command", "seed", "config",
-                                "certificate", "gramians", "solve"]
+                                "certificate", "solve"]
         assert report["config"]["numerics"]["max_iter"] == "1"
         solve = report["solve"]
         assert (solve["converged"], solve["iterations"]) == (False, 1)
         assert solve["final_update"] > 0.0
         assert solve["measured_ratio"] == 0.0
-        assert len(report["gramians"]["min_eig"]) == 2
+        assert len(report["certificate"]["gramian_floors"]) == 2
+        assert solve["within_ball"] is True
         assert main(["solve", path]) == 4
         assert "solve_s" in json.loads((out / "report.json").read_text())["timings"]
 
@@ -780,6 +799,8 @@ class TestCsvRoundTrip:
         data = read_trajectory_csv(path)
         pc_file = path_sup_norm_from_csv(data, weight=cfg.problem.state_weight)
         assert abs(pc_file - path_sup_norm(result.solve.trajectory)) <= 1e-12
+        # the solve's path_sup is the solved path's sup norm, bit for bit
+        assert result.solve.path_sup == path_sup_norm(result.solve.trajectory)
         # both one-sided rows exist at the interior breakpoints
         for bp in (0.3, 0.5):
             sides = {data["sides"][i] for i, t in enumerate(data["times"])

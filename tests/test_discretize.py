@@ -9,7 +9,7 @@ from evosteer.core import TimeMesh
 from evosteer.discretize import (KernelDiscretization, build_window_grids,
                                  eta_values, interval_times)
 from evosteer.oracle import oracle_linear
-from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
+from evosteer.problems import ConvolutionKernel, Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import Sweep
 from evosteer.transport import TransportConfig, build_case2
@@ -45,13 +45,10 @@ def test_window_grids_share_breakpoints():
 
 def _kernel_problem(coeffs, q, mesh=None, dim=1):
     mesh = mesh or TimeMesh([0.0, 0.4, 0.5, 1.0])
-    constants = AssumptionConstants(
-        impulse_sup=tuple(1.0 for _ in range(mesh.n_impulses)))
     return Problem(semigroup=MatrixSemigroup(np.zeros((dim, dim))),
                    control_matrix=np.eye(dim), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(dim),
-                   kernel=ConvolutionKernel(coeffs=coeffs, q=q),
-                   constants=constants)
+                   kernel=ConvolutionKernel(coeffs=coeffs, q=q))
 
 
 def kappa(coeffs, s):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, eigvalsh_tridiagonal, expm
 
-from evosteer.certificates import control_bound
+from evosteer.certificates import ball_radius, control_bound
 from evosteer.config import load_config
 from evosteer.core import TimeMesh
 from evosteer.discretize import (KernelDiscretization, WindowGrid,
@@ -16,8 +16,8 @@ from evosteer.gramian import (ControlSignal, GramianBlock, NotInvertibleError,
                               gramian_solve, smallest_eigenvalue_bracket,
                               steering_residual, sturm_count, synthesize_control,
                               tridiagonal_floor, window_start)
-from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
-                               Numerics, Problem, WeightedSampleNonlocal)
+from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
+                               WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
 from evosteer.transport import TransportConfig, build_case1
 from test_core import rebuilt
@@ -26,11 +26,10 @@ from test_solver import flat_extension, window_start_reference
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
-def linear_problem(A, B, mesh, phi0, beta=1.0, constants=None, **kwargs):
+def linear_problem(A, B, mesh, phi0, beta=1.0, **kwargs):
     phi0 = np.asarray(phi0, dtype=float)
     return Problem(semigroup=MatrixSemigroup(A), control_matrix=B, mesh=mesh,
-                   beta=beta, history=lambda s: phi0,
-                   constants=constants or AssumptionConstants(), **kwargs)
+                   beta=beta, history=lambda s: phi0, **kwargs)
 
 
 def dense(tridiagonal):
@@ -328,6 +327,9 @@ def test_linear_run_takes_one_eigh_per_window(monkeypatch):
     from evosteer import runner
     from evosteer.solver import picard_solve
     cfg = load_config(str(CONFIGS / "linear-2d.ini"))
+    # K, the eigvalsh of A's symmetric part the semigroup keeps, is no
+    # Gramian's: taken before the trap is set
+    cfg.problem.semigroup.bound(cfg.problem.mesh.b)
     shapes = []
     eigh = np.linalg.eigh
     monkeypatch.setattr(np.linalg, "eigh", lambda a: shapes.append(a.shape) or eigh(a))
@@ -413,8 +415,7 @@ class TestResiduals:
         rng = np.random.default_rng(25)
         A = rng.normal(size=(2, 2)) / 2.0
         mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
-        prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2],
-                              constants=AssumptionConstants(impulse_sup=(1.0,)))
+        prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2])
         num = Numerics(time_step=1e-3)
         grids = build_window_grids(prob, num)
         traj = _flat_traj(prob, num)
@@ -494,8 +495,7 @@ class TestControl:
         phi0 = rng.normal(size=T.dim)
         prob = Problem(semigroup=T, control_matrix=B,
                        mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]),
-                       beta=1.0, history=lambda s: phi0,
-                       constants=AssumptionConstants(impulse_sup=(1.0,)))
+                       beta=1.0, history=lambda s: phi0)
         grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
         control = _control(prob, grids, blocks,
                            [rng.normal(size=T.dim) for _ in grids])
@@ -520,7 +520,6 @@ class TestWindowStart:
             kwargs["kernel"] = ConvolutionKernel(coeffs=(1.0,),
                                                  q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
-                              constants=AssumptionConstants(impulse_sup=(1.0,)),
                               **kwargs)
         flat = _flat_traj(prob, Numerics(time_step=1e-2, history_samples=8))
         x = np.array([1.0, -2.0])
@@ -539,8 +538,7 @@ class TestWindowStart:
         if backend == "matrix":
             prob = linear_problem(rng.normal(size=(3, 3)), np.eye(3),
                                   TimeMesh([0.0, 0.3, 0.5, 1.0]),
-                                  rng.normal(size=3),
-                                  constants=AssumptionConstants(impulse_sup=(1.0,)))
+                                  rng.normal(size=3))
             targets = [rng.normal(size=3) for _ in range(2)]
         else:
             cfg = TransportConfig(N=16)
@@ -557,32 +555,34 @@ class TestWindowStart:
 
 
 class TestControlBound:
-    def _problem(self, nonlocal_sup=0.0, impulse_sup=()):
-        mesh = (TimeMesh([0.0, 0.4, 0.6, 1.0]) if impulse_sup
-                else TimeMesh([0.0, 1.0]))
+    def _problem(self, breakpoints=(0.0, 1.0), **kwargs):
         # A = 0 and B = I: K = M = 1
-        constants = AssumptionConstants(nonlocal_sup=nonlocal_sup,
-                                        impulse_sup=impulse_sup)
-        return linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [1.0],
-                              constants=constants)
+        return linear_problem(np.zeros((1, 1)), [[1.0]], TimeMesh(breakpoints),
+                              [1.0], **kwargs)
 
     def test_all_zero(self):
         prob = self._problem()
         prob_zero = linear_problem(np.zeros((1, 1)), prob.control_matrix,
                                    prob.mesh, [0.0])
-        assert control_bound(prob_zero, 0, np.array([0.0]), 1.0) == 0.0
+        assert control_bound(prob_zero, 0, np.array([0.0]), 1.0, 2.0) == 0.0
 
     def test_first_window_substitution(self):
-        # M = K = 1, floor 1, |target| = 1, |phi(0)| = 1, sup eta = 1, b = 1
-        prob = self._problem()
-        q = control_bound(prob, 0, np.array([1.0]), 1.0, forcing_sup=1.0)
-        assert q == pytest.approx(3.0, abs=1e-14)
+        # M = K = 1, floor 1, |target| = 1, |phi(0)| = 1, sup eta = 1, b = 1;
+        # nu = 0.1 x(0.2) adds its sup constant sum |alpha_i| R, R = 2
+        for nu, expected in ((None, 3.0), (WeightedSampleNonlocal([0.1], [0.2]), 3.2)):
+            prob = self._problem(nonlocal_term=nu)
+            q = control_bound(prob, 0, np.array([1.0]), 1.0, 2.0, forcing_sup=1.0)
+            assert q == pytest.approx(expected, abs=1e-14)
 
     def test_later_window_substitution(self):
-        prob = self._problem(impulse_sup=(0.2,))
-        q = control_bound(prob, 1, np.array([1.0]), 0.5, forcing_sup=1.0)
-        # (M K / floor) (|target| + K * impulse_sup + K N b)
-        assert q == pytest.approx((1.0 / 0.5) * (1.0 + 0.2 + 1.0), abs=1e-13)
+        # lam_1 = 0.6 and R = 2 K max(1, |phi(0)|, |target|) = 2
+        prob = self._problem((0.0, 0.4, 0.6, 1.0))
+        target = np.array([1.0])
+        R = ball_radius(prob, [target, target])
+        assert R == 2.0
+        q = control_bound(prob, 1, target, 0.5, R, forcing_sup=1.0)
+        # (M K / floor) (|target| + K lam_1 R + K N b)
+        assert q == pytest.approx((1.0 / 0.5) * (1.0 + 0.6 * 2.0 + 1.0), abs=1e-13)
 
 
 def _residual(start, target, grid, forcing):

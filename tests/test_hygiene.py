@@ -441,17 +441,20 @@ def test_a_preset_accepts_exactly_the_keys_its_builder_reads(tmp_path, preset):
     assert accepted - {"targets"} == read
 
 
-_IMPULSE_CONSTANTS = {"impulse_lipschitz", "nonlocal_lipschitz"}
+# per module, the names of the impulse model formed there alone
+_FORMED_IN = {"problems.py": {"impulse_lipschitz", "nonlocal_lipschitz", "outer"},
+              "certificates.py": {"impulse_sup", "nonlocal_sup", "ball_radius"}}
 
 
 def test_the_impulse_model_is_formed_only_in_problems():
     """The impulse product ``theta * x`` (``np.outer``) and the Lipschitz
-    constants of the impulse and of nu are formed in ``problems.py`` alone:
-    elsewhere in the package ``impulse_lipschitz`` and
-    ``nonlocal_lipschitz`` are only read, never assigned, passed by keyword,
-    taken as a parameter or defined, and nothing calls ``outer``."""
-    def formed(tree):
-        for node in ast.walk(tree):
+    constants of the impulse and of nu are formed in ``problems.py`` alone,
+    and their sup constants and the ball those hold on in
+    ``certificates.py`` alone: elsewhere in the package these names are
+    only read, never assigned, passed by keyword, taken as a parameter or
+    defined, and nothing calls ``outer``."""
+    def formed(path):
+        for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Attribute) and node.attr == "outer":
                 yield node.lineno, "outer"
             names = ([(node.arg, node.lineno)]
@@ -462,12 +465,11 @@ def test_the_impulse_model_is_formed_only_in_problems():
                      if isinstance(node, (ast.Name, ast.Attribute))
                      and isinstance(node.ctx, ast.Store) else [])
             for name, line in names:
-                if name in _IMPULSE_CONSTANTS:
-                    yield line, name
+                yield line, name
 
-    own = {name for _, name in formed(ast.parse((PACKAGE / "problems.py").read_text()))}
-    assert own == _IMPULSE_CONSTANTS | {"outer"}
-    found = [f"{path.name}:{line} {name}" for path in sorted(PACKAGE.glob("*.py"))
-             if path.name != "problems.py"
-             for line, name in formed(ast.parse(path.read_text()))]
-    assert not found, f"impulse model formed outside problems.py: {found}"
+    found = [f"{path.name}:{line} {name}" for owner, names in _FORMED_IN.items()
+             for path in sorted(PACKAGE.glob("*.py")) if path.name != owner
+             for line, name in formed(path) if name in names]
+    assert not found, f"impulse model formed outside its module: {found}"
+    for owner, names in _FORMED_IN.items():
+        assert {name for _, name in formed(PACKAGE / owner)} >= names, owner

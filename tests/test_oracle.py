@@ -7,7 +7,7 @@ from evosteer.config import load_config
 from evosteer.core import TimeMesh
 from evosteer.discretize import interval_times
 from evosteer.oracle import oracle_linear
-from evosteer.problems import AssumptionConstants, ConvolutionKernel, Numerics, Problem
+from evosteer.problems import ConvolutionKernel, Numerics, Problem
 from evosteer.runner import run
 from evosteer.semigroups import MatrixSemigroup, expm
 from evosteer.solver import Sweep, picard_solve
@@ -84,12 +84,9 @@ def per_node_reference(problem, control, numerics):
 def linear_problem(A, mesh, phi0, B=None):
     A = np.asarray(A, dtype=float)
     d = A.shape[0]
-    constants = AssumptionConstants(
-        impulse_sup=tuple(2.0 for _ in range(mesh.n_impulses)))
     return Problem(semigroup=MatrixSemigroup(A),
                    control_matrix=np.eye(d) if B is None else B, mesh=mesh,
-                   beta=1.0, history=lambda s: np.asarray(phi0, dtype=float),
-                   constants=constants)
+                   beta=1.0, history=lambda s: np.asarray(phi0, dtype=float))
 
 
 class TestOracle:

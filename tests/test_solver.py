@@ -10,8 +10,8 @@ from evosteer.core import (PiecewiseTrajectory, TimeMesh, path_sup_norm,
 from evosteer.discretize import eta_values
 from evosteer.gramian import (ControlSignal, NotInvertibleError, gramian_solve,
                               steering_residual, window_start)
-from evosteer.problems import (AssumptionConstants, ConvolutionKernel,
-                               Numerics, Problem, WeightedSampleNonlocal)
+from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
+                               WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
                              verify_targets)
@@ -32,11 +32,8 @@ def make_problem(A=None, dim=2, mesh=None, phi0=None, beta=1.0, **kwargs):
     dim = A.shape[0]
     mesh = mesh or TimeMesh([0.0, 0.4, 0.6, 1.0])
     phi0 = np.zeros(dim) if phi0 is None else np.asarray(phi0, dtype=float)
-    constants = kwargs.pop("constants", AssumptionConstants(
-        impulse_sup=tuple(2.0 for _ in range(mesh.n_impulses))))
     return Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(dim),
-                   mesh=mesh, beta=beta, history=lambda s: phi0,
-                   constants=constants, **kwargs)
+                   mesh=mesh, beta=beta, history=lambda s: phi0, **kwargs)
 
 
 class TestOperator:
@@ -346,7 +343,7 @@ def test_one_gramian_assembly_per_run(monkeypatch, entry):
 @pytest.mark.parametrize("entry", ["run", "certify"])
 def test_run_result_releases_the_sweep(monkeypatch, entry):
     # the CLI writes its outputs from the result; the sweep's grids, lag
-    # tables and kernel are freed before that, only its blocks are kept
+    # tables, kernel and blocks are freed before that
     import dataclasses
     import gc
     import weakref
@@ -365,7 +362,7 @@ def test_run_result_releases_the_sweep(monkeypatch, entry):
     result = getattr(runner, entry)(prob, targets, Numerics(time_step=2e-3))
     assert not any(isinstance(getattr(result, f.name), Sweep)
                    for f in dataclasses.fields(result))
-    assert result.problem is prob and len(result.blocks) == 2
+    assert result.problem is prob and len(result.certificate.gramian_floors) == 2
     gc.collect()
     assert len(made) == 1 and made[0]() is None
 
@@ -1078,14 +1075,10 @@ def _fallback_case(name):
     # rows, which carry window 0 into the later windows
     beta = 0.25 if name.startswith("instant") else 1.0
     cfg = TransportConfig(N=16, beta=beta, alphas=alphas, instants=instants)
-    prob = build_case1(cfg)
-    if name == "other-nu":
-        prob.nonlocal_term = lambda traj: 0.1 * traj.value(0.2)
-    return prob, num, cfg.resolved_targets()
+    return build_case1(cfg), num, cfg.resolved_targets()
 
 
-@pytest.mark.parametrize("name", ["matrix", "one-sweep", "other-nu",
-                                  "instant-at-0", "instant-at-theta-1",
+@pytest.mark.parametrize("name", ["matrix", "one-sweep", "instant-at-0", "instant-at-theta-1",
                                   "instant-in-window-1", "weights-too-large"])
 def test_runs_without_the_chord_step_keep_the_plain_start(monkeypatch, name):
     # the chord step is taken only in a sweep on the shift backend whose nu
@@ -1094,7 +1087,7 @@ def test_runs_without_the_chord_step_keep_the_plain_start(monkeypatch, name):
     # row is live.  Every other run starts each sweep's window 0 at phi(0)
     # + nu(x), so from the same first iterate its solve is the plain
     # start's bit for bit: the matrix backend, a run one sweep ends,
-    # another nu, an instant at 0, at theta_1 or in window 1
+    # an instant at 0, at theta_1 or in window 1
     # beside one inside window 0 at beta = 0.25, and weights too large for
     # the series
     prob, num, targets = _fallback_case(name)
