@@ -30,7 +30,6 @@ import numpy as np
 from .certificates import contraction_constant
 from .core import (PiecewiseTrajectory, TimeMesh, history_segment,
                    path_sup_norm, segment_norm, sup_distance)
-from .gramian import assemble_gramian
 from .problems import Numerics, Problem
 from .runner import run
 from .semigroups import MatrixSemigroup, expm
@@ -156,9 +155,9 @@ def criterion_gramian_correctness(c: Checks) -> None:
     (w h^2 / 12) sup |f''| <= (w h^2 / 12) 4 |A|^2 |B|^2 e^{2 |A| w}."""
     width = 0.05
     for a in (-1.0, 0.5):
-        blk = assemble_gramian(MatrixSemigroup([[a]]), [[1.0]], (0.0, width), 1000)
+        G = MatrixSemigroup([[a]]).lag_table(width / 1000, 1000).gramian(np.eye(1))
         exact = (math.exp(2 * a * width) - 1.0) / (2 * a)
-        rel = abs(blk.matrix[0, 0] - exact) / exact
+        rel = abs(G[0, 0] - exact) / exact
         c.close(rel, 1e-8, f"scalar Gramian closed form (a={a})")
     rng = np.random.default_rng(12)
     width, steps = 0.8, 200
@@ -167,10 +166,9 @@ def criterion_gramian_correctness(c: Checks) -> None:
         dim = int(rng.integers(2, 9))
         A = rng.normal(size=(dim, dim)) / np.sqrt(dim)
         B = rng.normal(size=(dim, dim)) / np.sqrt(dim)
-        blk = assemble_gramian(MatrixSemigroup(A), B, (0.0, width), steps)
-        G = blk.matrix
+        G = MatrixSemigroup(A).lag_table(width / steps, steps).gramian(B)
         worst_sym = max(worst_sym, np.linalg.norm(G - G.T) / np.linalg.norm(G))
-        worst_eig = min(worst_eig, blk.min_eig)
+        worst_eig = min(worst_eig, np.linalg.eigvalsh(G)[0])
         F = expm(np.block([[-A, B @ B.T], [np.zeros_like(A), A.T]]) * width)
         exact = F[dim:, dim:].T @ F[:dim, dim:]
         a, b = np.linalg.norm(A, 2), np.linalg.norm(B, 2)

@@ -100,8 +100,9 @@ def solution_bound(K: float, M: float, b: float, control_sup: float,
                    phi0_norm: float, forcing_sup: float = 0.0,
                    nonlocal_sup: float = 0.0,
                    impulse_sup: Sequence[float] = ()) -> float:
-    """A-priori sup bound on the steered path from the sup constants and the
-    control bound; the fixed point stays inside this ball."""
+    """A-priori sup bound on the steered path from the control bound and the
+    sup constants, which hold only on the ball of radius R: a bound only
+    while the path stays inside R, as ``solve.within_ball`` checks."""
     base = M * K * control_sup * b + K * forcing_sup * b
     candidates = [base + K * (phi0_norm + nonlocal_sup)]
     for c in impulse_sup:

@@ -10,9 +10,9 @@ Subcommands:
 * ``selftest``         -- runs the acceptance corpus, one line per criterion.
 
 Exit codes: 0 success; 1 targets missed or selftest failure; 2 configuration
-errors, an unknown selftest criterion or an unwritable output; 3 singular
-Gramian; 4 non-convergence, which still writes report.json: the certificate
-and the unconverged solve, no target verdict and no CSV file.
+errors, an unknown selftest criterion, an unwritable output or a report with
+a NaN or infinity; 3 a Gramian floor below 1e-8; 4 non-convergence, which
+still writes report.json (certificate and unconverged solve, no verdict, no CSV).
 The EVOSTEER_OUTDIR environment variable overrides the configured output
 directory.
 """

@@ -127,6 +127,10 @@ def load_config(path: str) -> RunConfig:
         problem, targets = _load_linear(prob, mesh, numerics)
     else:
         raise ConfigError("problem.preset or problem.kind = linear is required")
+    for field, rows in (("phi0", [problem.phi0()]), ("targets", targets)):
+        with np.errstate(over="ignore"):    # an overflow is refused, not warned of
+            if not all(np.isfinite(problem.norm(r)) for r in rows):
+                raise ConfigError(f"problem.{field}: weighted norm overflows")
 
     outdir = "out"
     if parser.has_section("outputs"):

@@ -5,12 +5,12 @@ For each control window (start, end] the Gramian
     G = int_start^end  T(end - tau) B B* T(end - tau)*  d tau
 
 is assembled by composite trapezoid on the window grid, by the window's
-lag table, and factored once, for its floor and its solve.  The matrix
-backend's G is a small dense array, symmetrized and eigendecomposed.  The
-shift backend's G (B = I) is exactly tridiagonal and is kept as its two
-diagonals: its floor is a certified lower bound on its smallest
-eigenvalue, from Sturm counts, and its solve runs on one LDL^T
-factorization, so no N x N array is formed.
+lag table, and factored once, for its floor and its solve, by
+:func:`factor_gramian`, which refuses a floor below ``DELTA_FLOOR``.  The
+matrix backend's G is a small dense array, symmetrized and eigendecomposed.
+The shift backend's G (B = I) is exactly tridiagonal, kept as its two
+diagonals: its floor is a certified lower bound on its smallest eigenvalue,
+from Sturm counts, and its solve runs on one LDL^T factorization, no N x N.
 The feedback on G is
 
     u(tau) = B* T(end - tau)* G^{-1} r,
@@ -40,12 +40,9 @@ _TINY = np.finfo(float).tiny
 
 
 class NotInvertibleError(Exception):
-    """A window Gramian fell below the invertibility floor.
-
-    Carries the smallest eigenvalue (a certified lower bound on it for a
-    tridiagonal Gramian) so the caller can refine the grid or shrink the
-    window.
-    """
+    """A window Gramian's floor fell below ``DELTA_FLOOR``; carries the floor
+    (for a tridiagonal Gramian a certified lower bound on its smallest
+    eigenvalue), so the caller can refine the grid or shrink the window."""
 
     def __init__(self, window: int, min_eig: float, floor: float):
         self.window = window
@@ -128,118 +125,88 @@ def tridiagonal_floor(diag: np.ndarray, off: np.ndarray) -> float:
     return float(np.nextafter(lo - margin, -np.inf))
 
 
+class _Dense:
+    """A dense G, symmetrized, with its eigendecomposition G = V diag(lam)
+    V^T: its floor ``min_eig`` is the smallest lam."""
+
+    def __init__(self, G: np.ndarray):
+        self.matrix = 0.5 * (G + G.T)
+        self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
+        self.min_eig = float(self.eigvals[0])
+
+    def solve(self, r: np.ndarray) -> np.ndarray:
+        V = self.eigvecs
+        return V @ ((V.T @ r) / self.eigvals)
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        return self.matrix @ w
+
+
 class _Tridiagonal:
-    """A symmetric tridiagonal T with its LDL^T factorization: pivots p
-    and multipliers l, T = L diag(p) L^T with L unit lower bidiagonal."""
+    """A symmetric tridiagonal G kept as its two diagonals: its floor
+    ``min_eig`` is a certified lower bound on its smallest eigenvalue
+    (:func:`tridiagonal_floor`), at most 5 u max |off| and 2 ulp below the
+    counts' bracket; its solve runs on G = L diag(p) L^T, L unit lower
+    bidiagonal, made on the first solve: a refused G is never factored."""
 
     def __init__(self, diag: np.ndarray, off: np.ndarray):
         self.diag, self.off = diag, off
+        self.min_eig = tridiagonal_floor(diag, off)
+
+    @functools.cached_property
+    def _ldl(self) -> tuple:
         p, ls = [], []
         q = float(self.diag[0])
-        for a, b in zip(self.diag[1:].tolist(), off.tolist()):
+        for a, b in zip(self.diag[1:].tolist(), self.off.tolist()):
             p.append(q)
             ls.append(b / q)
             q = a - ls[-1] * b
         p.append(q)
-        self.pivots, self.mult = np.array(p), ls
+        return np.array(p), ls
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        """T^{-1} v: L y = v, then L^T x = y / p."""
+        """G^{-1} v: L y = v, then L^T x = y / p."""
+        pivots, mult = self._ldl
         y = [float(v[0])]
-        for li, vi in zip(self.mult, v[1:].tolist()):
+        for li, vi in zip(mult, v[1:].tolist()):
             y.append(vi - li * y[-1])
-        z = (np.array(y) / self.pivots).tolist()
+        z = (np.array(y) / pivots).tolist()
         x = [z[-1]]
-        for li, zi in zip(reversed(self.mult), reversed(z[:-1])):
+        for li, zi in zip(reversed(mult), reversed(z[:-1])):
             x.append(zi - li * x[-1])
         return np.array(x[::-1])
 
-    def apply(self, w: np.ndarray) -> np.ndarray:
-        """T w."""
+    def matvec(self, w: np.ndarray) -> np.ndarray:
         out = self.diag * w
         out[:-1] += self.off * w[1:]
         out[1:] += self.off * w[:-1]
         return out
 
 
-@dataclass
-class GramianBlock:
-    """One window's assembled Gramian with its conditioning diagnostics.
-
-    ``matrix`` is what the window's lag table returned: a dense array,
-    symmetrized and decomposed once by ``eigh`` at construction, with
-    ``min_eig`` its smallest eigenvalue; or the (diagonal, off-diagonal)
-    pair of a symmetric tridiagonal, with ``min_eig`` a certified lower
-    bound on its smallest eigenvalue (:func:`tridiagonal_floor`), at most
-    5 u max |off| and 2 ulp below the counts' bracket, and its solve on an
-    LDL^T factorization made on the first solve.  ``min_eig`` is the
-    invertibility floor that certificates consume as the per-window delta;
-    for a tridiagonal it is a true lower bound.
-    """
-
-    index: int
-    matrix: object
-    delta_floor: float
-
-    def __post_init__(self):
-        if isinstance(self.matrix, tuple):
-            self.min_eig = tridiagonal_floor(*self.matrix)
-        else:
-            self.matrix = 0.5 * (self.matrix + self.matrix.T)
-            self.eigvals, self.eigvecs = np.linalg.eigh(self.matrix)
-            self.min_eig = float(self.eigvals[0])
-
-    @property
-    def invertible(self) -> bool:
-        return self.min_eig >= self.delta_floor
-
-    @functools.cached_property
-    def _tridiagonal(self) -> _Tridiagonal:
-        return _Tridiagonal(*self.matrix)
+# A window Gramian whose floor is below this is refused as singular.
+DELTA_FLOOR = 1e-8
 
 
-def assemble_from_grid(B: np.ndarray, grid: WindowGrid,
-                       numerics: Numerics) -> GramianBlock:
-    """Gramian of one control window on its shared tau-grid."""
-    return GramianBlock(index=grid.index, matrix=grid.table.gramian(B),
-                        delta_floor=numerics.delta_floor)
+def factor_gramian(index: int, G) -> _Dense | _Tridiagonal:
+    """Control window ``index``'s Gramian G as its lag table returns it, a
+    dense array (:class:`_Dense`) or a (diagonal, off-diagonal) pair
+    (:class:`_Tridiagonal`), factored once for its floor ``min_eig``, the
+    window's delta in the certificate, and its solve; the only reader of that
+    format.  Refuses a floor below ``DELTA_FLOOR`` (NotInvertibleError)."""
+    block = _Tridiagonal(*G) if isinstance(G, tuple) else _Dense(G)
+    if not block.min_eig >= DELTA_FLOOR:
+        raise NotInvertibleError(index, block.min_eig, DELTA_FLOOR)
+    return block
 
 
-def assemble_gramian(semigroup, control_matrix, window,
-                     quad_steps: int) -> GramianBlock:
-    """Assemble the Gramian of one window (start, end] with ``quad_steps``
-    composite-trapezoid steps, the control space weighted like the state
-    space and the default numerics.  Convenience wrapper over the grid
-    path."""
-    start, end = float(window[0]), float(window[1])
-    if end <= start:
-        raise ValueError(f"degenerate window ({start}, {end}]")
-    if quad_steps < 2:
-        raise ValueError("quad_steps must be at least 2")
-    times = np.linspace(start, end, quad_steps + 1)
-    table = semigroup.lag_table((end - start) / quad_steps, quad_steps)
-    grid = WindowGrid(index=0, times=times, table=table)
-    B = np.atleast_2d(np.asarray(control_matrix, dtype=float))
-    return assemble_from_grid(B, grid, Numerics())
-
-
-def gramian_solve(block: GramianBlock, v: np.ndarray) -> np.ndarray:
+def gramian_solve(block: _Dense | _Tridiagonal, v: np.ndarray) -> np.ndarray:
     """Solve G w = v, refined until the residual r is at most 1e-12
-    relative to v, or after 3 refinement steps.  Each step solves for r by
-    the block's factorization: V ((V^T r) / lam) from a dense Gramian's
-    eigendecomposition, the LDL^T sweeps for a tridiagonal one."""
-    if not block.invertible:
-        raise NotInvertibleError(block.index, block.min_eig, block.delta_floor)
-    if isinstance(block.matrix, tuple):
-        step, apply = block._tridiagonal.solve, block._tridiagonal.apply
-    else:
-        V, lam = block.eigvecs, block.eigvals
-        step = lambda r: V @ ((V.T @ r) / lam)
-        apply = lambda w: block.matrix @ w
+    relative to v, or after 3 refinement steps, each solving for r by the
+    block's factorization."""
     w, r = 0.0, v
     for _ in range(4):
-        w = w + step(r)
-        r = v - apply(w)
+        w = w + block.solve(r)
+        r = v - block.matvec(w)
         if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
             break
     return w
@@ -301,8 +268,8 @@ class ControlSignal:
         return np.zeros(self.problem.control_dim)
 
 
-def synthesize_control(problem: Problem, grid: WindowGrid, block: GramianBlock,
-                       residual: np.ndarray) -> tuple:
+def synthesize_control(problem: Problem, grid: WindowGrid,
+                       block: _Dense | _Tridiagonal, residual: np.ndarray) -> tuple:
     """The sampled feedback on one control window and its Gramian preimage
     y = G^{-1} r, as ``(samples, preimage)``; the product with B* is taken
     only when B is not the identity."""
@@ -315,8 +282,8 @@ def synthesize_control(problem: Problem, grid: WindowGrid, block: GramianBlock,
 
 
 def assemble_all(problem: Problem, numerics: Numerics):
-    """Window grids plus their Gramian blocks, the pipeline's first stage."""
+    """Window grids plus their factored Gramians (:func:`factor_gramian`),
+    the pipeline's first stage, which refuses a singular one."""
     grids = build_window_grids(problem, numerics)
-    blocks = [assemble_from_grid(problem.control_matrix, g, numerics)
-              for g in grids]
-    return grids, blocks
+    return grids, [factor_gramian(g.index, g.table.gramian(problem.control_matrix))
+                   for g in grids]

@@ -213,13 +213,11 @@ class Numerics:
     history_samples: int = 128
     tol: float = 1e-9
     max_iter: int = 200
-    delta_floor: float = 1e-8
     oracle_refine: int = 10
-    target_tol: float = 1e-6
     seed: int = 1
 
     def __post_init__(self):
-        for name in ("time_step", "tol", "delta_floor", "target_tol"):
+        for name in ("time_step", "tol"):
             if not getattr(self, name) > 0:
                 raise FieldError(name, f"{name} must be positive")
         for name in ("history_samples", "max_iter", "oracle_refine"):

@@ -425,9 +425,9 @@ def path_sup_norm_from_csv(data: dict, weight: float = 1.0) -> float:
 
 
 def write_report(path: str, report: dict) -> None:
+    text = json.dumps(report, indent=2, allow_nan=False) + "\n"    # NaN: ValueError
     with open(path, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def build_report(command: str, echo: dict, numerics, certificate=None,

@@ -56,7 +56,7 @@ def run(problem: Problem, targets, numerics: Numerics,
         raise
     finally:
         timings["solve_s"] = time.perf_counter() - t0
-    result.verdict = verify_targets(solve, targets, numerics.target_tol)
+    result.verdict = verify_targets(solve, targets)
     if with_oracle:
         t0 = time.perf_counter()
         result.oracle = oracle_linear(problem, solve.control, targets, numerics)

@@ -454,25 +454,26 @@ class MatrixSemigroup:
         e^{(t - t_k) A} gives max_k |e^{t_k A}|_2 e^{h mu}, with the samples
         the powers of expm(hA) (:func:`powers`) and their norms rounded up
         by ``_K_MARGIN``.  K is the smaller of the two: exactly 1.0 when mu
-        = 0.
+        = 0; past the largest double it is inf (min keeps K over a NaN sample).
         """
         if b not in self._bounds:
-            A = self.A
-            mu = max(0.0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
-            K = float(np.exp(b * mu))
-            if mu != 0.0:
-                h = b / _K_SAMPLES
-                M = powers(expm(h * A), _K_SAMPLES, np.eye(self.dim))
-                # The norm of every sample, taken only where it can be the
-                # largest: sample 16 i + r, r < 16, is e^{r h A} e^{16 i h A},
-                # so a run of 16 samples whose product of norms, rounded up,
-                # stays below the largest norm at the multiples of 16 holds
-                # no larger one.
-                coarse, step = _norms(M[::16]), _norms(M[:16]).max()
-                top = coarse.max()
-                runs = np.repeat(step * coarse[:-1] * (1.0 + _K_MARGIN) >= top, 16)
-                sampled = max(top, _norms(M[:-1][runs]).max(initial=0.0))
-                K = min(K, float(sampled * (1.0 + _K_MARGIN) * np.exp(h * mu)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                A = self.A
+                mu = max(0.0, float(np.linalg.eigvalsh(0.5 * (A + A.T))[-1]))
+                K = float(np.exp(b * mu))
+                if mu != 0.0:
+                    h = b / _K_SAMPLES
+                    M = powers(expm(h * A), _K_SAMPLES, np.eye(self.dim))
+                    # The norm of every sample, taken only where it can be the
+                    # largest: sample 16 i + r, r < 16, is e^{r h A} e^{16 i h A},
+                    # so a run of 16 samples whose product of norms, rounded up,
+                    # stays below the largest norm at the multiples of 16 holds
+                    # no larger one.
+                    coarse, step = _norms(M[::16]), _norms(M[:16]).max()
+                    top = coarse.max()
+                    runs = np.repeat(step * coarse[:-1] * (1.0 + _K_MARGIN) >= top, 16)
+                    sampled = max(top, _norms(M[:-1][runs]).max(initial=0.0))
+                    K = min(K, float(sampled * (1.0 + _K_MARGIN) * np.exp(h * mu)))
             self._bounds[b] = K
         return self._bounds[b]
 

@@ -65,8 +65,8 @@ import numpy as np
 
 from .core import PiecewiseTrajectory
 from .discretize import KernelDiscretization, eta_values, interval_times
-from .gramian import (ControlSignal, NotInvertibleError, assemble_all,
-                      steering_residual, synthesize_control, window_start)
+from .gramian import (ControlSignal, assemble_all, steering_residual,
+                      synthesize_control, window_start)
 from .problems import Numerics, Problem
 from .semigroups import ShiftLagTable, band_product
 
@@ -143,16 +143,13 @@ class Sweep:
     solved from them.
 
     Refuses a Gramian below its invertibility floor with
-    :class:`NotInvertibleError` before the kernel is built.
+    :class:`gramian.NotInvertibleError` before the kernel is built.
     """
 
     def __init__(self, problem: Problem, numerics: Numerics):
         self.problem = problem
         self.numerics = numerics
         self.grids, self.blocks = assemble_all(problem, numerics)
-        for blk in self.blocks:
-            if not blk.invertible:
-                raise NotInvertibleError(blk.index, blk.min_eig, blk.delta_floor)
         self.kern = (KernelDiscretization(problem, numerics)
                      if problem.variant == "integro" else None)
         self.intervals = problem.mesh.intervals()
@@ -283,7 +280,7 @@ class Sweep:
         if self._jacobian is None:
             self._jacobian = (table.lag_band(rows, weights),
                               table.cross_gramian(rows, weights),
-                              self.blocks[0]._tridiagonal.solve)
+                              self.blocks[0].solve)
         lag, cross, solve = self._jacobian
         s = traj.seg_values[0][0]
         residual = steering_residual(s, targets[0], self.grids[0], integral)
@@ -493,8 +490,11 @@ class TargetVerdict:
     exactly_controllable: bool
 
 
-def verify_targets(report: SolveReport, targets, tol_hit: float) -> TargetVerdict:
-    """Check that every window endpoint hit its target.
+TARGET_TOL = 1e-6    # the verdict's hit tolerance on a window's end defect
+
+
+def verify_targets(report: SolveReport, targets) -> TargetVerdict:
+    """Check that every window endpoint hit its target within ``TARGET_TOL``.
 
     Refuses to judge a non-converged solve.  The final-window hit alone is
     the classical exact-controllability conclusion; all windows together
@@ -504,7 +504,7 @@ def verify_targets(report: SolveReport, targets, tol_hit: float) -> TargetVerdic
         raise NonConvergenceError(report)
     if len(report.per_window_defect) != len(targets):
         raise ValueError("one target per control window required")
-    hits = [d <= tol_hit for d in report.per_window_defect]
-    return TargetVerdict(hits=hits, tol_hit=tol_hit,
+    hits = [d <= TARGET_TOL for d in report.per_window_defect]
+    return TargetVerdict(hits=hits, tol_hit=TARGET_TOL,
                          totally_controllable=all(hits),
                          exactly_controllable=bool(hits[-1]))

@@ -179,9 +179,12 @@ class TestConfigParsing:
         assert cfg.outdir == str(tmp_path / "override")
 
     @pytest.mark.parametrize("line", ["time_stpe = 1e-5", "quad_steps = 10",
-                                      "ridge = 0"])
+                                      "ridge = 0", "target_tol = nan",
+                                      "delta_floor = nan"])
     def test_unknown_numerics_key_named(self, tmp_path, capsys, line):
-        # ridge, the Gramian shift (G + ridge I) that no run set, is gone
+        # ridge, the Gramian shift (G + ridge I) that no run set, is gone;
+        # the hit tolerance and the invertibility floor, which no run set,
+        # are the constants solver.TARGET_TOL and gramian.DELTA_FLOOR
         bad = PRESET_CFG.replace("time_step = 5e-3", "time_step = 5e-3\n" + line)
         path = write(tmp_path, "h.ini", bad.format(out=tmp_path / "o"))
         key = line.split()[0]
@@ -260,14 +263,12 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("preset, field, value", [
         ("transport-case1", "numerics.tol", "nan"),
-        ("transport-case1", "numerics.target_tol", "nan"),
-        ("transport-case1", "numerics.delta_floor", "nan"),
         ("transport-case1", "numerics.time_step", "nan"),
         ("transport-case1", "problem.instants", "nan"),
         ("transport-case1", "numerics.time_step", "inf"),
         ("linear-2d", "problem.generator", "0 1; nan 0"),
-    ], ids=["tol-nan", "target_tol-nan", "delta_floor-nan", "time_step-nan",
-            "instants-nan", "time_step-inf", "generator-nan"])
+    ], ids=["tol-nan", "time_step-nan", "instants-nan", "time_step-inf",
+            "generator-nan"])
     def test_non_finite_number_is_named(self, tmp_path, capsys, monkeypatch,
                                         preset, field, value):
         # every comparison with NaN is false: such a value used to run on to
@@ -313,6 +314,55 @@ class TestConfigParsing:
             parser.write(fh)
         assert main(["solve", str(path)]) == 2
         assert f"config error: {field}: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["solve", "certify", "oracle"])
+    @pytest.mark.parametrize("preset, field, value", [
+        ("linear-2d", "problem.targets", "1e200 0; 0 1e200"),
+        ("linear-2d", "problem.phi0", "1e200 0"),
+        ("transport-case1", "problem.targets", "; ".join(["1e200" + " 0" * 63] * 2)),
+    ], ids=["targets", "phi0", "preset-targets"])
+    def test_overflowing_weighted_norm_is_named(self, tmp_path, capsys, monkeypatch,
+                                                command, preset, field, value):
+        # the norm of such a row squares past the largest double: solve used
+        # to run on to defects of inf reported as converged, and certify to
+        # an infinite ball radius and a NaN solution bound, written to
+        # report.json as Infinity and NaN, which are not JSON
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
+        parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+        parser.read(CONFIGS / f"{preset}.ini")
+        section, key = field.split(".")
+        parser[section][key] = value
+        path = tmp_path / "big.ini"
+        with open(path, "w") as fh:
+            parser.write(fh)
+        assert main([command, str(path)]) == 2
+        assert capsys.readouterr().err == f"config error: {field}: weighted norm overflows\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_certificate_is_not_reported(self, tmp_path, capsys,
+                                                    monkeypatch):
+        # e^{800 t} passes the largest double on [0, 1], so K is inf: certify
+        # used to print "contraction constant nan" with exit 0 and write
+        # Infinity and NaN to report.json
+        out = tmp_path / "out"
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+        path = write(tmp_path, "g.ini", (CONFIGS / "linear-2d.ini").read_text().replace(
+            "generator = 0 1; -1 0", "generator = 800 0; 0 800"))
+        assert main(["certify", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not JSON compliant" in captured.err
+        assert not (out / "report.json").exists()
+
+    def test_non_finite_report_is_refused_before_the_file_opens(self, tmp_path):
+        path = tmp_path / "report.json"
+        path.write_text("kept\n")
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValueError, match="not JSON compliant"):
+                reports.write_report(str(path), {"solve": {"path_sup": bad}})
+        assert path.read_text() == "kept\n"
+        reports.write_report(str(path), {"solve": {"path_sup": 1.5}})
+        assert path.read_text() == '{\n  "solve": {\n    "path_sup": 1.5\n  }\n}\n'
 
     def test_negative_numerics_seed_is_a_config_error(self, tmp_path, capsys):
         # np.random.default_rng refused it with a traceback and exit 1, the

@@ -11,11 +11,11 @@ from evosteer.config import load_config
 from evosteer.core import TimeMesh
 from evosteer.discretize import (KernelDiscretization, WindowGrid,
                                  build_window_grids, eta_values)
-from evosteer.gramian import (ControlSignal, GramianBlock, NotInvertibleError,
-                              assemble_all, assemble_from_grid, assemble_gramian,
-                              gramian_solve, smallest_eigenvalue_bracket,
-                              steering_residual, sturm_count, synthesize_control,
-                              tridiagonal_floor, window_start)
+from evosteer.gramian import (ControlSignal, NotInvertibleError, assemble_all,
+                              factor_gramian, gramian_solve,
+                              smallest_eigenvalue_bracket, steering_residual,
+                              sturm_count, synthesize_control, tridiagonal_floor,
+                              window_start)
 from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
                                WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
@@ -38,10 +38,17 @@ def dense(tridiagonal):
     return np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
 
 
+def window_gramian(semigroup, B, width, steps):
+    """The Gramian of the window (0, width] with ``steps`` trapezoid steps,
+    as its lag table returns it."""
+    return semigroup.lag_table(width / steps, steps).gramian(np.atleast_2d(B))
+
+
 def eigh_solve(block, v):
-    """``gramian_solve`` as it was for every Gramian before the tridiagonal
-    path: the dense array's eigendecomposition, refined the same way."""
-    G = dense(block.matrix) if isinstance(block.matrix, tuple) else block.matrix
+    """``gramian_solve`` of a transport Gramian as it was before the
+    tridiagonal path: the dense array's eigendecomposition, refined the
+    same way."""
+    G = dense((block.diag, block.off))
     lam, V = np.linalg.eigh(G)
     w, r = 0.0, v
     for _ in range(4):
@@ -97,9 +104,9 @@ class TestAssembly:
                 M = ((1.0 - c) * Bp[:, o:o + N] + c * Bp[:, o + 1:o + 1 + N]).T
             G += w[m - g] * (M @ M.T)
         G = 0.5 * (G + G.T)
-        got = assemble_from_grid(B, grid, Numerics()).matrix
+        got = grid.table.gramian(B)
         if backend == "matrix":
-            assert np.array_equal(got, G)
+            assert np.array_equal(0.5 * (got + got.T), G)
         else:
             # summed per offset rather than per lag: round-off differs
             assert np.abs(dense(got) - G).max() <= 1e-13 * np.abs(G).max()
@@ -114,7 +121,7 @@ class TestAssembly:
         # only B = I gives a tridiagonal Gramian; any other B is refused at
         # assembly, naming the control matrix
         with pytest.raises(ValueError, match="control matrix"):
-            assemble_gramian(ShiftSemigroup(12), B, (0.0, 1.0), 13)
+            window_gramian(ShiftSemigroup(12), B, 1.0, 13)
         prob = Problem(semigroup=ShiftSemigroup(12), control_matrix=B,
                        mesh=TimeMesh([0.0, 1.0]), beta=1.0,
                        history=lambda s: np.zeros(12))
@@ -122,12 +129,13 @@ class TestAssembly:
             assemble_all(prob, Numerics(time_step=1e-2))
 
     def test_shift_identity_control_is_tridiagonal(self):
-        # with B = I the block holds the diagonal and the off-diagonal alone
-        T = ShiftSemigroup(64)
-        blk = assemble_gramian(T, np.eye(64), (0.0, 0.3), 300)
-        d, e = blk.matrix
+        # with B = I the Gramian is the diagonal and the off-diagonal alone,
+        # which factor into a block holding them
+        d, e = window_gramian(ShiftSemigroup(64), np.eye(64), 0.3, 300)
         assert d.shape == (64,) and e.shape == (63,)
         assert e[0] != 0.0
+        blk = factor_gramian(0, (d, e))
+        assert blk.diag is d and blk.off is e
 
     @pytest.mark.parametrize("N, m, length", [
         (256, 300, 0.3), (256, 500, 0.5), (64, 1200, 0.3), (64, 2000, 0.5),
@@ -145,17 +153,17 @@ class TestAssembly:
         assert np.array_equal(G, dense((d, e)))
 
     def test_identity_semigroup_unit_window(self):
-        blk = assemble_gramian(MatrixSemigroup(np.zeros((3, 3))), np.eye(3),
-                               (0.0, 1.0), 100)
+        blk = factor_gramian(0, window_gramian(MatrixSemigroup(np.zeros((3, 3))),
+                                               np.eye(3), 1.0, 100))
         np.testing.assert_allclose(blk.matrix, np.eye(3), atol=1e-14)
         assert blk.min_eig == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("a", [-1.0, 0.5])
     def test_scalar_closed_form(self, a):
         width = 0.05
-        blk = assemble_gramian(MatrixSemigroup([[a]]), [[1.0]], (0.0, width), 1000)
+        G = window_gramian(MatrixSemigroup([[a]]), [[1.0]], width, 1000)
         exact = (math.exp(2 * a * width) - 1.0) / (2 * a)
-        assert blk.matrix[0, 0] == pytest.approx(exact, rel=1e-8)
+        assert G[0, 0] == pytest.approx(exact, rel=1e-8)
 
     def test_shift_diagonal_closed_form(self):
         # grid-aligned lags: the Gramian is exactly the trapezoid-weighted
@@ -166,13 +174,13 @@ class TestAssembly:
         steps = 4
         width = steps * h
         T = ShiftSemigroup(N)
-        blk = assemble_gramian(T, np.eye(N), (0.0, width), steps)
+        d, e = window_gramian(T, np.eye(N), width, steps)
         w = np.full(steps + 1, h)
         w[0] = w[-1] = h / 2
         expected = np.array([sum(w[g] for g in range(steps + 1)
                                  if i + g <= N - 1) for i in range(N)])
-        np.testing.assert_allclose(blk.matrix[0], expected, atol=1e-13)
-        assert np.abs(blk.matrix[1]).max() <= 1e-13
+        np.testing.assert_allclose(d, expected, atol=1e-13)
+        assert np.abs(e).max() <= 1e-13
         nodes = np.arange(N) * h
         assert np.abs(expected - np.minimum(width, np.pi - nodes)).max() <= 1.5 * h
 
@@ -182,19 +190,19 @@ class TestAssembly:
             d = int(rng.integers(2, 7))
             A = rng.normal(size=(d, d)) / np.sqrt(d)
             B = rng.normal(size=(d, d)) / np.sqrt(d)
-            blk = assemble_gramian(MatrixSemigroup(A), B, (0.0, 0.7), 150)
-            rel = np.linalg.norm(blk.matrix - blk.matrix.T) / np.linalg.norm(blk.matrix)
+            G = window_gramian(MatrixSemigroup(A), B, 0.7, 150)
+            rel = np.linalg.norm(G - G.T) / np.linalg.norm(G)
             assert rel <= 1e-12
-            assert blk.min_eig >= -1e-12
+            assert np.linalg.eigvalsh(G)[0] >= -1e-12
 
     def test_quadrature_second_order(self):
         rng = np.random.default_rng(21)
         A = rng.normal(size=(4, 4)) / 2.0
         B = rng.normal(size=(4, 2))
         T = MatrixSemigroup(A)
-        ref = assemble_gramian(T, B, (0.0, 1.0), 3200).matrix
-        e1 = np.linalg.norm(assemble_gramian(T, B, (0.0, 1.0), 200).matrix - ref)
-        e2 = np.linalg.norm(assemble_gramian(T, B, (0.0, 1.0), 400).matrix - ref)
+        ref = window_gramian(T, B, 1.0, 3200)
+        e1 = np.linalg.norm(window_gramian(T, B, 1.0, 200) - ref)
+        e2 = np.linalg.norm(window_gramian(T, B, 1.0, 400) - ref)
         assert e1 / e2 == pytest.approx(4.0, rel=0.15)
 
     def test_monotone_in_window_length(self):
@@ -202,25 +210,19 @@ class TestAssembly:
         A = rng.normal(size=(5, 5)) / 2.0
         B = rng.normal(size=(5, 3))
         T = MatrixSemigroup(A)
-        eigs = [assemble_gramian(T, B, (0.0, L), 300).min_eig
+        eigs = [factor_gramian(0, window_gramian(T, B, L, 300)).min_eig
                 for L in (0.4, 0.6, 0.9)]
         assert eigs[0] <= eigs[1] + 1e-12 <= eigs[2] + 2e-12
-
-    def test_degenerate_window_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_gramian(MatrixSemigroup([[0.0]]), [[1.0]], (0.5, 0.5), 10)
 
 
 class TestSolve:
     def test_identity(self):
-        blk = GramianBlock(index=0, matrix=np.eye(3),
-                           delta_floor=Numerics().delta_floor)
+        blk = factor_gramian(0, np.eye(3))
         v = np.array([1.0, 2.0, 3.0])
         np.testing.assert_allclose(gramian_solve(blk, v), v, atol=1e-14)
 
     def test_diagonal(self):
-        blk = GramianBlock(index=0, matrix=np.diag([2.0, 4.0]),
-                           delta_floor=Numerics().delta_floor)
+        blk = factor_gramian(0, np.diag([2.0, 4.0]))
         np.testing.assert_allclose(gramian_solve(blk, np.array([2.0, 4.0])),
                                    [1.0, 1.0], atol=1e-14)
 
@@ -228,7 +230,7 @@ class TestSolve:
         rng = np.random.default_rng(23)
         R = rng.normal(size=(8, 8))
         G = R @ R.T + 0.05 * np.eye(8)
-        blk = GramianBlock(index=0, matrix=G, delta_floor=Numerics().delta_floor)
+        blk = factor_gramian(0, G)
         for _ in range(10):
             v = rng.normal(size=8)
             w = gramian_solve(blk, v)
@@ -242,7 +244,7 @@ class TestSolve:
                                  Numerics(time_step=1e-3))
         rng = np.random.default_rng(25)
         for blk in blocks:
-            G = dense(blk.matrix)
+            G = dense((blk.diag, blk.off))
             lam = np.linalg.eigvalsh(G)[0]
             assert blk.min_eig <= lam
             assert blk.min_eig == pytest.approx(lam, rel=1e-12)
@@ -254,29 +256,28 @@ class TestSolve:
                 assert err <= 1e-14 * np.linalg.norm(ref)
 
     def test_singular_raises_with_diagnostics(self):
-        blk = GramianBlock(index=2, matrix=np.zeros((2, 2)),
-                           delta_floor=Numerics().delta_floor)
         with pytest.raises(NotInvertibleError) as err:
-            gramian_solve(blk, np.ones(2))
+            factor_gramian(2, np.zeros((2, 2)))
         assert err.value.window == 2
         assert err.value.min_eig == 0.0
+        assert err.value.floor == 1e-8
 
     def test_tridiagonal_singular_raises_with_diagnostics(self):
-        # [[1, 1], [1, 1]] has the eigenvalues 0 and 2
-        blk = GramianBlock(index=2, matrix=(np.ones(2), np.ones(1)),
-                           delta_floor=Numerics().delta_floor)
-        assert -1e-15 <= blk.min_eig <= 0.0
-        assert not blk.invertible
+        # [[1, 1], [1, 1]] has the eigenvalues 0 and 2; its floor is
+        # refused before any LDL^T factorization, which would divide by
+        # its zero pivot on a longer such matrix
         with pytest.raises(NotInvertibleError) as err:
-            gramian_solve(blk, np.ones(2))
+            factor_gramian(2, (np.ones(2), np.ones(1)))
         assert err.value.window == 2
-        assert err.value.min_eig == blk.min_eig
+        assert -1e-15 <= err.value.min_eig <= 0.0
+        assert err.value.min_eig == tridiagonal_floor(np.ones(2), np.ones(1))
+        with pytest.raises(NotInvertibleError):
+            factor_gramian(0, (np.ones(3), np.ones(2)))
 
     def test_tridiagonal_non_finite_is_refused(self):
         # a NaN would leave every count 0 and the bracket unending
         with pytest.raises(ValueError, match="non-finite"):
-            GramianBlock(index=0, matrix=(np.array([1.0, np.nan]), np.zeros(1)),
-                         delta_floor=Numerics().delta_floor)
+            factor_gramian(0, (np.array([1.0, np.nan]), np.zeros(1)))
 
 
 @pytest.mark.parametrize("N", [16, 64, 256, 1024])
@@ -290,7 +291,7 @@ def test_sturm_floor_is_a_lower_bound_within_2n_ulp(N):
                              Numerics(time_step=1e-3))
     u = np.finfo(float).eps / 2
     for blk in blocks:
-        d, e = blk.matrix
+        d, e = blk.diag, blk.off
         diag, off_sq = d.tolist(), [0.0] + (e * e).tolist()
         lo, hi = smallest_eigenvalue_bracket(d, e)
         assert hi == np.nextafter(lo, np.inf)
@@ -302,7 +303,7 @@ def test_sturm_floor_is_a_lower_bound_within_2n_ulp(N):
         ref = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 0))[0]
         assert blk.min_eig <= ref
         assert ref - blk.min_eig <= 2 * N * np.spacing(ref)
-        assert blk.min_eig <= np.linalg.eigvalsh(dense(blk.matrix))[0]
+        assert blk.min_eig <= np.linalg.eigvalsh(dense((d, e)))[0]
 
 
 def test_transport_run_calls_no_lapack_routine(monkeypatch):

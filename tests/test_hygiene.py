@@ -346,11 +346,6 @@ def test_every_default_is_overridden_somewhere():
     assert not unset, f"defaulted parameters no call sets: {unset}"
 
 
-# Numerics fields no run sets, by design: ``target_tol`` is the verdict's
-# hit tolerance, which the benchmark mirrors as its own ``TARGET_TOL``.
-_DEFAULT_ONLY_FIELDS = {"Numerics.target_tol"}
-
-
 def test_every_problem_and_numerics_field_is_set_outside_the_tests(tmp_path,
                                                                   monkeypatch):
     """A field of ``Problem`` or ``Numerics`` that only tests set is a knob
@@ -380,8 +375,7 @@ def test_every_problem_and_numerics_field_is_set_outside_the_tests(tmp_path,
                 passed[name] |= keywords
     unset = [f"{cls.__name__}.{f.name}" for cls in (Problem, Numerics)
              for f in dataclasses.fields(cls) if f.name not in passed[cls.__name__]]
-    assert sorted(unset) == sorted(_DEFAULT_ONLY_FIELDS), \
-        f"fields only the tests set: {sorted(set(unset) - _DEFAULT_ONLY_FIELDS)}"
+    assert not unset, f"fields only the tests set: {sorted(unset)}"
 
 
 def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
@@ -473,3 +467,30 @@ def test_the_impulse_model_is_formed_only_in_problems():
     assert not found, f"impulse model formed outside its module: {found}"
     for owner, names in _FORMED_IN.items():
         assert {name for _, name in formed(PACKAGE / owner)} >= names, owner
+
+
+def test_the_gramian_format_is_read_only_by_factor_gramian():
+    """A window Gramian is a dense array or a (diagonal, off-diagonal) pair
+    until ``gramian.factor_gramian`` factors it: no other code in the
+    package tests for a tuple, and no module but ``gramian.py`` reads a
+    private attribute of the blocks it returns."""
+    gramian = ast.parse((PACKAGE / "gramian.py").read_text())
+    private = {node.name for cls in gramian.body if isinstance(cls, ast.ClassDef)
+               for node in ast.walk(cls) if isinstance(node, ast.FunctionDef)}
+    private |= {node.attr for node in ast.walk(gramian)
+                if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)}
+    private = {name for name in private if name.startswith("_") and not _dunder(name)}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for key, _, scope in _scopes(ast.parse(path.read_text())):
+            for node in ast.walk(scope):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "isinstance"
+                        and "tuple" in {n.id for n in ast.walk(node.args[1])
+                                        if isinstance(n, ast.Name)}
+                        and (path.name, key) != ("gramian.py", "factor_gramian")):
+                    found.append(f"{path.name}:{node.lineno} isinstance tuple")
+                if (isinstance(node, ast.Attribute) and node.attr in private
+                        and path.name != "gramian.py"):
+                    found.append(f"{path.name}:{node.lineno} {node.attr}")
+    assert not found, f"the Gramian format read outside factor_gramian: {found}"

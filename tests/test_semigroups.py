@@ -574,9 +574,9 @@ class TestMinEnergyPath:
         # of its largest |value|), and C_g has at most 4 diagonals, at g =
         # m the Gramian's 3 (measured: 2.1e-16 of its largest entry).  Each
         # row of D v is at most 2 |v|_inf (measured: 0.99)
-        from evosteer.gramian import GramianBlock, gramian_solve
+        from evosteer.gramian import factor_gramian, gramian_solve
         table = ShiftSemigroup(N).lag_table(delta, m)
-        block = GramianBlock(index=0, matrix=table.gramian(np.eye(N)), delta_floor=0.0)
+        block = factor_gramian(0, table.gramian(np.eye(N)))
 
         def feedback_path(start, residual):
             y = gramian_solve(block, residual)
@@ -623,7 +623,7 @@ class TestMinEnergyPath:
         # 7.8e-15 of it, and the prediction's banded sums round far below
         # that (measured: at most 5.9e-17)
         from evosteer.discretize import build_window_grids
-        from evosteer.gramian import (assemble_from_grid, steering_residual,
+        from evosteer.gramian import (factor_gramian, steering_residual,
                                       synthesize_control)
         from evosteer.problems import Numerics
         from evosteer.transport import TransportConfig, build_case1
@@ -631,7 +631,7 @@ class TestMinEnergyPath:
         problem, numerics = build_case1(cfg), Numerics(time_step=1e-3)
         grid = build_window_grids(problem, numerics)[0]
         table, m = grid.table, grid.m
-        block = assemble_from_grid(problem.control_matrix, grid, numerics)
+        block = factor_gramian(0, table.gramian(problem.control_matrix))
         rng = np.random.default_rng(N)
         s, z = rng.normal(size=(2, N))
         F = (0.3 * rng.normal(size=(m + 1, N)) if forced else np.zeros((m + 1, N)))
@@ -641,7 +641,7 @@ class TestMinEnergyPath:
         path = table.convolve(s, F + samples)
         j = 2 * m // 3
         end = table.lag_band([m], [1.0])
-        y = block._tridiagonal.solve(z - band_product(end, s) - integral)
+        y = block.solve(z - band_product(end, s) - integral)
         for rows, weights in (([j, j + 1], [0.1, 0.0]), ([j, j + 1], [0.063, 0.037])):
             want = sum(w * path[g] for g, w in zip(rows, weights))
             got = (band_product(table.lag_band(rows, weights), s)

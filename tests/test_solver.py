@@ -242,7 +242,7 @@ class TestVerifyTargets:
                             phi0=rng.normal(size=3))
         targets = [rng.normal(size=3), rng.normal(size=3)]
         report = picard_solve(Sweep(prob, Numerics(time_step=1e-3)), targets)
-        verdict = verify_targets(report, targets, Numerics().target_tol)
+        verdict = verify_targets(report, targets)
         assert verdict.totally_controllable
         assert verdict.exactly_controllable
         assert verdict.hits == [True, True]
@@ -254,8 +254,7 @@ class TestVerifyTargets:
         with pytest.raises(NonConvergenceError) as err:
             picard_solve(Sweep(prob, num), cfg.resolved_targets())
         with pytest.raises(NonConvergenceError):
-            verify_targets(err.value.report, cfg.resolved_targets(),
-                           Numerics().target_tol)
+            verify_targets(err.value.report, cfg.resolved_targets())
 
     def test_exact_without_total(self):
         # a converged solve that misses only the first window keeps the
@@ -266,7 +265,7 @@ class TestVerifyTargets:
         targets = [rng.normal(size=2), rng.normal(size=2)]
         report = picard_solve(Sweep(prob, Numerics(time_step=1e-3)), targets)
         missed = dataclasses.replace(report, per_window_defect=[1.0, 0.0])
-        verdict = verify_targets(missed, targets, Numerics().target_tol)
+        verdict = verify_targets(missed, targets)
         assert verdict.hits == [False, True]
         assert verdict.exactly_controllable
         assert not verdict.totally_controllable
@@ -281,7 +280,7 @@ class TestVerifyTargets:
         report = picard_solve(Sweep(prob, num), targets)
         assert report.converged
         assert max(report.per_window_defect) <= 1e-8
-        verdict = verify_targets(report, targets, Numerics().target_tol)
+        verdict = verify_targets(report, targets)
         assert verdict.totally_controllable
         traj = report.trajectory
         for j, k in ((1, 1), (2, 3)):
@@ -369,20 +368,20 @@ def test_run_result_releases_the_sweep(monkeypatch, entry):
 
 @pytest.mark.parametrize("entry", ["run", "certify"])
 def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
-    # both commands prepare through one Sweep, which checks every Gramian
+    # both commands prepare through one Sweep, which factors every Gramian
     # before it builds the Volterra kernel; the shift backend takes B = I
     # only, so its Gramians are held below an invertibility floor above
     # their certified floors (at most pi/N)
-    from evosteer import discretize, runner
+    from evosteer import discretize, gramian, runner
     from evosteer.transport import TransportConfig, build_case2
     calls = []
     monkeypatch.setattr(discretize.KernelDiscretization, "__init__",
                         lambda self, *args: calls.append(args))
+    monkeypatch.setattr(gramian, "DELTA_FLOOR", 1.0)
     cfg = TransportConfig(N=8)
     with pytest.raises(NotInvertibleError):
         getattr(runner, entry)(build_case2(cfg), cfg.resolved_targets(),
-                               Numerics(time_step=1e-2, history_samples=16,
-                                        delta_floor=1.0))
+                               Numerics(time_step=1e-2, history_samples=16))
     assert calls == []
 
 
@@ -670,7 +669,7 @@ def iterate_chord_start(self, traj, targets, *window_0):
         weights = np.concatenate((alphas * (1.0 - f), alphas * f))
         self._jacobian = (table.lag_band(rows, weights),
                           table.cross_gramian(rows, weights),
-                          self.blocks[0]._tridiagonal.solve)
+                          self.blocks[0].solve)
     lag, cross, solve = self._jacobian
     s = traj.seg_values[0][0]
     bound = table.fft_error * max(np.abs(s).max(), np.abs(start).max())
