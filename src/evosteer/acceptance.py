@@ -7,14 +7,16 @@ report states exactly which bound broke and by how much.  Expensive runs
 reused across criteria.
 
 Known limitation, kept deliberately: the contraction certificate of the
-transport Case-1 preset evaluates above 1 (see `criterion-04-certificate`).
-The realized Gramian floor of any control window on the N-node transport
-grid is at most bound^2 * opnorm(B)^2 * pi/N, because the adjoint shift
-annihilates the node nearest the outflow boundary after time pi/N; with
-N = 64 the resulting amplification factor alone pushes every branch of the
-constant past 1 even though the Picard iteration itself contracts briskly.
-The check asserts the documented bound anyway and fails honestly rather
-than substituting a floor the discretization does not deliver.
+transport Case-1 preset evaluates above 1 (see
+`criterion-04-case1-certificate`).  The realized Gramian floor of any
+control window on the N-node transport grid is at most bound^2 *
+opnorm(B)^2 * pi/N, because the adjoint shift annihilates the node nearest
+the outflow boundary after time pi/N; with N = 64 the resulting
+amplification factor alone pushes every window branch of the constant
+past 1 (the bare impulse branch is lambda_1 = 0.5) even though the Picard
+iteration itself contracts briskly.  The check asserts the documented
+bound anyway and fails honestly rather than substituting a floor the
+discretization does not deliver.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (PiecewiseTrajectory, TimeMesh, history_segment,
 from .problems import Numerics, Problem
 from .runner import run
 from .semigroups import MatrixSemigroup, expm
-from .transport import TransportConfig, build_case1, build_case2
+from .transport import build_case1, build_case2, smooth_targets
 
 _CACHE: dict = {}
 
@@ -112,13 +114,13 @@ def linear_corpus() -> list:
 
 
 def _transport_run(key: str, builder):
-    """The run of the transport case ``builder`` makes at its default
-    configuration, cached under ``key``."""
+    """The run of the transport case ``builder`` makes at its defaults,
+    cached under ``key``."""
     if key not in _CACHE:
-        cfg = TransportConfig()
+        problem = builder()
         numerics = Numerics(time_step=1e-3, history_samples=128, tol=1e-9,
-                            max_iter=200, seed=cfg.seed)
-        _CACHE[key] = run(builder(cfg), cfg.resolved_targets(), numerics)
+                            max_iter=200, seed=7)
+        _CACHE[key] = run(problem, smooth_targets(problem, numerics.seed), numerics)
     return _CACHE[key]
 
 
@@ -365,13 +367,18 @@ def criterion_cli_contract(c: Checks) -> None:
     round-trip."""
     import contextlib
     import io
+    from unittest import mock
 
     from .cli import main as raw_main
+    from .config import OUTDIR_ENV, load_config
     from .reports import path_sup_norm_from_csv, read_trajectory_csv
 
     def cli_main(argv):
-        with contextlib.redirect_stdout(io.StringIO()), \
+        # each config names its own output directory, which the variable
+        # would override; patch.dict restores the environment after the call
+        with mock.patch.dict(os.environ), contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
+            os.environ.pop(OUTDIR_ENV, None)
             return raw_main(argv)
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -394,7 +401,6 @@ def criterion_cli_contract(c: Checks) -> None:
 
         data = read_trajectory_csv(os.path.join(out, "trajectory.csv"))
         h = np.pi / 16
-        from .config import load_config
         cfg = load_config(ok_cfg)
         res = run(cfg.problem, cfg.targets, cfg.numerics)
         pc_file = path_sup_norm_from_csv(data, weight=h)

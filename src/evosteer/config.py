@@ -10,26 +10,29 @@ its builder reads.  Random targets are drawn from ``[numerics] seed``.
 from __future__ import annotations
 
 import configparser
+import inspect
 import io
 import os
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import TimeMesh
-from .problems import FieldError, Numerics, Problem
+from .core import FieldError, TimeMesh
+from .problems import Numerics, Problem
 from .semigroups import MatrixSemigroup
-from .transport import TransportConfig, build_case1, build_case2
+from .transport import build_case1, build_case2, smooth_targets
 
 OUTDIR_ENV = "EVOSTEER_OUTDIR"
 
-# Each preset's builder and the [problem] keys it reads, with their casts
-# (tuple: a vector), besides ``preset`` and ``targets``.
-_PRESETS = {
-    "transport-case1": (build_case1, {"n": int, "beta": float, "k0": float,
-                                      "alphas": tuple, "instants": tuple}),
-    "transport-case2": (build_case2, {"n": int, "beta": float, "a": float}),
-}
+# Each preset's builder and the [problem] keys it reads besides ``preset`` and
+# ``targets``: its parameters less ``mesh``, lower-cased as configparser reads
+# keys, each with its parameter and its default's type as the cast (tuple: a
+# vector).
+_PRESETS = {name: (build, {p.name.lower(): (p.name, type(p.default))
+                           for p in inspect.signature(build).parameters.values()
+                           if p.name != "mesh"})
+            for name, build in (("transport-case1", build_case1),
+                                ("transport-case2", build_case2))}
 
 
 class ConfigError(Exception):
@@ -121,12 +124,14 @@ def load_config(path: str) -> RunConfig:
                 raise ConfigError(f"{name}.{key}: unknown key")
     numerics = _load_numerics(parser)
     mesh = _load_mesh(parser)
-    if preset:
-        problem, targets = _load_preset(prob, preset, mesh, numerics)
-    elif kind == "linear":
-        problem, targets = _load_linear(prob, mesh, numerics)
-    else:
+    if not preset and kind != "linear":
         raise ConfigError("problem.preset or problem.kind = linear is required")
+    try:
+        problem, targets = (_load_preset(prob, preset, mesh, numerics) if preset
+                            else _load_linear(prob, mesh, numerics))
+    except FieldError as exc:
+        # a field is named as its owner knows it; configparser lower-cases keys
+        raise ConfigError(f"problem.{exc.field.lower()}: {exc}") from exc
     for field, rows in (("phi0", [problem.phi0()]), ("targets", targets)):
         with np.errstate(over="ignore"):    # an overflow is refused, not warned of
             if not all(np.isfinite(problem.norm(r)) for r in rows):
@@ -171,48 +176,36 @@ def _load_mesh(parser):
 
 def _load_preset(sec, preset: str, mesh, numerics: Numerics):
     builder, keys = _PRESETS[preset]
-    kwargs = {"seed": numerics.seed}
-    if mesh is not None:
-        kwargs["mesh"] = mesh
-    for key, cast in keys.items():
+    kwargs = {} if mesh is None else {"mesh": mesh}
+    for key, (param, cast) in keys.items():
         val = _get(sec, key, cast, field=f"problem.{key}")
         if val is not None:
-            kwargs["N" if key == "n" else key] = val
+            kwargs[param] = val
+    problem = builder(**kwargs)
     targets_raw = sec.get("targets", "random").strip()
-    try:
-        cfg = TransportConfig(**kwargs)
-    except FieldError as exc:
-        # the keys are the fields' names, which configparser lower-cases
-        raise ConfigError(f"problem.{exc.field.lower()}: {exc}") from exc
-    if targets_raw and targets_raw != "random":
-        rows = _parse_matrix(targets_raw, "problem.targets")
-        if rows.shape != (cfg.mesh.n_impulses + 1, cfg.N):
-            raise ConfigError("problem.targets: need one row of length N per "
-                              "control window")
-        cfg.targets = [r for r in rows]
-    return builder(cfg), cfg.resolved_targets()
+    if not targets_raw or targets_raw == "random":
+        return problem, smooth_targets(problem, numerics.seed)
+    rows = _parse_matrix(targets_raw, "problem.targets")
+    if rows.shape != (problem.mesh.n_impulses + 1, problem.dim):
+        raise ConfigError("problem.targets: need one row of length N per "
+                          "control window")
+    return problem, [r for r in rows]
 
 
 def _load_linear(sec, mesh, numerics: Numerics):
     if mesh is None:
-        raise ConfigError("mesh.breakpoints is required for linear problems")
+        raise ConfigError("mesh.breakpoints: is required for linear problems")
     gen_raw = sec.get("generator", "").strip()
     if not gen_raw:
-        raise ConfigError("problem.generator is required for linear problems")
-    A = _parse_matrix(gen_raw, "problem.generator")
-    if A.shape[0] != A.shape[1]:
-        raise ConfigError("problem.generator must be square")
-    d = A.shape[0]
+        raise ConfigError("problem.generator: is required for linear problems")
+    semigroup = MatrixSemigroup(_parse_matrix(gen_raw, "problem.generator"))
+    d = semigroup.dim
     ctrl_raw = sec.get("control", "").strip()
     B = _parse_matrix(ctrl_raw, "problem.control") if ctrl_raw else np.eye(d)
-    if B.shape[0] != d:
-        raise ConfigError("problem.control row count must match the generator")
     phi0 = _parse_vector(sec.get("phi0", " ".join(["0"] * d)), "problem.phi0")
     if phi0.shape != (d,):
-        raise ConfigError("problem.phi0 length must match the generator")
+        raise ConfigError("problem.phi0: length must match the generator")
     beta = _get(sec, "beta", float, default=1.0, field="problem.beta")
-    if beta is None or beta <= 0:
-        raise ConfigError("problem.beta must be > 0")
 
     if sec.get("impulse", "theta_x").strip() != "theta_x":
         raise ConfigError(f"problem.impulse: unknown kind {sec['impulse'].strip()!r}")
@@ -234,6 +227,6 @@ def _load_linear(sec, mesh, numerics: Numerics):
     def history(s: float) -> np.ndarray:
         return phi0
 
-    problem = Problem(semigroup=MatrixSemigroup(A), control_matrix=B, mesh=mesh,
+    problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
                       beta=beta, history=history)
     return problem, targets

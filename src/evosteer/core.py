@@ -19,6 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 
+class FieldError(ValueError):
+    """An input out of range, raised by its owner; ``field`` names it."""
+
+    def __init__(self, field: str, message: str):
+        super().__init__(message)
+        self.field = field
+
+
 @dataclass(frozen=True)
 class TimeMesh:
     """The breakpoints 0 = lam_0 < theta_1 < lam_1 < ... < theta_n < lam_n <

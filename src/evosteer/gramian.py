@@ -207,8 +207,9 @@ def gramian_solve(block: _Dense | _Tridiagonal, v: np.ndarray) -> np.ndarray:
     for _ in range(4):
         w = w + block.solve(r)
         r = v - block.matvec(w)
-        if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
-            break
+        with np.errstate(over="ignore"):    # the sweep refuses an overflow
+            if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
+                break
     return w
 
 

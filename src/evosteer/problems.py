@@ -32,19 +32,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .core import PiecewiseTrajectory, TimeMesh
+from .core import FieldError, PiecewiseTrajectory, TimeMesh
 from .semigroups import is_identity
 
 # The fewest steps any mesh interval's sample grid takes.
 MIN_STEPS = 8
-
-
-class FieldError(ValueError):
-    """A configuration field out of range; ``field`` names it."""
-
-    def __init__(self, field: str, message: str):
-        super().__init__(message)
-        self.field = field
 
 
 @dataclass(frozen=True)
@@ -92,7 +84,7 @@ class WeightedSampleNonlocal:
 
     def __init__(self, alphas: Sequence[float], instants: Sequence[float]):
         if len(alphas) != len(instants):
-            raise ValueError("one weight per sample instant required")
+            raise FieldError("alphas", "one nonlocal weight per sample instant required")
         self.alphas = tuple(float(a) for a in alphas)
         self.instants = tuple(float(t) for t in instants)
 
@@ -125,9 +117,9 @@ class Problem:
     def __post_init__(self):
         self.control_matrix = np.atleast_2d(np.asarray(self.control_matrix, dtype=float))
         if self.control_matrix.shape[0] != self.semigroup.dim:
-            raise ValueError("control matrix row count must match the state dimension")
+            raise FieldError("control", "row count must match the state dimension")
         if self.beta <= 0:
-            raise ValueError("delay length beta must be positive")
+            raise FieldError("beta", "delay length beta must be positive")
         if self.kernel is not None and self.nonlinearity is not None:
             raise ValueError("kernel and pointwise nonlinearity are exclusive variants")
         if self.nonlocal_term is not None:
@@ -135,7 +127,8 @@ class Problem:
                 raise ValueError("the integro variant carries no nonlocal coupling")
             for t in self.nonlocal_term.instants:
                 if not 0.0 <= t <= self.mesh.b:
-                    raise ValueError(f"nonlocal sample instant {t} outside [0, b]")
+                    raise FieldError("instants",
+                                     f"nonlocal sample instant {t} outside [0, b]")
 
     @property
     def dim(self) -> int:

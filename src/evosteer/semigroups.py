@@ -40,6 +40,8 @@ import functools
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .core import FieldError
+
 # Numerator coefficients b_0..b_13 of the [13/13] Pade approximant to exp and
 # the 1-norm theta_13 up to which it is exact to double round-off
 _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
@@ -434,9 +436,9 @@ class MatrixSemigroup:
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
-            raise ValueError("generator must be a square matrix")
+            raise FieldError("generator", "generator must be a square matrix")
         if not np.all(np.isfinite(A)):
-            raise ValueError("generator contains non-finite entries")
+            raise FieldError("generator", "generator contains non-finite entries")
         self.A = A
         self.dim = A.shape[0]
         self.weight = 1.0
@@ -507,7 +509,7 @@ class ShiftSemigroup:
 
     def __init__(self, N: int):
         if N < 4:
-            raise ValueError("grid size N must be at least 4")
+            raise FieldError("N", "grid size N must be at least 4")
         self.N = N
         self.dim = N
         self.h = np.pi / N

@@ -353,7 +353,8 @@ class Sweep:
         recomputed interval is checked for finiteness and written, and its
         distance to the samples it replaced and its largest row norm are
         taken as it is written; the largest of per-interval maxima is the
-        maximum over all samples.
+        maximum over all samples.  An update or norm that overflows is
+        refused (``ValueError``), not taken for convergence.
 
         A control window whose forcing rows are all frozen is kept, not
         written, while its target is bit for bit the one it was solved from
@@ -404,10 +405,13 @@ class Sweep:
             if not np.all(np.isfinite(path)):
                 raise ValueError("segment contains non-finite entries")
             piece = traj.seg_values[k]
-            piece -= path    # the step, in the samples it then replaces
-            update = max(update, np.linalg.norm(piece, axis=1).max())
-            piece[...] = path
-            self._norms[k] = np.linalg.norm(piece, axis=1).max()
+            with np.errstate(over="ignore"):    # an overflow is refused below
+                piece -= path    # the step, in the samples it then replaces
+                update = max(update, np.linalg.norm(piece, axis=1).max())
+                piece[...] = path
+                self._norms[k] = np.linalg.norm(piece, axis=1).max()
+        if not (np.isfinite(update) and np.isfinite(max(self._norms))):
+            raise ValueError("the sweep's update or path sup norm overflows")
         control = ControlSignal(problem=problem,
                                 window_times=[g.times for g in self.grids],
                                 samples=[w.samples for w in self._solved],

@@ -10,7 +10,7 @@ from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
                                Problem)
 from evosteer.semigroups import MatrixSemigroup
 from evosteer.solver import Sweep
-from evosteer.transport import TransportConfig, build_case1
+from evosteer.transport import build_case1, smooth_targets
 from test_discretize import MIXED, UNEQUAL, kappa
 
 
@@ -207,10 +207,9 @@ class TestCertificatePipeline:
         assert cert.control_bounds[1] == pytest.approx(want, rel=1e-14)
 
     def test_case1_certificate_structure(self):
-        cfg = TransportConfig(N=16)
-        prob = build_case1(cfg)
+        prob = build_case1(N=16)
         num = Numerics(time_step=4e-3, history_samples=32)
-        cert = certificate_for(Sweep(prob, num), cfg.resolved_targets())
+        cert = certificate_for(Sweep(prob, num), smooth_targets(prob, 7))
         assert cert.delay_ratio == 1.0
         assert cert.semigroup_bound == 1.0
         # the outflow-boundary node caps the floor at bound^2 * pi/N

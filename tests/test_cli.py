@@ -296,14 +296,20 @@ class TestConfigParsing:
         ("transport-case2", "numerics.tol", "-1"),
         # theta_x gives no impulse maps on a mesh without impulse windows
         ("linear-2d", "problem.impulse", "none"),
+        ("linear-2d", "problem.generator", "0 1 0; -1 0 0"),
+        ("linear-2d", "problem.control", "1 0; 0 1; 1 1"),
+        ("linear-2d", "problem.beta", "-1"),
+        ("linear-2d", "problem.phi0", "0.5 0 0"),
     ], ids=["n-3", "beta-negative", "a-below-minus-1", "instant-past-b",
-            "alphas-count", "seed-negative", "tol-negative", "impulse-none"])
+            "alphas-count", "seed-negative", "tol-negative", "impulse-none",
+            "generator-not-square", "control-rows", "linear-beta-negative",
+            "phi0-length"])
     def test_out_of_range_preset_key_is_named(self, tmp_path, capsys, monkeypatch,
                                               preset, field, value):
-        # a preset value the transport configuration refuses names its key,
-        # as the linear path names problem.beta and problem.impulse, and
-        # Numerics its own key, not the section alone; the count of alphas
-        # against instants is reported on alphas
+        # a value out of range is named by its key in one format, whether
+        # the loader, the builder, the semigroup, Problem or Numerics
+        # refuses it, not by the section alone; the count of alphas against
+        # instants is reported on alphas
         monkeypatch.setenv("EVOSTEER_OUTDIR", str(tmp_path / "out"))
         parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
         parser.read(CONFIGS / f"{preset}.ini")
@@ -353,6 +359,23 @@ class TestConfigParsing:
         assert captured.out == ""
         assert "not JSON compliant" in captured.err
         assert not (out / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["solve", "oracle"])
+    def test_overflowing_sweep_is_refused(self, tmp_path, capsys, monkeypatch,
+                                          command):
+        # e^{800 t} drives the steering residual's norm past the largest
+        # double: inf <= tol * inf used to pass for convergence, after
+        # numpy's overflow warnings, and CSVs holding inf were written
+        # before the report was refused
+        out = tmp_path / "out"
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+        path = write(tmp_path, "g.ini", (CONFIGS / "linear-2d.ini").read_text().replace(
+            "generator = 0 1; -1 0", "generator = 800 0; 0 800"))
+        assert main([command, path, "--no-timing"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: the sweep's update or path sup norm overflows\n"
+        assert not list(out.glob("*"))
 
     def test_non_finite_report_is_refused_before_the_file_opens(self, tmp_path):
         path = tmp_path / "report.json"
@@ -723,6 +746,18 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("output error: ")
         assert str(out if blocked == "file/out" else out / blocked) in err[0]
+
+    def test_selftest_keeps_its_own_output_directory(self, tmp_path, capsys,
+                                                     monkeypatch):
+        # the CLI criterion's configs name their own directory: under the
+        # variable it used to write there, read a report.json it never
+        # wrote and end in a traceback
+        out = tmp_path / "out"
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+        assert main(["selftest", "--criterion", "criterion-10"]) == 0
+        assert "[PASS] criterion-10-cli-contract" in capsys.readouterr().out
+        assert not out.exists()
+        assert os.environ["EVOSTEER_OUTDIR"] == str(out)
 
     def test_unknown_selftest_criterion_exits_2(self, capsys):
         from evosteer.acceptance import CRITERIA

@@ -12,7 +12,7 @@ from evosteer.oracle import oracle_linear
 from evosteer.problems import ConvolutionKernel, Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import Sweep
-from evosteer.transport import TransportConfig, build_case2
+from evosteer.transport import build_case2
 from test_core import rebuilt
 from test_solver import flat_extension
 
@@ -181,7 +181,7 @@ class TestKernelDiscretization:
         builds in a few MiB (8.1 MiB measured).  Only construction is
         measured; inner_convolution's transient memory is a few times the
         size of q per mesh interval."""
-        prob = build_case2(TransportConfig(N=4))
+        prob = build_case2(N=4)
         tracemalloc.start()
         try:
             kern = KernelDiscretization(prob, Numerics(time_step=1e-5))
@@ -195,7 +195,7 @@ class TestKernelDiscretization:
         """The Case-2 preset's mesh at time_step 1.3e-5: steps 0.3/23077,
         0.2/15385 and 0.5/38462 all differ, and G = 76,927 nodes build in
         6.2 MiB (measured), as equal steps do."""
-        prob = build_case2(TransportConfig(N=4))
+        prob = build_case2(N=4)
         tracemalloc.start()
         try:
             kern = KernelDiscretization(prob, Numerics(time_step=1.3e-5))

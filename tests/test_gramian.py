@@ -19,7 +19,7 @@ from evosteer.gramian import (ControlSignal, NotInvertibleError, assemble_all,
 from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
                                WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
-from evosteer.transport import TransportConfig, build_case1
+from evosteer.transport import build_case1, smooth_targets
 from test_core import rebuilt
 from test_solver import flat_extension, window_start_reference
 
@@ -240,7 +240,7 @@ class TestSolve:
         # the two Case-1 window Gramians at N = 256, condition numbers about
         # 84 and 141: the LDL^T solve of the tridiagonal against scipy's
         # Cholesky solve of its dense array
-        _, blocks = assemble_all(build_case1(TransportConfig(N=256)),
+        _, blocks = assemble_all(build_case1(N=256),
                                  Numerics(time_step=1e-3))
         rng = np.random.default_rng(25)
         for blk in blocks:
@@ -287,7 +287,7 @@ def test_sturm_floor_is_a_lower_bound_within_2n_ulp(N):
     # it is never above the smallest eigenvalue by scipy's tridiagonal
     # solver or by eigh, and within 2N ulp of scipy's (measured at most 6,
     # 31, 81 and 628 ulp at N = 16, 64, 256, 1024)
-    _, blocks = assemble_all(build_case1(TransportConfig(N=N)),
+    _, blocks = assemble_all(build_case1(N=N),
                              Numerics(time_step=1e-3))
     u = np.finfo(float).eps / 2
     for blk in blocks:
@@ -313,8 +313,8 @@ def test_transport_run_calls_no_lapack_routine(monkeypatch):
     for name in ("eigh", "eigvalsh", "solve", "cholesky", "inv"):
         monkeypatch.setattr(np.linalg, name,
                             lambda *args, name=name, **kwargs: pytest.fail(name))
-    cfg = TransportConfig(N=16)
-    result = run(build_case1(cfg), cfg.resolved_targets(),
+    prob = build_case1(N=16)
+    result = run(prob, smooth_targets(prob, 7),
                  Numerics(time_step=4e-3, history_samples=32))
     assert result.solve.window_solves_per_sweep == [2, 0]
     assert max(result.solve.per_window_defect) <= 1e-9
@@ -542,8 +542,8 @@ class TestWindowStart:
                                   rng.normal(size=3))
             targets = [rng.normal(size=3) for _ in range(2)]
         else:
-            cfg = TransportConfig(N=16)
-            prob, targets = build_case1(cfg), cfg.resolved_targets()
+            prob = build_case1(N=16)
+            targets = smooth_targets(prob, 7)
         sweep = Sweep(prob, Numerics(time_step=4e-3, history_samples=48))
         traj = flat_extension(sweep)
         traj = rebuilt(traj, [rng.normal(size=v.shape) for v in traj.seg_values])

@@ -402,28 +402,28 @@ def test_shipped_and_benchmark_configs_load(tmp_path, monkeypatch):
 def test_a_preset_accepts_exactly_the_keys_its_builder_reads(tmp_path, preset):
     """A ``[problem]`` key the loader takes for a preset changes its run:
     the keys the loader does not refuse as unknown, less ``preset`` and
-    ``targets``, are the ``TransportConfig`` fields the preset's builder
-    reads, ``n`` standing for ``N`` and ``mesh`` set from ``[mesh]``."""
-    import dataclasses
+    ``targets``, are the parameters of the preset's builder, ``n`` standing
+    for ``N`` and ``mesh`` set from ``[mesh]``, and the builder's body
+    reads each of them.  Every builder's parameters, ``seed`` and ``mesh``
+    are tried, so a key of the other preset is refused here."""
+    import inspect
+    import textwrap
     from evosteer import transport
     from evosteer.config import ConfigError, load_config
 
-    class Recording(transport.TransportConfig):
-        def __getattribute__(self, name):
-            state = object.__getattribute__(self, "__dict__")
-            if "reads" in state:
-                state["reads"].add(name)
-            return object.__getattribute__(self, name)
+    builder = getattr(transport, "build_" + preset.split("-")[1])
+    params = set(inspect.signature(builder).parameters)
+    body = ast.parse(textwrap.dedent(inspect.getsource(builder))).body[0].body
+    read = {node.id for stmt in body for node in ast.walk(stmt)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    assert params <= read, f"parameters the body never reads: {params - read}"
 
-    cfg = Recording()
-    cfg.reads = set()
-    getattr(transport, "build_" + preset.split("-")[1])(cfg)
-    names = {f.name for f in dataclasses.fields(transport.TransportConfig)}
-    read = {"n" if f == "N" else f for f in cfg.reads & names} - {"mesh"}
-
+    tried = {"seed", "targets"}.union(*(
+        {p.lower() for p in inspect.signature(build).parameters}
+        for build in (transport.build_case1, transport.build_case2)))
     base = (ROOT / "configs" / f"{preset}.ini").read_text()
     accepted = set()
-    for key in sorted({n.lower() for n in names}):
+    for key in sorted(tried):
         path = tmp_path / f"{key}.ini"
         path.write_text(base.replace("[problem]\n", f"[problem]\n{key} = 1\n"))
         try:
@@ -432,7 +432,7 @@ def test_a_preset_accepts_exactly_the_keys_its_builder_reads(tmp_path, preset):
             if str(exc) == f"problem.{key}: unknown key":
                 continue
         accepted.add(key)
-    assert accepted - {"targets"} == read
+    assert accepted - {"targets"} == {p.lower() for p in params} - {"mesh"}
 
 
 # per module, the names of the impulse model formed there alone

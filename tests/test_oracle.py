@@ -186,9 +186,8 @@ class TestOracle:
                                         q=lambda t, v: np.zeros_like(v))
         with pytest.raises(ValueError):
             oracle_linear(prob, None, None, Numerics(time_step=1e-2))
-        from evosteer.transport import TransportConfig, build_case1
-        shift_prob = build_case1(TransportConfig(N=8, k0=0.0, alphas=(),
-                                                 instants=()))
+        from evosteer.transport import build_case1
+        shift_prob = build_case1(N=8, k0=0.0, alphas=(), instants=())
         shift_prob.nonlinearity = None
         with pytest.raises(ValueError, match="generator"):
             oracle_linear(shift_prob, None, None, Numerics(time_step=1e-2))

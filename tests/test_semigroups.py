@@ -626,9 +626,8 @@ class TestMinEnergyPath:
         from evosteer.gramian import (factor_gramian, steering_residual,
                                       synthesize_control)
         from evosteer.problems import Numerics
-        from evosteer.transport import TransportConfig, build_case1
-        cfg = TransportConfig(N=N)
-        problem, numerics = build_case1(cfg), Numerics(time_step=1e-3)
+        from evosteer.transport import build_case1
+        problem, numerics = build_case1(N=N), Numerics(time_step=1e-3)
         grid = build_window_grids(problem, numerics)[0]
         table, m = grid.table, grid.m
         block = factor_gramian(0, table.gramian(problem.control_matrix))

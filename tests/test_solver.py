@@ -15,7 +15,7 @@ from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
                              verify_targets)
-from evosteer.transport import TransportConfig, build_case1
+from evosteer.transport import build_case1, smooth_targets
 from test_core import rebuilt
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -81,12 +81,11 @@ class TestOperator:
         assert report.per_window_defect[0] <= 1e-12
 
     def test_fixed_point_residual(self):
-        cfg = TransportConfig(N=16)
-        prob = build_case1(cfg)
+        prob = build_case1(N=16)
         num = Numerics(time_step=4e-3, history_samples=48, tol=1e-10)
         sweep = Sweep(prob, num)
-        report = picard_solve(sweep, cfg.resolved_targets())
-        again = swept(sweep, report.trajectory, cfg.resolved_targets())[0]
+        report = picard_solve(sweep, smooth_targets(prob, 7))
+        again = swept(sweep, report.trajectory, smooth_targets(prob, 7))[0]
         assert sup_distance(again, report.trajectory) <= 2.0 * 1e-10 * max(
             1.0, path_sup_norm(report.trajectory))
 
@@ -110,8 +109,8 @@ class TestPicard:
         # forcing rows leave a contraction to measure (measured: 0.0047)
         num = Numerics(time_step=2e-3, history_samples=64)
         for beta, contracts in ((1.0, False), (0.25, True)):
-            cfg = TransportConfig(N=24, beta=beta)
-            report = picard_solve(Sweep(build_case1(cfg), num), cfg.resolved_targets())
+            prob = build_case1(N=24, beta=beta)
+            report = picard_solve(Sweep(prob, num), smooth_targets(prob, 7))
             assert report.converged
             assert max(report.per_window_defect) <= 1e-3
             if contracts:
@@ -120,20 +119,18 @@ class TestPicard:
                 assert report.measured_ratio == 0.0
 
     def test_nonconvergence_carries_ratio(self):
-        cfg = TransportConfig(N=12)
-        prob = build_case1(cfg)
+        prob = build_case1(N=12)
         num = Numerics(time_step=5e-3, history_samples=32, max_iter=1)
         with pytest.raises(NonConvergenceError) as err:
-            picard_solve(Sweep(prob, num), cfg.resolved_targets())
+            picard_solve(Sweep(prob, num), smooth_targets(prob, 7))
         assert err.value.report.iterations == 1
         assert err.value.report.measured_ratio >= 0.0
         assert not err.value.report.converged
 
     def test_history_is_preserved_and_nonlocal_selfconsistent(self):
-        cfg = TransportConfig(N=16)
-        prob = build_case1(cfg)
+        prob = build_case1(N=16)
         num = Numerics(time_step=4e-3, history_samples=48)
-        report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
+        report = picard_solve(Sweep(prob, num), smooth_targets(prob, 7))
         traj = report.trajectory
         np.testing.assert_array_equal(traj.history,
                                       prob.sample_history(num.history_samples))
@@ -167,7 +164,7 @@ class TestPieces:
             prob, _ = _random_linear_instance(np.random.default_rng(40), 4)
         else:
             build = build_case1 if source == "case1" else build_case2
-            prob = build(TransportConfig(N=16))
+            prob = build(N=16)
         rng = np.random.default_rng(41)
         for j in range(1, prob.mesh.n_impulses + 1):
             times = np.sort(rng.uniform(0.0, 1.0, size=37))
@@ -248,13 +245,12 @@ class TestVerifyTargets:
         assert verdict.hits == [True, True]
 
     def test_refuses_nonconverged(self):
-        cfg = TransportConfig(N=12)
-        prob = build_case1(cfg)
+        prob = build_case1(N=12)
         num = Numerics(time_step=5e-3, history_samples=32, max_iter=1)
         with pytest.raises(NonConvergenceError) as err:
-            picard_solve(Sweep(prob, num), cfg.resolved_targets())
+            picard_solve(Sweep(prob, num), smooth_targets(prob, 7))
         with pytest.raises(NonConvergenceError):
-            verify_targets(err.value.report, cfg.resolved_targets())
+            verify_targets(err.value.report, smooth_targets(prob, 7))
 
     def test_exact_without_total(self):
         # a converged solve that misses only the first window keeps the
@@ -292,22 +288,19 @@ class TestVerifyTargets:
         assert sup_distance(report.trajectory, oracle.trajectory) <= 1e-6
 
     def test_two_impulse_transport_case1(self):
-        from evosteer.transport import TransportConfig, build_case1
         mesh = TimeMesh([0.0, 0.2, 0.3, 0.6, 0.7, 1.0])
-        cfg = TransportConfig(N=16, mesh=mesh)
-        prob = build_case1(cfg)
+        prob = build_case1(N=16, mesh=mesh)
         assert prob.impulse_lipschitz == (0.3, 0.7)
         num = Numerics(time_step=4e-3, history_samples=32)
-        report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
+        report = picard_solve(Sweep(prob, num), smooth_targets(prob, 7))
         assert report.converged
         assert max(report.per_window_defect) <= 1e-3
 
     def test_integro_small_solve(self):
-        from evosteer.transport import TransportConfig, build_case2
-        cfg = TransportConfig(N=16)
-        prob = build_case2(cfg)
+        from evosteer.transport import build_case2
+        prob = build_case2(N=16)
         num = Numerics(time_step=4e-3, history_samples=32)
-        report = picard_solve(Sweep(prob, num), cfg.resolved_targets())
+        report = picard_solve(Sweep(prob, num), smooth_targets(prob, 7))
         assert report.converged
         assert max(report.per_window_defect) <= 1e-6
         traj = report.trajectory
@@ -373,14 +366,14 @@ def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
     # only, so its Gramians are held below an invertibility floor above
     # their certified floors (at most pi/N)
     from evosteer import discretize, gramian, runner
-    from evosteer.transport import TransportConfig, build_case2
+    from evosteer.transport import build_case2
     calls = []
     monkeypatch.setattr(discretize.KernelDiscretization, "__init__",
                         lambda self, *args: calls.append(args))
     monkeypatch.setattr(gramian, "DELTA_FLOOR", 1.0)
-    cfg = TransportConfig(N=8)
+    prob = build_case2(N=8)
     with pytest.raises(NotInvertibleError):
-        getattr(runner, entry)(build_case2(cfg), cfg.resolved_targets(),
+        getattr(runner, entry)(prob, smooth_targets(prob, 7),
                                Numerics(time_step=1e-2, history_samples=16))
     assert calls == []
 
@@ -389,7 +382,7 @@ def test_singular_gramian_refused_before_the_kernel(monkeypatch, entry):
 def test_one_kernel_build_per_run(monkeypatch, entry):
     # the certificate reads its kernel mass from the sweep's kernel
     from evosteer import discretize, runner
-    from evosteer.transport import TransportConfig, build_case2
+    from evosteer.transport import build_case2
     calls = []
     init = discretize.KernelDiscretization.__init__
 
@@ -398,8 +391,8 @@ def test_one_kernel_build_per_run(monkeypatch, entry):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(discretize.KernelDiscretization, "__init__", counting)
-    cfg = TransportConfig(N=8)
-    result = getattr(runner, entry)(build_case2(cfg), cfg.resolved_targets(),
+    prob = build_case2(N=8)
+    result = getattr(runner, entry)(prob, smooth_targets(prob, 7),
                                     Numerics(time_step=1e-2, history_samples=16))
     assert len(calls) == 1
     assert result.certificate.kernel_mass == pytest.approx(0.5, abs=1e-12)
@@ -537,14 +530,14 @@ def _equivalence_case(name):
     from test_discretize import _mixed_delay_case
     if name.startswith("transport"):
         from evosteer.transport import build_case2
-        cfg = TransportConfig(N=16)
         build = build_case1 if name == "transport-case1" else build_case2
+        prob = build(N=16)
         num = Numerics(time_step=4e-3, history_samples=48)
         # Case 1's first sweep lands window 0's nonlocal start (the chord
         # step) and its second keeps both windows, window 1's start having
         # moved by round-off only; Case 2's start stays phi(0), so one sweep
         # solves both windows and is the last: each window is solved once
-        return build(cfg), num, cfg.resolved_targets(), lambda it: 2
+        return prob, num, smooth_targets(prob, 7), lambda it: 2
     if name.startswith("mixed"):
         prob, num, _, _ = _mixed_delay_case(name.split("-")[1], _mixed_forcing)
         # window 1 reads the live path every sweep
@@ -693,10 +686,9 @@ def _start_case(name):
         cfg = load_config(str(CONFIGS / name))
         return cfg.problem, cfg.numerics, cfg.targets
     from evosteer.transport import build_case2
-    cfg = TransportConfig(N=16, beta=0.25)
     build = build_case1 if name == "case1-beta0.25" else build_case2
-    return build(cfg), Numerics(time_step=4e-3, history_samples=48), \
-        cfg.resolved_targets()
+    prob = build(N=16, beta=0.25)
+    return prob, Numerics(time_step=4e-3, history_samples=48), smooth_targets(prob, 7)
 
 
 # per start case: the sweeps of the solve from the first iterate and from
@@ -1063,8 +1055,8 @@ def _fallback_case(name):
         return prob, num, [rng.normal(size=3) for _ in range(2)]
     if name == "one-sweep":
         from evosteer.transport import build_case2
-        cfg = TransportConfig(N=16)
-        return build_case2(cfg), num, cfg.resolved_targets()
+        prob = build_case2(N=16)
+        return prob, num, smooth_targets(prob, 7)
     alphas, instants = {"instant-at-0": ((0.1, 0.1), (0.0, 0.2)),
                         "instant-at-theta-1": ((0.1, 0.1), (0.2, 0.3)),
                         "instant-in-window-1": ((0.1, 0.2), (0.2, 0.7)),
@@ -1073,8 +1065,8 @@ def _fallback_case(name):
     # beside one inside window 0, an instant outside it with live forcing
     # rows, which carry window 0 into the later windows
     beta = 0.25 if name.startswith("instant") else 1.0
-    cfg = TransportConfig(N=16, beta=beta, alphas=alphas, instants=instants)
-    return build_case1(cfg), num, cfg.resolved_targets()
+    prob = build_case1(N=16, beta=beta, alphas=alphas, instants=instants)
+    return prob, num, smooth_targets(prob, 7)
 
 
 @pytest.mark.parametrize("name", ["matrix", "one-sweep", "instant-at-0", "instant-at-theta-1",
@@ -1135,9 +1127,8 @@ def test_chord_step_leaves_out_instants_the_start_does_not_move(monkeypatch, alp
     # the first iterate's straight line there in the first sweep, not the
     # steered path the sweep writes, so those runs take a sweep more than
     # the others
-    cfg = TransportConfig(N=16, alphas=alphas, instants=instants)
-    prob, num, targets = build_case1(cfg), Numerics(time_step=4e-3, history_samples=48), \
-        cfg.resolved_targets()
+    prob = build_case1(N=16, alphas=alphas, instants=instants)
+    num, targets = Numerics(time_step=4e-3, history_samples=48), smooth_targets(prob, 7)
     sweep = Sweep(prob, num)
     assert [t.tolist() for t in sweep._chord] == [[0.1], [0.2]]
     report = picard_solve(sweep, targets)
@@ -1260,10 +1251,9 @@ def with_left_value(path, value):
 
 def test_changed_inputs_are_solved_again():
     from evosteer.transport import build_case2
-    cfg = TransportConfig(N=16)
-    prob = build_case2(cfg)
+    prob = build_case2(N=16)
     num = Numerics(time_step=4e-3, history_samples=48)
-    targets = cfg.resolved_targets()
+    targets = smooth_targets(prob, 7)
     sweep, ref = Sweep(prob, num), Sweep(prob, num)
     traj = sweep.initial_iterate(targets)
     for _ in range(3):
@@ -1317,8 +1307,8 @@ def test_start_kept_up_to_the_rounding_bound(factor, count):
     # start s, eps = table.fft_error, and solved again past that; the start
     # lam_1 x(theta_1-) is moved through the left value x(theta_1-)
     from evosteer.transport import build_case2
-    cfg = TransportConfig(N=16)
-    prob, targets = build_case2(cfg), cfg.resolved_targets()
+    prob = build_case2(N=16)
+    targets = smooth_targets(prob, 7)
     sweep = Sweep(prob, Numerics(time_step=4e-3, history_samples=48))
     traj = sweep.initial_iterate(targets)
     for _ in range(3):
@@ -1344,15 +1334,15 @@ def test_kept_state_grows_linearly_with_the_grid():
     import gc
     import tracemalloc
     from evosteer.transport import build_case2
-    cfg = TransportConfig(N=8)
     kept = []
     for time_step in (1e-3, 5e-4):
         num = Numerics(time_step=time_step, history_samples=16)
         gc.collect()
         tracemalloc.start()
         try:
-            sweep = Sweep(build_case2(cfg), num)
-            report = picard_solve(sweep, cfg.resolved_targets())
+            prob = build_case2(N=8)
+            sweep = Sweep(prob, num)
+            report = picard_solve(sweep, smooth_targets(prob, 7))
             del report
             gc.collect()
             kept.append(tracemalloc.get_traced_memory()[0])
@@ -1418,7 +1408,7 @@ def test_reassigned_control_matrix_takes_the_products():
 def test_identity_control_forms_no_identity():
     # the flag is read twice per window solve; testing it allocates no
     # N x N array (8 MiB at N = 1024)
-    prob = build_case1(TransportConfig(N=1024))
+    prob = build_case1(N=1024)
     tracemalloc.start()
     try:
         assert prob.identity_control
