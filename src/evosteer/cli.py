@@ -13,8 +13,8 @@ Exit codes: 0 success; 1 targets missed or selftest failure; 2 configuration
 errors, an unknown selftest criterion, an unwritable output or a report with
 a NaN or infinity; 3 a Gramian floor below 1e-8; 4 non-convergence, which
 still writes report.json (certificate and unconverged solve, no verdict, no CSV).
-The EVOSTEER_OUTDIR environment variable overrides the configured output
-directory.
+The EVOSTEER_OUTDIR environment variable, unless empty, overrides the
+configured output directory.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import time
 from .config import ConfigError, RunConfig, load_config
 from .gramian import NotInvertibleError
 from .oracle import check_linear
-from .reports import (build_report, emit_trajectory, ensure_outdir,
-                      write_report)
+from .reports import (build_report, emit_control, emit_trajectory,
+                      ensure_outdir, write_report)
 from .runner import certify, run
 from .solver import NonConvergenceError
 
@@ -137,13 +137,11 @@ def _dispatch(args, cfg: RunConfig) -> int:
         raise
 
     t0 = time.perf_counter()
-    emit_trajectory(result.solve.trajectory, result.solve.control,
-                    os.path.join(outdir, "trajectory.csv"),
-                    os.path.join(outdir, "control.csv"))
+    emit_trajectory(result.solve.trajectory, os.path.join(outdir, "trajectory.csv"))
+    emit_control(result.solve.control, os.path.join(outdir, "control.csv"))
     oracle_cmp = None
     if with_oracle:
-        emit_trajectory(result.oracle.trajectory, None,
-                        os.path.join(outdir, "oracle.csv"))
+        emit_trajectory(result.oracle.trajectory, os.path.join(outdir, "oracle.csv"))
         oracle_cmp = {"sup_distance": result.oracle_distance,
                       "defects": list(result.oracle.defects)}
     result.timings["emit_s"] = time.perf_counter() - t0

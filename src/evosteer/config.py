@@ -140,7 +140,7 @@ def load_config(path: str) -> RunConfig:
     outdir = "out"
     if parser.has_section("outputs"):
         outdir = parser["outputs"].get("directory", "out").strip() or "out"
-    outdir = os.environ.get(OUTDIR_ENV, outdir)
+    outdir = os.environ.get(OUTDIR_ENV) or outdir    # an empty value is unset
     return RunConfig(problem=problem, targets=targets, numerics=numerics,
                      outdir=outdir, echo=echo)
 

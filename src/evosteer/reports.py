@@ -1,27 +1,25 @@
 """Emission of run artifacts: trajectory/control CSV files and the JSON
 report.  All numbers are written at full precision (%.17g) so re-ingesting a
 file reproduces the run's norms exactly and identical runs emit identical
-bytes.  A CSV file is written piece by piece (the history, then each mesh
-interval), each piece in blocks of rows holding at most ``CHUNK_VALUES``
-values, so emission memory stays bounded when the grid is refined.  A
-block's values are rendered once, each into a 32-byte slot of NUL-padded
-text that ``_format17`` renders for a whole block at once.  Each
-file's block is then one matrix of little-endian words: per row the time
-slot, the literal fields and the value slots.  Deleting the NULs leaves the
-bytes ``csv.writer`` would write with one ``'%.17g' %`` per value (no field
-ever needs quoting; rows end in CRLF).  ``control.csv`` written beside
-``trajectory.csv`` is cut from the same slots: the time and control columns
-of the control-window rows.  Only the values a row stores are formatted:
-the control columns of history and impulse rows are padding zeros, and take
-the one constant slot of ``'%.17g' % 0``.  The formatter works in passes of
-8,192 values: each of its numpy calls then covers enough values to hide
-the call's fixed cost, while a pass's temporaries (about 90 bytes a value)
-come to 45 bytes per value of a full block, and emission as a whole holds
-about 87 bytes per block value."""
+bytes.  Each CSV file is written by its own call from its own data:
+``trajectory.csv`` holds the time, the window kind, the breakpoint side and
+the state, ``control.csv`` the time, the window index and the control.  A
+file is written piece by piece (for the trajectory the history, then each
+mesh interval; for the control each control window), each piece in blocks
+of rows holding at most ``CHUNK_VALUES`` values, so emission memory stays
+bounded when the grid is refined.  A block's values are rendered into
+32-byte slots of NUL-padded text that ``_format17`` renders for a whole
+block at once.  The block is then one matrix of little-endian words: per
+row the time slot, the literal fields and the value slots.  Deleting the
+NULs leaves the bytes ``csv.writer`` would write with one ``'%.17g' %`` per
+value (no field ever needs quoting; rows end in CRLF).  The formatter works
+in passes of 8,192 values: each of its numpy calls then covers enough
+values to hide the call's fixed cost, while a pass's temporaries (about 90
+bytes a value) come to 45 bytes per value of a full block, and emission as
+a whole holds about 87 bytes per block value."""
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import dataclasses
 import functools
@@ -45,8 +43,6 @@ _SPLIT = 2.0 ** 27 + 1      # Veltkamp's splitter into 26-bit halves
 # below 1e-14 there, and exact ties round to even in the fallback.
 _TIE = 1e-6
 _PASS_VALUES = 1 << 13
-# the slot of '%.17g' % 0, for the columns past a piece's values
-_ZERO_SLOT = np.frombuffer(b",0".ljust(32, b"\0"), dtype=np.uint64)
 
 
 def _word(text: bytes, at: int) -> int:
@@ -268,75 +264,43 @@ def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
 
 
 def _literal_words(lits: list) -> list:
-    """Per piece its literal triple as a (3, n) word array, or None."""
-    nlit = max(len(s) for t in lits if t is not None for s in t) // 8 + 1
-    return [None if t is None else
-            np.frombuffer(b"".join(s.encode().ljust(8 * nlit, b"\0") for s in t),
+    """Per piece its literal triple as a (3, n) word array."""
+    nlit = max(len(s) for t in lits for s in t) // 8 + 1
+    return [np.frombuffer(b"".join(s.encode().ljust(8 * nlit, b"\0") for s in t),
                           dtype=np.uint64).reshape(3, nlit)
             for t in lits]
 
 
-def _write_csv(files: list, width: int, pieces: list) -> None:
-    """Write the rows of ``pieces``, ``width`` values a row, to every file
-    of ``files``, piece by piece in blocks of at most ``CHUNK_VALUES``
-    values, each block formatted once for all of them.  A piece is (times,
-    value blocks): the blocks fill the row's columns after the time in
-    order, and the columns past them are zero.  A file is (path, header,
-    first column, literals): its rows hold the time, the literal fields and
-    the values from the first column on.  Per piece the literals are a
-    triple, one for the piece's first, inner and last row, or None to leave
-    the piece out of the file.  The last file's text is compacted after the
-    block's slots are freed, so the widest file goes last."""
-    rows = max(1, CHUNK_VALUES // width)
+def _write_csv(path: str, header: list, pieces: list, lits: list) -> None:
+    """Write ``header`` and the rows of ``pieces`` to ``path``, piece by
+    piece in blocks of at most ``CHUNK_VALUES`` values.  A piece is (times,
+    values), one row per time, the values a 2-D array filling the row's
+    columns after the time.  Per piece ``lits`` holds a triple of literal
+    fields, one for the piece's first, inner and last row."""
+    rows = max(1, CHUNK_VALUES // (1 + pieces[0][1].shape[1]))
     try:
-        with contextlib.ExitStack() as stack:
-            outs = []
-            for path, header, start, lits in files:
-                fh = stack.enter_context(open(path, "wb"))
-                fh.write((",".join(header) + "\r\n").encode())
-                outs.append((path, fh, start, _literal_words(lits)))
-            for k, (times, blocks) in enumerate(pieces):
+        with open(path, "wb") as fh:
+            fh.write((",".join(header) + "\r\n").encode())
+            for (times, values), lit in zip(pieces, _literal_words(lits)):
                 for lo in range(0, len(times), rows):
-                    hi = lo + rows
-                    slots = _block_slots(times[lo:hi], [B[lo:hi] for B in blocks], width)
-                    for f, (path, fh, start, lits) in enumerate(outs, 1):
-                        text = _block_text(slots, start, lits[k], lo == 0,
-                                           hi >= len(times))
-                        if f == len(outs):
-                            del slots
-                        fh.write(text.translate(None, b"\0"))
-                        del text
+                    fh.write(_block_text(times[lo:lo + rows], values[lo:lo + rows],
+                                         lit, lo == 0, lo + rows >= len(times)))
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _block_slots(times: np.ndarray, blocks: list, width: int) -> np.ndarray:
-    """The ``(rows, width, 4)`` slots of one block of a piece's rows: its
-    ``times`` and value ``blocks``.  Only the columns the piece stores are
-    formatted; the columns past them take the slot of ``'%.17g' % 0``."""
-    values = np.column_stack([times] + blocks)
-    n, cols = values.shape
-    text = _format17(values.ravel()).reshape(n, cols, 4)
-    del values
-    if cols == width:
-        return text
-    slots = np.empty((n, width, 4), dtype=np.uint64)
-    slots[:, :cols] = text
-    slots[:, cols:] = _ZERO_SLOT
-    return slots
-
-
-def _block_text(slots: np.ndarray, start: int, lits: Optional[np.ndarray],
+def _block_text(times: np.ndarray, values: np.ndarray, lits: np.ndarray,
                 first: bool, last: bool) -> bytearray:
-    """One file's CSV text of a block of one piece, NULs not yet deleted:
-    per row the time slot without its separator, the literal words, the
-    slots from column ``start`` on and CRLF.  ``first`` and ``last`` say
-    whether the block holds the piece's first and last row, which take
-    their own literals; a piece without literals (None) is left out."""
-    if lits is None:
-        return bytearray()
-    n, nlit = len(slots), lits.shape[1]
-    text = bytearray(8 * n * (4 * (1 + slots.shape[1] - start) + nlit + 1))
+    """The CSV text of one block of a piece's rows: per row the time, the
+    literal words, the values and CRLF.  ``first`` and ``last`` say whether
+    the block holds the piece's first and last row, which take their own
+    literals."""
+    block = np.column_stack([times, values])
+    n, cols = block.shape
+    slots = _format17(block.ravel()).reshape(n, cols, 4)
+    del block
+    nlit = lits.shape[1]
+    text = bytearray(8 * n * (4 * cols + nlit + 1))
     words = np.frombuffer(text, dtype=np.uint64).reshape(n, -1)
     words[:, :4] = slots[:, 0]
     words[:, 4:4 + nlit] = lits[1]
@@ -344,77 +308,50 @@ def _block_text(slots: np.ndarray, start: int, lits: Optional[np.ndarray],
         words[0, 4:4 + nlit] = lits[0]
     if last:
         words[-1, 4:4 + nlit] = lits[2]
-    words[:, 4 + nlit:-1] = slots[:, start:].reshape(n, -1)
+    words[:, 4 + nlit:-1] = slots[:, 1:].reshape(n, -1)
+    del slots
     words[:, 0] &= ~np.uint64(0xFF)     # no separator before the time
     words[:, -1] = _word(b"\r\n", 0)
-    return text
+    return text.translate(None, b"\0")
 
 
-def _control_header(mu: int) -> list:
-    return ["t", "window"] + [f"u{i}" for i in range(mu)]
-
-
-def emit_trajectory(traj: PiecewiseTrajectory, control, path: str,
-                    control_path: Optional[str] = None) -> None:
+def emit_trajectory(traj: PiecewiseTrajectory, path: str) -> None:
     """One row per stored sample: t, window kind, breakpoint side, state
-    components, control components.  Breakpoints appear twice, flagged L/R;
-    control columns are zero off the control windows.
-
-    With ``control_path``, the file :func:`emit_control` writes goes there
-    too, cut from the same formatted rows: control window j is interval 2j,
-    sampled on the trajectory's grid."""
-    d = traj.dim
-    mu = control.samples[0].shape[1] if control is not None else 0
-    header = (["t", "kind", "side"] + [f"x{i}" for i in range(d)]
-              + [f"u{i}" for i in range(mu)])
-    pieces = [(traj.history_times(), [traj.history])]
+    components.  Breakpoints appear twice, flagged L/R."""
+    pieces = [(traj.history_times(), traj.history)]
     lits = [[",history,-", ",history,-", ",history,L"]]
-    window_lits = [None]
-    for k, (a, end, kind, j) in enumerate(traj.mesh.intervals()):
-        blocks = [traj.seg_values[k]]
-        controlled = kind == "control" and control is not None
-        if controlled:
-            blocks.append(control.samples[j])
-        pieces.append((traj.seg_times[k], blocks))
+    for k, (_, _, kind, _) in enumerate(traj.mesh.intervals()):
+        pieces.append((traj.seg_times[k], traj.seg_values[k]))
         lits.append([f",{kind},{side}" for side in "R-L"])
-        window_lits.append([f",{j}"] * 3 if controlled else None)
-    files = [(path, header, 1, lits)]
-    if control_path is not None:
-        if not all(np.array_equal(t, traj.seg_times[2 * j])
-                   for j, t in enumerate(control.window_times)):
-            raise ValueError("control samples lie off the trajectory's grid")
-        files.insert(0, (control_path, _control_header(mu), 1 + d, window_lits))
-    _write_csv(files, 1 + d + mu, pieces)
+    _write_csv(path, ["t", "kind", "side"] + [f"x{i}" for i in range(traj.dim)],
+               pieces, lits)
 
 
 def emit_control(control, path: str) -> None:
     """Control samples alone: t, window index, control components."""
     mu = control.samples[0].shape[1]
-    _write_csv([(path, _control_header(mu), 1,
-                 [[f",{j}"] * 3 for j in range(len(control.samples))])],
-               1 + mu, [(times, [U]) for times, U in zip(control.window_times,
-                                                         control.samples)])
+    _write_csv(path, ["t", "window"] + [f"u{i}" for i in range(mu)],
+               list(zip(control.window_times, control.samples)),
+               [[f",{j}"] * 3 for j in range(len(control.samples))])
 
 
 def read_trajectory_csv(path: str) -> dict:
     """Re-ingest an emitted trajectory CSV.
 
-    Returns times, kinds, sides and the state/control arrays; path samples
-    (kind != history) reproduce the emitted values bit-exactly.
+    Returns times, kinds, sides and the state array; path samples (kind !=
+    history) reproduce the emitted values bit-exactly.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        d = sum(1 for name in header if name.startswith("x"))
-        times, kinds, sides, states, controls = [], [], [], [], []
+        next(reader)    # the header
+        times, kinds, sides, states = [], [], [], []
         for row in reader:
             times.append(float(row[0]))
             kinds.append(row[1])
             sides.append(row[2])
-            states.append([float(v) for v in row[3:3 + d]])
-            controls.append([float(v) for v in row[3 + d:]])
+            states.append([float(v) for v in row[3:]])
     return {"times": np.array(times), "kinds": kinds, "sides": sides,
-            "states": np.array(states), "controls": np.array(controls)}
+            "states": np.array(states)}
 
 
 def path_sup_norm_from_csv(data: dict, weight: float = 1.0) -> float:

@@ -178,6 +178,15 @@ class TestConfigParsing:
                                 PRESET_CFG.format(out=tmp_path / "o")))
         assert cfg.outdir == str(tmp_path / "override")
 
+    def test_empty_outdir_env_is_ignored(self, tmp_path, monkeypatch):
+        # as an empty [outputs] directory falls back to its default, an
+        # empty variable leaves the configured directory
+        monkeypatch.setenv("EVOSTEER_OUTDIR", "")
+        path = write(tmp_path, "f.ini", PRESET_CFG.format(out=tmp_path / "o"))
+        assert load_config(path).outdir == str(tmp_path / "o")
+        assert main(["solve", path, "--no-timing"]) == 0
+        assert (tmp_path / "o" / "trajectory.csv").is_file()
+
     @pytest.mark.parametrize("line", ["time_stpe = 1e-5", "quad_steps = 10",
                                       "ridge = 0", "target_tol = nan",
                                       "delta_floor = nan"])
@@ -809,27 +818,21 @@ def csv_reference(header, rows) -> bytes:
     return buf.getvalue().encode()
 
 
-def trajectory_reference(traj, control) -> bytes:
+def trajectory_reference(traj) -> bytes:
     """The trajectory CSV as csv.writer writes it, one %.17g per value."""
     def fmt(v):
         return "%.17g" % float(v)
 
-    mu = control.samples[0].shape[1] if control is not None else 0
-    header = (["t", "kind", "side"] + [f"x{i}" for i in range(traj.dim)]
-              + [f"u{i}" for i in range(mu)])
+    header = ["t", "kind", "side"] + [f"x{i}" for i in range(traj.dim)]
     htimes = traj.history_times()
     rows = [[fmt(t), "history", "L" if i == len(htimes) - 1 else "-"]
-            + [fmt(v) for v in traj.history[i]] + ["0"] * mu
+            + [fmt(v) for v in traj.history[i]]
             for i, t in enumerate(htimes)]
     for k, (a, end, kind, j) in enumerate(traj.mesh.intervals()):
         times, vals = traj.seg_times[k], traj.seg_values[k]
         for i, t in enumerate(times):
             side = "R" if i == 0 else "L" if i == len(times) - 1 else "-"
-            if kind == "control" and control is not None:
-                u = [fmt(v) for v in control.samples[j][i]]
-            else:
-                u = ["0"] * mu
-            rows.append([fmt(t), kind, side] + [fmt(v) for v in vals[i]] + u)
+            rows.append([fmt(t), kind, side] + [fmt(v) for v in vals[i]])
     return csv_reference(header, rows)
 
 
@@ -880,7 +883,7 @@ class TestCsvRoundTrip:
                                 PRESET_CFG.format(out=tmp_path / "o")))
         result = run(cfg.problem, cfg.targets, cfg.numerics)
         path = str(tmp_path / "traj.csv")
-        emit_trajectory(result.solve.trajectory, result.solve.control, path)
+        emit_trajectory(result.solve.trajectory, path)
         data = read_trajectory_csv(path)
         pc_file = path_sup_norm_from_csv(data, weight=cfg.problem.state_weight)
         assert abs(pc_file - path_sup_norm(result.solve.trajectory)) <= 1e-12
@@ -891,21 +894,15 @@ class TestCsvRoundTrip:
             sides = {data["sides"][i] for i, t in enumerate(data["times"])
                      if t == bp}
             assert {"L", "R"} <= sides
-        # control columns vanish on impulse rows
-        imp = [i for i, k in enumerate(data["kinds"]) if k == "impulse"]
-        assert np.all(data["controls"][imp] == 0.0)
 
     def test_small_csv_shape(self, tmp_path):
         cfg = load_config(write(tmp_path, "b.ini",
                                 LINEAR_CFG.format(out=tmp_path / "o")))
         result = run(cfg.problem, cfg.targets, cfg.numerics)
         path = str(tmp_path / "traj.csv")
-        emit_trajectory(result.solve.trajectory, result.solve.control, path)
+        emit_trajectory(result.solve.trajectory, path)
         with open(path) as fh:
-            header = fh.readline().strip().split(",")
-        assert header[:3] == ["t", "kind", "side"]
-        assert header[3:5] == ["x0", "x1"]
-        assert header[5:] == ["u0", "u1"]
+            assert fh.readline().strip() == "t,kind,side,x0,x1"
         cpath = str(tmp_path / "ctrl.csv")
         emit_control(result.solve.control, cpath)
         with open(cpath) as fh:
@@ -914,72 +911,35 @@ class TestCsvRoundTrip:
     def test_csv_bytes_match_csv_writer(self, linear_run, tmp_path, monkeypatch):
         solve, oracle = linear_run.solve, linear_run.oracle.trajectory
         traj, control = solve.trajectory, solve.control
-        cases = (("with_u.csv", traj, control), ("no_u.csv", traj, None),
-                 ("oracle.csv", oracle, None))
         for rows in CHUNK_ROWS:
-            for name, tr, ctrl in cases:
+            for name, tr in (("traj.csv", traj), ("oracle.csv", oracle)):
                 path = tmp_path / name
-                set_chunk_rows(monkeypatch, rows, 1 + tr.dim + (2 if ctrl else 0))
-                emit_trajectory(tr, ctrl, str(path))
+                set_chunk_rows(monkeypatch, rows, 1 + tr.dim)
+                emit_trajectory(tr, str(path))
                 data = path.read_bytes()
-                assert data == trajectory_reference(tr, ctrl), (name, rows)
+                assert data == trajectory_reference(tr), (name, rows)
                 lines = data.split(b"\r\n")
+                assert lines[0] == b"t,kind,side,x0,x1"
                 assert lines[-1] == b"" and b"\n" not in b"".join(lines)
                 assert {line.split(b",")[2] for line in lines[1:-1]} == {b"L", b"R", b"-"}
                 assert {line.split(b",")[1] for line in lines[1:-1]} == {
                     b"history", b"control", b"impulse"}
-            assert (tmp_path / "no_u.csv").read_bytes().split(b"\r\n")[0] == b"t,kind,side,x0,x1"
             path = tmp_path / "ctrl.csv"
             set_chunk_rows(monkeypatch, rows, 3)
             emit_control(control, str(path))
             assert path.read_bytes() == control_reference(control), rows
 
     def test_transport_rows_across_chunks(self, preset_run, tmp_path, monkeypatch):
-        # the command's data flow: both files of one run from one pass
+        # the command's data flow: the two files of one run, one call each
         traj, control = preset_run.solve.trajectory, preset_run.solve.control
-        mu = control.samples[0].shape[1]
         assert len(traj.history_times()) % 16 == 1
         for rows in CHUNK_ROWS:
-            set_chunk_rows(monkeypatch, rows, 1 + traj.dim + mu)
-            emit_trajectory(traj, control, str(tmp_path / "t.csv"),
-                            str(tmp_path / "c.csv"))
-            assert ((tmp_path / "t.csv").read_bytes()
-                    == trajectory_reference(traj, control)), rows
+            set_chunk_rows(monkeypatch, rows, 1 + traj.dim)
+            emit_trajectory(traj, str(tmp_path / "t.csv"))
+            assert (tmp_path / "t.csv").read_bytes() == trajectory_reference(traj), rows
+            set_chunk_rows(monkeypatch, rows, 1 + control.samples[0].shape[1])
+            emit_control(control, str(tmp_path / "c.csv"))
             assert (tmp_path / "c.csv").read_bytes() == control_reference(control), rows
-
-    @pytest.mark.parametrize("preset", ["transport-case1", "transport-case2",
-                                        "linear-2d"])
-    def test_control_file_cut_from_trajectory_rows(self, preset, tmp_path,
-                                                   monkeypatch):
-        # control.csv written beside trajectory.csv, its rows cut from the
-        # trajectory's formatted blocks, is emit_control's file byte for
-        # byte, also where blocks cut control windows and windows share
-        # blocks with history and impulse rows
-        cfg = load_config(str(CONFIGS / f"{preset}.ini"))
-        solve = run(cfg.problem, cfg.targets, cfg.numerics).solve
-        traj, control = solve.trajectory, solve.control
-        width = 1 + traj.dim + control.samples[0].shape[1]
-        emit_control(control, str(tmp_path / "alone.csv"))
-        emit_trajectory(traj, control, str(tmp_path / "alone_t.csv"))
-        alone = (tmp_path / "alone.csv").read_bytes()
-        alone_t = (tmp_path / "alone_t.csv").read_bytes()
-        for rows in CHUNK_ROWS:
-            set_chunk_rows(monkeypatch, rows, width)
-            emit_trajectory(traj, control, str(tmp_path / "t.csv"),
-                            str(tmp_path / "c.csv"))
-            assert (tmp_path / "c.csv").read_bytes() == alone, rows
-            assert (tmp_path / "t.csv").read_bytes() == alone_t, rows
-        assert alone == control_reference(control)
-
-    def test_control_off_the_trajectory_grid_is_refused(self, linear_run,
-                                                        tmp_path):
-        traj, control = linear_run.solve.trajectory, linear_run.solve.control
-        shifted = ControlSignal(problem=control.problem,
-                                window_times=[t + 1e-9 for t in control.window_times],
-                                samples=control.samples, preimages=[])
-        with pytest.raises(ValueError, match="off the trajectory's grid"):
-            emit_trajectory(traj, shifted, str(tmp_path / "t.csv"),
-                            str(tmp_path / "c.csv"))
 
 
 def synthetic_path(steps: int, dim: int):
@@ -999,17 +959,14 @@ def synthetic_path(steps: int, dim: int):
 
 
 def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
-    # Per value of a block a writer holds the value, its 32-byte text slot,
-    # the block's word matrix with the rows' literal words, and then the
-    # compacted text, one at a time or two together, plus a formatting
-    # pass's temporaries; writing both files from one pass adds the control
-    # file's smaller word matrix and text while the slots live, and frees the
-    # slots before the trajectory's text is compacted: about 87 bytes at
-    # 1,000 and 4,000 steps, alone or both, 45 of them a formatting pass's
-    # temporaries.  The transient memory beyond what was retained before
-    # stays under 96 bytes per chunk value at both resolutions, while at the
-    # finer one the trajectory file, and the rows of its last control window
-    # alone (at least 18 characters per value), are larger than that bound.
+    # Per value of a block the writer holds the value, its 32-byte text
+    # slot and a formatting pass's temporaries (45 bytes per value of a full
+    # block), then the slots and the block's word matrix with the rows'
+    # literal words, then that matrix and the compacted text: about 87 bytes
+    # at 1,000 and 4,000 steps, for either file, the formatting its peak.
+    # The transient memory beyond what was retained before stays under 96
+    # bytes per chunk value at both resolutions, while at the finer one
+    # each file is larger than that bound.
     bound = 96 * reports.CHUNK_VALUES
     for steps in (1000, 4000):
         traj, control = synthetic_path(steps, 32)
@@ -1019,13 +976,9 @@ def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
             retained, peak = tracemalloc.get_traced_memory()
             assert peak - retained <= bound
             tracemalloc.reset_peak()
-            emit_trajectory(traj, control, str(tmp_path / "t.csv"))
-            assert tracemalloc.get_traced_memory()[1] - retained <= bound
-            tracemalloc.reset_peak()
-            emit_trajectory(traj, control, str(tmp_path / "t.csv"),
-                            str(tmp_path / "c.csv"))
+            emit_trajectory(traj, str(tmp_path / "t.csv"))
             assert tracemalloc.get_traced_memory()[1] - retained <= bound
         finally:
             tracemalloc.stop()
-    assert len(traj.seg_times[2]) * 65 * 18 > bound
-    assert (tmp_path / "t.csv").stat().st_size > 3 * bound
+    assert (tmp_path / "c.csv").stat().st_size > bound
+    assert (tmp_path / "t.csv").stat().st_size > bound

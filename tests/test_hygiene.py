@@ -1,4 +1,5 @@
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -26,29 +27,62 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports names it never uses: {unused}"
 
 
-def test_every_bench_probe_names_a_package_attribute():
-    """The benchmark's probes (``PROBES`` in ``bench/spans.py``, read as
-    source) name modules and attributes that exist: a renamed function
-    fails here, not only in a traced bench run."""
-    import importlib
+def _bench_probes() -> tuple:
+    """The benchmark's probe table (``PROBES`` in ``bench/spans.py``, read
+    as source) as (module, attribute, work counter name or None) rows, and
+    the source tree."""
     tree = ast.parse((BENCH / "spans.py").read_text())
     table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
                  and any(isinstance(t, ast.Name) and t.id == "PROBES"
                          for t in node.targets))
-    probes = [(row.elts[1].value, row.elts[2].value) for row in table.elts]
+    return [(row.elts[1].value, row.elts[2].value, getattr(row.elts[3], "id", None))
+            for row in table.elts], tree
+
+
+def _probed(module: str, attr: str):
+    import importlib
+    owner = importlib.import_module(f"evosteer.{module}")
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_bench_probe_names_a_package_attribute():
+    """The benchmark's probes name modules and attributes that exist: a
+    renamed function fails here, not only in a traced bench run."""
+    probes, _ = _bench_probes()
     assert len(probes) > 20
     missing = []
-    for module, attr in probes:
+    for module, attr, _ in probes:
         try:
-            owner = importlib.import_module(f"evosteer.{module}")
-            for part in attr.split("."):
-                owner = getattr(owner, part)
+            owner = _probed(module, attr)
         except (ImportError, AttributeError):
             missing.append(f"{module}.{attr}")
         else:
             if not callable(owner):
                 missing.append(f"{module}.{attr} (not callable)")
     assert not missing, f"bench probes naming nothing: {missing}"
+
+
+def test_every_bench_work_counter_reads_parameters_of_its_function():
+    """A probe's work counter reads the probed call's bound arguments as
+    ``args["<parameter>"]``; each key it reads is a parameter of every
+    function it counts, so a changed signature fails here, not only in a
+    traced bench run."""
+    probes, tree = _bench_probes()
+    reads = {node.name: {sub.slice.value for sub in ast.walk(node)
+                         if isinstance(sub, ast.Subscript)
+                         and isinstance(sub.value, ast.Name) and sub.value.id == "args"
+                         and isinstance(sub.slice, ast.Constant)}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert {"path", "control", "numerics", "self"} <= set().union(*reads.values())
+    unknown = []
+    for module, attr, counter in probes:
+        if counter is not None:
+            params = inspect.signature(_probed(module, attr)).parameters
+            unknown += [f"{counter} reads {key!r} of {module}.{attr}"
+                        for key in sorted(reads[counter] - set(params))]
+    assert not unknown, f"work counters reading missing parameters: {unknown}"
 
 
 def test_package_imports_no_scipy():

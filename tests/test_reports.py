@@ -188,25 +188,18 @@ def test_tables_are_built_on_first_emission_not_at_import():
     assert done.returncode == 0, done.stderr
 
 
-def csv_reference(width, pieces, header, start, lits) -> bytes:
-    """One file of ``_write_csv`` through ``csv.writer`` and one
+def csv_reference(header, pieces, lits) -> bytes:
+    """The file of ``_write_csv`` through ``csv.writer`` and one
     ``'%.17g' %`` per value: per row the time, the literal fields and the
-    values from column ``start`` on, the columns past a piece's blocks 0."""
+    values."""
     out = io.StringIO()
     writer = csv.writer(out)
     writer.writerow(header)
-    for (times, blocks), lit in zip(pieces, lits):
-        if lit is None:
-            continue
-        values = np.zeros((len(times), width))
-        values[:, 0] = times
-        if blocks:
-            stored = np.hstack(blocks)
-            values[:, 1:1 + stored.shape[1]] = stored
-        for i, row in enumerate(values.tolist()):
+    for (times, values), lit in zip(pieces, lits):
+        for i, (t, row) in enumerate(zip(times, values.tolist())):
             fields = lit[2] if i == len(times) - 1 else lit[1] if i else lit[0]
-            writer.writerow(["%.17g" % row[0]] + fields.split(",")[1:]
-                            + ["%.17g" % v for v in row[start:]])
+            writer.writerow(["%.17g" % t] + fields.split(",")[1:]
+                            + ["%.17g" % v for v in row])
     return out.getvalue().encode()
 
 
@@ -218,31 +211,26 @@ def mixed_values(rng, shape):
     return x
 
 
-def assert_files_match_csv_writer(tmp_path, width, pieces, files):
-    paths = [tmp_path / f"{n}.csv" for n in range(len(files))]
-    reports._write_csv([(str(p),) + f for p, f in zip(paths, files)], width, pieces)
-    for p, (header, start, lits) in zip(paths, files):
-        assert p.read_bytes() == csv_reference(width, pieces, header, start, lits)
+def assert_file_matches_csv_writer(tmp_path, header, pieces, lits):
+    path = tmp_path / "f.csv"
+    reports._write_csv(str(path), header, pieces, lits)
+    assert path.read_bytes() == csv_reference(header, pieces, lits)
 
 
-def test_short_pieces_fill_their_columns_with_zeros(tmp_path, monkeypatch):
-    # history and impulse rows store no control: their control columns
-    # take the zero slot in the trajectory file, and the control file
-    # leaves them out
+def test_pieces_of_different_lengths_fill_their_rows(tmp_path, monkeypatch):
+    # pieces shorter and longer than a block, with literals of different
+    # lengths, each row holding the time, the piece's literals and all its
+    # values
     rng = np.random.default_rng(5)
-    d, mu = 3, 2
+    d = 3
     lengths = [4, 7, 5, 9]
-    pieces = [(np.sort(rng.random(n)), [mixed_values(rng, (n, d))]
-               + ([mixed_values(rng, (n, mu))] if k % 2 else []))
-              for k, n in enumerate(lengths)]
-    header = (["t", "kind", "side"] + [f"x{i}" for i in range(d)]
-              + [f"u{i}" for i in range(mu)])
-    lits = [[",a,R", ",a,-", ",a,L"] for _ in lengths]
-    window = [None if k % 2 == 0 else [f",{k}"] * 3 for k in range(len(lengths))]
-    files = [(["t", "window", "u0", "u1"], 1 + d, window), (header, 1, lits)]
+    pieces = [(np.sort(rng.random(n)), mixed_values(rng, (n, d))) for n in lengths]
+    header = ["t", "kind", "side"] + [f"x{i}" for i in range(d)]
+    lits = [[f",{kind},{side}" for side in "R-L"]
+            for kind in ("history", "control", "impulse", "a")]
     for rows in (1, 3, 100):    # blocks of 1 row, of 3 rows, and one block
-        monkeypatch.setattr(reports, "CHUNK_VALUES", rows * (1 + d + mu))
-        assert_files_match_csv_writer(tmp_path, 1 + d + mu, pieces, files)
+        monkeypatch.setattr(reports, "CHUNK_VALUES", rows * (1 + d))
+        assert_file_matches_csv_writer(tmp_path, header, pieces, lits)
 
 
 def test_block_spanning_three_pieces(tmp_path, monkeypatch):
@@ -251,11 +239,11 @@ def test_block_spanning_three_pieces(tmp_path, monkeypatch):
     # blocks of 8 rows: the first three pieces are each shorter than a
     # block, and the last fills one exactly
     monkeypatch.setattr(reports, "CHUNK_VALUES", 8 * width)
-    pieces = [(np.arange(n, dtype=float), [mixed_values(rng, (n, width - 1 - k % 2))])
-              for k, n in enumerate(lengths)]
+    pieces = [(np.arange(n, dtype=float), mixed_values(rng, (n, width - 1)))
+              for n in lengths]
     lits = [[",first", ",inner", ",last"] for _ in lengths]
-    assert_files_match_csv_writer(tmp_path, width, pieces,
-                                  [(["t", "f", "x0", "x1", "x2"], 1, lits)])
+    assert_file_matches_csv_writer(tmp_path, ["t", "f", "x0", "x1", "x2"],
+                                   pieces, lits)
 
 
 @pytest.mark.parametrize("count", [8191, 8192, 8193])
@@ -264,5 +252,6 @@ def test_pass_boundaries(tmp_path, count):
     # full pass and one value
     assert reports._PASS_VALUES == 8192 and count < reports.CHUNK_VALUES
     times = mixed_values(np.random.default_rng(count), count)
-    assert_files_match_csv_writer(tmp_path, 1, [(times, [])],
-                                  [(["t", "f"], 1, [[",a", ",b", ",c"]])])
+    assert_file_matches_csv_writer(tmp_path, ["t", "f"],
+                                   [(times, np.empty((count, 0)))],
+                                   [[",a", ",b", ",c"]])
