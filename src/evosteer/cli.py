@@ -56,7 +56,8 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--no-timing", action="store_true",
                        help="omit wall-clock timings from the report")
     st = sub.add_parser("selftest")
-    st.add_argument("--criterion", help="run a single criterion by name")
+    st.add_argument("--criterion",
+                    help="run only the criteria whose names contain this text")
     return parser
 
 

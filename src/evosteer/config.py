@@ -182,8 +182,8 @@ def _load_preset(sec, preset: str, mesh, numerics: Numerics):
         if val is not None:
             kwargs[param] = val
     problem = builder(**kwargs)
-    targets_raw = sec.get("targets", "random").strip()
-    if not targets_raw or targets_raw == "random":
+    targets_raw = _get(sec, "targets", str, "problem.targets", "random")
+    if targets_raw == "random":
         return problem, smooth_targets(problem, numerics.seed)
     rows = _parse_matrix(targets_raw, "problem.targets")
     if rows.shape != (problem.mesh.n_impulses + 1, problem.dim):
@@ -202,15 +202,16 @@ def _load_linear(sec, mesh, numerics: Numerics):
     d = semigroup.dim
     ctrl_raw = sec.get("control", "").strip()
     B = _parse_matrix(ctrl_raw, "problem.control") if ctrl_raw else np.eye(d)
-    phi0 = _parse_vector(sec.get("phi0", " ".join(["0"] * d)), "problem.phi0")
+    phi0 = np.array(_get(sec, "phi0", tuple, "problem.phi0", (0.0,) * d))
     if phi0.shape != (d,):
         raise ConfigError("problem.phi0: length must match the generator")
     beta = _get(sec, "beta", float, default=1.0, field="problem.beta")
 
-    if sec.get("impulse", "theta_x").strip() != "theta_x":
-        raise ConfigError(f"problem.impulse: unknown kind {sec['impulse'].strip()!r}")
+    impulse = _get(sec, "impulse", str, "problem.impulse", "theta_x")
+    if impulse != "theta_x":
+        raise ConfigError(f"problem.impulse: unknown kind {impulse!r}")
 
-    targets_raw = sec.get("targets", "random").strip()
+    targets_raw = _get(sec, "targets", str, "problem.targets", "random")
     n_windows = mesh.n_impulses + 1
     if targets_raw == "random":
         rng = np.random.default_rng(numerics.seed)

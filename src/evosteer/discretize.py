@@ -1,7 +1,8 @@
-"""Shared time discretization: window grids, forcing samples, kernel sums.
+"""Shared time discretization: interval grids, forcing samples, kernel sums.
 
 One tau-grid per mesh interval, built by :func:`interval_times`, is reused
-for Gramian assembly, steering residuals, the kernel sums, the mild-solution
+for Gramian assembly and steering residuals (on each control window's lag
+table, built from that window's grid), the kernel sums, the mild-solution
 sweep and the oracle, so that feeding the synthesized control back through
 the discrete solution operator reproduces the window targets to round-off
 rather than only to quadrature order.  The integro variant's Volterra sum
@@ -11,7 +12,6 @@ on that grid is a handful of running sums of its polynomial kernel
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 
 import numpy as np
@@ -26,31 +26,6 @@ def interval_times(mesh: TimeMesh, numerics: Numerics) -> list:
     Control window j is interval 2j."""
     return [np.linspace(a, end, numerics.steps_for(end - a) + 1)
             for a, end, kind, j in mesh.intervals()]
-
-
-@dataclass(frozen=True)
-class WindowGrid:
-    """Uniform tau-grid on one control window, with the lag-propagator table
-    for T((end - tau_k)) shared by every integral on the window."""
-
-    index: int
-    times: np.ndarray
-    table: object
-
-    @property
-    def m(self) -> int:
-        return len(self.times) - 1
-
-
-def build_window_grids(problem: Problem, numerics: Numerics) -> list:
-    grids = []
-    windows = zip(problem.mesh.control_windows(),
-                  interval_times(problem.mesh, numerics)[::2])
-    for j, ((a, end), times) in enumerate(windows):
-        m = len(times) - 1
-        table = problem.semigroup.lag_table((end - a) / m, m)
-        grids.append(WindowGrid(index=j, times=times, table=table))
-    return grids
 
 
 def _delayed_forcing(fn, traj: PiecewiseTrajectory, times: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ For each control window (start, end] the Gramian
 
     G = int_start^end  T(end - tau) B B* T(end - tau)*  d tau
 
-is assembled by composite trapezoid on the window grid, by the window's
-lag table, and factored once, for its floor and its solve, by
+is assembled by composite trapezoid on the window's tau-grid, by the
+window's lag table, and factored once, for its floor and its solve, by
 :func:`factor_gramian`, which refuses a floor below ``DELTA_FLOOR``.  The
 matrix backend's G is a small dense array, symmetrized and eigendecomposed.
 The shift backend's G (B = I) is exactly tridiagonal, kept as its two
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PiecewiseTrajectory
-from .discretize import WindowGrid, build_window_grids
-from .problems import Numerics, Problem
+from .problems import Problem
+from .semigroups import MatrixLagTable, ShiftLagTable
 
 # Unit roundoff and the smallest normal double
 _U = np.finfo(float).eps / 2
@@ -223,18 +223,19 @@ def window_start(problem: Problem, traj: PiecewiseTrajectory) -> np.ndarray:
     return x0
 
 
-def steering_residual(start: np.ndarray, target: np.ndarray, grid: WindowGrid,
+def steering_residual(start: np.ndarray, target: np.ndarray,
+                      table: MatrixLagTable | ShiftLagTable,
                       integral: np.ndarray) -> np.ndarray:
     """Residual of a control window: the uncontrolled terminal defect
 
         r = target - T(end - start) x0 - int T(end - tau) f(tau) dtau,
 
-    with x0 = ``start`` the window start and the forcing's ``integral``,
-    the lag table's ``end_integral`` of the forcing samples (eta(tau, x_tau)
-    for the semilinear variant, the running kernel convolution for the
-    integro one).
+    with x0 = ``start`` the window start, T(end - start) the window's lag
+    ``table`` at its last lag, and the forcing's ``integral``, the table's
+    ``end_integral`` of the forcing samples (eta(tau, x_tau) for the
+    semilinear variant, the running kernel convolution for the integro one).
     """
-    free = grid.table.apply(grid.m, start)
+    free = table.apply(table.m, start)
     return np.asarray(target, dtype=float) - free - integral
 
 
@@ -269,22 +270,25 @@ class ControlSignal:
         return np.zeros(self.problem.control_dim)
 
 
-def synthesize_control(problem: Problem, grid: WindowGrid,
+def synthesize_control(problem: Problem, table: MatrixLagTable | ShiftLagTable,
                        block: _Dense | _Tridiagonal, residual: np.ndarray) -> tuple:
-    """The sampled feedback on one control window and its Gramian preimage
-    y = G^{-1} r, as ``(samples, preimage)``; the product with B* is taken
-    only when B is not the identity."""
+    """The sampled feedback on one control window, by its lag ``table``, and
+    its Gramian preimage y = G^{-1} r, as ``(samples, preimage)``; the
+    product with B* is taken only when B is not the identity."""
     y = gramian_solve(block, residual)
-    adj = grid.table.adjoint_evolve(y)          # rows T(g*delta)* y
-    U = adj[grid.m - np.arange(grid.m + 1)]
+    adj = table.adjoint_evolve(y)          # rows T(g*delta)* y
+    U = adj[table.m - np.arange(table.m + 1)]
     if not problem.identity_control:
         U = U @ problem.control_adjoint().T
     return U, y
 
 
-def assemble_all(problem: Problem, numerics: Numerics):
-    """Window grids plus their factored Gramians (:func:`factor_gramian`),
-    the pipeline's first stage, which refuses a singular one."""
-    grids = build_window_grids(problem, numerics)
-    return grids, [factor_gramian(g.index, g.table.gramian(problem.control_matrix))
-                   for g in grids]
+def assemble_all(problem: Problem, window_times: list) -> tuple:
+    """The lag table of every control window, one per uniform grid in
+    ``window_times``, and their factored Gramians (:func:`factor_gramian`),
+    as ``(tables, blocks)``: the pipeline's first stage, which refuses a
+    singular one."""
+    tables = [problem.semigroup.lag_table((t[-1] - t[0]) / (len(t) - 1), len(t) - 1)
+              for t in window_times]
+    return tables, [factor_gramian(j, table.gramian(problem.control_matrix))
+                    for j, table in enumerate(tables)]

@@ -236,14 +236,15 @@ class MatrixLagTable:
         folded into row 0.  FFT round-off is relative to the largest term,
         so lag g and row k are scaled by r^-g and r^-k and output row g by
         r^g, with r^m = max(1, |E^m|_2): each row keeps its own relative
-        accuracy."""
+        accuracy.  An overflow leaves the path non-finite, with no warning."""
         m, n = self.m, self._n
         assert F.shape[0] - 1 == m
         tilt, spec = self._tilted_spectrum
-        Fw = tilt[:, None] * F
-        Fw[0] = 0.5 * F[0] + start / self.delta    # tilt[0] = 1
-        prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
-        out = np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            Fw = tilt[:, None] * F
+            Fw[0] = 0.5 * F[0] + start / self.delta    # tilt[0] = 1
+            prod = np.einsum("fij,fj->fi", spec, np.fft.rfft(Fw, n, axis=0))
+            out = np.fft.irfft(prod, n, axis=0)[:m + 1] / tilt[:, None]
         out[0] = start
         return out
 
@@ -396,21 +397,22 @@ class ShiftLagTable:
         for every g, the integral by the trapezoid rule, as one linear
         time-by-space convolution of F, the start folded into row 0, with
         the two-tap lag kernel, taken by FFT; returned as its own
-        ``(m+1, N)`` array."""
+        ``(m+1, N)`` array; an overflow leaves it non-finite, with no warning."""
         m, N, P = self.m, self.N, self.pad
         kernel = self._kernel_spectrum
-        # rfft2's two passes, the first straight into the spectrum's rows
-        # and the second in place over them and their zero padding
-        spec = np.empty_like(kernel)
-        np.fft.rfft(F, self._fft_shape[1], axis=1, out=spec[:m + 1])
-        spec[0] = np.fft.rfft(0.5 * F[0] + start / self.delta, self._fft_shape[1])
-        spec[m + 1:] = 0.0
-        np.fft.fft(spec, axis=0, out=spec)
-        spec *= kernel
-        # irfft2's two passes, in place and with the last one on the rows
-        # read back only: the same bits in less memory
-        np.fft.ifft(spec, axis=0, out=spec)
-        out = np.fft.irfft(spec[:m + 1], self._fft_shape[1], axis=1)[:, P:P + N].copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            # rfft2's two passes, the first straight into the spectrum's rows
+            # and the second in place over them and their zero padding
+            spec = np.empty_like(kernel)
+            np.fft.rfft(F, self._fft_shape[1], axis=1, out=spec[:m + 1])
+            spec[0] = np.fft.rfft(0.5 * F[0] + start / self.delta, self._fft_shape[1])
+            spec[m + 1:] = 0.0
+            np.fft.fft(spec, axis=0, out=spec)
+            spec *= kernel
+            # irfft2's two passes, in place and with the last one on the rows
+            # read back only: the same bits in less memory
+            np.fft.ifft(spec, axis=0, out=spec)
+            out = np.fft.irfft(spec[:m + 1], self._fft_shape[1], axis=1)[:, P:P + N].copy()
         out[0] = start
         return out
 

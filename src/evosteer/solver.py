@@ -136,11 +136,12 @@ class _Solved(NamedTuple):
 
 
 class Sweep:
-    """The run's discretization -- window grids, Gramian blocks and, for the
-    integro variant, the kernel sums -- built once and shared by the
-    certificate and every operator application, with the quantities no
-    iterate changes: the forcing rows at nodes t <= beta and the windows
-    solved from them.
+    """The run's discretization -- the interval grids ``seg_times``, one lag
+    table and Gramian block per control window (window j's grid is
+    ``seg_times[2 * j]``) and, for the integro variant, the kernel sums --
+    built once and shared by the certificate and every operator
+    application, with the quantities no iterate changes: the forcing rows at
+    nodes t <= beta and the windows solved from them.
 
     Refuses a Gramian below its invertibility floor with
     :class:`gramian.NotInvertibleError` before the kernel is built.
@@ -149,20 +150,21 @@ class Sweep:
     def __init__(self, problem: Problem, numerics: Numerics):
         self.problem = problem
         self.numerics = numerics
-        self.grids, self.blocks = assemble_all(problem, numerics)
-        self.kern = (KernelDiscretization(problem, numerics)
-                     if problem.variant == "integro" else None)
         self.intervals = problem.mesh.intervals()
         self.seg_times = interval_times(problem.mesh, numerics)
+        windows = self.seg_times[::2]
+        self.tables, self.blocks = assemble_all(problem, windows)
+        self.kern = (KernelDiscretization(problem, numerics)
+                     if problem.variant == "integro" else None)
         # The forcing's nodes, sorted, so the rows at t <= beta lead: eta's
         # on the control windows, q's on the whole kernel grid.
-        self._nodes = (np.concatenate([g.times for g in self.grids])
+        self._nodes = (np.concatenate(windows)
                        if self.kern is None else self.kern.times)
         self.frozen_forcing_rows = int(np.searchsorted(self._nodes, problem.beta,
                                                        side="right"))
         # Window j's forcing reads the forcing rows up to its end only, its
         # last node (linspace stores the stop exactly).
-        self._frozen_windows = [g.times[-1] <= problem.beta for g in self.grids]
+        self._frozen_windows = [t[-1] <= problem.beta for t in windows]
         # Whether one sweep reaches the fixed point: no nonlocal term moves
         # the first window's start and no forcing row reads the iterate (a
         # live row, of a nonlinearity or a kernel; without either, eta is 0).
@@ -178,7 +180,7 @@ class Sweep:
         # forcing row carries window 0 into a later window.
         nu, theta_1 = problem.nonlocal_term, problem.mesh.points[1]
         self._chord = ()
-        if nu is not None and isinstance(self.grids[0].table, ShiftLagTable):
+        if nu is not None and isinstance(self.tables[0], ShiftLagTable):
             inside = [(a, t) for a, t in zip(nu.alphas, nu.instants)
                       if 0.0 < t < theta_1]
             if (inside and 2.0 * sum(abs(a) for a, _ in inside) < 1.0
@@ -188,7 +190,7 @@ class Sweep:
         self._jacobian = None
         self._rows = None
         self._forcing = None
-        self._solved = [None] * len(self.grids)
+        self._solved = [None] * len(self.tables)
         # per interval, the largest row norm of the path it holds
         self._norms = [0.0] * len(self.intervals)
         self.window_solves = 0
@@ -224,7 +226,7 @@ class Sweep:
                 # ends), so the line starts on ``start`` and ends on the target
                 s = ((times - a) / (end - a))[:, None]
                 piece[...] = (1.0 - s) * start + s * np.asarray(targets[j], dtype=float)
-        self._solved = [None] * len(self.grids)
+        self._solved = [None] * len(self.tables)
         return traj
 
     def _first_start(self, traj: PiecewiseTrajectory, targets, forcing,
@@ -272,7 +274,7 @@ class Sweep:
         start = window_start(self.problem, traj)
         if not self._chord:
             return start
-        table = self.grids[0].table
+        table = self.tables[0]
         alphas, instants = self._chord
         _, j, f = traj.locate(instants)
         rows = np.concatenate((j, j + 1))
@@ -283,7 +285,7 @@ class Sweep:
                               self.blocks[0].solve)
         lag, cross, solve = self._jacobian
         s = traj.seg_values[0][0]
-        residual = steering_residual(s, targets[0], self.grids[0], integral)
+        residual = steering_residual(s, targets[0], table, integral)
         predicted = (band_product(lag, s) + table.row_integral(forcing, rows, weights)
                      + band_product(cross, solve(residual)))
         bound = table.fft_error * max(np.abs(s).max(), np.abs(start).max())
@@ -307,7 +309,7 @@ class Sweep:
         kept = self._solved[j] if self._frozen_windows[j] else None
         if kept is not None:
             return kept.integral
-        return self.grids[j].table.end_integral(F)
+        return self.tables[j].end_integral(F)
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
         """The forcing on every control window's grid from the rows of eta
@@ -330,13 +332,13 @@ class Sweep:
             self._rows[K:] = read(traj, slice(K, G))
         if self.kern is None:
             self._forcing = np.split(self._rows,
-                                     np.cumsum([len(g.times) for g in self.grids])[:-1])
+                                     np.cumsum([len(t) for t in self.seg_times[::2]])[:-1])
         else:
             inner = self.kern.inner_convolution(self._rows)
             if K == G:
                 self._rows = None
-            self._forcing = [inner[self.kern.block_slice(2 * g.index)]
-                             for g in self.grids]
+            self._forcing = [inner[self.kern.block_slice(2 * j)]
+                             for j in range(len(self.tables))]
         return self._forcing
 
     def apply(self, traj: PiecewiseTrajectory, targets):
@@ -384,23 +386,23 @@ class Sweep:
                                             traj.left_value_at_theta(j))
                 start = path[-1].copy()    # a kept start holds no impulse path
             else:
-                grid = self.grids[j]
+                table = self.tables[j]
                 # a frozen window's forcing is the same bits on every sweep
                 kept = self._solved[j] if self._frozen_windows[j] else None
                 target = np.asarray(targets[j], dtype=float).tobytes()
                 if (kept is not None and kept.target == target
                         and np.abs(start - kept.start).max()
-                        <= grid.table.fft_error * np.abs(kept.start).max()):
+                        <= table.fft_error * np.abs(kept.start).max()):
                     continue
                 self.window_solves += 1
                 F = forcings[j]
                 integral = integral_0 if j == 0 else self._integral(j, F)
-                residual = steering_residual(start, targets[j], grid, integral)
-                samples, preimage = synthesize_control(problem, grid,
+                residual = steering_residual(start, targets[j], table, integral)
+                samples, preimage = synthesize_control(problem, table,
                                                        self.blocks[j], residual)
                 F = F + (samples if problem.identity_control
                          else samples @ problem.control_matrix.T)
-                path = grid.table.convolve(start, F)
+                path = table.convolve(start, F)
                 self._solved[j] = _Solved(start, target, integral, samples, preimage)
             if not np.all(np.isfinite(path)):
                 raise ValueError("segment contains non-finite entries")
@@ -413,7 +415,7 @@ class Sweep:
         if not (np.isfinite(update) and np.isfinite(max(self._norms))):
             raise ValueError("the sweep's update or path sup norm overflows")
         control = ControlSignal(problem=problem,
-                                window_times=[g.times for g in self.grids],
+                                window_times=self.seg_times[::2],
                                 samples=[w.samples for w in self._solved],
                                 preimages=[w.preimage for w in self._solved])
         scale = np.sqrt(traj.weight)

@@ -434,6 +434,19 @@ class TestConfigParsing:
             reports.append(json.loads((out / "report.json").read_text()))
         assert reports[0]["certificate"] == reports[1]["certificate"]
 
+    @pytest.mark.parametrize("key", ["phi0", "impulse", "targets"])
+    def test_empty_linear_key_is_its_default(self, tmp_path, key):
+        # an empty value is the key's default, as on every other key: a
+        # zero phi0, the theta_x impulse and random targets
+        text = (CONFIGS / "linear-2d.ini").read_text()
+        line = next(s for s in text.splitlines() if s.startswith(f"{key} ="))
+        empty = load_config(write(tmp_path, "e.ini", text.replace(line, f"{key} =")))
+        unset = load_config(write(tmp_path, "u.ini", text.replace(line + "\n", "")))
+        np.testing.assert_array_equal(empty.problem.phi0(), unset.problem.phi0())
+        np.testing.assert_array_equal(empty.targets, unset.targets)
+        assert main(["certify", write(tmp_path, "e.ini", text.replace(
+            line, f"{key} =").replace("out/linear", str(tmp_path / "o")))]) == 0
+
     def test_explicit_targets(self, tmp_path):
         text = LINEAR_CFG.replace("targets = random",
                                   "targets = 1 0; 0 1")

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from evosteer.core import TimeMesh
-from evosteer.discretize import (KernelDiscretization, build_window_grids,
-                                 eta_values, interval_times)
+from evosteer.discretize import KernelDiscretization, eta_values, interval_times
 from evosteer.oracle import oracle_linear
 from evosteer.problems import ConvolutionKernel, Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
@@ -36,11 +35,12 @@ def test_window_grids_share_breakpoints():
     prob = Problem(semigroup=MatrixSemigroup(np.zeros((2, 2))),
                    control_matrix=np.eye(2), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2))
-    grids = build_window_grids(prob, Numerics(time_step=1e-2))
-    assert [g.index for g in grids] == [0, 1]
-    assert grids[0].times[0] == 0.0 and grids[0].times[-1] == 0.3
-    assert grids[1].times[0] == 0.5 and grids[1].times[-1] == 1.0
-    assert grids[0].table.weights.sum() == pytest.approx(0.3)
+    sweep = Sweep(prob, Numerics(time_step=1e-2))
+    assert len(sweep.tables) == 2
+    assert sweep.seg_times[0][0] == 0.0 and sweep.seg_times[0][-1] == 0.3
+    assert sweep.seg_times[2][0] == 0.5 and sweep.seg_times[2][-1] == 1.0
+    assert sweep.tables[0].weights.sum() == pytest.approx(0.3)
+    assert sweep.tables[1].weights.sum() == pytest.approx(0.5)
 
 
 def _kernel_problem(coeffs, q, mesh=None, dim=1):
@@ -240,8 +240,10 @@ def test_one_grid_per_interval(variant):
     assert len(sweep.seg_times) == len(expected)
     for got, ref in zip(sweep.seg_times, expected):
         assert np.array_equal(got, ref)
-    for j, grid in enumerate(build_window_grids(prob, num)):
-        assert np.array_equal(grid.times, sweep.seg_times[2 * j])
+    # window j's lag table steps its interval's grid: m steps of delta
+    for table, t in zip(sweep.tables, sweep.seg_times[::2]):
+        assert table.m == len(t) - 1
+        assert table.delta == (t[-1] - t[0]) / table.m
     if variant == "integro":
         others = KernelDiscretization(prob, num).block_times
     else:
@@ -289,7 +291,7 @@ def test_grid_forcing_matches_per_node_reference(variant):
 
     prob, num, sweep, traj = _mixed_delay_case(variant, fn)
     if variant == "semilinear":
-        grids = [g.times for g in sweep.grids]
+        grids = sweep.seg_times[::2]
         got = [eta_values(prob, traj, t) for t in grids]
     else:
         grids = [sweep.kern.times]
@@ -321,7 +323,7 @@ def test_one_forcing_call_per_grid(variant, beta, frozen, live):
 
     prob, num, sweep, traj = _mixed_delay_case(variant, fn, beta)
     if variant == "semilinear":
-        grids = [g.times for g in sweep.grids]
+        grids = sweep.seg_times[::2]
         frozen_reads, live_reads = [sum(frozen)], [sum(live)]
     else:
         grids = sweep.kern.block_times
@@ -341,4 +343,4 @@ def test_forcing_of_wrong_shape_is_refused():
     prob, num, sweep, traj = _mixed_delay_case("semilinear",
                                                lambda t, v: np.zeros(2))
     with pytest.raises(ValueError, match=r"forcing returned shape \(2,\)"):
-        eta_values(prob, traj, sweep.grids[0].times)
+        eta_values(prob, traj, sweep.seg_times[0])

@@ -9,8 +9,7 @@ from scipy.linalg import cho_factor, cho_solve, eigvalsh_tridiagonal, expm
 from evosteer.certificates import ball_radius, control_bound
 from evosteer.config import load_config
 from evosteer.core import TimeMesh
-from evosteer.discretize import (KernelDiscretization, WindowGrid,
-                                 build_window_grids, eta_values)
+from evosteer.discretize import KernelDiscretization, eta_values, interval_times
 from evosteer.gramian import (ControlSignal, NotInvertibleError, assemble_all,
                               factor_gramian, gramian_solve,
                               smallest_eigenvalue_bracket, steering_residual,
@@ -19,6 +18,7 @@ from evosteer.gramian import (ControlSignal, NotInvertibleError, assemble_all,
 from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
                                WeightedSampleNonlocal)
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
+from evosteer.solver import Sweep
 from evosteer.transport import build_case1, smooth_targets
 from test_core import rebuilt
 from test_solver import flat_extension, window_start_reference
@@ -92,7 +92,6 @@ class TestAssembly:
         table = T.lag_table(end / m, m)
         if backend == "shift":
             assert table.frac[5] != 0.0 and table.off[-1] > 2
-        grid = WindowGrid(index=0, times=np.linspace(0.0, end, m + 1), table=table)
         w = trapezoid_weights(m, end / m)
         G = np.zeros((B.shape[0], B.shape[0]))
         for g in range(m + 1):
@@ -104,7 +103,7 @@ class TestAssembly:
                 M = ((1.0 - c) * Bp[:, o:o + N] + c * Bp[:, o + 1:o + 1 + N]).T
             G += w[m - g] * (M @ M.T)
         G = 0.5 * (G + G.T)
-        got = grid.table.gramian(B)
+        got = table.gramian(B)
         if backend == "matrix":
             assert np.array_equal(0.5 * (got + got.T), G)
         else:
@@ -126,7 +125,7 @@ class TestAssembly:
                        mesh=TimeMesh([0.0, 1.0]), beta=1.0,
                        history=lambda s: np.zeros(12))
         with pytest.raises(ValueError, match="control matrix"):
-            assemble_all(prob, Numerics(time_step=1e-2))
+            assemble_all(prob, interval_times(prob.mesh, Numerics(time_step=1e-2))[::2])
 
     def test_shift_identity_control_is_tridiagonal(self):
         # with B = I the Gramian is the diagonal and the off-diagonal alone,
@@ -240,8 +239,9 @@ class TestSolve:
         # the two Case-1 window Gramians at N = 256, condition numbers about
         # 84 and 141: the LDL^T solve of the tridiagonal against scipy's
         # Cholesky solve of its dense array
-        _, blocks = assemble_all(build_case1(N=256),
-                                 Numerics(time_step=1e-3))
+        prob = build_case1(N=256)
+        windows = interval_times(prob.mesh, Numerics(time_step=1e-3))[::2]
+        _, blocks = assemble_all(prob, windows)
         rng = np.random.default_rng(25)
         for blk in blocks:
             G = dense((blk.diag, blk.off))
@@ -287,8 +287,9 @@ def test_sturm_floor_is_a_lower_bound_within_2n_ulp(N):
     # it is never above the smallest eigenvalue by scipy's tridiagonal
     # solver or by eigh, and within 2N ulp of scipy's (measured at most 6,
     # 31, 81 and 628 ulp at N = 16, 64, 256, 1024)
-    _, blocks = assemble_all(build_case1(N=N),
-                             Numerics(time_step=1e-3))
+    prob = build_case1(N=N)
+    windows = interval_times(prob.mesh, Numerics(time_step=1e-3))[::2]
+    _, blocks = assemble_all(prob, windows)
     u = np.finfo(float).eps / 2
     for blk in blocks:
         d, e = blk.diag, blk.off
@@ -390,11 +391,11 @@ class TestResiduals:
         phi0 = rng.normal(size=3)
         prob = linear_problem(A, np.eye(3), mesh, phi0)
         num = Numerics(time_step=1e-3)
-        grids = build_window_grids(prob, num)
-        traj = _flat_traj(prob, num)
+        sweep = Sweep(prob, num)
+        traj = flat_extension(sweep)
         target = expm(A) @ phi0
         r = _residual(window_start(prob, traj), target,
-                      grids[0], _eta(prob, traj, grids[0]))
+                      sweep.tables[0], _eta(sweep, traj, 0))
         assert np.linalg.norm(r) <= 1e-10
 
     def test_constant_forcing_closed_form(self):
@@ -404,10 +405,10 @@ class TestResiduals:
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0],
                               nonlinearity=lambda t, v: np.full_like(v, c))
         num = Numerics(time_step=1e-2, history_samples=16)
-        grids = build_window_grids(prob, num)
-        traj = _flat_traj(prob, num)
+        sweep = Sweep(prob, num)
+        traj = flat_extension(sweep)
         r = _residual(window_start(prob, traj), np.array([2.0]),
-                      grids[0], _eta(prob, traj, grids[0]))
+                      sweep.tables[0], _eta(sweep, traj, 0))
         assert r[0] == pytest.approx(2.0 - 0.3, abs=1e-13)
 
     def test_impulse_window_residual(self):
@@ -418,12 +419,12 @@ class TestResiduals:
         mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
         prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2])
         num = Numerics(time_step=1e-3)
-        grids = build_window_grids(prob, num)
-        traj = _flat_traj(prob, num)
+        sweep = Sweep(prob, num)
+        traj = flat_extension(sweep)
         x_minus = traj.left_value_at_theta(1)
         target = rng.normal(size=2)
         r = _residual(window_start_reference(prob, traj, 1), target,
-                      grids[1], _eta(prob, traj, grids[1]))
+                      sweep.tables[1], _eta(sweep, traj, 1))
         manual = target - expm(0.5 * A) @ (0.5 * x_minus)
         np.testing.assert_allclose(r, manual, atol=1e-11)
 
@@ -435,10 +436,10 @@ class TestResiduals:
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.25],
                               kernel=kernel)
         num = Numerics(time_step=1e-2, history_samples=16)
-        grids = build_window_grids(prob, num)
-        traj = _flat_traj(prob, num)
+        sweep = Sweep(prob, num)
+        traj = flat_extension(sweep)
         r = _residual(window_start(prob, traj), np.array([2.0]),
-                      grids[0], _inner(prob, traj, num))
+                      sweep.tables[0], _inner(prob, traj, num))
         assert r[0] == pytest.approx(2.0 - 0.25 - 0.5, abs=1e-12)
 
     def test_kernel_residual_zero_integrand(self):
@@ -450,11 +451,11 @@ class TestResiduals:
         kernel = ConvolutionKernel(coeffs=(0.0, 1.0), q=lambda t, v: np.zeros_like(v))
         prob = linear_problem(A, np.eye(2), mesh, phi0, kernel=kernel)
         num = Numerics(time_step=1e-3, history_samples=8)
-        grids = build_window_grids(prob, num)
-        traj = _flat_traj(prob, num)
+        sweep = Sweep(prob, num)
+        traj = flat_extension(sweep)
         target = rng.normal(size=2)
         r = _residual(window_start(prob, traj), target,
-                      grids[0], _inner(prob, traj, num))
+                      sweep.tables[0], _inner(prob, traj, num))
         np.testing.assert_allclose(r, target - expm(A) @ phi0, atol=1e-11)
 
 
@@ -462,24 +463,24 @@ class TestControl:
     def test_zero_residual_zero_control(self):
         mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.0, 0.0])
-        grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
-        u = _control(prob, grids, blocks, [np.zeros(2)]).value(0.5)
+        sweep = Sweep(prob, Numerics(time_step=1e-2))
+        u = _control(sweep, [np.zeros(2)]).value(0.5)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
 
     def test_scalar_constant_control(self):
         # A = 0, B = 1, window (0, 1]: Gramian is 1, so u == residual
         mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0])
-        grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
-        control = _control(prob, grids, blocks, [np.array([2.5])])
+        sweep = Sweep(prob, Numerics(time_step=1e-3))
+        control = _control(sweep, [np.array([2.5])])
         for theta in (0.1, 0.5, 1.0):
             assert control.value(theta)[0] == pytest.approx(2.5, rel=1e-12)
 
     def test_zero_off_control_windows(self):
         mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.0])
-        grids, blocks = assemble_all(prob, Numerics(time_step=1e-2))
-        control = _control(prob, grids, blocks, [np.ones(1), np.ones(1)])
+        sweep = Sweep(prob, Numerics(time_step=1e-2))
+        control = _control(sweep, [np.ones(1), np.ones(1)])
         for theta in (0.0, 0.5):
             np.testing.assert_array_equal(control.value(theta), np.zeros(1))
         assert control.value(0.2)[0] != 0.0
@@ -497,9 +498,8 @@ class TestControl:
         prob = Problem(semigroup=T, control_matrix=B,
                        mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]),
                        beta=1.0, history=lambda s: phi0)
-        grids, blocks = assemble_all(prob, Numerics(time_step=1e-3))
-        control = _control(prob, grids, blocks,
-                           [rng.normal(size=T.dim) for _ in grids])
+        sweep = Sweep(prob, Numerics(time_step=1e-3))
+        control = _control(sweep, [rng.normal(size=T.dim) for _ in sweep.tables])
         weight = np.sqrt(T.weight)
         per_row = [max(float(weight * np.linalg.norm(u)) for u in U)
                    for U in control.samples]
@@ -586,26 +586,26 @@ class TestControlBound:
         assert q == pytest.approx((1.0 / 0.5) * (1.0 + 0.6 * 2.0 + 1.0), abs=1e-13)
 
 
-def _residual(start, target, grid, forcing):
-    return steering_residual(start, target, grid, grid.table.end_integral(forcing))
+def _residual(start, target, table, forcing):
+    return steering_residual(start, target, table, table.end_integral(forcing))
 
 
-def _control(problem, grids, blocks, residuals):
-    """The control signal of every window of ``grids`` from its residual."""
-    pairs = [synthesize_control(problem, g, b, r)
-             for g, b, r in zip(grids, blocks, residuals)]
-    return ControlSignal(problem=problem, window_times=[g.times for g in grids],
+def _control(sweep, residuals):
+    """The control signal of every window of ``sweep`` from its residual."""
+    pairs = [synthesize_control(sweep.problem, t, b, r)
+             for t, b, r in zip(sweep.tables, sweep.blocks, residuals)]
+    return ControlSignal(problem=sweep.problem, window_times=sweep.seg_times[::2],
                          samples=[u for u, _ in pairs],
                          preimages=[y for _, y in pairs])
 
 
 def _flat_traj(problem, numerics):
-    from evosteer.solver import Sweep
     return flat_extension(Sweep(problem, numerics))
 
 
-def _eta(problem, traj, grid):
-    return eta_values(problem, traj, grid.times)
+def _eta(sweep, traj, j):
+    """eta on control window j's grid."""
+    return eta_values(sweep.problem, traj, sweep.seg_times[2 * j])
 
 
 def _inner(problem, traj, numerics):

@@ -85,6 +85,19 @@ def test_every_bench_work_counter_reads_parameters_of_its_function():
     assert not unknown, f"work counters reading missing parameters: {unknown}"
 
 
+def test_bench_gate_judges_the_program_hit_tolerance():
+    """The benchmark's correctness gate (``TARGET_TOL`` in
+    ``bench/workloads.py``, read as source) judges a window end by the
+    verdict's own hit tolerance, so the gate cannot pass a miss the verdict
+    refuses or refuse a hit it passes."""
+    from evosteer import solver
+    tree = ast.parse((BENCH / "workloads.py").read_text())
+    gate = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "TARGET_TOL"
+                        for t in node.targets))
+    assert ast.literal_eval(gate) == solver.TARGET_TOL
+
+
 def test_package_imports_no_scipy():
     """The package runs on numpy alone; scipy is a test-side reference."""
     found = []

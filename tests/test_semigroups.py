@@ -622,21 +622,21 @@ class TestMinEnergyPath:
         # (table.fft_error: 6.1e-14 and 7.8e-14) moves a read by at most
         # 7.8e-15 of it, and the prediction's banded sums round far below
         # that (measured: at most 5.9e-17)
-        from evosteer.discretize import build_window_grids
-        from evosteer.gramian import (factor_gramian, steering_residual,
+        from evosteer.discretize import interval_times
+        from evosteer.gramian import (assemble_all, steering_residual,
                                       synthesize_control)
         from evosteer.problems import Numerics
         from evosteer.transport import build_case1
         problem, numerics = build_case1(N=N), Numerics(time_step=1e-3)
-        grid = build_window_grids(problem, numerics)[0]
-        table, m = grid.table, grid.m
-        block = factor_gramian(0, table.gramian(problem.control_matrix))
+        tables, blocks = assemble_all(problem,
+                                      interval_times(problem.mesh, numerics)[::2])
+        table, block, m = tables[0], blocks[0], tables[0].m
         rng = np.random.default_rng(N)
         s, z = rng.normal(size=(2, N))
         F = (0.3 * rng.normal(size=(m + 1, N)) if forced else np.zeros((m + 1, N)))
         integral = table.end_integral(F)
-        samples, _ = synthesize_control(problem, grid, block,
-                                        steering_residual(s, z, grid, integral))
+        samples, _ = synthesize_control(problem, table, block,
+                                        steering_residual(s, z, table, integral))
         path = table.convolve(s, F + samples)
         j = 2 * m // 3
         end = table.lag_band([m], [1.0])
@@ -716,14 +716,17 @@ def test_folded_path_matches_evolve_plus_convolve(preset):
     # window grid of the preset the path lies within 1e-14 of its largest
     # |value| from the evolved start plus the unfolded trapezoid sums, and
     # row 0 is the start itself
-    from evosteer.discretize import build_window_grids
+    from evosteer.discretize import interval_times
+    from evosteer.gramian import assemble_all
     cfg = load_config(str(CONFIGS / f"{preset}.ini"))
     rng = np.random.default_rng(16)
-    for grid in build_window_grids(cfg.problem, cfg.numerics):
-        table, dim = grid.table, cfg.problem.dim
+    window_times = interval_times(cfg.problem.mesh, cfg.numerics)[::2]
+    tables, _ = assemble_all(cfg.problem, window_times)
+    for times, table in zip(window_times, tables):
+        dim = cfg.problem.dim
         assert isinstance(table, ShiftLagTable if preset.startswith("transport")
                           else MatrixLagTable)
-        for scale in (1.0, 1.0 / (grid.times[-1] - grid.times[0])):
+        for scale in (1.0, 1.0 / (times[-1] - times[0])):
             start = rng.normal(size=dim)
             F = scale * rng.normal(size=(table.m + 1, dim))
             got, want = table.convolve(start, F), unfolded_path(table, start, F)

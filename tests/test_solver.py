@@ -12,7 +12,7 @@ from evosteer.gramian import (ControlSignal, NotInvertibleError, gramian_solve,
                               steering_residual, window_start)
 from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
                                WeightedSampleNonlocal)
-from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
+from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
 from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
                              verify_targets)
 from evosteer.transport import build_case1, smooth_targets
@@ -332,6 +332,27 @@ def test_one_gramian_assembly_per_run(monkeypatch, entry):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("variant", ["linear", "semilinear", "integro"])
+def test_one_interval_grid_build_per_sweep(monkeypatch, variant):
+    # the sweep builds the interval grids once, and its lag tables and
+    # forcing nodes read them; only the integro kernel builds its own
+    from collections import Counter
+    from evosteer import discretize, solver
+    calls = Counter()
+    for module in (solver, discretize):
+        def counting(*args, module=module, original=discretize.interval_times):
+            calls[module.__name__] += 1
+            return original(*args)
+        monkeypatch.setattr(module, "interval_times", counting)
+    kwargs = {"linear": {},
+              "semilinear": {"nonlinearity": lambda t, v: 0.1 * v},
+              "integro": {"kernel": ConvolutionKernel(coeffs=(0.0, 1.0),
+                                                      q=lambda t, v: v)}}[variant]
+    Sweep(make_problem(**kwargs), Numerics(time_step=1e-2))
+    assert calls == Counter({"evosteer.solver": 1} if variant != "integro" else
+                            {"evosteer.solver": 1, "evosteer.discretize": 1})
+
+
 @pytest.mark.parametrize("entry", ["run", "certify"])
 def test_run_result_releases_the_sweep(monkeypatch, entry):
     # the CLI writes its outputs from the result; the sweep's grids, lag
@@ -409,12 +430,12 @@ def window_start_reference(problem, traj, j):
     return problem.impulse_path(j, [problem.mesh.lam[j]], x_minus)[0]
 
 
-def synthesize_reference(problem, grid, block, residual):
+def synthesize_reference(problem, table, block, residual):
     """The control on one window, as one synthesis made it before the
     Gramian solve and the adjoint product were folded into the sweep:
     (samples, preimage)."""
     y = gramian_solve(block, residual)
-    U = grid.table.adjoint_evolve(y)[grid.m - np.arange(grid.m + 1)]
+    U = table.adjoint_evolve(y)[table.m - np.arange(table.m + 1)]
     if not problem.identity_control:
         U = U @ problem.control_adjoint().T
     return U, y
@@ -451,7 +472,7 @@ def reference_sweep(self, traj, targets, forward=False):
         if kind == "impulse":
             seg_values.append(problem.impulse_path(j, self.seg_times[k], left(j)))
             continue
-        grid = self.grids[j]
+        table, times = self.tables[j], self.seg_times[k]
         if j == 0:
             forcing = self._forcings(traj)[0]
             start = self._first_start(traj, targets, forcing, self._integral(0, forcing))
@@ -460,18 +481,18 @@ def reference_sweep(self, traj, targets, forward=False):
         if self.kern is not None:
             F = inner_all[self.kern.block_slice(2 * j)].copy()
         else:
-            F = eta_values(problem, traj, grid.times)
-        m, delta = grid.m, (grid.times[-1] - grid.times[0]) / grid.m
-        integral = lagged_weighted_sum(grid.table, m - np.arange(m + 1), F,
+            F = eta_values(problem, traj, times)
+        m, delta = table.m, (times[-1] - times[0]) / table.m
+        integral = lagged_weighted_sum(table, m - np.arange(m + 1), F,
                                        trapezoid_weights(m, delta))
         U, y = synthesize_reference(
-            problem, grid, self.blocks[j],
-            steering_residual(start, targets[j], grid, integral))
+            problem, table, self.blocks[j],
+            steering_residual(start, targets[j], table, integral))
         samples.append(U)
         preimages.append(y)
         F += U @ problem.control_matrix.T
-        seg_values.append(grid.table.convolve(start, F))
-    control = ControlSignal(problem=problem, window_times=[g.times for g in self.grids],
+        seg_values.append(table.convolve(start, F))
+    control = ControlSignal(problem=problem, window_times=self.seg_times[::2],
                             samples=samples, preimages=preimages)
     return rebuilt(traj, seg_values), control
 
@@ -579,7 +600,7 @@ def test_kept_forcing_and_windows_give_the_reference_solve(monkeypatch, name):
         ref = _solve(Sweep(prob, num), targets)
     assert report.converged and ref.converged
     got, want = (report.trajectory, report.control), (ref.trajectory, ref.control)
-    eps = max(g.table.fft_error for g in sweep.grids)
+    eps = max(t.fft_error for t in sweep.tables)
     if name == "transport-case1":
         assert_close_apply(got, want, eps)
         scale = np.abs(ref.trajectory.sample_stack()).max()
@@ -654,7 +675,7 @@ def iterate_chord_start(self, traj, targets, *window_0):
     start = window_start(self.problem, traj)
     if not self._chord:
         return start
-    table = self.grids[0].table
+    table = self.tables[0]
     if self._jacobian is None:
         alphas, instants = self._chord
         _, j, f = traj.locate(instants)
@@ -724,9 +745,9 @@ def test_steered_start_gives_the_flat_start_solve(monkeypatch, name):
     solves = Counter()
     synthesize = solver.synthesize_control
 
-    def counted(problem, grid, *args):
-        solves[grid.index] += 1
-        return synthesize(problem, grid, *args)
+    def counted(problem, table, *args):
+        solves[id(table)] += 1
+        return synthesize(problem, table, *args)
 
     with monkeypatch.context() as m:
         m.setattr(solver, "synthesize_control", counted)
@@ -736,7 +757,7 @@ def test_steered_start_gives_the_flat_start_solve(monkeypatch, name):
         m.setattr(Sweep, "initial_iterate", flat_start)
         ref = picard_solve(Sweep(prob, num), targets)
     assert (report.iterations, ref.iterations) == _START_SWEEPS[name]
-    eps = max(g.table.fft_error for g in sweep.grids)
+    eps = max(t.fft_error for t in sweep.tables)
     scale = np.abs(ref.trajectory.sample_stack()).max()
     got, want = (report.trajectory, report.control), (ref.trajectory, ref.control)
     nonlocal_start = prob.nonlocal_term is not None
@@ -755,9 +776,9 @@ def test_steered_start_gives_the_flat_start_solve(monkeypatch, name):
         assert_close_apply(got, want, eps)
         assert np.allclose(report.per_window_defect, ref.per_window_defect,
                            rtol=0.0, atol=eps * scale)
-    frozen = [g.times[-1] <= prob.beta for g in sweep.grids]
+    frozen = [t[-1] <= prob.beta for t in sweep.seg_times[::2]]
     assert all(frozen) == (prob.beta == prob.mesh.b)
-    assert [solves[j] for j in range(1, len(frozen)) if frozen[j]] == \
+    assert [solves[id(sweep.tables[j])] for j in range(1, len(frozen)) if frozen[j]] == \
         [1] * sum(frozen[1:])
     assert sum(solves.values()) == report.window_solves
 
@@ -789,7 +810,7 @@ def test_straight_start_gives_the_steered_start_solve(monkeypatch, name,
         m.setattr(Sweep, "initial_iterate", steered_start)
         ref = picard_solve(Sweep(prob, num), targets)
     assert (report.iterations, ref.iterations) == iterations
-    eps = max(g.table.fft_error for g in sweep.grids)
+    eps = max(t.fft_error for t in sweep.tables)
     got, want = (report.trajectory, report.control), (ref.trajectory, ref.control)
     if prob.nonlocal_term is not None:
         fine = picard_solve(Sweep(prob, dataclasses.replace(num, tol=1e-14)), targets)
@@ -967,7 +988,7 @@ def test_chord_start_gives_the_plain_start_solve(monkeypatch, tmp_path, name,
         assert max(report.measured_ratio, other.measured_ratio) < 0.5
         assert sup_distance(report.trajectory, other.trajectory) <= \
             2.0 * num.tol * max(1.0, path_sup_norm(other.trajectory))
-    eps = max(g.table.fft_error for g in sweep.grids)
+    eps = max(t.fft_error for t in sweep.tables)
     scale = np.abs(ref.trajectory.sample_stack()).max()
     assert max(report.per_window_defect) <= eps * scale
     updates = report.updates
@@ -1038,7 +1059,7 @@ def _check_chord_step_lands(monkeypatch, tmp_path, name):
     scale = max(np.abs(s).max(), np.abs(start).max(), np.abs(traj.seg_values[0]).max())
     residual = window_start(prob, traj) - moved
     q = 2.0 * prob.nonlocal_term.lipschitz
-    eps = sweep.grids[0].table.fft_error
+    eps = sweep.tables[0].fft_error
     assert np.abs(moved - s).max() > 1e-3
     assert np.abs(residual).max() <= 2.0 * q / (1.0 - q) * eps * scale
 
@@ -1161,7 +1182,7 @@ def test_forward_sweep_moves_the_backward_solve_by_round_off(name, iterations):
     report = picard_solve(sweep, targets)
     path, control, sweeps = reference_solve(Sweep(prob, num), targets)
     assert (report.iterations, sweeps) == iterations
-    eps = max(g.table.fft_error for g in sweep.grids)
+    eps = max(t.fft_error for t in sweep.tables)
     assert_close_apply((report.trajectory, report.control), (path, control), eps)
     scale = np.abs(path.sample_stack()).max()
     assert np.allclose(report.per_window_defect, _window_defects(prob, path, targets),
@@ -1212,9 +1233,9 @@ def test_frozen_window_forcing_integral_is_computed_once(monkeypatch, name):
     prob, num, targets, _ = _equivalence_case(name)
     sweep = Sweep(prob, num)
     report = _solve(sweep, targets)
-    frozen = [g.times[-1] <= prob.beta for g in sweep.grids]
+    frozen = [t[-1] <= prob.beta for t in sweep.seg_times[::2]]
     assert any(frozen)
-    assert [calls[id(g.table)] for g in sweep.grids] == \
+    assert [calls[id(t)] for t in sweep.tables] == \
         [1 if f else report.iterations for f in frozen]
 
 
@@ -1268,7 +1289,7 @@ def test_changed_inputs_are_solved_again():
     assert sweep.window_solves == solves
 
     end = traj.left_value_at_theta(1)
-    eps = sweep.grids[1].table.fft_error
+    eps = sweep.tables[1].fft_error
     # the sine targets vanish at node 0, where the end value is round-off
     assert 0.0 < abs(end[0]) <= eps * np.abs(end).max()
     zero = end.copy()
@@ -1314,7 +1335,7 @@ def test_start_kept_up_to_the_rounding_bound(factor, count):
     for _ in range(3):
         sweep.apply(traj, targets)
     kept = window_start_reference(prob, traj, 1)
-    eps = sweep.grids[1].table.fft_error
+    eps = sweep.tables[1].fft_error
     k = int(np.argmax(np.abs(kept)))
     x = traj.left_value_at_theta(1).copy()
     x[k] += factor * eps * abs(kept[k]) / prob.mesh.lam[1]
@@ -1458,7 +1479,7 @@ def test_sweep_norms_read_only_recomputed_pieces(preset, reads):
             assert traj.seg_values[k].tobytes() == before.seg_values[k].tobytes()
     assert got == reads
     assert traj.sample_stack().tobytes() == solve.trajectory.sample_stack().tobytes()
-    eps = max(g.table.fft_error for g in sweep.grids)
+    eps = max(t.fft_error for t in sweep.tables)
     assert (solve.final_update == 0.0) == (preset in ("transport-case1", "transport-case2",
                                                       "linear-2d"))
     if preset == "transport-case1":
@@ -1516,3 +1537,24 @@ def test_non_finite_impulse_map_is_refused_before_any_arithmetic():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(ValueError, match=OVERFLOW_REFUSAL):
             picard_solve(Sweep(prob, Numerics(time_step=1e-2)), OVERFLOW_TARGETS)
+
+
+@pytest.mark.parametrize("backend", ["matrix", "shift"])
+@pytest.mark.parametrize("scale, refusal", [
+    (1e306, "segment contains non-finite entries"),
+    (1e300, "the sweep's update or path sup norm overflows")], ids=["1e306", "1e300"])
+def test_huge_window_start_is_refused_without_a_warning(backend, scale, refusal):
+    # start / delta in the convolution overflows at phi(0) = 1e306 (step
+    # 5e-3), and the path it gives is refused as non-finite; at 1e300 the
+    # path is finite and its update overflows.  Neither shows numpy's warning
+    if backend == "matrix":
+        T, phi0 = MatrixSemigroup(np.array([[0.0, 1.0], [-1.0, 0.0]])), [scale, 0.0]
+    else:
+        T, phi0 = ShiftSemigroup(16), scale * np.ones(16)
+    prob = Problem(semigroup=T, control_matrix=np.eye(T.dim),
+                   mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]), beta=1.0,
+                   history=lambda s: np.asarray(phi0, dtype=float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(ValueError, match=refusal):
+            picard_solve(Sweep(prob, Numerics(time_step=5e-3)), [np.ones(T.dim)] * 2)
