@@ -127,11 +127,12 @@ def load_config(path: str) -> RunConfig:
     if not preset and kind != "linear":
         raise ConfigError("problem.preset or problem.kind = linear is required")
     try:
-        problem, targets = (_load_preset(prob, preset, mesh, numerics) if preset
-                            else _load_linear(prob, mesh, numerics))
+        problem, draw = (_load_preset(prob, preset, mesh) if preset
+                         else _load_linear(prob, mesh))
     except FieldError as exc:
         # a field is named as its owner knows it; configparser lower-cases keys
         raise ConfigError(f"problem.{exc.field.lower()}: {exc}") from exc
+    targets = _load_targets(prob, problem, draw, numerics.seed)
     for field, rows in (("phi0", [problem.phi0()]), ("targets", targets)):
         with np.errstate(over="ignore"):    # an overflow is refused, not warned of
             if not all(np.isfinite(problem.norm(r)) for r in rows):
@@ -174,25 +175,42 @@ def _load_mesh(parser):
         raise ConfigError(f"mesh.breakpoints: {exc}") from exc
 
 
-def _load_preset(sec, preset: str, mesh, numerics: Numerics):
+def _load_targets(sec, problem: Problem, draw, seed: int) -> list:
+    """``problem.targets``: ``random``, the default, for the variant's
+    seeded ``draw(problem, seed)``, else one row per control window."""
+    raw = _get(sec, "targets", str, "problem.targets", "random")
+    if raw == "random":
+        return draw(problem, seed)
+    rows = _parse_matrix(raw, "problem.targets")
+    shape = (problem.mesh.n_impulses + 1, problem.dim)
+    if rows.shape != shape:
+        raise ConfigError("problem.targets: need {} rows of length {}, one per "
+                          "control window, got {} of length {}"
+                          .format(*shape, *rows.shape))
+    return list(rows)
+
+
+def _unit_targets(problem: Problem, seed: int) -> list:
+    """One random unit vector per control window, drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    targets = []
+    for _ in range(problem.mesh.n_impulses + 1):
+        z = rng.normal(size=problem.dim)
+        targets.append(z / np.linalg.norm(z))
+    return targets
+
+
+def _load_preset(sec, preset: str, mesh):
     builder, keys = _PRESETS[preset]
     kwargs = {} if mesh is None else {"mesh": mesh}
     for key, (param, cast) in keys.items():
         val = _get(sec, key, cast, field=f"problem.{key}")
         if val is not None:
             kwargs[param] = val
-    problem = builder(**kwargs)
-    targets_raw = _get(sec, "targets", str, "problem.targets", "random")
-    if targets_raw == "random":
-        return problem, smooth_targets(problem, numerics.seed)
-    rows = _parse_matrix(targets_raw, "problem.targets")
-    if rows.shape != (problem.mesh.n_impulses + 1, problem.dim):
-        raise ConfigError("problem.targets: need one row of length N per "
-                          "control window")
-    return problem, [r for r in rows]
+    return builder(**kwargs), smooth_targets
 
 
-def _load_linear(sec, mesh, numerics: Numerics):
+def _load_linear(sec, mesh):
     if mesh is None:
         raise ConfigError("mesh.breakpoints: is required for linear problems")
     gen_raw = sec.get("generator", "").strip()
@@ -211,23 +229,9 @@ def _load_linear(sec, mesh, numerics: Numerics):
     if impulse != "theta_x":
         raise ConfigError(f"problem.impulse: unknown kind {impulse!r}")
 
-    targets_raw = _get(sec, "targets", str, "problem.targets", "random")
-    n_windows = mesh.n_impulses + 1
-    if targets_raw == "random":
-        rng = np.random.default_rng(numerics.seed)
-        targets = []
-        for _ in range(n_windows):
-            z = rng.normal(size=d)
-            targets.append(z / np.linalg.norm(z))
-    else:
-        rows = _parse_matrix(targets_raw, "problem.targets")
-        if rows.shape != (n_windows, d):
-            raise ConfigError("problem.targets: need one row per control window")
-        targets = [r for r in rows]
-
     def history(s: float) -> np.ndarray:
         return phi0
 
     problem = Problem(semigroup=semigroup, control_matrix=B, mesh=mesh,
                       beta=beta, history=history)
-    return problem, targets
+    return problem, _unit_targets

@@ -2,11 +2,13 @@
 
 One tau-grid per mesh interval, built by :func:`interval_times`, is reused
 for Gramian assembly and steering residuals (on each control window's lag
-table, built from that window's grid), the kernel sums, the mild-solution
-sweep and the oracle, so that feeding the synthesized control back through
-the discrete solution operator reproduces the window targets to round-off
-rather than only to quadrature order.  The integro variant's Volterra sum
-on that grid is a handful of running sums of its polynomial kernel
+table, built from that window's grid), the forcing samples, the kernel
+sums, the mild-solution sweep and the oracle, so that feeding the
+synthesized control back through the discrete solution operator reproduces
+the window targets to round-off rather than only to quadrature order.  Both
+variants sample one pointwise map, eta or the integrand q
+(:func:`eta_values`); the integro variant's Volterra sum of q on the
+sweep's grids is a handful of running sums of its polynomial kernel
 (:class:`KernelDiscretization`).
 """
 
@@ -28,23 +30,19 @@ def interval_times(mesh: TimeMesh, numerics: Numerics) -> list:
             for a, end, kind, j in mesh.intervals()]
 
 
-def _delayed_forcing(fn, traj: PiecewiseTrajectory, times: np.ndarray) -> np.ndarray:
-    """fn(t, x(t - beta)) on the whole grid ``times``, from one delayed read."""
+def eta_values(problem: Problem, traj: PiecewiseTrajectory,
+               times: np.ndarray) -> np.ndarray:
+    """Samples of the delayed pointwise map -- eta, or the integro variant's
+    integrand q -- fn(t, x(t - beta)) along a time grid, from one delayed
+    read."""
+    if problem.nonlinearity is None:
+        return np.zeros((len(times), problem.dim))
     delayed = history_segment(traj, times, (-traj.beta,))[:, 0]
-    out = np.asarray(fn(times, delayed), dtype=float)
+    out = np.asarray(problem.nonlinearity(times, delayed), dtype=float)
     if out.shape != delayed.shape:
         raise ValueError(f"forcing returned shape {out.shape} for "
                          f"{len(times)} nodes, expected {delayed.shape}")
     return out
-
-
-def eta_values(problem: Problem, traj: PiecewiseTrajectory,
-               times: np.ndarray) -> np.ndarray:
-    """Samples of the delayed nonlinearity eta(t, x(t - beta)) along a time
-    grid."""
-    if problem.nonlinearity is None:
-        return np.zeros((len(times), problem.dim))
-    return _delayed_forcing(problem.nonlinearity, traj, times)
 
 
 def _expansion(coeffs) -> list:
@@ -56,7 +54,8 @@ def _expansion(coeffs) -> list:
 
 
 class KernelDiscretization:
-    """Volterra machinery for the integro variant on the global grid.
+    """Volterra machinery for the integro variant on the global grid, the
+    mesh intervals' grids ``block_times`` laid end to end.
 
     The inner convolution int_0^{t_i} kappa(t_i - s) q(s, x(s - beta)) ds at
     a global node t_i is the trapezoid sum over every mesh interval before
@@ -83,14 +82,13 @@ class KernelDiscretization:
     Stability of Numerical Algorithms, 2nd ed., 2002, sections 3.1 and 5.1).
     """
 
-    def __init__(self, problem: Problem, numerics: Numerics):
+    def __init__(self, problem: Problem, block_times: list):
         if problem.kernel is None:
             raise ValueError("problem has no convolution kernel configured")
-        self.problem = problem
-        self.block_times = interval_times(problem.mesh, numerics)
-        self._offsets = np.cumsum([0] + [len(t) for t in self.block_times])
-        self.times = np.concatenate(self.block_times)
-        coeffs = problem.kernel.coeffs
+        self.block_times = block_times
+        self._offsets = np.cumsum([0] + [len(t) for t in block_times])
+        self.times = np.concatenate(block_times)
+        coeffs = problem.kernel
         self._expansion = _expansion(coeffs)
         abs_coeffs = [abs(c) for c in coeffs]
         mass = self._running_sums(_expansion(abs_coeffs),
@@ -125,16 +123,6 @@ class KernelDiscretization:
                 y = y * t[:, None] + acc[:, l]
             out[rows] = y
         return out
-
-    def q_values(self, traj: PiecewiseTrajectory, rows: slice) -> np.ndarray:
-        """q(t, x(t - beta)) at the global nodes ``rows`` (at least one),
-        read one mesh interval at a time so that the read's temporaries stay
-        interval-sized."""
-        lo, hi, _ = rows.indices(len(self.times))
-        parts = [t[max(lo - o, 0):max(hi - o, 0)]
-                 for t, o in zip(self.block_times, self._offsets)]
-        return np.concatenate([_delayed_forcing(self.problem.kernel.q, traj, t)
-                               for t in parts if len(t)])
 
     def inner_convolution(self, q: np.ndarray) -> np.ndarray:
         """The forcing int_0^{t} kappa(t-s) q(s) ds at every global node,

@@ -136,7 +136,8 @@ class _Dense:
 
     def solve(self, r: np.ndarray) -> np.ndarray:
         V = self.eigvecs
-        return V @ ((V.T @ r) / self.eigvals)
+        with np.errstate(over="ignore"):    # the sweep refuses an overflow
+            return V @ ((V.T @ r) / self.eigvals)
 
     def matvec(self, w: np.ndarray) -> np.ndarray:
         return self.matrix @ w
@@ -170,7 +171,8 @@ class _Tridiagonal:
         y = [float(v[0])]
         for li, vi in zip(mult, v[1:].tolist()):
             y.append(vi - li * y[-1])
-        z = (np.array(y) / pivots).tolist()
+        with np.errstate(over="ignore"):    # the sweep refuses an overflow
+            z = (np.array(y) / pivots).tolist()
         x = [z[-1]]
         for li, zi in zip(reversed(mult), reversed(z[:-1])):
             x.append(zi - li * x[-1])
@@ -204,10 +206,12 @@ def gramian_solve(block: _Dense | _Tridiagonal, v: np.ndarray) -> np.ndarray:
     relative to v, or after 3 refinement steps, each solving for r by the
     block's factorization."""
     w, r = 0.0, v
-    for _ in range(4):
-        w = w + block.solve(r)
-        r = v - block.matvec(w)
-        with np.errstate(over="ignore"):    # the sweep refuses an overflow
+    # an overflowed solve leaves inf in w, and the refinement inf - inf:
+    # the non-finite w is refused by the sweep, not warned of
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            w = w + block.solve(r)
+            r = v - block.matvec(w)
             if np.linalg.norm(r) <= 1e-12 * max(np.linalg.norm(v), 1e-300):
                 break
     return w
@@ -266,7 +270,7 @@ class ControlSignal:
         for j, (a, end) in enumerate(self.problem.mesh.control_windows()):
             if a < t <= end:
                 adj = self.problem.semigroup.apply_adjoint(end - t, self.preimages[j])
-                return self.problem.control_adjoint() @ adj
+                return self.problem.control_matrix.T @ adj
         return np.zeros(self.problem.control_dim)
 
 
@@ -279,7 +283,7 @@ def synthesize_control(problem: Problem, table: MatrixLagTable | ShiftLagTable,
     adj = table.adjoint_evolve(y)          # rows T(g*delta)* y
     U = adj[table.m - np.arange(table.m + 1)]
     if not problem.identity_control:
-        U = U @ problem.control_adjoint().T
+        U = U @ problem.control_matrix
     return U, y
 
 

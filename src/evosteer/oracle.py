@@ -37,9 +37,9 @@ class OracleResult:
 
 def check_linear(problem: Problem) -> None:
     """Refuse, with a ``ValueError`` that says why, a problem the oracle
-    cannot integrate: one with a nonlinearity, a kernel or a nonlocal
+    cannot integrate: one with a pointwise map (eta or q) or a nonlocal
     coupling, or whose semigroup exposes no dense generator."""
-    if problem.nonlinearity is not None or problem.kernel is not None:
+    if problem.nonlinearity is not None:
         raise ValueError("oracle requires a problem linear in the state")
     if problem.nonlocal_term is not None:
         raise ValueError("oracle does not support nonlocal initial coupling")
@@ -54,7 +54,6 @@ def oracle_linear(problem: Problem, control: ControlSignal, targets,
     check_linear(problem)
     A = problem.semigroup.A
     B = problem.control_matrix
-    B_adj = problem.control_adjoint()
     d = problem.dim
     refine = numerics.oracle_refine
 
@@ -74,7 +73,7 @@ def oracle_linear(problem: Problem, control: ControlSignal, targets,
         # augmented linear system: x' = A x + (B B*) w, w' = -A^T w
         M = np.zeros((2 * d, 2 * d))
         M[:d, :d] = A
-        M[:d, d:] = B @ B_adj
+        M[:d, d:] = B @ B.T
         M[d:, d:] = -A.T
         z = np.concatenate([x, expm(A.T * (end - a)) @ y])
         hM = (end - a) / (m * refine) * M

@@ -7,11 +7,13 @@ and the forcing's declared constants.  Two variants exist:
 * semilinear -- forcing ``eta(t, x(t - beta))`` plus an optional nonlocal
   initial coupling ``x(0) = phi(0) + nu(x)``;
 * integro -- forcing is the running convolution of a polynomial kernel
-  against a delayed integrand ``q(t, x(t - beta))``; no nonlocal coupling.
+  against the delayed integrand ``q(t, x(t - beta))``; no nonlocal coupling.
 
-Both ``eta`` and ``q`` are called once per sample grid: ``fn(t, v)`` takes the
-node times ``t`` of shape ``(n,)`` and the delayed states ``v[i] = x(t_i -
-beta)`` of shape ``(n, dim)`` and returns the ``(n, dim)`` forcing rows.
+``Problem.nonlinearity`` is the pointwise map of either variant, ``eta`` or
+``q``, and ``Problem.kernel`` the kernel's coefficients, lowest power first.
+The map is called once per run of forcing rows: ``fn(t, v)`` takes the node
+times ``t`` of shape ``(n,)`` and the delayed states ``v[i] = x(t_i - beta)``
+of shape ``(n, dim)`` and returns the ``(n, dim)`` forcing rows.
 The impulse is ``theta * x(theta_j-)`` on every impulse window (theta_j, lam_j].
 
 The problem computes the Lipschitz constants of the impulse (lam_j) and of
@@ -57,24 +59,6 @@ class AssumptionConstants:
                 raise ValueError(f"{name} must be nonnegative")
 
 
-@dataclass(frozen=True)
-class ConvolutionKernel:
-    """Kernel pair for the integro-differential variant: the polynomial
-    kernel kappa(s) = sum_r coeffs[r] s^r, lowest power first, and the
-    delayed integrand ``q(t, v)``, called on a whole grid with ``v[i] =
-    x(t_i - beta)``."""
-
-    coeffs: tuple
-    q: Callable
-
-    def __post_init__(self):
-        coeffs = tuple(float(c) for c in self.coeffs)
-        if not coeffs or not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"kernel coeffs must be a nonempty list of finite "
-                             f"numbers, got {self.coeffs!r}")
-        object.__setattr__(self, "coeffs", coeffs)
-
-
 class WeightedSampleNonlocal:
     """Nonlocal initial coupling nu(x) = sum_j alpha_j * x(t_j).
 
@@ -102,7 +86,9 @@ class WeightedSampleNonlocal:
 @dataclass
 class Problem:
     """Full problem tuple consumed by the Gramian/steering/solver pipeline;
-    the control space is weighted like the state space, so B* is B^T."""
+    the control space is weighted like the state space, so B* is B^T.
+    ``kernel``, the coefficients c_r of kappa(s) = sum_r c_r s^r, lowest
+    power first, makes the integro variant, whose ``nonlinearity`` is q."""
 
     semigroup: object
     control_matrix: np.ndarray
@@ -110,7 +96,7 @@ class Problem:
     beta: float
     history: Callable[[float], np.ndarray]
     nonlinearity: Optional[Callable] = None
-    kernel: Optional[ConvolutionKernel] = None
+    kernel: Optional[tuple] = None
     nonlocal_term: Optional[WeightedSampleNonlocal] = None
     constants: AssumptionConstants = field(default_factory=AssumptionConstants)
 
@@ -120,8 +106,12 @@ class Problem:
             raise FieldError("control", "row count must match the state dimension")
         if self.beta <= 0:
             raise FieldError("beta", "delay length beta must be positive")
-        if self.kernel is not None and self.nonlinearity is not None:
-            raise ValueError("kernel and pointwise nonlinearity are exclusive variants")
+        if self.kernel is not None:
+            coeffs = tuple(float(c) for c in self.kernel)
+            if not coeffs or not np.all(np.isfinite(coeffs)):
+                raise ValueError(f"kernel coeffs must be a nonempty list of finite "
+                                 f"numbers, got {self.kernel!r}")
+            self.kernel = coeffs
         if self.nonlocal_term is not None:
             if self.kernel is not None:
                 raise ValueError("the integro variant carries no nonlocal coupling")
@@ -167,10 +157,6 @@ class Problem:
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.state_weight) * np.linalg.norm(v))
-
-    def control_adjoint(self) -> np.ndarray:
-        """Matrix of B*: B^T, state and control being weighted alike."""
-        return self.control_matrix.T
 
     def phi0(self) -> np.ndarray:
         return np.asarray(self.history(0.0), dtype=float)

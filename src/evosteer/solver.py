@@ -25,9 +25,9 @@ fixed point but not the fixed point: with every forcing row frozen, the
 first sweep's step lands on it, and the second sweep keeps every window.
 The fixed point is simultaneously a mild solution and a steered
 trajectory, which is exactly the property the contraction certificate
-predicts.  The integro variant replaces eta by the running convolution of
-its polynomial kernel, the running sums of :class:`KernelDiscretization`,
-and drops the nonlocal term.
+predicts.  The integro variant's forcing is its pointwise map q, read as
+eta is, convolved with its polynomial kernel by the running sums of
+:class:`KernelDiscretization`; it drops the nonlocal term.
 
 The fixed point is reached from any first iterate, which sets only how many
 sweeps reach it, and every iterate the operator returns ends each control
@@ -39,7 +39,7 @@ The forcing reads x only at t - beta, which for t <= beta lies in the
 fixed history: those rows are read once per run, the method of steps
 (A. Bellen and M. Zennaro, Numerical Methods for Delay Differential
 Equations, OUP 2003).  When no forcing row reads the iterate (every node
-at t <= beta, or neither a nonlinearity nor a kernel) and there is no
+at t <= beta, or no pointwise map to read it) and there is no
 nonlocal term, a sweep reads nothing of the iterate that can move, so the
 next sweep would read what the first one read and return its path
 unchanged: the iteration stops after one sweep with an update of exactly 0
@@ -154,12 +154,16 @@ class Sweep:
         self.seg_times = interval_times(problem.mesh, numerics)
         windows = self.seg_times[::2]
         self.tables, self.blocks = assemble_all(problem, windows)
-        self.kern = (KernelDiscretization(problem, numerics)
+        self.kern = (KernelDiscretization(problem, self.seg_times)
                      if problem.variant == "integro" else None)
-        # The forcing's nodes, sorted, so the rows at t <= beta lead: eta's
-        # on the control windows, q's on the whole kernel grid.
-        self._nodes = (np.concatenate(windows)
-                       if self.kern is None else self.kern.times)
+        # The forcing's nodes, sorted, so the rows at t <= beta lead: the
+        # control windows' grids, or, for the kernel's running sums, every
+        # interval's, in which window j's grid is the (2j)th.
+        grids, step = (windows, 1) if self.kern is None else (self.seg_times, 2)
+        self._nodes = np.concatenate(grids)
+        first = np.cumsum([0] + [len(t) for t in grids])
+        self._window_rows = [slice(first[step * j], first[step * j + 1])
+                             for j in range(len(windows))]
         self.frozen_forcing_rows = int(np.searchsorted(self._nodes, problem.beta,
                                                        side="right"))
         # Window j's forcing reads the forcing rows up to its end only, its
@@ -167,10 +171,10 @@ class Sweep:
         self._frozen_windows = [t[-1] <= problem.beta for t in windows]
         # Whether one sweep reaches the fixed point: no nonlocal term moves
         # the first window's start and no forcing row reads the iterate (a
-        # live row, of a nonlinearity or a kernel; without either, eta is 0).
+        # live row of a pointwise map; without one, every row is 0).
         self.one_sweep = problem.nonlocal_term is None and not (
             self.frozen_forcing_rows < len(self._nodes)
-            and (problem.nonlinearity is not None or self.kern is not None))
+            and problem.nonlinearity is not None)
         # The weights and instants of nu's samples that move with window
         # 0's start, where a sweep takes that start by a chord step
         # (see _first_start), else empty: nu samples window 0's interior
@@ -312,33 +316,28 @@ class Sweep:
         return self.tables[j].end_integral(F)
 
     def _forcings(self, traj: PiecewiseTrajectory) -> list:
-        """The forcing on every control window's grid from the rows of eta
-        or q at the forcing nodes: the rows at t <= beta read x(t - beta)
-        from the history every path of the run shares, and take one read
-        per run; the others take one read per call.  A semilinear window's
-        forcing is a view of its rows, an integro window's a slice of their
-        Volterra sum, which with every row frozen is formed once, the rows
-        then dropped."""
+        """The forcing on every control window's grid from the rows of the
+        pointwise map, eta or q, at the forcing nodes: the rows at t <= beta
+        read x(t - beta) from the history every path of the run shares, and
+        take one read per run; the others take one read per call.  A
+        window's forcing is a view of its rows, or, in the integro variant,
+        of their Volterra sum, which with every row frozen is formed once,
+        the rows then dropped."""
         K, G = self.frozen_forcing_rows, len(self._nodes)
         if self._forcing is not None and K == G:
             return self._forcing
-        read = (self.kern.q_values if self.kern is not None else
-                lambda traj, rows: eta_values(self.problem, traj, self._nodes[rows]))
         if self._rows is None:
             self._rows = np.empty((G, self.problem.dim))
             if K:
-                self._rows[:K] = read(traj, slice(0, K))
+                self._rows[:K] = eta_values(self.problem, traj, self._nodes[:K])
         if K < G:
-            self._rows[K:] = read(traj, slice(K, G))
-        if self.kern is None:
-            self._forcing = np.split(self._rows,
-                                     np.cumsum([len(t) for t in self.seg_times[::2]])[:-1])
-        else:
-            inner = self.kern.inner_convolution(self._rows)
+            self._rows[K:] = eta_values(self.problem, traj, self._nodes[K:])
+        rows = self._rows
+        if self.kern is not None:
+            rows = self.kern.inner_convolution(rows)
             if K == G:
                 self._rows = None
-            self._forcing = [inner[self.kern.block_slice(2 * j)]
-                             for j in range(len(self.tables))]
+        self._forcing = [rows[r] for r in self._window_rows]
         return self._forcing
 
     def apply(self, traj: PiecewiseTrajectory, targets):

@@ -3,9 +3,9 @@ left-shift semigroup, distributed control at every grid node, and the
 time-scaled impulse x -> theta * x on each impulse window.
 
 Case 1 adds a sine nonlinearity driven by the state one delay in the past
-and a weighted-sample nonlocal initial coupling.  Case 2 replaces the
-nonlinearity with the running convolution of kappa(s) = s against a
-saturating integrand and drops the nonlocal coupling.
+and a weighted-sample nonlocal initial coupling.  Case 2 takes a saturating
+pointwise map q of the delayed state, convolved with the kernel kappa(s) =
+s, and drops the nonlocal coupling.
 """
 
 from __future__ import annotations
@@ -15,8 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .core import FieldError, TimeMesh
-from .problems import (AssumptionConstants, ConvolutionKernel, Problem,
-                       WeightedSampleNonlocal)
+from .problems import AssumptionConstants, Problem, WeightedSampleNonlocal
 from .semigroups import ShiftSemigroup
 
 # The presets' mesh: one impulse on (0.3, 0.5] inside a unit horizon.
@@ -47,8 +46,8 @@ def _problem(N: int, beta: float, mesh: TimeMesh, *, nonlin_lipschitz: float,
              nonlocal_term: Optional[WeightedSampleNonlocal] = None) -> Problem:
     """The transport problem both cases share -- the shift semigroup on N
     nodes, B = I, the history phi(theta) = (1 + theta) sin(x) and the
-    impulse theta * x on each impulse window -- with a case's forcing, its
-    nonlocal term and the forcing's constants."""
+    impulse theta * x on each impulse window -- with a case's pointwise
+    map, its kernel, its nonlocal term and the map's constants."""
     semigroup = ShiftSemigroup(N)
     profile = np.sin(np.arange(N) * np.pi / N)
     constants = AssumptionConstants(nonlin_lipschitz=nonlin_lipschitz,
@@ -81,8 +80,8 @@ def build_case1(*, N: int = 64, beta: float = 1.0, mesh: TimeMesh = MESH,
 
 def build_case2(*, N: int = 64, beta: float = 1.0, mesh: TimeMesh = MESH,
                 a: float = 0.0) -> Problem:
-    """Convolution kernel kappa(s) = s, the polynomial coefficients (0, 1),
-    with a saturating integrand.
+    """Saturating integrand q convolved with the kernel kappa(s) = s, the
+    polynomial coefficients (0, 1).
 
     q(t, v) = exp(-t) |v| / ((a + 2 exp(t)) (1 + 2|v|)) node-wise, v =
     x(t - beta) the state one delay back; Lipschitz constant 1/(a+2), uniform
@@ -97,4 +96,4 @@ def build_case2(*, N: int = 64, beta: float = 1.0, mesh: TimeMesh = MESH,
                 / ((a + 2.0 * np.exp(t))[:, None] * (1.0 + 2.0 * v)))
 
     return _problem(N, beta, mesh, nonlin_lipschitz=1.0 / (a + 2.0), nonlin_sup=1.0,
-                    kernel=ConvolutionKernel(coeffs=(0.0, 1.0), q=q))
+                    nonlinearity=q, kernel=(0.0, 1.0))

@@ -6,8 +6,7 @@ from evosteer.certificates import (ball_radius, certificate_for,
                                    operator_bounds, solution_bound)
 from evosteer.core import TimeMesh
 from evosteer.discretize import KernelDiscretization, interval_times
-from evosteer.problems import (AssumptionConstants, ConvolutionKernel, Numerics,
-                               Problem)
+from evosteer.problems import AssumptionConstants, Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup
 from evosteer.solver import Sweep
 from evosteer.transport import build_case1, smooth_targets
@@ -98,14 +97,14 @@ class TestIntegroConstant:
         return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
                        control_matrix=np.eye(1), mesh=TimeMesh(breakpoints),
                        beta=1.0, history=lambda s: np.zeros(1),
-                       kernel=ConvolutionKernel(coeffs=coeffs,
-                                                q=lambda t, v: np.zeros_like(v)),
+                       nonlinearity=lambda t, v: np.zeros_like(v), kernel=coeffs,
                        constants=AssumptionConstants(nonlin_lipschitz=0.5,
                                                      nonlin_sup=1.0))
 
     def test_constant_kernel_mass_is_horizon(self):
         prob = self._integro_problem((1.0,), [0.0, 0.3, 0.5, 0.8])
-        kern = KernelDiscretization(prob, Numerics(time_step=1e-2))
+        kern = KernelDiscretization(prob, interval_times(prob.mesh,
+                                                         Numerics(time_step=1e-2)))
         assert kern.kernel_mass == pytest.approx(0.8, abs=1e-12)
 
     def test_kernel_mass_bounds_the_solved_sum(self):
@@ -264,8 +263,7 @@ class TestMergedIntegroCertificate:
         prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=M * np.eye(2),
                        mesh=mesh, beta=0.6,
                        history=lambda s: np.array([0.4, -0.3]),
-                       kernel=ConvolutionKernel(
-                           coeffs=MIXED, q=lambda t, v: 0.3 * v),
+                       nonlinearity=lambda t, v: 0.3 * v, kernel=MIXED,
                        constants=AssumptionConstants(
                            nonlin_lipschitz=0.3, nonlin_sup=0.8))
         num = Numerics(time_step=0.01)
@@ -274,7 +272,8 @@ class TestMergedIntegroCertificate:
         K = prob.semigroup.bound(0.9)
         assert (cert.semigroup_bound, cert.control_op_norm) == (K, M)
         km = cert.kernel_mass
-        assert km == KernelDiscretization(prob, num).kernel_mass > 0.0
+        assert km == KernelDiscretization(
+            prob, interval_times(prob.mesh, num)).kernel_mass > 0.0
         c = prob.constants
         lf, branch = _reference_integro_constant(
             K, M, 0.9, 1.5, c.nonlin_lipschitz, km, prob.impulse_lipschitz,

@@ -447,6 +447,26 @@ class TestConfigParsing:
         assert main(["certify", write(tmp_path, "e.ini", text.replace(
             line, f"{key} =").replace("out/linear", str(tmp_path / "o")))]) == 0
 
+    @pytest.mark.parametrize("config, rows, shape", [
+        ("linear-2d", "1 0 0; 0 1 0", "2 of length 3"),
+        ("linear-2d", "1 0; 0 1; 1 1", "3 of length 2"),
+        ("transport-case1", "; ".join(["1" + " 0" * 63] * 3), "3 of length 64"),
+        ("transport-case2", "1 0; 0 1", "2 of length 2"),
+    ], ids=["linear-length", "linear-count", "preset-count", "preset-length"])
+    def test_target_shape_is_named(self, tmp_path, capsys, config, rows, shape):
+        # one reader for both kinds: the message names the shape it needs
+        # and the shape it got
+        text = (CONFIGS / f"{config}.ini").read_text()
+        path = write(tmp_path, "t.ini", text.replace("targets = random",
+                                                     f"targets = {rows}"))
+        need = "2 rows of length " + ("2" if config == "linear-2d" else "64")
+        message = (f"problem.targets: need {need}, one per control window, "
+                   f"got {shape}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            load_config(path)
+        assert main(["certify", path]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     def test_explicit_targets(self, tmp_path):
         text = LINEAR_CFG.replace("targets = random",
                                   "targets = 1 0; 0 1")

@@ -8,7 +8,7 @@ import pytest
 from evosteer.core import TimeMesh
 from evosteer.discretize import KernelDiscretization, eta_values, interval_times
 from evosteer.oracle import oracle_linear
-from evosteer.problems import ConvolutionKernel, Numerics, Problem
+from evosteer.problems import Numerics, Problem
 from evosteer.semigroups import MatrixSemigroup, trapezoid_weights
 from evosteer.solver import Sweep
 from evosteer.transport import build_case2
@@ -48,7 +48,12 @@ def _kernel_problem(coeffs, q, mesh=None, dim=1):
     return Problem(semigroup=MatrixSemigroup(np.zeros((dim, dim))),
                    control_matrix=np.eye(dim), mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(dim),
-                   kernel=ConvolutionKernel(coeffs=coeffs, q=q))
+                   nonlinearity=q, kernel=coeffs)
+
+
+def _kernel(problem, numerics):
+    """The kernel sums on the problem's interval grids."""
+    return KernelDiscretization(problem, interval_times(problem.mesh, numerics))
 
 
 def kappa(coeffs, s):
@@ -76,9 +81,9 @@ def dense_kernel_reference(times, blocks, coeffs):
     return kap * M
 
 
-def volterra(kern, traj):
+def volterra(problem, kern, traj):
     """The inner convolution of q read from ``traj`` at every node."""
-    return kern.inner_convolution(kern.q_values(traj, slice(None)))
+    return kern.inner_convolution(eta_values(problem, traj, kern.times))
 
 
 class TestKernelDiscretization:
@@ -86,9 +91,9 @@ class TestKernelDiscretization:
         # kappa == 1, q == 1: the inner convolution at t is exactly t
         prob = _kernel_problem((1.0,), lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
-        kern = KernelDiscretization(prob, num)
+        kern = _kernel(prob, num)
         traj = flat_extension(Sweep(prob, num))
-        inner = volterra(kern, traj)
+        inner = volterra(prob, kern, traj)
         np.testing.assert_allclose(inner[:, 0], kern.times, atol=1e-12)
 
     def test_linear_kernel_closed_form(self):
@@ -97,9 +102,9 @@ class TestKernelDiscretization:
         # integrand is linear in s per fixed t, so yes
         prob = _kernel_problem((0.0, 1.0), lambda t, v: np.ones_like(v))
         num = Numerics(time_step=1e-2, history_samples=8)
-        kern = KernelDiscretization(prob, num)
+        kern = _kernel(prob, num)
         traj = flat_extension(Sweep(prob, num))
-        inner = volterra(kern, traj)
+        inner = volterra(prob, kern, traj)
         np.testing.assert_allclose(inner[:, 0], kern.times ** 2 / 2.0, atol=1e-12)
 
     def test_inner_convolution_at_nodes(self):
@@ -107,17 +112,17 @@ class TestKernelDiscretization:
         mesh = TimeMesh([0.0, 1.0])
         num = Numerics(time_step=1e-2, history_samples=8)
         prob = _kernel_problem((1.0,), lambda t, v: np.ones_like(v), mesh=mesh)
-        kern = KernelDiscretization(prob, num)
+        kern = _kernel(prob, num)
         traj = flat_extension(Sweep(prob, num))
         i, k = (int(np.argmin(np.abs(kern.times - t))) for t in (0.5, 0.7))
-        assert volterra(kern, traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
+        assert volterra(prob, kern, traj)[i, 0] == pytest.approx(0.5, abs=1e-12)
         prob0 = _kernel_problem((1.0,), lambda t, v: np.zeros_like(v), mesh=mesh)
-        assert volterra(KernelDiscretization(prob0, num), traj)[k, 0] == 0.0
+        assert volterra(prob0, _kernel(prob0, num), traj)[k, 0] == 0.0
 
     def test_block_slices_tile_the_grid(self):
         prob = _kernel_problem((0.0, 1.0), lambda t, v: np.zeros_like(v))
         num = Numerics(time_step=5e-2, history_samples=8)
-        kern = KernelDiscretization(prob, num)
+        kern = _kernel(prob, num)
         total = sum(kern.block_slice(i).stop - kern.block_slice(i).start
                     for i in range(len(kern.block_times)))
         assert total == len(kern.times)
@@ -138,20 +143,24 @@ class TestKernelDiscretization:
                                    lambda t, v: np.stack([np.sin(7.0 * t),
                                                           np.cos(3.0 * t) - t], axis=1),
                                    mesh=mesh, dim=2)
-            kern = KernelDiscretization(prob, num)
+            kern = _kernel(prob, num)
             assert len({(t[-1] - t[0]) / (len(t) - 1)
                         for t in kern.block_times}) == distinct_steps
             traj = flat_extension(Sweep(prob, num))
             KW = dense_kernel_reference(kern.times, kern.block_times, coeffs)
-            ref = KW @ kern.q_values(traj, slice(None))
-            new = volterra(kern, traj)
+            ref = KW @ eta_values(prob, traj, kern.times)
+            new = volterra(prob, kern, traj)
             assert new.shape == ref.shape == (len(kern.times), 2)
             assert np.abs(new - ref).max() <= 1e-13 * np.abs(ref).max()
 
     def test_empty_or_non_finite_coeffs_are_refused(self):
+        # the problem refuses the coefficients and keeps them as floats
         for coeffs in ((), (1.0, np.nan), (np.inf,)):
             with pytest.raises(ValueError, match=r"kernel coeffs must be"):
-                ConvolutionKernel(coeffs=coeffs, q=lambda t, v: np.zeros_like(v))
+                _kernel_problem(coeffs, lambda t, v: np.zeros_like(v))
+        prob = _kernel_problem([0, np.float32(1)], lambda t, v: np.zeros_like(v))
+        assert prob.kernel == (0.0, 1.0)
+        assert all(type(c) is float for c in prob.kernel)
 
     @pytest.mark.parametrize("breakpoints, time_step", [
         (EQUAL, 2.0 ** -8), (UNEQUAL, 0.03)], ids=["equal-steps", "unequal-steps"])
@@ -164,7 +173,7 @@ class TestKernelDiscretization:
         mesh = TimeMesh(breakpoints)
         for coeffs in ((0.0, 1.0), MIXED):
             prob = _kernel_problem(coeffs, lambda t, v: np.zeros_like(v), mesh=mesh)
-            kern = KernelDiscretization(prob, Numerics(time_step=time_step))
+            kern = _kernel(prob, Numerics(time_step=time_step))
             KW = dense_kernel_reference(kern.times, kern.block_times, (1.0,))
             lags = np.maximum(kern.times[:, None] - kern.times[None, :], 0.0)
             exact, bar = (max(math.fsum(row) for row in KW * k) for k in (
@@ -184,7 +193,7 @@ class TestKernelDiscretization:
         prob = build_case2(N=4)
         tracemalloc.start()
         try:
-            kern = KernelDiscretization(prob, Numerics(time_step=1e-5))
+            kern = _kernel(prob, Numerics(time_step=1e-5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -198,7 +207,7 @@ class TestKernelDiscretization:
         prob = build_case2(N=4)
         tracemalloc.start()
         try:
-            kern = KernelDiscretization(prob, Numerics(time_step=1.3e-5))
+            kern = _kernel(prob, Numerics(time_step=1.3e-5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -212,7 +221,7 @@ class TestKernelDiscretization:
                        control_matrix=[[1.0]], mesh=mesh, beta=1.0,
                        history=lambda s: np.zeros(1))
         with pytest.raises(ValueError):
-            KernelDiscretization(prob, Numerics(time_step=0.1))
+            _kernel(prob, Numerics(time_step=0.1))
 
 
 def test_eta_values_zero_without_nonlinearity():
@@ -232,7 +241,8 @@ def test_one_grid_per_interval(variant):
     mesh = TimeMesh([0.0, 0.32, 0.4, 0.55, 0.85, 1.0])
     prob = _kernel_problem(MIXED, lambda t, v: v, mesh=mesh, dim=2)
     if variant == "semilinear":
-        prob = dataclasses.replace(prob, kernel=None)
+        # linear, so that the oracle integrates it
+        prob = dataclasses.replace(prob, kernel=None, nonlinearity=None)
     num = Numerics(time_step=0.03, history_samples=8)
     expected = interval_times(mesh, num)
     assert [len(t) - 1 for t in expected] == [11, 8, 8, 10, 8]
@@ -245,7 +255,7 @@ def test_one_grid_per_interval(variant):
         assert table.m == len(t) - 1
         assert table.delta == (t[-1] - t[0]) / table.m
     if variant == "integro":
-        others = KernelDiscretization(prob, num).block_times
+        others = sweep.kern.block_times
     else:
         targets = [np.ones(2), -np.ones(2), np.zeros(2)]
         control = sweep.apply(sweep.initial_iterate(targets), targets)[2]
@@ -275,7 +285,7 @@ def _mixed_delay_case(variant, fn, beta=0.25):
     prob = dataclasses.replace(prob, beta=beta,
                                history=lambda s: np.array([1.0 + s, np.cos(5.0 * s)]))
     if variant == "semilinear":
-        prob = dataclasses.replace(prob, kernel=None, nonlinearity=fn)
+        prob = dataclasses.replace(prob, kernel=None)
     num = Numerics(time_step=2.0 ** -8, history_samples=16)
     sweep = Sweep(prob, num)
     rng = np.random.default_rng(60)
@@ -290,12 +300,8 @@ def test_grid_forcing_matches_per_node_reference(variant):
         return t[:, None] * v - 0.5 * v * v + 0.25
 
     prob, num, sweep, traj = _mixed_delay_case(variant, fn)
-    if variant == "semilinear":
-        grids = sweep.seg_times[::2]
-        got = [eta_values(prob, traj, t) for t in grids]
-    else:
-        grids = [sweep.kern.times]
-        got = [sweep.kern.q_values(traj, slice(None))]
+    grids = sweep.seg_times[::2] if variant == "semilinear" else [sweep.kern.times]
+    got = [eta_values(prob, traj, t) for t in grids]
     delayed = np.concatenate(grids) - prob.beta
     assert np.any(delayed <= 0.0) and np.any(delayed > 0.0)
     assert {0.25, 0.5} <= set(delayed)
@@ -312,9 +318,9 @@ def test_grid_forcing_matches_per_node_reference(variant):
     ids=["semilinear", "integro", "semilinear-beta-inside-window-0"])
 def test_one_forcing_call_per_grid(variant, beta, frozen, live):
     # the rows at t <= beta read only the history and take one read per
-    # run; the rows after it take one read per sweep: one eta call over
-    # every live control-window node, even where they span both windows,
-    # and q one read per mesh interval
+    # run; the rows after it take one read per sweep: one call of eta over
+    # every live control-window node, or of q over every live node, even
+    # where they span several intervals
     sizes = []
 
     def fn(t, v):
@@ -322,12 +328,8 @@ def test_one_forcing_call_per_grid(variant, beta, frozen, live):
         return 0.1 * v
 
     prob, num, sweep, traj = _mixed_delay_case(variant, fn, beta)
-    if variant == "semilinear":
-        grids = sweep.seg_times[::2]
-        frozen_reads, live_reads = [sum(frozen)], [sum(live)]
-    else:
-        grids = sweep.kern.block_times
-        frozen_reads, live_reads = frozen, live
+    grids = sweep.seg_times[::2] if variant == "semilinear" else sweep.seg_times
+    frozen_reads, live_reads = [sum(frozen)], [sum(live)]
     assert [int(np.sum(t <= prob.beta)) for t in grids] == frozen
     assert [len(t) for t in grids] == [k + n for k, n in zip(frozen, live)]
     assert sweep.frozen_forcing_rows == sum(frozen)

@@ -15,8 +15,7 @@ from evosteer.gramian import (ControlSignal, NotInvertibleError, assemble_all,
                               smallest_eigenvalue_bracket, steering_residual,
                               sturm_count, synthesize_control, tridiagonal_floor,
                               window_start)
-from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
-                               WeightedSampleNonlocal)
+from evosteer.problems import Numerics, Problem, WeightedSampleNonlocal
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
 from evosteer.solver import Sweep
 from evosteer.transport import build_case1, smooth_targets
@@ -432,9 +431,9 @@ class TestResiduals:
         # kappa == 1, q == 1, A = 0, window (0, 1]: inner integral tau,
         # outer integral 1/2
         mesh = TimeMesh([0.0, 1.0])
-        kernel = ConvolutionKernel(coeffs=(1.0,), q=lambda t, v: np.ones_like(v))
         prob = linear_problem(np.zeros((1, 1)), [[1.0]], mesh, [0.25],
-                              kernel=kernel)
+                              nonlinearity=lambda t, v: np.ones_like(v),
+                              kernel=(1.0,))
         num = Numerics(time_step=1e-2, history_samples=16)
         sweep = Sweep(prob, num)
         traj = flat_extension(sweep)
@@ -448,8 +447,9 @@ class TestResiduals:
         A = rng.normal(size=(2, 2)) / 2.0
         mesh = TimeMesh([0.0, 1.0])
         phi0 = rng.normal(size=2)
-        kernel = ConvolutionKernel(coeffs=(0.0, 1.0), q=lambda t, v: np.zeros_like(v))
-        prob = linear_problem(A, np.eye(2), mesh, phi0, kernel=kernel)
+        prob = linear_problem(A, np.eye(2), mesh, phi0,
+                              nonlinearity=lambda t, v: np.zeros_like(v),
+                              kernel=(0.0, 1.0))
         num = Numerics(time_step=1e-3, history_samples=8)
         sweep = Sweep(prob, num)
         traj = flat_extension(sweep)
@@ -518,8 +518,7 @@ class TestWindowStart:
         if case == "first-nonlocal":
             kwargs["nonlocal_term"] = WeightedSampleNonlocal([0.1], [0.2])
         elif case == "first-integro":
-            kwargs["kernel"] = ConvolutionKernel(coeffs=(1.0,),
-                                                 q=lambda t, v: np.ones_like(v))
+            kwargs.update(nonlinearity=lambda t, v: np.ones_like(v), kernel=(1.0,))
         prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
                               **kwargs)
         flat = _flat_traj(prob, Numerics(time_step=1e-2, history_samples=8))
@@ -609,5 +608,5 @@ def _eta(sweep, traj, j):
 
 
 def _inner(problem, traj, numerics):
-    kern = KernelDiscretization(problem, numerics)
-    return kern.inner_convolution(kern.q_values(traj, slice(None)))[kern.block_slice(0)]
+    kern = KernelDiscretization(problem, interval_times(problem.mesh, numerics))
+    return kern.inner_convolution(eta_values(problem, traj, kern.times))[kern.block_slice(0)]

@@ -7,7 +7,7 @@ from evosteer.config import load_config
 from evosteer.core import TimeMesh
 from evosteer.discretize import interval_times
 from evosteer.oracle import oracle_linear
-from evosteer.problems import ConvolutionKernel, Numerics, Problem
+from evosteer.problems import Numerics, Problem
 from evosteer.runner import run
 from evosteer.semigroups import MatrixSemigroup, expm
 from evosteer.solver import Sweep, picard_solve
@@ -20,7 +20,7 @@ def rk4_reference(problem, control, numerics):
     A, d = problem.semigroup.A, problem.dim
     M = np.zeros((2 * d, 2 * d))
     M[:d, :d] = A
-    M[:d, d:] = problem.control_matrix @ problem.control_adjoint()
+    M[:d, d:] = problem.control_matrix @ problem.control_matrix.T
     M[d:, d:] = -A.T
     refine = numerics.oracle_refine
     x = problem.phi0().copy()
@@ -56,7 +56,7 @@ def per_node_reference(problem, control, numerics):
     A, d, refine = problem.semigroup.A, problem.dim, numerics.oracle_refine
     M = np.zeros((2 * d, 2 * d))
     M[:d, :d] = A
-    M[:d, d:] = problem.control_matrix @ problem.control_adjoint()
+    M[:d, d:] = problem.control_matrix @ problem.control_matrix.T
     M[d:, d:] = -A.T
     eye = np.eye(2 * d)
     x = problem.phi0().copy()
@@ -182,8 +182,8 @@ class TestOracle:
     def test_rejects_kernel_and_shift_backend(self):
         mesh = TimeMesh([0.0, 1.0])
         prob = linear_problem(np.zeros((1, 1)), mesh, [0.0])
-        prob.kernel = ConvolutionKernel(coeffs=(0.0, 1.0),
-                                        q=lambda t, v: np.zeros_like(v))
+        prob.nonlinearity = lambda t, v: np.zeros_like(v)
+        prob.kernel = (0.0, 1.0)
         with pytest.raises(ValueError):
             oracle_linear(prob, None, None, Numerics(time_step=1e-2))
         from evosteer.transport import build_case1

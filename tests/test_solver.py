@@ -10,8 +10,7 @@ from evosteer.core import (PiecewiseTrajectory, TimeMesh, path_sup_norm,
 from evosteer.discretize import eta_values
 from evosteer.gramian import (ControlSignal, NotInvertibleError, gramian_solve,
                               steering_residual, window_start)
-from evosteer.problems import (ConvolutionKernel, Numerics, Problem,
-                               WeightedSampleNonlocal)
+from evosteer.problems import Numerics, Problem, WeightedSampleNonlocal
 from evosteer.semigroups import MatrixSemigroup, ShiftSemigroup, trapezoid_weights
 from evosteer.solver import (NonConvergenceError, Sweep, picard_solve,
                              verify_targets)
@@ -334,8 +333,8 @@ def test_one_gramian_assembly_per_run(monkeypatch, entry):
 
 @pytest.mark.parametrize("variant", ["linear", "semilinear", "integro"])
 def test_one_interval_grid_build_per_sweep(monkeypatch, variant):
-    # the sweep builds the interval grids once, and its lag tables and
-    # forcing nodes read them; only the integro kernel builds its own
+    # the sweep builds the interval grids once, and its lag tables,
+    # forcing nodes and integro kernel read them
     from collections import Counter
     from evosteer import discretize, solver
     calls = Counter()
@@ -346,11 +345,10 @@ def test_one_interval_grid_build_per_sweep(monkeypatch, variant):
         monkeypatch.setattr(module, "interval_times", counting)
     kwargs = {"linear": {},
               "semilinear": {"nonlinearity": lambda t, v: 0.1 * v},
-              "integro": {"kernel": ConvolutionKernel(coeffs=(0.0, 1.0),
-                                                      q=lambda t, v: v)}}[variant]
+              "integro": {"nonlinearity": lambda t, v: v,
+                          "kernel": (0.0, 1.0)}}[variant]
     Sweep(make_problem(**kwargs), Numerics(time_step=1e-2))
-    assert calls == Counter({"evosteer.solver": 1} if variant != "integro" else
-                            {"evosteer.solver": 1, "evosteer.discretize": 1})
+    assert calls == Counter({"evosteer.solver": 1})
 
 
 @pytest.mark.parametrize("entry", ["run", "certify"])
@@ -437,7 +435,7 @@ def synthesize_reference(problem, table, block, residual):
     y = gramian_solve(block, residual)
     U = table.adjoint_evolve(y)[table.m - np.arange(table.m + 1)]
     if not problem.identity_control:
-        U = U @ problem.control_adjoint().T
+        U = U @ problem.control_matrix
     return U, y
 
 
@@ -462,7 +460,8 @@ def reference_sweep(self, traj, targets, forward=False):
     from test_semigroups import lagged_weighted_sum
     problem = self.problem
     if self.kern is not None:
-        inner_all = self.kern.inner_convolution(self.kern.q_values(traj, slice(None)))
+        inner_all = self.kern.inner_convolution(
+            eta_values(problem, traj, self.kern.times))
     seg_values, samples, preimages = [], [], []
 
     def left(j):
@@ -1539,22 +1538,30 @@ def test_non_finite_impulse_map_is_refused_before_any_arithmetic():
             picard_solve(Sweep(prob, Numerics(time_step=1e-2)), OVERFLOW_TARGETS)
 
 
-@pytest.mark.parametrize("backend", ["matrix", "shift"])
+@pytest.mark.parametrize("backend", ["matrix", "shift", "shift-chord"])
 @pytest.mark.parametrize("scale, refusal", [
+    (1e308, "segment contains non-finite entries"),
     (1e306, "segment contains non-finite entries"),
-    (1e300, "the sweep's update or path sup norm overflows")], ids=["1e306", "1e300"])
+    (1e300, "the sweep's update or path sup norm overflows")],
+    ids=["1e308", "1e306", "1e300"])
 def test_huge_window_start_is_refused_without_a_warning(backend, scale, refusal):
-    # start / delta in the convolution overflows at phi(0) = 1e306 (step
+    # at phi(0) = 1e308 the Gramian solve of the window's residual
+    # overflows; start / delta in the convolution overflows at 1e306 (step
     # 5e-3), and the path it gives is refused as non-finite; at 1e300 the
-    # path is finite and its update overflows.  Neither shows numpy's warning
+    # path is finite and its update overflows.  None shows numpy's warning,
+    # nor does the chord step's own Gramian solve (a nonlocal sample inside
+    # window 0 on the shift backend)
     if backend == "matrix":
         T, phi0 = MatrixSemigroup(np.array([[0.0, 1.0], [-1.0, 0.0]])), [scale, 0.0]
     else:
         T, phi0 = ShiftSemigroup(16), scale * np.ones(16)
+    nu = WeightedSampleNonlocal([0.1], [0.2]) if backend == "shift-chord" else None
     prob = Problem(semigroup=T, control_matrix=np.eye(T.dim),
                    mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]), beta=1.0,
-                   history=lambda s: np.asarray(phi0, dtype=float))
+                   history=lambda s: np.asarray(phi0, dtype=float), nonlocal_term=nu)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        sweep = Sweep(prob, Numerics(time_step=5e-3))
+        assert bool(sweep._chord) == (nu is not None)
         with pytest.raises(ValueError, match=refusal):
-            picard_solve(Sweep(prob, Numerics(time_step=5e-3)), [np.ones(T.dim)] * 2)
+            picard_solve(sweep, [np.ones(T.dim)] * 2)

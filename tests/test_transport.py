@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evosteer.core import FieldError, TimeMesh, sup_distance
-from evosteer.discretize import KernelDiscretization
+from evosteer.discretize import KernelDiscretization, interval_times
 from evosteer.problems import Numerics
 from evosteer.semigroups import ShiftSemigroup
 from evosteer.solver import Sweep, picard_solve
@@ -130,7 +130,8 @@ class TestCase2:
         assert prob.constants.nonlin_lipschitz == pytest.approx(0.5)
         assert prob.constants.nonlin_sup == 1.0
         # kappa(s) = s: the trapezoid sums are exact, the largest is b^2/2
-        kern = KernelDiscretization(prob, Numerics(time_step=1e-2))
+        kern = KernelDiscretization(prob, interval_times(prob.mesh,
+                                                         Numerics(time_step=1e-2)))
         assert kern.kernel_mass == pytest.approx(0.5, abs=1e-10)
         assert prob.nonlocal_term is None
 
@@ -138,7 +139,8 @@ class TestCase2:
         # kappa(s) = s: the largest trapezoid sum is exactly b^2/2; the
         # running sums alone come out at 0.49999999999989814 on this grid
         prob = build_case2(N=8, a=0.0)
-        kern = KernelDiscretization(prob, Numerics(time_step=5e-5))
+        kern = KernelDiscretization(prob, interval_times(prob.mesh,
+                                                         Numerics(time_step=5e-5)))
         assert kern.kernel_mass >= 0.5
         assert kern.kernel_mass == pytest.approx(0.5, abs=1e-10)
 
@@ -149,7 +151,7 @@ class TestCase2:
         for _ in range(50):
             v = rng.normal(scale=3.0, size=(17, 12))
             theta = float(rng.uniform(0.0, 1.0))
-            q = prob.kernel.q(np.full(17, theta), v)
+            q = prob.nonlinearity(np.full(17, theta), v)
             # node-wise: e^{-t}/(a+2e^t) * |v|/(1+2|v|) <= 1/2 * 1/2
             assert q.shape == v.shape
             assert np.abs(q).max() <= 0.25 + 1e-12
@@ -163,7 +165,8 @@ class TestCase2:
         for _ in range(25):
             base = rng.normal(size=(17, 12))
             shift = rng.normal(size=12)
-            gap = prob.kernel.q(t, base) - prob.kernel.q(t, base + shift[None, :])
+            gap = (prob.nonlinearity(t, base)
+                   - prob.nonlinearity(t, base + shift[None, :]))
             for row in gap:
                 assert prob.norm(row) <= 0.5 * prob.norm(shift) + 1e-12
 
@@ -197,7 +200,7 @@ def test_forcing_constants_hold_on_a_sampled_grid(case, param):
         assert prob.constants.nonlin_lipschitz == abs(param)
     else:
         prob = build_case2(N=4, a=param)
-        times, fn = np.linspace(0.0, prob.mesh.b, 11), prob.kernel.q
+        times, fn = np.linspace(0.0, prob.mesh.b, 11), prob.nonlinearity
         assert prob.constants.nonlin_lipschitz == 1.0 / (param + 2.0)
         assert prob.constants.nonlin_sup == 1.0
     c = prob.constants
