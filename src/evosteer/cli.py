@@ -15,6 +15,14 @@ a NaN or infinity; 3 a Gramian floor below 1e-8; 4 non-convergence, which
 still writes report.json (certificate and unconverged solve, no verdict, no CSV).
 The EVOSTEER_OUTDIR environment variable, unless empty, overrides the
 configured output directory.
+
+``solve`` and ``oracle`` write ``trajectory.csv`` on the calling thread and
+``control.csv`` (then ``oracle.csv``) on one worker thread beside it when
+the trajectory holds more than a block's ``reports.CHUNK_VALUES`` values,
+two formatter passes; smaller runs write the files one after the other.
+The first worker starts only after the process is held to glibc's one
+malloc arena, so no thread's arena stays resident after the command's
+``malloc_trim``.  Files and messages are the same either way.
 """
 
 from __future__ import annotations
@@ -23,12 +31,13 @@ import argparse
 import functools
 import os
 import sys
+import threading
 import time
 
 from .config import ConfigError, RunConfig, load_config
 from .gramian import NotInvertibleError
 from .oracle import check_linear
-from .reports import (build_report, emit_control, emit_trajectory,
+from .reports import (CHUNK_VALUES, build_report, emit_control, emit_trajectory,
                       ensure_outdir, write_report)
 from .runner import certify, run
 from .solver import NonConvergenceError
@@ -38,6 +47,8 @@ EXIT_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_SINGULAR = 3
 EXIT_NO_CONVERGENCE = 4
+
+_M_ARENA_MAX = -8    # glibc's mallopt parameter (malloc.h)
 
 
 @functools.cache
@@ -96,20 +107,75 @@ def _release_freed_memory() -> None:
     so a process that runs several commands would otherwise start each one
     on a heap whose resident size depends on where the last one's blocks
     happened to land."""
-    trim = _malloc_trim()
-    if trim is not None:
-        trim(0)
+    libc = _libc()
+    if libc is not None:
+        libc.malloc_trim(0)
 
 
 @functools.cache
-def _malloc_trim():
-    """glibc's ``malloc_trim``, or None, looked up once per process: loading
-    the C library's handle costs far more than the trim itself."""
+def _libc():
+    """The C library with glibc's ``malloc_trim`` and ``mallopt``, or None
+    where it lacks them, loaded once per process: loading the handle costs
+    far more than either call."""
     import ctypes
-    trim = getattr(ctypes.CDLL(None), "malloc_trim", None)
-    if trim is not None:
-        trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
-    return trim
+    libc = ctypes.CDLL(None)
+    if not (hasattr(libc, "malloc_trim") and hasattr(libc, "mallopt")):
+        return None
+    libc.malloc_trim.argtypes = [ctypes.c_size_t]
+    libc.mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    return libc
+
+
+@functools.cache
+def _single_arena() -> None:
+    """Keep every thread of the process on glibc's one main malloc arena
+    (``mallopt(M_ARENA_MAX, 1)``), once, before the first emission worker
+    starts: a worker's own arena would stay resident after
+    ``malloc_trim``, 3-4 MB per process."""
+    libc = _libc()
+    if libc is not None:
+        libc.mallopt(_M_ARENA_MAX, 1)
+
+
+def _emit_csv(outdir: str, traj, control, oracle=None) -> None:
+    """Write ``trajectory.csv`` on this thread and ``control.csv``, then the
+    oracle's path ``oracle.csv`` if given, on one worker thread beside it,
+    where the trajectory holds more than ``CHUNK_VALUES`` state values: the
+    formatter's numpy calls release the GIL, but each hands it over, so the
+    worker pays off only when the files take several passes; smaller runs
+    write the files one after the other.  The
+    worker is joined before this returns.  An error of the trajectory wins,
+    as if the worker's files came after it, else the worker's is raised
+    here."""
+    def here():
+        emit_trajectory(traj, os.path.join(outdir, "trajectory.csv"))
+
+    def there():
+        emit_control(control, os.path.join(outdir, "control.csv"))
+        if oracle is not None:
+            emit_trajectory(oracle, os.path.join(outdir, "oracle.csv"))
+
+    if traj.history.size + traj.sample_stack().size <= CHUNK_VALUES:
+        here()
+        there()
+        return
+    failed = []
+
+    def work():
+        try:
+            there()
+        except BaseException as exc:
+            failed.append(exc)
+
+    _single_arena()
+    worker = threading.Thread(target=work, name="evosteer-emit")
+    worker.start()
+    try:
+        here()
+    finally:
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def _dispatch(args, cfg: RunConfig) -> int:
@@ -138,11 +204,10 @@ def _dispatch(args, cfg: RunConfig) -> int:
         raise
 
     t0 = time.perf_counter()
-    emit_trajectory(result.solve.trajectory, os.path.join(outdir, "trajectory.csv"))
-    emit_control(result.solve.control, os.path.join(outdir, "control.csv"))
+    _emit_csv(outdir, result.solve.trajectory, result.solve.control,
+              result.oracle.trajectory if with_oracle else None)
     oracle_cmp = None
     if with_oracle:
-        emit_trajectory(result.oracle.trajectory, os.path.join(outdir, "oracle.csv"))
         oracle_cmp = {"sup_distance": result.oracle_distance,
                       "defects": list(result.oracle.defects)}
     result.timings["emit_s"] = time.perf_counter() - t0

@@ -220,10 +220,15 @@ def gramian_solve(block: _Dense | _Tridiagonal, v: np.ndarray) -> np.ndarray:
 def window_start(problem: Problem, traj: PiecewiseTrajectory) -> np.ndarray:
     """Initial state phi(0) + nu(x) of the first control window under the
     iterate ``traj`` (the integro variant carries no nu).  A later window
-    starts at the last sample of the impulse window before it."""
+    starts at the last sample of the impulse window before it.  A sum that
+    overflows is refused with a ``ValueError``, not left to numpy's
+    overflow warning."""
     x0 = problem.phi0().copy()
     if problem.nonlocal_term is not None:
-        x0 = x0 + problem.nonlocal_term(traj)
+        with np.errstate(over="ignore"):
+            x0 = x0 + problem.nonlocal_term(traj)
+        if not np.all(np.isfinite(x0)):
+            raise ValueError("window 0's start phi(0) + nu(x) has non-finite entries")
     return x0
 
 

@@ -5,18 +5,24 @@ bytes.  Each CSV file is written by its own call from its own data:
 ``trajectory.csv`` holds the time, the window kind, the breakpoint side and
 the state, ``control.csv`` the time, the window index and the control.  A
 file is written piece by piece (for the trajectory the history, then each
-mesh interval; for the control each control window), each piece in blocks
-of rows holding at most ``CHUNK_VALUES`` values, so emission memory stays
-bounded when the grid is refined.  A block's values are rendered into
-32-byte slots of NUL-padded text that ``_format17`` renders for a whole
-block at once.  The block is then one matrix of little-endian words: per
-row the time slot, the literal fields and the value slots.  Deleting the
-NULs leaves the bytes ``csv.writer`` would write with one ``'%.17g' %`` per
-value (no field ever needs quoting; rows end in CRLF).  The formatter works
-in passes of 8,192 values: each of its numpy calls then covers enough
-values to hide the call's fixed cost, while a pass's temporaries (about 90
-bytes a value) come to 45 bytes per value of a full block, and emission as
-a whole holds about 87 bytes per block value."""
+mesh interval; for the control each control window), in blocks of rows
+that run on across the pieces, each holding at most ``CHUNK_VALUES`` = 2^16
+values, so emission memory stays bounded when the grid is refined.
+
+A block's rows are gathered in one value matrix and rendered in one matrix
+of little-endian words, both allocated once per file: per row the time's
+slot, the literal fields, the values' slots and CRLF, each slot 32 bytes
+of NUL-padded text that ``_format17`` renders in place for the whole
+block.  Keeping the word matrix's non-NUL bytes, a pass of rows at a time,
+leaves the bytes ``csv.writer`` would write with one ``'%.17g' %`` per
+value (no field ever needs quoting; rows end in CRLF).  The bytes are kept
+by a boolean mask, which releases the GIL, where ``bytearray.translate``
+holds it.  The formatter works in passes of 2^15 values, two a block: each
+of its numpy calls then runs long enough that another thread writing a
+file beside this one (``cli``'s emission worker) gains from the GIL it
+releases, while a pass's temporaries come to about 40 bytes per value of a
+full block, and emission as a whole holds about 83 bytes per block
+value."""
 
 from __future__ import annotations
 
@@ -31,18 +37,19 @@ import numpy as np
 
 from .core import PiecewiseTrajectory
 
-CHUNK_VALUES = 1 << 14
+CHUNK_VALUES = 1 << 16
 
 # Decimal exponents X = floor(log10 |x|) that _format17 renders itself: the
 # halves of |x| and of 10^(16 - X), and the remainder of 10^(16 - X), stay
-# finite normal doubles there.
-_XMIN, _XMAX = -290, 290
+# finite normal doubles there.  The range is centred on X = 8 so that the
+# powers 10^(16 - X) include every 10^(X + 1) a binade's exponent steps at.
+_XMIN, _XMAX = -282, 298
 _SPLIT = 2.0 ** 27 + 1      # Veltkamp's splitter into 26-bit halves
 # Values whose scaled fraction lies this close to 1/2 are rounded by the
 # fallback where 10^(16 - X) is not a double: the fast path's error is
 # below 1e-14 there, and exact ties round to even in the fallback.
 _TIE = 1e-6
-_PASS_VALUES = 1 << 13
+_PASS_VALUES = 1 << 15
 
 
 def _word(text: bytes, at: int) -> int:
@@ -63,7 +70,9 @@ def _tables() -> tuple:
       1..17), the head word (separator and ``0.00`` prefix) and, per body
       word, the masks of the digits kept in place, of the digits moved one
       byte right past the point, and the point itself;
-    * ``exponents``: per X, the ``e+XX`` suffix in the body's last word.
+    * ``exponents``: per X, the ``e+XX`` suffix in the body's last word;
+    * ``binades``: per biased binary exponent, the index of the binade's
+      first X and the least double from which on X is one more.
     """
     # 10^(16 - X) from exact integers, p = 10^|16 - X| stepped along X;
     # float(int) and int / int round correctly
@@ -126,7 +135,22 @@ def _tables() -> tuple:
     suffix[two, 7] = 0
     suffix[(X >= -4) & (X <= 16)] = 0
     exponents = suffix.view(np.uint64)[:, 0]
-    return powers, groups, zeros, forms.reshape(10, -1), exponents
+
+    # per binade 2^k <= |x| < 2^(k + 1), by the biased exponent k + 1023 in
+    # |x|'s bits: the index of X = floor(k log10 2), exact in floating point
+    # (k log10 2 stays 4.5e-4 or more from an integer for 0 < |k| <= 1024),
+    # and the least double >= 10^(X + 1), from which on |x| has X + 1; X is
+    # clipped so that exponents outside (_XMIN, _XMAX) stay outside, and
+    # inf and nan take _XMAX.  10^(X + 1) is the powers' 10^(16 - X') at
+    # X' = 15 - X, which they hold since _XMIN + _XMAX = 16, and ``lo``'s
+    # sign says on which side of it ``hi`` lies.
+    X = np.clip(np.floor(np.arange(-1023, 1025) * np.log10(2.0)).astype(np.intp),
+                _XMIN, _XMAX - 1)
+    hi, lo = powers[:2]
+    least = np.where(lo > 0.0, np.nextafter(hi, np.inf), hi)
+    binades = (X - _XMIN, least[15 - X - _XMIN])
+    binades[0][-1] = _XMAX - _XMIN
+    return powers, groups, zeros, forms.reshape(10, -1), exponents, binades
 
 
 def _scaled(ax: np.ndarray, i: np.ndarray, powers) -> tuple:
@@ -143,12 +167,12 @@ def _scaled(ax: np.ndarray, i: np.ndarray, powers) -> tuple:
     r -= p
     y *= xl
     r += y
-    np.take(hl, i, out=y)
+    np.take(hl, i, out=y, mode="clip")    # unbuffered: i is in range
     xh *= y
     r += xh
     xl *= y
     r += xl
-    np.take(lo, i, out=y)
+    np.take(lo, i, out=y, mode="clip")
     y *= ax
     r += y
     return p, r
@@ -160,23 +184,26 @@ def _fallback(values: list) -> np.ndarray:
     return np.frombuffer(text, dtype=np.uint64).reshape(-1, 4)
 
 
-def _format17(x: np.ndarray) -> np.ndarray:
-    """The ``'%.17g' %`` text of every value of the 1-D array ``x``, each
-    after a ``,``, as slots of 4 little-endian words of NUL-padded text: a
-    head word (separator, sign and the ``0.00`` prefix of 1e-4 <= |x| < 1)
-    and three body words (digits, point and exponent).
+def _format17(x: np.ndarray, out: np.ndarray) -> None:
+    """The ``'%.17g' %`` text of every value of ``x`` (a 1-D array, or a
+    2-D one of rows), each after a ``,``, into ``out`` (x's shape and 4
+    words, any strides): per value a slot of 4 little-endian words of
+    NUL-padded text, a head word (separator, sign and the ``0.00`` prefix of
+    1e-4 <= |x| < 1) and three body words (digits, point and exponent).
 
-    The 17 digits are ``D = round(|x| 10^(16 - X))``, X = floor(log10 |x|)
-    corrected by one where the scaled value leaves [1e16, 1e17) (T. J.
-    Dekker, Numer. Math. 18, 1971).  Zeros and, where 10^(16 - X) is exact,
-    ties are written here; other ties and near-ties, non-finite values and
-    exponents outside [_XMIN, _XMAX] go to ``_fallback``.  The work runs in
-    passes of at most ``_PASS_VALUES`` values, so its temporaries (about 90
-    bytes a value) stay bounded whatever the block's size."""
-    out = np.empty((x.size, 4), dtype=np.uint64)
-    for lo in range(0, x.size, _PASS_VALUES):
-        _format_pass(x[lo:lo + _PASS_VALUES], out[lo:lo + _PASS_VALUES])
-    return out
+    The 17 digits are ``D = round(|x| 10^(16 - X))`` (T. J. Dekker, Numer.
+    Math. 18, 1971), with X = floor(log10 |x|) exact from a per-binade
+    table: a binade 2^k <= |x| < 2^(k + 1) has exponent floor(k log10 2),
+    or one more from the least double >= the next power of ten on.  Zeros
+    and, where 10^(16 - X) is exact, ties are written here; other ties and
+    near-ties, non-finite values, subnormals and exponents outside (_XMIN,
+    _XMAX) go to ``_fallback``.  The work runs in passes of whole rows of
+    at most ``_PASS_VALUES`` values (one row if a row is longer), so its
+    temporaries (about 80 bytes a value) stay bounded whatever the size of
+    ``x``."""
+    step = max(1, _PASS_VALUES // max(1, int(np.prod(x.shape[1:]))))
+    for lo in range(0, len(x), step):
+        _format_pass(x[lo:lo + step], out[lo:lo + step])
 
 
 def _divmod(a: np.ndarray, c: int) -> tuple:
@@ -189,26 +216,22 @@ def _divmod(a: np.ndarray, c: int) -> tuple:
 
 def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
     """``_format17`` on one pass of values, into their slots ``out``."""
-    powers, groups, zeros, forms, exponents = _tables()
+    powers, groups, zeros, forms, exponents, (first, least) = _tables()
     ax = np.abs(x)
-    with np.errstate(divide="ignore"):
-        X = np.floor(np.log10(ax))
+    # i = X - _XMIN from |x|'s binade: its first exponent, plus one from
+    # the binade's power of ten on
+    binade = ax.view(np.int64) >> 52
+    i = first[binade]
+    i += ax >= least[binade]
+    del binade
     zero = ax == 0.0
-    # false for zeros, inf and nan; strict, so that X corrected by one
-    # stays in the tables
-    fast = (X > _XMIN) & (X < _XMAX)
+    # false for zeros, subnormals, inf and nan; strict, so that a carry's
+    # X + 1 stays in the tables
+    fast = (i > 0) & (i < _XMAX - _XMIN)
     ax[~fast] = 1.0
-    X[~fast] = 0.0
-    i = X.astype(np.intp) - _XMIN
-    del X
+    i[~fast] = -_XMIN
     p, r = _scaled(ax, i, powers)
-    low = (p < 1e16) | ((p == 1e16) & (r < 0.0))
-    high = (p > 1e17) | ((p == 1e17) & (r >= 0.0))
-    fix = np.flatnonzero(low | high)
-    if fix.size:
-        i[fix] += high[fix].astype(np.intp) - low[fix].astype(np.intp)
-        p[fix], r[fix] = _scaled(ax[fix], i[fix], powers)
-    del ax, low, high
+    del ax
     rounded = np.rint(r)
     r -= rounded
     # Where 10^(16 - X) is a double (lo == 0, X >= -6) the two-product
@@ -227,26 +250,38 @@ def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
     # D's digits: d0, then four groups of four; its form is X and the
     # count of digits before D's trailing zeros
     high8, g34 = _divmod(D, 10 ** 8)
+    del D
     d0, g12 = _divmod(high8, 10 ** 8)
+    del high8
     g1, g2 = _divmod(g12, 10 ** 4)
+    del g12
     g3, g4 = _divmod(g34, 10 ** 4)
-    del D, high8, g12, g34
+    del g34
     trailing = zeros[g4]
     below = g4 == 0
     for g in (g3, g2, g1):
         trailing += below * zeros[g]
         below &= g == 0
-    form = np.clip(i, -5 - _XMIN, 17 - _XMIN)
+    form = np.maximum(i, -5 - _XMIN)
+    np.minimum(form, 17 - _XMIN, out=form)
     form *= 17
     form += (5 + _XMIN) * 17 + 16
     form -= trailing
     del trailing, below
 
-    out[:, 0] = forms[0][form] | np.signbit(x) * np.uint64(_word(b"-", 1))
-    words = (groups[g1] << 8 | (d0 + ord("0")).view(np.uint64) | groups[g2] << 40,
-             groups[g2] >> 24 | groups[g3] << 8 | groups[g4] << 40,
-             groups[g4] >> 24)
-    del d0, g1, g2, g3, g4
+    out[..., 0] = forms[0][form] | np.signbit(x) * np.uint64(_word(b"-", 1))
+    # the body words, each freeing the digits it has taken
+    g2, g4 = groups[g2], groups[g4]
+    w0 = groups[g1] << 8
+    w0 |= (d0 + ord("0")).view(np.uint64)
+    w0 |= g2 << 40
+    del d0, g1
+    w1 = groups[g3] << 8
+    w1 |= g2 >> 24
+    w1 |= g4 << 40
+    del g2, g3
+    words = (w0, w1, g4 >> 24)
+    del w0, w1, g4
     spill = 0    # the digit a body word's shift moves into the next
     for j, w in enumerate(words):
         moved = w << 8 | spill
@@ -255,11 +290,11 @@ def _format_pass(x: np.ndarray, out: np.ndarray) -> None:
         moved &= forms[4 + j][form]
         w |= moved
         w |= forms[7 + j][form]
-        out[:, 1 + j] = w
-    out[:, 3] |= exponents[i]
-    out[zero, 1] = ord("0")
-    slow = np.flatnonzero(slow)
-    if slow.size:
+        out[..., 1 + j] = w
+    out[..., 3] |= exponents[i]
+    out[..., 1][zero] = ord("0")
+    slow = np.nonzero(slow)
+    if slow[0].size:
         out[slow] = _fallback(x[slow].tolist())
 
 
@@ -272,47 +307,66 @@ def _literal_words(lits: list) -> list:
 
 
 def _write_csv(path: str, header: list, pieces: list, lits: list) -> None:
-    """Write ``header`` and the rows of ``pieces`` to ``path``, piece by
-    piece in blocks of at most ``CHUNK_VALUES`` values.  A piece is (times,
-    values), one row per time, the values a 2-D array filling the row's
-    columns after the time.  Per piece ``lits`` holds a triple of literal
-    fields, one for the piece's first, inner and last row."""
-    rows = max(1, CHUNK_VALUES // (1 + pieces[0][1].shape[1]))
+    """Write ``header`` and the rows of ``pieces`` to ``path`` in blocks of
+    at most ``CHUNK_VALUES`` values, a block running on across the pieces.
+    A piece is (times, values), one row per time, the values a 2-D array
+    filling the row's columns after the time.  Per piece ``lits`` holds a
+    triple of literal fields, one for the piece's first, inner and last
+    row.  A block's rows are gathered in one value matrix, their literals
+    in one word matrix, and rendered in one text word matrix, each
+    allocated once for the file."""
+    cols = 1 + pieces[0][1].shape[1]
+    rows = min(max(1, CHUNK_VALUES // cols), sum(len(times) for times, _ in pieces))
+    lits = _literal_words(lits)
+    nlit = lits[0].shape[1]
+    block = np.empty((rows, cols))
+    row_lits = np.empty((rows, nlit), dtype=np.uint64)
+    words = np.empty((rows, 4 * cols + nlit + 1), dtype=np.uint64)
     try:
         with open(path, "wb") as fh:
             fh.write((",".join(header) + "\r\n").encode())
-            for (times, values), lit in zip(pieces, _literal_words(lits)):
-                for lo in range(0, len(times), rows):
-                    fh.write(_block_text(times[lo:lo + rows], values[lo:lo + rows],
-                                         lit, lo == 0, lo + rows >= len(times)))
+            n = 0    # rows gathered in the block
+            for (times, values), lit in zip(pieces, lits):
+                at = 0
+                while at < len(times):
+                    m = min(rows - n, len(times) - at)
+                    block[n:n + m, 0] = times[at:at + m]
+                    block[n:n + m, 1:] = values[at:at + m]
+                    row_lits[n:n + m] = lit[1]
+                    if at == 0:
+                        row_lits[n] = lit[0]
+                    at += m
+                    n += m
+                    if at == len(times):
+                        row_lits[n - 1] = lit[2]
+                    if n == rows:
+                        _write_block(fh, words, block, row_lits)
+                        n = 0
+            if n:
+                _write_block(fh, words[:n], block[:n], row_lits[:n])
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 
 
-def _block_text(times: np.ndarray, values: np.ndarray, lits: np.ndarray,
-                first: bool, last: bool) -> bytearray:
-    """The CSV text of one block of a piece's rows: per row the time, the
-    literal words, the values and CRLF.  ``first`` and ``last`` say whether
-    the block holds the piece's first and last row, which take their own
-    literals."""
-    block = np.column_stack([times, values])
-    n, cols = block.shape
-    slots = _format17(block.ravel()).reshape(n, cols, 4)
-    del block
+def _write_block(fh, words: np.ndarray, block: np.ndarray, lits: np.ndarray) -> None:
+    """Write the CSV text of a block of rows, ``block`` their times and
+    values and ``lits`` their literal words, rendered in the word matrix
+    ``words``: per row the time's slot, the literal words, the values'
+    slots and CRLF.  The text is compacted and written a pass of rows at a
+    time, which keeps the NUL mask and the compacted copy to half a
+    block."""
     nlit = lits.shape[1]
-    text = bytearray(8 * n * (4 * cols + nlit + 1))
-    words = np.frombuffer(text, dtype=np.uint64).reshape(n, -1)
-    words[:, :4] = slots[:, 0]
-    words[:, 4:4 + nlit] = lits[1]
-    if first:
-        words[0, 4:4 + nlit] = lits[0]
-    if last:
-        words[-1, 4:4 + nlit] = lits[2]
-    words[:, 4 + nlit:-1] = slots[:, 1:].reshape(n, -1)
-    del slots
+    # every slot of a row in one strided view: the time's slot lands where
+    # the literals go, and moves in front of them
+    _format17(block, words[:, nlit:-1].reshape(block.shape + (4,)))
+    words[:, :4] = words[:, nlit:nlit + 4].copy()
     words[:, 0] &= ~np.uint64(0xFF)     # no separator before the time
+    words[:, 4:4 + nlit] = lits
     words[:, -1] = _word(b"\r\n", 0)
-    return text.translate(None, b"\0")
+    step = max(1, _PASS_VALUES // block.shape[1])
+    for lo in range(0, len(words), step):
+        text = words[lo:lo + step].view(np.uint8).ravel()
+        fh.write(text[text != 0])
 
 
 def emit_trajectory(traj: PiecewiseTrajectory, path: str) -> None:

@@ -199,7 +199,8 @@ class MatrixLagTable:
         self.fft_error = fft_row_sum_error(self._n, E.shape[0])
 
     def apply(self, g: int, v: np.ndarray) -> np.ndarray:
-        return self.stack[g] @ v
+        with np.errstate(over="ignore", invalid="ignore"):    # refused by the sweep
+            return self.stack[g] @ v
 
     def gramian(self, B: np.ndarray) -> np.ndarray:
         """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, as one batched product."""

@@ -278,7 +278,7 @@ class Sweep:
         start = window_start(self.problem, traj)
         if not self._chord:
             return start
-        table = self.tables[0]
+        table: ShiftLagTable = self.tables[0]    # the chord step's backend
         alphas, instants = self._chord
         _, j, f = traj.locate(instants)
         rows = np.concatenate((j, j + 1))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -727,7 +728,8 @@ class TestCommands:
         assert calls == [1, 1]
 
     def test_malloc_trim_is_looked_up_once(self, monkeypatch):
-        # loading the C library's handle costs more than the trim itself
+        # loading the C library's handle costs more than the trim itself;
+        # the arena cap goes through the same handle
         import ctypes
         loads = []
         load = ctypes.CDLL
@@ -736,13 +738,14 @@ class TestCommands:
             loads.append(args)
             return load(*args, **kwargs)
 
-        cli._malloc_trim.cache_clear()
+        cli._libc.cache_clear()
         monkeypatch.setattr(ctypes, "CDLL", counting)
         try:
             for _ in range(3):
                 cli._release_freed_memory()
+            cli._single_arena.__wrapped__()
         finally:
-            cli._malloc_trim.cache_clear()
+            cli._libc.cache_clear()
         assert loads == [(None,)]
 
     def test_one_parser_serves_every_command(self, tmp_path, capsys, monkeypatch):
@@ -788,6 +791,42 @@ class TestCommands:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("output error: ")
         assert str(out if blocked == "file/out" else out / blocked) in err[0]
+
+    @pytest.mark.parametrize("blocked", ["trajectory.csv", "control.csv"])
+    def test_unwritable_file_of_a_threaded_solve_exits_2(
+            self, tmp_path, capsys, monkeypatch, blocked):
+        # the shipped Case-1 preset writes control.csv on the worker: a
+        # blocked file of either thread is named on the one line of a
+        # serial run, and no worker outlives the command
+        threads = threading.active_count()
+        workers = worker_threads(monkeypatch)
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+        assert main(["solve", str(CONFIGS / "transport-case1.ini"), "--no-timing"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("output error: cannot write ")
+        assert str(out / blocked) in err[0]
+        assert workers == ["evosteer-emit"]
+        assert threading.active_count() == threads
+        assert not (out / "report.json").exists()
+
+    def test_threaded_solve_writes_the_serial_bytes(self, tmp_path, monkeypatch):
+        # two threaded --no-timing runs and a serial one write the same
+        # bytes, and every worker is joined when the command returns
+        ini = str(CONFIGS / "transport-case1.ini")
+        threads = threading.active_count()
+        workers = worker_threads(monkeypatch)
+        outs = [tmp_path / name for name in ("a", "b", "serial")]
+        for out in outs:
+            if out.name == "serial":
+                monkeypatch.setattr(cli, "CHUNK_VALUES", 10 ** 12)
+            monkeypatch.setenv("EVOSTEER_OUTDIR", str(out))
+            assert main(["solve", ini, "--no-timing"]) == 0
+            assert threading.active_count() == threads
+        assert workers == ["evosteer-emit"] * 2
+        for name in ("trajectory.csv", "control.csv", "report.json"):
+            assert len({(out / name).read_bytes() for out in outs}) == 1, name
 
     def test_selftest_keeps_its_own_output_directory(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -975,6 +1014,21 @@ class TestCsvRoundTrip:
             assert (tmp_path / "c.csv").read_bytes() == control_reference(control), rows
 
 
+def worker_threads(monkeypatch) -> list:
+    """The names of the threads that write control.csv from now on, other
+    than the main thread."""
+    names = []
+    emit = cli.emit_control
+
+    def recording(*args):
+        if threading.current_thread() is not threading.main_thread():
+            names.append(threading.current_thread().name)
+        return emit(*args)
+
+    monkeypatch.setattr(cli, "emit_control", recording)
+    return names
+
+
 def synthetic_path(steps: int, dim: int):
     """A random path and control on the mesh 0 0.3 0.5 1, ``steps`` steps
     per unit time, every value drawn at full precision."""
@@ -992,16 +1046,16 @@ def synthetic_path(steps: int, dim: int):
 
 
 def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
-    # Per value of a block the writer holds the value, its 32-byte text
-    # slot and a formatting pass's temporaries (45 bytes per value of a full
-    # block), then the slots and the block's word matrix with the rows'
-    # literal words, then that matrix and the compacted text: about 87 bytes
-    # at 1,000 and 4,000 steps, for either file, the formatting its peak.
-    # The transient memory beyond what was retained before stays under 96
-    # bytes per chunk value at both resolutions, while at the finer one
-    # each file is larger than that bound.
+    # Per value of a block the writer holds the file's word matrix (its
+    # 32-byte text slot and a share of the rows' literal words) and value
+    # matrix, with a formatting pass's temporaries or a pass's NUL mask and
+    # compacted text (a pass is half a block): about 83 bytes at 4,000 and
+    # 16,000 steps, for either file.  The transient memory beyond what was
+    # retained before stays under 96 bytes per chunk value at both
+    # resolutions, while at the finer one each file is larger than that
+    # bound.
     bound = 96 * reports.CHUNK_VALUES
-    for steps in (1000, 4000):
+    for steps in (4000, 16000):
         traj, control = synthetic_path(steps, 32)
         tracemalloc.start()
         try:
@@ -1015,3 +1069,21 @@ def test_emission_memory_is_bounded_by_the_chunk(tmp_path):
             tracemalloc.stop()
     assert (tmp_path / "c.csv").stat().st_size > bound
     assert (tmp_path / "t.csv").stat().st_size > bound
+
+
+def test_concurrent_emission_memory_is_bounded_by_two_chunks(tmp_path, monkeypatch):
+    # the trajectory and the control written beside it on the worker each
+    # hold at most one writer's 96 bytes per chunk value at any time
+    traj, control = synthetic_path(16000, 32)
+    workers = worker_threads(monkeypatch)
+    tracemalloc.start()
+    try:
+        retained = tracemalloc.get_traced_memory()[0]
+        cli._emit_csv(str(tmp_path), traj, control)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert workers == ["evosteer-emit"]
+    assert peak - retained <= 2 * 96 * reports.CHUNK_VALUES
+    for name in ("trajectory.csv", "control.csv"):
+        assert (tmp_path / name).stat().st_size > 96 * reports.CHUNK_VALUES

@@ -219,54 +219,89 @@ def _last_name(expr):
             else expr.attr if isinstance(expr, ast.Attribute) else None)
 
 
+def _binding_scopes(tree):
+    """(scope, statement) for every top-level statement of ``tree`` and of
+    its classes' bodies: a function or method binds names in its own scope
+    (tree, function), nested functions included; module statements bind
+    them in (tree, None); a class body binds fields, scope None."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                yield ((tree, item) if isinstance(item, ast.FunctionDef) else None), item
+        else:
+            yield (tree, node if isinstance(node, ast.FunctionDef) else None), node
+
+
+def _scope_of(tree, node):
+    """The binding scope whose names ``node``, a scope of ``_scopes``, reads."""
+    return (tree, node if isinstance(node, ast.FunctionDef) else None)
+
+
 def _held_classes(trees, methods):
-    """A function giving the package classes an expression may hold, as far
-    as names show it: a constructor call, a call of a method annotated to
-    return one, or a name (a variable, attribute, parameter or keyword)
-    that holds one by annotation or by assignment from such an expression."""
+    """A function ``classes_of(expr, scope)`` giving the package classes an
+    expression may hold, as far as names show it: a constructor call, a
+    call of a method annotated to return one, an attribute, property or
+    keyword name that holds one anywhere in the package, or a bare name
+    that holds one in ``scope`` (see ``_binding_scopes``) or at its
+    module's level, each by annotation or by assignment from such an
+    expression."""
     def named(annotation):
         return {n.id for n in ast.walk(annotation)
                 if isinstance(n, ast.Name) and n.id in methods}
-    returns, held = {}, {}
+    returns, fields, names = {}, {}, {}
     for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.returns is not None:
                 # a property's name holds what it returns
-                owner = held if node.decorator_list else returns
+                owner = fields if node.decorator_list else returns
                 owner.setdefault(node.name, set()).update(named(node.returns))
 
-    def classes_of(expr):
+    def classes_of(expr, scope):
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
             return {expr.func.id} & methods.keys()
         if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Attribute):
             return returns.get(expr.func.attr, set())
-        return held.get(_last_name(expr), set())
-    def bind(target, classes):
+        while isinstance(expr, ast.Subscript):
+            expr = expr.value
+        if isinstance(expr, ast.Name):
+            return (names.get((scope, expr.id), set())
+                    | names.get(((scope[0], None), expr.id), set()))
+        return fields.get(_last_name(expr), set())
+
+    def bind(target, classes, scope):
+        while isinstance(target, ast.Subscript):
+            target = target.value
+        if isinstance(target, ast.Name) and scope is not None:
+            names.setdefault((scope, target.id), set()).update(classes)
+            return
         name = target if isinstance(target, str) else _last_name(target)
-        if name and classes:
-            held.setdefault(name, set()).update(classes)
+        if name:
+            fields.setdefault(name, set()).update(classes)
     while True:    # until no class passes further along a chain of names
-        size = sum(map(len, held.values()))
+        size = sum(map(len, names.values())) + sum(map(len, fields.values()))
         for tree in trees:
-            for node in ast.walk(tree):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        bind(target, classes_of(node.value))
-                elif isinstance(node, ast.keyword):
-                    bind(node.arg, classes_of(node.value))
-                elif isinstance(node, ast.arg) and node.annotation is not None:
-                    bind(node.arg, named(node.annotation))
-                elif isinstance(node, ast.AnnAssign):
-                    bind(node.target, named(node.annotation))
-        if sum(map(len, held.values())) == size:
+            for scope, statement in _binding_scopes(tree):
+                read = scope or (tree, None)
+                for node in ast.walk(statement):
+                    if isinstance(node, ast.Assign):
+                        for target in node.targets:
+                            bind(target, classes_of(node.value, read), scope)
+                    elif isinstance(node, ast.keyword) and node.arg:
+                        bind(node.arg, classes_of(node.value, read), scope)
+                    elif isinstance(node, ast.arg) and node.annotation is not None:
+                        bind(ast.Name(node.arg), named(node.annotation), scope)
+                    elif isinstance(node, ast.AnnAssign):
+                        bind(node.target, named(node.annotation), scope)
+        if sum(map(len, names.values())) + sum(map(len, fields.values())) == size:
             return classes_of
 
 
-def _reads(node, cls, methods, classes_of):
+def _reads(node, cls, methods, classes_of, scope):
     """What a scope reads: identifiers and attribute names, each attribute
     read of a method as "Class.method" for every class it may resolve to
-    (``self``'s, a named class's, or those its receiver may hold, else every
-    class defining it), and the dotted strings of a ``PROBES`` table."""
+    (``self``'s, a named class's, or those its receiver may hold in the
+    binding ``scope``, else every class defining it), and the dotted
+    strings of a ``PROBES`` table."""
     out = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
@@ -280,7 +315,7 @@ def _reads(node, cls, methods, classes_of):
             elif isinstance(recv, ast.Name) and recv.id in owners:
                 owners = {recv.id}
             else:
-                owners = owners & classes_of(recv) or owners
+                owners = owners & classes_of(recv, scope) or owners
             out.update(f"{c}.{n.attr}" for c in owners)
         elif isinstance(n, ast.Assign) and any(
                 isinstance(t, ast.Name) and t.id == "PROBES" for t in n.targets):
@@ -308,7 +343,8 @@ def test_every_definition_is_referenced():
     for p, tree in trees.items():
         for key, cls, node in _scopes(tree):
             key = key if p.parent == PACKAGE else None    # the benchmark is all root
-            reads.setdefault(key, set()).update(_reads(node, cls, methods, classes_of))
+            reads.setdefault(key, set()).update(
+                _reads(node, cls, methods, classes_of, _scope_of(tree, node)))
     roots = reads.pop(None)
 
     def unreferenced(*kept):
@@ -327,6 +363,24 @@ def test_every_definition_is_referenced():
     assert not stale, f"exempt methods now referenced: {sorted(stale)}"
     unused = unreferenced(*_TEST_ONLY_METHODS)
     assert not unused, f"definitions named nowhere: {sorted(unused.values())}"
+
+
+def test_held_classes_are_scoped_per_function():
+    """A bare name binds its class in its own function only: two ``table``
+    parameters annotated with different classes each resolve ``table.apply``
+    to their own class, and a name bound in neither resolves to none."""
+    tree = ast.parse(
+        "class A:\n    def apply(self): pass\n"
+        "class B:\n    def apply(self): pass\n"
+        "def f(table: A):\n    return table.apply()\n"
+        "def g(table: B):\n    return table.apply()\n"
+        "def h(table):\n    return table.apply()\n")
+    methods = {"A": {"apply"}, "B": {"apply"}}
+    classes_of = _held_classes([tree], methods)
+    reads = {node.name: {r for r in _reads(node, None, methods, classes_of,
+                                           _scope_of(tree, node)) if "." in r}
+             for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert reads == {"f": {"A.apply"}, "g": {"B.apply"}, "h": {"A.apply", "B.apply"}}
 
 
 def _defaulted_parameters(tree):

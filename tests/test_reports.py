@@ -3,6 +3,7 @@
 
 import csv
 import decimal
+import fractions
 import io
 import os
 import subprocess
@@ -17,7 +18,9 @@ from evosteer import reports
 
 def rendered(x) -> list:
     """The formatter's text of every value of ``x``."""
-    slots = reports._format17(np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    slots = np.empty((x.size, 4), dtype=np.uint64)
+    reports._format17(x, slots)
     return slots.tobytes().translate(None, b"\0").split(b",")[1:]
 
 
@@ -117,7 +120,7 @@ def test_exact_ties_round_half_to_even(fallback):
 
 
 def test_digit_group_tables_match_the_per_entry_builder():
-    _, groups, zeros, _, _ = reports._tables()
+    _, groups, zeros, _, _, _ = reports._tables()
     want_groups = np.array([reports._word(b"%04d" % g, 0) for g in range(10000)],
                            dtype=np.uint64)
     want_zeros = np.array([4] + [len(s) - len(s.rstrip("0"))
@@ -171,12 +174,33 @@ def per_entry_tables() -> tuple:
 
 
 def test_power_form_and_exponent_tables_match_the_per_entry_builder():
-    powers, _, _, forms, exponents = reports._tables()
+    powers, _, _, forms, exponents, _ = reports._tables()
     want_powers, want_forms, want_exponents = per_entry_tables()
     for got, want in [*zip(powers, want_powers), (forms, want_forms),
                       (exponents, want_exponents)]:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+def test_binade_tables_match_the_per_entry_builder():
+    # per biased exponent e of |x|'s bits, the binade 2^k <= |x| < 2^(k + 1)
+    # with k = e - 1023: the index of X = floor(log10 2^k), clipped to
+    # [_XMIN, _XMAX - 1] (inf and nan: _XMAX), and the least double >=
+    # 10^(X + 1), both from exact integers and rationals
+    first, least = reports._tables()[5]
+    want_first, want_least = [], []
+    for e in range(2048):
+        k = e - 1023
+        X = len(str(2 ** k)) - 1 if k >= 0 else len(str(5 ** -k)) - 1 + k
+        X = min(max(X, reports._XMIN), reports._XMAX - 1)
+        power = fractions.Fraction(10) ** (X + 1)
+        v = float(power)    # correctly rounded
+        want_least.append(v if fractions.Fraction(v) >= power
+                          else np.nextafter(v, np.inf))
+        want_first.append((reports._XMAX if e == 2047 else X) - reports._XMIN)
+    assert first.dtype == np.intp and least.dtype == np.float64
+    assert first.tolist() == want_first
+    assert least.tolist() == want_least
 
 
 def test_tables_are_built_on_first_emission_not_at_import():
@@ -246,11 +270,12 @@ def test_block_spanning_three_pieces(tmp_path, monkeypatch):
                                    pieces, lits)
 
 
-@pytest.mark.parametrize("count", [8191, 8192, 8193])
-def test_pass_boundaries(tmp_path, count):
-    # one block of ``count`` values runs as one pass, a full pass, or a
-    # full pass and one value
-    assert reports._PASS_VALUES == 8192 and count < reports.CHUNK_VALUES
+@pytest.mark.parametrize("offset", [-1, 0, 1], ids=["P-1", "P", "P+1"])
+def test_pass_boundaries(tmp_path, offset):
+    # one block of P + offset values, P = _PASS_VALUES, runs as one pass, a
+    # full pass, or a full pass and one value
+    count = reports._PASS_VALUES + offset
+    assert count < reports.CHUNK_VALUES
     times = mixed_values(np.random.default_rng(count), count)
     assert_file_matches_csv_writer(tmp_path, ["t", "f"],
                                    [(times, np.empty((count, 0)))],

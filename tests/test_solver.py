@@ -1540,22 +1540,28 @@ def test_non_finite_impulse_map_is_refused_before_any_arithmetic():
 
 @pytest.mark.parametrize("backend", ["matrix", "shift", "shift-chord"])
 @pytest.mark.parametrize("scale, refusal", [
+    (1.7e308, "segment contains non-finite entries"),
     (1e308, "segment contains non-finite entries"),
     (1e306, "segment contains non-finite entries"),
     (1e300, "the sweep's update or path sup norm overflows")],
-    ids=["1e308", "1e306", "1e300"])
+    ids=["1.7e308", "1e308", "1e306", "1e300"])
 def test_huge_window_start_is_refused_without_a_warning(backend, scale, refusal):
     # at phi(0) = 1e308 the Gramian solve of the window's residual
     # overflows; start / delta in the convolution overflows at 1e306 (step
     # 5e-3), and the path it gives is refused as non-finite; at 1e300 the
     # path is finite and its update overflows.  None shows numpy's warning,
     # nor does the chord step's own Gramian solve (a nonlocal sample inside
-    # window 0 on the shift backend)
+    # window 0 on the shift backend).  At 1.7e308 the rotation of the
+    # matrix start 1.7e308 (-1, 1) overflows in the lag table's product,
+    # and on the shift backend phi(0) + nu(x) itself overflows
     if backend == "matrix":
-        T, phi0 = MatrixSemigroup(np.array([[0.0, 1.0], [-1.0, 0.0]])), [scale, 0.0]
+        T = MatrixSemigroup(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        phi0 = scale * np.array([-1.0, 1.0] if scale > 1e308 else [1.0, 0.0])
     else:
         T, phi0 = ShiftSemigroup(16), scale * np.ones(16)
     nu = WeightedSampleNonlocal([0.1], [0.2]) if backend == "shift-chord" else None
+    if nu is not None and scale > 1e308:
+        refusal = "window 0's start"
     prob = Problem(semigroup=T, control_matrix=np.eye(T.dim),
                    mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]), beta=1.0,
                    history=lambda s: np.asarray(phi0, dtype=float), nonlocal_term=nu)
