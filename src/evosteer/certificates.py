@@ -112,10 +112,10 @@ def solution_bound(K: float, M: float, b: float, control_sup: float,
 
 def operator_bounds(problem: Problem) -> tuple:
     """(K, M): K >= |T(t)| on [0, b], the semigroup's own bound, and M =
-    |B|_2, exactly 1 for B = I without taking its SVD."""
+    |B|_2, exactly 1 for B = I (no matrix) without taking an SVD."""
     K = problem.semigroup.bound(problem.mesh.b)
-    M = (1.0 if problem.identity_control
-         else float(np.linalg.norm(problem.control_matrix, 2)))
+    B = problem.control_matrix
+    M = 1.0 if B is None else float(np.linalg.norm(B, 2))
     return K, M
 
 

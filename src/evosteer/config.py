@@ -219,7 +219,7 @@ def _load_linear(sec, mesh):
     semigroup = MatrixSemigroup(_parse_matrix(gen_raw, "problem.generator"))
     d = semigroup.dim
     ctrl_raw = sec.get("control", "").strip()
-    B = _parse_matrix(ctrl_raw, "problem.control") if ctrl_raw else np.eye(d)
+    B = _parse_matrix(ctrl_raw, "problem.control") if ctrl_raw else None
     phi0 = np.array(_get(sec, "phi0", tuple, "problem.phi0", (0.0,) * d))
     if phi0.shape != (d,):
         raise ConfigError("problem.phi0: length must match the generator")

@@ -275,7 +275,8 @@ class ControlSignal:
         for j, (a, end) in enumerate(self.problem.mesh.control_windows()):
             if a < t <= end:
                 adj = self.problem.semigroup.apply_adjoint(end - t, self.preimages[j])
-                return self.problem.control_matrix.T @ adj
+                B = self.problem.control_matrix
+                return adj if B is None else B.T @ adj
         return np.zeros(self.problem.control_dim)
 
 
@@ -283,12 +284,14 @@ def synthesize_control(problem: Problem, table: MatrixLagTable | ShiftLagTable,
                        block: _Dense | _Tridiagonal, residual: np.ndarray) -> tuple:
     """The sampled feedback on one control window, by its lag ``table``, and
     its Gramian preimage y = G^{-1} r, as ``(samples, preimage)``; the
-    product with B* is taken only when B is not the identity."""
+    product with B* is taken only when there is a B, and an overflow in it
+    is left to the sweep's refusal of a non-finite path."""
     y = gramian_solve(block, residual)
     adj = table.adjoint_evolve(y)          # rows T(g*delta)* y
     U = adj[table.m - np.arange(table.m + 1)]
-    if not problem.identity_control:
-        U = U @ problem.control_matrix
+    if problem.control_matrix is not None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            U = U @ problem.control_matrix
     return U, y
 
 

@@ -73,7 +73,7 @@ def oracle_linear(problem: Problem, control: ControlSignal, targets,
         # augmented linear system: x' = A x + (B B*) w, w' = -A^T w
         M = np.zeros((2 * d, 2 * d))
         M[:d, :d] = A
-        M[:d, d:] = B @ B.T
+        M[:d, d:] = np.eye(d) if B is None else B @ B.T
         M[d:, d:] = -A.T
         z = np.concatenate([x, expm(A.T * (end - a)) @ y])
         hM = (end - a) / (m * refine) * M

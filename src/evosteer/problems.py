@@ -35,7 +35,6 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .core import FieldError, PiecewiseTrajectory, TimeMesh
-from .semigroups import is_identity
 
 # The fewest steps any mesh interval's sample grid takes.
 MIN_STEPS = 8
@@ -87,11 +86,12 @@ class WeightedSampleNonlocal:
 class Problem:
     """Full problem tuple consumed by the Gramian/steering/solver pipeline;
     the control space is weighted like the state space, so B* is B^T.
+    ``control_matrix`` is B, or None for B = I, which takes no products.
     ``kernel``, the coefficients c_r of kappa(s) = sum_r c_r s^r, lowest
     power first, makes the integro variant, whose ``nonlinearity`` is q."""
 
     semigroup: object
-    control_matrix: np.ndarray
+    control_matrix: Optional[np.ndarray]
     mesh: TimeMesh
     beta: float
     history: Callable[[float], np.ndarray]
@@ -101,9 +101,10 @@ class Problem:
     constants: AssumptionConstants = field(default_factory=AssumptionConstants)
 
     def __post_init__(self):
-        self.control_matrix = np.atleast_2d(np.asarray(self.control_matrix, dtype=float))
-        if self.control_matrix.shape[0] != self.semigroup.dim:
-            raise FieldError("control", "row count must match the state dimension")
+        if self.control_matrix is not None:
+            self.control_matrix = np.atleast_2d(np.asarray(self.control_matrix, float))
+            if self.control_matrix.shape[0] != self.semigroup.dim:
+                raise FieldError("control", "row count must match the state dimension")
         if self.beta <= 0:
             raise FieldError("beta", "delay length beta must be positive")
         if self.kernel is not None:
@@ -126,7 +127,8 @@ class Problem:
 
     @property
     def control_dim(self) -> int:
-        return self.control_matrix.shape[1]
+        B = self.control_matrix
+        return self.dim if B is None else B.shape[1]
 
     @property
     def impulse_lipschitz(self) -> tuple:
@@ -147,13 +149,6 @@ class Problem:
     @property
     def state_weight(self) -> float:
         return self.semigroup.weight
-
-    @property
-    def identity_control(self) -> bool:
-        """Whether B = I, which makes B and B* the identity: the solve then
-        skips their products, which would only copy.  Read from the current
-        B, so a reassigned B counts, and tested without forming one."""
-        return is_identity(self.control_matrix)
 
     def norm(self, v: np.ndarray) -> float:
         return float(np.sqrt(self.state_weight) * np.linalg.norm(v))

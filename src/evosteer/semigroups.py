@@ -172,14 +172,6 @@ def _lag(theta: float, h: float) -> tuple:
     return o, x - o
 
 
-def is_identity(M: np.ndarray) -> bool:
-    """Whether the 2-D M is a square identity, tested without forming one:
-    as many nonzero entries as rows, and every diagonal entry 1."""
-    n = M.shape[0]
-    return (M.shape == (n, n) and np.count_nonzero(M) == n
-            and bool(np.all(M.diagonal() == 1.0)))
-
-
 class MatrixLagTable:
     """Propagators T(g * delta) = E^g, E = expm(delta * A), for g = 0..m.
 
@@ -202,9 +194,10 @@ class MatrixLagTable:
         with np.errstate(over="ignore", invalid="ignore"):    # refused by the sweep
             return self.stack[g] @ v
 
-    def gramian(self, B: np.ndarray) -> np.ndarray:
-        """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, as one batched product."""
-        M = self.stack @ B
+    def gramian(self, B: np.ndarray | None) -> np.ndarray:
+        """sum_g w_g (T(g*delta) B)(T(g*delta) B)^T, as one batched product;
+        B = None is the identity."""
+        M = self.stack if B is None else self.stack @ B
         return (self.weights[:, None, None] * (M @ M.transpose(0, 2, 1))).sum(axis=0)
 
     def adjoint_evolve(self, v: np.ndarray) -> np.ndarray:
@@ -275,10 +268,10 @@ class ShiftLagTable:
         """Forward shift of v by the lag g (zero past pi)."""
         return _shifted(v, self.off[g], self.frac[g])
 
-    def gramian(self, B: np.ndarray) -> tuple:
+    def gramian(self, B: None) -> tuple:
         """sum_g w_g T(g*delta) T(g*delta)^T as its diagonal and first
-        off-diagonal: with B = I, the only control matrix the shift
-        backend takes, the Gramian is exactly tridiagonal.
+        off-diagonal: with B = I, given as None and the only control the
+        shift backend takes, the Gramian is exactly tridiagonal.
 
         T(g*delta) = (1-c_g) S_o + c_g S_{o+1} with S_o the shift by o
         nodes and o = off_g, so entry i of the diagonal gains the lag's
@@ -287,9 +280,9 @@ class ShiftLagTable:
         the per-offset weights, in offset order, give the bits of adding
         each offset's weights in turn.
         """
-        if not is_identity(B):
-            raise ValueError("the shift backend takes only the identity as "
-                             "its control matrix, whose Gramian is tridiagonal")
+        if B is not None:
+            raise ValueError("the shift backend takes only B = I, given as no "
+                             "control matrix, whose Gramian is tridiagonal")
         N, P, off, c, w = self.N, self.pad, self.off, self.frac, self.weights
         diag = (np.bincount(off, w * (1.0 - c) ** 2, minlength=P)
                 + np.bincount(off + 1, w * c ** 2, minlength=P))

@@ -399,8 +399,9 @@ class Sweep:
                 residual = steering_residual(start, targets[j], table, integral)
                 samples, preimage = synthesize_control(problem, table,
                                                        self.blocks[j], residual)
-                F = F + (samples if problem.identity_control
-                         else samples @ problem.control_matrix.T)
+                B = problem.control_matrix
+                with np.errstate(over="ignore", invalid="ignore"):    # refused below
+                    F = F + (samples if B is None else samples @ B.T)
                 path = table.convolve(start, F)
                 self._solved[j] = _Solved(start, target, integral, samples, preimage)
             if not np.all(np.isfinite(path)):

@@ -1,6 +1,7 @@
 """Builders for the transport benchmark: advection on [0, pi] with the
-left-shift semigroup, distributed control at every grid node, and the
-time-scaled impulse x -> theta * x on each impulse window.
+left-shift semigroup, distributed control at every grid node (B = I, which
+the problem holds as no control matrix), and the time-scaled impulse
+x -> theta * x on each impulse window.
 
 Case 1 adds a sine nonlinearity driven by the state one delay in the past
 and a weighted-sample nonlocal initial coupling.  Case 2 takes a saturating
@@ -45,14 +46,14 @@ def _problem(N: int, beta: float, mesh: TimeMesh, *, nonlin_lipschitz: float,
              nonlin_sup: float, nonlinearity=None, kernel=None,
              nonlocal_term: Optional[WeightedSampleNonlocal] = None) -> Problem:
     """The transport problem both cases share -- the shift semigroup on N
-    nodes, B = I, the history phi(theta) = (1 + theta) sin(x) and the
-    impulse theta * x on each impulse window -- with a case's pointwise
-    map, its kernel, its nonlocal term and the map's constants."""
+    nodes, B = I as no matrix, the history phi(theta) = (1 + theta) sin(x)
+    and the impulse theta * x on each impulse window -- with a case's
+    pointwise map, its kernel, its nonlocal term and the map's constants."""
     semigroup = ShiftSemigroup(N)
     profile = np.sin(np.arange(N) * np.pi / N)
     constants = AssumptionConstants(nonlin_lipschitz=nonlin_lipschitz,
                                     nonlin_sup=nonlin_sup)
-    return Problem(semigroup=semigroup, control_matrix=np.eye(N), mesh=mesh,
+    return Problem(semigroup=semigroup, control_matrix=None, mesh=mesh,
                    beta=beta, history=lambda theta: profile * (1.0 + theta),
                    nonlinearity=nonlinearity, kernel=kernel,
                    nonlocal_term=nonlocal_term, constants=constants)

@@ -95,7 +95,7 @@ class TestIntegroConstant:
     @staticmethod
     def _integro_problem(coeffs, breakpoints):
         return Problem(semigroup=MatrixSemigroup(np.zeros((1, 1))),
-                       control_matrix=np.eye(1), mesh=TimeMesh(breakpoints),
+                       control_matrix=None, mesh=TimeMesh(breakpoints),
                        beta=1.0, history=lambda s: np.zeros(1),
                        nonlinearity=lambda t, v: np.zeros_like(v), kernel=coeffs,
                        constants=AssumptionConstants(nonlin_lipschitz=0.5,
@@ -152,7 +152,9 @@ class TestOperatorBounds:
         rng = np.random.default_rng(3)
         Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
         A = rng.normal(size=(4, 4))
-        for B, M in ((np.eye(4), 1.0), (Q @ np.diag([0.8, 1.0, 1.1, 1.25]), None)):
+        # B = I is no matrix; an identity written out is a matrix like any other
+        for B, M in ((None, 1.0), (np.eye(4), None),
+                     (Q @ np.diag([0.8, 1.0, 1.1, 1.25]), None)):
             prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=B,
                            mesh=mesh, beta=1.0, history=lambda s: np.zeros(4))
             K = prob.semigroup.bound(1.0)    # kept, so not taken again
@@ -169,7 +171,7 @@ class TestCertificatePipeline:
         rng = np.random.default_rng(40)
         A = rng.normal(size=(3, 3)) / 2.0
         mesh = TimeMesh([0.0, 0.4, 0.6, 1.0])
-        prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(3),
+        prob = Problem(semigroup=MatrixSemigroup(A), control_matrix=None,
                        mesh=mesh, beta=1.0, history=lambda s: np.zeros(3))
         num = Numerics(time_step=2e-3)
         sweep = Sweep(prob, num)
@@ -192,7 +194,7 @@ class TestCertificatePipeline:
         rng = np.random.default_rng(43)
         phi0 = np.array([0.3, -1.5])
         prob = Problem(semigroup=MatrixSemigroup(rng.normal(size=(2, 2)) / 2.0),
-                       control_matrix=np.eye(2),
+                       control_matrix=None,
                        mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]), beta=1.0,
                        history=lambda s: phi0)
         targets = [np.array([0.6, 0.8]), np.array([-1.0, 1.0])]

@@ -828,6 +828,23 @@ class TestCommands:
         for name in ("trajectory.csv", "control.csv", "report.json"):
             assert len({(out / name).read_bytes() for out in outs}) == 1, name
 
+    def test_written_out_identity_control_writes_the_unset_bytes(self, tmp_path,
+                                                                  monkeypatch):
+        # an unset control is B = I, no matrix, and skips the products that
+        # linear-2d's written-out identity takes; a product by I keeps every
+        # value, so both oracle runs write the same CSV bytes
+        text = (CONFIGS / "linear-2d.ini").read_text()
+        assert "control = 1 0; 0 1\n" in text
+        outs = []
+        for name, body in (("written", text),
+                           ("unset", text.replace("control = 1 0; 0 1\n", ""))):
+            outs.append(tmp_path / name)
+            monkeypatch.setenv("EVOSTEER_OUTDIR", str(outs[-1]))
+            assert main(["oracle", write(tmp_path, f"{name}.ini", body),
+                         "--no-timing"]) == 0
+        for name in ("trajectory.csv", "control.csv", "oracle.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_selftest_keeps_its_own_output_directory(self, tmp_path, capsys,
                                                      monkeypatch):
         # the CLI criterion's configs name their own directory: under the

@@ -33,7 +33,7 @@ def test_trapezoid_weights_sum_to_length():
 def test_window_grids_share_breakpoints():
     mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
     prob = Problem(semigroup=MatrixSemigroup(np.zeros((2, 2))),
-                   control_matrix=np.eye(2), mesh=mesh, beta=1.0,
+                   control_matrix=None, mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2))
     sweep = Sweep(prob, Numerics(time_step=1e-2))
     assert len(sweep.tables) == 2
@@ -46,7 +46,7 @@ def test_window_grids_share_breakpoints():
 def _kernel_problem(coeffs, q, mesh=None, dim=1):
     mesh = mesh or TimeMesh([0.0, 0.4, 0.5, 1.0])
     return Problem(semigroup=MatrixSemigroup(np.zeros((dim, dim))),
-                   control_matrix=np.eye(dim), mesh=mesh, beta=1.0,
+                   control_matrix=None, mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(dim),
                    nonlinearity=q, kernel=coeffs)
 
@@ -227,7 +227,7 @@ class TestKernelDiscretization:
 def test_eta_values_zero_without_nonlinearity():
     mesh = TimeMesh([0.0, 1.0])
     prob = Problem(semigroup=MatrixSemigroup(np.zeros((2, 2))),
-                   control_matrix=np.eye(2), mesh=mesh, beta=1.0,
+                   control_matrix=None, mesh=mesh, beta=1.0,
                    history=lambda s: np.zeros(2))
     num = Numerics(time_step=0.1, history_samples=8)
     traj = flat_extension(Sweep(prob, num))

@@ -39,8 +39,9 @@ def dense(tridiagonal):
 
 def window_gramian(semigroup, B, width, steps):
     """The Gramian of the window (0, width] with ``steps`` trapezoid steps,
-    as its lag table returns it."""
-    return semigroup.lag_table(width / steps, steps).gramian(np.atleast_2d(B))
+    as its lag table returns it; B = None is the identity."""
+    B = None if B is None else np.atleast_2d(B)
+    return semigroup.lag_table(width / steps, steps).gramian(B)
 
 
 def eigh_solve(block, v):
@@ -102,7 +103,7 @@ class TestAssembly:
                 M = ((1.0 - c) * Bp[:, o:o + N] + c * Bp[:, o + 1:o + 1 + N]).T
             G += w[m - g] * (M @ M.T)
         G = 0.5 * (G + G.T)
-        got = table.gramian(B)
+        got = table.gramian(B if backend == "matrix" else None)
         if backend == "matrix":
             assert np.array_equal(0.5 * (got + got.T), G)
         else:
@@ -112,12 +113,13 @@ class TestAssembly:
     @pytest.mark.parametrize("B", [
         np.random.default_rng(21).normal(size=(12, 3)),
         np.random.default_rng(21).normal(size=(12, 12)),
-        2.0 * np.eye(12), np.eye(12)[::-1], np.eye(12, 13)],
+        2.0 * np.eye(12), np.eye(12)[::-1], np.eye(12, 13), np.eye(12)],
         ids=["random-12x3", "random-12x12", "scaled-identity", "permutation",
-             "wide-identity"])
+             "wide-identity", "identity"])
     def test_shift_refuses_other_control_matrices(self, B):
-        # only B = I gives a tridiagonal Gramian; any other B is refused at
-        # assembly, naming the control matrix
+        # only B = I gives a tridiagonal Gramian, and B = I is no matrix:
+        # any matrix, an explicit identity too, is refused at assembly,
+        # naming the control matrix
         with pytest.raises(ValueError, match="control matrix"):
             window_gramian(ShiftSemigroup(12), B, 1.0, 13)
         prob = Problem(semigroup=ShiftSemigroup(12), control_matrix=B,
@@ -129,7 +131,7 @@ class TestAssembly:
     def test_shift_identity_control_is_tridiagonal(self):
         # with B = I the Gramian is the diagonal and the off-diagonal alone,
         # which factor into a block holding them
-        d, e = window_gramian(ShiftSemigroup(64), np.eye(64), 0.3, 300)
+        d, e = window_gramian(ShiftSemigroup(64), None, 0.3, 300)
         assert d.shape == (64,) and e.shape == (63,)
         assert e[0] != 0.0
         blk = factor_gramian(0, (d, e))
@@ -144,7 +146,7 @@ class TestAssembly:
         # entries are exactly zero
         table = ShiftSemigroup(N).lag_table(length / m, m)
         w = trapezoid_weights(m, length / m)[::-1]
-        d, e = table.gramian(np.eye(N))
+        d, e = table.gramian(None)
         G = offset_loop_gramian(table, np.eye(N), w)
         assert d.tobytes() == np.diag(G).tobytes()
         assert e.tobytes() == np.diag(G, 1).tobytes() == np.diag(G, -1).tobytes()
@@ -172,7 +174,7 @@ class TestAssembly:
         steps = 4
         width = steps * h
         T = ShiftSemigroup(N)
-        d, e = window_gramian(T, np.eye(N), width, steps)
+        d, e = window_gramian(T, None, width, steps)
         w = np.full(steps + 1, h)
         w[0] = w[-1] = h / 2
         expected = np.array([sum(w[g] for g in range(steps + 1)
@@ -388,7 +390,7 @@ class TestResiduals:
         A = rng.normal(size=(3, 3)) / 2.0
         mesh = TimeMesh([0.0, 1.0])
         phi0 = rng.normal(size=3)
-        prob = linear_problem(A, np.eye(3), mesh, phi0)
+        prob = linear_problem(A, None, mesh, phi0)
         num = Numerics(time_step=1e-3)
         sweep = Sweep(prob, num)
         traj = flat_extension(sweep)
@@ -416,7 +418,7 @@ class TestResiduals:
         rng = np.random.default_rng(25)
         A = rng.normal(size=(2, 2)) / 2.0
         mesh = TimeMesh([0.0, 0.3, 0.5, 1.0])
-        prob = linear_problem(A, np.eye(2), mesh, [0.1, -0.2])
+        prob = linear_problem(A, None, mesh, [0.1, -0.2])
         num = Numerics(time_step=1e-3)
         sweep = Sweep(prob, num)
         traj = flat_extension(sweep)
@@ -447,7 +449,7 @@ class TestResiduals:
         A = rng.normal(size=(2, 2)) / 2.0
         mesh = TimeMesh([0.0, 1.0])
         phi0 = rng.normal(size=2)
-        prob = linear_problem(A, np.eye(2), mesh, phi0,
+        prob = linear_problem(A, None, mesh, phi0,
                               nonlinearity=lambda t, v: np.zeros_like(v),
                               kernel=(0.0, 1.0))
         num = Numerics(time_step=1e-3, history_samples=8)
@@ -462,7 +464,7 @@ class TestResiduals:
 class TestControl:
     def test_zero_residual_zero_control(self):
         mesh = TimeMesh([0.0, 1.0])
-        prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.0, 0.0])
+        prob = linear_problem(np.zeros((2, 2)), None, mesh, [0.0, 0.0])
         sweep = Sweep(prob, Numerics(time_step=1e-2))
         u = _control(sweep, [np.zeros(2)]).value(0.5)
         np.testing.assert_allclose(u, 0.0, atol=1e-14)
@@ -493,7 +495,7 @@ class TestControl:
         if backend == "matrix":
             T, B = MatrixSemigroup(rng.normal(size=(6, 6))), rng.normal(size=(6, 6))
         else:
-            T, B = ShiftSemigroup(64), np.eye(64)
+            T, B = ShiftSemigroup(64), None
         phi0 = rng.normal(size=T.dim)
         prob = Problem(semigroup=T, control_matrix=B,
                        mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]),
@@ -519,7 +521,7 @@ class TestWindowStart:
             kwargs["nonlocal_term"] = WeightedSampleNonlocal([0.1], [0.2])
         elif case == "first-integro":
             kwargs.update(nonlinearity=lambda t, v: np.ones_like(v), kernel=(1.0,))
-        prob = linear_problem(np.zeros((2, 2)), np.eye(2), mesh, [0.5, 0.25],
+        prob = linear_problem(np.zeros((2, 2)), None, mesh, [0.5, 0.25],
                               **kwargs)
         flat = _flat_traj(prob, Numerics(time_step=1e-2, history_samples=8))
         x = np.array([1.0, -2.0])
@@ -536,7 +538,7 @@ class TestWindowStart:
         from evosteer.solver import Sweep
         rng = np.random.default_rng(44)
         if backend == "matrix":
-            prob = linear_problem(rng.normal(size=(3, 3)), np.eye(3),
+            prob = linear_problem(rng.normal(size=(3, 3)), None,
                                   TimeMesh([0.0, 0.3, 0.5, 1.0]),
                                   rng.normal(size=3))
             targets = [rng.normal(size=3) for _ in range(2)]

@@ -20,7 +20,8 @@ def rk4_reference(problem, control, numerics):
     A, d = problem.semigroup.A, problem.dim
     M = np.zeros((2 * d, 2 * d))
     M[:d, :d] = A
-    M[:d, d:] = problem.control_matrix @ problem.control_matrix.T
+    B = problem.control_matrix
+    M[:d, d:] = np.eye(d) if B is None else B @ B.T
     M[d:, d:] = -A.T
     refine = numerics.oracle_refine
     x = problem.phi0().copy()
@@ -56,7 +57,8 @@ def per_node_reference(problem, control, numerics):
     A, d, refine = problem.semigroup.A, problem.dim, numerics.oracle_refine
     M = np.zeros((2 * d, 2 * d))
     M[:d, :d] = A
-    M[:d, d:] = problem.control_matrix @ problem.control_matrix.T
+    B = problem.control_matrix
+    M[:d, d:] = np.eye(d) if B is None else B @ B.T
     M[d:, d:] = -A.T
     eye = np.eye(2 * d)
     x = problem.phi0().copy()
@@ -82,10 +84,8 @@ def per_node_reference(problem, control, numerics):
 
 
 def linear_problem(A, mesh, phi0, B=None):
-    A = np.asarray(A, dtype=float)
-    d = A.shape[0]
-    return Problem(semigroup=MatrixSemigroup(A),
-                   control_matrix=np.eye(d) if B is None else B, mesh=mesh,
+    return Problem(semigroup=MatrixSemigroup(np.asarray(A, dtype=float)),
+                   control_matrix=B, mesh=mesh,
                    beta=1.0, history=lambda s: np.asarray(phi0, dtype=float))
 
 

@@ -31,7 +31,7 @@ def make_problem(A=None, dim=2, mesh=None, phi0=None, beta=1.0, **kwargs):
     dim = A.shape[0]
     mesh = mesh or TimeMesh([0.0, 0.4, 0.6, 1.0])
     phi0 = np.zeros(dim) if phi0 is None else np.asarray(phi0, dtype=float)
-    return Problem(semigroup=MatrixSemigroup(A), control_matrix=np.eye(dim),
+    return Problem(semigroup=MatrixSemigroup(A), control_matrix=None,
                    mesh=mesh, beta=beta, history=lambda s: phi0, **kwargs)
 
 
@@ -434,7 +434,7 @@ def synthesize_reference(problem, table, block, residual):
     (samples, preimage)."""
     y = gramian_solve(block, residual)
     U = table.adjoint_evolve(y)[table.m - np.arange(table.m + 1)]
-    if not problem.identity_control:
+    if problem.control_matrix is not None:
         U = U @ problem.control_matrix
     return U, y
 
@@ -489,7 +489,8 @@ def reference_sweep(self, traj, targets, forward=False):
             steering_residual(start, targets[j], table, integral))
         samples.append(U)
         preimages.append(y)
-        F += U @ problem.control_matrix.T
+        B = problem.control_matrix
+        F += U @ (np.eye(problem.dim) if B is None else B).T
         seg_values.append(table.convolve(start, F))
     control = ControlSignal(problem=problem, window_times=self.seg_times[::2],
                             samples=samples, preimages=preimages)
@@ -1372,19 +1373,21 @@ def test_kept_state_grows_linearly_with_the_grid():
     assert 1.5 * kept[0] < kept[1] < 2.5 * kept[0]
 
 
-def test_identity_control_skips_its_products(monkeypatch):
-    # The transport presets steer through B = I, so B and B* are the
-    # identity and the solve skips both products.  A product by I
+def test_identity_control_skips_its_products():
+    # The transport presets steer through B = I, given as no matrix, so the
+    # solve skips the products with B and B*.  A product by an explicit I
     # adds exact zeros to x * 1: it keeps every nonzero value, and could only
     # turn a -0.0 into +0.0.  The shift adjoint's zeros come from its +0.0
     # padding, so the samples hold no -0.0 (checked below), and skipping the
-    # products gives the matmul path's samples and paths byte for byte.
+    # products gives the matmul path's samples and paths byte for byte.  The
+    # shift backend assembles only B = I, so I is written out after assembly
     from evosteer.config import load_config
     cfg = load_config(str(CONFIGS / "transport-case1.ini"))
-    assert cfg.problem.identity_control
+    assert cfg.problem.control_matrix is None
     skipped = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
-    monkeypatch.setattr(Problem, "identity_control", False)
-    taken = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
+    sweep = Sweep(cfg.problem, cfg.numerics)
+    cfg.problem.control_matrix = np.eye(cfg.problem.dim)
+    taken = picard_solve(sweep, cfg.targets)
     assert_same_apply((skipped.trajectory, skipped.control),
                       (taken.trajectory, taken.control))
     samples = np.concatenate(skipped.control.samples)
@@ -1393,8 +1396,9 @@ def test_identity_control_skips_its_products(monkeypatch):
 
 
 def test_other_control_operators_take_the_products(tmp_path):
-    # a bench-style random B on linear-2d is not the identity: the control
-    # steers only through the products
+    # a bench-style random B on linear-2d is a matrix: the control steers
+    # only through the products, as the identity written out in linear-2d
+    # does, and only an unset control is B = I, no matrix
     from evosteer.config import load_config
     rng = np.random.default_rng(7)
     Q, _ = np.linalg.qr(rng.normal(size=(2, 2)))
@@ -1405,37 +1409,54 @@ def test_other_control_operators_take_the_products(tmp_path):
     ini.write_text(text.replace("control = 1 0; 0 1", "control = "
                                 + "; ".join(" ".join(map(repr, row)) for row in B.tolist())))
     cfg = load_config(str(ini))
-    assert not cfg.problem.identity_control
+    np.testing.assert_array_equal(cfg.problem.control_matrix, B)
     report = picard_solve(Sweep(cfg.problem, cfg.numerics), cfg.targets)
     assert max(report.per_window_defect) <= 1e-9
-    assert make_problem(dim=2).identity_control
+    written = load_config(str(CONFIGS / "linear-2d.ini")).problem.control_matrix
+    np.testing.assert_array_equal(written, np.eye(2))
+    ini.write_text(text.replace("control = 1 0; 0 1\n", ""))
+    assert load_config(str(ini)).problem.control_matrix is None
 
 
 def test_reassigned_control_matrix_takes_the_products():
-    # the identity flag is read from the current B: a B reassigned after
-    # construction steers through its products and hits the targets, where
-    # a flag kept from B = I would skip them and miss
+    # B is read where it is used: a matrix reassigned after construction in
+    # place of B = I (no matrix) steers through its products and hits the
+    # targets, where a solve kept at B = I would skip them and miss
     rng = np.random.default_rng(43)
     prob = make_problem(rng.normal(size=(2, 2)) / 2.0, phi0=[0.3, 0.1])
-    assert prob.identity_control
+    assert prob.control_matrix is None
     prob.control_matrix = np.array([[1.0, 0.3], [0.0, 0.8]])
-    assert not prob.identity_control
     targets = [rng.normal(size=2), rng.normal(size=2)]
     report = picard_solve(Sweep(prob, Numerics(time_step=2e-3)), targets)
     assert max(report.per_window_defect) <= 1e-9
 
 
-def test_identity_control_forms_no_identity():
-    # the flag is read twice per window solve; testing it allocates no
-    # N x N array (8 MiB at N = 1024)
-    prob = build_case1(N=1024)
-    tracemalloc.start()
-    try:
-        assert prob.identity_control
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 1024
+@pytest.mark.parametrize("case", ["transport-case1", "transport-case2"])
+def test_run_memory_is_bounded_under_refinement(case):
+    # the traced peak of build + certify + solve grows with the number of
+    # state values, not with N^2: B = I holds no N x N array.  Measured at
+    # step 5e-3: 66.8 / 68.2 bytes a state value at N = 2048 on Case 1 / 2
+    # and a 3.5 / 4.0 times larger peak than at N = 512, where an N x N
+    # identity gave 147.5 / 148.9 bytes and 6.1 / 6.7 times
+    import gc
+    from evosteer.runner import run
+    from evosteer.transport import build_case2
+    build = build_case1 if case == "transport-case1" else build_case2
+    peaks = {}
+    for N in (512, 2048):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            prob = build(N=N)
+            result = run(prob, smooth_targets(prob, 7), Numerics(time_step=5e-3))
+            peaks[N] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.solve.converged
+        values = result.solve.trajectory.sample_stack().size
+        del prob, result
+    assert peaks[2048] <= 96 * values
+    assert peaks[2048] <= 4.5 * peaks[512]
 
 
 @pytest.mark.parametrize("preset, reads", [
@@ -1538,7 +1559,8 @@ def test_non_finite_impulse_map_is_refused_before_any_arithmetic():
             picard_solve(Sweep(prob, Numerics(time_step=1e-2)), OVERFLOW_TARGETS)
 
 
-@pytest.mark.parametrize("backend", ["matrix", "shift", "shift-chord"])
+@pytest.mark.parametrize("backend", ["matrix", "matrix-diag", "matrix-swap",
+                                     "shift", "shift-chord"])
 @pytest.mark.parametrize("scale, refusal", [
     (1.7e308, "segment contains non-finite entries"),
     (1e308, "segment contains non-finite entries"),
@@ -1553,16 +1575,20 @@ def test_huge_window_start_is_refused_without_a_warning(backend, scale, refusal)
     # nor does the chord step's own Gramian solve (a nonlocal sample inside
     # window 0 on the shift backend).  At 1.7e308 the rotation of the
     # matrix start 1.7e308 (-1, 1) overflows in the lag table's product,
-    # and on the shift backend phi(0) + nu(x) itself overflows
-    if backend == "matrix":
+    # and on the shift backend phi(0) + nu(x) itself overflows.  A matrix B,
+    # the identity written out too, takes its products with B and B*, whose
+    # overflow at 1e308 is refused the same way
+    if backend.startswith("matrix"):
         T = MatrixSemigroup(np.array([[0.0, 1.0], [-1.0, 0.0]]))
         phi0 = scale * np.array([-1.0, 1.0] if scale > 1e308 else [1.0, 0.0])
+        B = {"matrix": np.eye(2), "matrix-diag": np.diag([2.0, 1.0]),
+             "matrix-swap": np.array([[0.0, 1.0], [1.0, 0.0]])}[backend]
     else:
-        T, phi0 = ShiftSemigroup(16), scale * np.ones(16)
+        T, phi0, B = ShiftSemigroup(16), scale * np.ones(16), None
     nu = WeightedSampleNonlocal([0.1], [0.2]) if backend == "shift-chord" else None
     if nu is not None and scale > 1e308:
         refusal = "window 0's start"
-    prob = Problem(semigroup=T, control_matrix=np.eye(T.dim),
+    prob = Problem(semigroup=T, control_matrix=B,
                    mesh=TimeMesh([0.0, 0.4, 0.6, 1.0]), beta=1.0,
                    history=lambda s: np.asarray(phi0, dtype=float), nonlocal_term=nu)
     with warnings.catch_warnings():
